@@ -137,14 +137,15 @@ def verify_iss(scenario: Scenario, p: float = math.inf, *,
 
     The envelope (N, a) comes from an unforced companion run of the same
     scenario unless passed in; the rate is deflated before use so first-order
-    discretization error cannot invalidate the certified envelope.
+    discretization error cannot invalidate the certified envelope. A
+    certificate that does not say ISS raises SmallGainViolation carrying it.
     """
     spec, grid = scenario.spec, scenario.grid
     cert = small_gain_certificate(spec, grid)
     if cert.decision != "ISS":
         raise SmallGainViolation(
             f"certificate decision is {cert.decision} (r_gain = {cert.r_gain}); "
-            "the ISS estimate does not apply")
+            "the ISS estimate does not apply", certificate=cert)
 
     if envelope is None:
         if not auto_companion:

@@ -98,15 +98,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = load_network(args.config)
-    grid = VelocityGrid.for_spec(spec, args.k_velocity)
-    cert = small_gain_certificate(spec, grid)
-    if cert.decision == "INCONCLUSIVE":
-        _emit(args, "verify.json",
-              {"certificate": cert.to_dict(), "passed": None})
-        return 3
     scenario = _load_scenario(spec, args.scenario, args)
     p = math.inf if args.p in ("inf", "Inf", "INF") else float(args.p)
-    report = verify_iss(scenario, p, seed=args.seed or 0)
+    try:
+        report = verify_iss(scenario, p, seed=args.seed or 0)
+    except SmallGainViolation as e:
+        if e.certificate is None or e.certificate.decision != "INCONCLUSIVE":
+            raise
+        _emit(args, "verify.json",
+              {"certificate": e.certificate.to_dict(), "passed": None})
+        return 3
     _emit(args, "verify.json", report.to_dict())
     return 0 if report.passed else 1
 
@@ -186,9 +187,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SmallGainViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (KinnetError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -39,7 +39,13 @@ class PreconditionError(KinnetError):
 
 
 class SmallGainViolation(KinnetError):
-    """ISS constants requested while the junction norm is >= 1."""
+    """ISS constants requested while the junction norm is >= 1, or ISS
+    verification requested while the certificate (carried when known) does
+    not say ISS."""
+
+    def __init__(self, msg, certificate=None):
+        super().__init__(msg)
+        self.certificate = certificate
 
 
 class MissingEnvelope(KinnetError):

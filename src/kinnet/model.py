@@ -159,10 +159,11 @@ class AbsorptionProfile:
         return max(max(row) for row in self.values)
 
 
-def _cell_index(edges, x: float) -> int:
-    n = len(edges) - 1
-    i = int(np.searchsorted(edges, x, side="right")) - 1
-    return min(max(i, 0), n - 1)
+def _cell_index(edges, x):
+    """Index of the cell holding x, elementwise; points outside the edges fall
+    in the nearest end cell."""
+    i = np.searchsorted(edges, x, side="right") - 1
+    return np.minimum(np.maximum(i, 0), len(edges) - 2)
 
 
 @dataclass(frozen=True)
@@ -181,13 +182,14 @@ class ScatteringKernel:
     in_values: tuple[float, ...] = ()
     values: tuple[tuple[float, ...], ...] = ()  # shape (n_v_out, n_v_in)
 
-    def beta(self, v: float, v_in: float) -> float:
+    def beta(self, v, v_in):
+        """beta(v, v_in), elementwise over velocities that broadcast together."""
         if self.kind == "constant":
-            return self.value
+            return np.full(np.broadcast_shapes(np.shape(v), np.shape(v_in)), self.value)[()]
+        i, i_in = _cell_index(self.v_edges, v), _cell_index(self.v_edges, v_in)
         if self.kind == "separable":
-            return (self.out_values[_cell_index(self.v_edges, v)]
-                    * self.in_values[_cell_index(self.v_edges, v_in)])
-        return self.values[_cell_index(self.v_edges, v)][_cell_index(self.v_edges, v_in)]
+            return np.asarray(self.out_values)[i] * np.asarray(self.in_values)[i_in]
+        return np.asarray(self.values)[i, i_in]
 
     def max_value(self) -> float:
         if self.kind == "constant":
@@ -357,7 +359,10 @@ def _require(doc: dict, key: str, ctx: str):
 def _number(x, ctx: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(f"expected a number for {ctx}, got {type(x).__name__}")
-    return float(x)
+    value = float(x)
+    if not math.isfinite(value):
+        raise ValidationError(f"{ctx} must be finite, got {value}")
+    return value
 
 
 def _parse_absorption(doc, ctx: str) -> AbsorptionProfile:
@@ -464,6 +469,8 @@ def load_network(config_document) -> NetworkSpec:
     routing = np.asarray(routing_raw, dtype=float)
     if routing.shape != (J, J):
         raise SchemaError(f"routing must be {J}x{J}, got shape {routing.shape}")
+    if not np.all(np.isfinite(routing)):
+        raise ValidationError("routing entries must be finite")
     bad = np.argwhere(routing < 0)
     if bad.size:
         i, j = bad[0]

@@ -84,9 +84,6 @@ class BlockOperator:
 class GainAssemblyReport:
     lam: float
     operator: BlockOperator
-    quadrature_residual: float
-    delay_factor_norm: float
-    trace_factor_norm: float
 
 
 def survival_factor(circle: CircleSpec, lam: float, v: float, x: float) -> float:
@@ -98,43 +95,43 @@ def survival_factor(circle: CircleSpec, lam: float, v: float, x: float) -> float
     return math.exp(min(-exponent, 700.0))
 
 
-def _delay_block(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> np.ndarray:
-    """Routing + delayed scattering: maps trace data of incoming circle j to
-    inflow of outgoing circle i.
+def scattering_table(circle: CircleSpec, grid: VelocityGrid) -> np.ndarray:
+    """Circle's junction kernel on the grid: entry [k, k'] = beta(v_k, v_k')
+    * v_k' * dv_k'."""
+    v = grid.centers
+    return circle.scattering.beta(v[:, None], v[None, :]) * (v * grid.widths)[None, :]
 
-    Entry [(i,k),(j,k')] = w_ij * laplace_j(lam) * (1/v_k) beta_j(v_k, v_k')
-    * v_k' * dv_k'.
+
+def _routed_scattering(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
+    """Shift-free factor B of the gain: maps trace data of incoming circle j
+    to inflow of outgoing circle i.
+
+    Entry [(i,k),(j,k')] = w_ij * beta_j(v_k, v_k') * v_k' * dv_k' / v_k.
     """
     J, K = spec.n_circles, grid.k
-    v = grid.centers
-    dv = grid.widths
-    out = np.zeros((J * K, J * K))
-    for j, c in enumerate(spec.circles):
-        lap = measure_laplace(c.delay_measure, lam)
-        if lap == 0.0 or c.scattering.is_zero():
-            scat = None
-        else:
-            beta = np.array([[c.scattering.beta(v[k], v[kp]) for kp in range(K)]
-                             for k in range(K)])
-            scat = lap * beta * (v * dv)[None, :] / v[:, None]
-        if scat is None:
-            continue
-        for i in range(J):
-            w = spec.routing[i, j]
-            if w != 0.0:
-                out[i * K:(i + 1) * K, j * K:(j + 1) * K] = w * scat
-    return out
+    tables = np.stack([scattering_table(c, grid) for c in spec.circles])
+    tables /= grid.centers[None, :, None]
+    b = spec.routing[:, None, :, None] * tables.transpose(1, 0, 2)[None]
+    return b.reshape(J * K, J * K)
+
+
+def _laplace_factors(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> np.ndarray:
+    """Delay Laplace factor laplace_j(lam) of each flattened (j, k')."""
+    return np.repeat([measure_laplace(c.delay_measure, lam) for c in spec.circles],
+                     grid.k)
+
+
+def _survival(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> np.ndarray:
+    """Transport survival of each flattened (j, k') from the junction to the
+    trace at x = l_j."""
+    return np.array([survival_factor(c, lam, v, c.length)
+                     for c in spec.circles for v in grid.centers])
 
 
 def _trace_block(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> np.ndarray:
     """Diagonal transport-survival: junction data through circle j to its trace
     at x = l_j."""
-    J, K = spec.n_circles, grid.k
-    d = np.empty(J * K)
-    for j, c in enumerate(spec.circles):
-        for k in range(K):
-            d[j * K + k] = survival_factor(c, lam, grid.centers[k], c.length)
-    return np.diag(d)
+    return np.diag(_survival(spec, grid, lam))
 
 
 def _flux_weights(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
@@ -142,44 +139,28 @@ def _flux_weights(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
 
 
 def assemble_gain(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> GainAssemblyReport:
-    """Discretized junction gain operator at shift lam.
+    """Discretized junction gain operator G(lam) = B diag(laplace(lam) S(lam)).
 
-    Composition delayed-scatter-route (incoming circle's measure and kernel)
-    after transport survival, per the transmission conditions.
+    Delayed scatter-route (incoming circle's measure and kernel) after
+    transport survival, per the transmission conditions: only the column
+    (j, k') of an entry depends on lam.
     """
-    delay = _delay_block(spec, grid, lam)
-    trace = _trace_block(spec, grid, lam)
-    w = _flux_weights(spec, grid)
-    mat = delay @ trace
-    op = BlockOperator(matrix=mat, weights=w)
-    residual = _quadrature_residual(spec, grid, lam, op)
+    scale = _laplace_factors(spec, grid, lam) * _survival(spec, grid, lam)
+    mat = _routed_scattering(spec, grid) * scale[None, :]
     return GainAssemblyReport(
-        lam=lam, operator=op, quadrature_residual=residual,
-        delay_factor_norm=BlockOperator(delay, w).norm(),
-        trace_factor_norm=BlockOperator(trace, w).norm(),
-    )
-
-
-def _quadrature_residual(spec, grid, lam, op) -> float:
-    """First-order Richardson estimate of the velocity-quadrature error of the
-    gain norm; 0 when the grid cannot be coarsened."""
-    if grid.k < 2 or grid.k % 2 != 0:
-        return 0.0
-    coarse = VelocityGrid.uniform(float(grid.edges[0]), float(grid.edges[-1]), grid.k // 2)
-    cmat = _delay_block(spec, coarse, lam) @ _trace_block(spec, coarse, lam)
-    cnorm = BlockOperator(cmat, _flux_weights(spec, coarse)).norm()
-    return abs(op.norm() - cnorm)
+        lam=lam, operator=BlockOperator(matrix=mat, weights=_flux_weights(spec, grid)))
 
 
 def assemble_pd(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> BlockOperator:
-    """Antidiagonal junction block operator [[0, s*B_delay], [B_trace/s, 0]].
+    """Antidiagonal junction block operator [[0, s*B_delay], [B_trace/s, 0]]
+    with B_delay = B diag(laplace(lam)) and B_trace = diag(S(lam)).
 
     The scalar s balances the two block norms: a diagonal similarity that
     leaves the spectrum and the block product unchanged, so the squared
     spectral radius still equals the gain radius while the operator norm is
     the geometric mean of the block norms.
     """
-    b_delay = _delay_block(spec, grid, lam)
+    b_delay = _routed_scattering(spec, grid) * _laplace_factors(spec, grid, lam)[None, :]
     b_trace = _trace_block(spec, grid, lam)
     w = _flux_weights(spec, grid)
     n_delay = BlockOperator(b_delay, w).norm()
@@ -228,10 +209,7 @@ def apply_delay_kernel(circle: CircleSpec, grid: VelocityGrid, flux_history,
 
     if circle.scattering.is_zero():
         return 0.0
-    v = grid.centers
-    dv = grid.widths
-    k = v_out_cell
-    beta_row = np.array([circle.scattering.beta(v[k], v[kp]) for kp in range(grid.k)])
+    table_row = scattering_table(circle, grid)[v_out_cell]
 
     dt = circle.delay / (n_theta - 1)
     offsets, weights = delay_quadrature(circle.delay_measure, dt, n_theta)
@@ -244,4 +222,4 @@ def apply_delay_kernel(circle: CircleSpec, grid: VelocityGrid, flux_history,
         if h.shape != (grid.k,):
             raise DomainError("flux history must return a velocity vector")
         total += wgt * h
-    return float(np.dot(beta_row * v * dv, total) / v[k])
+    return float(np.dot(table_row, total) / grid.centers[v_out_cell])

@@ -17,7 +17,7 @@ import numpy as np
 from .delayquad import delay_quadrature, _accumulate_density
 from .errors import CflError, DomainError, ValidationError
 from .model import NetworkSpec
-from .operators import VelocityGrid
+from .operators import VelocityGrid, scattering_table
 
 ZERO = {"kind": "zero"}
 
@@ -49,8 +49,12 @@ class Scenario:
     _engine: "object" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValidationError("t_end must be > 0")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValidationError(f"t_end must be finite and > 0, got {self.t_end}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
+        if not self.m_cells:
+            self.m_cells = default_m_cells(self.spec)
         if self.stride < 1:
             raise ValidationError("recording stride must be >= 1")
         dx_min = min(c.length / m for c, m in zip(self.spec.circles, self.m_cells))
@@ -179,12 +183,8 @@ class _Engine:
             hw = np.zeros(s)
             _accumulate_density(hw, sc.dt, -c.delay, 0.0, "const", 1.0)
             self.hist_w.append(hw)
-            if c.scattering.is_zero():
-                self.bv.append(None)
-            else:
-                beta = np.array([[c.scattering.beta(v[k], v[kp])
-                                  for kp in range(self.K)] for k in range(self.K)])
-                self.bv.append(beta * (v * self.dv)[None, :])
+            self.bv.append(None if c.scattering.is_zero()
+                           else scattering_table(c, grid))
         self.routing = np.asarray(spec.routing, dtype=float)
         self.u_of_step = self._build_disturbance()
 

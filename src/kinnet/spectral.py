@@ -39,6 +39,8 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
     a = _as_matrix(op)
     if a.size == 0:
         return 0.0
+    if not np.all(np.isfinite(a)):
+        raise DomainError("spectral_radius expects finite matrix entries")
     if np.any(a < 0):
         raise DomainError("spectral_radius expects a nonnegative matrix")
 

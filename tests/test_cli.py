@@ -3,6 +3,8 @@ import re
 
 import pytest
 
+import kinnet.analysis
+import kinnet.cli
 from kinnet.cli import main
 from kinnet.presets import single_circle, single_circle_lambda_star, \
     single_circle_threshold_w
@@ -98,6 +100,37 @@ def test_verify_inconclusive_exits_3(tmp_path, scenario_file, capsys):
     path.write_text(json.dumps(spec.to_config()))
     code = main(["verify", str(path), scenario_file, "--k-velocity", "1"])
     assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"certificate", "passed", "timestamp"}
+    assert doc["passed"] is None
+    assert doc["certificate"]["decision"] == "INCONCLUSIVE"
+    assert abs(doc["certificate"]["r_gain"] - 1.0) < 1e-3
+
+
+def test_verify_makes_one_certificate(config_iss, scenario_file, monkeypatch,
+                                      capsys):
+    certificate = kinnet.analysis.small_gain_certificate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return certificate(*args, **kwargs)
+
+    for module in (kinnet.cli, kinnet.analysis):
+        monkeypatch.setattr(module, "small_gain_certificate", counted)
+    assert main(["verify", config_iss, scenario_file, "--k-velocity", "4"]) == 0
+    assert len(calls) == 1
+
+
+def test_non_finite_scenario_exits_2(config_iss, tmp_path, capsys):
+    path = tmp_path / "endless.json"
+    path.write_text(json.dumps({"t_end": float("inf"), "m_base": 8}))
+    assert "Infinity" in path.read_text()
+    assert main(["simulate", config_iss, str(path), "--k-velocity", "1",
+                 "--out", str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_end" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_sweep(config_iss, tmp_path, capsys):

@@ -111,6 +111,18 @@ def test_scattering_kernels():
     assert not s.is_zero()
     t = ScatteringKernel(kind="tabulated", v_edges=(1.0, 2.0), values=((0.0,),))
     assert t.is_zero()
+    # on broadcast arrays, points outside the edges fall in the end cells
+    tab = ScatteringKernel(kind="tabulated", v_edges=(1.0, 1.4, 2.0),
+                           values=((0.1, 0.2), (0.3, 0.4)))
+    v = np.array([0.5, 1.0, 1.2, 1.4, 1.9, 2.0, 2.5])
+    grid = (v[:, None], v[None, :])
+    assert np.array_equal(c.beta(*grid), np.full((7, 7), 2.0))
+    cells = [0, 0, 0, 0, 1, 1, 1]
+    assert np.array_equal(s.beta(*grid), np.outer(np.array([1.0, 3.0])[cells],
+                                                   np.array([0.5, 0.25])[cells]))
+    cells = [0, 0, 0, 1, 1, 1, 1]
+    assert np.array_equal(tab.beta(*grid),
+                          np.array([[0.1, 0.2], [0.3, 0.4]])[np.ix_(cells, cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +185,21 @@ def test_config_validation_errors():
     doc = single_circle(0.5).to_config()
     doc["circles"][0]["scattering"]["value"] = 5.0  # breaks the unit integral
     with pytest.raises(ValidationError, match="mass-preserving"):
+        load_network(doc)
+
+
+def test_config_rejects_non_finite_numbers():
+    doc = single_circle(0.5).to_config()
+    doc["circles"][0]["length"] = float("nan")
+    with pytest.raises(ValidationError, match=r"circles\[0\]\.length"):
+        load_network(json.dumps(doc))
+    doc = single_circle(0.5).to_config()
+    doc["circles"][0]["absorption"]["value"] = float("inf")
+    with pytest.raises(ValidationError, match="finite"):
+        load_network(doc)
+    doc = single_circle(0.5).to_config()
+    doc["routing"] = [[float("nan")]]
+    with pytest.raises(ValidationError, match="routing"):
         load_network(doc)
 
 

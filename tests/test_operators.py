@@ -5,11 +5,11 @@ import pytest
 
 from kinnet import (BlockOperator, DomainError, PreconditionError,
                     VelocityGrid, apply_delay_kernel, assemble_gain,
-                    assemble_pd, dirichlet_norm_closed_form,
+                    assemble_pd, dirichlet_norm_closed_form, measure_laplace,
                     measure_total_variation, pd_norm_closed_form,
                     survival_factor)
-from kinnet.presets import heterogeneous_five, single_circle, \
-    single_circle_gain
+from kinnet.presets import heterogeneous_five, regression_suite, \
+    single_circle, single_circle_gain
 
 
 def test_velocity_grid_uniform():
@@ -56,10 +56,48 @@ def test_gain_entries_nonnegative_and_report_fields():
     g = VelocityGrid.for_spec(spec, 8)
     rep = assemble_gain(spec, g, 0.0)
     assert np.all(rep.operator.matrix >= 0.0)
-    assert rep.delay_factor_norm > 0 and rep.trace_factor_norm > 0
-    assert rep.quadrature_residual >= 0.0
-    fine = assemble_gain(spec, VelocityGrid.for_spec(spec, 32), 0.0)
-    assert fine.quadrature_residual <= rep.quadrature_residual + 1e-12
+    assert rep.lam == 0.0
+
+
+def _dense_reference(spec, grid, lam):
+    """Delay block and survival vector entry by entry from scalar beta,
+    measure_laplace and survival_factor calls."""
+    J, K = spec.n_circles, grid.k
+    v, dv = grid.centers, grid.widths
+    delay = np.zeros((J * K, J * K))
+    survival = np.zeros(J * K)
+    for j, c in enumerate(spec.circles):
+        lap = measure_laplace(c.delay_measure, lam)
+        for kp in range(K):
+            survival[j * K + kp] = survival_factor(c, lam, v[kp], c.length)
+            for k in range(K):
+                beta = c.scattering.beta(v[k], v[kp])
+                for i in range(J):
+                    delay[i * K + k, j * K + kp] = (
+                        spec.routing[i, j] * lap * beta * v[kp] * dv[kp] / v[k])
+    return delay, survival
+
+
+@pytest.mark.parametrize("k", [1, 8, 32])
+@pytest.mark.parametrize("lam", [0.0, -0.3])
+def test_gain_and_pd_match_dense_reference(k, lam):
+    for name, spec, _ in regression_suite():
+        g = VelocityGrid.for_spec(spec, k)
+        delay, survival = _dense_reference(spec, g, lam)
+        gain = assemble_gain(spec, g, lam).operator.matrix
+        np.testing.assert_allclose(gain, delay * survival[None, :],
+                                   rtol=1e-14, atol=0.0, err_msg=name)
+        w = np.tile(g.widths, spec.n_circles)
+        n_delay = BlockOperator(delay, w).norm()
+        n_trace = BlockOperator(np.diag(survival), w).norm()
+        s = math.sqrt(n_trace / n_delay) if n_delay > 0.0 else 1.0
+        n = len(survival)
+        pd = assemble_pd(spec, g, lam).matrix
+        np.testing.assert_allclose(pd[:n, n:], s * delay,
+                                   rtol=1e-14, atol=0.0, err_msg=name)
+        np.testing.assert_allclose(pd[n:, :n], np.diag(survival) / s,
+                                   rtol=1e-14, atol=0.0, err_msg=name)
+        assert not np.any(pd[:n, :n]) and not np.any(pd[n:, n:])
 
 
 def test_pd_block_product_equals_gain():

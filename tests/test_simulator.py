@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from kinnet import (CflError, ValidationError, VelocityGrid, history_norm,
-                    init_state, make_scenario, network_bounds, run, state_norm,
-                    step, total_mass)
+from kinnet import (CflError, Scenario, ValidationError, VelocityGrid,
+                    history_norm, init_state, make_scenario, network_bounds,
+                    run, state_norm, step, total_mass)
+from kinnet.simulator import default_m_cells
 from kinnet.presets import conservation_spec, single_circle
 
 from conftest import constant_scenario
@@ -200,3 +201,18 @@ def test_record_lengths_respect_stride(sc_spec, grid8):
     expected = 1 + n // 5 + (1 if n % 5 else 0)
     assert len(traj.times) == expected
     assert traj.outflux.shape == (expected, 1)
+
+
+def test_scenario_fills_default_m_cells(sc_spec, grid8):
+    dt = 0.5 * sc_spec.circles[0].length / 64 / sc_spec.v_max
+    sc = Scenario(spec=sc_spec, grid=grid8, dt=dt, t_end=0.1)
+    assert sc.m_cells == default_m_cells(sc_spec)
+    assert len(run(sc).times) == sc.n_steps + 1
+
+
+def test_scenario_rejects_non_finite_times(sc_spec, grid8):
+    for kw in ({"t_end": math.inf}, {"t_end": math.nan},
+               {"t_end": 1.0, "dt": math.inf}, {"t_end": 1.0, "dt": math.nan},
+               {"t_end": 1.0, "dt": 0.0}):
+        with pytest.raises(ValidationError):
+            make_scenario(sc_spec, grid8, **kw)

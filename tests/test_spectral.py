@@ -38,6 +38,16 @@ def test_radius_input_checks():
         spectral_radius(np.eye(2), tol=0.0)
 
 
+def test_radius_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            spectral_radius(np.full((4, 4), bad))
+    a = np.eye(3)
+    a[0, 2] = math.nan
+    with pytest.raises(DomainError, match="finite"):
+        spectral_radius(a)
+
+
 def test_radius_matches_eig_on_random_nonneg():
     rng = np.random.default_rng(7)
     for _ in range(10):
