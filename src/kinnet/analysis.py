@@ -140,6 +140,8 @@ def verify_iss(scenario: Scenario, p: float = math.inf, *,
     discretization error cannot invalidate the certified envelope. A
     certificate that does not say ISS raises SmallGainViolation carrying it.
     """
+    if not p >= 1:
+        raise DomainError(f"p must be in [1, inf], got {p}")
     spec, grid = scenario.spec, scenario.grid
     cert = small_gain_certificate(spec, grid)
     if cert.decision != "ISS":
@@ -193,8 +195,8 @@ def scale_spec(spec: NetworkSpec, parameter: str, value: float) -> NetworkSpec:
     """Copy of the spec with one family of coefficients scaled by value."""
     if parameter not in _SWEEP_PARAMETERS:
         raise DomainError(f"unknown sweep parameter {parameter!r}")
-    if value < 0:
-        raise DomainError("scale values must be >= 0")
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"scale value {value} must be finite and >= 0")
     if parameter == "routing_scale":
         return NetworkSpec(circles=spec.circles, routing=spec.routing * value,
                            v_min=spec.v_min, v_max=spec.v_max,
@@ -274,12 +276,12 @@ def sweep(spec: NetworkSpec, parameter: str, values, grid: VelocityGrid | None =
     """Certificate plus short unforced run for each scaled spec; locates the
     gain-radius threshold and checks decisions against fitted behavior."""
     values = tuple(float(v) for v in values)
+    scaled = [scale_spec(spec, parameter, v) for v in values]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise DomainError("sweep values must be strictly increasing")
 
     r_gains, a_hats, decisions = [], [], []
-    for v in values:
-        s = scale_spec(spec, parameter, v)
+    for s in scaled:
         g = grid if grid is not None else VelocityGrid.for_spec(s, k_velocity)
         cert = small_gain_certificate(s, g)
         b = network_bounds(s)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -12,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import fit_decay, sweep, verify_iss
-from .errors import ExtinctionFlag, KinnetError, SmallGainViolation
+from .errors import (DomainError, ExtinctionFlag, KinnetError, SchemaError,
+                     SmallGainViolation)
 from .model import load_network
 from .operators import VelocityGrid, assemble_gain, assemble_pd, \
     dirichlet_norm_closed_form, pd_norm_closed_form
@@ -25,13 +25,19 @@ _SCENARIO_KEYS = {"t_end", "dt", "stride", "m_base", "m_cells", "initial",
 
 def _load_scenario(spec, path, args):
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise SchemaError("a scenario file holds one JSON object")
     unknown = set(doc) - _SCENARIO_KEYS
     if unknown:
         raise KinnetError(f"unknown scenario keys: {sorted(unknown)}")
+    if "t_end" not in doc:
+        raise SchemaError("scenario needs t_end")
     kw = dict(doc)
     if args.dt is not None:
         kw["dt"] = args.dt
     if "m_cells" in kw:
+        if not isinstance(kw["m_cells"], list):
+            raise SchemaError("scenario m_cells must be a list")
         kw["m_cells"] = tuple(kw["m_cells"])
     if args.seed is not None:
         for key in ("initial", "history", "disturbance"):
@@ -41,6 +47,13 @@ def _load_scenario(spec, path, args):
                 preset["seed"] = args.seed
     return make_scenario(spec, t_end=kw.pop("t_end"),
                          k_velocity=args.k_velocity, **kw)
+
+
+def _float_arg(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"{flag} expects a number, got {text!r}") from None
 
 
 def _emit(args, name: str, payload: dict) -> None:
@@ -99,7 +112,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_network(args.config)
     scenario = _load_scenario(spec, args.scenario, args)
-    p = math.inf if args.p in ("inf", "Inf", "INF") else float(args.p)
+    p = _float_arg("--p", args.p)
     try:
         report = verify_iss(scenario, p, seed=args.seed or 0)
     except SmallGainViolation as e:
@@ -114,7 +127,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_network(args.config)
-    values = [float(v) for v in args.values.split(",")]
+    values = [_float_arg("--values", v) for v in args.values.split(",")]
     result = sweep(spec, args.param, values, k_velocity=args.k_velocity)
     if args.out:
         out = Path(args.out)

@@ -21,15 +21,6 @@ class HistoryGapError(KinnetError):
     """Trace history buffer does not cover the full delay interval."""
 
 
-class ConvergenceError(KinnetError):
-    """Spectral radius iteration failed to stabilize."""
-
-    def __init__(self, msg, power_estimate=None, gelfand_estimate=None):
-        super().__init__(msg)
-        self.power_estimate = power_estimate
-        self.gelfand_estimate = gelfand_estimate
-
-
 class BracketError(KinnetError):
     """No sign change of r(gain) - 1 found while expanding the bracket."""
 

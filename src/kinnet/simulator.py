@@ -10,6 +10,7 @@ reads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +50,13 @@ class Scenario:
     _engine: "object" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end > 0):
-            raise ValidationError(f"t_end must be finite and > 0, got {self.t_end}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
-        if not self.m_cells:
-            self.m_cells = default_m_cells(self.spec)
-        if self.stride < 1:
-            raise ValidationError("recording stride must be >= 1")
+        _check_positive("t_end", self.t_end)
+        _check_positive("dt", self.dt)
+        self.m_cells = (_checked_m_cells(self.spec, self.m_cells)
+                        if self.m_cells else default_m_cells(self.spec))
+        if not isinstance(self.stride, numbers.Integral) or self.stride < 1:
+            raise ValidationError(
+                f"recording stride must be an integer >= 1, got {self.stride!r}")
         dx_min = min(c.length / m for c, m in zip(self.spec.circles, self.m_cells))
         v_top = float(np.max(self.grid.centers))
         if self.dt > dx_min / v_top * (1.0 + 1e-9):
@@ -75,8 +75,30 @@ class Scenario:
 
 
 def default_m_cells(spec: NetworkSpec, base: int = 64) -> tuple[int, ...]:
+    """Cells per circle: base on the shortest circle, the same dx elsewhere."""
+    _check_positive("m_base", base)
     l_under = min(c.length for c in spec.circles)
-    return tuple(int(math.ceil(base * c.length / l_under)) for c in spec.circles)
+    cells = [base * c.length / l_under for c in spec.circles]
+    if not all(map(math.isfinite, cells)):
+        raise ValidationError(f"m_base = {base} overflows the cell counts")
+    return tuple(int(math.ceil(m)) for m in cells)
+
+
+def _check_positive(name: str, value) -> None:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _checked_m_cells(spec: NetworkSpec, m_cells) -> tuple[int, ...]:
+    m_cells = tuple(m_cells)
+    if len(m_cells) != len(spec.circles):
+        raise ValidationError(f"m_cells has {len(m_cells)} entries for "
+                              f"{len(spec.circles)} circles")
+    for j, m in enumerate(m_cells):
+        if not isinstance(m, numbers.Integral) or m < 1:
+            raise ValidationError(
+                f"m_cells[{j}] must be an integer >= 1, got {m!r}")
+    return m_cells
 
 
 def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
@@ -90,13 +112,13 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
     """Scenario with the default resolution rules filled in."""
     if grid is None:
         grid = VelocityGrid.for_spec(spec, k_velocity)
-    if m_cells is None:
-        m_cells = default_m_cells(spec, m_base)
+    m_cells = (default_m_cells(spec, m_base) if m_cells is None
+               else _checked_m_cells(spec, m_cells))
     dx_min = min(c.length / m for c, m in zip(spec.circles, m_cells))
     if dt is None:
         dt = 0.9 * dx_min / spec.v_max
     return Scenario(spec=spec, grid=grid, dt=dt, t_end=t_end, stride=stride,
-                    m_cells=tuple(m_cells),
+                    m_cells=m_cells,
                     initial=dict(initial or ZERO), history=dict(history or ZERO),
                     disturbance=dict(disturbance or ZERO),
                     input_outside_sum=input_outside_sum,

@@ -1,10 +1,14 @@
+import argparse
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kinnet.analysis
 import kinnet.cli
+from kinnet import KinnetError, Scenario
 from kinnet.cli import main
 from kinnet.presets import single_circle, single_circle_lambda_star, \
     single_circle_threshold_w
@@ -131,6 +135,83 @@ def test_non_finite_scenario_exits_2(config_iss, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "t_end" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("resolution, field", [
+    ({"m_base": float("inf")}, "m_base"),
+    ({"m_base": float("nan")}, "m_base"),
+    ({"m_base": 0}, "m_base"),
+    ({"m_base": -8}, "m_base"),
+    ({"m_cells": [0]}, "m_cells"),
+    ({"m_cells": [-4]}, "m_cells"),
+    ({"m_cells": [8, 8]}, "m_cells"),
+    ({"m_cells": [8.5]}, "m_cells"),
+    ({"stride": 0}, "stride"),
+])
+def test_bad_resolution_exits_2(config_iss, tmp_path, capsys, resolution,
+                                field):
+    path = tmp_path / "bad_resolution.json"
+    path.write_text(json.dumps({"t_end": 1.0, **resolution}))
+    assert main(["simulate", config_iss, str(path), "--k-velocity", "1",
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert field in _one_line_error(capsys)
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sweep", "--param", "routing_scale", "--values", "0.5,abc"], "'abc'"),
+    (["sweep", "--param", "routing_scale", "--values", "0.5,nan"], "nan"),
+    (["sweep", "--param", "routing_scale", "--values", "inf"], "inf"),
+    (["verify", "--p", "abc"], "'abc'"),
+    (["verify", "--p", "nan"], "nan"),
+    (["verify", "--p", "0.5"], "0.5"),
+])
+def test_bad_cli_numbers_exit_2(config_iss, scenario_file, capsys, argv, named):
+    files = [config_iss] if argv[0] == "sweep" else [config_iss, scenario_file]
+    assert main([argv[0], *files, *argv[1:], "--k-velocity", "1"]) == 2
+    err = _one_line_error(capsys)
+    assert named in err and "spectral_radius" not in err
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10, max_value=10**6))
+
+_SCENARIO_DOCS = st.fixed_dictionaries(
+    {"t_end": _NUMBERS},
+    optional={"dt": _NUMBERS, "stride": _NUMBERS, "m_base": _NUMBERS,
+              "m_cells": st.lists(_NUMBERS, max_size=3)})
+
+
+@pytest.fixture(scope="module")
+def property_scenario_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "scenario.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_SCENARIO_DOCS)
+def test_scenario_files_load_or_raise_kinnet_error(doc, property_scenario_path):
+    # builds the scenario only; nothing is run
+    property_scenario_path.write_text(json.dumps(doc))
+    args = argparse.Namespace(dt=None, seed=None, k_velocity=2)
+    try:
+        sc = kinnet.cli._load_scenario(single_circle(0.5),
+                                       property_scenario_path, args)
+    except KinnetError:
+        return
+    assert isinstance(sc, Scenario)
+    assert math.isfinite(sc.t_end) and sc.t_end > 0
+    assert math.isfinite(sc.dt) and sc.dt > 0
+    assert all(isinstance(m, int) and m >= 1 for m in sc.m_cells)
+    assert isinstance(sc.stride, int) and sc.stride >= 1
 
 
 def test_sweep(config_iss, tmp_path, capsys):

@@ -4,13 +4,34 @@ import numpy as np
 import pytest
 
 from kinnet import (BracketError, DomainError, SmallGainViolation,
-                    VelocityGrid, assemble_gain, c_check, iss_constants,
+                    VelocityGrid, assemble_gain, assemble_pd, c_check,
+                    iss_constants,
                     resolvent_constant_c, small_gain_certificate,
                     spectral_abscissa, spectral_radius,
                     apply_history_resolvent, apply_transport_resolvent)
-from kinnet.presets import (heterogeneous_five, single_circle,
-                            single_circle_lambda_star,
+from kinnet.presets import (heterogeneous_five, regression_suite,
+                            single_circle, single_circle_lambda_star,
                             single_circle_threshold_w)
+
+DENSE_EIGVALS = np.linalg.eigvals
+
+
+def _dense_radius(a):
+    return float(np.max(np.abs(DENSE_EIGVALS(a))))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Shapes of the matrices that spectral_radius hands to the dense
+    eigenvalue fallback."""
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return DENSE_EIGVALS(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -20,10 +41,17 @@ def test_radius_diagonal():
     assert spectral_radius(np.diag([0.2, 3.0, 1.0])) == pytest.approx(3.0, abs=1e-9)
 
 
-def test_radius_antidiagonal_cycling():
-    # power iteration alternates on this one; the squaring fallback decides
+def test_radius_reducible_takes_dense_fallback(fallbacks):
+    # the bracket stays at [0.2, 3] on a diagonal matrix: only eigvals decide
+    assert spectral_radius(np.diag([0.2, 3.0, 1.0])) == 3.0
+    assert fallbacks == [(3, 3)]
+
+
+def test_radius_antidiagonal_cycling(fallbacks):
+    # plain power iteration alternates on this one; the shifted bracket closes
     a = np.array([[0.0, 2.0], [0.5, 0.0]])
     assert spectral_radius(a) == pytest.approx(1.0, abs=1e-8)
+    assert fallbacks == []
 
 
 def test_radius_nilpotent_is_zero():
@@ -54,6 +82,32 @@ def test_radius_matches_eig_on_random_nonneg():
         a = rng.random((6, 6))
         ref = max(abs(np.linalg.eigvals(a)))
         assert spectral_radius(a) == pytest.approx(ref, abs=1e-8)
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_radius_matches_dense_on_regression_operators(k, fallbacks):
+    for name, spec, _ in regression_suite():
+        grid = VelocityGrid.for_spec(spec, k)
+        ops = [assemble_pd(spec, grid, 0.0).matrix]
+        ops += [assemble_gain(spec, grid, lam).operator.matrix
+                for lam in (-5.0, 0.0, 10.0)]
+        for a in ops:
+            ref = _dense_radius(a)
+            assert abs(spectral_radius(a) - ref) <= 1e-9 * ref, name
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_radius_periodic_converges_at_every_scale(scale, fallbacks):
+    rng = np.random.default_rng(11)
+    cycle = np.roll(np.eye(5), 1, axis=1)
+    weighted = cycle * rng.uniform(0.5, 2.0, 5)[:, None]
+    b, c = rng.random((4, 6)), rng.random((6, 4))
+    antidiagonal = np.block([[np.zeros((4, 4)), b], [c, np.zeros((6, 6))]])
+    for a in (cycle, weighted, antidiagonal):
+        ref = _dense_radius(scale * a)
+        assert abs(spectral_radius(scale * a) - ref) <= 1e-9 * ref
+    assert fallbacks == []
 
 
 # ---------------------------------------------------------------------------
