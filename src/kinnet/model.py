@@ -359,7 +359,10 @@ def _require(doc: dict, key: str, ctx: str):
 def _number(x, ctx: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(f"expected a number for {ctx}, got {type(x).__name__}")
-    value = float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ValidationError(f"{ctx} is an integer beyond float range") from None
     if not math.isfinite(value):
         raise ValidationError(f"{ctx} must be finite, got {value}")
     return value
@@ -466,7 +469,12 @@ def load_network(config_document) -> NetworkSpec:
     J = len(circles)
 
     routing_raw = _require(doc, "routing", "config")
-    routing = np.asarray(routing_raw, dtype=float)
+    try:
+        routing = np.asarray(routing_raw, dtype=float)
+    except OverflowError:
+        raise ValidationError("routing has an integer beyond float range") from None
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"routing must be a matrix of numbers: {e}") from None
     if routing.shape != (J, J):
         raise SchemaError(f"routing must be {J}x{J}, got shape {routing.shape}")
     if not np.all(np.isfinite(routing)):

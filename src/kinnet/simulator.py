@@ -2,16 +2,22 @@
 
 Scheme: semi-Lagrangian characteristics with linear interpolation (CFL-limited
 to one cell per step, where it coincides with first-order upwind and preserves
-positivity), absorption applied as an arrival-node exponential factor, and
-per-circle ring buffers holding the junction trace history for the delay
-reads.
+positivity), absorption applied as an arrival-node exponential factor, and the
+junction trace history held for the delay reads.
+
+Layout: the densities of all circles sit in one state array with a row per
+node, (N, K) with N = sum_j (M_j + 1), and the traces of all circles in one
+(S_max, J, K) ring buffer with a single head, so a time step costs the same
+few numpy calls whatever the number of circles. Node-major rows keep the
+shifted slices of the advection contiguous.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,6 +91,9 @@ def default_m_cells(spec: NetworkSpec, base: int = 64) -> tuple[int, ...]:
 
 
 def _check_positive(name: str, value) -> None:
+    # a JSON integer can lie beyond float range, where math.isfinite raises
+    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        raise ValidationError(f"{name} is an integer beyond float range")
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
 
@@ -98,6 +107,8 @@ def _checked_m_cells(spec: NetworkSpec, m_cells) -> tuple[int, ...]:
         if not isinstance(m, numbers.Integral) or m < 1:
             raise ValidationError(
                 f"m_cells[{j}] must be an integer >= 1, got {m!r}")
+        if m > sys.float_info.max:
+            raise ValidationError(f"m_cells[{j}] is an integer beyond float range")
     return m_cells
 
 
@@ -127,18 +138,27 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
 
 @dataclass(eq=False)
 class SimState:
-    """Mutable integration state: densities, trace ring buffers, clock."""
+    """Mutable integration state: densities, trace ring buffer, clock."""
 
     t: float
-    z: list[np.ndarray]          # per circle, shape (K, M_j + 1)
-    buffers: list[np.ndarray]    # per circle, shape (S_j, K)
-    heads: list[int]             # ring buffer head: buffers[j][head] is newest
+    density: np.ndarray          # (N, K): circle j in rows edges[j]:edges[j+1]
+    ring: np.ndarray             # (S_max, J, K); ring[head] is the newest trace
+    edges: tuple[int, ...]       # J + 1 row offsets into density
+    head: int = 0
     step_count: int = 0
 
+    @property
+    def z(self) -> list[np.ndarray]:
+        """Per circle, a (K, M_j + 1) view of its rows of `density`."""
+        return [self.density[a:b].T for a, b in zip(self.edges, self.edges[1:])]
+
+    @property
+    def buffers(self) -> list[np.ndarray]:
+        """Per circle, the (S_max, K) view of its traces in `ring`."""
+        return list(self.ring.transpose(1, 0, 2))
+
     def copy(self) -> "SimState":
-        return SimState(t=self.t, z=[a.copy() for a in self.z],
-                        buffers=[b.copy() for b in self.buffers],
-                        heads=list(self.heads), step_count=self.step_count)
+        return replace(self, density=self.density.copy(), ring=self.ring.copy())
 
 
 @dataclass(eq=False)
@@ -162,185 +182,182 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
+def _field_values(preset: dict, coords: np.ndarray, span: float, j: int,
+                  shape: tuple[int, ...], axis: int) -> np.ndarray:
+    kind = preset.get("kind", "zero")
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "constant":
+        return np.full(shape, float(preset.get("value", 1.0)))
+    if kind == "gaussian_bump":
+        center = float(preset.get("center", 0.5)) * span
+        width = max(float(preset.get("width", 0.1)) * span, 1e-12)
+        amp = float(preset.get("amplitude", 1.0))
+        dist = np.abs(coords - coords[0])
+        prof = amp * np.exp(-((dist - center) / width) ** 2)
+        out = np.zeros(shape)
+        sl = [None] * len(shape)
+        sl[axis] = slice(None)
+        return out + prof[tuple(sl)]
+    if kind == "random_nonneg":
+        rng = np.random.default_rng(int(preset.get("seed", 0)) * 1009 + j)
+        return rng.random(shape)
+    raise ValidationError(f"unknown field preset kind {kind!r}")
+
+
+def _disturbance(sc: Scenario):
+    """u(n dt) as a function of the step number n."""
+    preset = sc.disturbance
+    kind = preset.get("kind", "zero")
+    if kind == "zero":
+        return lambda n: 0.0
+    if kind == "constant":
+        val = float(preset.get("value", 1.0))
+        return lambda n: val
+    if kind == "pulse":
+        val = float(preset.get("value", 1.0))
+        t0 = float(preset.get("t0", 0.0))
+        t1 = float(preset.get("t1", sc.t_end))
+        dt = sc.dt
+        return lambda n: val if t0 <= n * dt < t1 else 0.0
+    if kind == "bounded_random":
+        bound = float(preset.get("bound", 1.0))
+        rng = np.random.default_rng(int(preset.get("seed", 0)))
+        vals = rng.uniform(0.0, bound, sc.n_steps + 1)
+        return lambda n: float(vals[min(n, len(vals) - 1)])
+    raise ValidationError(f"unknown disturbance preset kind {kind!r}")
+
+
 class _Engine:
-    """Precomputed per-circle update data for one scenario."""
+    """Precomputed update data for one scenario, all circles fused.
+
+    Circle j owns the node rows starts[j]..ends[j] of the state array and
+    column j of the ring buffer; it leaves the ring rows at offsets >= S_j
+    unread, because its delay and history weights are zero there. The engine
+    keeps no reference to its scenario, so dropping the scenario frees it.
+    """
 
     def __init__(self, sc: Scenario):
         spec, grid = sc.spec, sc.grid
-        self.sc = sc
-        v = grid.centers
+        v, dv, dt = grid.centers, grid.widths, sc.dt
+        J, K = spec.n_circles, grid.k
+        self.dt = dt
         self.v = v
-        self.dv = grid.widths
-        self.J = spec.n_circles
-        self.K = grid.k
+        self.dv = dv
+        self.vdv = v * dv
+        self.input_outside_sum = sc.input_outside_sum
+        self.initial, self.history = sc.initial, sc.history
+        self.u_of_step = _disturbance(sc)
+        self.xs = [np.linspace(0.0, c.length, m + 1)
+                   for c, m in zip(spec.circles, sc.m_cells)]
+        self.edges = tuple(int(e) for e in np.cumsum([0] + [len(x) for x in self.xs]))
+        self.starts = np.array(self.edges[:-1])
+        self.ends = np.array(self.edges[1:]) - 1
+        self.n_hist = [int(math.ceil(c.delay / dt)) + 2 for c in spec.circles]
+        s_max = max(self.n_hist)
 
-        self.xs = []          # spatial nodes
-        self.xw = []          # trapezoid node weights
-        self.courant = []     # a_k = v_k dt / dx_j
-        self.damp = []        # (K, M+1) arrival-node absorption factors
-        self.n_hist = []      # ring buffer depth S_j
-        self.delay_idx = []   # quadrature offsets into the buffer
-        self.delay_w = []
-        self.hist_w = []      # weights integrating samples over [-r_j, 0]
-        self.bv = []          # (K, K) beta(v, v') v' dv' or None
+        n_nodes = self.edges[-1]
+        self.xw = np.empty(n_nodes)                 # trapezoid node weights
+        # advection coefficients for the destination nodes 1..N-1; a node
+        # that starts a circle gets zero and then the junction inflow
+        self.c_stay = np.zeros((n_nodes - 1, K))    # (1 - a) * damp
+        self.c_move = np.zeros((n_nodes - 1, K))    # a * damp
+        hist_w = np.zeros((s_max, J))               # integrate samples over [-r_j, 0]
+        self.tables = np.zeros((J, K, K))           # beta(v, v') v' dv' / v
+        pair_rows, pair_circle, pair_w = [], [], []
         for j, c in enumerate(spec.circles):
-            m = sc.m_cells[j]
-            dx = c.length / m
-            xs = np.linspace(0.0, c.length, m + 1)
-            self.xs.append(xs)
-            w = np.full(m + 1, dx)
-            w[0] = w[-1] = 0.5 * dx
-            self.xw.append(w)
-            a = v * sc.dt / dx
-            if np.any(a > 1.0 + 1e-9):
+            a, b = self.edges[j], self.edges[j + 1]
+            dx = c.length / sc.m_cells[j]
+            self.xw[a:b] = dx
+            self.xw[a] = self.xw[b - 1] = 0.5 * dx
+            courant = v * dt / dx                   # a_k = v_k dt / dx_j
+            if np.any(courant > 1.0 + 1e-9):
                 raise CflError(f"circle {j}: characteristic foot leaves the cell")
-            self.courant.append(np.minimum(a, 1.0))
-            q = np.array([[c.absorption.q(x, vk) for x in xs] for vk in v])
-            self.damp.append(np.exp(-q * sc.dt))
-            s = int(math.ceil(c.delay / sc.dt)) + 2
-            self.n_hist.append(s)
-            idx, wq = delay_quadrature(c.delay_measure, sc.dt, s)
-            self.delay_idx.append(idx)
-            self.delay_w.append(wq)
-            hw = np.zeros(s)
-            _accumulate_density(hw, sc.dt, -c.delay, 0.0, "const", 1.0)
-            self.hist_w.append(hw)
-            self.bv.append(None if c.scattering.is_zero()
-                           else scattering_table(c, grid))
+            courant = np.minimum(courant, 1.0)
+            q = np.array([[c.absorption.q(x, vk) for vk in v] for x in self.xs[j]])
+            damp = np.exp(-q * dt)[1:]
+            self.c_stay[a:b - 1] = (1.0 - courant) * damp
+            self.c_move[a:b - 1] = courant * damp
+            s = self.n_hist[j]
+            _accumulate_density(hist_w[:s, j], dt, -c.delay, 0.0, "const", 1.0)
+            if c.scattering.is_zero():
+                continue
+            self.tables[j] = scattering_table(c, grid) / v[:, None]
+            idx, wq = delay_quadrature(c.delay_measure, dt, s)
+            pair_rows.extend(idx * J + j)           # flat row of (offset, circle)
+            pair_circle.extend([j] * len(idx))
+            pair_w.extend(wq)
+        self.pair_rows = np.array(pair_rows, dtype=np.intp)
+        self.pair_w = np.zeros((J, len(pair_w)))   # (J, n_pairs) delay weights
+        self.pair_w[pair_circle, np.arange(len(pair_w))] = pair_w
         self.routing = np.asarray(spec.routing, dtype=float)
-        self.u_of_step = self._build_disturbance()
-
-    # -- presets ------------------------------------------------------------
-    def _field_values(self, preset: dict, coords: np.ndarray, span: float,
-                      j: int, shape: tuple[int, ...], axis: int) -> np.ndarray:
-        kind = preset.get("kind", "zero")
-        if kind == "zero":
-            return np.zeros(shape)
-        if kind == "constant":
-            return np.full(shape, float(preset.get("value", 1.0)))
-        if kind == "gaussian_bump":
-            center = float(preset.get("center", 0.5)) * span
-            width = max(float(preset.get("width", 0.1)) * span, 1e-12)
-            amp = float(preset.get("amplitude", 1.0))
-            dist = np.abs(coords - coords[0])
-            prof = amp * np.exp(-((dist - center) / width) ** 2)
-            out = np.zeros(shape)
-            sl = [None] * len(shape)
-            sl[axis] = slice(None)
-            return out + prof[tuple(sl)]
-        if kind == "random_nonneg":
-            rng = np.random.default_rng(int(preset.get("seed", 0)) * 1009 + j)
-            return rng.random(shape)
-        raise ValidationError(f"unknown field preset kind {kind!r}")
-
-    def _build_disturbance(self):
-        preset = self.sc.disturbance
-        kind = preset.get("kind", "zero")
-        if kind == "zero":
-            return lambda n: 0.0
-        if kind == "constant":
-            val = float(preset.get("value", 1.0))
-            return lambda n: val
-        if kind == "pulse":
-            val = float(preset.get("value", 1.0))
-            t0 = float(preset.get("t0", 0.0))
-            t1 = float(preset.get("t1", self.sc.t_end))
-            dt = self.sc.dt
-            return lambda n: val if t0 <= n * dt < t1 else 0.0
-        if kind == "bounded_random":
-            bound = float(preset.get("bound", 1.0))
-            rng = np.random.default_rng(int(preset.get("seed", 0)))
-            vals = rng.uniform(0.0, bound, self.sc.n_steps + 1)
-            return lambda n: float(vals[min(n, len(vals) - 1)])
-        raise ValidationError(f"unknown disturbance preset kind {kind!r}")
+        # stacked twice, so that the history weights in ring-row order for
+        # head h are the slice [S_max - h, 2 S_max - h)
+        self.hist_w2 = np.concatenate([hist_w, hist_w])
 
     # -- state construction -------------------------------------------------
     def init_state(self) -> SimState:
-        sc = self.sc
-        z = []
-        buffers = []
-        heads = []
-        for j, c in enumerate(sc.spec.circles):
-            zj = self._field_values(sc.initial, self.xs[j], c.length, j,
-                                    (self.K, len(self.xs[j])), axis=1)
-            z.append(zj)
+        K, J, dt = len(self.v), len(self.xs), self.dt
+        density = np.empty((self.edges[-1], K))
+        ring = np.zeros((max(self.n_hist), J, K))
+        for j, xs in enumerate(self.xs):
+            density[self.edges[j]:self.edges[j + 1]] = _field_values(
+                self.initial, xs, xs[-1], j, (K, len(xs)), axis=1).T
             s = self.n_hist[j]
-            thetas = -np.arange(s) * sc.dt
-            buf = self._field_values(sc.history, thetas, (s - 1) * sc.dt, j,
-                                     (s, self.K), axis=0)
-            buffers.append(buf)
-            heads.append(0)
-        return SimState(t=0.0, z=z, buffers=buffers, heads=heads)
+            thetas = -np.arange(s) * dt
+            ring[:s, j] = _field_values(self.history, thetas, (s - 1) * dt, j,
+                                        (s, K), axis=0)
+        return SimState(t=0.0, density=density, ring=ring, edges=self.edges)
 
     # -- one time step ------------------------------------------------------
     def step(self, state: SimState) -> SimState:
-        sc = self.sc
-        new_z = []
-        for j in range(self.J):
-            zj = state.z[j]
-            a = self.courant[j][:, None]
-            nz = np.empty_like(zj)
-            nz[:, 1:] = ((1.0 - a) * zj[:, 1:] + a * zj[:, :-1]) * self.damp[j][:, 1:]
-            nz[:, 0] = 0.0
-            new_z.append(nz)
+        z = state.density
+        moved = self.c_move * z[:-1]
+        z[1:] *= self.c_stay
+        z[1:] += moved
 
         # push new traces, then resolve the junction (one sweep also covers a
         # delay atom at theta = 0, whose sample is the trace just pushed)
-        for j in range(self.J):
-            state.heads[j] = (state.heads[j] - 1) % self.n_hist[j]
-            state.buffers[j][state.heads[j]] = new_z[j][:, -1]
+        ring = state.ring
+        s_max, J, K = ring.shape
+        state.head = (state.head - 1) % s_max
+        ring[state.head] = z[self.ends]
+        samples = np.take(ring.reshape(s_max * J, K),
+                          self.pair_rows + state.head * J, axis=0, mode="wrap")
+        hvec = self.pair_w @ samples
+        delayed = np.matmul(self.tables, hvec[:, :, None])[:, :, 0]
 
-        delayed = np.zeros((self.J, self.K))
-        for j in range(self.J):
-            if self.bv[j] is None:
-                continue
-            rows = (state.heads[j] + self.delay_idx[j]) % self.n_hist[j]
-            hvec = self.delay_w[j] @ state.buffers[j][rows]
-            delayed[j] = (self.bv[j] @ hvec) / self.v
-
-        u_val = self.u_of_step(state.step_count + 1)
-        if sc.input_outside_sum:
-            inflow = self.routing @ delayed + u_val / self.v[None, :]
+        u = self.u_of_step(state.step_count + 1) / self.v
+        if self.input_outside_sum:
+            inflow = self.routing @ delayed + u
         else:
-            inflow = self.routing @ (delayed + u_val / self.v[None, :])
-        for i in range(self.J):
-            new_z[i][:, 0] = inflow[i]
+            inflow = self.routing @ (delayed + u)
+        z[self.starts] = inflow
 
-        for j in range(self.J):
-            state.z[j] = new_z[j]
         state.step_count += 1
-        state.t = state.step_count * sc.dt
+        state.t = state.step_count * self.dt
         return state
 
     # -- diagnostics --------------------------------------------------------
+    def _over_history(self, state: SimState, ring: np.ndarray,
+                      along_v: np.ndarray) -> float:
+        """sum_j sum_s hist_w[s, j] * (trace of circle j at offset s) . along_v"""
+        s_max = len(ring)
+        per_row = ring.reshape(-1, len(along_v)) @ along_v
+        weights = self.hist_w2[s_max - state.head:2 * s_max - state.head]
+        return float(np.vdot(weights, per_row))
+
     def state_norm(self, state: SimState) -> float:
-        return float(sum(
-            np.sum(np.abs(state.z[j]) * self.dv[:, None] * self.xw[j][None, :])
-            for j in range(self.J)))
+        return float(self.xw @ np.abs(state.density) @ self.dv)
 
     def history_norm(self, state: SimState) -> float:
-        total = 0.0
-        for j in range(self.J):
-            s = self.n_hist[j]
-            rows = (state.heads[j] + np.arange(s)) % s
-            samples = state.buffers[j][rows]          # offset-ordered, newest first
-            per_theta = np.abs(samples) @ self.dv
-            total += float(self.hist_w[j] @ per_theta)
-        return total
+        return self._over_history(state, np.abs(state.ring), self.dv)
 
     def outflux(self, state: SimState) -> np.ndarray:
-        return np.array([
-            float(np.sum(self.v * state.z[j][:, -1] * self.dv))
-            for j in range(self.J)])
+        return state.density[self.ends] @ self.vdv
 
     def transit_mass(self, state: SimState) -> float:
-        total = 0.0
-        for j in range(self.J):
-            s = self.n_hist[j]
-            rows = (state.heads[j] + np.arange(s)) % s
-            flux = state.buffers[j][rows] @ (self.v * self.dv)
-            total += float(self.hist_w[j] @ flux)
-        return total
+        return self._over_history(state, state.ring, self.vdv)
 
 
 def init_state(scenario: Scenario) -> SimState:
@@ -369,26 +386,23 @@ def run(scenario: Scenario) -> Trajectory:
     """Integrate to t_end, recording norms, mass and fluxes at the stride."""
     eng = scenario.engine()
     state = eng.init_state()
-    times = [0.0]
-    norm_state = [eng.state_norm(state)]
-    norm_history = [eng.history_norm(state)]
-    mass = [total_mass(state, scenario)]
-    outflux = [eng.outflux(state)]
-    snapshots = [state.copy()] if scenario.record_snapshots else None
-    initial_data_norm = norm_state[0] + norm_history[0]
-
+    times, norm_state, norm_history, mass, outflux = [], [], [], [], []
+    snapshots = [] if scenario.record_snapshots else None
     n_steps = scenario.n_steps
-    for n in range(1, n_steps + 1):
-        eng.step(state)
+    for n in range(n_steps + 1):
+        if n > 0:
+            eng.step(state)
         if n % scenario.stride == 0 or n == n_steps:
+            norm = eng.state_norm(state)
             times.append(state.t)
-            norm_state.append(eng.state_norm(state))
+            norm_state.append(norm)
             norm_history.append(eng.history_norm(state))
-            mass.append(total_mass(state, scenario))
+            mass.append(norm + eng.transit_mass(state))
             outflux.append(eng.outflux(state))
             if snapshots is not None:
                 snapshots.append(state.copy())
     return Trajectory(times=np.array(times), norm_state=np.array(norm_state),
                       norm_history=np.array(norm_history),
                       total_mass=np.array(mass), outflux=np.array(outflux),
-                      initial_data_norm=initial_data_norm, snapshots=snapshots)
+                      initial_data_norm=norm_state[0] + norm_history[0],
+                      snapshots=snapshots)

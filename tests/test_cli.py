@@ -180,10 +180,13 @@ def test_bad_cli_numbers_exit_2(config_iss, scenario_file, capsys, argv, named):
     assert named in err and "spectral_radius" not in err
 
 
+_HUGE = 10**400  # a JSON integer beyond float range
+
 _NUMBERS = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5,
+                     _HUGE, -_HUGE]),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(min_value=-10, max_value=10**6))
+    st.integers(min_value=-_HUGE, max_value=_HUGE))
 
 _SCENARIO_DOCS = st.fixed_dictionaries(
     {"t_end": _NUMBERS},
@@ -212,6 +215,34 @@ def test_scenario_files_load_or_raise_kinnet_error(doc, property_scenario_path):
     assert math.isfinite(sc.dt) and sc.dt > 0
     assert all(isinstance(m, int) and m >= 1 for m in sc.m_cells)
     assert isinstance(sc.stride, int) and sc.stride >= 1
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"t_end": _HUGE}, "t_end"),
+    ({"t_end": 1.0, "dt": _HUGE}, "dt"),
+    ({"t_end": 1.0, "m_base": _HUGE}, "m_base"),
+    ({"t_end": 1.0, "m_cells": [_HUGE]}, "m_cells"),
+])
+def test_huge_integer_in_scenario_exits_2(config_iss, tmp_path, capsys, doc,
+                                          field):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", config_iss, str(path), "--k-velocity", "1",
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert field in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("key", ["length", "delay", "routing"])
+def test_huge_integer_in_config_exits_2(tmp_path, capsys, key):
+    doc = single_circle(0.5).to_config()
+    if key == "routing":
+        doc["routing"] = [[_HUGE]]
+    else:
+        doc["circles"][0][key] = _HUGE
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--k-velocity", "1"]) == 2
+    assert key in _one_line_error(capsys)
 
 
 def test_sweep(config_iss, tmp_path, capsys):

@@ -171,6 +171,11 @@ def test_config_schema_errors():
     del doc["circles"][0]["absorption"]["value"]
     with pytest.raises(SchemaError, match="value"):
         load_network(doc)
+    for routing in ([["a"]], [[0.5], [0.5, 0.5]]):
+        doc = single_circle(0.5).to_config()
+        doc["routing"] = routing
+        with pytest.raises(SchemaError, match="routing"):
+            load_network(doc)
 
 
 def test_config_validation_errors():

@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +9,11 @@ import pytest
 from kinnet import (CflError, Scenario, ValidationError, VelocityGrid,
                     history_norm, init_state, make_scenario, network_bounds,
                     run, state_norm, step, total_mass)
+from kinnet.delayquad import _accumulate_density, delay_quadrature
+from kinnet.operators import scattering_table
 from kinnet.simulator import default_m_cells
-from kinnet.presets import conservation_spec, single_circle
+from kinnet.presets import (constant_kernel, conservation_spec,
+                            heterogeneous_five, single_circle)
 
 from conftest import constant_scenario
 
@@ -127,6 +133,124 @@ def test_finite_extinction_exact():
     late = traj.times > t_exit + 2 * sc.dt
     assert np.all(total[late] == 0.0)
     assert total[0] > 0.0
+
+
+def test_snapshots_do_not_alias_the_live_state(sc_spec, grid8):
+    sc = constant_scenario(sc_spec, grid8, t_end=1.0, record_snapshots=True)
+    first, second, *_ = run(sc).snapshots
+    assert np.all(first.z[0] == 1.0) and np.all(first.buffers[0] == 1.0)
+    assert not np.array_equal(first.z[0], second.z[0])
+    assert np.shares_memory(first.z[0], first.density)
+    assert not np.shares_memory(first.density, second.density)
+    assert not np.shares_memory(first.ring, second.ring)
+
+
+def test_engine_freed_with_its_scenario(sc_spec, grid8):
+    gc.disable()
+    try:
+        sc = constant_scenario(sc_spec, grid8, t_end=0.5)
+        engine = weakref.ref(sc.engine())
+        run(sc)
+        del sc
+        assert engine() is None
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# per-circle reference stepper
+
+def _reference_run(sc):
+    """Step the scenario one circle at a time, each circle with its own ring
+    buffer and head. Returns what `run` records, at every step, and the
+    per-circle densities after every step."""
+    spec, grid, dt = sc.spec, sc.grid, sc.dt
+    v, dv = grid.centers, grid.widths
+    st = init_state(sc)
+    circles = []
+    for j, c in enumerate(spec.circles):
+        m = sc.m_cells[j]
+        dx = c.length / m
+        xs = np.linspace(0.0, c.length, m + 1)
+        xw = np.full(m + 1, dx)
+        xw[0] = xw[-1] = 0.5 * dx
+        q = np.array([[c.absorption.q(x, vk) for x in xs] for vk in v])
+        s = int(math.ceil(c.delay / dt)) + 2
+        idx, wq = delay_quadrature(c.delay_measure, dt, s)
+        hw = np.zeros(s)
+        _accumulate_density(hw, dt, -c.delay, 0.0, "const", 1.0)
+        circles.append(dict(
+            xw=xw, a=np.minimum(v * dt / dx, 1.0)[:, None], damp=np.exp(-q * dt),
+            s=s, idx=idx, wq=wq, hw=hw, buf=st.buffers[j][:s].copy(), head=0,
+            bv=None if c.scattering.is_zero() else scattering_table(c, grid)))
+    z = [zj.copy() for zj in st.z]
+    u_of_step = sc.engine().u_of_step
+    routing = np.asarray(spec.routing)
+    rec = {"norm_state": [], "norm_history": [], "total_mass": [], "outflux": []}
+    densities = []
+    for n in range(sc.n_steps + 1):
+        if n > 0:
+            for j, c in enumerate(circles):
+                nz = np.empty_like(z[j])
+                nz[:, 1:] = ((1.0 - c["a"]) * z[j][:, 1:]
+                             + c["a"] * z[j][:, :-1]) * c["damp"][:, 1:]
+                z[j] = nz
+                c["head"] = (c["head"] - 1) % c["s"]
+                c["buf"][c["head"]] = nz[:, -1]
+            delayed = np.zeros((len(z), len(v)))
+            for j, c in enumerate(circles):
+                if c["bv"] is not None:
+                    rows = (c["head"] + c["idx"]) % c["s"]
+                    delayed[j] = c["bv"] @ (c["wq"] @ c["buf"][rows]) / v
+            u = u_of_step(n) / v[None, :]
+            inflow = (routing @ delayed + u if sc.input_outside_sum
+                      else routing @ (delayed + u))
+            for j in range(len(z)):
+                z[j][:, 0] = inflow[j]
+        norm = sum(np.sum(np.abs(zj) * dv[:, None] * c["xw"])
+                   for zj, c in zip(z, circles))
+        ordered = [c["buf"][(c["head"] + np.arange(c["s"])) % c["s"]]
+                   for c in circles]
+        rec["norm_state"].append(norm)
+        rec["norm_history"].append(sum(
+            c["hw"] @ (np.abs(b) @ dv) for b, c in zip(ordered, circles)))
+        rec["total_mass"].append(norm + sum(
+            c["hw"] @ (b @ (v * dv)) for b, c in zip(ordered, circles)))
+        rec["outflux"].append([np.sum(v * zj[:, -1] * dv) for zj in z])
+        densities.append([zj.copy() for zj in z])
+    return rec, densities
+
+
+def _zero_kernel_network():
+    five = heterogeneous_five(0.4)
+    mute = replace(five.circles[2],
+                   scattering=constant_kernel(five.v_min, five.v_max, 0.0))
+    return replace(five, circles=five.circles[:2] + (mute,) + five.circles[3:],
+                   mass_preserving=False)
+
+
+@pytest.mark.parametrize("spec, kw", [
+    (heterogeneous_five(0.4), {}),
+    (_zero_kernel_network(), {}),
+    (heterogeneous_five(0.4), {
+        "input_outside_sum": True,
+        "disturbance": {"kind": "bounded_random", "bound": 0.5, "seed": 7}}),
+], ids=["heterogeneous_five", "zero_kernel_circle", "input_outside_sum"])
+def test_fused_engine_matches_per_circle_reference(spec, kw):
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 4), t_end=8.0,
+                       m_base=8, record_snapshots=True,
+                       initial={"kind": "random_nonneg", "seed": 1},
+                       history={"kind": "gaussian_bump", "width": 0.3}, **kw)
+    assert sc.n_steps >= 200
+    assert len(set(sc.m_cells)) > 1
+    traj = run(sc)
+    rec, densities = _reference_run(sc)
+    for snapshot, z in zip(traj.snapshots, densities, strict=True):
+        for zj, ref in zip(snapshot.z, z, strict=True):
+            np.testing.assert_allclose(zj, ref, rtol=1e-12, atol=1e-300)
+    for name, ref in rec.items():
+        np.testing.assert_allclose(getattr(traj, name), np.array(ref),
+                                   rtol=1e-12, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------
