@@ -10,9 +10,8 @@ from .model import (AbsorptionProfile, CircleSpec, DelayMeasure, NetworkBounds,
                     measure_laplace, measure_total_variation, network_bounds,
                     routing_norm)
 from .operators import (BlockOperator, GainAssemblyReport, VelocityGrid,
-                        apply_delay_kernel, assemble_gain, assemble_pd,
-                        dirichlet_norm_closed_form, pd_norm_closed_form,
-                        survival_factor)
+                        assemble_gain, assemble_pd, dirichlet_norm_closed_form,
+                        pd_norm_closed_form, survival_factor)
 from .spectral import (AbscissaResult, BoundCheck, Certificate, IssConstants,
                        apply_history_resolvent, apply_transport_resolvent,
                        c_check, iss_constants, resolvent_constant_c,

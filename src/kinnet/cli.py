@@ -190,7 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("abscissa", parents=[common],
-                       help="dominant shift of the gain family by bisection")
+                       help="dominant shift of the gain family, by a "
+                            "safeguarded secant method")
     p.add_argument("config")
     p.set_defaults(fn=_cmd_abscissa)
     return parser

@@ -115,27 +115,50 @@ def _routed_scattering(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
     return b.reshape(J * K, J * K)
 
 
-def _laplace_factors(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> np.ndarray:
-    """Delay Laplace factor laplace_j(lam) of each flattened (j, k')."""
-    return np.repeat([measure_laplace(c.delay_measure, lam) for c in spec.circles],
-                     grid.k)
+@dataclass(frozen=True, eq=False)
+class _GainFactors:
+    """Shift-free parts of G(lam) = B diag(laplace(lam) S(lam)), built once.
+
+    routed is B; length, absorbed and velocity hold, per flattened column
+    (j, k'), the circle length l_j, the absorption integral
+    Q_j(v_k') = int_0^{l_j} q_j(., v_k') and the velocity v_k'. Per shift
+    only the J Laplace factors and one vector exp remain.
+    """
+
+    measures: tuple
+    k: int
+    routed: np.ndarray
+    length: np.ndarray
+    absorbed: np.ndarray
+    velocity: np.ndarray
+    weights: np.ndarray
+
+    def laplace(self, lam: float) -> np.ndarray:
+        """Delay Laplace factor laplace_j(lam) of each flattened (j, k')."""
+        return np.repeat([measure_laplace(m, lam) for m in self.measures], self.k)
+
+    def survival(self, lam: float) -> np.ndarray:
+        """survival_factor from the junction to the trace at x = l_j of each
+        flattened (j, k'), with the same clamp."""
+        return np.exp(np.minimum(-(lam * self.length + self.absorbed) / self.velocity,
+                                 700.0))
+
+    def gain(self, lam: float) -> BlockOperator:
+        scale = self.laplace(lam) * self.survival(lam)
+        return BlockOperator(matrix=self.routed * scale[None, :], weights=self.weights)
 
 
-def _survival(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> np.ndarray:
-    """Transport survival of each flattened (j, k') from the junction to the
-    trace at x = l_j."""
-    return np.array([survival_factor(c, lam, v, c.length)
-                     for c in spec.circles for v in grid.centers])
-
-
-def _trace_block(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> np.ndarray:
-    """Diagonal transport-survival: junction data through circle j to its trace
-    at x = l_j."""
-    return np.diag(_survival(spec, grid, lam))
-
-
-def _flux_weights(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
-    return np.tile(grid.widths, spec.n_circles)
+def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:
+    v = grid.centers
+    return _GainFactors(
+        measures=tuple(c.delay_measure for c in spec.circles),
+        k=grid.k,
+        routed=_routed_scattering(spec, grid),
+        length=np.repeat([c.length for c in spec.circles], grid.k),
+        absorbed=np.array([c.absorption.integral_x(c.length, vk)
+                           for c in spec.circles for vk in v]),
+        velocity=np.tile(v, spec.n_circles),
+        weights=np.tile(grid.widths, spec.n_circles))
 
 
 def assemble_gain(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> GainAssemblyReport:
@@ -145,10 +168,7 @@ def assemble_gain(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> GainAsse
     transport survival, per the transmission conditions: only the column
     (j, k') of an entry depends on lam.
     """
-    scale = _laplace_factors(spec, grid, lam) * _survival(spec, grid, lam)
-    mat = _routed_scattering(spec, grid) * scale[None, :]
-    return GainAssemblyReport(
-        lam=lam, operator=BlockOperator(matrix=mat, weights=_flux_weights(spec, grid)))
+    return GainAssemblyReport(lam=lam, operator=_gain_factors(spec, grid).gain(lam))
 
 
 def assemble_pd(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> BlockOperator:
@@ -160,11 +180,11 @@ def assemble_pd(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> BlockOpera
     spectral radius still equals the gain radius while the operator norm is
     the geometric mean of the block norms.
     """
-    b_delay = _routed_scattering(spec, grid) * _laplace_factors(spec, grid, lam)[None, :]
-    b_trace = _trace_block(spec, grid, lam)
-    w = _flux_weights(spec, grid)
-    n_delay = BlockOperator(b_delay, w).norm()
-    n_trace = BlockOperator(b_trace, w).norm()
+    f = _gain_factors(spec, grid)
+    b_delay = f.routed * f.laplace(lam)[None, :]
+    survival = f.survival(lam)
+    n_delay = BlockOperator(b_delay, f.weights).norm()
+    n_trace = float(np.max(survival))  # norm of a diagonal operator
     if n_delay > 0.0 and n_trace > 0.0:
         s = math.sqrt(n_trace / n_delay)
     else:
@@ -172,8 +192,8 @@ def assemble_pd(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> BlockOpera
     n = b_delay.shape[0]
     mat = np.zeros((2 * n, 2 * n))
     mat[:n, n:] = s * b_delay
-    mat[n:, :n] = b_trace / s
-    return BlockOperator(matrix=mat, weights=np.concatenate([w, w]))
+    mat[n:, :n] = np.diag(survival / s)
+    return BlockOperator(matrix=mat, weights=np.concatenate([f.weights, f.weights]))
 
 
 def pd_norm_closed_form(spec: NetworkSpec) -> float:
@@ -194,32 +214,3 @@ def dirichlet_norm_closed_form(spec: NetworkSpec) -> tuple[float, float]:
     b = network_bounds(spec)
     return (math.exp(b.l_bar * b.gamma_bar / spec.v_min), b.routing_norm)
 
-
-def apply_delay_kernel(circle: CircleSpec, grid: VelocityGrid, flux_history,
-                       v_out_cell: int, n_theta: int = 257) -> float:
-    """Delayed scattering read for one outgoing velocity cell.
-
-    flux_history maps theta in [-r, 0] to the incoming velocity vector (length
-    K, values at cell centers). The velocity integral uses the midpoint rule;
-    the theta integral uses quadrature weights consistent with the measure's
-    Laplace transform (atoms sampled pointwise, densities integrated against
-    piecewise-linear interpolation of the history samples).
-    """
-    from .delayquad import delay_quadrature  # local import: avoids cycle
-
-    if circle.scattering.is_zero():
-        return 0.0
-    table_row = scattering_table(circle, grid)[v_out_cell]
-
-    dt = circle.delay / (n_theta - 1)
-    offsets, weights = delay_quadrature(circle.delay_measure, dt, n_theta)
-    total = np.zeros(grid.k)
-    for s, wgt in zip(offsets, weights):
-        if wgt == 0.0:
-            continue
-        theta = -s * dt
-        h = np.asarray(flux_history(theta), dtype=float)
-        if h.shape != (grid.k,):
-            raise DomainError("flux history must return a velocity vector")
-        total += wgt * h
-    return float(np.dot(table_row, total) / grid.centers[v_out_cell])

@@ -56,8 +56,12 @@ class Scenario:
     _engine: "object" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_positive("t_end", self.t_end)
-        _check_positive("dt", self.dt)
+        _check_real("t_end", self.t_end, positive=True)
+        _check_real("dt", self.dt, positive=True)
+        self.initial = _checked_preset("initial", self.initial, _FIELD_PRESETS)
+        self.history = _checked_preset("history", self.history, _FIELD_PRESETS)
+        self.disturbance = _checked_preset("disturbance", self.disturbance,
+                                           _DISTURBANCE_PRESETS)
         self.m_cells = (_checked_m_cells(self.spec, self.m_cells)
                         if self.m_cells else default_m_cells(self.spec))
         if not isinstance(self.stride, numbers.Integral) or self.stride < 1:
@@ -82,7 +86,7 @@ class Scenario:
 
 def default_m_cells(spec: NetworkSpec, base: int = 64) -> tuple[int, ...]:
     """Cells per circle: base on the shortest circle, the same dx elsewhere."""
-    _check_positive("m_base", base)
+    _check_real("m_base", base, positive=True)
     l_under = min(c.length for c in spec.circles)
     cells = [base * c.length / l_under for c in spec.circles]
     if not all(map(math.isfinite, cells)):
@@ -90,12 +94,45 @@ def default_m_cells(spec: NetworkSpec, base: int = 64) -> tuple[int, ...]:
     return tuple(int(math.ceil(m)) for m in cells)
 
 
-def _check_positive(name: str, value) -> None:
+def _check_real(name: str, value, *, positive: bool = False) -> None:
     # a JSON integer can lie beyond float range, where math.isfinite raises
     if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
         raise ValidationError(f"{name} is an integer beyond float range")
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    if positive and not value > 0:
         raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+
+
+# the numeric keys of each preset kind, per preset slot
+_FIELD_PRESETS = {"zero": (), "constant": ("value",),
+                  "gaussian_bump": ("center", "width", "amplitude"),
+                  "random_nonneg": ("seed",)}
+_DISTURBANCE_PRESETS = {"zero": (), "constant": ("value",),
+                        "pulse": ("value", "t0", "t1"),
+                        "bounded_random": ("bound", "seed")}
+
+
+def _checked_preset(name: str, preset, kinds: dict) -> dict:
+    """A copy of the preset dict once its kind is known, it has no other keys
+    than its kind reads, and every number it holds is a finite real within
+    float range (a seed: an integer >= 0)."""
+    if not isinstance(preset, dict):
+        raise ValidationError(f"{name} must be a preset object, got {preset!r}")
+    kind = preset.get("kind", "zero")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValidationError(f"unknown {name} preset kind {kind!r}")
+    unknown = set(preset) - {"kind", *kinds[kind]}
+    if unknown:
+        raise ValidationError(f"unknown {name} keys for kind {kind!r}: "
+                              f"{sorted(unknown, key=str)}")
+    for key, value in preset.items():
+        if key == "kind":
+            continue
+        _check_real(f"{name}.{key}", value)
+        if key == "seed" and not (isinstance(value, numbers.Integral) and value >= 0):
+            raise ValidationError(f"{name}.seed must be an integer >= 0, got {value!r}")
+    return dict(preset)
 
 
 def _checked_m_cells(spec: NetworkSpec, m_cells) -> tuple[int, ...]:
@@ -130,8 +167,8 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
         dt = 0.9 * dx_min / spec.v_max
     return Scenario(spec=spec, grid=grid, dt=dt, t_end=t_end, stride=stride,
                     m_cells=m_cells,
-                    initial=dict(initial or ZERO), history=dict(history or ZERO),
-                    disturbance=dict(disturbance or ZERO),
+                    initial=initial or ZERO, history=history or ZERO,
+                    disturbance=disturbance or ZERO,
                     input_outside_sum=input_outside_sum,
                     record_snapshots=record_snapshots)
 

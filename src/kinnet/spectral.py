@@ -1,4 +1,9 @@
-"""Spectral radii, abscissa bisection, small-gain certificates, ISS constants."""
+"""Spectral radii, small-gain certificates, the spectral abscissa, ISS constants.
+
+The abscissa solves r(G(lam)) = 1 by a safeguarded secant method on the
+convex map lam -> log r(G(lam)) (Kingman 1961), run from the left of the
+root, with a bisection fallback; see spectral_abscissa.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +14,12 @@ import numpy as np
 
 from .errors import BracketError, DomainError, SmallGainViolation
 from .model import NetworkSpec, network_bounds
-from .operators import (BlockOperator, VelocityGrid, assemble_gain, assemble_pd,
-                        dirichlet_norm_closed_form, pd_norm_closed_form)
+from .operators import (BlockOperator, VelocityGrid, _gain_factors, assemble_gain,
+                        assemble_pd, dirichlet_norm_closed_form, pd_norm_closed_form)
 
 INCONCLUSIVE_BAND = 1e-3
 POWER_TOL_DEFAULT = 1e-10
-BISECTION_TOL_DEFAULT = 1e-6
+ABSCISSA_TOL_DEFAULT = 1e-6
 
 _BRACKET_MAX_ITER = 500  # 2**500 bounds the unscaled iterate
 
@@ -162,23 +167,54 @@ class AbscissaResult:
                 "predicted_decay_rate": -self.lambda_star if self.lambda_star < 0 else None}
 
 
+def _probe(end: float, step: float) -> float:
+    """end + step, rounded toward end so that |x - end| <= |step|."""
+    x = end + step
+    return math.nextafter(x, end) if abs(x - end) > abs(step) else x
+
+
 def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
-                      tol: float = BISECTION_TOL_DEFAULT,
+                      tol: float = ABSCISSA_TOL_DEFAULT,
                       radius_tol: float = POWER_TOL_DEFAULT) -> AbscissaResult:
-    """Unique lambda with r(gain_lambda) = 1, by bisection on the strictly
-    decreasing map lambda -> r(gain_lambda)."""
-    b = network_bounds(spec)
+    """Unique lambda with r(gain_lambda) = 1, by a safeguarded secant method
+    on phi(lambda) = log r(gain_lambda) run from the left of the root.
 
-    def f(lam: float) -> float:
-        return spectral_radius(assemble_gain(spec, grid, lam).operator, radius_tol) - 1.0
+    Every column factor laplace_j(lambda) S_jk(lambda) is log-convex, so phi
+    is convex (Kingman, "A convexity property of positive matrices", Quart.
+    J. Math. 12, 1961) and strictly decreasing. The secant through two points
+    left of the root then meets zero left of the root again: each step is a
+    lower bound that moves monotonically and superlinearly toward lambda*.
+    Once a step would advance lo by less than tol/2, lo + tol is evaluated
+    instead; it becomes hi when the radius there is below 1. A secant point
+    less than tol/2 below hi moves to hi - tol in the same way. Far left the
+    survival clamp makes phi locally concave, so a secant point outside
+    (lo, hi), or a gap from lo to the chord root of [lo, hi] (an upper bound
+    on lambda* while phi is convex) that has not halved in two steps, gives a
+    bisection step instead.
 
-    if f(0.0) == -1.0:
+    [lo, hi] is a sign bracket whose ends were both evaluated, so
+    bracket_width = hi - lo <= tol is certified; lambda_star is its middle.
+    iterations counts the radius evaluations after the sign bracket is found.
+    B and the shift-free exponent parts are built once; each evaluation is
+    one public spectral_radius call.
+    """
+    factors = _gain_factors(spec, grid)
+
+    def phi(lam: float) -> float:
+        r = spectral_radius(factors.gain(lam), radius_tol)
+        return math.log(r) if r > 0.0 else -math.inf
+
+    f0 = phi(0.0)
+    if f0 == -math.inf:
         # structurally zero gain: the radius stays 0 at every shift
         raise BracketError("gain radius is identically zero; no finite crossing")
 
-    lo = -spec.v_min * b.gamma_bar - 10.0
-    hi = 10.0
-    f_lo, f_hi = f(lo), f(hi)
+    b = network_bounds(spec)
+    lo, hi = -spec.v_min * b.gamma_bar - 10.0, 10.0
+    if f0 > 0.0:
+        lo, f_lo, f_hi = 0.0, f0, phi(hi)
+    else:
+        hi, f_lo, f_hi = 0.0, phi(lo), f0
     doublings = 0
     while not (f_lo > 0.0 and f_hi < 0.0):
         if doublings >= 60:
@@ -187,19 +223,33 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
         width = hi - lo
         if f_lo <= 0.0:
             lo -= width
-            f_lo = f(lo)
+            f_lo = phi(lo)
         if f_hi >= 0.0:
             hi += width
-            f_hi = f(hi)
+            f_hi = phi(hi)
         doublings += 1
 
-    iterations = 0
+    # a second point left of the root, a tenth of the bracket further left
+    a = lo - 0.1 * (hi - lo)
+    f_a = phi(a)
+    iterations = 1
+    gaps = [math.inf, math.inf]
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
+        # lo to the chord root of [lo, hi], an upper bound when phi is convex
+        gap = (hi - lo) * f_lo / (f_lo - f_hi)
+        x = lo + f_lo * (lo - a) / (f_a - f_lo) if f_a > f_lo else math.inf
+        if x - lo < 0.5 * tol:
+            x = _probe(lo, tol)
+        elif 0.0 <= hi - x < 0.5 * tol:
+            x = _probe(hi, -tol)
+        if not lo < x < hi or gap > 0.5 * gaps[-2]:
+            x = 0.5 * (lo + hi)
+        gaps.append(gap)
+        f_x = phi(x)
+        if f_x > 0.0:
+            a, f_a, lo, f_lo = lo, f_lo, x, f_x
         else:
-            hi = mid
+            hi, f_hi = x, f_x
         iterations += 1
     return AbscissaResult(lambda_star=0.5 * (lo + hi), bracket_width=hi - lo,
                           iterations=iterations)

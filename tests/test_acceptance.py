@@ -12,8 +12,7 @@ from kinnet import (AbsorptionProfile, CircleSpec, DelayMeasure, NetworkSpec,
                     c_check, dirichlet_norm_closed_form, fit_decay,
                     make_scenario, network_bounds, pd_norm_closed_form, run,
                     small_gain_certificate, spectral_abscissa, spectral_radius,
-                    verify_iss)
-from kinnet.operators import _flux_weights, _trace_block
+                    survival_factor, verify_iss)
 from kinnet.operators import BlockOperator
 from kinnet.presets import (conservation_spec, constant_kernel,
                             heterogeneous_five, random_spec, regression_suite,
@@ -122,8 +121,10 @@ def test_criterion_4_closed_form_bounds_dominate():
                 margin = spectral_radius(assemble_gain(spec, g, 0.0).operator) - bound
             else:
                 d0_bound, k_bound = dirichlet_norm_closed_form(spec)
-                d0_norm = BlockOperator(_trace_block(spec, g, 0.0),
-                                        _flux_weights(spec, g)).norm()
+                survival = [survival_factor(c, 0.0, v, c.length)
+                            for c in spec.circles for v in g.centers]
+                d0_norm = BlockOperator(np.diag(survival),
+                                        np.tile(g.widths, spec.n_circles)).norm()
                 margin = max(d0_norm - d0_bound,
                              float(np.max(np.sum(spec.routing, axis=0))) - k_bound)
             worst = max(worst, margin)

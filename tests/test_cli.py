@@ -188,10 +188,27 @@ _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(min_value=-_HUGE, max_value=_HUGE))
 
-_SCENARIO_DOCS = st.fixed_dictionaries(
-    {"t_end": _NUMBERS},
-    optional={"dt": _NUMBERS, "stride": _NUMBERS, "m_base": _NUMBERS,
-              "m_cells": st.lists(_NUMBERS, max_size=3)})
+_PRESET_NUMBERS = st.one_of(_NUMBERS, st.sampled_from(["abc", "nan", "1", None]))
+
+_PRESETS = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["zero", "constant", "gaussian_bump",
+                                  "random_nonneg", "pulse", "bounded_random",
+                                  "unknown"])},
+        optional={key: _PRESET_NUMBERS for key in
+                  ("value", "center", "width", "amplitude", "seed", "t0",
+                   "t1", "bound")}),
+    _PRESET_NUMBERS)
+
+_PRESET_SLOTS = {"initial": _PRESETS, "history": _PRESETS, "disturbance": _PRESETS}
+
+_SCENARIO_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {"t_end": _NUMBERS},
+        optional={"dt": _NUMBERS, "stride": _NUMBERS, "m_base": _NUMBERS,
+                  "m_cells": st.lists(_NUMBERS, max_size=3), **_PRESET_SLOTS}),
+    # a valid resolution, so that most draws reach the preset checks
+    st.fixed_dictionaries({"t_end": st.just(1.0)}, optional=_PRESET_SLOTS))
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +232,10 @@ def test_scenario_files_load_or_raise_kinnet_error(doc, property_scenario_path):
     assert math.isfinite(sc.dt) and sc.dt > 0
     assert all(isinstance(m, int) and m >= 1 for m in sc.m_cells)
     assert isinstance(sc.stride, int) and sc.stride >= 1
+    for preset in (sc.initial, sc.history, sc.disturbance):
+        numbers = [v for key, v in preset.items() if key != "kind"]
+        assert all(math.isfinite(float(v)) for v in numbers)
+    assert math.isfinite(kinnet.analysis.disturbance_lp_norm(sc, math.inf))
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -230,6 +251,22 @@ def test_huge_integer_in_scenario_exits_2(config_iss, tmp_path, capsys, doc,
     assert main(["simulate", config_iss, str(path), "--k-velocity", "1",
                  "--out", str(tmp_path / "sim")]) == 2
     assert field in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("preset, field", [
+    ({"initial": {"kind": "constant", "value": "abc"}}, "initial.value"),
+    ({"disturbance": {"kind": "pulse", "value": 1, "t0": "x"}}, "disturbance.t0"),
+    ({"disturbance": {"kind": "bounded_random", "bound": "nan"}},
+     "disturbance.bound"),
+    ({"history": {"kind": "constant", "value": _HUGE}}, "history.value"),
+])
+def test_bad_preset_value_exits_2(config_iss, tmp_path, capsys, preset, field):
+    path = tmp_path / "bad_preset.json"
+    path.write_text(json.dumps({"t_end": 1.0, **preset}))
+    assert main(["simulate", config_iss, str(path), "--k-velocity", "1",
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert field in _one_line_error(capsys)
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("key", ["length", "delay", "routing"])

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from kinnet import (BlockOperator, DomainError, PreconditionError,
-                    VelocityGrid, apply_delay_kernel, assemble_gain,
-                    assemble_pd, dirichlet_norm_closed_form, measure_laplace,
-                    measure_total_variation, pd_norm_closed_form,
-                    survival_factor)
+                    VelocityGrid, assemble_gain, assemble_pd,
+                    dirichlet_norm_closed_form, measure_laplace,
+                    pd_norm_closed_form, survival_factor)
 from kinnet.presets import heterogeneous_five, regression_suite, \
     single_circle, single_circle_gain
 
@@ -124,14 +123,3 @@ def test_dirichlet_bounds_closed_form():
     assert d0 == pytest.approx(math.exp(0.4 * 1.5 / spec.v_min))
     assert k == pytest.approx(0.5)
 
-
-def test_apply_delay_kernel_constant_history():
-    spec = single_circle(0.5, delay=0.5)
-    g = VelocityGrid.for_spec(spec, 4)
-    c = spec.circles[0]
-    h = np.ones(g.k)
-    got = apply_delay_kernel(c, g, lambda th: h, v_out_cell=1)
-    tv = measure_total_variation(c.delay_measure)
-    beta = c.scattering.value
-    expected = tv * beta * float(np.sum(g.centers * g.widths)) / g.centers[1]
-    assert got == pytest.approx(expected, rel=1e-10)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import kinnet.operators
+import kinnet.spectral
 from kinnet import (BracketError, DomainError, SmallGainViolation,
                     VelocityGrid, assemble_gain, assemble_pd, c_check,
                     iss_constants,
@@ -166,6 +168,67 @@ def test_abscissa_positive_for_supercritical():
     spec = single_circle(2.0 * single_circle_threshold_w())
     g = VelocityGrid.for_spec(spec, 1)
     assert spectral_abscissa(spec, g).lambda_star > 0.0
+
+
+@pytest.fixture(scope="module")
+def suite_abscissae():
+    """(name, spec, grid, result, radius evaluations) for every regression
+    spec at k = 8 and 32, the evaluations counted on spectral.spectral_radius."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return spectral_radius(*args, **kwargs)
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kinnet.spectral, "spectral_radius", counted)
+        for k in (8, 32):
+            for name, spec, _ in regression_suite():
+                grid = VelocityGrid.for_spec(spec, k)
+                calls[0] = 0
+                res = spectral_abscissa(spec, grid)
+                out.append((f"{name}@k{k}", spec, grid, res, calls[0]))
+    return out
+
+
+def test_abscissa_needs_few_radius_evaluations(suite_abscissae):
+    evals = [n for *_, n in suite_abscissae]
+    assert np.mean(evals) <= 9 and max(evals) <= 12, evals
+
+
+def test_abscissa_bracket_is_certified(suite_abscissae):
+    for name, spec, grid, res, _ in suite_abscissae:
+        assert 0.0 < res.bracket_width <= 1e-6, name
+        half = 0.5 * res.bracket_width
+        left = assemble_gain(spec, grid, res.lambda_star - half).operator.matrix
+        right = assemble_gain(spec, grid, res.lambda_star + half).operator.matrix
+        assert _dense_radius(left) > 1.0 > _dense_radius(right), name
+
+
+def test_abscissa_bisects_where_the_survival_clamp_bends_phi(monkeypatch):
+    # at v = 0.01 the survival exponent -lam*l/v passes the clamp at 700 for
+    # lam < -7, so both start points (-10 and -11) see phi with slope -r only
+    # and the secant lands far right of hi = 0; the midpoint -5 is taken
+    spec = single_circle(0.5, gamma=0.0, v_min=0.005, v_max=0.015)
+    grid = VelocityGrid.for_spec(spec, 1)
+    shifts = []
+    gain = kinnet.operators._GainFactors.gain
+
+    def recorded(self, lam):
+        shifts.append(lam)
+        return gain(self, lam)
+
+    monkeypatch.setattr(kinnet.operators._GainFactors, "gain", recorded)
+    res = spectral_abscissa(spec, grid)
+    assert shifts[1:3] == [-10.0, -11.0] and -5.0 in shifts
+    assert res.lambda_star == pytest.approx(single_circle_lambda_star(spec), abs=1e-6)
+    half = 0.5 * res.bracket_width
+    assert 0.0 < res.bracket_width <= 1e-6
+    assert _dense_radius(assemble_gain(spec, grid, res.lambda_star - half)
+                         .operator.matrix) > 1.0
+    assert _dense_radius(assemble_gain(spec, grid, res.lambda_star + half)
+                         .operator.matrix) < 1.0
 
 
 def test_abscissa_unbounded_below_without_scattering():
