@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Compare the fitted decay rate of unforced runs with the decay rate
-predicted by bisection on the gain-operator family, across resolutions."""
+predicted by the secant abscissa of the gain-operator family, across resolutions."""
 
 import argparse
 

@@ -130,8 +130,8 @@ def disturbance_lp_norm(scenario: Scenario, p: float) -> float:
 
 
 def verify_iss(scenario: Scenario, p: float = math.inf, *,
-               envelope: DecayFit | None = None, auto_companion: bool = True,
-               resolvent_samples: int = 8, seed: int = 0) -> IssReport:
+               envelope: DecayFit | None = None,
+               auto_companion: bool = True) -> IssReport:
     """Run the scenario and check the recorded state norms against the
     certified bound N e^{-a t}(||f|| + ||phi||) + rho ||u||_p.
 
@@ -167,8 +167,7 @@ def verify_iss(scenario: Scenario, p: float = math.inf, *,
         raise DomainError(
             f"companion run shows no decay (a_hat = {envelope.a_hat})")
     a_rate = ENVELOPE_DEFLATION * envelope.a_hat
-    consts = iss_constants(spec, grid, p, (envelope.n_hat, a_rate),
-                           resolvent_samples=resolvent_samples, seed=seed)
+    consts = iss_constants(spec, grid, p, (envelope.n_hat, a_rate))
 
     traj = run(scenario)
     u_norm = disturbance_lp_norm(scenario, p)
@@ -198,23 +197,13 @@ def scale_spec(spec: NetworkSpec, parameter: str, value: float) -> NetworkSpec:
     if not (math.isfinite(value) and value >= 0):
         raise DomainError(f"scale value {value} must be finite and >= 0")
     if parameter == "routing_scale":
-        return NetworkSpec(circles=spec.circles, routing=spec.routing * value,
-                           v_min=spec.v_min, v_max=spec.v_max,
-                           mass_preserving=spec.mass_preserving,
-                           gamma1=spec.gamma1, gamma2=spec.gamma2)
+        return replace(spec, routing=spec.routing * value)
     if parameter == "beta_scale":
         circles = tuple(replace(c, scattering=_scale_kernel(c.scattering, value))
                         for c in spec.circles)
-        preserved = spec.mass_preserving and value == 1.0
-        return NetworkSpec(circles=circles, routing=spec.routing,
-                           v_min=spec.v_min, v_max=spec.v_max,
-                           mass_preserving=preserved,
-                           gamma1=spec.gamma1, gamma2=spec.gamma2)
-    circles = tuple(_scale_delay(c, value) for c in spec.circles)
-    return NetworkSpec(circles=circles, routing=spec.routing,
-                       v_min=spec.v_min, v_max=spec.v_max,
-                       mass_preserving=spec.mass_preserving,
-                       gamma1=spec.gamma1, gamma2=spec.gamma2)
+        return replace(spec, circles=circles,
+                       mass_preserving=spec.mass_preserving and value == 1.0)
+    return replace(spec, circles=tuple(_scale_delay(c, value) for c in spec.circles))
 
 
 def _scale_kernel(s: ScatteringKernel, value: float) -> ScatteringKernel:

@@ -114,7 +114,7 @@ def _cmd_verify(args) -> int:
     scenario = _load_scenario(spec, args.scenario, args)
     p = _float_arg("--p", args.p)
     try:
-        report = verify_iss(scenario, p, seed=args.seed or 0)
+        report = verify_iss(scenario, p)
     except SmallGainViolation as e:
         if e.certificate is None or e.certificate.decision != "INCONCLUSIVE":
             raise

@@ -128,25 +128,26 @@ class AbsorptionProfile:
     v_edges: tuple[float, ...] = ()
     values: tuple[tuple[float, ...], ...] = ()  # shape (n_x, n_v)
 
-    def q(self, x: float, v: float) -> float:
+    def q(self, x, v):
+        """q(x, v), elementwise over positions and velocities that broadcast."""
         if self.kind == "constant":
-            return self.value
-        ix = _cell_index(self.x_edges, x)
-        iv = _cell_index(self.v_edges, v)
-        return self.values[ix][iv]
+            return np.full(np.broadcast_shapes(np.shape(x), np.shape(v)), self.value)[()]
+        ix, iv = _cell_index(self.x_edges, x), _cell_index(self.v_edges, v)
+        return np.asarray(self.values)[ix, iv]
 
-    def integral_x(self, x: float, v: float) -> float:
-        """Exact integral of q(., v) over [0, x] for the step profile."""
+    def integral_x(self, x, v):
+        """Exact integral of q(., v) over [0, x] for the step profile,
+        elementwise over positions and velocities that broadcast."""
+        shape = np.broadcast_shapes(np.shape(x), np.shape(v))
         if self.kind == "constant":
-            return self.value * x
-        iv = _cell_index(self.v_edges, v)
-        total = 0.0
-        for ix in range(len(self.x_edges) - 1):
-            a, b = self.x_edges[ix], self.x_edges[ix + 1]
-            if a >= x:
-                break
-            total += self.values[ix][iv] * (min(b, x) - a)
-        return total
+            return self.value * np.broadcast_to(x, shape)
+        x = np.broadcast_to(x, shape)
+        column = np.asarray(self.values)[:, _cell_index(self.v_edges, v)]
+        total = np.zeros(shape)
+        # cell by cell from x = 0, as a scalar loop would add them
+        for ix, (a, b) in enumerate(zip(self.x_edges, self.x_edges[1:])):
+            total += np.where(a < x, column[ix] * (np.minimum(b, x) - a), 0.0)
+        return total[()]
 
     def min_value(self) -> float:
         if self.kind == "constant":
@@ -205,19 +206,9 @@ class ScatteringKernel:
         """Exact integral of beta(., v_in) over [v_min, v_max]."""
         if self.kind == "constant":
             return self.value * (v_max - v_min)
-        total = 0.0
-        for k in range(len(self.v_edges) - 1):
-            a = max(self.v_edges[k], v_min)
-            b = min(self.v_edges[k + 1], v_max)
-            if b <= a:
-                continue
-            if self.kind == "separable":
-                total += self.out_values[k] * (b - a)
-            else:
-                total += self.values[k][_cell_index(self.v_edges, v_in)] * (b - a)
-        if self.kind == "separable":
-            total *= self.in_values[_cell_index(self.v_edges, v_in)]
-        return total
+        edges = np.asarray(self.v_edges)
+        widths = np.diff(np.clip(edges, v_min, v_max))
+        return float(widths @ self.beta(0.5 * (edges[:-1] + edges[1:]), v_in))
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +359,42 @@ def _number(x, ctx: str) -> float:
     return value
 
 
+def _typed(x, types, ctx: str):
+    if not isinstance(x, types):
+        raise SchemaError(f"{ctx} has the wrong type {type(x).__name__}")
+    return x
+
+
+def _numbers(x, ctx: str) -> tuple[float, ...]:
+    return tuple(_number(e, ctx) for e in _typed(x, (list, tuple), ctx))
+
+
+def _edges(x, ctx: str) -> tuple[float, ...]:
+    edges = _numbers(x, ctx)
+    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValidationError(f"{ctx} must hold at least 2 strictly increasing edges")
+    return edges
+
+
+def _table(x, n_rows: int | None, n_cols: int, ctx: str) -> tuple[tuple[float, ...], ...]:
+    rows = tuple(_numbers(row, ctx) for row in _typed(x, (list, tuple), ctx))
+    if n_rows not in (None, len(rows)) or any(len(row) != n_cols for row in rows):
+        raise ValidationError(f"{ctx} must be a {n_rows or 'n'} x {n_cols} table")
+    return rows
+
+
 def _parse_absorption(doc, ctx: str) -> AbsorptionProfile:
     kind = _require(doc, "kind", ctx)
     if kind == "constant":
         return AbsorptionProfile(kind="constant",
                                  value=_number(_require(doc, "value", ctx), f"{ctx}.value"))
     if kind == "tabulated":
+        x_edges = _edges(_require(doc, "x_edges", ctx), f"{ctx}.x_edges")
+        v_edges = _edges(_require(doc, "v_edges", ctx), f"{ctx}.v_edges")
         return AbsorptionProfile(
-            kind="tabulated",
-            x_edges=tuple(_number(x, f"{ctx}.x_edges") for x in _require(doc, "x_edges", ctx)),
-            v_edges=tuple(_number(x, f"{ctx}.v_edges") for x in _require(doc, "v_edges", ctx)),
-            values=tuple(tuple(_number(x, f"{ctx}.values") for x in row)
-                         for row in _require(doc, "values", ctx)),
-        )
+            kind="tabulated", x_edges=x_edges, v_edges=v_edges,
+            values=_table(_require(doc, "values", ctx), len(x_edges) - 1,
+                          len(v_edges) - 1, f"{ctx}.values"))
     raise SchemaError(f"unknown absorption kind {kind!r} in {ctx}")
 
 
@@ -389,23 +403,20 @@ def _parse_scattering(doc, ctx: str) -> ScatteringKernel:
     if kind == "constant":
         return ScatteringKernel(kind="constant",
                                 value=_number(_require(doc, "value", ctx), f"{ctx}.value"))
-    if kind == "separable":
-        return ScatteringKernel(
-            kind="separable",
-            v_edges=tuple(_number(x, f"{ctx}.v_edges") for x in _require(doc, "v_edges", ctx)),
-            out_values=tuple(_number(x, f"{ctx}.out_values")
-                             for x in _require(doc, "out_values", ctx)),
-            in_values=tuple(_number(x, f"{ctx}.in_values")
-                            for x in _require(doc, "in_values", ctx)),
-        )
+    if kind not in ("separable", "tabulated"):
+        raise SchemaError(f"unknown scattering kind {kind!r} in {ctx}")
+    v_edges = _edges(_require(doc, "v_edges", ctx), f"{ctx}.v_edges")
+    n = len(v_edges) - 1
     if kind == "tabulated":
         return ScatteringKernel(
-            kind="tabulated",
-            v_edges=tuple(_number(x, f"{ctx}.v_edges") for x in _require(doc, "v_edges", ctx)),
-            values=tuple(tuple(_number(x, f"{ctx}.values") for x in row)
-                         for row in _require(doc, "values", ctx)),
-        )
-    raise SchemaError(f"unknown scattering kind {kind!r} in {ctx}")
+            kind="tabulated", v_edges=v_edges,
+            values=_table(_require(doc, "values", ctx), n, n, f"{ctx}.values"))
+    out_values = _numbers(_require(doc, "out_values", ctx), f"{ctx}.out_values")
+    in_values = _numbers(_require(doc, "in_values", ctx), f"{ctx}.in_values")
+    if len(out_values) != n or len(in_values) != n:
+        raise ValidationError(f"{ctx}.out_values and .in_values need {n} entries")
+    return ScatteringKernel(kind="separable", v_edges=v_edges,
+                            out_values=out_values, in_values=in_values)
 
 
 def _parse_measure(doc, delay: float, ctx: str) -> DelayMeasure:
@@ -416,14 +427,12 @@ def _parse_measure(doc, delay: float, ctx: str) -> DelayMeasure:
         return DelayMeasure(kind="exponential", r=delay,
                             theta_rate=_number(_require(doc, "theta", ctx), f"{ctx}.theta"))
     if kind == "piecewise":
-        atoms = tuple((_number(a[0], f"{ctx}.atoms"), _number(a[1], f"{ctx}.atoms"))
-                      for a in doc.get("atoms", ()))
         return DelayMeasure(
-            kind="piecewise", r=delay, atoms=atoms,
-            density_edges=tuple(_number(x, f"{ctx}.density_edges")
-                                for x in doc.get("density_edges", ())),
-            density_values=tuple(_number(x, f"{ctx}.density_values")
-                                 for x in doc.get("density_values", ())),
+            kind="piecewise", r=delay,
+            atoms=_table(doc.get("atoms", ()), None, 2, f"{ctx}.atoms"),
+            density_edges=_numbers(doc.get("density_edges", ()), f"{ctx}.density_edges"),
+            density_values=_numbers(doc.get("density_values", ()),
+                                    f"{ctx}.density_values"),
         )
     raise SchemaError(f"unknown delay measure kind {kind!r} in {ctx}")
 
@@ -485,14 +494,15 @@ def load_network(config_document) -> NetworkSpec:
         raise ValidationError(f"routing[{i}][{j}] = {routing[i, j]} violates positivity")
     routing.setflags(write=False)
 
-    flags = doc.get("flags", {})
-    mass_preserving = bool(flags.get("mass_preserving", False))
+    flags = _typed(doc.get("flags", {}), dict, "flags")
+    mass_preserving = flags.get("mass_preserving", False)
+    if not isinstance(mass_preserving, bool):
+        raise SchemaError("flags.mass_preserving must be true or false, "
+                          f"got {mass_preserving!r}")
 
-    gamma1 = gamma2 = None
-    if "absorption_bounds" in doc:
-        ab = doc["absorption_bounds"]
-        gamma1 = None if ab.get("gamma1") is None else _number(ab["gamma1"], "gamma1")
-        gamma2 = None if ab.get("gamma2") is None else _number(ab["gamma2"], "gamma2")
+    ab = _typed(doc.get("absorption_bounds", {}), dict, "absorption_bounds")
+    gamma1 = None if ab.get("gamma1") is None else _number(ab["gamma1"], "gamma1")
+    gamma2 = None if ab.get("gamma2") is None else _number(ab["gamma2"], "gamma2")
 
     spec = NetworkSpec(circles=tuple(circles), routing=routing,
                        v_min=v_min, v_max=v_max, mass_preserving=mass_preserving,

@@ -73,9 +73,6 @@ class BlockOperator:
         col = self.weights @ np.abs(self.matrix)  # sum_r |A[r,c]| * w_r
         return float(np.max(col / self.weights))
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        return self.matrix @ g
-
     def vector_norm(self, g: np.ndarray) -> float:
         return float(np.sum(np.abs(g) * self.weights))
 
@@ -155,8 +152,8 @@ def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:
         k=grid.k,
         routed=_routed_scattering(spec, grid),
         length=np.repeat([c.length for c in spec.circles], grid.k),
-        absorbed=np.array([c.absorption.integral_x(c.length, vk)
-                           for c in spec.circles for vk in v]),
+        absorbed=np.concatenate([c.absorption.integral_x(c.length, v)
+                                 for c in spec.circles]),
         velocity=np.tile(v, spec.n_circles),
         weights=np.tile(grid.widths, spec.n_circles))
 

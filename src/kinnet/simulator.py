@@ -27,6 +27,7 @@ from .model import NetworkSpec
 from .operators import VelocityGrid, scattering_table
 
 ZERO = {"kind": "zero"}
+MAX_ARRAY_VALUES = 2**27  # float64 values in one engine array (1 GiB)
 
 
 @dataclass(eq=False)
@@ -73,6 +74,13 @@ class Scenario:
             raise CflError(
                 f"dt = {self.dt} exceeds CFL bound dx_min over the fastest "
                 f"grid speed = {dx_min / v_top}")
+        # state N x K, ring about (r_max / dt) x J x K, in floats: r_max / dt
+        # may be too large to round to an integer
+        K, r_max = self.grid.k, max(c.delay for c in self.spec.circles)
+        if sum(m + 1 for m in self.m_cells) * K > MAX_ARRAY_VALUES:
+            raise ValidationError(f"m_base/m_cells give over {MAX_ARRAY_VALUES} state values")
+        if (r_max / self.dt + 2.0) * self.spec.n_circles * K > MAX_ARRAY_VALUES:
+            raise ValidationError(f"dt = {self.dt} gives over {MAX_ARRAY_VALUES} ring values")
 
     @property
     def n_steps(self) -> int:
@@ -311,8 +319,7 @@ class _Engine:
             if np.any(courant > 1.0 + 1e-9):
                 raise CflError(f"circle {j}: characteristic foot leaves the cell")
             courant = np.minimum(courant, 1.0)
-            q = np.array([[c.absorption.q(x, vk) for vk in v] for x in self.xs[j]])
-            damp = np.exp(-q * dt)[1:]
+            damp = np.exp(-c.absorption.q(self.xs[j][:, None], v) * dt)[1:]
             self.c_stay[a:b - 1] = (1.0 - courant) * damp
             self.c_move[a:b - 1] = courant * damp
             s = self.n_hist[j]

@@ -2,7 +2,9 @@
 
 The abscissa solves r(G(lam)) = 1 by a safeguarded secant method on the
 convex map lam -> log r(G(lam)) (Kingman 1961), run from the left of the
-root, with a bisection fallback; see spectral_abscissa.
+root, with a bisection fallback; see spectral_abscissa. The resolvent
+constant c is the least weighted column sum of the discretized resolvent, in
+closed form: the exact infimum over the positive cone; see resolvent_constant_c.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .operators import (BlockOperator, VelocityGrid, _gain_factors, assemble_gai
 INCONCLUSIVE_BAND = 1e-3
 POWER_TOL_DEFAULT = 1e-10
 ABSCISSA_TOL_DEFAULT = 1e-6
+RESOLVENT_NODES = 64  # nodes per circle of the resolvent meshes, less one
 
 _BRACKET_MAX_ITER = 500  # 2**500 bounds the unscaled iterate
 
@@ -174,8 +177,7 @@ def _probe(end: float, step: float) -> float:
 
 
 def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
-                      tol: float = ABSCISSA_TOL_DEFAULT,
-                      radius_tol: float = POWER_TOL_DEFAULT) -> AbscissaResult:
+                      tol: float = ABSCISSA_TOL_DEFAULT) -> AbscissaResult:
     """Unique lambda with r(gain_lambda) = 1, by a safeguarded secant method
     on phi(lambda) = log r(gain_lambda) run from the left of the root.
 
@@ -201,7 +203,7 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     factors = _gain_factors(spec, grid)
 
     def phi(lam: float) -> float:
-        r = spectral_radius(factors.gain(lam), radius_tol)
+        r = spectral_radius(factors.gain(lam))
         return math.log(r) if r > 0.0 else -math.inf
 
     f0 = phi(0.0)
@@ -256,13 +258,7 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
 
 
 # ---------------------------------------------------------------------------
-# resolvent lower-bound constant
-
-def _resolvent_grids(spec: NetworkSpec, grid: VelocityGrid, n_x: int, n_theta: int):
-    xs = [np.linspace(0.0, c.length, n_x + 1) for c in spec.circles]
-    thetas = [np.linspace(-c.delay, 0.0, n_theta + 1) for c in spec.circles]
-    return xs, thetas
-
+# resolvent constant
 
 def apply_transport_resolvent(spec: NetworkSpec, grid: VelocityGrid, lam: float,
                               f: list[np.ndarray], n_x: int) -> list[np.ndarray]:
@@ -271,22 +267,17 @@ def apply_transport_resolvent(spec: NetworkSpec, grid: VelocityGrid, lam: float,
 
     f[j] has shape (K, n_x+1); trapezoid in y.
     """
+    v = grid.centers[:, None]
     out = []
     for j, c in enumerate(spec.circles):
         xs = np.linspace(0.0, c.length, n_x + 1)
-        K = grid.k
-        rj = np.zeros((K, n_x + 1))
-        for k in range(K):
-            v = grid.centers[k]
-            # cumulative absorption integral at the nodes
-            big_q = np.array([c.absorption.integral_x(x, v) for x in xs])
-            phi = lam * xs + big_q  # exponent numerator at each node
-            # kernel(m, y) = exp(-(phi[m] - phi[y-node])/v) for y <= x_m
-            g = f[j][k] * np.exp(phi / v)
-            integ = np.concatenate([[0.0], np.cumsum(
-                0.5 * (g[1:] + g[:-1]) * np.diff(xs))])
-            rj[k] = np.exp(-phi / v) * integ / v
-        out.append(rj)
+        # exponent numerator lam x + int_0^x q(., v) at each (velocity, node)
+        phi = lam * xs + c.absorption.integral_x(xs, v)
+        # kernel(m, y) = exp(-(phi[m] - phi[y-node])/v) for y <= x_m
+        g = f[j] * np.exp(phi / v)
+        integ = np.zeros_like(g)
+        integ[:, 1:] = np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * np.diff(xs), axis=1)
+        out.append(np.exp(-phi / v) * integ / v)
     return out
 
 
@@ -308,47 +299,52 @@ def apply_history_resolvent(spec: NetworkSpec, grid: VelocityGrid, lam: float,
     return out
 
 
-def _state_norm(spec, grid, f, phi, n_x, n_theta) -> float:
-    total = 0.0
-    for j, c in enumerate(spec.circles):
-        xs = np.linspace(0.0, c.length, n_x + 1)
-        total += float(np.sum(np.abs(f[j]) * grid.widths[:, None] * _trapz_weights(xs)[None, :]))
-        th = np.linspace(-c.delay, 0.0, n_theta + 1)
-        total += float(np.sum(np.abs(phi[j]) * _trapz_weights(th)[:, None] * grid.widths[None, :]))
-    return total
-
-
-def _trapz_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(nodes)
-    d = np.diff(nodes)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
+def _column_sums(nodes: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(R* w)_i / w_i for the trapezoid rule R f(x_m) = int_0^{x_m}
+    e^{phi(y) - phi(x_m)} f(y) dy on increasing nodes, w the trapezoid
+    weights, along the last axis."""
+    half = 0.5 * np.diff(nodes)
+    w = np.r_[half, 0.0] + np.r_[0.0, half]
+    # log sum_{m >= i} w_m e^{-phi_m}, a reverse cumulative sum kept in logs:
+    # e^{phi} and e^{-phi} alone overflow once phi spans more than ~700
+    log_tail = np.logaddexp.accumulate((np.log(w) - phi)[..., ::-1], axis=-1)[..., ::-1]
+    out = np.zeros(np.shape(phi))
+    out[..., 1:] += half * np.exp(phi[..., 1:] + log_tail[..., 1:])
+    out[..., :-1] += half * np.exp(phi[..., :-1] + log_tail[..., 1:])
+    return out / w
 
 
 def resolvent_constant_c(spec: NetworkSpec, grid: VelocityGrid, lam: float,
-                         samples: int, seed: int = 0, n_x: int = 64,
-                         n_theta: int = 64, safety_margin: float = 0.05) -> float:
-    """Sampled lower bound on ||R(lam, A)x|| / ||x|| over the positive cone,
-    deflated by the safety margin."""
+                         n_x: int = RESOLVENT_NODES,
+                         n_theta: int = RESOLVENT_NODES) -> float:
+    """Exact inf ||R(lam, A) x|| / ||x|| over the nonzero x >= 0 for the
+    resolvents of apply_transport_resolvent and apply_history_resolvent on
+    n_x + 1 and n_theta + 1 nodes per circle, in the weighted l1 norm
+    (trapezoid weights in x and theta times the cell widths dv).
+
+    That space is an AL-space and R is positive, so ||R x|| = <R* w, x> for
+    every x >= 0 (Schaefer, Banach Lattices and Positive Operators, 1974):
+    the infimum is the least weighted column sum (R* w)_i / w_i, and the
+    smaller of the two block minima. It sits at a mesh-edge node: the end of
+    a circle or the oldest history sample, whose mass leaves within half a
+    cell, or the first node where one cell damps strongly. So c shrinks like
+    1/n as the mesh is refined.
+    """
     g1, g2 = spec.absorption_range()
     if lam <= max(0.0, -g2):
         raise DomainError(f"lam must exceed max(0, -gamma2) = {max(0.0, -g2)}")
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    if n_x < 1 or n_theta < 1:
+        raise DomainError("resolvent meshes need at least one cell")
+    v = grid.centers[:, None]
     best = math.inf
-    for _ in range(samples):
-        f = [rng.random((grid.k, n_x + 1)) for _ in spec.circles]
-        phi = [rng.random((n_theta + 1, grid.k)) for _ in spec.circles]
-        denom = _state_norm(spec, grid, f, phi, n_x, n_theta)
-        if denom == 0.0:
-            continue
-        rf = apply_transport_resolvent(spec, grid, lam, f, n_x)
-        rphi = apply_history_resolvent(spec, grid, lam, phi, n_theta)
-        ratio = _state_norm(spec, grid, rf, rphi, n_x, n_theta) / denom
-        best = min(best, ratio)
-    return best * (1.0 - safety_margin)
+    for c in spec.circles:
+        xs = np.linspace(0.0, c.length, n_x + 1)
+        phi = (lam * xs + c.absorption.integral_x(xs, v)) / v
+        # the history shift is transport at unit speed in sigma = -theta
+        sigma = np.linspace(0.0, c.delay, n_theta + 1)
+        best = min(best, float(np.min(_column_sums(xs, phi) / v)),
+                   float(np.min(_column_sums(sigma, lam * sigma))))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +359,13 @@ class IssConstants:
     c_check_p: float
     gain: float
     pd_norm: float
+    c_grid: tuple[int, int] | None = None  # (n_x, n_theta) that c was computed on
 
     def to_dict(self) -> dict:
         return {"schema_version": 1, "N": self.n_envelope, "a": self.a_rate,
-                "c": self.c_resolvent, "p": self.p,
-                "C_check_p": self.c_check_p, "gain": self.gain,
+                "c": self.c_resolvent,
+                "c_grid": None if self.c_grid is None else list(self.c_grid),
+                "p": self.p, "C_check_p": self.c_check_p, "gain": self.gain,
                 "pd_norm": self.pd_norm}
 
 
@@ -386,28 +384,23 @@ def c_check(n_envelope: float, a_rate: float, c_resolvent: float, p: float) -> f
 
 
 def iss_constants(spec: NetworkSpec, grid: VelocityGrid, p: float,
-                  envelope: tuple[float, float], *, c_resolvent: float | None = None,
-                  resolvent_lambda: float | None = None, resolvent_samples: int = 16,
-                  seed: int = 0, use_closed_form_pd_bound: bool = False) -> IssConstants:
-    """Explicit ISS gain from the envelope (N, a) and the resolvent constant.
-
-    The junction norm uses the discretized operator by default, or the
-    closed-form mass-preserving bound when use_closed_form_pd_bound is set.
-    """
+                  envelope: tuple[float, float], *,
+                  c_resolvent: float | None = None) -> IssConstants:
+    """Explicit ISS gain from the envelope (N, a), the resolvent constant c
+    and the discretized junction norm. Unless given, c is computed at
+    lam = max(0, -gamma2) + 1, and c_grid records its mesh."""
     n_envelope, a_rate = envelope
-    if use_closed_form_pd_bound:
-        pd_norm = pd_norm_closed_form(spec)
-    else:
-        pd_norm = assemble_pd(spec, grid, 0.0).norm()
+    pd_norm = assemble_pd(spec, grid, 0.0).norm()
     if pd_norm >= 1.0:
         raise SmallGainViolation(f"junction operator norm {pd_norm} >= 1")
+    c_grid = None
     if c_resolvent is None:
-        g1, g2 = spec.absorption_range()
-        lam = resolvent_lambda if resolvent_lambda is not None else max(0.0, -g2) + 1.0
-        c_resolvent = resolvent_constant_c(spec, grid, lam, resolvent_samples, seed=seed)
+        lam = max(0.0, -spec.absorption_range()[1]) + 1.0
+        c_resolvent = resolvent_constant_c(spec, grid, lam)
+        c_grid = (RESOLVENT_NODES, RESOLVENT_NODES)
     cp = c_check(n_envelope, a_rate, c_resolvent, p)
     d0_bound, k_bound = dirichlet_norm_closed_form(spec)
     gain = k_bound * d0_bound * cp / (1.0 - pd_norm)
     return IssConstants(n_envelope=n_envelope, a_rate=a_rate,
                         c_resolvent=c_resolvent, p=p, c_check_p=cp,
-                        gain=gain, pd_norm=pd_norm)
+                        gain=gain, pd_norm=pd_norm, c_grid=c_grid)

@@ -148,7 +148,7 @@ def test_criterion_5_iss_estimate():
             sc = constant_scenario(
                 spec, g, **base,
                 disturbance={"kind": "bounded_random", "bound": 0.5, "seed": seed})
-            report = verify_iss(sc, math.inf, envelope=envelope, seed=seed)
+            report = verify_iss(sc, math.inf, envelope=envelope)
             worst = min(worst, report.worst_margin)
     elapsed = time.perf_counter() - t0
     ok = _report(5, "ISS estimate", worst >= -0.05 and elapsed < 300)

@@ -282,6 +282,37 @@ def test_huge_integer_in_config_exits_2(tmp_path, capsys, key):
     assert key in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("top, circle, field", [
+    ({"flags": "x"}, {}, "flags"),
+    ({"absorption_bounds": 5}, {}, "absorption_bounds"),
+    ({}, {"absorption": {"kind": "tabulated", "x_edges": [0], "v_edges": [0],
+                         "values": []}}, "x_edges"),
+    ({}, {"delay_measure": {"kind": "piecewise", "atoms": [[-0.1]]}}, "atoms"),
+    ({}, {"delay_measure": {"kind": "piecewise", "atoms": 5}}, "atoms"),
+])
+def test_config_of_wrong_shape_exits_2(tmp_path, capsys, top, circle, field):
+    doc = single_circle(0.5).to_config()
+    doc.update(top)
+    doc["circles"][0].update(circle)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--k-velocity", "1"]) == 2
+    assert field in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"t_end": 1, "dt": 1e-10, "m_base": 8}, "dt"),
+    ({"t_end": 1, "m_base": 10**13}, "m_base"),
+])
+def test_oversized_engine_exits_2(config_iss, tmp_path, capsys, doc, field):
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", config_iss, str(path), "--k-velocity", "1",
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert field in _one_line_error(capsys)
+    assert not (tmp_path / "sim").exists()
+
+
 def test_sweep(config_iss, tmp_path, capsys):
     out = tmp_path / "sw"
     code = main(["sweep", config_iss, "--param", "routing_scale",
@@ -319,3 +350,13 @@ def test_deterministic_reports(config_iss, capsys):
     main(["analyze", config_iss, "--k-velocity", "4"])
     second = _strip_timestamp(capsys.readouterr().out)
     assert first == second
+
+
+def test_verify_constants_do_not_depend_on_seed(config_iss, scenario_file, capsys):
+    reports = []
+    for seed in ("1", "2"):
+        assert main(["verify", config_iss, scenario_file, "--k-velocity", "2",
+                     "--seed", seed]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["constants"])
+    assert reports[0] == reports[1]
+    assert reports[0]["c_grid"] == [64, 64]

@@ -1,12 +1,14 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from kinnet import (AbsorptionProfile, DelayMeasure, NetworkSpec, SchemaError,
+from kinnet import (AbsorptionProfile, DelayMeasure, KinnetError, NetworkSpec,
+                    SchemaError,
                     ScatteringKernel, ValidationError, load_network,
                     measure_laplace, measure_total_variation, network_bounds,
                     routing_norm)
@@ -93,6 +95,36 @@ def test_tabulated_absorption():
     assert a.integral_x(1.0, 1.5) == pytest.approx(0.5 * 0.2 + 0.5 * 0.8)
     assert a.integral_x(0.7, 1.5) == pytest.approx(0.5 * 0.2 + 0.2 * 0.8)
     assert a.min_value() == 0.2 and a.max_value() == 0.8
+
+
+@pytest.mark.parametrize("profile", [
+    AbsorptionProfile(kind="constant", value=0.3),
+    AbsorptionProfile(kind="tabulated", x_edges=(0.0, 0.3, 0.45, 1.0),
+                      v_edges=(1.0, 1.25, 2.0),
+                      values=((0.2, 0.7), (0.9, 0.1), (0.35, 0.55))),
+])
+def test_absorption_elementwise_matches_scalar_loop(profile):
+    xs = np.linspace(-0.1, 1.1, 25)
+    vs = np.linspace(0.9, 2.1, 7)
+    q = profile.q(xs[:, None], vs[None, :])
+    big_q = profile.integral_x(xs[:, None], vs[None, :])
+    assert q.shape == big_q.shape == (25, 7)
+    for i, x in enumerate(xs):
+        for k, v in enumerate(vs):
+            assert q[i, k] == profile.q(float(x), float(v))
+            assert big_q[i, k] == profile.integral_x(float(x), float(v))
+            assert np.ndim(profile.integral_x(float(x), float(v))) == 0
+    # the per-circle loop the elementwise sum replaces
+    if profile.kind == "tabulated":
+        for x, v in ((0.4, 1.1), (1.0, 1.9), (0.0, 1.5)):
+            iv = int(np.searchsorted(profile.v_edges, v, side="right")) - 1
+            total = 0.0
+            for ix in range(len(profile.x_edges) - 1):
+                a, b = profile.x_edges[ix], profile.x_edges[ix + 1]
+                if a >= x:
+                    break
+                total += profile.values[ix][iv] * (min(b, x) - a)
+            assert profile.integral_x(x, v) == total
 
 
 def test_constant_absorption_integral():
@@ -216,3 +248,108 @@ def test_config_declared_absorption_bounds():
     doc["absorption_bounds"] = {"gamma1": 0.0, "gamma2": 1.0}
     spec = load_network(doc)
     assert spec.absorption_range() == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("path, value, error", [
+    (("flags",), "x", SchemaError),
+    (("flags", "mass_preserving"), "yes", SchemaError),
+    (("absorption_bounds",), 5, SchemaError),
+    (("circles", 0, "delay_measure", "atoms"), [[-0.1]], ValidationError),
+    (("circles", 0, "delay_measure", "atoms"), 5, SchemaError),
+    (("circles", 1, "absorption", "values"), 3, SchemaError),
+    (("circles", 1, "absorption", "values"), [[0.2, 0.5]], ValidationError),
+    (("circles", 1, "absorption", "x_edges"), [0.0], ValidationError),
+    (("circles", 1, "absorption", "x_edges"), [0.0, 0.6, 0.4], ValidationError),
+    (("circles", 1, "scattering", "out_values"), [0.8], ValidationError),
+    (("circles", 0, "scattering", "values"), [[1.0], [1.0]], ValidationError),
+    (("circles", 1, "absorption"), {"kind": "tabulated", "x_edges": [0],
+                                    "v_edges": [0], "values": []}, ValidationError),
+])
+def test_config_shape_errors(path, value, error):
+    doc = _shape_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(error):
+        load_network(doc)
+
+
+def _shape_doc() -> dict:
+    """Two circles that between them use every absorption, scattering and
+    delay measure kind."""
+    return {
+        "velocity": {"v_min": 1.0, "v_max": 2.0},
+        "circles": [
+            {"length": 1.0, "delay": 0.5,
+             "absorption": {"kind": "constant", "value": 0.3},
+             "scattering": {"kind": "tabulated", "v_edges": [1.0, 2.0],
+                            "values": [[0.9]]},
+             "delay_measure": {"kind": "piecewise", "atoms": [[-0.25, 0.3]],
+                               "density_edges": [-0.5, 0.0],
+                               "density_values": [0.9]}},
+            {"length": 0.8, "delay": 0.3,
+             "absorption": {"kind": "tabulated", "x_edges": [0.0, 0.4, 0.8],
+                            "v_edges": [1.0, 1.5, 2.0],
+                            "values": [[0.2, 0.5], [0.7, 0.1]]},
+             "scattering": {"kind": "separable", "v_edges": [1.0, 1.5, 2.0],
+                            "out_values": [0.8, 1.2], "in_values": [0.9, 1.1]},
+             "delay_measure": {"kind": "exponential", "theta": 2.0}},
+            {"length": 1.2, "delay": 0.6,
+             "absorption": {"kind": "constant", "value": 0.1},
+             "scattering": {"kind": "constant", "value": 0.7},
+             "delay_measure": {"kind": "dirac"}},
+        ],
+        "routing": [[0.2, 0.5, 0.1], [0.3, 0.1, 0.2], [0.1, 0.2, 0.3]],
+        "flags": {"mass_preserving": False},
+        "absorption_bounds": {"gamma1": 0.0, "gamma2": 1.0},
+    }
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+_HUGE = 10**400  # a JSON integer beyond float range
+
+_BAD_VALUES = st.one_of(
+    st.sampled_from([None, True, "x", "nan", {}, [], [[]], [[-0.1]], [0.0],
+                     [1.0, 0.5], 0, -1, 5, math.nan, math.inf, -math.inf,
+                     _HUGE, -_HUGE, [math.nan], [_HUGE], [[_HUGE, 1.0]]]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-_HUGE, max_value=_HUGE),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_load_or_raise_kinnet_error(data):
+    doc = data.draw(st.sampled_from([
+        _shape_doc(), conservation_spec().to_config(),
+        single_circle(0.5, measure="piecewise").to_config()]).map(copy.deepcopy))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if data.draw(st.booleans()):
+            del node[path[-1]]  # a missing key, or a list one entry short
+        else:
+            node[path[-1]] = copy.deepcopy(data.draw(_BAD_VALUES))
+    try:
+        spec = load_network(doc)
+    except KinnetError:
+        return
+    assert isinstance(spec, NetworkSpec)
+    b = network_bounds(spec)
+    assert all(math.isfinite(getattr(b, name)) for name in b.__dataclass_fields__)
+    again = spec.to_config()
+    assert load_network(again).to_config() == again

@@ -5,7 +5,8 @@ import pytest
 
 import kinnet.operators
 import kinnet.spectral
-from kinnet import (BracketError, DomainError, SmallGainViolation,
+from kinnet import (AbsorptionProfile, BracketError, CircleSpec, DelayMeasure,
+                    DomainError, NetworkSpec, ScatteringKernel, SmallGainViolation,
                     VelocityGrid, assemble_gain, assemble_pd, c_check,
                     iss_constants,
                     resolvent_constant_c, small_gain_certificate,
@@ -271,10 +272,93 @@ def test_resolvent_constant_validations():
     spec = single_circle(0.5)
     g = VelocityGrid.for_spec(spec, 2)
     with pytest.raises(DomainError):
-        resolvent_constant_c(spec, g, lam=-0.5, samples=2)
-    c1 = resolvent_constant_c(spec, g, lam=1.0, samples=4, seed=5)
-    c2 = resolvent_constant_c(spec, g, lam=1.0, samples=4, seed=5)
+        resolvent_constant_c(spec, g, lam=-0.5)
+    with pytest.raises(DomainError):
+        resolvent_constant_c(spec, g, lam=1.0, n_x=0)
+    with pytest.raises(DomainError):
+        resolvent_constant_c(spec, g, lam=1.0, n_theta=0)
+    c1 = resolvent_constant_c(spec, g, lam=1.0)
+    c2 = resolvent_constant_c(spec, g, lam=1.0)
     assert c1 == c2 and c1 > 0.0
+
+
+def _trapezoid_weights(nodes):
+    w = np.zeros_like(nodes)
+    w[:-1] += 0.5 * np.diff(nodes)
+    w[1:] += 0.5 * np.diff(nodes)
+    return w
+
+
+def _basis_minimum(spec, g, lam, n):
+    """min ||R e|| / ||e|| over the basis vectors e of both blocks, through
+    the public resolvents and the weighted l1 norm."""
+    wx = [_trapezoid_weights(np.linspace(0.0, c.length, n + 1)) for c in spec.circles]
+    wt = [_trapezoid_weights(np.linspace(-c.delay, 0.0, n + 1)) for c in spec.circles]
+    dv = g.widths
+    best = math.inf
+    for j in range(spec.n_circles):
+        for k in range(g.k):
+            for i in range(n + 1):
+                f = [np.zeros((g.k, n + 1)) for _ in spec.circles]
+                f[j][k, i] = 1.0
+                rf = apply_transport_resolvent(spec, g, lam, f, n)
+                norm = sum(float(dv @ np.abs(r) @ w) for r, w in zip(rf, wx))
+                best = min(best, norm / (dv[k] * wx[j][i]))
+                phi = [np.zeros((n + 1, g.k)) for _ in spec.circles]
+                phi[j][i, k] = 1.0
+                rphi = apply_history_resolvent(spec, g, lam, phi, n)
+                norm = sum(float(w @ np.abs(r) @ dv) for r, w in zip(rphi, wt))
+                best = min(best, norm / (dv[k] * wt[j][i]))
+    return best
+
+
+def _resolvent_specs():
+    # a delay longer than the transit time l/v, so that at the large shift
+    # the history block holds the minimum
+    tabulated = CircleSpec(
+        length=0.8, delay=2.0,
+        absorption=AbsorptionProfile(kind="tabulated", x_edges=(0.0, 0.3, 0.8),
+                                     v_edges=(1.0, 1.4, 2.0),
+                                     values=((0.2, 1.5), (0.9, 0.05))),
+        scattering=ScatteringKernel(kind="constant", value=1.0),
+        delay_measure=DelayMeasure(kind="dirac", r=2.0))
+    specs = [(name, spec) for name, spec, label in regression_suite() if label == "ISS"]
+    return specs + [("tabulated", NetworkSpec(circles=(tabulated,),
+                                              routing=np.array([[0.5]]),
+                                              v_min=1.0, v_max=2.0))]
+
+
+@pytest.mark.parametrize("name, spec", _resolvent_specs())
+def test_resolvent_constant_is_the_basis_vector_minimum(name, spec):
+    # the shift of iss_constants, and a large one that moves the minima to
+    # the first node of a circle and to theta = 0
+    for lam in (max(0.0, -spec.absorption_range()[1]) + 1.0, 40.0):
+        for k in (2, 8):
+            g = VelocityGrid.for_spec(spec, k)
+            for n in (8, 16):
+                c = resolvent_constant_c(spec, g, lam, n_x=n, n_theta=n)
+                assert c == pytest.approx(_basis_minimum(spec, g, lam, n), rel=1e-12)
+
+
+def test_resolvent_constant_on_a_slow_circle():
+    # lam l / v = 952 at lam = 1: e^{lam x / v} overflows along the circle,
+    # and the minimum is the first node's column sum, in closed form
+    spec = single_circle(0.2, v_min=0.001, v_max=0.0011, gamma=0.0)
+    g = VelocityGrid.for_spec(spec, 1)
+    n = 64
+    a = spec.circles[0].length / n / g.centers[0]
+    m = np.arange(1, n + 1)
+    first_node = a * float(np.sum(np.where(m < n, 1.0, 0.5) * np.exp(-a * m)))
+    assert resolvent_constant_c(spec, g, 1.0) == pytest.approx(first_node, rel=1e-12)
+
+
+def test_resolvent_constant_shrinks_with_the_mesh():
+    for name, spec in _resolvent_specs():
+        g = VelocityGrid.for_spec(spec, 8)
+        lam = max(0.0, -spec.absorption_range()[1]) + 1.0
+        c16 = resolvent_constant_c(spec, g, lam, n_x=16, n_theta=16)
+        c32 = resolvent_constant_c(spec, g, lam, n_x=32, n_theta=32)
+        assert c32 <= c16, name
 
 
 # ---------------------------------------------------------------------------
@@ -308,3 +392,7 @@ def test_iss_constants_values():
     assert consts.c_check_p == pytest.approx(1.5 / (0.4 * 0.2))
     assert consts.gain > 0.0
     assert consts.to_dict()["schema_version"] == 1
+    assert consts.to_dict()["c_grid"] is None
+    computed = iss_constants(spec, g, math.inf, (1.5, 0.4))
+    assert computed.c_resolvent == resolvent_constant_c(spec, g, 1.0)
+    assert computed.to_dict()["c_grid"] == [64, 64]
