@@ -12,8 +12,9 @@ from .errors import (DomainError, ExtinctionFlag, MissingEnvelope,
 from .model import (NetworkSpec, ScatteringKernel, DelayMeasure, CircleSpec,
                     network_bounds)
 from .operators import VelocityGrid
-from .simulator import Scenario, Trajectory, make_scenario, run
-from .spectral import (Certificate, IssConstants, iss_constants,
+from .simulator import (Scenario, Trajectory, _disturbance_samples,
+                        make_scenario, run)
+from .spectral import (Certificate, IssConstants, _json_number, iss_constants,
                        small_gain_certificate, INCONCLUSIVE_BAND)
 
 ENVELOPE_DEFLATION = 0.9
@@ -94,7 +95,7 @@ class IssReport:
             "worst_margin": self.worst_margin,
             "passed": bool(self.passed),
             "u_norm": self.u_norm,
-            "p": self.p if not math.isinf(self.p) else "inf",
+            "p": _json_number(self.p),
             "n_records": int(len(self.times)),
             "metadata": self.metadata,
         }
@@ -123,8 +124,7 @@ def disturbance_lp_norm(scenario: Scenario, p: float) -> float:
     if kind == "bounded_random":
         if math.isinf(p):
             return float(preset.get("bound", 1.0)) * vspan
-        u = np.array([scenario.engine().u_of_step(n)
-                      for n in range(scenario.n_steps + 1)])
+        u = _disturbance_samples(scenario)
         return vspan * float(np.sum(np.abs(u) ** p) * scenario.dt) ** (1.0 / p)
     raise DomainError(f"no disturbance norm rule for preset kind {kind!r}")
 
@@ -136,9 +136,10 @@ def verify_iss(scenario: Scenario, p: float = math.inf, *,
     certified bound N e^{-a t}(||f|| + ||phi||) + rho ||u||_p.
 
     The envelope (N, a) comes from an unforced companion run of the same
-    scenario unless passed in; the rate is deflated before use so first-order
-    discretization error cannot invalidate the certified envelope. A
-    certificate that does not say ISS raises SmallGainViolation carrying it.
+    scenario, stepped in lockstep with it, unless passed in; the rate is
+    deflated before use so first-order discretization error cannot
+    invalidate the certified envelope. A certificate that does not say ISS
+    raises SmallGainViolation carrying it.
     """
     if not p >= 1:
         raise DomainError(f"p must be in [1, inf], got {p}")
@@ -149,7 +150,9 @@ def verify_iss(scenario: Scenario, p: float = math.inf, *,
             f"certificate decision is {cert.decision} (r_gain = {cert.r_gain}); "
             "the ISS estimate does not apply", certificate=cert)
 
-    if envelope is None:
+    if envelope is not None:
+        traj = run(scenario)
+    else:
         if not auto_companion:
             raise MissingEnvelope(
                 "no decay envelope given and companion runs are disabled")
@@ -162,14 +165,14 @@ def verify_iss(scenario: Scenario, p: float = math.inf, *,
                                 initial={"kind": "constant", "value": 1.0},
                                 history={"kind": "constant", "value": 1.0},
                                 _engine=None)
-        envelope = fit_decay(run(companion))
+        unforced, traj = run(companion, scenario)
+        envelope = fit_decay(unforced)
     if envelope.a_hat <= 0:
         raise DomainError(
             f"companion run shows no decay (a_hat = {envelope.a_hat})")
     a_rate = ENVELOPE_DEFLATION * envelope.a_hat
     consts = iss_constants(spec, grid, p, (envelope.n_hat, a_rate))
 
-    traj = run(scenario)
     u_norm = disturbance_lp_norm(scenario, p)
     bounds = (envelope.n_hat * np.exp(-a_rate * traj.times)
               * traj.initial_data_norm + consts.gain * u_norm)

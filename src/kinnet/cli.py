@@ -17,7 +17,7 @@ from .model import load_network
 from .operators import VelocityGrid, assemble_gain, assemble_pd, \
     dirichlet_norm_closed_form, pd_norm_closed_form
 from .simulator import make_scenario, run
-from .spectral import small_gain_certificate, spectral_abscissa
+from .spectral import _json_number, small_gain_certificate, spectral_abscissa
 
 _SCENARIO_KEYS = {"t_end", "dt", "stride", "m_base", "m_cells", "initial",
                   "history", "disturbance", "input_outside_sum"}
@@ -74,11 +74,11 @@ def _cmd_analyze(args) -> int:
     d0, routing = dirichlet_norm_closed_form(spec)
     bounds = {
         "pd_norm_discrete": assemble_pd(spec, grid, 0.0).norm(),
-        "dirichlet_lift_bound": d0,
+        "dirichlet_lift_bound": _json_number(d0),
         "routing_norm": routing,
     }
     if spec.mass_preserving:
-        bounds["pd_norm_closed_form"] = pd_norm_closed_form(spec)
+        bounds["pd_norm_closed_form"] = _json_number(pd_norm_closed_form(spec))
     payload = {"certificate": cert.to_dict(), "norm_bounds": bounds,
                "k_velocity": grid.k}
     if args.dump_gain and args.out:

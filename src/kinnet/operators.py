@@ -193,8 +193,23 @@ def assemble_pd(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> BlockOpera
     return BlockOperator(matrix=mat, weights=np.concatenate([f.weights, f.weights]))
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf where it passes float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _bound_product(*factors: float) -> float:
+    """Product of nonnegative bound factors, one of them possibly inf: zero
+    when a factor is zero, never inf * 0 = nan."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
+
+
 def pd_norm_closed_form(spec: NetworkSpec) -> float:
-    """Closed-form bound max{var_bar * v_max/v_min, e^{l_bar*gamma_bar/v_min} * ||M||}.
+    """Closed-form bound max{var_bar * v_max/v_min, e^{l_bar*gamma_bar/v_min} * ||M||},
+    inf where it passes float range.
 
     Valid only for mass-preserving scattering.
     """
@@ -203,11 +218,13 @@ def pd_norm_closed_form(spec: NetworkSpec) -> float:
             "junction norm bound requires the mass_preserving flag")
     b = network_bounds(spec)
     return max(b.var_bar * spec.v_max / spec.v_min,
-               math.exp(b.l_bar * b.gamma_bar / spec.v_min) * b.routing_norm)
+               _bound_product(_exp_or_inf(b.l_bar * b.gamma_bar / spec.v_min),
+                              b.routing_norm))
 
 
 def dirichlet_norm_closed_form(spec: NetworkSpec) -> tuple[float, float]:
-    """Closed-form bounds (||D_0|| <= e^{l_bar*gamma_bar/v_min}, ||K|| <= ||M||)."""
+    """Closed-form bounds (||D_0|| <= e^{l_bar*gamma_bar/v_min}, ||K|| <= ||M||);
+    the first is inf where the exponential passes float range."""
     b = network_bounds(spec)
-    return (math.exp(b.l_bar * b.gamma_bar / spec.v_min), b.routing_norm)
+    return (_exp_or_inf(b.l_bar * b.gamma_bar / spec.v_min), b.routing_norm)
 

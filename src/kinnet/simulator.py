@@ -9,11 +9,15 @@ Layout: the densities of all circles sit in one state array with a row per
 node, (N, K) with N = sum_j (M_j + 1), and the traces of all circles in one
 (S_max, J, K) ring buffer with a single head, so a time step costs the same
 few numpy calls whatever the number of circles. Node-major rows keep the
-shifted slices of the advection contiguous.
+shifted slices of the advection contiguous. Both arrays carry a leading
+member axis R: members share the network, grid and clock and differ only in
+initial data, history and input, so `run(a, b)` steps them in lockstep, (R,
+N, K) and (R, S_max, J, K), with the same numpy calls per step as one run.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import sys
@@ -24,7 +28,7 @@ import numpy as np
 from .delayquad import delay_quadrature, _accumulate_density
 from .errors import CflError, DomainError, ValidationError
 from .model import NetworkSpec
-from .operators import VelocityGrid, scattering_table
+from .operators import VelocityGrid, _routed_scattering
 
 ZERO = {"kind": "zero"}
 MAX_ARRAY_VALUES = 2**27  # float64 values in one engine array (1 GiB)
@@ -81,10 +85,26 @@ class Scenario:
             raise ValidationError(f"m_base/m_cells give over {MAX_ARRAY_VALUES} state values")
         if (r_max / self.dt + 2.0) * self.spec.n_circles * K > MAX_ARRAY_VALUES:
             raise ValidationError(f"dt = {self.dt} gives over {MAX_ARRAY_VALUES} ring values")
+        # records n_records x J, input samples n_steps + 1
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValidationError(f"t_end / dt = {self.t_end / self.dt} steps is not finite")
+        if self.n_records * self.spec.n_circles > MAX_ARRAY_VALUES:
+            raise ValidationError(
+                f"t_end / dt / stride gives over {MAX_ARRAY_VALUES} record values")
+        forced = self.disturbance.get("kind", "zero") != "zero"
+        if forced and self.n_steps + 1 > MAX_ARRAY_VALUES:
+            raise ValidationError(
+                f"t_end / dt gives over {MAX_ARRAY_VALUES} input samples")
 
     @property
     def n_steps(self) -> int:
         return max(1, int(math.ceil(self.t_end / self.dt - 1e-9)))
+
+    @property
+    def n_records(self) -> int:
+        """Records at every stride-th step and at the last step."""
+        n = self.n_steps
+        return n // self.stride + 1 + (n % self.stride > 0)
 
     def engine(self) -> "_Engine":
         if self._engine is None:
@@ -183,27 +203,39 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
 
 @dataclass(eq=False)
 class SimState:
-    """Mutable integration state: densities, trace ring buffer, clock."""
+    """Mutable integration state of R members in lockstep: densities, trace
+    ring buffer, clock."""
 
     t: float
-    density: np.ndarray          # (N, K): circle j in rows edges[j]:edges[j+1]
-    ring: np.ndarray             # (S_max, J, K); ring[head] is the newest trace
+    density: np.ndarray          # (R, N, K): circle j in rows edges[j]:edges[j+1]
+    ring: np.ndarray             # (R, S_max, J, K); ring[:, head] is the newest trace
     edges: tuple[int, ...]       # J + 1 row offsets into density
     head: int = 0
     step_count: int = 0
 
+    def _single(self, array: np.ndarray) -> np.ndarray:
+        if len(array) != 1:
+            raise ValidationError(
+                f"a state of {len(array)} members has no single z or buffers; "
+                "take member(r) first")
+        return array[0]
+
     @property
     def z(self) -> list[np.ndarray]:
-        """Per circle, a (K, M_j + 1) view of its rows of `density`."""
-        return [self.density[a:b].T for a, b in zip(self.edges, self.edges[1:])]
+        """Per circle, a (K, M_j + 1) view of its rows of a single-member
+        state's `density`."""
+        density = self._single(self.density)
+        return [density[a:b].T for a, b in zip(self.edges, self.edges[1:])]
 
     @property
     def buffers(self) -> list[np.ndarray]:
-        """Per circle, the (S_max, K) view of its traces in `ring`."""
-        return list(self.ring.transpose(1, 0, 2))
+        """Per circle, the (S_max, K) view of a single-member state's traces."""
+        return list(self._single(self.ring).transpose(1, 0, 2))
 
-    def copy(self) -> "SimState":
-        return replace(self, density=self.density.copy(), ring=self.ring.copy())
+    def member(self, r: int) -> "SimState":
+        """A single-member copy of member r."""
+        return replace(self, density=self.density[r:r + 1].copy(),
+                       ring=self.ring[r:r + 1].copy())
 
 
 @dataclass(eq=False)
@@ -250,36 +282,38 @@ def _field_values(preset: dict, coords: np.ndarray, span: float, j: int,
     raise ValidationError(f"unknown field preset kind {kind!r}")
 
 
-def _disturbance(sc: Scenario):
-    """u(n dt) as a function of the step number n."""
+def _disturbance_samples(sc: Scenario) -> np.ndarray | None:
+    """u(n dt) for the steps n = 0..n_steps, or None for the zero input."""
     preset = sc.disturbance
     kind = preset.get("kind", "zero")
     if kind == "zero":
-        return lambda n: 0.0
+        return None
+    n = sc.n_steps + 1
     if kind == "constant":
-        val = float(preset.get("value", 1.0))
-        return lambda n: val
+        return np.full(n, float(preset.get("value", 1.0)))
     if kind == "pulse":
         val = float(preset.get("value", 1.0))
         t0 = float(preset.get("t0", 0.0))
         t1 = float(preset.get("t1", sc.t_end))
-        dt = sc.dt
-        return lambda n: val if t0 <= n * dt < t1 else 0.0
+        t = np.arange(n) * sc.dt
+        return np.where((t0 <= t) & (t < t1), val, 0.0)
     if kind == "bounded_random":
         bound = float(preset.get("bound", 1.0))
         rng = np.random.default_rng(int(preset.get("seed", 0)))
-        vals = rng.uniform(0.0, bound, sc.n_steps + 1)
-        return lambda n: float(vals[min(n, len(vals) - 1)])
+        return rng.uniform(0.0, bound, n)
     raise ValidationError(f"unknown disturbance preset kind {kind!r}")
 
 
 class _Engine:
-    """Precomputed update data for one scenario, all circles fused.
+    """Precomputed update data for one scenario, all circles fused, and the
+    data and inputs of the members it steps.
 
     Circle j owns the node rows starts[j]..ends[j] of the state array and
     column j of the ring buffer; it leaves the ring rows at offsets >= S_j
-    unread, because its delay and history weights are zero there. The engine
-    keeps no reference to its scenario, so dropping the scenario frees it.
+    unread, because its delay and history weights are zero there. The
+    junction inflow of every member is one matmul with routed_t, the
+    transpose of the gain's shift-free factor B. The engine keeps no
+    reference to its scenario, so dropping the scenario frees it.
     """
 
     def __init__(self, sc: Scenario):
@@ -287,12 +321,9 @@ class _Engine:
         v, dv, dt = grid.centers, grid.widths, sc.dt
         J, K = spec.n_circles, grid.k
         self.dt = dt
-        self.v = v
+        self.n_steps = sc.n_steps
         self.dv = dv
         self.vdv = v * dv
-        self.input_outside_sum = sc.input_outside_sum
-        self.initial, self.history = sc.initial, sc.history
-        self.u_of_step = _disturbance(sc)
         self.xs = [np.linspace(0.0, c.length, m + 1)
                    for c, m in zip(spec.circles, sc.m_cells)]
         self.edges = tuple(int(e) for e in np.cumsum([0] + [len(x) for x in self.xs]))
@@ -308,7 +339,6 @@ class _Engine:
         self.c_stay = np.zeros((n_nodes - 1, K))    # (1 - a) * damp
         self.c_move = np.zeros((n_nodes - 1, K))    # a * damp
         hist_w = np.zeros((s_max, J))               # integrate samples over [-r_j, 0]
-        self.tables = np.zeros((J, K, K))           # beta(v, v') v' dv' / v
         pair_rows, pair_circle, pair_w = [], [], []
         for j, c in enumerate(spec.circles):
             a, b = self.edges[j], self.edges[j + 1]
@@ -326,7 +356,6 @@ class _Engine:
             _accumulate_density(hist_w[:s, j], dt, -c.delay, 0.0, "const", 1.0)
             if c.scattering.is_zero():
                 continue
-            self.tables[j] = scattering_table(c, grid) / v[:, None]
             idx, wq = delay_quadrature(c.delay_measure, dt, s)
             pair_rows.extend(idx * J + j)           # flat row of (offset, circle)
             pair_circle.extend([j] * len(idx))
@@ -334,73 +363,100 @@ class _Engine:
         self.pair_rows = np.array(pair_rows, dtype=np.intp)
         self.pair_w = np.zeros((J, len(pair_w)))   # (J, n_pairs) delay weights
         self.pair_w[pair_circle, np.arange(len(pair_w))] = pair_w
-        self.routing = np.asarray(spec.routing, dtype=float)
+        self.routed_t = _routed_scattering(spec, grid).T
+        # inflow of a unit input, flattened over (circle, velocity cell)
+        routing = np.asarray(spec.routing, dtype=float)
+        gain = np.ones(J) if sc.input_outside_sum else routing.sum(axis=1)
+        self.input_dir = (gain[:, None] / v).ravel()
         # stacked twice, so that the history weights in ring-row order for
         # head h are the slice [S_max - h, 2 S_max - h)
         self.hist_w2 = np.concatenate([hist_w, hist_w])
+        self._set_members((sc,))
+
+    def _set_members(self, members: tuple[Scenario, ...]) -> None:
+        """Presets of each member, and the (n_steps + 1, R, 1) inputs, or
+        None when no member is forced."""
+        self.presets = [(m.initial, m.history) for m in members]
+        # flat (member, circle, velocity cell) indices of the circle-start
+        # nodes in the (R, N, K) state array
+        K = len(self.dv)
+        rows = np.arange(len(members))[:, None] * self.edges[-1] + self.starts
+        self.start_cells = (rows[:, :, None] * K + np.arange(K)).ravel()
+        inputs = [_disturbance_samples(m) for m in members]
+        if all(u is None for u in inputs):
+            self.inputs = None
+        else:
+            self.inputs = np.zeros((self.n_steps + 1, len(members), 1))
+            for r, u in enumerate(inputs):
+                if u is not None:
+                    self.inputs[:, r, 0] = u
+
+    def with_members(self, members: tuple[Scenario, ...]) -> "_Engine":
+        """This engine's update data, stepping the given members."""
+        eng = copy.copy(self)
+        eng._set_members(members)
+        return eng
 
     # -- state construction -------------------------------------------------
     def init_state(self) -> SimState:
-        K, J, dt = len(self.v), len(self.xs), self.dt
-        density = np.empty((self.edges[-1], K))
-        ring = np.zeros((max(self.n_hist), J, K))
-        for j, xs in enumerate(self.xs):
-            density[self.edges[j]:self.edges[j + 1]] = _field_values(
-                self.initial, xs, xs[-1], j, (K, len(xs)), axis=1).T
-            s = self.n_hist[j]
-            thetas = -np.arange(s) * dt
-            ring[:s, j] = _field_values(self.history, thetas, (s - 1) * dt, j,
-                                        (s, K), axis=0)
+        K, J, dt = len(self.dv), len(self.xs), self.dt
+        R = len(self.presets)
+        density = np.empty((R, self.edges[-1], K))
+        ring = np.zeros((R, max(self.n_hist), J, K))
+        for r, (initial, history) in enumerate(self.presets):
+            for j, xs in enumerate(self.xs):
+                density[r, self.edges[j]:self.edges[j + 1]] = _field_values(
+                    initial, xs, xs[-1], j, (K, len(xs)), axis=1).T
+                s = self.n_hist[j]
+                thetas = -np.arange(s) * dt
+                ring[r, :s, j] = _field_values(history, thetas, (s - 1) * dt, j,
+                                               (s, K), axis=0)
         return SimState(t=0.0, density=density, ring=ring, edges=self.edges)
 
     # -- one time step ------------------------------------------------------
     def step(self, state: SimState) -> SimState:
         z = state.density
-        moved = self.c_move * z[:-1]
-        z[1:] *= self.c_stay
-        z[1:] += moved
+        moved = self.c_move * z[:, :-1]
+        z[:, 1:] *= self.c_stay
+        z[:, 1:] += moved
 
         # push new traces, then resolve the junction (one sweep also covers a
         # delay atom at theta = 0, whose sample is the trace just pushed)
         ring = state.ring
-        s_max, J, K = ring.shape
+        R, s_max, J, K = ring.shape
         state.head = (state.head - 1) % s_max
-        ring[state.head] = z[self.ends]
-        samples = np.take(ring.reshape(s_max * J, K),
-                          self.pair_rows + state.head * J, axis=0, mode="wrap")
-        hvec = self.pair_w @ samples
-        delayed = np.matmul(self.tables, hvec[:, :, None])[:, :, 0]
-
-        u = self.u_of_step(state.step_count + 1) / self.v
-        if self.input_outside_sum:
-            inflow = self.routing @ delayed + u
-        else:
-            inflow = self.routing @ (delayed + u)
-        z[self.starts] = inflow
+        ring[:, state.head] = z[:, self.ends]
+        samples = np.take(ring.reshape(R, s_max * J, K),
+                          self.pair_rows + state.head * J, axis=1, mode="wrap")
+        inflow = (self.pair_w @ samples).reshape(R, J * K) @ self.routed_t
 
         state.step_count += 1
+        if self.inputs is not None:
+            # past the horizon the input holds its last sample
+            inflow += self.inputs[min(state.step_count, self.n_steps)] * self.input_dir
+        np.put(z, self.start_cells, inflow)
         state.t = state.step_count * self.dt
         return state
 
-    # -- diagnostics --------------------------------------------------------
+    # -- diagnostics, one value per member ----------------------------------
     def _over_history(self, state: SimState, ring: np.ndarray,
-                      along_v: np.ndarray) -> float:
+                      along_v: np.ndarray) -> np.ndarray:
         """sum_j sum_s hist_w[s, j] * (trace of circle j at offset s) . along_v"""
-        s_max = len(ring)
-        per_row = ring.reshape(-1, len(along_v)) @ along_v
+        R, s_max = ring.shape[:2]
+        per_row = ring.reshape(R, -1, len(along_v)) @ along_v
         weights = self.hist_w2[s_max - state.head:2 * s_max - state.head]
-        return float(np.vdot(weights, per_row))
+        return per_row @ weights.ravel()
 
-    def state_norm(self, state: SimState) -> float:
-        return float(self.xw @ np.abs(state.density) @ self.dv)
+    def state_norm(self, state: SimState) -> np.ndarray:
+        return np.abs(state.density) @ self.dv @ self.xw
 
-    def history_norm(self, state: SimState) -> float:
+    def history_norm(self, state: SimState) -> np.ndarray:
         return self._over_history(state, np.abs(state.ring), self.dv)
 
     def outflux(self, state: SimState) -> np.ndarray:
-        return state.density[self.ends] @ self.vdv
+        return state.density[:, self.ends] @ self.vdv
 
-    def transit_mass(self, state: SimState) -> float:
+    def transit_mass(self, state: SimState) -> np.ndarray:
         return self._over_history(state, state.ring, self.vdv)
 
 
@@ -413,40 +469,75 @@ def step(state: SimState, scenario: Scenario) -> SimState:
 
 
 def state_norm(state: SimState, scenario: Scenario) -> float:
-    return scenario.engine().state_norm(state)
+    return scenario.engine().state_norm(state).item()
 
 
 def history_norm(state: SimState, scenario: Scenario) -> float:
-    return scenario.engine().history_norm(state)
+    return scenario.engine().history_norm(state).item()
 
 
 def total_mass(state: SimState, scenario: Scenario) -> float:
     """Circle mass plus delay-line transit mass from the trace ledger."""
     eng = scenario.engine()
-    return eng.state_norm(state) + eng.transit_mass(state)
+    return (eng.state_norm(state) + eng.transit_mass(state)).item()
 
 
-def run(scenario: Scenario) -> Trajectory:
-    """Integrate to t_end, recording norms, mass and fluxes at the stride."""
+# what lockstep members share besides the network and the velocity grid
+_SHARED_FIELDS = ("dt", "t_end", "stride", "m_cells", "input_outside_sum",
+                  "record_snapshots")
+
+
+def _check_members(first: Scenario, others: tuple) -> None:
+    for other in others:
+        if not (other.spec is first.spec
+                or other.spec.to_config() == first.spec.to_config()):
+            raise ValidationError("lockstep scenarios must share the network spec")
+        if not (other.grid is first.grid
+                or np.array_equal(other.grid.edges, first.grid.edges)):
+            raise ValidationError("lockstep scenarios must share the velocity grid")
+        for name in _SHARED_FIELDS:
+            if getattr(other, name) != getattr(first, name):
+                raise ValidationError(f"lockstep scenarios must share {name}")
+
+
+def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory, ...]:
+    """Integrate to t_end, recording norms, mass and fluxes at the stride.
+
+    With further scenarios that differ from the first only in initial,
+    history and disturbance, all are stepped in lockstep through one engine
+    and a tuple of trajectories comes back in argument order.
+    """
     eng = scenario.engine()
+    if others:
+        _check_members(scenario, others)
+        eng = eng.with_members((scenario, *others))
     state = eng.init_state()
-    times, norm_state, norm_history, mass, outflux = [], [], [], [], []
-    snapshots = [] if scenario.record_snapshots else None
-    n_steps = scenario.n_steps
+    n_steps, stride = scenario.n_steps, scenario.stride
+    R, n_records, J = len(others) + 1, scenario.n_records, scenario.spec.n_circles
+    times = np.empty(n_records)
+    norm_state, norm_history, mass = np.empty((3, R, n_records))
+    outflux = np.empty((R, n_records, J))
+    snapshots = [[] for _ in range(R)] if scenario.record_snapshots else None
+    i = 0
     for n in range(n_steps + 1):
         if n > 0:
             eng.step(state)
-        if n % scenario.stride == 0 or n == n_steps:
-            norm = eng.state_norm(state)
-            times.append(state.t)
-            norm_state.append(norm)
-            norm_history.append(eng.history_norm(state))
-            mass.append(norm + eng.transit_mass(state))
-            outflux.append(eng.outflux(state))
+        if n % stride == 0 or n == n_steps:
+            times[i] = state.t
+            norm_state[:, i] = eng.state_norm(state)
+            norm_history[:, i] = eng.history_norm(state)
+            mass[:, i] = eng.transit_mass(state)
+            outflux[:, i] = eng.outflux(state)
             if snapshots is not None:
-                snapshots.append(state.copy())
-    return Trajectory(times=np.array(times), norm_state=np.array(norm_state),
-                      norm_history=np.array(norm_history),
-                      total_mass=np.array(mass), outflux=np.array(outflux),
-                      initial_data_norm=norm_state[0] + norm_history[0],
-                      snapshots=snapshots)
+                for r, member in enumerate(snapshots):
+                    member.append(state.member(r))
+            i += 1
+    mass += norm_state                       # circle mass plus transit mass
+    trajectories = tuple(
+        Trajectory(times=times, norm_state=norm_state[r],
+                   norm_history=norm_history[r], total_mass=mass[r],
+                   outflux=outflux[r],
+                   initial_data_norm=float(norm_state[r, 0] + norm_history[r, 0]),
+                   snapshots=None if snapshots is None else snapshots[r])
+        for r in range(R))
+    return trajectories if others else trajectories[0]

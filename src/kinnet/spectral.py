@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import BracketError, DomainError, SmallGainViolation
 from .model import NetworkSpec, network_bounds
-from .operators import (BlockOperator, VelocityGrid, _gain_factors, assemble_gain,
-                        assemble_pd, dirichlet_norm_closed_form, pd_norm_closed_form)
+from .operators import (BlockOperator, VelocityGrid, _bound_product, _exp_or_inf,
+                        _gain_factors, assemble_gain, assemble_pd,
+                        dirichlet_norm_closed_form, pd_norm_closed_form)
 
 INCONCLUSIVE_BAND = 1e-3
 POWER_TOL_DEFAULT = 1e-10
@@ -97,10 +98,15 @@ class Certificate:
             "pd_radius": self.pd_radius,
             "decision": self.decision,
             "sufficient_checks": {
-                name: {"value": chk.value, "status": chk.status}
+                name: {"value": _json_number(chk.value), "status": chk.status}
                 for name, chk in self.sufficient_checks.items()
             },
         }
+
+
+def _json_number(x):
+    """x as a JSON report holds it: the string "inf" for an infinite value."""
+    return "inf" if x == math.inf else x
 
 
 def _bound_check(value: float | None) -> BoundCheck:
@@ -122,18 +128,20 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid,
     pd_radius = spectral_radius(assemble_pd(spec, grid, 0.0), tol)
 
     b = network_bounds(spec)
-    exp_factor = math.exp(b.gamma_bar * b.l_bar / spec.v_min)
+    exp_factor = _exp_or_inf(b.gamma_bar * b.l_bar / spec.v_min)
 
     example1 = None
     if all(c.delay_measure.kind == "dirac" for c in spec.circles):
-        example1 = (b.beta_bar * spec.v_max * math.log(spec.v_max / spec.v_min)
-                    * exp_factor * b.routing_norm)
+        example1 = _bound_product(b.beta_bar, spec.v_max,
+                                  math.log(spec.v_max / spec.v_min),
+                                  exp_factor, b.routing_norm)
 
     example2 = None
     if spec.mass_preserving and all(
             c.delay_measure.kind == "exponential" and c.delay_measure.theta_rate > 0
             for c in spec.circles):
-        example2 = b.r_bar * (spec.v_max / spec.v_min) * exp_factor * b.routing_norm
+        example2 = _bound_product(b.r_bar, spec.v_max / spec.v_min, exp_factor,
+                                  b.routing_norm)
 
     c1 = pd_norm_closed_form(spec) if spec.mass_preserving else None
 
@@ -390,6 +398,10 @@ def iss_constants(spec: NetworkSpec, grid: VelocityGrid, p: float,
     and the discretized junction norm. Unless given, c is computed at
     lam = max(0, -gamma2) + 1, and c_grid records its mesh."""
     n_envelope, a_rate = envelope
+    d0_bound, k_bound = dirichlet_norm_closed_form(spec)
+    if not math.isfinite(d0_bound):
+        raise DomainError("the Dirichlet-lift bound e^(l_bar gamma_bar / v_min) "
+                          "passes float range; no finite ISS gain")
     pd_norm = assemble_pd(spec, grid, 0.0).norm()
     if pd_norm >= 1.0:
         raise SmallGainViolation(f"junction operator norm {pd_norm} >= 1")
@@ -399,7 +411,6 @@ def iss_constants(spec: NetworkSpec, grid: VelocityGrid, p: float,
         c_resolvent = resolvent_constant_c(spec, grid, lam)
         c_grid = (RESOLVENT_NODES, RESOLVENT_NODES)
     cp = c_check(n_envelope, a_rate, c_resolvent, p)
-    d0_bound, k_bound = dirichlet_norm_closed_form(spec)
     gain = k_bound * d0_bound * cp / (1.0 - pd_norm)
     return IssConstants(n_envelope=n_envelope, a_rate=a_rate,
                         c_resolvent=c_resolvent, p=p, c_check_p=cp,

@@ -6,10 +6,11 @@ import pytest
 from kinnet import (DomainError, ExtinctionFlag, MissingEnvelope,
                     SmallGainViolation, Trajectory, VelocityGrid,
                     disturbance_lp_norm, fit_decay, make_scenario,
-                    measure_total_variation, run, scale_spec,
+                    measure_total_variation, network_bounds, run, scale_spec,
                     small_gain_certificate, spectral_abscissa, sweep,
                     verify_iss)
-from kinnet.presets import (single_circle, single_circle_threshold_w)
+from kinnet.presets import (regression_suite, single_circle,
+                            single_circle_threshold_w)
 
 from conftest import constant_scenario
 
@@ -122,6 +123,40 @@ def test_verify_pulse_reenters_envelope(sc_spec, grid8):
     assert np.all(norms[tail] <= bound * 1.05 + 1e-9)
 
 
+# (worst margin, N, a, gain) of verify_iss before its companion and disturbed
+# runs were stepped in lockstep, at k = 4, m_base = 16, stride 4, unit data,
+# a bounded random input of size 0.5 (seed 3), horizon 6 (l_bar/v_min + r_bar)
+_VERIFY_REFERENCE = {
+    "iss_dirac_low": (0.9913992652254334, 1.1209636747715965, 1.2166804197451764,
+                      229.1753806957065),
+    "iss_dirac_mid": (0.9992335817208652, 1.0179202000382843, 0.5763216490867094,
+                      2606.6909244920507),
+    "iss_exponential": (0.9999139340007147, 1.0489746461735803, 0.5138293196500202,
+                        23234.833423792305),
+    "iss_piecewise": (0.9999706171075841, 1.024401331900854, 0.35339925547726714,
+                      54450.79121806927),
+    "iss_two_circle": (0.995719811332289, 1.0490120808494445, 0.773009474111982,
+                       1068.1102040845774),
+    "iss_five_circle": (0.9922886499056072, 1.1146881051527084, 0.9768370769529284,
+                        1280.0694594068818),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERIFY_REFERENCE))
+def test_verify_reports_match_the_sequential_runs(name):
+    spec = {n: s for n, s, _ in regression_suite()}[name]
+    b = network_bounds(spec)
+    sc = constant_scenario(spec, VelocityGrid.for_spec(spec, 4),
+                           t_end=6.0 * (b.l_bar / spec.v_min + b.r_bar),
+                           stride=4, m_base=16,
+                           disturbance={"kind": "bounded_random", "bound": 0.5,
+                                        "seed": 3})
+    r = verify_iss(sc)
+    got = (r.worst_margin, r.constants.n_envelope, r.constants.a_rate,
+           r.constants.gain)
+    np.testing.assert_allclose(got, _VERIFY_REFERENCE[name], rtol=1e-10, atol=0)
+
+
 def test_disturbance_norms(sc_spec, grid8):
     base = dict(t_end=4.0)
     vspan = sc_spec.v_max - sc_spec.v_min
@@ -138,6 +173,9 @@ def test_disturbance_norms(sc_spec, grid8):
                                     "seed": 1})
     assert disturbance_lp_norm(sc, math.inf) == pytest.approx(0.5 * vspan)
     assert disturbance_lp_norm(sc, 1.0) <= 0.5 * vspan * 4.0 * 1.01
+    u = np.random.default_rng(1).uniform(0.0, 0.5, sc.n_steps + 1)
+    assert disturbance_lp_norm(sc, 2.0) == vspan * float(
+        np.sum(np.abs(u) ** 2.0) * sc.dt) ** 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,53 @@ def test_oversized_engine_exits_2(config_iss, tmp_path, capsys, doc, field):
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"t_end": 1.7e308, "dt": 0.001, "m_base": 8}, "t_end / dt"),
+    ({"t_end": 1e6, "dt": 0.001, "m_base": 8}, "record values"),
+    ({"t_end": 1e12, "dt": 0.001, "m_base": 8, "stride": 10**9,
+      "disturbance": {"kind": "bounded_random", "bound": 0.5, "seed": 1}},
+     "input samples"),
+], ids=["step_count_overflow", "record_arrays", "input_samples"])
+def test_oversized_horizon_exits_2(config_iss, tmp_path, capsys, doc, field):
+    path = tmp_path / "endless.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", config_iss, str(path), "--k-velocity", "1",
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert field in _one_line_error(capsys)
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.fixture
+def config_overflowing(tmp_path):
+    # l_bar gamma_bar / v_min = 1000: the closed-form exponentials overflow
+    spec = single_circle(0.01, v_min=1e-3, v_max=2.0, gamma=1.0)
+    path = tmp_path / "overflowing.json"
+    path.write_text(json.dumps(spec.to_config()))
+    return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_analyze_reports_overflowing_bounds_as_inf(config_overflowing, capsys):
+    assert main(["analyze", config_overflowing, "--k-velocity", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["certificate"]["decision"] == "ISS"
+    assert doc["certificate"]["sufficient_checks"]["example1_bound"] == {
+        "value": "inf", "status": "fail"}
+    assert doc["norm_bounds"]["dirichlet_lift_bound"] == "inf"
+    assert doc["norm_bounds"]["pd_norm_closed_form"] == "inf"
+
+
+def test_verify_with_an_infinite_dirichlet_lift_bound_exits_2(
+        config_overflowing, tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"t_end": 0.5, "m_base": 4}))
+    assert main(["verify", config_overflowing, str(path), "--k-velocity", "2"]) == 2
+    assert "Dirichlet" in _one_line_error(capsys)
+
+
 def test_sweep(config_iss, tmp_path, capsys):
     out = tmp_path / "sw"
     code = main(["sweep", config_iss, "--param", "routing_scale",

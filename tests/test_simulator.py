@@ -11,7 +11,7 @@ from kinnet import (CflError, Scenario, ValidationError, VelocityGrid,
                     run, state_norm, step, total_mass)
 from kinnet.delayquad import _accumulate_density, delay_quadrature
 from kinnet.operators import scattering_table
-from kinnet.simulator import default_m_cells
+from kinnet.simulator import _disturbance_samples, default_m_cells
 from kinnet.presets import (constant_kernel, conservation_spec,
                             heterogeneous_five, single_circle)
 
@@ -184,7 +184,7 @@ def _reference_run(sc):
             s=s, idx=idx, wq=wq, hw=hw, buf=st.buffers[j][:s].copy(), head=0,
             bv=None if c.scattering.is_zero() else scattering_table(c, grid)))
     z = [zj.copy() for zj in st.z]
-    u_of_step = sc.engine().u_of_step
+    inputs = _disturbance_samples(sc)
     routing = np.asarray(spec.routing)
     rec = {"norm_state": [], "norm_history": [], "total_mass": [], "outflux": []}
     densities = []
@@ -202,7 +202,7 @@ def _reference_run(sc):
                 if c["bv"] is not None:
                     rows = (c["head"] + c["idx"]) % c["s"]
                     delayed[j] = c["bv"] @ (c["wq"] @ c["buf"][rows]) / v
-            u = u_of_step(n) / v[None, :]
+            u = (0.0 if inputs is None else inputs[n]) / v[None, :]
             inflow = (routing @ delayed + u if sc.input_outside_sum
                       else routing @ (delayed + u))
             for j in range(len(z)):
@@ -251,6 +251,114 @@ def test_fused_engine_matches_per_circle_reference(spec, kw):
     for name, ref in rec.items():
         np.testing.assert_allclose(getattr(traj, name), np.array(ref),
                                    rtol=1e-12, atol=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# lockstep members
+
+_LOCKSTEP_CASES = [
+    (heterogeneous_five(0.4), {}),
+    (_zero_kernel_network(), {}),
+    (heterogeneous_five(0.4), {"input_outside_sum": True}),
+]
+_LOCKSTEP_IDS = ["heterogeneous_five", "zero_kernel_circle", "input_outside_sum"]
+
+
+def _member_pair(spec, **kw):
+    """An unforced member with unit data and a forced member with random
+    data, on one engine's worth of shared settings."""
+    base = dict(t_end=6.0, m_base=8, stride=3, record_snapshots=True, **kw)
+    grid = VelocityGrid.for_spec(spec, 4)
+    unforced = make_scenario(spec, grid, **base,
+                             initial={"kind": "constant", "value": 1.0},
+                             history={"kind": "constant", "value": 1.0})
+    forced = make_scenario(spec, grid, **base,
+                           initial={"kind": "random_nonneg", "seed": 1},
+                           history={"kind": "gaussian_bump", "width": 0.3},
+                           disturbance={"kind": "bounded_random", "bound": 0.5,
+                                        "seed": 7})
+    return unforced, forced
+
+
+@pytest.mark.parametrize("spec, kw", _LOCKSTEP_CASES, ids=_LOCKSTEP_IDS)
+def test_lockstep_matches_separate_runs(spec, kw):
+    a, b = _member_pair(spec, **kw)
+    pair = run(a, b)
+    assert isinstance(pair, tuple) and len(pair) == 2
+    for together, alone in zip(pair, (run(a), run(b)), strict=True):
+        np.testing.assert_array_equal(together.times, alone.times)
+        for name in ("norm_state", "norm_history", "total_mass", "outflux"):
+            np.testing.assert_allclose(getattr(together, name), getattr(alone, name),
+                                       rtol=1e-12, atol=1e-300)
+        assert together.initial_data_norm == pytest.approx(alone.initial_data_norm,
+                                                           rel=1e-12)
+        for s, ref in zip(together.snapshots, alone.snapshots, strict=True):
+            assert s.density.shape == ref.density.shape
+            for zj, rj, bj, bref in zip(s.z, ref.z, s.buffers, ref.buffers,
+                                        strict=True):
+                assert zj.shape == rj.shape and bj.shape == bref.shape
+                np.testing.assert_allclose(zj, rj, rtol=1e-12, atol=1e-300)
+                np.testing.assert_allclose(bj, bref, rtol=1e-12, atol=1e-300)
+
+
+def test_lockstep_returns_trajectories_in_argument_order():
+    a, b = _member_pair(heterogeneous_five(0.4))
+    ba = run(b, a)
+    np.testing.assert_allclose(ba[0].norm_state, run(b).norm_state, rtol=1e-12)
+    np.testing.assert_allclose(ba[1].norm_state, run(a).norm_state, rtol=1e-12)
+    assert len(run(a, b, a)) == 3
+
+
+def test_lockstep_state_has_no_single_member_views():
+    a, b = _member_pair(single_circle(0.5))
+    eng = a.engine().with_members((a, b))
+    st = eng.init_state()
+    assert st.density.shape[0] == 2 and st.ring.shape[0] == 2
+    with pytest.raises(ValidationError):
+        st.z
+    with pytest.raises(ValidationError):
+        st.buffers
+    assert st.member(1).z[0].shape == init_state(b).z[0].shape
+
+
+@pytest.mark.parametrize("change", [
+    {"spec": single_circle(0.6)},
+    {"grid": VelocityGrid.for_spec(single_circle(0.5), 3)},
+    {"dt": 0.01},
+    {"t_end": 2.0},
+    {"stride": 2},
+    {"m_cells": (16,)},
+    {"input_outside_sum": True},
+], ids=lambda c: next(iter(c)))
+def test_lockstep_rejects_members_that_differ_in_more_than_data(change):
+    spec = single_circle(0.5)
+    a = make_scenario(spec, VelocityGrid.for_spec(spec, 4), t_end=1.0,
+                      m_cells=(8,), dt=0.02)
+    b = replace(a, **change, _engine=None)
+    with pytest.raises(ValidationError, match="lockstep"):
+        run(a, b)
+    with pytest.raises(ValidationError, match="lockstep"):
+        run(b, a)
+
+
+def test_lockstep_accepts_an_equal_spec_and_grid():
+    spec = single_circle(0.5)
+    a = make_scenario(spec, VelocityGrid.for_spec(spec, 4), t_end=1.0,
+                      m_cells=(8,), dt=0.02)
+    b = replace(a, spec=single_circle(0.5), grid=VelocityGrid.for_spec(spec, 4),
+                initial={"kind": "constant", "value": 2.0}, _engine=None)
+    np.testing.assert_allclose(run(a, b)[1].norm_state, run(b).norm_state,
+                               rtol=1e-12)
+
+
+def test_run_of_one_reuses_the_cached_engine(sc_spec, grid8):
+    sc = constant_scenario(sc_spec, grid8, t_end=0.5)
+    engine = sc.engine()
+    run(sc)
+    assert sc.engine() is engine
+    other = replace(sc, disturbance={"kind": "constant", "value": 1.0}, _engine=None)
+    run(sc, other)
+    assert sc.engine() is engine and engine.inputs is None
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +440,37 @@ def test_scenario_fills_default_m_cells(sc_spec, grid8):
     sc = Scenario(spec=sc_spec, grid=grid8, dt=dt, t_end=0.1)
     assert sc.m_cells == default_m_cells(sc_spec)
     assert len(run(sc).times) == sc.n_steps + 1
+
+
+def test_scenario_rejects_horizons_beyond_array_range(sc_spec, grid8):
+    with pytest.raises(ValidationError, match="t_end / dt"):
+        make_scenario(sc_spec, grid8, t_end=1.7e308, dt=0.001)
+    with pytest.raises(ValidationError, match="record values"):
+        make_scenario(sc_spec, grid8, t_end=1e6, dt=0.001)
+    random_input = {"kind": "bounded_random", "bound": 0.5, "seed": 1}
+    with pytest.raises(ValidationError, match="input samples"):
+        make_scenario(sc_spec, grid8, t_end=1e12, dt=0.001, stride=10**9,
+                      disturbance=random_input)
+    # unforced, the same horizon stores no input samples
+    sc = make_scenario(sc_spec, grid8, t_end=1e12, dt=0.001, stride=10**9)
+    assert sc.n_records == 10**6 + 1
+
+
+def test_disturbance_samples_match_the_presets():
+    spec = single_circle(0.5)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 2), t_end=1.0,
+                       disturbance={"kind": "pulse", "value": 3.0, "t0": 0.2,
+                                    "t1": 0.5})
+    u = _disturbance_samples(sc)
+    assert len(u) == sc.n_steps + 1
+    assert list(u) == [3.0 if 0.2 <= n * sc.dt < 0.5 else 0.0
+                       for n in range(sc.n_steps + 1)]
+    sc = replace(sc, disturbance={"kind": "bounded_random", "bound": 0.5,
+                                  "seed": 4}, _engine=None)
+    assert np.array_equal(_disturbance_samples(sc), np.random.default_rng(4)
+                          .uniform(0.0, 0.5, sc.n_steps + 1))
+    assert _disturbance_samples(replace(sc, disturbance={"kind": "zero"},
+                                        _engine=None)) is None
 
 
 def test_scenario_rejects_non_finite_times(sc_spec, grid8):

@@ -154,6 +154,35 @@ def test_certificate_serialization():
     assert d["decision"] == "ISS"
 
 
+def _overflowing_circle(w=0.01):
+    # l_bar gamma_bar / v_min = 1000: e^1000 passes float range
+    return single_circle(w, v_min=1e-3, v_max=2.0, gamma=1.0)
+
+
+def test_certificate_overflowing_bounds_are_inf():
+    spec = _overflowing_circle()
+    cert = small_gain_certificate(spec, VelocityGrid.for_spec(spec, 2))
+    assert cert.decision == "ISS"
+    for name in ("example1_bound", "C1_condition"):
+        assert cert.sufficient_checks[name].value == math.inf
+        assert cert.sufficient_checks[name].status == "fail"
+        assert cert.to_dict()["sufficient_checks"][name] == {"value": "inf",
+                                                             "status": "fail"}
+
+
+def test_certificate_overflowing_exponential_times_zero_routing():
+    spec = _overflowing_circle(w=0.0)
+    cert = small_gain_certificate(spec, VelocityGrid.for_spec(spec, 2))
+    assert cert.sufficient_checks["example1_bound"].value == 0.0
+    assert cert.sufficient_checks["example1_bound"].status == "pass"
+
+
+def test_iss_constants_reject_an_infinite_dirichlet_lift_bound():
+    spec = _overflowing_circle()
+    with pytest.raises(DomainError, match="Dirichlet"):
+        iss_constants(spec, VelocityGrid.for_spec(spec, 2), math.inf, (1.0, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # abscissa
 
