@@ -2,9 +2,8 @@
 networks of circles with delayed, scattering junction couplings."""
 
 from .errors import (BracketError, CflError, DomainError, ExtinctionFlag,
-                     HistoryGapError, KinnetError, MissingEnvelope,
-                     PreconditionError, SchemaError, SmallGainViolation,
-                     ValidationError)
+                     HistoryGapError, KinnetError, PreconditionError,
+                     SchemaError, SmallGainViolation, ValidationError)
 from .model import (AbsorptionProfile, CircleSpec, DelayMeasure, NetworkBounds,
                     NetworkSpec, ScatteringKernel, load_network,
                     measure_laplace, measure_total_variation, network_bounds,

@@ -39,10 +39,6 @@ class SmallGainViolation(KinnetError):
         self.certificate = certificate
 
 
-class MissingEnvelope(KinnetError):
-    """ISS verification requested without an unforced companion run."""
-
-
 class CflError(KinnetError):
     """Time step exceeds the characteristic CFL bound dx_min / v_max."""
 

@@ -13,8 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ValidationError
 from .model import (CircleSpec, NetworkSpec, measure_laplace, network_bounds)
+
+MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
+
+
+def _check_operator_size(n: int) -> None:
+    """The junction block operator holds (2 n)^2 values for n = J K."""
+    if (2 * n) ** 2 > MAX_ARRAY_VALUES:
+        raise ValidationError(f"{n} (circle, velocity cell) pairs give junction "
+                              f"operators over {MAX_ARRAY_VALUES} values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,6 +38,7 @@ class VelocityGrid:
     def uniform(cls, v_min: float, v_max: float, k: int) -> "VelocityGrid":
         if k < 1:
             raise DomainError("velocity grid needs at least one cell")
+        _check_operator_size(k)
         edges = np.linspace(v_min, v_max, k + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         widths = np.diff(edges)
@@ -62,19 +72,12 @@ class BlockOperator:
         if self.matrix.shape[0] != len(self.weights):
             raise DomainError("weights length must match matrix dimension")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def norm(self) -> float:
         """Max over columns of weighted column sums (weighted l1 induced norm)."""
-        if self.dim == 0:
+        if len(self.weights) == 0:
             return 0.0
         col = self.weights @ np.abs(self.matrix)  # sum_r |A[r,c]| * w_r
         return float(np.max(col / self.weights))
-
-    def vector_norm(self, g: np.ndarray) -> float:
-        return float(np.sum(np.abs(g) * self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +109,7 @@ def _routed_scattering(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
     Entry [(i,k),(j,k')] = w_ij * beta_j(v_k, v_k') * v_k' * dv_k' / v_k.
     """
     J, K = spec.n_circles, grid.k
+    _check_operator_size(J * K)
     tables = np.stack([scattering_table(c, grid) for c in spec.circles])
     tables /= grid.centers[None, :, None]
     b = spec.routing[:, None, :, None] * tables.transpose(1, 0, 2)[None]
@@ -216,10 +220,8 @@ def pd_norm_closed_form(spec: NetworkSpec) -> float:
     if not spec.mass_preserving:
         raise PreconditionError(
             "junction norm bound requires the mass_preserving flag")
-    b = network_bounds(spec)
-    return max(b.var_bar * spec.v_max / spec.v_min,
-               _bound_product(_exp_or_inf(b.l_bar * b.gamma_bar / spec.v_min),
-                              b.routing_norm))
+    return max(network_bounds(spec).var_bar * spec.v_max / spec.v_min,
+               _bound_product(*dirichlet_norm_closed_form(spec)))
 
 
 def dirichlet_norm_closed_form(spec: NetworkSpec) -> tuple[float, float]:

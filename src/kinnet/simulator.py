@@ -17,7 +17,6 @@ N, K) and (R, S_max, J, K), with the same numpy calls per step as one run.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import sys
@@ -28,10 +27,9 @@ import numpy as np
 from .delayquad import delay_quadrature, _accumulate_density
 from .errors import CflError, DomainError, ValidationError
 from .model import NetworkSpec
-from .operators import VelocityGrid, _routed_scattering
+from .operators import MAX_ARRAY_VALUES, VelocityGrid, _routed_scattering
 
 ZERO = {"kind": "zero"}
-MAX_ARRAY_VALUES = 2**27  # float64 values in one engine array (1 GiB)
 
 
 @dataclass(eq=False)
@@ -58,7 +56,8 @@ class Scenario:
     disturbance: dict = field(default_factory=lambda: dict(ZERO))
     input_outside_sum: bool = False
     record_snapshots: bool = False
-    _engine: "object" = field(default=None, repr=False, compare=False)
+    # built on first use; init=False keeps `replace` from carrying it over
+    _engine: "object" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_real("t_end", self.t_end, positive=True)
@@ -204,12 +203,14 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
 @dataclass(eq=False)
 class SimState:
     """Mutable integration state of R members in lockstep: densities, trace
-    ring buffer, clock."""
+    ring buffer, clock, and the members' inputs."""
 
     t: float
     density: np.ndarray          # (R, N, K): circle j in rows edges[j]:edges[j+1]
     ring: np.ndarray             # (R, S_max, J, K); ring[:, head] is the newest trace
     edges: tuple[int, ...]       # J + 1 row offsets into density
+    start_cells: np.ndarray      # flat (member, circle, cell) circle-start indices
+    inputs: np.ndarray | None    # (n_steps + 1, R, 1) input samples; None if unforced
     head: int = 0
     step_count: int = 0
 
@@ -234,8 +235,11 @@ class SimState:
 
     def member(self, r: int) -> "SimState":
         """A single-member copy of member r."""
+        one = self.start_cells.size // len(self.density)   # member 0's cells
         return replace(self, density=self.density[r:r + 1].copy(),
-                       ring=self.ring[r:r + 1].copy())
+                       ring=self.ring[r:r + 1].copy(),
+                       start_cells=self.start_cells[:one],
+                       inputs=None if self.inputs is None else self.inputs[:, r:r + 1])
 
 
 @dataclass(eq=False)
@@ -305,9 +309,10 @@ def _disturbance_samples(sc: Scenario) -> np.ndarray | None:
 
 
 class _Engine:
-    """Precomputed update data for one scenario, all circles fused, and the
-    data and inputs of the members it steps.
+    """Precomputed update data of a network, all circles fused; the members
+    it steps keep their data and inputs in the state.
 
+    The data depend only on spec, grid, dt, m_cells and input_outside_sum.
     Circle j owns the node rows starts[j]..ends[j] of the state array and
     column j of the ring buffer; it leaves the ring rows at offsets >= S_j
     unread, because its delay and history weights are zero there. The
@@ -321,7 +326,6 @@ class _Engine:
         v, dv, dt = grid.centers, grid.widths, sc.dt
         J, K = spec.n_circles, grid.k
         self.dt = dt
-        self.n_steps = sc.n_steps
         self.dv = dv
         self.vdv = v * dv
         self.xs = [np.linspace(0.0, c.length, m + 1)
@@ -371,47 +375,34 @@ class _Engine:
         # stacked twice, so that the history weights in ring-row order for
         # head h are the slice [S_max - h, 2 S_max - h)
         self.hist_w2 = np.concatenate([hist_w, hist_w])
-        self._set_members((sc,))
-
-    def _set_members(self, members: tuple[Scenario, ...]) -> None:
-        """Presets of each member, and the (n_steps + 1, R, 1) inputs, or
-        None when no member is forced."""
-        self.presets = [(m.initial, m.history) for m in members]
-        # flat (member, circle, velocity cell) indices of the circle-start
-        # nodes in the (R, N, K) state array
-        K = len(self.dv)
-        rows = np.arange(len(members))[:, None] * self.edges[-1] + self.starts
-        self.start_cells = (rows[:, :, None] * K + np.arange(K)).ravel()
-        inputs = [_disturbance_samples(m) for m in members]
-        if all(u is None for u in inputs):
-            self.inputs = None
-        else:
-            self.inputs = np.zeros((self.n_steps + 1, len(members), 1))
-            for r, u in enumerate(inputs):
-                if u is not None:
-                    self.inputs[:, r, 0] = u
-
-    def with_members(self, members: tuple[Scenario, ...]) -> "_Engine":
-        """This engine's update data, stepping the given members."""
-        eng = copy.copy(self)
-        eng._set_members(members)
-        return eng
 
     # -- state construction -------------------------------------------------
-    def init_state(self) -> SimState:
+    def init_state(self, members: tuple[Scenario, ...]) -> SimState:
+        """State of the members at t = 0, from their presets, with their
+        inputs sampled at every step."""
         K, J, dt = len(self.dv), len(self.xs), self.dt
-        R = len(self.presets)
-        density = np.empty((R, self.edges[-1], K))
+        R, N = len(members), self.edges[-1]
+        density = np.empty((R, N, K))
         ring = np.zeros((R, max(self.n_hist), J, K))
-        for r, (initial, history) in enumerate(self.presets):
+        for r, m in enumerate(members):
             for j, xs in enumerate(self.xs):
                 density[r, self.edges[j]:self.edges[j + 1]] = _field_values(
-                    initial, xs, xs[-1], j, (K, len(xs)), axis=1).T
+                    m.initial, xs, xs[-1], j, (K, len(xs)), axis=1).T
                 s = self.n_hist[j]
                 thetas = -np.arange(s) * dt
-                ring[r, :s, j] = _field_values(history, thetas, (s - 1) * dt, j,
+                ring[r, :s, j] = _field_values(m.history, thetas, (s - 1) * dt, j,
                                                (s, K), axis=0)
-        return SimState(t=0.0, density=density, ring=ring, edges=self.edges)
+        samples = [_disturbance_samples(m) for m in members]
+        inputs = None
+        if any(u is not None for u in samples):
+            inputs = np.zeros((members[0].n_steps + 1, R, 1))
+            for r, u in enumerate(samples):
+                if u is not None:
+                    inputs[:, r, 0] = u
+        rows = np.arange(R)[:, None] * N + self.starts  # circle-start nodes
+        return SimState(t=0.0, density=density, ring=ring, edges=self.edges,
+                        start_cells=(rows[:, :, None] * K + np.arange(K)).ravel(),
+                        inputs=inputs)
 
     # -- one time step ------------------------------------------------------
     def step(self, state: SimState) -> SimState:
@@ -431,10 +422,11 @@ class _Engine:
         inflow = (self.pair_w @ samples).reshape(R, J * K) @ self.routed_t
 
         state.step_count += 1
-        if self.inputs is not None:
+        inputs = state.inputs
+        if inputs is not None:
             # past the horizon the input holds its last sample
-            inflow += self.inputs[min(state.step_count, self.n_steps)] * self.input_dir
-        np.put(z, self.start_cells, inflow)
+            inflow += inputs[min(state.step_count, len(inputs) - 1)] * self.input_dir
+        np.put(z, state.start_cells, inflow)
         state.t = state.step_count * self.dt
         return state
 
@@ -461,7 +453,7 @@ class _Engine:
 
 
 def init_state(scenario: Scenario) -> SimState:
-    return scenario.engine().init_state()
+    return scenario.engine().init_state((scenario,))
 
 
 def step(state: SimState, scenario: Scenario) -> SimState:
@@ -507,11 +499,9 @@ def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory,
     history and disturbance, all are stepped in lockstep through one engine
     and a tuple of trajectories comes back in argument order.
     """
+    _check_members(scenario, others)
     eng = scenario.engine()
-    if others:
-        _check_members(scenario, others)
-        eng = eng.with_members((scenario, *others))
-    state = eng.init_state()
+    state = eng.init_state((scenario, *others))
     n_steps, stride = scenario.n_steps, scenario.stride
     R, n_records, J = len(others) + 1, scenario.n_records, scenario.spec.n_circles
     times = np.empty(n_records)

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import BracketError, DomainError, SmallGainViolation
 from .model import NetworkSpec, network_bounds
-from .operators import (BlockOperator, VelocityGrid, _bound_product, _exp_or_inf,
-                        _gain_factors, assemble_gain, assemble_pd,
-                        dirichlet_norm_closed_form, pd_norm_closed_form)
+from .operators import (BlockOperator, VelocityGrid, _bound_product, _gain_factors,
+                        assemble_gain, assemble_pd, dirichlet_norm_closed_form,
+                        pd_norm_closed_form)
 
 INCONCLUSIVE_BAND = 1e-3
 POWER_TOL_DEFAULT = 1e-10
@@ -115,8 +115,7 @@ def _bound_check(value: float | None) -> BoundCheck:
     return BoundCheck(value=value, status="pass" if value < 1.0 else "fail")
 
 
-def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid,
-                           tol: float = POWER_TOL_DEFAULT) -> Certificate:
+def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate:
     """Decide exponential ISS from the junction gain radius at shift 0.
 
     Also evaluates the closed-form sufficient bounds where their preconditions
@@ -124,11 +123,11 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid,
     mass-preserving scattering; mass-preserving junction norm bound).
     """
     gain = assemble_gain(spec, grid, 0.0)
-    r_gain = spectral_radius(gain.operator, tol)
-    pd_radius = spectral_radius(assemble_pd(spec, grid, 0.0), tol)
+    r_gain = spectral_radius(gain.operator)
+    pd_radius = spectral_radius(assemble_pd(spec, grid, 0.0))
 
     b = network_bounds(spec)
-    exp_factor = _exp_or_inf(b.gamma_bar * b.l_bar / spec.v_min)
+    exp_factor = dirichlet_norm_closed_form(spec)[0]
 
     example1 = None
     if all(c.delay_measure.kind == "dirac" for c in spec.circles):

