@@ -39,14 +39,23 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
 
     Collatz-Wielandt bracket: every x > 0 gives
     lo = min_i (Ax)_i/x_i <= r(A) <= max_i (Ax)_i/x_i = hi (Wielandt 1950;
-    Horn & Johnson, Matrix Analysis, 8.1). The iterate x <- (A + hi I) x is
-    aperiodic, so the bracket closes on irreducible input even where A is
-    periodic (block-antidiagonal or swap-routed operators), and the shift
-    by hi keeps the rate independent of the scale of A. Returns the middle of
-    the first bracket with hi - lo <= tol * hi, and exactly 0 when A = 0. A
-    zero row of A (lo = 0, nilpotent input included) keeps the bracket open,
-    as does other reducible input; there, at the step cap, or when A x
-    overflows, the dense eigenvalues clipped into the last bracket decide.
+    Horn & Johnson, Matrix Analysis, 8.1), whatever iterate x is, so any
+    rule that keeps x > 0 keeps the bracket rigorous.
+
+    The steps start unshifted, x <- A x / hi. Their bracket closes at the
+    rate |lambda_2| / r, which is 0 where each circle's gain block has rank
+    one (constant and separable kernels) and small on most gains. They stop
+    helping on periodic input (block-antidiagonal or swap-routed operators),
+    where |lambda_2| = r. So from the first step that does not halve
+    hi - lo, the call uses the aperiodic x <- (A + hi I) x / hi instead,
+    for the rest of the call: its bracket closes on every irreducible input,
+    and the shift by hi keeps the rate independent of the scale of A.
+
+    Returns the middle of the first bracket with hi - lo <= tol * hi, and
+    exactly 0 when A = 0. A zero row of A (lo = 0, nilpotent input included)
+    keeps the bracket open, as does other reducible input; there, at the step
+    cap, or when A x overflows, the dense eigenvalues clipped into the last
+    bracket decide.
     """
     if tol <= 0:
         raise DomainError("tol must be > 0")
@@ -59,6 +68,7 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
         raise DomainError("spectral_radius expects a nonnegative matrix")
 
     x = np.ones(a.shape[0])
+    width, shifted = math.inf, False
     for _ in range(_BRACKET_MAX_ITER):
         y = a @ x
         ratio = y / x
@@ -69,8 +79,11 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
             break
         if hi - lo <= tol * hi:
             return 0.5 * (lo + hi)
-        # x <- (A + hi I) x / hi keeps x >= 1 and at most doubles it per step
-        x += y / hi
+        shifted = shifted or hi - lo > 0.5 * width
+        width = hi - lo
+        # x <- A x / hi never grows x, and x <- (A + hi I) x / hi at most
+        # doubles it per step
+        x = x + y / hi if shifted else y / hi
     dense = float(np.max(np.abs(np.linalg.eigvals(a))))
     return min(max(dense, lo), hi)
 
@@ -372,8 +385,8 @@ class IssConstants:
         return {"schema_version": 1, "N": self.n_envelope, "a": self.a_rate,
                 "c": self.c_resolvent,
                 "c_grid": None if self.c_grid is None else list(self.c_grid),
-                "p": self.p, "C_check_p": self.c_check_p, "gain": self.gain,
-                "pd_norm": self.pd_norm}
+                "p": _json_number(self.p), "C_check_p": self.c_check_p,
+                "gain": self.gain, "pd_norm": self.pd_norm}
 
 
 def c_check(n_envelope: float, a_rate: float, c_resolvent: float, p: float) -> float:

@@ -367,6 +367,13 @@ def test_analyze_reports_overflowing_bounds_as_inf(config_overflowing, capsys):
     assert doc["norm_bounds"]["pd_norm_closed_form"] == "inf"
 
 
+def test_verify_at_the_default_p_prints_strict_json(config_iss, scenario_file,
+                                                   capsys):
+    assert main(["verify", config_iss, scenario_file, "--k-velocity", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["p"] == doc["constants"]["p"] == "inf"
+
+
 def test_verify_with_an_infinite_dirichlet_lift_bound_exits_2(
         config_overflowing, tmp_path, capsys):
     path = tmp_path / "short.json"

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kinnet.operators
 import kinnet.spectral
-from kinnet import (AbsorptionProfile, BracketError, CircleSpec, DelayMeasure,
-                    DomainError, NetworkSpec, ScatteringKernel, SmallGainViolation,
-                    VelocityGrid, assemble_gain, assemble_pd, c_check,
+from kinnet import (AbsorptionProfile, BlockOperator, BracketError, CircleSpec,
+                    DelayMeasure, DomainError, NetworkSpec, ScatteringKernel,
+                    SmallGainViolation, VelocityGrid, assemble_gain, assemble_pd, c_check,
                     iss_constants,
                     resolvent_constant_c, small_gain_certificate,
                     spectral_abscissa, spectral_radius,
@@ -100,17 +101,90 @@ def test_radius_matches_dense_on_regression_operators(k, fallbacks):
     assert fallbacks == []
 
 
-@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
-def test_radius_periodic_converges_at_every_scale(scale, fallbacks):
+def _periodic_matrices():
     rng = np.random.default_rng(11)
     cycle = np.roll(np.eye(5), 1, axis=1)
     weighted = cycle * rng.uniform(0.5, 2.0, 5)[:, None]
     b, c = rng.random((4, 6)), rng.random((6, 4))
     antidiagonal = np.block([[np.zeros((4, 4)), b], [c, np.zeros((6, 6))]])
-    for a in (cycle, weighted, antidiagonal):
+    three_cycle = np.roll(np.eye(3), 1, axis=1) * rng.uniform(0.5, 2.0, 3)[:, None]
+    return {"cycle": cycle, "weighted": weighted, "antidiagonal": antidiagonal,
+            "three_cycle": three_cycle}
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_radius_periodic_converges_at_every_scale(scale, fallbacks):
+    for a in _periodic_matrices().values():
         ref = _dense_radius(scale * a)
         assert abs(spectral_radius(scale * a) - ref) <= 1e-9 * ref
     assert fallbacks == []
+
+
+class _CountedMatrix(np.ndarray):
+    """A matrix that counts its products a @ x, one per Collatz-Wielandt step."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.asarray(self) @ other
+
+
+def _radius_steps(a):
+    """Collatz-Wielandt steps that spectral_radius takes on the matrix a."""
+    counted = np.asarray(a).view(_CountedMatrix)
+    counted.products = 0
+    spectral_radius(BlockOperator(matrix=counted, weights=np.ones(len(a))))
+    return counted.products
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_radius_steps_on_gains_at_zero_shift(k):
+    # constant and separable kernels make each circle's gain block rank one,
+    # so the unshifted steps close the bracket fast: at once on one circle
+    most = {1: 2, 2: 5, 5: 12}
+    for name, spec, _ in regression_suite():
+        gain = assemble_gain(spec, VelocityGrid.for_spec(spec, k), 0.0).operator
+        assert _radius_steps(gain.matrix) <= most[spec.n_circles], name
+
+
+# steps when every step is shifted, x <- (A + hi I) x from x = 1; the same at
+# every scale
+_SHIFTED_ONLY_STEPS = {"cycle": 1, "weighted": 110, "antidiagonal": 39,
+                       "three_cycle": 35}
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_radius_steps_on_periodic_matrices(scale):
+    # the unshifted steps stall at once on periodic input; the shift then
+    # takes over and costs at most two steps more
+    for name, a in _periodic_matrices().items():
+        assert _radius_steps(scale * a) <= _SHIFTED_ONLY_STEPS[name] + 2, name
+
+
+def _irreducible(rng, n, period):
+    """A random irreducible nonnegative n x n matrix, its rows and columns
+    permuted: for period p > 1 a block-cyclic matrix of period p with p
+    dense positive blocks, for period 1 a random sparse pattern closed by a
+    cycle through every index."""
+    if period == 1:
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+        a[np.arange(n), np.roll(np.arange(n), 1)] += rng.uniform(0.1, 1.0, n)
+    else:
+        cuts = np.sort(rng.choice(np.arange(1, n), period - 1, replace=False))
+        blocks = np.split(np.arange(n), cuts)
+        a = np.zeros((n, n))
+        for rows, cols in zip(blocks, blocks[1:] + blocks[:1]):
+            a[np.ix_(rows, cols)] = rng.uniform(0.1, 1.0, (len(rows), len(cols)))
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12),
+       period=st.integers(1, 4), log_scale=st.floats(-8.0, 8.0))
+def test_radius_matches_dense_on_random_irreducible(seed, n, period, log_scale):
+    a = 10.0 ** log_scale * _irreducible(np.random.default_rng(seed), n, period)
+    ref = _dense_radius(a)
+    assert abs(spectral_radius(a) - ref) <= 1e-9 * ref
 
 
 # ---------------------------------------------------------------------------
