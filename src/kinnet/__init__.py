@@ -10,14 +10,12 @@ from .model import (AbsorptionProfile, CircleSpec, DelayMeasure, NetworkBounds,
                     routing_norm)
 from .operators import (BlockOperator, GainAssemblyReport, VelocityGrid,
                         assemble_gain, assemble_pd, dirichlet_norm_closed_form,
-                        pd_norm_closed_form, survival_factor)
+                        pd_norm_closed_form)
 from .spectral import (AbscissaResult, BoundCheck, Certificate, IssConstants,
-                       apply_history_resolvent, apply_transport_resolvent,
                        c_check, iss_constants, resolvent_constant_c,
                        small_gain_certificate, spectral_abscissa,
                        spectral_radius)
-from .simulator import (Scenario, SimState, Trajectory, history_norm,
-                        init_state, make_scenario, run, state_norm, step,
+from .simulator import (Scenario, SimState, Trajectory, make_scenario, run,
                         total_mass)
 from .analysis import (DecayFit, IssReport, SweepResult, disturbance_lp_norm,
                        fit_decay, scale_spec, sweep, verify_iss)

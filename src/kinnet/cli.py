@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import fit_decay, sweep, verify_iss
-from .errors import (DomainError, ExtinctionFlag, KinnetError, SchemaError,
-                     SmallGainViolation)
+from .errors import DomainError, KinnetError, SchemaError, SmallGainViolation
 from .model import load_network
 from .operators import VelocityGrid, assemble_gain, assemble_pd, \
     dirichlet_norm_closed_form, pd_norm_closed_form
@@ -103,7 +102,7 @@ def _cmd_simulate(args) -> int:
                "initial_data_norm": traj.initial_data_norm}
     try:
         summary["decay_fit"] = fit_decay(traj).to_dict()
-    except (ExtinctionFlag, KinnetError):
+    except KinnetError:
         summary["decay_fit"] = "extinct"
     _emit(args, "simulate.json", summary)
     return 0

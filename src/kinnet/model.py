@@ -241,6 +241,13 @@ class NetworkSpec:
     gamma1: float | None = None
     gamma2: float | None = None
 
+    def __post_init__(self):
+        # a read-only float copy: a later write into the caller's array, or
+        # into spec.routing, would change a spec whose engine is already built
+        routing = np.array(self.routing, dtype=float)
+        routing.setflags(write=False)
+        object.__setattr__(self, "routing", routing)
+
     @property
     def n_circles(self) -> int:
         return len(self.circles)
@@ -492,7 +499,6 @@ def load_network(config_document) -> NetworkSpec:
     if bad.size:
         i, j = bad[0]
         raise ValidationError(f"routing[{i}][{j}] = {routing[i, j]} violates positivity")
-    routing.setflags(write=False)
 
     flags = _typed(doc.get("flags", {}), dict, "flags")
     mass_preserving = flags.get("mass_preserving", False)
@@ -513,7 +519,7 @@ def load_network(config_document) -> NetworkSpec:
 
 def _validate(spec: NetworkSpec):
     for j, c in enumerate(spec.circles):
-        if c.scattering.max_value() < 0 or _kernel_has_negative(c.scattering):
+        if _kernel_has_negative(c.scattering):
             raise ValidationError(f"circles[{j}].scattering has a negative value")
         if spec.gamma1 is not None and c.absorption.min_value() < spec.gamma1 - 1e-12:
             raise ValidationError(

@@ -86,15 +86,6 @@ class GainAssemblyReport:
     operator: BlockOperator
 
 
-def survival_factor(circle: CircleSpec, lam: float, v: float, x: float) -> float:
-    """Transport survival exp(-int_0^x (lam + q(y,v))/v dy) along a circle."""
-    if not (0.0 <= x <= circle.length + 1e-12):
-        raise DomainError(f"position {x} outside [0, {circle.length}]")
-    exponent = (lam * x + circle.absorption.integral_x(x, v)) / v
-    # clamp to stay finite for extreme shifts probed during bracketing
-    return math.exp(min(-exponent, 700.0))
-
-
 def scattering_table(circle: CircleSpec, grid: VelocityGrid) -> np.ndarray:
     """Circle's junction kernel on the grid: entry [k, k'] = beta(v_k, v_k')
     * v_k' * dv_k'."""
@@ -139,8 +130,10 @@ class _GainFactors:
         return np.repeat([measure_laplace(m, lam) for m in self.measures], self.k)
 
     def survival(self, lam: float) -> np.ndarray:
-        """survival_factor from the junction to the trace at x = l_j of each
-        flattened (j, k'), with the same clamp."""
+        """Transport survival exp(-(lam l_j + Q_j(v_k')) / v_k') from the
+        junction to the trace at x = l_j of each flattened (j, k'), its
+        exponent clamped at 700 to stay finite for the extreme shifts probed
+        during bracketing."""
         return np.exp(np.minimum(-(lam * self.length + self.absorbed) / self.velocity,
                                  700.0))
 

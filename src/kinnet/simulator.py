@@ -32,7 +32,7 @@ from .operators import MAX_ARRAY_VALUES, VelocityGrid, _routed_scattering
 ZERO = {"kind": "zero"}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Full description of one simulation run.
 
@@ -56,18 +56,19 @@ class Scenario:
     disturbance: dict = field(default_factory=lambda: dict(ZERO))
     input_outside_sum: bool = False
     record_snapshots: bool = False
-    # built on first use; init=False keeps `replace` from carrying it over
+    # built on first use; frozen fields keep it current, and init=False keeps
+    # `replace` from carrying it over
     _engine: "object" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_real("t_end", self.t_end, positive=True)
         _check_real("dt", self.dt, positive=True)
-        self.initial = _checked_preset("initial", self.initial, _FIELD_PRESETS)
-        self.history = _checked_preset("history", self.history, _FIELD_PRESETS)
-        self.disturbance = _checked_preset("disturbance", self.disturbance,
-                                           _DISTURBANCE_PRESETS)
-        self.m_cells = (_checked_m_cells(self.spec, self.m_cells)
-                        if self.m_cells else default_m_cells(self.spec))
+        for name, kinds in (("initial", _FIELD_PRESETS), ("history", _FIELD_PRESETS),
+                            ("disturbance", _DISTURBANCE_PRESETS)):
+            object.__setattr__(self, name, _checked_preset(name, getattr(self, name), kinds))
+        m_cells = (_checked_m_cells(self.spec, self.m_cells)
+                   if self.m_cells else default_m_cells(self.spec))
+        object.__setattr__(self, "m_cells", m_cells)
         if not isinstance(self.stride, numbers.Integral) or self.stride < 1:
             raise ValidationError(
                 f"recording stride must be an integer >= 1, got {self.stride!r}")
@@ -107,7 +108,7 @@ class Scenario:
 
     def engine(self) -> "_Engine":
         if self._engine is None:
-            self._engine = _Engine(self)
+            object.__setattr__(self, "_engine", _Engine(self))
         return self._engine
 
 
@@ -450,22 +451,6 @@ class _Engine:
 
     def transit_mass(self, state: SimState) -> np.ndarray:
         return self._over_history(state, state.ring, self.vdv)
-
-
-def init_state(scenario: Scenario) -> SimState:
-    return scenario.engine().init_state((scenario,))
-
-
-def step(state: SimState, scenario: Scenario) -> SimState:
-    return scenario.engine().step(state)
-
-
-def state_norm(state: SimState, scenario: Scenario) -> float:
-    return scenario.engine().state_norm(state).item()
-
-
-def history_norm(state: SimState, scenario: Scenario) -> float:
-    return scenario.engine().history_norm(state).item()
 
 
 def total_mass(state: SimState, scenario: Scenario) -> float:

@@ -34,6 +34,11 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op, dtype=float)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
     """Perron root of a nonnegative matrix to relative tolerance tol.
 
@@ -57,8 +62,7 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
     cap, or when A x overflows, the dense eigenvalues clipped into the last
     bracket decide.
     """
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
+    _check_tol(tol)
     a = _as_matrix(op)
     if a.size == 0:
         return 0.0
@@ -220,6 +224,7 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     B and the shift-free exponent parts are built once; each evaluation is
     one public spectral_radius call.
     """
+    _check_tol(tol)
     factors = _gain_factors(spec, grid)
 
     def phi(lam: float) -> float:
@@ -280,45 +285,6 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
 # ---------------------------------------------------------------------------
 # resolvent constant
 
-def apply_transport_resolvent(spec: NetworkSpec, grid: VelocityGrid, lam: float,
-                              f: list[np.ndarray], n_x: int) -> list[np.ndarray]:
-    """Resolvent of the absorbing free transport with zero junction inflow,
-    applied on spatial nodes: (1/v) int_0^x exp(-int_y^x (lam+q)/v) f(y) dy.
-
-    f[j] has shape (K, n_x+1); trapezoid in y.
-    """
-    v = grid.centers[:, None]
-    out = []
-    for j, c in enumerate(spec.circles):
-        xs = np.linspace(0.0, c.length, n_x + 1)
-        # exponent numerator lam x + int_0^x q(., v) at each (velocity, node)
-        phi = lam * xs + c.absorption.integral_x(xs, v)
-        # kernel(m, y) = exp(-(phi[m] - phi[y-node])/v) for y <= x_m
-        g = f[j] * np.exp(phi / v)
-        integ = np.zeros_like(g)
-        integ[:, 1:] = np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * np.diff(xs), axis=1)
-        out.append(np.exp(-phi / v) * integ / v)
-    return out
-
-
-def apply_history_resolvent(spec: NetworkSpec, grid: VelocityGrid, lam: float,
-                            phi: list[np.ndarray], n_theta: int) -> list[np.ndarray]:
-    """Resolvent of the history shift with zero boundary value at theta = 0:
-    int_theta^0 e^{(theta - sigma) lam} phi(sigma) d sigma.
-
-    phi[j] has shape (n_theta+1, K) over increasing theta in [-r_j, 0].
-    """
-    out = []
-    for j, c in enumerate(spec.circles):
-        th = np.linspace(-c.delay, 0.0, n_theta + 1)
-        g = phi[j] * np.exp(-lam * th)[:, None]
-        # reverse cumulative trapezoid: integral from theta to 0
-        seg = 0.5 * (g[1:] + g[:-1]) * np.diff(th)[:, None]
-        tail = np.vstack([np.cumsum(seg[::-1], axis=0)[::-1], np.zeros((1, grid.k))])
-        out.append(np.exp(lam * th)[:, None] * tail)
-    return out
-
-
 def _column_sums(nodes: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """(R* w)_i / w_i for the trapezoid rule R f(x_m) = int_0^{x_m}
     e^{phi(y) - phi(x_m)} f(y) dy on increasing nodes, w the trapezoid
@@ -338,9 +304,15 @@ def resolvent_constant_c(spec: NetworkSpec, grid: VelocityGrid, lam: float,
                          n_x: int = RESOLVENT_NODES,
                          n_theta: int = RESOLVENT_NODES) -> float:
     """Exact inf ||R(lam, A) x|| / ||x|| over the nonzero x >= 0 for the
-    resolvents of apply_transport_resolvent and apply_history_resolvent on
-    n_x + 1 and n_theta + 1 nodes per circle, in the weighted l1 norm
-    (trapezoid weights in x and theta times the cell widths dv).
+    trapezoid-rule resolvents on n_x + 1 and n_theta + 1 nodes per circle, in
+    the weighted l1 norm (trapezoid weights in x and theta times the cell
+    widths dv). On circle j, per velocity v:
+      the absorbing free transport with zero junction inflow,
+        (R f)(x) = (1/v) int_0^x exp(-int_y^x (lam + q_j(s, v))/v ds) f(y) dy
+        on [0, l_j];
+      the history shift with zero boundary value at theta = 0,
+        (R phi)(theta) = int_theta^0 e^{(theta - sigma) lam} phi(sigma) d sigma
+        on [-r_j, 0].
 
     That space is an AL-space and R is positive, so ||R x|| = <R* w, x> for
     every x >= 0 (Schaefer, Banach Lattices and Positive Operators, 1974):

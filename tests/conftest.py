@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from kinnet import VelocityGrid, make_scenario
+from kinnet import DomainError, VelocityGrid, make_scenario
 from kinnet.presets import single_circle
 
 
@@ -38,3 +40,12 @@ def constant_scenario(spec, grid, t_end, **kw):
     kw.setdefault("initial", {"kind": "constant", "value": 1.0})
     kw.setdefault("history", {"kind": "constant", "value": 1.0})
     return make_scenario(spec, grid, t_end=t_end, **kw)
+
+
+def survival_factor(circle, lam, v, x):
+    """Transport survival exp(-int_0^x (lam + q(y,v))/v dy) along a circle,
+    one scalar at a time, with the gain's clamp of the exponent at 700."""
+    if not (0.0 <= x <= circle.length + 1e-12):
+        raise DomainError(f"position {x} outside [0, {circle.length}]")
+    exponent = (lam * x + circle.absorption.integral_x(x, v)) / v
+    return math.exp(min(-exponent, 700.0))

@@ -12,13 +12,13 @@ from kinnet import (AbsorptionProfile, CircleSpec, DelayMeasure, NetworkSpec,
                     c_check, dirichlet_norm_closed_form, fit_decay,
                     make_scenario, network_bounds, pd_norm_closed_form, run,
                     small_gain_certificate, spectral_abscissa, spectral_radius,
-                    survival_factor, verify_iss)
+                    verify_iss)
 from kinnet.operators import BlockOperator
 from kinnet.presets import (conservation_spec, constant_kernel,
                             heterogeneous_five, random_spec, regression_suite,
                             single_circle, single_circle_threshold_w)
 
-from conftest import constant_scenario
+from conftest import constant_scenario, survival_factor
 
 
 def _report(num, name, ok):

@@ -184,6 +184,18 @@ def test_network_bounds_values():
     assert b.routing_norm == pytest.approx(1.0)
 
 
+def test_spec_routing_is_a_read_only_copy():
+    with pytest.raises(ValueError, match="read-only"):
+        single_circle(0.5).routing[0, 0] = 1.5
+    routing = np.array([[0.5]])
+    spec = NetworkSpec(circles=single_circle(0.5).circles, routing=routing,
+                       v_min=1.0, v_max=2.0)
+    routing[0, 0] = 1.5
+    assert spec.routing[0, 0] == 0.5 and spec.routing.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        load_network(json.dumps(spec.to_config())).routing[0, 0] = 1.5
+
+
 # ---------------------------------------------------------------------------
 # config loading
 

@@ -6,9 +6,11 @@ import pytest
 from kinnet import (BlockOperator, DomainError, PreconditionError,
                     VelocityGrid, assemble_gain, assemble_pd,
                     dirichlet_norm_closed_form, measure_laplace,
-                    pd_norm_closed_form, survival_factor)
+                    pd_norm_closed_form)
 from kinnet.presets import heterogeneous_five, regression_suite, \
     single_circle, single_circle_gain
+
+from conftest import survival_factor
 
 
 def test_velocity_grid_uniform():
@@ -32,6 +34,7 @@ def test_block_operator_norm_is_weighted_column_sum():
 
 
 def test_survival_factor_constant_q():
+    # self-check of the scalar oracle behind the dense reference below
     spec = single_circle(0.5, gamma=0.4, length=1.2)
     c = spec.circles[0]
     v = 1.5

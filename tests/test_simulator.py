@@ -1,14 +1,13 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from kinnet import (CflError, Scenario, ValidationError, VelocityGrid,
-                    history_norm, init_state, make_scenario, network_bounds,
-                    run, state_norm, step, total_mass)
+                    make_scenario, network_bounds, run, total_mass)
 from kinnet.delayquad import _accumulate_density, delay_quadrature
 from kinnet.operators import scattering_table
 from kinnet.simulator import _disturbance_samples, default_m_cells
@@ -40,18 +39,20 @@ def test_zero_scenario_stays_zero(sc_spec, grid8):
 
 def test_constant_initial_norm(sc_spec, grid8):
     sc = constant_scenario(sc_spec, grid8, t_end=1.0, history={"kind": "zero"})
-    st = init_state(sc)
+    eng = sc.engine()
+    st = eng.init_state((sc,))
     expected = sum(c.length for c in sc_spec.circles) * (sc_spec.v_max - sc_spec.v_min)
-    assert state_norm(st, sc) == pytest.approx(expected, abs=1e-12)
+    assert eng.state_norm(st).item() == pytest.approx(expected, abs=1e-12)
     assert total_mass(st, sc) == pytest.approx(expected, abs=1e-12)
-    assert history_norm(st, sc) == 0.0
+    assert eng.history_norm(st).item() == 0.0
 
 
 def test_random_preset_deterministic(sc_spec, grid8):
-    mk = lambda: init_state(make_scenario(
-        sc_spec, grid8, t_end=1.0,
-        initial={"kind": "random_nonneg", "seed": 11},
-        history={"kind": "random_nonneg", "seed": 12}))
+    def mk():
+        sc = make_scenario(sc_spec, grid8, t_end=1.0,
+                           initial={"kind": "random_nonneg", "seed": 11},
+                           history={"kind": "random_nonneg", "seed": 12})
+        return sc.engine().init_state((sc,))
     a, b = mk(), mk()
     assert np.array_equal(a.z[0], b.z[0])
     assert np.array_equal(a.buffers[0], b.buffers[0])
@@ -74,7 +75,8 @@ def test_decoupled_junction_inflow_zero():
     sc = make_scenario(spec, g, t_end=1.0,
                        initial={"kind": "constant", "value": 1.0},
                        disturbance={"kind": "constant", "value": 2.0})
-    st = step(init_state(sc), sc)
+    eng = sc.engine()
+    st = eng.step(eng.init_state((sc,)))
     assert np.all(st.z[0][:, 0] == 0.0)
 
 
@@ -83,7 +85,8 @@ def test_input_outside_sum_flag():
     g = VelocityGrid.for_spec(spec, 4)
     sc = make_scenario(spec, g, t_end=1.0, input_outside_sum=True,
                        disturbance={"kind": "constant", "value": 2.0})
-    st = step(init_state(sc), sc)
+    eng = sc.engine()
+    st = eng.step(eng.init_state((sc,)))
     assert np.allclose(st.z[0][:, 0], 2.0 / g.centers)
 
 
@@ -166,7 +169,7 @@ def _reference_run(sc):
     per-circle densities after every step."""
     spec, grid, dt = sc.spec, sc.grid, sc.dt
     v, dv = grid.centers, grid.widths
-    st = init_state(sc)
+    st = sc.engine().init_state((sc,))
     circles = []
     for j, c in enumerate(spec.circles):
         m = sc.m_cells[j]
@@ -317,12 +320,13 @@ def test_lockstep_state_has_no_single_member_views():
         st.z
     with pytest.raises(ValidationError):
         st.buffers
-    assert st.member(1).z[0].shape == init_state(b).z[0].shape
+    eng = b.engine()
+    assert st.member(1).z[0].shape == eng.init_state((b,)).z[0].shape
     # a member steps on alone as its own run would, input included
-    one, alone = st.member(1), init_state(b)
+    one, alone = st.member(1), eng.init_state((b,))
     for _ in range(5):
-        step(one, b)
-        step(alone, b)
+        eng.step(one)
+        eng.step(alone)
     np.testing.assert_array_equal(one.density, alone.density)
     np.testing.assert_array_equal(one.ring, alone.ring)
 
@@ -391,6 +395,18 @@ def test_replace_never_reuses_a_cached_engine(sc_spec, grid8):
                                            dt=sc.dt / 2)))
 
 
+@pytest.mark.parametrize("name, value", [("dt", 0.001), ("dt", -1.0),
+                                         ("t_end", 1.0), ("m_cells", (16,)),
+                                         ("spec", single_circle(0.6))])
+def test_scenario_fields_cannot_change_under_its_engine(sc_spec, grid8, name, value):
+    # a changed field would be served by the engine cached for the old one
+    sc = constant_scenario(sc_spec, grid8, t_end=2.0, m_base=8)
+    ref = run(sc)
+    with pytest.raises(FrozenInstanceError):
+        setattr(sc, name, value)
+    _assert_same_records(run(sc), ref)
+
+
 # ---------------------------------------------------------------------------
 # method-of-steps oracle
 
@@ -423,9 +439,10 @@ def test_against_delay_characteristic_oracle():
     sc = make_scenario(spec, g, t_end=t_final, dt=dt, m_cells=(m,),
                        initial={"kind": "constant", "value": 1.0},
                        history={"kind": "constant", "value": 1.0})
-    st = init_state(sc)
+    eng = sc.engine()
+    st = eng.init_state((sc,))
     for _ in range(n_steps):
-        step(st, sc)
+        eng.step(st)
     assert st.t == pytest.approx(t_final, abs=1e-9)
     xs = np.linspace(0.0, l, m + 1)
     ref = np.array([oracle(t_final, x) for x in xs])

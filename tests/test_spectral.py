@@ -11,8 +11,7 @@ from kinnet import (AbsorptionProfile, BlockOperator, BracketError, CircleSpec,
                     SmallGainViolation, VelocityGrid, assemble_gain, assemble_pd, c_check,
                     iss_constants,
                     resolvent_constant_c, small_gain_certificate,
-                    spectral_abscissa, spectral_radius,
-                    apply_history_resolvent, apply_transport_resolvent)
+                    spectral_abscissa, spectral_radius)
 from kinnet.presets import (heterogeneous_five, regression_suite,
                             single_circle, single_circle_lambda_star,
                             single_circle_threshold_w)
@@ -66,8 +65,16 @@ def test_radius_nilpotent_is_zero():
 def test_radius_input_checks():
     with pytest.raises(DomainError):
         spectral_radius(np.array([[-1.0]]))
-    with pytest.raises(DomainError):
-        spectral_radius(np.eye(2), tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_radius_and_abscissa_reject_a_bad_tol(tol, sc_spec, grid8):
+    # at the abscissa's stop rule, tol <= 0 never ends the loop and nan or
+    # inf end it at once
+    with pytest.raises(DomainError, match="tol"):
+        spectral_radius(assemble_gain(sc_spec, grid8, 0.0).operator, tol=tol)
+    with pytest.raises(DomainError, match="tol"):
+        spectral_abscissa(sc_spec, grid8, tol=tol)
 
 
 def test_radius_rejects_non_finite_entries():
@@ -345,13 +352,50 @@ def test_abscissa_unbounded_below_without_scattering():
 # ---------------------------------------------------------------------------
 # resolvents
 
+def _transport_resolvent(spec, grid, lam, f, n_x):
+    """Resolvent of the absorbing free transport with zero junction inflow,
+    applied on spatial nodes: (1/v) int_0^x exp(-int_y^x (lam+q)/v) f(y) dy.
+
+    f[j] has shape (K, n_x+1); trapezoid in y.
+    """
+    v = grid.centers[:, None]
+    out = []
+    for j, c in enumerate(spec.circles):
+        xs = np.linspace(0.0, c.length, n_x + 1)
+        # exponent numerator lam x + int_0^x q(., v) at each (velocity, node)
+        phi = lam * xs + c.absorption.integral_x(xs, v)
+        # kernel(m, y) = exp(-(phi[m] - phi[y-node])/v) for y <= x_m
+        g = f[j] * np.exp(phi / v)
+        integ = np.zeros_like(g)
+        integ[:, 1:] = np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * np.diff(xs), axis=1)
+        out.append(np.exp(-phi / v) * integ / v)
+    return out
+
+
+def _history_resolvent(spec, grid, lam, phi, n_theta):
+    """Resolvent of the history shift with zero boundary value at theta = 0:
+    int_theta^0 e^{(theta - sigma) lam} phi(sigma) d sigma.
+
+    phi[j] has shape (n_theta+1, K) over increasing theta in [-r_j, 0].
+    """
+    out = []
+    for j, c in enumerate(spec.circles):
+        th = np.linspace(-c.delay, 0.0, n_theta + 1)
+        g = phi[j] * np.exp(-lam * th)[:, None]
+        # reverse cumulative trapezoid: integral from theta to 0
+        seg = 0.5 * (g[1:] + g[:-1]) * np.diff(th)[:, None]
+        tail = np.vstack([np.cumsum(seg[::-1], axis=0)[::-1], np.zeros((1, grid.k))])
+        out.append(np.exp(lam * th)[:, None] * tail)
+    return out
+
+
 def test_transport_resolvent_constant_data():
     spec = single_circle(0.5, gamma=0.4, length=1.0)
     g = VelocityGrid.for_spec(spec, 4)
     n_x = 400
     f = [np.ones((g.k, n_x + 1))]
     lam = 0.9
-    out = apply_transport_resolvent(spec, g, lam, f, n_x)[0]
+    out = _transport_resolvent(spec, g, lam, f, n_x)[0]
     xs = np.linspace(0.0, 1.0, n_x + 1)
     for k, v in enumerate(g.centers):
         mu = (lam + 0.4) / v
@@ -365,7 +409,7 @@ def test_history_resolvent_constant_data():
     n_t = 400
     phi = [np.ones((n_t + 1, g.k))]
     lam = 1.3
-    out = apply_history_resolvent(spec, g, lam, phi, n_t)[0]
+    out = _history_resolvent(spec, g, lam, phi, n_t)[0]
     th = np.linspace(-0.8, 0.0, n_t + 1)
     ref = (1.0 - np.exp(lam * th)) / lam
     assert np.allclose(out[:, 0], ref, atol=1e-5)
@@ -394,7 +438,7 @@ def _trapezoid_weights(nodes):
 
 def _basis_minimum(spec, g, lam, n):
     """min ||R e|| / ||e|| over the basis vectors e of both blocks, through
-    the public resolvents and the weighted l1 norm."""
+    the brute-force resolvents and the weighted l1 norm."""
     wx = [_trapezoid_weights(np.linspace(0.0, c.length, n + 1)) for c in spec.circles]
     wt = [_trapezoid_weights(np.linspace(-c.delay, 0.0, n + 1)) for c in spec.circles]
     dv = g.widths
@@ -404,12 +448,12 @@ def _basis_minimum(spec, g, lam, n):
             for i in range(n + 1):
                 f = [np.zeros((g.k, n + 1)) for _ in spec.circles]
                 f[j][k, i] = 1.0
-                rf = apply_transport_resolvent(spec, g, lam, f, n)
+                rf = _transport_resolvent(spec, g, lam, f, n)
                 norm = sum(float(dv @ np.abs(r) @ w) for r, w in zip(rf, wx))
                 best = min(best, norm / (dv[k] * wx[j][i]))
                 phi = [np.zeros((n + 1, g.k)) for _ in spec.circles]
                 phi[j][i, k] = 1.0
-                rphi = apply_history_resolvent(spec, g, lam, phi, n)
+                rphi = _history_resolvent(spec, g, lam, phi, n)
                 norm = sum(float(w @ np.abs(r) @ dv) for r, w in zip(rphi, wt))
                 best = min(best, norm / (dv[k] * wt[j][i]))
     return best
