@@ -15,8 +15,7 @@ from .spectral import (AbscissaResult, BoundCheck, Certificate, IssConstants,
                        c_check, iss_constants, resolvent_constant_c,
                        small_gain_certificate, spectral_abscissa,
                        spectral_radius)
-from .simulator import (Scenario, SimState, Trajectory, make_scenario, run,
-                        total_mass)
+from .simulator import Scenario, SimState, Trajectory, make_scenario, run
 from .analysis import (DecayFit, IssReport, SweepResult, disturbance_lp_norm,
                        fit_decay, scale_spec, sweep, verify_iss)
 from . import presets

@@ -37,8 +37,8 @@ class DecayFit:
                 "residual": self.residual, "window": list(self.window)}
 
 
-def fit_decay(trajectory: Trajectory, window: tuple[float, float] | None = None) -> DecayFit:
-    """Log-linear regression of the total norm on the tail window.
+def fit_decay(trajectory: Trajectory) -> DecayFit:
+    """Log-linear regression of the total norm on the tail half of the run.
 
     The envelope factor N_hat is the sup over the whole recorded horizon of
     norm(t) e^{a_hat t} relative to the initial data norm, so the fitted
@@ -46,12 +46,8 @@ def fit_decay(trajectory: Trajectory, window: tuple[float, float] | None = None)
     """
     t = trajectory.times
     norm = trajectory.norm_state + trajectory.norm_history
-    if window is None:
-        window = (0.5 * t[-1], t[-1])
-    lo, hi = window
-    mask = (t >= lo - 1e-12) & (t <= hi + 1e-12)
-    if not np.any(mask):
-        raise DomainError(f"fit window [{lo}, {hi}] contains no samples")
+    lo, hi = 0.5 * t[-1], t[-1]
+    mask = t >= lo - 1e-12
     if np.any(norm[mask] == 0.0):
         raise ExtinctionFlag(
             "trajectory norm hit exact zero on the fit window (finite exit)")
@@ -115,7 +111,7 @@ def disturbance_lp_norm(scenario: Scenario, p: float) -> float:
         return val * vspan * scenario.t_end ** (1.0 / p)
     if kind == "pulse":
         val = abs(float(preset.get("value", 1.0)))
-        t0 = float(preset.get("t0", 0.0))
+        t0 = max(float(preset.get("t0", 0.0)), 0.0)   # the run starts at t = 0
         t1 = min(float(preset.get("t1", scenario.t_end)), scenario.t_end)
         if math.isinf(p):
             return val * vspan if t1 > t0 else 0.0
@@ -178,7 +174,7 @@ def verify_iss(scenario: Scenario, p: float = math.inf, *,
         worst_margin=worst, passed=bool(worst >= -ISS_SLACK),
         u_norm=u_norm, p=p,
         metadata={"t_end": scenario.t_end, "dt": scenario.dt,
-                  "k_velocity": grid.k, "disturbance": scenario.disturbance})
+                  "k_velocity": grid.k, "disturbance": dict(scenario.disturbance)})
 
 
 # ---------------------------------------------------------------------------

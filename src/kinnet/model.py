@@ -97,7 +97,8 @@ def _exp_increment(lam: float, a: float, b: float) -> float:
 
 
 def measure_laplace(m: DelayMeasure, lam: float) -> float:
-    """Integral of e^{lam*theta} d eta(theta) over [-r, 0]."""
+    """Integral of e^{lam*theta} d eta(theta) over [-r, 0]; OverflowError
+    where it passes float range."""
     if m.kind == "dirac":
         return math.exp(-lam * m.r)
     if m.kind == "exponential":
@@ -108,6 +109,9 @@ def measure_laplace(m: DelayMeasure, lam: float) -> float:
     out = sum(mass * math.exp(lam * pos) for pos, mass in m.atoms)
     for (a, b), v in zip(zip(m.density_edges, m.density_edges[1:]), m.density_values):
         out += v * _exp_increment(lam, a, b)
+    # math.exp raised on no term, but a product or the sum can still overflow
+    if math.isinf(out):
+        raise OverflowError("delay measure Laplace transform passes float range")
     return out
 
 

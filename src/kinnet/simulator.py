@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,14 +31,15 @@ from .errors import CflError, DomainError, ValidationError
 from .model import NetworkSpec
 from .operators import MAX_ARRAY_VALUES, VelocityGrid, _routed_scattering
 
-ZERO = {"kind": "zero"}
+ZERO = MappingProxyType({"kind": "zero"})
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Full description of one simulation run.
 
-    initial / history / disturbance are preset dicts:
+    initial / history / disturbance are presets, stored as read-only
+    copies of mappings such as:
       {"kind": "zero"}
       {"kind": "constant", "value": v}
       {"kind": "gaussian_bump", "center": frac, "width": frac, "amplitude": v}
@@ -51,11 +54,10 @@ class Scenario:
     t_end: float
     stride: int = 1
     m_cells: tuple[int, ...] = ()
-    initial: dict = field(default_factory=lambda: dict(ZERO))
-    history: dict = field(default_factory=lambda: dict(ZERO))
-    disturbance: dict = field(default_factory=lambda: dict(ZERO))
+    initial: Mapping = field(default_factory=lambda: ZERO)
+    history: Mapping = field(default_factory=lambda: ZERO)
+    disturbance: Mapping = field(default_factory=lambda: ZERO)
     input_outside_sum: bool = False
-    record_snapshots: bool = False
     # built on first use; frozen fields keep it current, and init=False keeps
     # `replace` from carrying it over
     _engine: "object" = field(default=None, init=False, repr=False, compare=False)
@@ -141,11 +143,11 @@ _DISTURBANCE_PRESETS = {"zero": (), "constant": ("value",),
                         "bounded_random": ("bound", "seed")}
 
 
-def _checked_preset(name: str, preset, kinds: dict) -> dict:
-    """A copy of the preset dict once its kind is known, it has no other keys
-    than its kind reads, and every number it holds is a finite real within
-    float range (a seed: an integer >= 0)."""
-    if not isinstance(preset, dict):
+def _checked_preset(name: str, preset, kinds: dict) -> Mapping:
+    """A read-only copy of the preset mapping once its kind is known, it has
+    no other keys than its kind reads, and every number it holds is a finite
+    real within float range (a seed: an integer >= 0)."""
+    if not isinstance(preset, Mapping):
         raise ValidationError(f"{name} must be a preset object, got {preset!r}")
     kind = preset.get("kind", "zero")
     if not isinstance(kind, str) or kind not in kinds:
@@ -160,7 +162,7 @@ def _checked_preset(name: str, preset, kinds: dict) -> dict:
         _check_real(f"{name}.{key}", value)
         if key == "seed" and not (isinstance(value, numbers.Integral) and value >= 0):
             raise ValidationError(f"{name}.seed must be an integer >= 0, got {value!r}")
-    return dict(preset)
+    return MappingProxyType(dict(preset))
 
 
 def _checked_m_cells(spec: NetworkSpec, m_cells) -> tuple[int, ...]:
@@ -181,10 +183,9 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
                   t_end: float, k_velocity: int = 16, dt: float | None = None,
                   stride: int = 1, m_base: int = 64,
                   m_cells: tuple[int, ...] | None = None,
-                  initial: dict | None = None, history: dict | None = None,
-                  disturbance: dict | None = None,
-                  input_outside_sum: bool = False,
-                  record_snapshots: bool = False) -> Scenario:
+                  initial: Mapping | None = None, history: Mapping | None = None,
+                  disturbance: Mapping | None = None,
+                  input_outside_sum: bool = False) -> Scenario:
     """Scenario with the default resolution rules filled in."""
     if grid is None:
         grid = VelocityGrid.for_spec(spec, k_velocity)
@@ -197,8 +198,7 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
                     m_cells=m_cells,
                     initial=initial or ZERO, history=history or ZERO,
                     disturbance=disturbance or ZERO,
-                    input_outside_sum=input_outside_sum,
-                    record_snapshots=record_snapshots)
+                    input_outside_sum=input_outside_sum)
 
 
 @dataclass(eq=False)
@@ -207,40 +207,12 @@ class SimState:
     ring buffer, clock, and the members' inputs."""
 
     t: float
-    density: np.ndarray          # (R, N, K): circle j in rows edges[j]:edges[j+1]
+    density: np.ndarray          # (R, N, K), rows per circle at engine.edges
     ring: np.ndarray             # (R, S_max, J, K); ring[:, head] is the newest trace
-    edges: tuple[int, ...]       # J + 1 row offsets into density
     start_cells: np.ndarray      # flat (member, circle, cell) circle-start indices
     inputs: np.ndarray | None    # (n_steps + 1, R, 1) input samples; None if unforced
     head: int = 0
     step_count: int = 0
-
-    def _single(self, array: np.ndarray) -> np.ndarray:
-        if len(array) != 1:
-            raise ValidationError(
-                f"a state of {len(array)} members has no single z or buffers; "
-                "take member(r) first")
-        return array[0]
-
-    @property
-    def z(self) -> list[np.ndarray]:
-        """Per circle, a (K, M_j + 1) view of its rows of a single-member
-        state's `density`."""
-        density = self._single(self.density)
-        return [density[a:b].T for a, b in zip(self.edges, self.edges[1:])]
-
-    @property
-    def buffers(self) -> list[np.ndarray]:
-        """Per circle, the (S_max, K) view of a single-member state's traces."""
-        return list(self._single(self.ring).transpose(1, 0, 2))
-
-    def member(self, r: int) -> "SimState":
-        """A single-member copy of member r."""
-        one = self.start_cells.size // len(self.density)   # member 0's cells
-        return replace(self, density=self.density[r:r + 1].copy(),
-                       ring=self.ring[r:r + 1].copy(),
-                       start_cells=self.start_cells[:one],
-                       inputs=None if self.inputs is None else self.inputs[:, r:r + 1])
 
 
 @dataclass(eq=False)
@@ -253,7 +225,6 @@ class Trajectory:
     total_mass: np.ndarray
     outflux: np.ndarray          # (n_records, J)
     initial_data_norm: float     # ||f|| + ||phi|| at t = 0
-    snapshots: list | None = None
 
     def to_csv(self, path) -> None:
         J = self.outflux.shape[1]
@@ -264,7 +235,7 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def _field_values(preset: dict, coords: np.ndarray, span: float, j: int,
+def _field_values(preset: Mapping, coords: np.ndarray, span: float, j: int,
                   shape: tuple[int, ...], axis: int) -> np.ndarray:
     kind = preset.get("kind", "zero")
     if kind == "zero":
@@ -350,10 +321,8 @@ class _Engine:
             dx = c.length / sc.m_cells[j]
             self.xw[a:b] = dx
             self.xw[a] = self.xw[b - 1] = 0.5 * dx
-            courant = v * dt / dx                   # a_k = v_k dt / dx_j
-            if np.any(courant > 1.0 + 1e-9):
-                raise CflError(f"circle {j}: characteristic foot leaves the cell")
-            courant = np.minimum(courant, 1.0)
+            # a_k = v_k dt / dx_j, at most 1 + 1e-9 by the Scenario's CFL check
+            courant = np.minimum(v * dt / dx, 1.0)
             damp = np.exp(-c.absorption.q(self.xs[j][:, None], v) * dt)[1:]
             self.c_stay[a:b - 1] = (1.0 - courant) * damp
             self.c_move[a:b - 1] = courant * damp
@@ -401,7 +370,7 @@ class _Engine:
                 if u is not None:
                     inputs[:, r, 0] = u
         rows = np.arange(R)[:, None] * N + self.starts  # circle-start nodes
-        return SimState(t=0.0, density=density, ring=ring, edges=self.edges,
+        return SimState(t=0.0, density=density, ring=ring,
                         start_cells=(rows[:, :, None] * K + np.arange(K)).ravel(),
                         inputs=inputs)
 
@@ -453,15 +422,8 @@ class _Engine:
         return self._over_history(state, state.ring, self.vdv)
 
 
-def total_mass(state: SimState, scenario: Scenario) -> float:
-    """Circle mass plus delay-line transit mass from the trace ledger."""
-    eng = scenario.engine()
-    return (eng.state_norm(state) + eng.transit_mass(state)).item()
-
-
 # what lockstep members share besides the network and the velocity grid
-_SHARED_FIELDS = ("dt", "t_end", "stride", "m_cells", "input_outside_sum",
-                  "record_snapshots")
+_SHARED_FIELDS = ("dt", "t_end", "stride", "m_cells", "input_outside_sum")
 
 
 def _check_members(first: Scenario, others: tuple) -> None:
@@ -492,7 +454,6 @@ def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory,
     times = np.empty(n_records)
     norm_state, norm_history, mass = np.empty((3, R, n_records))
     outflux = np.empty((R, n_records, J))
-    snapshots = [[] for _ in range(R)] if scenario.record_snapshots else None
     i = 0
     for n in range(n_steps + 1):
         if n > 0:
@@ -503,16 +464,12 @@ def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory,
             norm_history[:, i] = eng.history_norm(state)
             mass[:, i] = eng.transit_mass(state)
             outflux[:, i] = eng.outflux(state)
-            if snapshots is not None:
-                for r, member in enumerate(snapshots):
-                    member.append(state.member(r))
             i += 1
     mass += norm_state                       # circle mass plus transit mass
     trajectories = tuple(
         Trajectory(times=times, norm_state=norm_state[r],
                    norm_history=norm_history[r], total_mass=mass[r],
                    outflux=outflux[r],
-                   initial_data_norm=float(norm_state[r, 0] + norm_history[r, 0]),
-                   snapshots=None if snapshots is None else snapshots[r])
+                   initial_data_norm=float(norm_state[r, 0] + norm_history[r, 0]))
         for r in range(R))
     return trajectories if others else trajectories[0]

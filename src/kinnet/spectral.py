@@ -228,7 +228,14 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     factors = _gain_factors(spec, grid)
 
     def phi(lam: float) -> float:
-        r = spectral_radius(factors.gain(lam))
+        # G(lam) grows entrywise as lam falls, so a Laplace factor or an
+        # entry past float range marks a point left of the root: +inf
+        try:
+            with np.errstate(over="raise"):
+                gain = factors.gain(lam)
+        except (OverflowError, FloatingPointError):
+            return math.inf
+        r = spectral_radius(gain)
         return math.log(r) if r > 0.0 else -math.inf
 
     f0 = phi(0.0)
@@ -351,12 +358,12 @@ class IssConstants:
     c_check_p: float
     gain: float
     pd_norm: float
-    c_grid: tuple[int, int] | None = None  # (n_x, n_theta) that c was computed on
+    c_grid: tuple[int, int]   # (n_x, n_theta) that c was computed on
 
     def to_dict(self) -> dict:
         return {"schema_version": 1, "N": self.n_envelope, "a": self.a_rate,
                 "c": self.c_resolvent,
-                "c_grid": None if self.c_grid is None else list(self.c_grid),
+                "c_grid": list(self.c_grid),
                 "p": _json_number(self.p), "C_check_p": self.c_check_p,
                 "gain": self.gain, "pd_norm": self.pd_norm}
 
@@ -376,10 +383,9 @@ def c_check(n_envelope: float, a_rate: float, c_resolvent: float, p: float) -> f
 
 
 def iss_constants(spec: NetworkSpec, grid: VelocityGrid, p: float,
-                  envelope: tuple[float, float], *,
-                  c_resolvent: float | None = None) -> IssConstants:
+                  envelope: tuple[float, float]) -> IssConstants:
     """Explicit ISS gain from the envelope (N, a), the resolvent constant c
-    and the discretized junction norm. Unless given, c is computed at
+    and the discretized junction norm. c is computed at
     lam = max(0, -gamma2) + 1, and c_grid records its mesh."""
     n_envelope, a_rate = envelope
     d0_bound, k_bound = dirichlet_norm_closed_form(spec)
@@ -389,13 +395,11 @@ def iss_constants(spec: NetworkSpec, grid: VelocityGrid, p: float,
     pd_norm = assemble_pd(spec, grid, 0.0).norm()
     if pd_norm >= 1.0:
         raise SmallGainViolation(f"junction operator norm {pd_norm} >= 1")
-    c_grid = None
-    if c_resolvent is None:
-        lam = max(0.0, -spec.absorption_range()[1]) + 1.0
-        c_resolvent = resolvent_constant_c(spec, grid, lam)
-        c_grid = (RESOLVENT_NODES, RESOLVENT_NODES)
+    lam = max(0.0, -spec.absorption_range()[1]) + 1.0
+    c_resolvent = resolvent_constant_c(spec, grid, lam)
     cp = c_check(n_envelope, a_rate, c_resolvent, p)
     gain = k_bound * d0_bound * cp / (1.0 - pd_norm)
     return IssConstants(n_envelope=n_envelope, a_rate=a_rate,
                         c_resolvent=c_resolvent, p=p, c_check_p=cp,
-                        gain=gain, pd_norm=pd_norm, c_grid=c_grid)
+                        gain=gain, pd_norm=pd_norm,
+                        c_grid=(RESOLVENT_NODES, RESOLVENT_NODES))

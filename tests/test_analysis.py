@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -52,13 +53,13 @@ def test_fit_extinction_flag():
         fit_decay(traj)
 
 
-def test_fit_window_argument():
-    traj = _synthetic(lambda t: 2.0 * np.exp(-0.3 * t))
-    fit = fit_decay(traj, window=(2.0, 8.0))
-    assert fit.window == (2.0, 8.0)
+def test_fit_window_is_the_tail_half():
+    # the first half decays at another rate, which the fit must not see
+    traj = _synthetic(lambda t: np.where(t < 5.0, 9.0 * np.exp(-2.0 * t),
+                                         2.0 * np.exp(-0.3 * t)))
+    fit = fit_decay(traj)
+    assert fit.window == (5.0, 10.0)
     assert fit.a_hat == pytest.approx(0.3, abs=1e-9)
-    with pytest.raises(DomainError):
-        fit_decay(traj, window=(20.0, 30.0))
 
 
 def test_fit_matches_abscissa(sc_spec, grid8):
@@ -79,6 +80,8 @@ def test_verify_unforced_passes(sc_spec, grid8):
     assert report.worst_margin >= 0.0
     d = report.to_dict()
     assert d["schema_version"] == 1 and d["passed"] is True
+    # the scenario's read-only preset goes into the report as a plain dict
+    assert json.loads(json.dumps(d))["metadata"]["disturbance"] == {"kind": "zero"}
 
 
 def test_verify_requires_iss_certificate():
@@ -161,6 +164,15 @@ def test_disturbance_norms(sc_spec, grid8):
                        disturbance={"kind": "pulse", "value": 3.0,
                                     "t0": 1.0, "t1": 2.0})
     assert disturbance_lp_norm(sc, 1.0) == pytest.approx(3.0 * vspan)
+    # the run starts at t = 0: a pulse before it is no input at all, and one
+    # across it counts from 0
+    for t0, t1, inf_norm, two_norm in ((-5.0, -1.0, 0.0, 0.0),
+                                       (-5.0, 1.0, 3.0 * vspan, 3.0 * vspan)):
+        sc = make_scenario(sc_spec, grid8, **base,
+                           disturbance={"kind": "pulse", "value": 3.0,
+                                        "t0": t0, "t1": t1})
+        assert disturbance_lp_norm(sc, math.inf) == inf_norm
+        assert disturbance_lp_norm(sc, 2.0) == pytest.approx(two_norm)
     sc = make_scenario(sc_spec, grid8, **base,
                        disturbance={"kind": "bounded_random", "bound": 0.5,
                                     "seed": 1})

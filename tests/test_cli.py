@@ -402,6 +402,18 @@ def test_abscissa(config_iss, capsys):
     assert abs(doc["lambda_star"] - ref) < 1e-4
 
 
+@pytest.mark.parametrize("w, delay", [(0.5, 100.0), (1e300, 0.5), (1e-300, 0.5)],
+                         ids=["delay_100", "routing_1e300", "routing_1e-300"])
+def test_abscissa_where_the_gain_passes_float_range(tmp_path, capsys, w, delay):
+    # routing 1e300 was once drawn by the property test below
+    spec = single_circle(w, delay=delay)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(spec.to_config()))
+    assert main(["abscissa", str(config), "--k-velocity", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda_star"] == pytest.approx(single_circle_lambda_star(spec), abs=1e-6)
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"velocity": {"v_min": 1.0, "v_max": 2.0}}))

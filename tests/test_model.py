@@ -64,6 +64,13 @@ def test_laplace_against_quadrature():
         assert measure_laplace(m, lam) == pytest.approx(ref, rel=1e-10)
 
 
+def test_laplace_past_float_range_raises():
+    # each atom's term is below the float maximum, their sum is not
+    m = DelayMeasure(kind="piecewise", r=100.0, atoms=((-100.0, 0.9), (-99.99, 0.9)))
+    with pytest.raises(OverflowError):
+        measure_laplace(m, -7.095)
+
+
 def test_laplace_degenerate_rate():
     m = DelayMeasure(kind="exponential", r=0.6, theta_rate=2.0)
     assert measure_laplace(m, -2.0) == pytest.approx(0.6, abs=1e-12)
@@ -346,6 +353,10 @@ def test_mutated_configs_load_or_raise_kinnet_error(data):
             del node[path[-1]]  # a missing key, or a list one entry short
         else:
             node[path[-1]] = copy.deepcopy(data.draw(_BAD_VALUES))
+    _check_loads_or_raises_kinnet_error(doc)
+
+
+def _check_loads_or_raises_kinnet_error(doc):
     try:
         spec = load_network(doc)
     except KinnetError:
@@ -355,3 +366,13 @@ def test_mutated_configs_load_or_raise_kinnet_error(data):
     assert all(math.isfinite(getattr(b, name)) for name in b.__dataclass_fields__)
     again = spec.to_config()
     assert load_network(again).to_config() == again
+
+
+def test_config_with_an_atom_at_theta_zero_loads_with_a_warning():
+    # a valid config that the property test above once drew: its warning is
+    # shown, not raised (pyproject.toml's filterwarnings)
+    doc = single_circle(0.5, measure="piecewise").to_config()
+    doc["circles"][0]["delay_measure"]["atoms"][0][0] = 0
+    _check_loads_or_raises_kinnet_error(doc)
+    with pytest.warns(UserWarning, match="atom at theta=0"):
+        load_network(doc)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kinnet import (CflError, Scenario, ValidationError, VelocityGrid,
-                    make_scenario, network_bounds, run, total_mass)
+                    make_scenario, network_bounds, run)
 from kinnet.delayquad import _accumulate_density, delay_quadrature
 from kinnet.operators import scattering_table
 from kinnet.simulator import _disturbance_samples, default_m_cells
@@ -27,6 +27,12 @@ def _k1_scenario(spec, t_end, m=64, **kw):
     return make_scenario(spec, g, t_end=t_end, dt=dx / v1, m_cells=(m,), **kw)
 
 
+def _circles(eng, array):
+    """Per circle, the (K, M_j + 1) view of its rows of one member's
+    (N, K) densities."""
+    return [array[a:b].T for a, b in zip(eng.edges, eng.edges[1:])]
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -43,7 +49,8 @@ def test_constant_initial_norm(sc_spec, grid8):
     st = eng.init_state((sc,))
     expected = sum(c.length for c in sc_spec.circles) * (sc_spec.v_max - sc_spec.v_min)
     assert eng.state_norm(st).item() == pytest.approx(expected, abs=1e-12)
-    assert total_mass(st, sc) == pytest.approx(expected, abs=1e-12)
+    mass = eng.state_norm(st) + eng.transit_mass(st)
+    assert mass.item() == pytest.approx(expected, abs=1e-12)
     assert eng.history_norm(st).item() == 0.0
 
 
@@ -54,8 +61,8 @@ def test_random_preset_deterministic(sc_spec, grid8):
                            history={"kind": "random_nonneg", "seed": 12})
         return sc.engine().init_state((sc,))
     a, b = mk(), mk()
-    assert np.array_equal(a.z[0], b.z[0])
-    assert np.array_equal(a.buffers[0], b.buffers[0])
+    assert np.array_equal(a.density, b.density)
+    assert np.array_equal(a.ring, b.ring)
 
 
 def test_scenario_validation(sc_spec, grid8):
@@ -77,7 +84,7 @@ def test_decoupled_junction_inflow_zero():
                        disturbance={"kind": "constant", "value": 2.0})
     eng = sc.engine()
     st = eng.step(eng.init_state((sc,)))
-    assert np.all(st.z[0][:, 0] == 0.0)
+    assert np.all(st.density[0, 0] == 0.0)
 
 
 def test_input_outside_sum_flag():
@@ -87,40 +94,47 @@ def test_input_outside_sum_flag():
                        disturbance={"kind": "constant", "value": 2.0})
     eng = sc.engine()
     st = eng.step(eng.init_state((sc,)))
-    assert np.allclose(st.z[0][:, 0], 2.0 / g.centers)
+    assert np.allclose(st.density[0, 0], 2.0 / g.centers)
 
 
 def test_positivity():
     spec = single_circle(0.9)
     g = VelocityGrid.for_spec(spec, 4)
-    sc = make_scenario(spec, g, t_end=4.0, stride=4,
+    sc = make_scenario(spec, g, t_end=4.0,
                        initial={"kind": "random_nonneg", "seed": 2},
                        history={"kind": "random_nonneg", "seed": 3},
-                       disturbance={"kind": "bounded_random", "bound": 1.0, "seed": 4},
-                       record_snapshots=True)
-    traj = run(sc)
-    assert all(np.all(s.z[0] >= 0.0) for s in traj.snapshots)
-    assert np.all(traj.norm_state >= 0.0)
+                       disturbance={"kind": "bounded_random", "bound": 1.0, "seed": 4})
+    eng = sc.engine()
+    st = eng.init_state((sc,))
+    for _ in range(sc.n_steps):
+        eng.step(st)
+        assert np.all(st.density >= 0.0) and np.all(st.ring >= 0.0)
 
 
-def test_linearity_of_snapshots(sc_spec, grid8):
-    mk = lambda init, hist: run(make_scenario(
-        sc_spec, grid8, t_end=2.0, stride=8, initial=init, history=hist,
-        record_snapshots=True))
-    a = mk({"kind": "constant", "value": 1.0}, {"kind": "zero"})
-    b = mk({"kind": "zero"}, {"kind": "constant", "value": 1.0})
-    c = mk({"kind": "constant", "value": 1.0}, {"kind": "constant", "value": 1.0})
-    for sa, sb, sc_ in zip(a.snapshots, b.snapshots, c.snapshots):
-        assert np.allclose(sa.z[0] + sb.z[0], sc_.z[0], atol=1e-10)
+def _lockstep_densities(*members):
+    """Copies of the (R, N, K) densities of the members stepped in lockstep,
+    one per step, t = 0 included."""
+    eng = members[0].engine()
+    st = eng.init_state(members)
+    densities = [st.density.copy()]
+    for _ in range(members[0].n_steps):
+        densities.append(eng.step(st).density.copy())
+    return densities
+
+
+def test_linearity_in_the_data(sc_spec, grid8):
+    one, zero = {"kind": "constant", "value": 1.0}, {"kind": "zero"}
+    mk = lambda init, hist: make_scenario(sc_spec, grid8, t_end=2.0,
+                                          initial=init, history=hist)
+    for a, b, c in _lockstep_densities(mk(one, zero), mk(zero, one), mk(one, one)):
+        assert np.allclose(a + b, c, atol=1e-10)
 
 
 def test_disturbance_homogeneity(sc_spec, grid8):
-    mk = lambda val: run(make_scenario(
-        sc_spec, grid8, t_end=2.0, stride=8,
-        disturbance={"kind": "constant", "value": val}, record_snapshots=True))
-    one, three = mk(1.0), mk(3.0)
-    for s1, s3 in zip(one.snapshots, three.snapshots):
-        assert np.allclose(3.0 * s1.z[0], s3.z[0], atol=1e-10)
+    mk = lambda val: make_scenario(sc_spec, grid8, t_end=2.0,
+                                   disturbance={"kind": "constant", "value": val})
+    for one, three in _lockstep_densities(mk(1.0), mk(3.0)):
+        assert np.allclose(3.0 * one, three, atol=1e-10)
 
 
 def test_finite_extinction_exact():
@@ -136,16 +150,6 @@ def test_finite_extinction_exact():
     late = traj.times > t_exit + 2 * sc.dt
     assert np.all(total[late] == 0.0)
     assert total[0] > 0.0
-
-
-def test_snapshots_do_not_alias_the_live_state(sc_spec, grid8):
-    sc = constant_scenario(sc_spec, grid8, t_end=1.0, record_snapshots=True)
-    first, second, *_ = run(sc).snapshots
-    assert np.all(first.z[0] == 1.0) and np.all(first.buffers[0] == 1.0)
-    assert not np.array_equal(first.z[0], second.z[0])
-    assert np.shares_memory(first.z[0], first.density)
-    assert not np.shares_memory(first.density, second.density)
-    assert not np.shares_memory(first.ring, second.ring)
 
 
 def test_engine_freed_with_its_scenario(sc_spec, grid8):
@@ -169,7 +173,8 @@ def _reference_run(sc):
     per-circle densities after every step."""
     spec, grid, dt = sc.spec, sc.grid, sc.dt
     v, dv = grid.centers, grid.widths
-    st = sc.engine().init_state((sc,))
+    eng = sc.engine()
+    st = eng.init_state((sc,))
     circles = []
     for j, c in enumerate(spec.circles):
         m = sc.m_cells[j]
@@ -184,9 +189,9 @@ def _reference_run(sc):
         _accumulate_density(hw, dt, -c.delay, 0.0, "const", 1.0)
         circles.append(dict(
             xw=xw, a=np.minimum(v * dt / dx, 1.0)[:, None], damp=np.exp(-q * dt),
-            s=s, idx=idx, wq=wq, hw=hw, buf=st.buffers[j][:s].copy(), head=0,
+            s=s, idx=idx, wq=wq, hw=hw, buf=st.ring[0, :s, j].copy(), head=0,
             bv=None if c.scattering.is_zero() else scattering_table(c, grid)))
-    z = [zj.copy() for zj in st.z]
+    z = [zj.copy() for zj in _circles(eng, st.density[0])]
     inputs = _disturbance_samples(sc)
     routing = np.asarray(spec.routing)
     rec = {"norm_state": [], "norm_history": [], "total_mass": [], "outflux": []}
@@ -241,15 +246,16 @@ def _zero_kernel_network():
 ], ids=["heterogeneous_five", "zero_kernel_circle", "input_outside_sum"])
 def test_fused_engine_matches_per_circle_reference(spec, kw):
     sc = make_scenario(spec, VelocityGrid.for_spec(spec, 4), t_end=8.0,
-                       m_base=8, record_snapshots=True,
+                       m_base=8,
                        initial={"kind": "random_nonneg", "seed": 1},
                        history={"kind": "gaussian_bump", "width": 0.3}, **kw)
     assert sc.n_steps >= 200
     assert len(set(sc.m_cells)) > 1
     traj = run(sc)
     rec, densities = _reference_run(sc)
-    for snapshot, z in zip(traj.snapshots, densities, strict=True):
-        for zj, ref in zip(snapshot.z, z, strict=True):
+    eng = sc.engine()
+    for density, z in zip(_lockstep_densities(sc), densities, strict=True):
+        for zj, ref in zip(_circles(eng, density[0]), z, strict=True):
             np.testing.assert_allclose(zj, ref, rtol=1e-12, atol=1e-300)
     for name, ref in rec.items():
         np.testing.assert_allclose(getattr(traj, name), np.array(ref),
@@ -270,7 +276,7 @@ _LOCKSTEP_IDS = ["heterogeneous_five", "zero_kernel_circle", "input_outside_sum"
 def _member_pair(spec, **kw):
     """An unforced member with unit data and a forced member with random
     data, on one engine's worth of shared settings."""
-    base = dict(t_end=6.0, m_base=8, stride=3, record_snapshots=True, **kw)
+    base = dict(t_end=6.0, m_base=8, stride=3, **kw)
     grid = VelocityGrid.for_spec(spec, 4)
     unforced = make_scenario(spec, grid, **base,
                              initial={"kind": "constant", "value": 1.0},
@@ -295,13 +301,17 @@ def test_lockstep_matches_separate_runs(spec, kw):
                                        rtol=1e-12, atol=1e-300)
         assert together.initial_data_norm == pytest.approx(alone.initial_data_norm,
                                                            rel=1e-12)
-        for s, ref in zip(together.snapshots, alone.snapshots, strict=True):
-            assert s.density.shape == ref.density.shape
-            for zj, rj, bj, bref in zip(s.z, ref.z, s.buffers, ref.buffers,
-                                        strict=True):
-                assert zj.shape == rj.shape and bj.shape == bref.shape
-                np.testing.assert_allclose(zj, rj, rtol=1e-12, atol=1e-300)
-                np.testing.assert_allclose(bj, bref, rtol=1e-12, atol=1e-300)
+    # states too, and a forced member's input goes to that member only
+    eng = a.engine()
+    both, each = eng.init_state((a, b)), [eng.init_state((m,)) for m in (a, b)]
+    for _ in range(a.n_steps):
+        eng.step(both)
+        for r, st in enumerate(each):
+            eng.step(st)
+            np.testing.assert_allclose(both.density[r], st.density[0],
+                                       rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(both.ring[r], st.ring[0],
+                                       rtol=1e-12, atol=1e-300)
 
 
 def test_lockstep_returns_trajectories_in_argument_order():
@@ -310,25 +320,6 @@ def test_lockstep_returns_trajectories_in_argument_order():
     np.testing.assert_allclose(ba[0].norm_state, run(b).norm_state, rtol=1e-12)
     np.testing.assert_allclose(ba[1].norm_state, run(a).norm_state, rtol=1e-12)
     assert len(run(a, b, a)) == 3
-
-
-def test_lockstep_state_has_no_single_member_views():
-    a, b = _member_pair(single_circle(0.5))
-    st = a.engine().init_state((a, b))
-    assert st.density.shape[0] == 2 and st.ring.shape[0] == 2
-    with pytest.raises(ValidationError):
-        st.z
-    with pytest.raises(ValidationError):
-        st.buffers
-    eng = b.engine()
-    assert st.member(1).z[0].shape == eng.init_state((b,)).z[0].shape
-    # a member steps on alone as its own run would, input included
-    one, alone = st.member(1), eng.init_state((b,))
-    for _ in range(5):
-        eng.step(one)
-        eng.step(alone)
-    np.testing.assert_array_equal(one.density, alone.density)
-    np.testing.assert_array_equal(one.ring, alone.ring)
 
 
 @pytest.mark.parametrize("change", [
@@ -395,6 +386,20 @@ def test_replace_never_reuses_a_cached_engine(sc_spec, grid8):
                                            dt=sc.dt / 2)))
 
 
+def test_presets_are_read_only_copies(sc_spec, grid8):
+    given = {"kind": "constant", "value": 1.0}
+    sc = make_scenario(sc_spec, grid8, t_end=1.0, m_base=8, initial=given,
+                       history=given, disturbance=given)
+    ref = run(sc)
+    given["value"] = math.nan
+    for name in ("initial", "history", "disturbance"):
+        with pytest.raises(TypeError):
+            getattr(sc, name)["value"] = math.nan
+    _assert_same_records(run(sc), ref)
+    _assert_same_records(run(replace(sc)), ref)
+    assert replace(sc).initial == {"kind": "constant", "value": 1.0}
+
+
 @pytest.mark.parametrize("name, value", [("dt", 0.001), ("dt", -1.0),
                                          ("t_end", 1.0), ("m_cells", (16,)),
                                          ("spec", single_circle(0.6))])
@@ -446,7 +451,7 @@ def test_against_delay_characteristic_oracle():
     assert st.t == pytest.approx(t_final, abs=1e-9)
     xs = np.linspace(0.0, l, m + 1)
     ref = np.array([oracle(t_final, x) for x in xs])
-    err = np.max(np.abs(st.z[0][0] - ref)) / np.max(np.abs(ref))
+    err = np.max(np.abs(st.density[0, :, 0] - ref)) / np.max(np.abs(ref))
     assert err <= 0.02
 
 

@@ -281,6 +281,16 @@ def test_abscissa_positive_for_supercritical():
     assert spectral_abscissa(spec, g).lambda_star > 0.0
 
 
+@pytest.mark.parametrize("w, delay", [(0.5, 100.0), (1e300, 0.5), (1e-300, 0.5)],
+                         ids=["delay_100", "routing_1e300", "routing_1e-300"])
+def test_abscissa_where_the_gain_passes_float_range(w, delay):
+    # left of the root e^{-lam r} or G(lam) itself overflows, with a math
+    # OverflowError or a numpy warning unless phi reads it as +inf
+    spec = single_circle(w, delay=delay)
+    res = spectral_abscissa(spec, VelocityGrid.for_spec(spec, 1))
+    assert res.lambda_star == pytest.approx(single_circle_lambda_star(spec), abs=1e-6)
+
+
 @pytest.fixture(scope="module")
 def suite_abscissae():
     """(name, spec, grid, result, radius evaluations) for every regression
@@ -528,18 +538,16 @@ def test_iss_constants_small_gain_guard():
     spec = single_circle(3.0 * single_circle_threshold_w())
     g = VelocityGrid.for_spec(spec, 2)
     with pytest.raises(SmallGainViolation):
-        iss_constants(spec, g, math.inf, (1.0, 0.5), c_resolvent=0.1)
+        iss_constants(spec, g, math.inf, (1.0, 0.5))
 
 
 def test_iss_constants_values():
     spec = single_circle(0.3)
     g = VelocityGrid.for_spec(spec, 4)
-    consts = iss_constants(spec, g, math.inf, (1.5, 0.4), c_resolvent=0.2)
+    consts = iss_constants(spec, g, math.inf, (1.5, 0.4))
     assert consts.pd_norm < 1.0
-    assert consts.c_check_p == pytest.approx(1.5 / (0.4 * 0.2))
+    assert consts.c_resolvent == resolvent_constant_c(spec, g, 1.0)
+    assert consts.c_check_p == pytest.approx(1.5 / (0.4 * consts.c_resolvent))
     assert consts.gain > 0.0
     assert consts.to_dict()["schema_version"] == 1
-    assert consts.to_dict()["c_grid"] is None
-    computed = iss_constants(spec, g, math.inf, (1.5, 0.4))
-    assert computed.c_resolvent == resolvent_constant_c(spec, g, 1.0)
-    assert computed.to_dict()["c_grid"] == [64, 64]
+    assert consts.to_dict()["c_grid"] == [64, 64]
