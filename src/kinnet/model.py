@@ -53,8 +53,8 @@ class DelayMeasure:
             raise ValidationError("exponential delay measure needs theta_rate != 0")
         if self.kind == "piecewise":
             for pos, mass in self.atoms:
-                if mass < 0:
-                    raise ValidationError(f"delay measure atom at {pos} has negative mass")
+                if not mass >= 0:
+                    raise ValidationError(f"delay measure atom at {pos} has mass {mass}")
                 if not (-self.r <= pos <= 0.0):
                     raise ValidationError(
                         f"delay measure atom at {pos} outside support [-{self.r}, 0]")
@@ -71,8 +71,10 @@ class DelayMeasure:
             if edges and (edges[0] < -self.r - 1e-12 or edges[-1] > 1e-12):
                 raise ValidationError(
                     f"density support outside [-{self.r}, 0]")
-            if any(v < 0 for v in self.density_values):
+            if not all(v >= 0 for v in self.density_values):
                 raise ValidationError("delay measure density values must be >= 0")
+        if not _measure_log_laplace(self, 0.0) < np.log(np.finfo(float).max):
+            raise ValidationError("delay measure total mass is not finite")
 
 
 def measure_total_variation(m: DelayMeasure) -> float:
@@ -97,8 +99,7 @@ def _exp_increment(lam: float, a: float, b: float) -> float:
 
 
 def measure_laplace(m: DelayMeasure, lam: float) -> float:
-    """Integral of e^{lam*theta} d eta(theta) over [-r, 0]; OverflowError
-    where it passes float range."""
+    """Integral of e^{lam*theta} d eta(theta) over [-r, 0]."""
     if m.kind == "dirac":
         return math.exp(-lam * m.r)
     if m.kind == "exponential":
@@ -109,10 +110,28 @@ def measure_laplace(m: DelayMeasure, lam: float) -> float:
     out = sum(mass * math.exp(lam * pos) for pos, mass in m.atoms)
     for (a, b), v in zip(zip(m.density_edges, m.density_edges[1:]), m.density_values):
         out += v * _exp_increment(lam, a, b)
-    # math.exp raised on no term, but a product or the sum can still overflow
-    if math.isinf(out):
-        raise OverflowError("delay measure Laplace transform passes float range")
     return out
+
+
+def _log_exp_increment(lam: float, a: float, b: float) -> float:
+    """log _exp_increment(lam, a, b), finite past float range."""
+    if abs(lam) < 1e-14:
+        return math.log(b - a)
+    peak = b if lam > 0 else a
+    return lam * peak + math.log(-math.expm1(-abs(lam) * (b - a)) / abs(lam))
+
+
+def _measure_log_laplace(m: DelayMeasure, lam: float) -> float:
+    """log measure_laplace(m, lam), finite where it leaves float range."""
+    if m.kind == "dirac":
+        return -lam * m.r
+    if m.kind == "exponential":
+        return _log_exp_increment(lam + m.theta_rate, -m.r, 0.0)
+    terms = [math.log(mass) + lam * pos for pos, mass in m.atoms if mass > 0]
+    terms += [math.log(v) + _log_exp_increment(lam, a, b)
+              for (a, b), v in zip(zip(m.density_edges, m.density_edges[1:]),
+                                   m.density_values) if v > 0]
+    return float(np.logaddexp.reduce(terms))  # -inf for no terms
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
-from .model import (CircleSpec, NetworkSpec, measure_laplace, network_bounds)
+from .model import (CircleSpec, NetworkSpec, _measure_log_laplace, measure_laplace,
+                    measure_total_variation, network_bounds)
 
 MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
 
@@ -129,17 +131,55 @@ class _GainFactors:
         """Delay Laplace factor laplace_j(lam) of each flattened (j, k')."""
         return np.repeat([measure_laplace(m, lam) for m in self.measures], self.k)
 
+    def log_survival(self, lam: float) -> np.ndarray:
+        """Log survival -(lam l_j + Q_j(v_k')) / v_k' from the junction to x = l_j
+        of each flattened (j, k'), clamped at 700 for far bracketing shifts."""
+        return np.minimum(-(lam * self.length + self.absorbed) / self.velocity, 700.0)
+
     def survival(self, lam: float) -> np.ndarray:
-        """Transport survival exp(-(lam l_j + Q_j(v_k')) / v_k') from the
-        junction to the trace at x = l_j of each flattened (j, k'), its
-        exponent clamped at 700 to stay finite for the extreme shifts probed
-        during bracketing."""
-        return np.exp(np.minimum(-(lam * self.length + self.absorbed) / self.velocity,
-                                 700.0))
+        return np.exp(self.log_survival(lam))
 
     def gain(self, lam: float) -> BlockOperator:
         scale = self.laplace(lam) * self.survival(lam)
         return BlockOperator(matrix=self.routed * scale[None, :], weights=self.weights)
+
+    @cached_property
+    def log_bound(self) -> tuple[float, float]:
+        """(a, b) with a |lam| + b above |x| for every e^x in gain(lam), its entries
+        included: e^{-|lam| r} <= laplace / TV <= e^{|lam| r} on support [-r, 0]."""
+        b = self.routed
+        b_min = np.min(b, where=b > 0.0, initial=1.0)
+        log_b = max(-math.log(b_min), math.log(max(b.max(), 1.0)))
+        log_tv = [math.log(t) if (t := measure_total_variation(m)) > 0.0 else -math.inf
+                  for m in self.measures]
+        v_min = float(self.velocity.min())
+        return (max(m.r for m in self.measures) + float(self.length.max()) / v_min,
+                max(abs(x) + abs(m.theta_rate) * m.r for x, m in zip(log_tv, self.measures))
+                + float(np.abs(self.absorbed).max()) / v_min + log_b)
+
+    def balanced_gain(self, lam: float) -> tuple[float, BlockOperator, bool]:
+        """(s, A, lost) with r(G(lam)) = e^s r(A): A = gain(lam) where log_bound keeps
+        its exponentials within e^{+-700}, else A_ij = B_ij (c_i c_j)^{1/2} / e^s for the
+        column scales c, that is diag(c)^{1/2} G(lam) diag(c)^{-1/2} / e^s, built in
+        logs with s = max log(A_ij e^s). lost: an entry of A underflowed to 0."""
+        slope, offset = self.log_bound
+        if slope * abs(lam) + offset < 700.0:
+            return 0.0, self.gain(lam), False
+        log_c = np.repeat([_measure_log_laplace(m, lam) for m in self.measures], self.k)
+        log_c += self.log_survival(lam)
+        half = 0.5 * log_c
+        a = np.log(self.routed, out=np.full_like(self.routed, -math.inf),
+                   where=self.routed > 0.0)  # log A + s, in place from here
+        a += half[:, None]
+        a += half[None, :]
+        s = float(a.max())
+        if s == -math.inf:  # no entry of G(lam) is positive
+            s = 0.0
+        kept = np.count_nonzero(a > -math.inf)
+        a -= s
+        np.exp(a, out=a)
+        lost = np.count_nonzero(a > 0.0) < kept
+        return s, BlockOperator(matrix=a, weights=self.weights), lost
 
 
 def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:

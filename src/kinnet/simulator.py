@@ -146,7 +146,7 @@ _DISTURBANCE_PRESETS = {"zero": (), "constant": ("value",),
 def _checked_preset(name: str, preset, kinds: dict) -> Mapping:
     """A read-only copy of the preset mapping once its kind is known, it has
     no other keys than its kind reads, and every number it holds is a finite
-    real within float range (a seed: an integer >= 0)."""
+    real within float range (a seed: an integer >= 0; a bound: >= 0)."""
     if not isinstance(preset, Mapping):
         raise ValidationError(f"{name} must be a preset object, got {preset!r}")
     kind = preset.get("kind", "zero")
@@ -162,6 +162,8 @@ def _checked_preset(name: str, preset, kinds: dict) -> Mapping:
         _check_real(f"{name}.{key}", value)
         if key == "seed" and not (isinstance(value, numbers.Integral) and value >= 0):
             raise ValidationError(f"{name}.seed must be an integer >= 0, got {value!r}")
+        if key == "bound" and value < 0:  # the upper end of uniform(0, bound)
+            raise ValidationError(f"{name}.bound must be >= 0, got {value!r}")
     return MappingProxyType(dict(preset))
 
 

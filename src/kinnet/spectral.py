@@ -222,21 +222,20 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     bracket_width = hi - lo <= tol is certified; lambda_star is its middle.
     iterations counts the radius evaluations after the sign bracket is found.
     B and the shift-free exponent parts are built once; each evaluation is
-    one public spectral_radius call.
+    one public spectral_radius call, on a similar matrix kept in float range;
+    DomainError where an entry of it underflowed under a reading phi <= 0,
+    BracketError where adjacent floats near lambda* lie more than tol apart.
     """
     _check_tol(tol)
     factors = _gain_factors(spec, grid)
 
     def phi(lam: float) -> float:
-        # G(lam) grows entrywise as lam falls, so a Laplace factor or an
-        # entry past float range marks a point left of the root: +inf
-        try:
-            with np.errstate(over="raise"):
-                gain = factors.gain(lam)
-        except (OverflowError, FloatingPointError):
-            return math.inf
+        s, gain, lost = factors.balanced_gain(lam)
         r = spectral_radius(gain)
-        return math.log(r) if r > 0.0 else -math.inf
+        f = s + math.log(r) if r > 0.0 else -math.inf
+        if lost and f <= 0.0:  # r(gain) then only bounds r(G(lam)) from below
+            raise DomainError(f"the gain at shift {lam} spans more than the float range")
+        return f
 
     f0 = phi(0.0)
     if f0 == -math.inf:
@@ -278,6 +277,8 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
             x = _probe(hi, -tol)
         if not lo < x < hi or gap > 0.5 * gaps[-2]:
             x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # lo and hi are adjacent floats
+                raise BracketError(f"[{lo}, {hi}] is wider than tol {tol} at float spacing")
         gaps.append(gap)
         f_x = phi(x)
         if f_x > 0.0:

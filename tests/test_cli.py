@@ -264,6 +264,8 @@ def test_huge_integer_in_scenario_exits_2(config_iss, tmp_path, capsys, doc,
     ({"disturbance": {"kind": "bounded_random", "bound": "nan"}},
      "disturbance.bound"),
     ({"history": {"kind": "constant", "value": _HUGE}}, "history.value"),
+    # drawn by the property test below: numpy raised ValueError, exit 1
+    ({"disturbance": {"kind": "bounded_random", "bound": -1}}, "disturbance.bound"),
 ])
 def test_bad_preset_value_exits_2(config_iss, tmp_path, capsys, preset, field):
     path = tmp_path / "bad_preset.json"
@@ -419,6 +421,17 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({"velocity": {"v_min": 1.0, "v_max": 2.0}}))
     assert main(["analyze", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_delay_measure_with_infinite_mass_exits_2(tmp_path, capsys):
+    # each atom is finite, their total mass is not
+    doc = single_circle(0.5, measure="piecewise").to_config()
+    doc["circles"][0]["delay_measure"]["atoms"] = [[-0.5, 1e308], [-0.25, 1e308]]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    for command in ("analyze", "abscissa"):
+        assert main([command, str(config)]) == 2
+        assert "total mass is not finite" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

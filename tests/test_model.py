@@ -12,6 +12,7 @@ from kinnet import (AbsorptionProfile, DelayMeasure, KinnetError, NetworkSpec,
                     ScatteringKernel, ValidationError, load_network,
                     measure_laplace, measure_total_variation, network_bounds,
                     routing_norm)
+from kinnet.model import _measure_log_laplace
 from kinnet.presets import conservation_spec, single_circle
 
 from conftest import json_paths
@@ -64,11 +65,38 @@ def test_laplace_against_quadrature():
         assert measure_laplace(m, lam) == pytest.approx(ref, rel=1e-10)
 
 
-def test_laplace_past_float_range_raises():
-    # each atom's term is below the float maximum, their sum is not
-    m = DelayMeasure(kind="piecewise", r=100.0, atoms=((-100.0, 0.9), (-99.99, 0.9)))
-    with pytest.raises(OverflowError):
-        measure_laplace(m, -7.095)
+def test_log_laplace_is_finite_past_float_range():
+    measures = (DelayMeasure(kind="dirac", r=0.7),
+                DelayMeasure(kind="exponential", r=0.9, theta_rate=1.7),
+                DelayMeasure(kind="exponential", r=0.6, theta_rate=2.0),
+                DelayMeasure(kind="piecewise", r=1.0, atoms=((-0.25, 0.3), (0.0, 0.0)),
+                             density_edges=(-0.8, -0.2, 0.0), density_values=(1.5, 0.0)))
+    for m in measures:
+        for lam in (-30.0, -2.0, 0.0, 1e-15, 0.5, 3.0):
+            assert _measure_log_laplace(m, lam) == pytest.approx(
+                math.log(measure_laplace(m, lam)), rel=1e-12, abs=1e-12)
+    # the transform itself passes float range below lam = -log(max float) / 100
+    m = DelayMeasure(kind="piecewise", r=100.0, atoms=((-100.0, 0.5), (-99.0, 0.5)),
+                     density_edges=(-100.0, 0.0), density_values=(0.01,))
+    ref = 1e4 + math.log(0.5 + 0.5 * math.exp(-100.0) + 0.01 / 100.0)
+    assert _measure_log_laplace(m, -100.0) == pytest.approx(ref, rel=1e-14)
+    assert _measure_log_laplace(DelayMeasure(kind="exponential", r=2.0, theta_rate=-1.0),
+                                -1e4) == pytest.approx(2.0 * (1e4 + 1.0) - math.log(1e4 + 1.0))
+    assert _measure_log_laplace(DelayMeasure(kind="piecewise", r=1.0), 0.0) == -math.inf
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"kind": "piecewise", "atoms": ((-1.0, 1e308), (-0.5, 1e308))}, "total mass"),
+    ({"kind": "piecewise", "density_edges": (-1.0, 0.0), "density_values": (math.inf,)},
+     "total mass"),
+    ({"kind": "exponential", "theta_rate": -1000.0}, "total mass"),
+    ({"kind": "piecewise", "atoms": ((-1.0, math.nan),)}, "has mass nan"),
+    ({"kind": "piecewise", "density_edges": (-1.0, 0.0), "density_values": (math.nan,)},
+     "values must be >= 0"),
+], ids=["atoms", "density", "exponential", "nan_atom", "nan_density"])
+def test_delay_measure_with_infinite_or_nan_mass_is_rejected(kwargs, match):
+    with pytest.raises(ValidationError, match=match):
+        DelayMeasure(r=1.0, **kwargs)
 
 
 def test_laplace_degenerate_rate():

@@ -281,14 +281,76 @@ def test_abscissa_positive_for_supercritical():
     assert spectral_abscissa(spec, g).lambda_star > 0.0
 
 
-@pytest.mark.parametrize("w, delay", [(0.5, 100.0), (1e300, 0.5), (1e-300, 0.5)],
-                         ids=["delay_100", "routing_1e300", "routing_1e-300"])
-def test_abscissa_where_the_gain_passes_float_range(w, delay):
-    # left of the root e^{-lam r} or G(lam) itself overflows, with a math
-    # OverflowError or a numpy warning unless phi reads it as +inf
-    spec = single_circle(w, delay=delay)
+def _dirac_circle(gamma, delay, mass=1.0):
+    measure = (DelayMeasure(kind="dirac", r=delay) if mass == 1.0 else
+               DelayMeasure(kind="piecewise", r=delay, atoms=((-delay, mass),)))
+    return CircleSpec(length=1.0, delay=delay,
+                      absorption=AbsorptionProfile(kind="constant", value=gamma),
+                      scattering=ScatteringKernel(kind="constant", value=1.0),
+                      delay_measure=measure)
+
+
+def _cycle_beside_a_loop():
+    """Circles 1 and 2 form a cycle with root near -9.8 whose circle-2 factor
+    e^{100.7 |lam|} passes float range for lam < -7.05; circle 3 feeds itself
+    with the root -8.51 of the whole gain, so that overflow lies right of it."""
+    spec = NetworkSpec(circles=(_dirac_circle(1500.0, 0.5), _dirac_circle(0.5, 100.0),
+                                _dirac_circle(14.9, 0.5)),
+                       routing=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 1.0]]),
+                       v_min=1.0, v_max=2.0, mass_preserving=True)
+    return spec, single_circle_lambda_star(single_circle(1.0, gamma=14.9))
+
+
+@pytest.mark.parametrize("spec, lambda_star", [
+    *[(s, single_circle_lambda_star(s)) for s in (
+        single_circle(0.5, delay=100.0), single_circle(1e300), single_circle(1e-300))],
+    _cycle_beside_a_loop()],
+    ids=["delay_100", "routing_1e300", "routing_1e-300", "cycle_beside_a_loop"])
+def test_abscissa_where_the_gain_passes_float_range(spec, lambda_star):
+    # left of the root e^{-lam r}, or G(lam) itself, leaves float range; an
+    # overflow read as "left of the root" put the cycle case at -7.05
     res = spectral_abscissa(spec, VelocityGrid.for_spec(spec, 1))
-    assert res.lambda_star == pytest.approx(single_circle_lambda_star(spec), abs=1e-6)
+    assert res.lambda_star == pytest.approx(lambda_star, abs=1e-6)
+
+
+def test_abscissa_refuses_a_tol_below_the_float_spacing():
+    # lambda* = log 2 / (l / v1 + r) is about 4e12, where adjacent floats lie
+    # 1e-3 apart: the bracket stops narrowing above tol
+    spec = single_circle(2.0, gamma=0.0, length=1e-13, delay=1e-13)
+    with pytest.raises(BracketError, match="float spacing"):
+        spectral_abscissa(spec, VelocityGrid.for_spec(spec, 1))
+
+
+def test_balanced_gain_keeps_the_radius():
+    # past float range balanced_gain returns diag(c)^(1/2) G diag(c)^(-1/2) / e^s;
+    # a log bound of 700 sends every shift there
+    for name, spec, _ in regression_suite():
+        grid = VelocityGrid.for_spec(spec, 4)
+        for lam in (-0.7, 0.0, 0.6):
+            ref = _dense_radius(assemble_gain(spec, grid, lam).operator.matrix)
+            factors = kinnet.operators._gain_factors(spec, grid)
+            s, a, lost = factors.balanced_gain(lam)
+            assert s == 0.0 and not lost
+            assert _dense_radius(a.matrix) == pytest.approx(ref, rel=1e-12), name
+            factors.__dict__["log_bound"] = (0.0, 700.0)
+            s, a, lost = factors.balanced_gain(lam)
+            assert a.matrix.max() == 1.0 and not lost
+            assert math.exp(s) * _dense_radius(a.matrix) == pytest.approx(ref, rel=1e-12), name
+
+
+def test_abscissa_refuses_a_reading_that_lost_an_entry():
+    # the cycle 1 -> 2 -> 3 -> 1 has log gain (690.8 + 690.8 - 1300) / 3 > 0
+    # at lam = 0, but its entries (1, 3) and (3, 2) lie e^{-995} below (2, 1)
+    # and underflow: r = 0 there would place 0 right of the root
+    spec = NetworkSpec(circles=(_dirac_circle(0.0, 0.5, mass=1e300),
+                                _dirac_circle(0.0, 0.5, mass=1e300),
+                                _dirac_circle(1950.0, 0.5)),
+                       routing=np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                                         [0.0, 1.0, 0.0]]),
+                       v_min=1.0, v_max=2.0, mass_preserving=True)
+    with pytest.raises(DomainError, match="float range"):
+        spectral_abscissa(spec, VelocityGrid.for_spec(spec, 1))
 
 
 @pytest.fixture(scope="module")
@@ -334,13 +396,13 @@ def test_abscissa_bisects_where_the_survival_clamp_bends_phi(monkeypatch):
     spec = single_circle(0.5, gamma=0.0, v_min=0.005, v_max=0.015)
     grid = VelocityGrid.for_spec(spec, 1)
     shifts = []
-    gain = kinnet.operators._GainFactors.gain
+    gain = kinnet.operators._GainFactors.balanced_gain
 
     def recorded(self, lam):
         shifts.append(lam)
         return gain(self, lam)
 
-    monkeypatch.setattr(kinnet.operators._GainFactors, "gain", recorded)
+    monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_gain", recorded)
     res = spectral_abscissa(spec, grid)
     assert shifts[1:3] == [-10.0, -11.0] and -5.0 in shifts
     assert res.lambda_star == pytest.approx(single_circle_lambda_star(spec), abs=1e-6)
