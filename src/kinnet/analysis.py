@@ -7,7 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, ExtinctionFlag, SmallGainViolation
+from .errors import (DomainError, ExtinctionFlag, SmallGainViolation,
+                     ValidationError)
 from .model import (NetworkSpec, ScatteringKernel, DelayMeasure, CircleSpec,
                     network_bounds)
 from .operators import VelocityGrid
@@ -42,12 +43,16 @@ def fit_decay(trajectory: Trajectory) -> DecayFit:
 
     The envelope factor N_hat is the sup over the whole recorded horizon of
     norm(t) e^{a_hat t} relative to the initial data norm, so the fitted
-    envelope bounds every recorded sample, not only the window.
+    envelope bounds every recorded sample, not only the window. A window
+    with fewer than two records raises DomainError: no line fits one point.
     """
     t = trajectory.times
     norm = trajectory.norm_state + trajectory.norm_history
     lo, hi = 0.5 * t[-1], t[-1]
     mask = t >= lo - 1e-12
+    if np.count_nonzero(mask) < 2:
+        raise DomainError(f"the fit window [{lo}, {hi}] holds fewer than 2 "
+                          "records; record more often (smaller stride)")
     if np.any(norm[mask] == 0.0):
         raise ExtinctionFlag(
             "trajectory norm hit exact zero on the fit window (finite exit)")
@@ -124,19 +129,26 @@ def disturbance_lp_norm(scenario: Scenario, p: float) -> float:
     raise DomainError(f"no disturbance norm rule for preset kind {kind!r}")
 
 
-def verify_iss(scenario: Scenario, p: float = math.inf, *,
-               envelope: DecayFit | None = None) -> IssReport:
-    """Run the scenario and check the recorded state norms against the
-    certified bound N e^{-a t}(||f|| + ||phi||) + rho ||u||_p.
+def verify_iss(scenario: Scenario, *others: Scenario,
+               p: float = math.inf) -> IssReport | tuple[IssReport, ...]:
+    """Run the scenarios and check each one's recorded state norms against
+    the certified bound N e^{-a t}(||f|| + ||phi||) + rho ||u||_p.
 
-    The envelope (N, a) comes from an unforced companion run of the same
-    scenario, stepped in lockstep with it, unless passed in; the rate is
-    deflated before use so first-order discretization error cannot
-    invalidate the certified envelope. A certificate that does not say ISS
-    raises SmallGainViolation carrying it.
+    Certificate, envelope (N, a) and gain rho do not depend on the input, so
+    scenarios that differ from the first only in disturbance share them: one
+    unforced companion is stepped in lockstep with all of them, and a tuple
+    of reports comes back in argument order, as from `run`. The envelope's
+    rate is deflated before use so first-order discretization error cannot
+    invalidate it. A certificate that does not say ISS raises
+    SmallGainViolation carrying it.
     """
     if not p >= 1:
         raise DomainError(f"p must be in [1, inf], got {p}")
+    for other in others:
+        for name in ("initial", "history"):
+            if getattr(other, name) != getattr(scenario, name):
+                raise ValidationError(f"batched scenarios must share {name}: "
+                                      "one unforced companion serves them all")
     spec, grid = scenario.spec, scenario.grid
     cert = small_gain_certificate(spec, grid)
     if cert.decision != "ISS":
@@ -144,37 +156,37 @@ def verify_iss(scenario: Scenario, p: float = math.inf, *,
             f"certificate decision is {cert.decision} (r_gain = {cert.r_gain}); "
             "the ISS estimate does not apply", certificate=cert)
 
-    if envelope is not None:
-        traj = run(scenario)
-    else:
-        companion = replace(scenario, disturbance={"kind": "zero"})
-        if scenario.initial.get("kind") == "zero" \
-                and scenario.history.get("kind") == "zero":
-            # zero unforced data carries no envelope information; probe with
-            # unit data instead (the envelope is data-independent by linearity)
-            companion = replace(companion,
-                                initial={"kind": "constant", "value": 1.0},
-                                history={"kind": "constant", "value": 1.0})
-        unforced, traj = run(companion, scenario)
-        envelope = fit_decay(unforced)
+    companion = replace(scenario, disturbance={"kind": "zero"})
+    if scenario.initial.get("kind") == "zero" \
+            and scenario.history.get("kind") == "zero":
+        # zero unforced data carries no envelope information; probe with
+        # unit data instead (the envelope is data-independent by linearity)
+        companion = replace(companion,
+                            initial={"kind": "constant", "value": 1.0},
+                            history={"kind": "constant", "value": 1.0})
+    unforced, *trajectories = run(companion, scenario, *others)
+    envelope = fit_decay(unforced)
     if envelope.a_hat <= 0:
         raise DomainError(
             f"companion run shows no decay (a_hat = {envelope.a_hat})")
     a_rate = ENVELOPE_DEFLATION * envelope.a_hat
     consts = iss_constants(spec, grid, p, (envelope.n_hat, a_rate))
 
-    u_norm = disturbance_lp_norm(scenario, p)
-    bounds = (envelope.n_hat * np.exp(-a_rate * traj.times)
-              * traj.initial_data_norm + consts.gain * u_norm)
-    margins = (bounds - traj.norm_state) / np.maximum(bounds, 1e-300)
-    worst = float(np.min(margins)) if len(margins) else 0.0
-    return IssReport(
-        certificate=cert, constants=consts, envelope=envelope,
-        times=traj.times, norms=traj.norm_state, bounds=bounds,
-        worst_margin=worst, passed=bool(worst >= -ISS_SLACK),
-        u_norm=u_norm, p=p,
-        metadata={"t_end": scenario.t_end, "dt": scenario.dt,
-                  "k_velocity": grid.k, "disturbance": dict(scenario.disturbance)})
+    reports = []
+    for sc, traj in zip((scenario, *others), trajectories):
+        u_norm = disturbance_lp_norm(sc, p)
+        bounds = (envelope.n_hat * np.exp(-a_rate * traj.times)
+                  * traj.initial_data_norm + consts.gain * u_norm)
+        margins = (bounds - traj.norm_state) / np.maximum(bounds, 1e-300)
+        worst = float(np.min(margins))
+        reports.append(IssReport(
+            certificate=cert, constants=consts, envelope=envelope,
+            times=traj.times, norms=traj.norm_state, bounds=bounds,
+            worst_margin=worst, passed=bool(worst >= -ISS_SLACK),
+            u_norm=u_norm, p=p,
+            metadata={"t_end": sc.t_end, "dt": sc.dt, "k_velocity": grid.k,
+                      "disturbance": dict(sc.disturbance)}))
+    return tuple(reports) if others else reports[0]
 
 
 # ---------------------------------------------------------------------------

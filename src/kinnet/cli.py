@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import fit_decay, sweep, verify_iss
-from .errors import DomainError, KinnetError, SchemaError, SmallGainViolation
+from .errors import (DomainError, ExtinctionFlag, KinnetError, SchemaError,
+                     SmallGainViolation)
 from .model import load_network
 from .operators import VelocityGrid, assemble_gain, assemble_pd, \
     dirichlet_norm_closed_form, pd_norm_closed_form
@@ -102,8 +103,10 @@ def _cmd_simulate(args) -> int:
                "initial_data_norm": traj.initial_data_norm}
     try:
         summary["decay_fit"] = fit_decay(traj).to_dict()
-    except KinnetError:
+    except ExtinctionFlag:
         summary["decay_fit"] = "extinct"
+    except DomainError:   # too few records in the fit window
+        summary["decay_fit"] = None
     _emit(args, "simulate.json", summary)
     return 0
 
@@ -113,7 +116,7 @@ def _cmd_verify(args) -> int:
     scenario = _load_scenario(spec, args.scenario, args)
     p = _float_arg("--p", args.p)
     try:
-        report = verify_iss(scenario, p)
+        report = verify_iss(scenario, p=p)
     except SmallGainViolation as e:
         if e.certificate is None or e.certificate.decision != "INCONCLUSIVE":
             raise

@@ -80,23 +80,7 @@ class Scenario:
             raise CflError(
                 f"dt = {self.dt} exceeds CFL bound dx_min over the fastest "
                 f"grid speed = {dx_min / v_top}")
-        # state N x K, ring about (r_max / dt) x J x K, in floats: r_max / dt
-        # may be too large to round to an integer
-        K, r_max = self.grid.k, max(c.delay for c in self.spec.circles)
-        if sum(m + 1 for m in self.m_cells) * K > MAX_ARRAY_VALUES:
-            raise ValidationError(f"m_base/m_cells give over {MAX_ARRAY_VALUES} state values")
-        if (r_max / self.dt + 2.0) * self.spec.n_circles * K > MAX_ARRAY_VALUES:
-            raise ValidationError(f"dt = {self.dt} gives over {MAX_ARRAY_VALUES} ring values")
-        # records n_records x J, input samples n_steps + 1
-        if not math.isfinite(self.t_end / self.dt):
-            raise ValidationError(f"t_end / dt = {self.t_end / self.dt} steps is not finite")
-        if self.n_records * self.spec.n_circles > MAX_ARRAY_VALUES:
-            raise ValidationError(
-                f"t_end / dt / stride gives over {MAX_ARRAY_VALUES} record values")
-        forced = self.disturbance.get("kind", "zero") != "zero"
-        if forced and self.n_steps + 1 > MAX_ARRAY_VALUES:
-            raise ValidationError(
-                f"t_end / dt gives over {MAX_ARRAY_VALUES} input samples")
+        _check_sizes((self,))
 
     @property
     def n_steps(self) -> int:
@@ -112,6 +96,32 @@ class Scenario:
         if self._engine is None:
             object.__setattr__(self, "_engine", _Engine(self))
         return self._engine
+
+
+def _check_sizes(members: tuple[Scenario, ...]) -> None:
+    """Raise unless each array of a lockstep run of the members, which share
+    the sizes of the first, holds at most MAX_ARRAY_VALUES values."""
+    sc, R = members[0], len(members)
+    # state R x N x K, ring about R x (r_max / dt) x J x K, in floats: r_max
+    # / dt may be too large to round to an integer
+    K, J = sc.grid.k, sc.spec.n_circles
+    r_max = max(c.delay for c in sc.spec.circles)
+    if R * sum(m + 1 for m in sc.m_cells) * K > MAX_ARRAY_VALUES:
+        raise ValidationError(f"m_base/m_cells give over {MAX_ARRAY_VALUES} "
+                              f"state values for {R} member(s)")
+    if R * (r_max / sc.dt + 2.0) * J * K > MAX_ARRAY_VALUES:
+        raise ValidationError(f"dt = {sc.dt} gives over {MAX_ARRAY_VALUES} "
+                              f"ring values for {R} member(s)")
+    # records R x n_records x J, input samples (n_steps + 1) x R
+    if not math.isfinite(sc.t_end / sc.dt):
+        raise ValidationError(f"t_end / dt = {sc.t_end / sc.dt} steps is not finite")
+    if R * sc.n_records * J > MAX_ARRAY_VALUES:
+        raise ValidationError(f"t_end / dt / stride gives over {MAX_ARRAY_VALUES} "
+                              f"record values for {R} member(s)")
+    forced = any(m.disturbance.get("kind", "zero") != "zero" for m in members)
+    if forced and R * (sc.n_steps + 1) > MAX_ARRAY_VALUES:
+        raise ValidationError(f"t_end / dt gives over {MAX_ARRAY_VALUES} "
+                              f"input samples for {R} member(s)")
 
 
 def default_m_cells(spec: NetworkSpec, base: int = 64) -> tuple[int, ...]:
@@ -439,6 +449,7 @@ def _check_members(first: Scenario, others: tuple) -> None:
         for name in _SHARED_FIELDS:
             if getattr(other, name) != getattr(first, name):
                 raise ValidationError(f"lockstep scenarios must share {name}")
+    _check_sizes((first, *others))
 
 
 def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory, ...]:

@@ -60,7 +60,9 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
     exactly 0 when A = 0. A zero row of A (lo = 0, nilpotent input included)
     keeps the bracket open, as does other reducible input; there, at the step
     cap, or when A x overflows, the dense eigenvalues clipped into the last
-    bracket decide.
+    bracket decide. An iterate entry that underflows to 0 ends the bracket
+    too, and raises DomainError: the entries of A then span more than the
+    float range, and neither bracket nor eigvals can be trusted.
     """
     _check_tol(tol)
     a = _as_matrix(op)
@@ -73,21 +75,26 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
 
     x = np.ones(a.shape[0])
     width, shifted = math.inf, False
-    for _ in range(_BRACKET_MAX_ITER):
-        y = a @ x
-        ratio = y / x
-        lo, hi = float(ratio.min()), float(ratio.max())
-        if hi == 0.0:
-            return 0.0
-        if lo == 0.0 or not math.isfinite(hi):
-            break
-        if hi - lo <= tol * hi:
-            return 0.5 * (lo + hi)
-        shifted = shifted or hi - lo > 0.5 * width
-        width = hi - lo
-        # x <- A x / hi never grows x, and x <- (A + hi I) x / hi at most
-        # doubles it per step
-        x = x + y / hi if shifted else y / hi
+    # a zero entry of x gives an inf or nan ratio, which ends the loop below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_BRACKET_MAX_ITER):
+            y = a @ x
+            ratio = y / x
+            lo, hi = float(ratio.min()), float(ratio.max())
+            if hi == 0.0:
+                return 0.0
+            if lo == 0.0 or not math.isfinite(hi):
+                break
+            if hi - lo <= tol * hi:
+                return 0.5 * (lo + hi)
+            shifted = shifted or hi - lo > 0.5 * width
+            width = hi - lo
+            # x <- A x / hi never grows x, and x <- (A + hi I) x / hi at most
+            # doubles it per step
+            x = x + y / hi if shifted else y / hi
+    if not x.all():
+        raise DomainError("the Perron iterate underflowed: the matrix entries "
+                          "span more than the float range")
     dense = float(np.max(np.abs(np.linalg.eigvals(a))))
     return min(max(dense, lo), hi)
 

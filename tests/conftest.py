@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,3 +50,12 @@ def survival_factor(circle, lam, v, x):
         raise DomainError(f"position {x} outside [0, {circle.length}]")
     exponent = (lam * x + circle.absorption.integral_x(x, v)) / v
     return math.exp(min(-exponent, 700.0))
+
+
+def float_range_cycle():
+    """Two default circles routed into each other with weights 1e300 and
+    4e-300. The gain radius at one velocity cell is about 1.43 (NOT_ISS),
+    but the unshifted Perron iterate of that gain underflows."""
+    spec = single_circle(1.0)
+    return replace(spec, circles=spec.circles * 2,
+                   routing=np.array([[0.0, 1e300], [4e-300, 0.0]]))

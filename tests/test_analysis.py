@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kinnet import (DomainError, ExtinctionFlag, SmallGainViolation,
-                    Trajectory, VelocityGrid, disturbance_lp_norm, fit_decay,
+                    Trajectory, ValidationError, VelocityGrid, disturbance_lp_norm, fit_decay,
                     make_scenario, measure_total_variation, network_bounds,
                     run, scale_spec, small_gain_certificate, spectral_abscissa,
                     sweep, verify_iss)
@@ -61,6 +62,16 @@ def test_fit_window_is_the_tail_half():
     assert fit.window == (5.0, 10.0)
     assert fit.a_hat == pytest.approx(0.3, abs=1e-9)
 
+
+
+def test_fit_refuses_a_window_of_one_record(sc_spec):
+    sc = make_scenario(sc_spec, VelocityGrid.for_spec(sc_spec, 2), t_end=1.0,
+                       m_base=8, stride=10**6,
+                       initial={"kind": "constant", "value": 1.0})
+    traj = run(sc)
+    assert len(traj.times) == 2
+    with pytest.raises(DomainError, match="fewer than 2 records"):
+        fit_decay(traj)
 
 def test_fit_matches_abscissa(sc_spec, grid8):
     traj = run(constant_scenario(sc_spec, grid8, t_end=10.0, stride=4))
@@ -152,6 +163,48 @@ def test_verify_reports_match_the_sequential_runs(name):
            r.constants.gain)
     np.testing.assert_allclose(got, _VERIFY_REFERENCE[name], rtol=1e-10, atol=0)
 
+
+
+_BATCH_INPUTS = ({"kind": "bounded_random", "bound": 0.5, "seed": 3},
+                 {"kind": "pulse", "value": 1.0, "t0": 0.5, "t1": 2.0},
+                 {"kind": "constant", "value": 0.3})
+
+
+@pytest.mark.parametrize("p", [math.inf, 2.0])
+@pytest.mark.parametrize("name", ["iss_two_circle", "iss_five_circle"])
+def test_batched_reports_match_the_per_scenario_calls(name, p):
+    spec = {n: s for n, s, _ in regression_suite()}[name]
+    b = network_bounds(spec)
+    scenarios = [constant_scenario(spec, VelocityGrid.for_spec(spec, 4),
+                                   t_end=4.0 * (b.l_bar / spec.v_min + b.r_bar),
+                                   stride=4, m_base=16, disturbance=u)
+                 for u in _BATCH_INPUTS]
+    batch = verify_iss(*scenarios, p=p)
+    assert len(batch) == len(scenarios)
+    for sc, got in zip(scenarios, batch):
+        ref = verify_iss(sc, p=p)
+        assert got.metadata == ref.metadata and got.u_norm == ref.u_norm
+        assert got.certificate == ref.certificate
+        assert np.array_equal(got.times, ref.times)
+        for field in ("norms", "bounds", "worst_margin"):
+            np.testing.assert_allclose(getattr(got, field), getattr(ref, field),
+                                       rtol=1e-12, atol=0, err_msg=field)
+        # the companion runs with R = 4 members here and R = 2 there
+        for mine, theirs in ((got.envelope, ref.envelope),
+                             (got.constants, ref.constants)):
+            np.testing.assert_allclose(np.hstack(list(vars(mine).values())),
+                                       np.hstack(list(vars(theirs).values())),
+                                       rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("field", ["initial", "history"])
+def test_batched_scenarios_share_the_unforced_data(sc_spec, grid8, field):
+    a = constant_scenario(sc_spec, grid8, t_end=2.0)
+    b = replace(a, **{field: {"kind": "constant", "value": 2.0}})
+    with pytest.raises(ValidationError, match=field):
+        verify_iss(a, b)
+    with pytest.raises(ValidationError, match=field):
+        verify_iss(b, a)
 
 def test_disturbance_norms(sc_spec, grid8):
     base = dict(t_end=4.0)

@@ -16,7 +16,7 @@ from kinnet.cli import main
 from kinnet.presets import conservation_spec, single_circle, \
     single_circle_lambda_star, single_circle_threshold_w
 
-from conftest import json_paths
+from conftest import float_range_cycle, json_paths
 
 
 @pytest.fixture
@@ -415,6 +415,30 @@ def test_abscissa_where_the_gain_passes_float_range(tmp_path, capsys, w, delay):
     doc = json.loads(capsys.readouterr().out)
     assert doc["lambda_star"] == pytest.approx(single_circle_lambda_star(spec), abs=1e-6)
 
+
+
+@pytest.mark.parametrize("command", ["analyze", "abscissa"])
+def test_cycle_beyond_the_float_range_exits_2(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(float_range_cycle().to_config()))
+    assert main([command, str(config), "--k-velocity", "1"]) == 2
+    assert "float range" in _one_line_error(capsys)
+
+
+def test_too_few_records_to_fit(config_iss, tmp_path, capsys):
+    # stride past n_steps: two records, only the last in the fit window
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"t_end": 1.0, "m_base": 8, "stride": 10**6,
+                                "initial": {"kind": "constant", "value": 1.0}}))
+    out = tmp_path / "sim"
+    assert main(["simulate", config_iss, str(path), "--k-velocity", "2",
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "simulate.json").read_text())
+    assert doc["n_records"] == 2 and doc["decay_fit"] is None
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 3
+    capsys.readouterr()
+    assert main(["verify", config_iss, str(path), "--k-velocity", "2"]) == 2
+    assert "fewer than 2 records" in _one_line_error(capsys)
 
 def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -27,7 +27,7 @@ EXPORTS = [
 
 OPTIONS = {
     "analysis.sweep": ["k_velocity"],
-    "analysis.verify_iss": ["p", "envelope"],
+    "analysis.verify_iss": ["p"],
     "cli.main": ["argv"],
     "operators.VelocityGrid.for_spec": ["k"],
     "presets.constant_kernel": ["scale"],

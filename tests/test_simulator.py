@@ -6,8 +6,10 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+import kinnet.simulator
 from kinnet import (CflError, Scenario, ValidationError, VelocityGrid,
-                    make_scenario, network_bounds, run)
+                    make_scenario, network_bounds, run, verify_iss)
+from kinnet.operators import MAX_ARRAY_VALUES
 from kinnet.delayquad import _accumulate_density, delay_quadrature
 from kinnet.operators import scattering_table
 from kinnet.simulator import _disturbance_samples, default_m_cells
@@ -507,6 +509,22 @@ def test_scenario_rejects_horizons_beyond_array_range(sc_spec, grid8):
     sc = make_scenario(sc_spec, grid8, t_end=1e12, dt=0.001, stride=10**9)
     assert sc.n_records == 10**6 + 1
 
+
+
+def test_lockstep_batch_is_capped_in_total(sc_spec, grid1, monkeypatch):
+    # each member's ring holds 0.6 of the cap: one member passes, two do not
+    dt = sc_spec.circles[0].delay / (0.6 * MAX_ARRAY_VALUES)
+    sc = make_scenario(sc_spec, grid1, t_end=dt, dt=dt, m_base=8)
+
+    def no_engine(*args):
+        raise AssertionError("an engine was built for an oversized batch")
+
+    monkeypatch.setattr(kinnet.simulator, "_Engine", no_engine)
+    with pytest.raises(ValidationError, match="ring values for 2 member"):
+        run(sc, sc)
+    # verify steps its unforced companion in lockstep with the scenario
+    with pytest.raises(ValidationError, match="ring values for 2 member"):
+        verify_iss(sc)
 
 def test_disturbance_samples_match_the_presets():
     spec = single_circle(0.5)

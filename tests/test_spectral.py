@@ -16,6 +16,8 @@ from kinnet.presets import (heterogeneous_five, regression_suite,
                             single_circle, single_circle_lambda_star,
                             single_circle_threshold_w)
 
+from conftest import float_range_cycle
+
 DENSE_EIGVALS = np.linalg.eigvals
 
 
@@ -86,6 +88,24 @@ def test_radius_rejects_non_finite_entries():
     with pytest.raises(DomainError, match="finite"):
         spectral_radius(a)
 
+
+
+def test_radius_refuses_entries_beyond_the_float_range():
+    # radius 1, but A x / hi sends one iterate entry below the smallest float
+    with pytest.raises(DomainError, match="float range"):
+        spectral_radius(np.array([[0.0, 1e300], [1e-300, 0.0]]))
+
+
+def test_certificate_refuses_a_cycle_beyond_the_float_range():
+    spec = float_range_cycle()
+    grid = VelocityGrid.for_spec(spec, 1)
+    g = assemble_gain(spec, grid, 0.0).operator.matrix
+    # the radius of a 2-cycle, taken in two square roots to stay in range
+    assert math.sqrt(g[0, 1]) * math.sqrt(g[1, 0]) == pytest.approx(1.43, abs=0.01)
+    with pytest.raises(DomainError, match="float range"):
+        small_gain_certificate(spec, grid)
+    with pytest.raises(DomainError, match="float range"):
+        spectral_abscissa(spec, grid)
 
 def test_radius_matches_eig_on_random_nonneg():
     rng = np.random.default_rng(7)
