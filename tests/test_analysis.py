@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from kinnet import (DomainError, ExtinctionFlag, SmallGainViolation,
-                    Trajectory, ValidationError, VelocityGrid, disturbance_lp_norm, fit_decay,
-                    make_scenario, measure_total_variation, network_bounds,
-                    run, scale_spec, small_gain_certificate, spectral_abscissa,
-                    sweep, verify_iss)
+                    Trajectory, ValidationError, VelocityGrid,
+                    disturbance_lp_norm, fit_decay, make_scenario,
+                    measure_total_variation, network_bounds, run, scale_spec,
+                    small_gain_certificate, spectral_abscissa, sweep,
+                    verify_iss)
 from kinnet.presets import (regression_suite, single_circle,
                             single_circle_threshold_w)
 
@@ -63,7 +64,6 @@ def test_fit_window_is_the_tail_half():
     assert fit.a_hat == pytest.approx(0.3, abs=1e-9)
 
 
-
 def test_fit_refuses_a_window_of_one_record(sc_spec):
     sc = make_scenario(sc_spec, VelocityGrid.for_spec(sc_spec, 2), t_end=1.0,
                        m_base=8, stride=10**6,
@@ -72,6 +72,7 @@ def test_fit_refuses_a_window_of_one_record(sc_spec):
     assert len(traj.times) == 2
     with pytest.raises(DomainError, match="fewer than 2 records"):
         fit_decay(traj)
+
 
 def test_fit_matches_abscissa(sc_spec, grid8):
     traj = run(constant_scenario(sc_spec, grid8, t_end=10.0, stride=4))
@@ -164,7 +165,6 @@ def test_verify_reports_match_the_sequential_runs(name):
     np.testing.assert_allclose(got, _VERIFY_REFERENCE[name], rtol=1e-10, atol=0)
 
 
-
 _BATCH_INPUTS = ({"kind": "bounded_random", "bound": 0.5, "seed": 3},
                  {"kind": "pulse", "value": 1.0, "t0": 0.5, "t1": 2.0},
                  {"kind": "constant", "value": 0.3})
@@ -205,6 +205,7 @@ def test_batched_scenarios_share_the_unforced_data(sc_spec, grid8, field):
         verify_iss(a, b)
     with pytest.raises(ValidationError, match=field):
         verify_iss(b, a)
+
 
 def test_disturbance_norms(sc_spec, grid8):
     base = dict(t_end=4.0)

@@ -416,7 +416,6 @@ def test_abscissa_where_the_gain_passes_float_range(tmp_path, capsys, w, delay):
     assert doc["lambda_star"] == pytest.approx(single_circle_lambda_star(spec), abs=1e-6)
 
 
-
 @pytest.mark.parametrize("command", ["analyze", "abscissa"])
 def test_cycle_beyond_the_float_range_exits_2(tmp_path, capsys, command):
     config = tmp_path / "config.json"
@@ -439,6 +438,7 @@ def test_too_few_records_to_fit(config_iss, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", config_iss, str(path), "--k-velocity", "2"]) == 2
     assert "fewer than 2 records" in _one_line_error(capsys)
+
 
 def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"

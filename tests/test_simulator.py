@@ -9,9 +9,8 @@ import pytest
 import kinnet.simulator
 from kinnet import (CflError, Scenario, ValidationError, VelocityGrid,
                     make_scenario, network_bounds, run, verify_iss)
-from kinnet.operators import MAX_ARRAY_VALUES
 from kinnet.delayquad import _accumulate_density, delay_quadrature
-from kinnet.operators import scattering_table
+from kinnet.operators import MAX_ARRAY_VALUES, scattering_table
 from kinnet.simulator import _disturbance_samples, default_m_cells
 from kinnet.presets import (constant_kernel, conservation_spec,
                             heterogeneous_five, single_circle)
@@ -510,7 +509,6 @@ def test_scenario_rejects_horizons_beyond_array_range(sc_spec, grid8):
     assert sc.n_records == 10**6 + 1
 
 
-
 def test_lockstep_batch_is_capped_in_total(sc_spec, grid1, monkeypatch):
     # each member's ring holds 0.6 of the cap: one member passes, two do not
     dt = sc_spec.circles[0].delay / (0.6 * MAX_ARRAY_VALUES)
@@ -525,6 +523,7 @@ def test_lockstep_batch_is_capped_in_total(sc_spec, grid1, monkeypatch):
     # verify steps its unforced companion in lockstep with the scenario
     with pytest.raises(ValidationError, match="ring values for 2 member"):
         verify_iss(sc)
+
 
 def test_disturbance_samples_match_the_presets():
     spec = single_circle(0.5)

@@ -89,7 +89,6 @@ def test_radius_rejects_non_finite_entries():
         spectral_radius(a)
 
 
-
 def test_radius_refuses_entries_beyond_the_float_range():
     # radius 1, but A x / hi sends one iterate entry below the smallest float
     with pytest.raises(DomainError, match="float range"):
@@ -106,6 +105,7 @@ def test_certificate_refuses_a_cycle_beyond_the_float_range():
         small_gain_certificate(spec, grid)
     with pytest.raises(DomainError, match="float range"):
         spectral_abscissa(spec, grid)
+
 
 def test_radius_matches_eig_on_random_nonneg():
     rng = np.random.default_rng(7)
