@@ -68,6 +68,8 @@ def _emit(args, name: str, payload: dict) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    if args.dump_gain and not args.out:
+        raise DomainError("--dump-gain needs --out, the directory for gain_matrix.csv")
     spec = load_network(args.config)
     grid = VelocityGrid.for_spec(spec, args.k_velocity)
     cert = small_gain_certificate(spec, grid)
@@ -81,7 +83,7 @@ def _cmd_analyze(args) -> int:
         bounds["pd_norm_closed_form"] = _json_number(pd_norm_closed_form(spec))
     payload = {"certificate": cert.to_dict(), "norm_bounds": bounds,
                "k_velocity": grid.k}
-    if args.dump_gain and args.out:
+    if args.dump_gain:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         np.savetxt(out / "gain_matrix.csv",

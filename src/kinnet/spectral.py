@@ -51,10 +51,14 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
     rate |lambda_2| / r, which is 0 where each circle's gain block has rank
     one (constant and separable kernels) and small on most gains. They stop
     helping on periodic input (block-antidiagonal or swap-routed operators),
-    where |lambda_2| = r. So from the first step that does not halve
-    hi - lo, the call uses the aperiodic x <- (A + hi I) x / hi instead,
-    for the rest of the call: its bracket closes on every irreducible input,
-    and the shift by hi keeps the rate independent of the scale of A.
+    where |lambda_2| = r and hi - lo barely moves. So from the first step
+    that shrinks hi - lo by less than a tenth, the call uses the aperiodic
+    x <- (A + hi I) x / hi instead, for the rest of the call: its bracket
+    closes on every irreducible input, and the shift by hi keeps the rate
+    independent of the scale of A. Periodic input stalls at once and so
+    switches at once; aperiodic input whose unshifted bracket shrinks by
+    less than half per step (a complex lambda_2, or one near r) keeps the
+    unshifted steps while they still shrink it by a tenth.
 
     Returns the middle of the first bracket with hi - lo <= tol * hi, and
     exactly 0 when A = 0. A zero row of A (lo = 0, nilpotent input included)
@@ -87,7 +91,7 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
                 break
             if hi - lo <= tol * hi:
                 return 0.5 * (lo + hi)
-            shifted = shifted or hi - lo > 0.5 * width
+            shifted = shifted or hi - lo > 0.9 * width
             width = hi - lo
             # x <- A x / hi never grows x, and x <- (A + hi I) x / hi at most
             # doubles it per step
@@ -142,13 +146,25 @@ def _bound_check(value: float | None) -> BoundCheck:
 def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate:
     """Decide exponential ISS from the junction gain radius at shift 0.
 
+    pd_radius is the spectral radius of the junction block operator
+    PD = [[0, P], [Q, 0]] of assemble_pd, taken from its blocks: Q is
+    diagonal, PD^2 = diag(PQ, QP), and PQ and QP share their nonzero
+    eigenvalues, so r(PD)^2 = r(QP). The call takes the radius of the n x n
+    row-scaled block QP rather than of the 2n x 2n operator, which is
+    periodic and so takes slow shifted steps throughout. Where every
+    survival in Q is positive, QP = Q (PQ) Q^-1 is similar to the gain PQ,
+    so its Collatz-Wielandt bracket closes as fast as the gain's. It is
+    still computed from the PD assembly, apart from the gain.
+
     Also evaluates the closed-form sufficient bounds where their preconditions
     hold (all-Dirac measures; all positive-rate exponential measures with
     mass-preserving scattering; mass-preserving junction norm bound).
     """
     gain = assemble_gain(spec, grid, 0.0)
     r_gain = spectral_radius(gain.operator)
-    pd_radius = spectral_radius(assemble_pd(spec, grid, 0.0))
+    pd = assemble_pd(spec, grid, 0.0).matrix
+    n = pd.shape[0] // 2
+    pd_radius = math.sqrt(spectral_radius(np.diag(pd[n:, :n])[:, None] * pd[:n, n:]))
 
     b = network_bounds(spec)
     exp_factor = dirichlet_norm_closed_form(spec)[0]

@@ -77,6 +77,13 @@ def test_analyze_writes_outputs(config_iss, tmp_path, capsys):
     assert (out / "gain_matrix.csv").exists()
 
 
+def test_analyze_dump_gain_without_out_exits_2(config_iss, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", config_iss, "--dump-gain"]) == 2
+    assert "--out" in _one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == [tmp_path / "iss.json"]
+
+
 def test_simulate(config_iss, scenario_file, tmp_path, capsys):
     out = tmp_path / "sim"
     code = main(["simulate", config_iss, scenario_file, "--k-velocity", "4",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from kinnet import (AbsorptionProfile, BlockOperator, BracketError, CircleSpec,
                     iss_constants,
                     resolvent_constant_c, small_gain_certificate,
                     spectral_abscissa, spectral_radius)
-from kinnet.presets import (heterogeneous_five, regression_suite,
+from kinnet.presets import (heterogeneous_five, random_spec, regression_suite,
                             single_circle, single_circle_lambda_star,
                             single_circle_threshold_w)
 
@@ -155,12 +156,17 @@ class _CountedMatrix(np.ndarray):
         return np.asarray(self) @ other
 
 
-def _radius_steps(a):
-    """Collatz-Wielandt steps that spectral_radius takes on the matrix a."""
+def _counted_radius(a):
+    """(radius, Collatz-Wielandt steps) that spectral_radius gives on the matrix a."""
     counted = np.asarray(a).view(_CountedMatrix)
     counted.products = 0
-    spectral_radius(BlockOperator(matrix=counted, weights=np.ones(len(a))))
-    return counted.products
+    r = spectral_radius(BlockOperator(matrix=counted, weights=np.ones(len(a))))
+    return r, counted.products
+
+
+def _radius_steps(a):
+    """Collatz-Wielandt steps that spectral_radius takes on the matrix a."""
+    return _counted_radius(a)[1]
 
 
 @pytest.mark.parametrize("k", [8, 32])
@@ -253,6 +259,74 @@ def test_certificate_serialization():
     d = cert.to_dict()
     assert d["schema_version"] == 1
     assert d["decision"] == "ISS"
+
+
+_FAMILIES = ("estimate", "example1", "example2", "c1")
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    """(name, certificate, gain steps, PD steps) for the regression suite and
+    random_spec(s, family) for s < 25 in every family, at k = 8 and 32; the
+    Collatz-Wielandt steps counted on spectral.spectral_radius, whose first
+    call in a certificate is the gain and whose second is the PD radius."""
+    steps = []
+
+    def counted(op, *args, **kwargs):
+        r, n = _counted_radius(getattr(op, "matrix", op))
+        steps.append(n)
+        return r
+
+    specs = [(name, spec) for name, spec, _ in regression_suite()]
+    specs += [(f"random_{family}_{s}", random_spec(s, family))
+              for family in _FAMILIES for s in range(25)]
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kinnet.spectral, "spectral_radius", counted)
+        for k in (8, 32):
+            for name, spec in specs:
+                steps.clear()
+                cert = small_gain_certificate(spec, VelocityGrid.for_spec(spec, k))
+                out.append((f"{name}@k{k}", cert, *steps))
+    return out
+
+
+def test_certificate_pd_radius_squares_to_the_gain_radius(certificates):
+    for name, cert, *_ in certificates:
+        assert cert.pd_radius ** 2 == pytest.approx(cert.r_gain, rel=1e-9), name
+
+
+@pytest.mark.parametrize("gamma, k", [(800.0, 8), (2000.0, 8), (2000.0, 32)])
+def test_certificate_where_the_survival_underflows(gamma, k):
+    # gamma = 800 underflows the survival of one cell at k = 8 to 0, which
+    # zeroes a row of the PD block product; gamma = 2000 underflows every cell
+    spec = single_circle(0.5, gamma=gamma)
+    grid = VelocityGrid.for_spec(spec, k)
+    gain = assemble_gain(spec, grid, 0.0).operator.matrix
+    assert np.count_nonzero(gain.sum(axis=0) == 0.0) == (1 if gamma == 800.0 else k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = small_gain_certificate(spec, grid)
+    assert cert.decision == "ISS"
+    assert cert.pd_radius ** 2 == pytest.approx(cert.r_gain, rel=1e-9)
+    assert (cert.r_gain == 0.0) == (gamma == 2000.0)
+
+
+def test_certificate_pd_radius_steps_track_the_gain(certificates):
+    # the PD radius is taken on the block product, similar to the gain; on
+    # the full 2n x 2n PD operator it took 35-62 steps on the suite
+    for name, _, gain_steps, pd_steps in certificates:
+        if not name.startswith("random_"):
+            assert pd_steps <= gain_steps + 2, name
+
+
+def test_radius_steps_on_random_gains_at_zero_shift(certificates):
+    # 2327 steps over the four families at k = 8 and 32 when the shifted
+    # steps took over from the first step that did not halve the bracket;
+    # 2368 since they wait for a step that shrinks it by less than a tenth
+    total = sum(gain_steps for name, _, gain_steps, _ in certificates
+                if name.startswith("random_"))
+    assert total <= 2450, total
 
 
 def _overflowing_circle(w=0.01):
