@@ -9,7 +9,7 @@ from .model import (AbsorptionProfile, CircleSpec, DelayMeasure, NetworkBounds,
                     measure_laplace, measure_total_variation, network_bounds,
                     routing_norm)
 from .operators import (BlockOperator, GainAssemblyReport, VelocityGrid,
-                        assemble_gain, assemble_pd, dirichlet_norm_closed_form,
+                        assemble_gain, dirichlet_norm_closed_form,
                         pd_norm_closed_form)
 from .spectral import (AbscissaResult, BoundCheck, Certificate, IssConstants,
                        c_check, iss_constants, resolvent_constant_c,

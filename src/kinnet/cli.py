@@ -14,7 +14,7 @@ from .analysis import fit_decay, sweep, verify_iss
 from .errors import (DomainError, ExtinctionFlag, KinnetError, SchemaError,
                      SmallGainViolation)
 from .model import load_network
-from .operators import VelocityGrid, assemble_gain, assemble_pd, \
+from .operators import VelocityGrid, _gain_factors, assemble_gain, \
     dirichlet_norm_closed_form, pd_norm_closed_form
 from .simulator import make_scenario, run
 from .spectral import _json_number, small_gain_certificate, spectral_abscissa
@@ -75,7 +75,7 @@ def _cmd_analyze(args) -> int:
     cert = small_gain_certificate(spec, grid)
     d0, routing = dirichlet_norm_closed_form(spec)
     bounds = {
-        "pd_norm_discrete": assemble_pd(spec, grid, 0.0).norm(),
+        "pd_norm_discrete": _gain_factors(spec, grid).pd_norm(0.0),
         "dirichlet_lift_bound": _json_number(d0),
         "routing_norm": routing,
     }

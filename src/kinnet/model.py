@@ -246,10 +246,10 @@ class CircleSpec:
     delay_measure: DelayMeasure
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValidationError("circle length must be > 0")
-        if self.delay <= 0:
-            raise ValidationError("circle delay must be > 0")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ValidationError(f"circle length must be finite and > 0, got {self.length}")
+        if not (math.isfinite(self.delay) and self.delay > 0):
+            raise ValidationError(f"circle delay must be finite and > 0, got {self.delay}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,9 +267,15 @@ class NetworkSpec:
     def __post_init__(self):
         # a read-only float copy: a later write into the caller's array, or
         # into spec.routing, would change a spec whose engine is already built
-        routing = np.array(self.routing, dtype=float)
+        try:
+            routing = np.array(self.routing, dtype=float)
+        except OverflowError:
+            raise ValidationError("routing has an integer beyond float range") from None
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"routing must be a matrix of numbers: {e}") from None
         routing.setflags(write=False)
         object.__setattr__(self, "routing", routing)
+        _validate(self)
 
     @property
     def n_circles(self) -> int:
@@ -483,8 +489,6 @@ def load_network(config_document) -> NetworkSpec:
     vel = _require(doc, "velocity", "config")
     v_min = _number(_require(vel, "v_min", "velocity"), "velocity.v_min")
     v_max = _number(_require(vel, "v_max", "velocity"), "velocity.v_max")
-    if not (0 < v_min <= v_max):
-        raise ValidationError(f"require 0 < v_min <= v_max, got ({v_min}, {v_max})")
 
     raw_circles = _require(doc, "circles", "config")
     if not isinstance(raw_circles, list) or len(raw_circles) == 0:
@@ -494,10 +498,6 @@ def load_network(config_document) -> NetworkSpec:
         ctx = f"circles[{j}]"
         length = _number(_require(c, "length", ctx), f"{ctx}.length")
         delay = _number(_require(c, "delay", ctx), f"{ctx}.delay")
-        if length <= 0:
-            raise ValidationError(f"{ctx}.length must be > 0, got {length}")
-        if delay <= 0:
-            raise ValidationError(f"{ctx}.delay must be > 0, got {delay}")
         circles.append(CircleSpec(
             length=length, delay=delay,
             absorption=_parse_absorption(_require(c, "absorption", ctx), f"{ctx}.absorption"),
@@ -505,23 +505,7 @@ def load_network(config_document) -> NetworkSpec:
             delay_measure=_parse_measure(_require(c, "delay_measure", ctx), delay,
                                          f"{ctx}.delay_measure"),
         ))
-    J = len(circles)
-
-    routing_raw = _require(doc, "routing", "config")
-    try:
-        routing = np.asarray(routing_raw, dtype=float)
-    except OverflowError:
-        raise ValidationError("routing has an integer beyond float range") from None
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"routing must be a matrix of numbers: {e}") from None
-    if routing.shape != (J, J):
-        raise SchemaError(f"routing must be {J}x{J}, got shape {routing.shape}")
-    if not np.all(np.isfinite(routing)):
-        raise ValidationError("routing entries must be finite")
-    bad = np.argwhere(routing < 0)
-    if bad.size:
-        i, j = bad[0]
-        raise ValidationError(f"routing[{i}][{j}] = {routing[i, j]} violates positivity")
+    routing = _require(doc, "routing", "config")
 
     flags = _typed(doc.get("flags", {}), dict, "flags")
     mass_preserving = flags.get("mass_preserving", False)
@@ -533,17 +517,38 @@ def load_network(config_document) -> NetworkSpec:
     gamma1 = None if ab.get("gamma1") is None else _number(ab["gamma1"], "gamma1")
     gamma2 = None if ab.get("gamma2") is None else _number(ab["gamma2"], "gamma2")
 
-    spec = NetworkSpec(circles=tuple(circles), routing=routing,
+    return NetworkSpec(circles=tuple(circles), routing=routing,
                        v_min=v_min, v_max=v_max, mass_preserving=mass_preserving,
                        gamma1=gamma1, gamma2=gamma2)
-    _validate(spec)
-    return spec
 
 
 def _validate(spec: NetworkSpec):
+    """The invariants of a network, however it was built: by load_network,
+    directly, by dataclasses.replace or by a preset."""
+    J = spec.n_circles
+    if J == 0:
+        raise ValidationError("a network needs at least one circle")
+    if not (0 < spec.v_min <= spec.v_max < math.inf):
+        raise ValidationError(
+            f"require 0 < v_min <= v_max < inf, got ({spec.v_min}, {spec.v_max})")
+    routing = spec.routing
+    if routing.shape != (J, J):
+        raise SchemaError(f"routing must be {J}x{J}, got shape {routing.shape}")
+    if not np.all(np.isfinite(routing)):
+        raise ValidationError("routing entries must be finite")
+    bad = np.argwhere(routing < 0)
+    if bad.size:
+        i, j = bad[0]
+        raise ValidationError(f"routing[{i}][{j}] = {routing[i, j]} violates positivity")
+    for name, gamma in (("gamma1", spec.gamma1), ("gamma2", spec.gamma2)):
+        if gamma is not None and not math.isfinite(gamma):
+            raise ValidationError(f"{name} must be finite, got {gamma}")
     for j, c in enumerate(spec.circles):
-        if _kernel_has_negative(c.scattering):
-            raise ValidationError(f"circles[{j}].scattering has a negative value")
+        # mixed signs in a product kernel are rejected outright
+        if not all(0 <= v < math.inf for v in _table_values(c.scattering)):
+            raise ValidationError(f"circles[{j}].scattering has a negative or non-finite value")
+        if not all(math.isfinite(v) for v in _table_values(c.absorption)):
+            raise ValidationError(f"circles[{j}].absorption has a non-finite value")
         if spec.gamma1 is not None and c.absorption.min_value() < spec.gamma1 - 1e-12:
             raise ValidationError(
                 f"circles[{j}].absorption value {c.absorption.min_value()} "
@@ -556,13 +561,13 @@ def _validate(spec: NetworkSpec):
             _check_mass_preserving(c.scattering, spec.v_min, spec.v_max, j)
 
 
-def _kernel_has_negative(s: ScatteringKernel) -> bool:
-    if s.kind == "constant":
-        return s.value < 0
-    if s.kind == "separable":
-        # mixed signs in a product kernel are rejected outright
-        return min(s.out_values) < 0 or min(s.in_values) < 0
-    return any(v < 0 for row in s.values for v in row)
+def _table_values(profile) -> list:
+    """Every number of a scattering kernel's or an absorption profile's table."""
+    if profile.kind == "constant":
+        return [profile.value]
+    if profile.kind == "separable":
+        return [*profile.out_values, *profile.in_values]
+    return [v for row in profile.values for v in row]
 
 
 def _check_mass_preserving(s: ScatteringKernel, v_min: float, v_max: float, j: int):

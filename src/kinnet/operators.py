@@ -22,8 +22,9 @@ MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
 
 
 def _check_operator_size(n: int) -> None:
-    """The junction block operator holds (2 n)^2 values for n = J K."""
-    if (2 * n) ** 2 > MAX_ARRAY_VALUES:
+    """About four n x n arrays live at once for n = J K: B, the gain, and the
+    PD blocks P and S P; together they hold 4 n^2 values."""
+    if 4 * n * n > MAX_ARRAY_VALUES:
         raise ValidationError(f"{n} (circle, velocity cell) pairs give junction "
                               f"operators over {MAX_ARRAY_VALUES} values")
 
@@ -143,6 +144,22 @@ class _GainFactors:
         scale = self.laplace(lam) * self.survival(lam)
         return BlockOperator(matrix=self.routed * scale[None, :], weights=self.weights)
 
+    def pd_blocks(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """(P, S) of the junction operator PD = [[0, P], [diag(S), 0]]: the
+        delayed scatter-route P = B diag(laplace(lam)) and the survivals S(lam)."""
+        return self.routed * self.laplace(lam)[None, :], self.survival(lam)
+
+    def pd_norm(self, lam: float) -> float:
+        """Norm of PD after the diagonal similarity diag(s, 1/s) that balances
+        its blocks: sqrt(||P|| max S), the geometric mean of the block norms,
+        or the larger block norm where the other one is 0. A product of roots
+        stays in float range where n_p * n_s would not."""
+        p, survival = self.pd_blocks(lam)
+        n_p, n_s = BlockOperator(p, self.weights).norm(), float(np.max(survival))
+        if n_p > 0.0 and n_s > 0.0:
+            return math.sqrt(n_p) * math.sqrt(n_s)
+        return max(n_p, n_s)
+
     @cached_property
     def log_bound(self) -> tuple[float, float]:
         """(a, b) with a |lam| + b above |x| for every e^x in gain(lam), its entries
@@ -203,31 +220,6 @@ def assemble_gain(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> GainAsse
     (j, k') of an entry depends on lam.
     """
     return GainAssemblyReport(lam=lam, operator=_gain_factors(spec, grid).gain(lam))
-
-
-def assemble_pd(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> BlockOperator:
-    """Antidiagonal junction block operator [[0, s*B_delay], [B_trace/s, 0]]
-    with B_delay = B diag(laplace(lam)) and B_trace = diag(S(lam)).
-
-    The scalar s balances the two block norms: a diagonal similarity that
-    leaves the spectrum and the block product unchanged, so the squared
-    spectral radius still equals the gain radius while the operator norm is
-    the geometric mean of the block norms.
-    """
-    f = _gain_factors(spec, grid)
-    b_delay = f.routed * f.laplace(lam)[None, :]
-    survival = f.survival(lam)
-    n_delay = BlockOperator(b_delay, f.weights).norm()
-    n_trace = float(np.max(survival))  # norm of a diagonal operator
-    if n_delay > 0.0 and n_trace > 0.0:
-        s = math.sqrt(n_trace / n_delay)
-    else:
-        s = 1.0
-    n = b_delay.shape[0]
-    mat = np.zeros((2 * n, 2 * n))
-    mat[:n, n:] = s * b_delay
-    mat[n:, :n] = np.diag(survival / s)
-    return BlockOperator(matrix=mat, weights=np.concatenate([f.weights, f.weights]))
 
 
 def _exp_or_inf(x: float) -> float:

@@ -17,8 +17,7 @@ import numpy as np
 from .errors import BracketError, DomainError, SmallGainViolation
 from .model import NetworkSpec, network_bounds
 from .operators import (BlockOperator, VelocityGrid, _bound_product, _gain_factors,
-                        assemble_gain, assemble_pd, dirichlet_norm_closed_form,
-                        pd_norm_closed_form)
+                        assemble_gain, dirichlet_norm_closed_form, pd_norm_closed_form)
 
 INCONCLUSIVE_BAND = 1e-3
 POWER_TOL_DEFAULT = 1e-10
@@ -146,15 +145,10 @@ def _bound_check(value: float | None) -> BoundCheck:
 def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate:
     """Decide exponential ISS from the junction gain radius at shift 0.
 
-    pd_radius is the spectral radius of the junction block operator
-    PD = [[0, P], [Q, 0]] of assemble_pd, taken from its blocks: Q is
-    diagonal, PD^2 = diag(PQ, QP), and PQ and QP share their nonzero
-    eigenvalues, so r(PD)^2 = r(QP). The call takes the radius of the n x n
-    row-scaled block QP rather than of the 2n x 2n operator, which is
-    periodic and so takes slow shifted steps throughout. Where every
-    survival in Q is positive, QP = Q (PQ) Q^-1 is similar to the gain PQ,
-    so its Collatz-Wielandt bracket closes as fast as the gain's. It is
-    still computed from the PD assembly, apart from the gain.
+    pd_radius is the spectral radius of the junction operator
+    PD = [[0, P], [Q, 0]], Q = diag(S): PD^2 = diag(PQ, QP), so
+    r(PD)^2 = r(QP), the radius of the n x n row-scaled block S P. It is
+    computed from the blocks of _GainFactors.pd_blocks, apart from the gain.
 
     Also evaluates the closed-form sufficient bounds where their preconditions
     hold (all-Dirac measures; all positive-rate exponential measures with
@@ -162,9 +156,8 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
     """
     gain = assemble_gain(spec, grid, 0.0)
     r_gain = spectral_radius(gain.operator)
-    pd = assemble_pd(spec, grid, 0.0).matrix
-    n = pd.shape[0] // 2
-    pd_radius = math.sqrt(spectral_radius(np.diag(pd[n:, :n])[:, None] * pd[:n, n:]))
+    p, survival = _gain_factors(spec, grid).pd_blocks(0.0)
+    pd_radius = math.sqrt(spectral_radius(survival[:, None] * p))
 
     b = network_bounds(spec)
     exp_factor = dirichlet_norm_closed_form(spec)[0]
@@ -416,7 +409,7 @@ def iss_constants(spec: NetworkSpec, grid: VelocityGrid, p: float,
     if not math.isfinite(d0_bound):
         raise DomainError("the Dirichlet-lift bound e^(l_bar gamma_bar / v_min) "
                           "passes float range; no finite ISS gain")
-    pd_norm = assemble_pd(spec, grid, 0.0).norm()
+    pd_norm = _gain_factors(spec, grid).pd_norm(0.0)
     if pd_norm >= 1.0:
         raise SmallGainViolation(f"junction operator norm {pd_norm} >= 1")
     lam = max(0.0, -spec.absorption_range()[1]) + 1.0

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from kinnet import (AbsorptionProfile, DelayMeasure, KinnetError, NetworkSpec,
                     measure_laplace, measure_total_variation, network_bounds,
                     routing_norm)
 from kinnet.model import _measure_log_laplace
-from kinnet.presets import conservation_spec, single_circle
+from kinnet.presets import conservation_spec, constant_kernel, single_circle
 
 from conftest import json_paths
 
@@ -229,6 +230,42 @@ def test_spec_routing_is_a_read_only_copy():
     assert spec.routing[0, 0] == 0.5 and spec.routing.dtype == float
     with pytest.raises(ValueError, match="read-only"):
         load_network(json.dumps(spec.to_config())).routing[0, 0] = 1.5
+
+
+def _with_circle(spec, **changes):
+    """spec with its one circle changed; a changed kernel drops the
+    mass-preserving flag, so the kernel's own check is the one that fires."""
+    return replace(spec, circles=(replace(spec.circles[0], **changes),),
+                   mass_preserving=spec.mass_preserving and "scattering" not in changes)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda s: replace(s, routing=np.eye(2)), SchemaError, r"routing must be 1x1"),
+    (lambda s: replace(s, v_min=0.0), ValidationError, "v_min"),
+    (lambda s: replace(s, v_max=math.inf), ValidationError, "v_max"),
+    (lambda s: single_circle(0.5, v_min=0.0), ValidationError, "v_min"),
+    (lambda s: replace(s, routing=[[math.nan]]), ValidationError, "routing"),
+    (lambda s: replace(s, routing=[[-0.5]]), ValidationError, "routing"),
+    (lambda s: NetworkSpec(circles=s.circles, routing=[[0.5, 0.5]], v_min=1.0,
+                           v_max=2.0), SchemaError, "routing"),
+    (lambda s: NetworkSpec(circles=(), routing=np.zeros((0, 0)), v_min=1.0,
+                           v_max=2.0), ValidationError, "one circle"),
+    (lambda s: _with_circle(s, scattering=constant_kernel(1.0, 2.0, -1.0)),
+     ValidationError, "negative"),
+    (lambda s: _with_circle(s, scattering=constant_kernel(1.0, 2.0, math.nan)),
+     ValidationError, "non-finite"),
+    (lambda s: _with_circle(s, absorption=AbsorptionProfile("constant", value=math.nan)),
+     ValidationError, "absorption"),
+    (lambda s: _with_circle(s, length=math.nan), ValidationError, "length"),
+    (lambda s: _with_circle(s, delay=math.inf), ValidationError, "delay"),
+    (lambda s: replace(s, gamma2=math.nan), ValidationError, "gamma2"),
+], ids=["routing_shape", "v_min_zero", "v_max_inf", "preset_v_min_zero",
+        "routing_nan", "routing_negative", "direct_routing_shape", "no_circles",
+        "kernel_negative", "kernel_nan", "absorption_nan", "length_nan", "delay_inf",
+        "gamma2_nan"])
+def test_specs_built_without_load_network_are_validated(build, error, match):
+    with pytest.raises(error, match=match):
+        build(single_circle(0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from kinnet import (BlockOperator, DomainError, PreconditionError,
-                    VelocityGrid, assemble_gain, assemble_pd,
+                    VelocityGrid, assemble_gain,
                     dirichlet_norm_closed_form, measure_laplace,
                     pd_norm_closed_form)
 from kinnet.presets import heterogeneous_five, regression_suite, \
     single_circle, single_circle_gain
 
 from conftest import survival_factor
+from pd_oracle import assemble_pd
 
 
 def test_velocity_grid_uniform():

@@ -16,7 +16,7 @@ EXPORTS = [
     "NetworkBounds", "NetworkSpec", "PreconditionError", "ScatteringKernel",
     "Scenario", "SchemaError", "SimState", "SmallGainViolation", "SweepResult",
     "Trajectory", "ValidationError", "VelocityGrid", "analysis",
-    "assemble_gain", "assemble_pd", "c_check", "delayquad",
+    "assemble_gain", "c_check", "delayquad",
     "dirichlet_norm_closed_form", "disturbance_lp_norm", "errors", "fit_decay",
     "iss_constants", "load_network", "make_scenario", "measure_laplace",
     "measure_total_variation", "model", "network_bounds", "operators",

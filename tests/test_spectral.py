@@ -9,7 +9,7 @@ import kinnet.operators
 import kinnet.spectral
 from kinnet import (AbsorptionProfile, BlockOperator, BracketError, CircleSpec,
                     DelayMeasure, DomainError, NetworkSpec, ScatteringKernel,
-                    SmallGainViolation, VelocityGrid, assemble_gain, assemble_pd, c_check,
+                    SmallGainViolation, VelocityGrid, assemble_gain, c_check,
                     iss_constants,
                     resolvent_constant_c, small_gain_certificate,
                     spectral_abscissa, spectral_radius)
@@ -18,6 +18,7 @@ from kinnet.presets import (heterogeneous_five, random_spec, regression_suite,
                             single_circle_threshold_w)
 
 from conftest import float_range_cycle
+from pd_oracle import assemble_pd
 
 DENSE_EIGVALS = np.linalg.eigvals
 
@@ -310,6 +311,35 @@ def test_certificate_where_the_survival_underflows(gamma, k):
     assert cert.decision == "ISS"
     assert cert.pd_radius ** 2 == pytest.approx(cert.r_gain, rel=1e-9)
     assert (cert.r_gain == 0.0) == (gamma == 2000.0)
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_pd_quantities_equal_the_block_operator(k):
+    """pd_norm and the certificate's pd_radius, taken from the two blocks,
+    against the dense 2n x 2n operator PD of the oracle."""
+    specs = [(name, spec) for name, spec, _ in regression_suite()]
+    specs += [(f"random_{family}_{s}", random_spec(s, family))
+              for family in _FAMILIES for s in range(8)]
+    for name, spec in specs:
+        grid = VelocityGrid.for_spec(spec, k)
+        pd = assemble_pd(spec, grid, 0.0)
+        n = pd.matrix.shape[0] // 2
+        qp = np.diag(pd.matrix[n:, :n])[:, None] * pd.matrix[:n, n:]
+        cert = small_gain_certificate(spec, grid)
+        assert kinnet.operators._gain_factors(spec, grid).pd_norm(0.0) == \
+            pytest.approx(pd.norm(), rel=1e-15, abs=0.0), name
+        assert cert.pd_radius ** 2 == pytest.approx(spectral_radius(qp), rel=1e-15,
+                                                    abs=0.0), name
+        assert cert.pd_radius ** 2 == pytest.approx(_dense_radius(qp), rel=1e-9), name
+    # P = 0 (a zero kernel) and S = 0 (every survival underflows): one block
+    # norm is 0 and the other one is the norm, exactly
+    for spec in (single_circle(0.5, kernel_scale=0.0), single_circle(0.5, gamma=3000.0)):
+        grid = VelocityGrid.for_spec(spec, k)
+        factors = kinnet.operators._gain_factors(spec, grid)
+        p, survival = factors.pd_blocks(0.0)
+        assert not p.any() or not survival.any()
+        assert factors.pd_norm(0.0) == assemble_pd(spec, grid, 0.0).norm() > 0.0
+        assert small_gain_certificate(spec, grid).pd_radius == 0.0
 
 
 def test_certificate_pd_radius_steps_track_the_gain(certificates):
