@@ -15,7 +15,7 @@ from .operators import VelocityGrid
 from .simulator import (Scenario, Trajectory, _disturbance_samples,
                         make_scenario, run)
 from .spectral import (Certificate, IssConstants, _json_number, iss_constants,
-                       small_gain_certificate, INCONCLUSIVE_BAND)
+                       small_gain_certificate)
 
 ENVELOPE_DEFLATION = 0.9
 ISS_SLACK = 0.05
@@ -236,7 +236,7 @@ def _scale_delay(c: CircleSpec, value: float) -> CircleSpec:
             atoms=tuple((pos * value, mass) for pos, mass in m.atoms),
             density_edges=tuple(e * value for e in m.density_edges),
             density_values=tuple(v / value for v in m.density_values))
-    return replace(c, delay=r, delay_measure=nm)
+    return replace(c, delay_measure=nm)
 
 
 @dataclass(frozen=True)
@@ -300,13 +300,8 @@ def sweep(spec: NetworkSpec, parameter: str, values, *,
             threshold = values[i] - f0 * (values[i + 1] - values[i]) / (f1 - f0)
             break
 
-    agreement = True
-    for r, a in zip(r_gains, a_hats):
-        if abs(r - 1.0) < INCONCLUSIVE_BAND:
-            continue
-        decays = a is None or a > 0.0
-        if (r < 1.0) != decays:
-            agreement = False
+    agreement = all((d == "ISS") == (a is None or a > 0.0)
+                    for d, a in zip(decisions, a_hats) if d != "INCONCLUSIVE")
     return SweepResult(parameter=parameter, values=values,
                        r_gains=tuple(r_gains), a_hats=tuple(a_hats),
                        decisions=tuple(decisions), threshold=threshold,

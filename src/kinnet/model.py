@@ -23,6 +23,50 @@ MASS_PRESERVING_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
+# numbers and tables: the config readers, which name the JSON value in their
+# errors, and the shape checks that every constructor runs
+
+def _number(x, ctx: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SchemaError(f"expected a number for {ctx}, got {type(x).__name__}")
+    try:
+        value = float(x)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ValidationError(f"{ctx} is an integer beyond float range") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{ctx} must be finite, got {value}")
+    return value
+
+
+def _typed(x, types, ctx: str):
+    if not isinstance(x, types):
+        raise SchemaError(f"{ctx} has the wrong type {type(x).__name__}")
+    return x
+
+
+def _numbers(x, ctx: str) -> tuple[float, ...]:
+    return tuple(_number(e, ctx) for e in _typed(x, (list, tuple), ctx))
+
+
+def _rows(x, ctx: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_numbers(row, ctx) for row in _typed(x, (list, tuple), ctx))
+
+
+def _cells(edges, name: str) -> int:
+    """The number of cells between edges, which must be finite and strictly
+    increasing."""
+    if len(edges) < 2 or not all(-math.inf < a < b < math.inf
+                                 for a, b in zip(edges, edges[1:])):
+        raise ValidationError(f"{name} needs at least 2 finite, strictly increasing edges")
+    return len(edges) - 1
+
+
+def _check_table(rows, n_rows: int | None, n_cols: int, name: str):
+    if n_rows not in (None, len(rows)) or any(len(row) != n_cols for row in rows):
+        raise ValidationError(f"{name} must be a {n_rows or 'n'} x {n_cols} table")
+
+
+# ---------------------------------------------------------------------------
 # delay measures
 
 @dataclass(frozen=True)
@@ -47,11 +91,13 @@ class DelayMeasure:
     def __post_init__(self):
         if self.kind not in ("dirac", "exponential", "piecewise"):
             raise ValidationError(f"unknown delay measure kind {self.kind!r}")
-        if self.r <= 0:
-            raise ValidationError("delay measure support bound r must be > 0")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValidationError(
+                f"delay measure support bound r must be finite and > 0, got {self.r}")
         if self.kind == "exponential" and self.theta_rate == 0.0:
             raise ValidationError("exponential delay measure needs theta_rate != 0")
         if self.kind == "piecewise":
+            _check_table(self.atoms, None, 2, "delay measure atoms")
             for pos, mass in self.atoms:
                 if not mass >= 0:
                     raise ValidationError(f"delay measure atom at {pos} has mass {mass}")
@@ -64,13 +110,11 @@ class DelayMeasure:
                         "junction loop, resolved by one sweep per step",
                         stacklevel=2)
             edges = self.density_edges
-            if len(edges) != 0 and len(edges) != len(self.density_values) + 1:
-                raise ValidationError("density_edges must have len(density_values)+1 entries")
-            if any(b <= a for a, b in zip(edges, edges[1:])):
-                raise ValidationError("density_edges must be strictly increasing")
-            if edges and (edges[0] < -self.r - 1e-12 or edges[-1] > 1e-12):
-                raise ValidationError(
-                    f"density support outside [-{self.r}, 0]")
+            if edges or self.density_values:
+                if len(self.density_values) != _cells(edges, "density_edges"):
+                    raise ValidationError("density_values need one entry per density cell")
+                if edges[0] < -self.r - 1e-12 or edges[-1] > 1e-12:
+                    raise ValidationError(f"density support outside [-{self.r}, 0]")
             if not all(v >= 0 for v in self.density_values):
                 raise ValidationError("delay measure density values must be >= 0")
         if not _measure_log_laplace(self, 0.0) < np.log(np.finfo(float).max):
@@ -151,6 +195,19 @@ class AbsorptionProfile:
     v_edges: tuple[float, ...] = ()
     values: tuple[tuple[float, ...], ...] = ()  # shape (n_x, n_v)
 
+    # the fields each kind reads, with their config readers
+    FIELDS = {"constant": {"value": _number},
+              "tabulated": {"x_edges": _numbers, "v_edges": _numbers, "values": _rows}}
+
+    def __post_init__(self):
+        if self.kind not in self.FIELDS:
+            raise ValidationError(f"unknown absorption kind {self.kind!r}")
+        if self.kind == "tabulated":
+            _check_table(self.values, _cells(self.x_edges, "x_edges"),
+                         _cells(self.v_edges, "v_edges"), "values")
+        if not all(math.isfinite(v) for v in _field_values(self)):
+            raise ValidationError("absorption has a non-finite value")
+
     def q(self, x, v):
         """q(x, v), elementwise over positions and velocities that broadcast."""
         if self.kind == "constant":
@@ -190,6 +247,13 @@ def _cell_index(edges, x):
     return np.minimum(np.maximum(i, 0), len(edges) - 2)
 
 
+def _field_values(coefficient) -> list:
+    """Every number in the fields of a coefficient's kind, edges aside."""
+    return [v for name in coefficient.FIELDS[coefficient.kind]
+            if not name.endswith("_edges")
+            for v in np.ravel(getattr(coefficient, name)).tolist()]
+
+
 @dataclass(frozen=True)
 class ScatteringKernel:
     """Nonnegative kernel beta(v, v') redistributing velocities at the junction.
@@ -205,6 +269,25 @@ class ScatteringKernel:
     out_values: tuple[float, ...] = ()
     in_values: tuple[float, ...] = ()
     values: tuple[tuple[float, ...], ...] = ()  # shape (n_v_out, n_v_in)
+
+    # the fields each kind reads, with their config readers
+    FIELDS = {"constant": {"value": _number},
+              "separable": {"v_edges": _numbers, "out_values": _numbers,
+                            "in_values": _numbers},
+              "tabulated": {"v_edges": _numbers, "values": _rows}}
+
+    def __post_init__(self):
+        if self.kind not in self.FIELDS:
+            raise ValidationError(f"unknown scattering kind {self.kind!r}")
+        if self.kind != "constant":
+            n = _cells(self.v_edges, "v_edges")
+            if self.kind == "tabulated":
+                _check_table(self.values, n, n, "values")
+            elif len(self.out_values) != n or len(self.in_values) != n:
+                raise ValidationError(f"out_values and in_values need {n} entries")
+        # mixed signs in a product kernel are rejected outright
+        if not all(0 <= v < math.inf for v in _field_values(self)):
+            raise ValidationError("scattering has a negative or non-finite value")
 
     def beta(self, v, v_in):
         """beta(v, v_in), elementwise over velocities that broadcast together."""
@@ -240,7 +323,6 @@ class ScatteringKernel:
 @dataclass(frozen=True)
 class CircleSpec:
     length: float
-    delay: float
     absorption: AbsorptionProfile
     scattering: ScatteringKernel
     delay_measure: DelayMeasure
@@ -248,8 +330,11 @@ class CircleSpec:
     def __post_init__(self):
         if not (math.isfinite(self.length) and self.length > 0):
             raise ValidationError(f"circle length must be finite and > 0, got {self.length}")
-        if not (math.isfinite(self.delay) and self.delay > 0):
-            raise ValidationError(f"circle delay must be finite and > 0, got {self.delay}")
+
+    @property
+    def delay(self) -> float:
+        """The circle's delay r: its delay measure lives on [-r, 0]."""
+        return self.delay_measure.r
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,35 +378,16 @@ class NetworkSpec:
         """Serialize back to the JSON config schema (round-trips exactly)."""
         circles = []
         for c in self.circles:
-            a = c.absorption
-            if a.kind == "constant":
-                absorption = {"kind": "constant", "value": a.value}
-            else:
-                absorption = {"kind": "tabulated", "x_edges": list(a.x_edges),
-                              "v_edges": list(a.v_edges),
-                              "values": [list(r) for r in a.values]}
-            s = c.scattering
-            if s.kind == "constant":
-                scattering = {"kind": "constant", "value": s.value}
-            elif s.kind == "separable":
-                scattering = {"kind": "separable", "v_edges": list(s.v_edges),
-                              "out_values": list(s.out_values),
-                              "in_values": list(s.in_values)}
-            else:
-                scattering = {"kind": "tabulated", "v_edges": list(s.v_edges),
-                              "values": [list(r) for r in s.values]}
             m = c.delay_measure
-            if m.kind == "dirac":
-                measure = {"kind": "dirac"}
-            elif m.kind == "exponential":
-                measure = {"kind": "exponential", "theta": m.theta_rate}
-            else:
-                measure = {"kind": "piecewise",
-                           "atoms": [list(a_) for a_ in m.atoms],
-                           "density_edges": list(m.density_edges),
-                           "density_values": list(m.density_values)}
+            measure = {"kind": m.kind}
+            if m.kind == "exponential":
+                measure["theta"] = m.theta_rate
+            elif m.kind == "piecewise":
+                measure.update(atoms=_json(m.atoms), density_edges=_json(m.density_edges),
+                               density_values=_json(m.density_values))
             circles.append({"length": c.length, "delay": c.delay,
-                            "absorption": absorption, "scattering": scattering,
+                            "absorption": _config(c.absorption),
+                            "scattering": _config(c.scattering),
                             "delay_measure": measure})
         doc = {
             "velocity": {"v_min": self.v_min, "v_max": self.v_max},
@@ -383,94 +449,53 @@ def _require(doc: dict, key: str, ctx: str):
     return doc[key]
 
 
-def _number(x, ctx: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SchemaError(f"expected a number for {ctx}, got {type(x).__name__}")
+def _build(cls, ctx: str, **fields):
+    """cls(**fields), a ValidationError of its own checks naming the config node."""
     try:
-        value = float(x)
-    except OverflowError:  # a JSON integer beyond float range
-        raise ValidationError(f"{ctx} is an integer beyond float range") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"{ctx} must be finite, got {value}")
-    return value
+        return cls(**fields)
+    except ValidationError as e:
+        raise ValidationError(f"{ctx}: {e}") from None
 
 
-def _typed(x, types, ctx: str):
-    if not isinstance(x, types):
-        raise SchemaError(f"{ctx} has the wrong type {type(x).__name__}")
-    return x
-
-
-def _numbers(x, ctx: str) -> tuple[float, ...]:
-    return tuple(_number(e, ctx) for e in _typed(x, (list, tuple), ctx))
-
-
-def _edges(x, ctx: str) -> tuple[float, ...]:
-    edges = _numbers(x, ctx)
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValidationError(f"{ctx} must hold at least 2 strictly increasing edges")
-    return edges
-
-
-def _table(x, n_rows: int | None, n_cols: int, ctx: str) -> tuple[tuple[float, ...], ...]:
-    rows = tuple(_numbers(row, ctx) for row in _typed(x, (list, tuple), ctx))
-    if n_rows not in (None, len(rows)) or any(len(row) != n_cols for row in rows):
-        raise ValidationError(f"{ctx} must be a {n_rows or 'n'} x {n_cols} table")
-    return rows
-
-
-def _parse_absorption(doc, ctx: str) -> AbsorptionProfile:
+def _parse(cls, circle, key: str, ctx: str):
+    """The AbsorptionProfile or ScatteringKernel at circle[key]: the fields of
+    its kind."""
+    doc, ctx = _require(circle, key, ctx), f"{ctx}.{key}"
     kind = _require(doc, "kind", ctx)
-    if kind == "constant":
-        return AbsorptionProfile(kind="constant",
-                                 value=_number(_require(doc, "value", ctx), f"{ctx}.value"))
-    if kind == "tabulated":
-        x_edges = _edges(_require(doc, "x_edges", ctx), f"{ctx}.x_edges")
-        v_edges = _edges(_require(doc, "v_edges", ctx), f"{ctx}.v_edges")
-        return AbsorptionProfile(
-            kind="tabulated", x_edges=x_edges, v_edges=v_edges,
-            values=_table(_require(doc, "values", ctx), len(x_edges) - 1,
-                          len(v_edges) - 1, f"{ctx}.values"))
-    raise SchemaError(f"unknown absorption kind {kind!r} in {ctx}")
+    if not isinstance(kind, str) or kind not in cls.FIELDS:
+        raise SchemaError(f"unknown kind {kind!r} in {ctx}")
+    return _build(cls, ctx, kind=kind, **{
+        name: read(_require(doc, name, ctx), f"{ctx}.{name}")
+        for name, read in cls.FIELDS[kind].items()})
 
 
-def _parse_scattering(doc, ctx: str) -> ScatteringKernel:
-    kind = _require(doc, "kind", ctx)
-    if kind == "constant":
-        return ScatteringKernel(kind="constant",
-                                value=_number(_require(doc, "value", ctx), f"{ctx}.value"))
-    if kind not in ("separable", "tabulated"):
-        raise SchemaError(f"unknown scattering kind {kind!r} in {ctx}")
-    v_edges = _edges(_require(doc, "v_edges", ctx), f"{ctx}.v_edges")
-    n = len(v_edges) - 1
-    if kind == "tabulated":
-        return ScatteringKernel(
-            kind="tabulated", v_edges=v_edges,
-            values=_table(_require(doc, "values", ctx), n, n, f"{ctx}.values"))
-    out_values = _numbers(_require(doc, "out_values", ctx), f"{ctx}.out_values")
-    in_values = _numbers(_require(doc, "in_values", ctx), f"{ctx}.in_values")
-    if len(out_values) != n or len(in_values) != n:
-        raise ValidationError(f"{ctx}.out_values and .in_values need {n} entries")
-    return ScatteringKernel(kind="separable", v_edges=v_edges,
-                            out_values=out_values, in_values=in_values)
+def _config(coefficient) -> dict:
+    """The config node of an AbsorptionProfile or ScatteringKernel."""
+    return {"kind": coefficient.kind, **{name: _json(getattr(coefficient, name))
+                                         for name in coefficient.FIELDS[coefficient.kind]}}
 
 
-def _parse_measure(doc, delay: float, ctx: str) -> DelayMeasure:
+def _json(x):
+    """x with its tuples and arrays as JSON lists."""
+    return [_json(e) for e in x] if isinstance(x, (tuple, list, np.ndarray)) else x
+
+
+def _parse_measure(circle, ctx: str) -> DelayMeasure:
+    """The circle's delay measure, on the support [-delay, 0]."""
+    delay = _number(_require(circle, "delay", ctx), f"{ctx}.delay")
+    doc, ctx = _require(circle, "delay_measure", ctx), f"{ctx}.delay_measure"
     kind = _require(doc, "kind", ctx)
     if kind == "dirac":
-        return DelayMeasure(kind="dirac", r=delay)
-    if kind == "exponential":
-        return DelayMeasure(kind="exponential", r=delay,
-                            theta_rate=_number(_require(doc, "theta", ctx), f"{ctx}.theta"))
-    if kind == "piecewise":
-        return DelayMeasure(
-            kind="piecewise", r=delay,
-            atoms=_table(doc.get("atoms", ()), None, 2, f"{ctx}.atoms"),
-            density_edges=_numbers(doc.get("density_edges", ()), f"{ctx}.density_edges"),
-            density_values=_numbers(doc.get("density_values", ()),
-                                    f"{ctx}.density_values"),
-        )
-    raise SchemaError(f"unknown delay measure kind {kind!r} in {ctx}")
+        fields = {}
+    elif kind == "exponential":
+        fields = {"theta_rate": _number(_require(doc, "theta", ctx), f"{ctx}.theta")}
+    elif kind == "piecewise":
+        fields = {name: read(doc.get(name, ()), f"{ctx}.{name}") for name, read in
+                  (("atoms", _rows), ("density_edges", _numbers),
+                   ("density_values", _numbers))}
+    else:
+        raise SchemaError(f"unknown kind {kind!r} in {ctx}")
+    return _build(DelayMeasure, ctx, kind=kind, r=delay, **fields)
 
 
 def load_network(config_document) -> NetworkSpec:
@@ -496,15 +521,11 @@ def load_network(config_document) -> NetworkSpec:
     circles = []
     for j, c in enumerate(raw_circles):
         ctx = f"circles[{j}]"
-        length = _number(_require(c, "length", ctx), f"{ctx}.length")
-        delay = _number(_require(c, "delay", ctx), f"{ctx}.delay")
-        circles.append(CircleSpec(
-            length=length, delay=delay,
-            absorption=_parse_absorption(_require(c, "absorption", ctx), f"{ctx}.absorption"),
-            scattering=_parse_scattering(_require(c, "scattering", ctx), f"{ctx}.scattering"),
-            delay_measure=_parse_measure(_require(c, "delay_measure", ctx), delay,
-                                         f"{ctx}.delay_measure"),
-        ))
+        circles.append(_build(
+            CircleSpec, ctx, length=_number(_require(c, "length", ctx), f"{ctx}.length"),
+            absorption=_parse(AbsorptionProfile, c, "absorption", ctx),
+            scattering=_parse(ScatteringKernel, c, "scattering", ctx),
+            delay_measure=_parse_measure(c, ctx)))
     routing = _require(doc, "routing", "config")
 
     flags = _typed(doc.get("flags", {}), dict, "flags")
@@ -544,11 +565,6 @@ def _validate(spec: NetworkSpec):
         if gamma is not None and not math.isfinite(gamma):
             raise ValidationError(f"{name} must be finite, got {gamma}")
     for j, c in enumerate(spec.circles):
-        # mixed signs in a product kernel are rejected outright
-        if not all(0 <= v < math.inf for v in _table_values(c.scattering)):
-            raise ValidationError(f"circles[{j}].scattering has a negative or non-finite value")
-        if not all(math.isfinite(v) for v in _table_values(c.absorption)):
-            raise ValidationError(f"circles[{j}].absorption has a non-finite value")
         if spec.gamma1 is not None and c.absorption.min_value() < spec.gamma1 - 1e-12:
             raise ValidationError(
                 f"circles[{j}].absorption value {c.absorption.min_value()} "
@@ -559,15 +575,6 @@ def _validate(spec: NetworkSpec):
                 f"above declared gamma2 = {spec.gamma2}")
         if spec.mass_preserving:
             _check_mass_preserving(c.scattering, spec.v_min, spec.v_max, j)
-
-
-def _table_values(profile) -> list:
-    """Every number of a scattering kernel's or an absorption profile's table."""
-    if profile.kind == "constant":
-        return [profile.value]
-    if profile.kind == "separable":
-        return [*profile.out_values, *profile.in_values]
-    return [v for row in profile.values for v in row]
 
 
 def _check_mass_preserving(s: ScatteringKernel, v_min: float, v_max: float, j: int):

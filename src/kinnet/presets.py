@@ -43,8 +43,7 @@ def single_circle(w: float, *, gamma: float = 0.5, length: float = 1.0,
     gain is exactly w * e^{-gamma*l/v1} * laplace(measure, 0).
     """
     circle = CircleSpec(
-        length=length, delay=delay,
-        absorption=AbsorptionProfile(kind="constant", value=gamma),
+        length=length, absorption=AbsorptionProfile(kind="constant", value=gamma),
         scattering=constant_kernel(v_min, v_max, kernel_scale),
         delay_measure=_measure(measure, delay, theta_rate),
     )
@@ -127,8 +126,7 @@ def random_spec(seed: int, family: str = "estimate") -> NetworkSpec:
             scale = 1.0 if mass_preserving else float(rng.uniform(0.1, 1.5))
             kernel = constant_kernel(v_min, v_max, scale)
         circles.append(CircleSpec(
-            length=length, delay=delay,
-            absorption=AbsorptionProfile(kind="constant", value=gamma),
+            length=length, absorption=AbsorptionProfile(kind="constant", value=gamma),
             scattering=kernel, delay_measure=m))
 
     routing = rng.uniform(0.0, 1.2, (j_count, j_count))
@@ -151,8 +149,7 @@ def heterogeneous_five(routing_scale: float = 0.5) -> NetworkSpec:
         (0.6, 0.6, 0.40, "piecewise", 0.0),
     ]
     circles = tuple(
-        CircleSpec(length=l, delay=r,
-                   absorption=AbsorptionProfile(kind="constant", value=g),
+        CircleSpec(length=l, absorption=AbsorptionProfile(kind="constant", value=g),
                    scattering=constant_kernel(v_min, v_max),
                    delay_measure=_measure(kind, r, th))
         for l, r, g, kind, th in data)
@@ -172,8 +169,7 @@ def conservation_spec() -> NetworkSpec:
     total mass (circles plus delay lines) is a conserved quantity."""
     v_min, v_max = 1.0, 2.0
     mk = lambda l, r: CircleSpec(
-        length=l, delay=r,
-        absorption=AbsorptionProfile(kind="constant", value=0.0),
+        length=l, absorption=AbsorptionProfile(kind="constant", value=0.0),
         scattering=constant_kernel(v_min, v_max),
         delay_measure=DelayMeasure(kind="dirac", r=r))
     routing = np.array([[0.4, 0.7], [0.6, 0.3]])  # column sums are 1
@@ -214,8 +210,7 @@ def _two_circle(gain: float) -> NetworkSpec:
     v_min, v_max = 1.0, 2.0
     v1 = 0.5 * (v_min + v_max)
     circles = tuple(
-        CircleSpec(length=l, delay=r,
-                   absorption=AbsorptionProfile(kind="constant", value=g),
+        CircleSpec(length=l, absorption=AbsorptionProfile(kind="constant", value=g),
                    scattering=constant_kernel(v_min, v_max),
                    delay_measure=DelayMeasure(kind="dirac", r=r))
         for l, r, g in [(1.0, 0.5, 0.3), (1.3, 0.35, 0.15)])

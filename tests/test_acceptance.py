@@ -226,7 +226,7 @@ def _oracle_specs():
                               v_edges=(1.0, 1.5, 2.0),
                               values=((0.2, 0.5), (0.7, 0.1)))
     mk = lambda measure, absorption: NetworkSpec(
-        circles=(CircleSpec(length=1.0, delay=0.5, absorption=absorption,
+        circles=(CircleSpec(length=1.0, absorption=absorption,
                             scattering=constant_kernel(1.0, 2.0),
                             delay_measure=measure),),
         routing=np.array([[0.6]]), v_min=1.0, v_max=2.0)
@@ -237,12 +237,12 @@ def _oracle_specs():
                       density_edges=(-0.5, 0.0), density_values=(0.9,))
     two = NetworkSpec(
         circles=(
-            CircleSpec(length=0.8, delay=0.3, absorption=tab_q,
+            CircleSpec(length=0.8, absorption=tab_q,
                        scattering=ScatteringKernel(
                            kind="separable", v_edges=(1.0, 1.5, 2.0),
                            out_values=(0.8, 1.2), in_values=(0.9, 1.1)),
                        delay_measure=dirac),
-            CircleSpec(length=1.2, delay=0.6, absorption=const_q,
+            CircleSpec(length=1.2, absorption=const_q,
                        scattering=constant_kernel(1.0, 2.0, 0.7),
                        delay_measure=expm),
         ),

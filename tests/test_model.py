@@ -257,7 +257,9 @@ def _with_circle(spec, **changes):
     (lambda s: _with_circle(s, absorption=AbsorptionProfile("constant", value=math.nan)),
      ValidationError, "absorption"),
     (lambda s: _with_circle(s, length=math.nan), ValidationError, "length"),
-    (lambda s: _with_circle(s, delay=math.inf), ValidationError, "delay"),
+    (lambda s: _with_circle(s, delay_measure=replace(s.circles[0].delay_measure,
+                                                     r=math.inf)),
+     ValidationError, "delay"),
     (lambda s: replace(s, gamma2=math.nan), ValidationError, "gamma2"),
 ], ids=["routing_shape", "v_min_zero", "v_max_inf", "preset_v_min_zero",
         "routing_nan", "routing_negative", "direct_routing_shape", "no_circles",
@@ -266,6 +268,44 @@ def _with_circle(spec, **changes):
 def test_specs_built_without_load_network_are_validated(build, error, match):
     with pytest.raises(error, match=match):
         build(single_circle(0.5))
+
+
+_EDGES = (1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ScatteringKernel(kind="tabulated", v_edges=_EDGES, values=((1.0,),)),
+    lambda: ScatteringKernel(kind="uniform", value=1.0),
+    lambda: AbsorptionProfile(kind="gaussian", value=1.0),
+    lambda: ScatteringKernel(kind="separable", v_edges=_EDGES, out_values=(1.0,),
+                             in_values=(1.0, 1.0)),
+    lambda: AbsorptionProfile(kind="tabulated", x_edges=(0.0, 1.0), v_edges=_EDGES,
+                              values=((0.2,),)),
+    lambda: ScatteringKernel(kind="tabulated", v_edges=_EDGES,
+                             values=((0.2, 0.5), (0.7,))),
+    lambda: ScatteringKernel(kind="tabulated", v_edges=(2.0, 1.5, 1.0),
+                             values=((0.2, 0.5), (0.7, 0.1))),
+    lambda: AbsorptionProfile(kind="tabulated", x_edges=(0.0, math.nan, 1.0),
+                              v_edges=(1.0, 2.0), values=((0.2,), (0.5,))),
+    lambda: DelayMeasure(kind="exponential", r=math.inf, theta_rate=2.0),
+    lambda: DelayMeasure(kind="piecewise", r=1.0, atoms=((-0.5,),)),
+    lambda: DelayMeasure(kind="piecewise", r=1.0, atoms=((-0.5, 0.3, 1.0),)),
+    lambda: DelayMeasure(kind="piecewise", r=1.0, density_values=(1.0,)),
+], ids=["kernel_shape", "kernel_kind", "absorption_kind", "separable_short",
+        "absorption_shape", "ragged_table", "decreasing_edges", "nan_edge",
+        "exponential_r_inf", "atom_single", "atom_triple", "density_without_edges"])
+def test_coefficients_and_measures_check_themselves(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_circle_delay_is_its_measure_support():
+    spec = single_circle(0.5)
+    for m in (replace(spec.circles[0].delay_measure, r=2.0),
+              DelayMeasure(kind="exponential", r=0.1, theta_rate=2.0)):
+        changed = _with_circle(spec, delay_measure=m)
+        assert changed.circles[0].delay == m.r
+        assert load_network(changed.to_config()).circles[0].delay_measure == m
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +318,7 @@ def test_config_round_trip():
     assert again.to_config() == doc
     assert again.n_circles == 2
     assert np.allclose(again.routing, spec.routing)
+    assert load_network(_shape_doc()).to_config() == _shape_doc()
 
 
 def test_config_schema_errors():

@@ -1,5 +1,7 @@
-"""The public surface, pinned: a new export or a new option is a test edit."""
+"""The public surface, pinned: a new export, a new option or a new dataclass
+field is a test edit."""
 
+import dataclasses
 import importlib
 import inspect
 
@@ -46,22 +48,61 @@ OPTIONS = {
     "spectral.spectral_radius": ["tol"],
 }
 
+# the settable (init) fields of each public dataclass: 106 in all
+FIELDS = {
+    "analysis.DecayFit": ["n_hat", "a_hat", "residual", "window"],
+    "analysis.IssReport": ["certificate", "constants", "envelope", "times", "norms",
+                           "bounds", "worst_margin", "passed", "u_norm", "p",
+                           "metadata"],
+    "analysis.SweepResult": ["parameter", "values", "r_gains", "a_hats",
+                             "decisions", "threshold", "agreement"],
+    "model.AbsorptionProfile": ["kind", "value", "x_edges", "v_edges", "values"],
+    "model.CircleSpec": ["length", "absorption", "scattering", "delay_measure"],
+    "model.DelayMeasure": ["kind", "r", "theta_rate", "atoms", "density_edges",
+                           "density_values"],
+    "model.NetworkBounds": ["l_bar", "l_under", "r_bar", "beta_bar", "var_bar",
+                            "gamma1", "gamma2", "gamma_bar", "routing_norm"],
+    "model.NetworkSpec": ["circles", "routing", "v_min", "v_max", "mass_preserving",
+                          "gamma1", "gamma2"],
+    "model.ScatteringKernel": ["kind", "value", "v_edges", "out_values", "in_values",
+                               "values"],
+    "operators.BlockOperator": ["matrix", "weights"],
+    "operators.GainAssemblyReport": ["lam", "operator"],
+    "operators.VelocityGrid": ["edges", "centers", "widths"],
+    "simulator.Scenario": ["spec", "grid", "dt", "t_end", "stride", "m_cells",
+                           "initial", "history", "disturbance", "input_outside_sum"],
+    "simulator.SimState": ["t", "density", "ring", "start_cells", "inputs", "head",
+                           "step_count"],
+    "simulator.Trajectory": ["times", "norm_state", "norm_history", "total_mass",
+                             "outflux", "initial_data_norm"],
+    "spectral.AbscissaResult": ["lambda_star", "bracket_width", "iterations"],
+    "spectral.BoundCheck": ["value", "status"],
+    "spectral.Certificate": ["r_gain", "pd_radius", "decision", "sufficient_checks"],
+    "spectral.IssConstants": ["n_envelope", "a_rate", "c_resolvent", "p", "c_check_p",
+                              "gain", "pd_norm", "c_grid"],
+}
+
+
+def _public_objects():
+    """(module.name, object) for the public names each kinnet module defines."""
+    for m in MODULES:
+        mod = importlib.import_module(f"kinnet.{m}")
+        for name, obj in vars(mod).items():
+            if not name.startswith("_") and getattr(obj, "__module__", None) == mod.__name__:
+                yield f"{m}.{name}", obj
+
 
 def _public_functions():
     """(module.name, function) for the public functions of every kinnet
     module and the public methods of its classes."""
-    for m in MODULES:
-        mod = importlib.import_module(f"kinnet.{m}")
-        for name, obj in vars(mod).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
-                continue
-            if inspect.isfunction(obj):
-                yield f"{m}.{name}", obj
-            elif inspect.isclass(obj):
-                for attr, fn in vars(obj).items():
-                    fn = getattr(fn, "__func__", fn)    # class and static methods
-                    if not attr.startswith("_") and inspect.isfunction(fn):
-                        yield f"{m}.{name}.{attr}", fn
+    for name, obj in _public_objects():
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, fn in vars(obj).items():
+                fn = getattr(fn, "__func__", fn)    # class and static methods
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    yield f"{name}.{attr}", fn
 
 
 def test_exports():
@@ -76,3 +117,10 @@ def test_optional_parameters():
         if optional:
             options[name] = optional
     assert options == OPTIONS
+
+
+def test_dataclass_fields():
+    fields = {name: [f.name for f in dataclasses.fields(obj) if f.init]
+              for name, obj in _public_objects()
+              if inspect.isclass(obj) and dataclasses.is_dataclass(obj)}
+    assert fields == FIELDS

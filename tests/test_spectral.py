@@ -408,7 +408,7 @@ def test_abscissa_positive_for_supercritical():
 def _dirac_circle(gamma, delay, mass=1.0):
     measure = (DelayMeasure(kind="dirac", r=delay) if mass == 1.0 else
                DelayMeasure(kind="piecewise", r=delay, atoms=((-delay, mass),)))
-    return CircleSpec(length=1.0, delay=delay,
+    return CircleSpec(length=1.0,
                       absorption=AbsorptionProfile(kind="constant", value=gamma),
                       scattering=ScatteringKernel(kind="constant", value=1.0),
                       delay_measure=measure)
@@ -659,7 +659,7 @@ def _resolvent_specs():
     # a delay longer than the transit time l/v, so that at the large shift
     # the history block holds the minimum
     tabulated = CircleSpec(
-        length=0.8, delay=2.0,
+        length=0.8,
         absorption=AbsorptionProfile(kind="tabulated", x_edges=(0.0, 0.3, 0.8),
                                      v_edges=(1.0, 1.4, 2.0),
                                      values=((0.2, 1.5), (0.9, 0.05))),
