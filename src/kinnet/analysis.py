@@ -12,8 +12,8 @@ from .errors import (DomainError, ExtinctionFlag, SmallGainViolation,
 from .model import (NetworkSpec, ScatteringKernel, DelayMeasure, CircleSpec,
                     network_bounds)
 from .operators import VelocityGrid
-from .simulator import (Scenario, Trajectory, _disturbance_samples,
-                        make_scenario, run)
+from .simulator import (ZERO, Scenario, Trajectory, _UNIT,
+                        _disturbance_samples, _resolved, make_scenario, run)
 from .spectral import (Certificate, IssConstants, _json_number, iss_constants,
                        small_gain_certificate)
 
@@ -104,29 +104,26 @@ class IssReport:
 def disturbance_lp_norm(scenario: Scenario, p: float) -> float:
     """L^p-in-time norm of the scenario's disturbance, with the velocity-space
     l1 factor (v_max - v_min); closed form where the preset allows."""
-    preset = scenario.disturbance
-    kind = preset.get("kind", "zero")
+    u = _resolved(scenario, "disturbance")
     vspan = scenario.spec.v_max - scenario.spec.v_min
-    if kind == "zero":
+    if u["kind"] == "zero":
         return 0.0
-    if kind == "constant":
-        val = abs(float(preset.get("value", 1.0)))
+    if u["kind"] == "constant":
+        val = abs(float(u["value"]))
         if math.isinf(p):
             return val * vspan
         return val * vspan * scenario.t_end ** (1.0 / p)
-    if kind == "pulse":
-        val = abs(float(preset.get("value", 1.0)))
-        t0 = max(float(preset.get("t0", 0.0)), 0.0)   # the run starts at t = 0
-        t1 = min(float(preset.get("t1", scenario.t_end)), scenario.t_end)
+    if u["kind"] == "pulse":
+        val = abs(float(u["value"]))
+        t0 = max(float(u["t0"]), 0.0)   # the run starts at t = 0
+        t1 = min(float(u["t1"]), scenario.t_end)
         if math.isinf(p):
             return val * vspan if t1 > t0 else 0.0
         return val * vspan * max(t1 - t0, 0.0) ** (1.0 / p)
-    if kind == "bounded_random":
-        if math.isinf(p):
-            return float(preset.get("bound", 1.0)) * vspan
-        u = _disturbance_samples(scenario)
-        return vspan * float(np.sum(np.abs(u) ** p) * scenario.dt) ** (1.0 / p)
-    raise DomainError(f"no disturbance norm rule for preset kind {kind!r}")
+    if math.isinf(p):                                           # bounded_random
+        return float(u["bound"]) * vspan
+    samples = _disturbance_samples(scenario)
+    return vspan * float(np.sum(np.abs(samples) ** p) * scenario.dt) ** (1.0 / p)
 
 
 def verify_iss(scenario: Scenario, *others: Scenario,
@@ -156,14 +153,11 @@ def verify_iss(scenario: Scenario, *others: Scenario,
             f"certificate decision is {cert.decision} (r_gain = {cert.r_gain}); "
             "the ISS estimate does not apply", certificate=cert)
 
-    companion = replace(scenario, disturbance={"kind": "zero"})
-    if scenario.initial.get("kind") == "zero" \
-            and scenario.history.get("kind") == "zero":
+    companion = replace(scenario, disturbance=ZERO)
+    if scenario.initial["kind"] == scenario.history["kind"] == "zero":
         # zero unforced data carries no envelope information; probe with
         # unit data instead (the envelope is data-independent by linearity)
-        companion = replace(companion,
-                            initial={"kind": "constant", "value": 1.0},
-                            history={"kind": "constant", "value": 1.0})
+        companion = replace(companion, initial=_UNIT, history=_UNIT)
     unforced, *trajectories = run(companion, scenario, *others)
     envelope = fit_decay(unforced)
     if envelope.a_hat <= 0:
@@ -279,9 +273,7 @@ def sweep(spec: NetworkSpec, parameter: str, values, *,
         cert = small_gain_certificate(s, g)
         b = network_bounds(s)
         sc = make_scenario(s, g, t_end=8.0 * (b.l_bar / s.v_min + b.r_bar),
-                           m_base=32, stride=4,
-                           initial={"kind": "constant", "value": 1.0},
-                           history={"kind": "constant", "value": 1.0})
+                           m_base=32, stride=4, initial=_UNIT, history=_UNIT)
         try:
             fit = fit_decay(run(sc))
             a_hats.append(fit.a_hat)

@@ -16,7 +16,7 @@ from .errors import (DomainError, ExtinctionFlag, KinnetError, SchemaError,
 from .model import load_network
 from .operators import VelocityGrid, _gain_factors, assemble_gain, \
     dirichlet_norm_closed_form, pd_norm_closed_form
-from .simulator import make_scenario, run
+from .simulator import _PRESETS, make_scenario, run
 from .spectral import _json_number, small_gain_certificate, spectral_abscissa
 
 _SCENARIO_KEYS = {"t_end", "dt", "stride", "m_base", "m_cells", "initial",
@@ -29,7 +29,7 @@ def _load_scenario(spec, path, args):
         raise SchemaError("a scenario file holds one JSON object")
     unknown = set(doc) - _SCENARIO_KEYS
     if unknown:
-        raise KinnetError(f"unknown scenario keys: {sorted(unknown)}")
+        raise SchemaError(f"unknown scenario keys: {sorted(unknown)}")
     if "t_end" not in doc:
         raise SchemaError("scenario needs t_end")
     kw = dict(doc)
@@ -40,10 +40,12 @@ def _load_scenario(spec, path, args):
             raise SchemaError("scenario m_cells must be a list")
         kw["m_cells"] = tuple(kw["m_cells"])
     if args.seed is not None:
-        for key in ("initial", "history", "disturbance"):
-            preset = kw.get(key)
+        for slot, kinds in _PRESETS.items():
+            preset = kw.get(slot)
+            # a list, not a set: the kind read from JSON may be unhashable
+            seeded = [kind for kind, keys in kinds.items() if "seed" in keys]
             if isinstance(preset, dict) and "seed" not in preset \
-                    and preset.get("kind") in ("random_nonneg", "bounded_random"):
+                    and preset.get("kind") in seeded:
                 preset["seed"] = args.seed
     return make_scenario(spec, t_end=kw.pop("t_end"),
                          k_velocity=args.k_velocity, **kw)

@@ -108,7 +108,7 @@ class DelayMeasure:
                     warnings.warn(
                         "delay measure has an atom at theta=0: instantaneous "
                         "junction loop, resolved by one sweep per step",
-                        stacklevel=2)
+                        stacklevel=3)  # past the generated __init__
             edges = self.density_edges
             if edges or self.density_values:
                 if len(self.density_values) != _cells(edges, "density_edges"):
@@ -122,17 +122,8 @@ class DelayMeasure:
 
 
 def measure_total_variation(m: DelayMeasure) -> float:
-    """Total mass of the positive measure (atoms plus integrated density)."""
-    if m.kind == "dirac":
-        return 1.0
-    if m.kind == "exponential":
-        t = m.theta_rate
-        # integral of e^{t*theta} over [-r, 0]
-        return -math.expm1(-t * m.r) / t
-    total = sum(mass for _, mass in m.atoms)
-    for (a, b), v in zip(zip(m.density_edges, m.density_edges[1:]), m.density_values):
-        total += v * (b - a)
-    return total
+    """Total mass of the positive measure: its Laplace transform at 0."""
+    return measure_laplace(m, 0.0)
 
 
 def _exp_increment(lam: float, a: float, b: float) -> float:

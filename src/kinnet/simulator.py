@@ -32,20 +32,16 @@ from .model import NetworkSpec
 from .operators import MAX_ARRAY_VALUES, VelocityGrid, _routed_scattering
 
 ZERO = MappingProxyType({"kind": "zero"})
+_UNIT = MappingProxyType({"kind": "constant", "value": 1.0})
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Full description of one simulation run.
 
-    initial / history / disturbance are presets, stored as read-only
-    copies of mappings such as:
-      {"kind": "zero"}
-      {"kind": "constant", "value": v}
-      {"kind": "gaussian_bump", "center": frac, "width": frac, "amplitude": v}
-      {"kind": "random_nonneg", "seed": s}            (initial/history only)
-      {"kind": "pulse", "value": v, "t0": a, "t1": b} (disturbance only)
-      {"kind": "bounded_random", "bound": v, "seed": s} (disturbance only)
+    initial / history / disturbance are presets: mappings of a "kind"
+    (default "zero") and the keys that `_PRESETS` lists for it under the
+    slot, stored as read-only copies with the kind written out.
     """
 
     spec: NetworkSpec
@@ -65,13 +61,12 @@ class Scenario:
     def __post_init__(self):
         _check_real("t_end", self.t_end, positive=True)
         _check_real("dt", self.dt, positive=True)
-        for name, kinds in (("initial", _FIELD_PRESETS), ("history", _FIELD_PRESETS),
-                            ("disturbance", _DISTURBANCE_PRESETS)):
-            object.__setattr__(self, name, _checked_preset(name, getattr(self, name), kinds))
+        for slot in _PRESETS:
+            object.__setattr__(self, slot, _checked_preset(slot, getattr(self, slot)))
         m_cells = (_checked_m_cells(self.spec, self.m_cells)
                    if self.m_cells else default_m_cells(self.spec))
         object.__setattr__(self, "m_cells", m_cells)
-        if not isinstance(self.stride, numbers.Integral) or self.stride < 1:
+        if not _is_int(self.stride) or self.stride < 1:
             raise ValidationError(
                 f"recording stride must be an integer >= 1, got {self.stride!r}")
         dx_min = min(c.length / m for c, m in zip(self.spec.circles, self.m_cells))
@@ -118,7 +113,7 @@ def _check_sizes(members: tuple[Scenario, ...]) -> None:
     if R * sc.n_records * J > MAX_ARRAY_VALUES:
         raise ValidationError(f"t_end / dt / stride gives over {MAX_ARRAY_VALUES} "
                               f"record values for {R} member(s)")
-    forced = any(m.disturbance.get("kind", "zero") != "zero" for m in members)
+    forced = any(m.disturbance["kind"] != "zero" for m in members)
     if forced and R * (sc.n_steps + 1) > MAX_ARRAY_VALUES:
         raise ValidationError(f"t_end / dt gives over {MAX_ARRAY_VALUES} "
                               f"input samples for {R} member(s)")
@@ -134,47 +129,65 @@ def default_m_cells(spec: NetworkSpec, base: int = 64) -> tuple[int, ...]:
     return tuple(int(math.ceil(m)) for m in cells)
 
 
+def _is_int(value) -> bool:
+    # a bool is an Integral, but no scenario number is a truth value
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_real(name: str, value, *, positive: bool = False) -> None:
     # a JSON integer can lie beyond float range, where math.isfinite raises
     if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
         raise ValidationError(f"{name} is an integer beyond float range")
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and math.isfinite(value)):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     if positive and not value > 0:
         raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
 
 
-# the numeric keys of each preset kind, per preset slot
-_FIELD_PRESETS = {"zero": (), "constant": ("value",),
-                  "gaussian_bump": ("center", "width", "amplitude"),
-                  "random_nonneg": ("seed",)}
-_DISTURBANCE_PRESETS = {"zero": (), "constant": ("value",),
-                        "pulse": ("value", "t0", "t1"),
-                        "bounded_random": ("bound", "seed")}
+# the kinds of each preset slot, and the numeric keys of each kind with their
+# defaults; a default of None stands for the run's t_end
+_FIELD_KINDS = {"zero": {}, "constant": {"value": 1.0},
+                "gaussian_bump": {"center": 0.5, "width": 0.1, "amplitude": 1.0},
+                "random_nonneg": {"seed": 0}}
+_PRESETS = {"initial": _FIELD_KINDS, "history": _FIELD_KINDS,
+            "disturbance": {"zero": {}, "constant": {"value": 1.0},
+                            "pulse": {"value": 1.0, "t0": 0.0, "t1": None},
+                            "bounded_random": {"bound": 1.0, "seed": 0}}}
 
 
-def _checked_preset(name: str, preset, kinds: dict) -> Mapping:
-    """A read-only copy of the preset mapping once its kind is known, it has
-    no other keys than its kind reads, and every number it holds is a finite
-    real within float range (a seed: an integer >= 0; a bound: >= 0)."""
+def _checked_preset(slot: str, preset) -> Mapping:
+    """A read-only copy of the preset mapping with its kind written out,
+    once the kind is one of the slot's, the preset has no other keys than its
+    kind reads, and every number it holds is a finite real within float
+    range (a seed: an integer >= 0; a bound: >= 0)."""
     if not isinstance(preset, Mapping):
-        raise ValidationError(f"{name} must be a preset object, got {preset!r}")
-    kind = preset.get("kind", "zero")
+        raise ValidationError(f"{slot} must be a preset object, got {preset!r}")
+    kind, kinds = preset.get("kind", "zero"), _PRESETS[slot]
     if not isinstance(kind, str) or kind not in kinds:
-        raise ValidationError(f"unknown {name} preset kind {kind!r}")
+        raise ValidationError(f"unknown {slot} preset kind {kind!r}")
     unknown = set(preset) - {"kind", *kinds[kind]}
     if unknown:
-        raise ValidationError(f"unknown {name} keys for kind {kind!r}: "
+        raise ValidationError(f"unknown {slot} keys for kind {kind!r}: "
                               f"{sorted(unknown, key=str)}")
     for key, value in preset.items():
         if key == "kind":
             continue
-        _check_real(f"{name}.{key}", value)
-        if key == "seed" and not (isinstance(value, numbers.Integral) and value >= 0):
-            raise ValidationError(f"{name}.seed must be an integer >= 0, got {value!r}")
+        _check_real(f"{slot}.{key}", value)
+        if key == "seed" and not (_is_int(value) and value >= 0):
+            raise ValidationError(f"{slot}.seed must be an integer >= 0, got {value!r}")
         if key == "bound" and value < 0:  # the upper end of uniform(0, bound)
-            raise ValidationError(f"{name}.bound must be >= 0, got {value!r}")
-    return MappingProxyType(dict(preset))
+            raise ValidationError(f"{slot}.bound must be >= 0, got {value!r}")
+    return MappingProxyType({**preset, "kind": kind})
+
+
+def _resolved(sc: Scenario, slot: str) -> dict:
+    """The scenario's preset in the slot, with every key its kind reads and
+    the defaults filled in."""
+    preset = getattr(sc, slot)
+    return {"kind": preset["kind"], **{
+        key: preset.get(key, sc.t_end if default is None else default)
+        for key, default in _PRESETS[slot][preset["kind"]].items()}}
 
 
 def _checked_m_cells(spec: NetworkSpec, m_cells) -> tuple[int, ...]:
@@ -183,7 +196,7 @@ def _checked_m_cells(spec: NetworkSpec, m_cells) -> tuple[int, ...]:
         raise ValidationError(f"m_cells has {len(m_cells)} entries for "
                               f"{len(spec.circles)} circles")
     for j, m in enumerate(m_cells):
-        if not isinstance(m, numbers.Integral) or m < 1:
+        if not _is_int(m) or m < 1:
             raise ValidationError(
                 f"m_cells[{j}] must be an integer >= 1, got {m!r}")
         if m > sys.float_info.max:
@@ -195,8 +208,8 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
                   t_end: float, k_velocity: int = 16, dt: float | None = None,
                   stride: int = 1, m_base: int = 64,
                   m_cells: tuple[int, ...] | None = None,
-                  initial: Mapping | None = None, history: Mapping | None = None,
-                  disturbance: Mapping | None = None,
+                  initial: Mapping = ZERO, history: Mapping = ZERO,
+                  disturbance: Mapping = ZERO,
                   input_outside_sum: bool = False) -> Scenario:
     """Scenario with the default resolution rules filled in."""
     if grid is None:
@@ -207,10 +220,8 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
     if dt is None:
         dt = 0.9 * dx_min / spec.v_max
     return Scenario(spec=spec, grid=grid, dt=dt, t_end=t_end, stride=stride,
-                    m_cells=m_cells,
-                    initial=initial or ZERO, history=history or ZERO,
-                    disturbance=disturbance or ZERO,
-                    input_outside_sum=input_outside_sum)
+                    m_cells=m_cells, initial=initial, history=history,
+                    disturbance=disturbance, input_outside_sum=input_outside_sum)
 
 
 @dataclass(eq=False)
@@ -247,49 +258,42 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def _field_values(preset: Mapping, coords: np.ndarray, span: float, j: int,
+def _field_values(preset: dict, coords: np.ndarray, span: float, j: int,
                   shape: tuple[int, ...], axis: int) -> np.ndarray:
-    kind = preset.get("kind", "zero")
+    """Values of a resolved initial or history preset on the grid."""
+    kind = preset["kind"]
     if kind == "zero":
         return np.zeros(shape)
     if kind == "constant":
-        return np.full(shape, float(preset.get("value", 1.0)))
+        return np.full(shape, float(preset["value"]))
     if kind == "gaussian_bump":
-        center = float(preset.get("center", 0.5)) * span
-        width = max(float(preset.get("width", 0.1)) * span, 1e-12)
-        amp = float(preset.get("amplitude", 1.0))
+        center = float(preset["center"]) * span
+        width = max(float(preset["width"]) * span, 1e-12)
+        amp = float(preset["amplitude"])
         dist = np.abs(coords - coords[0])
         prof = amp * np.exp(-((dist - center) / width) ** 2)
         out = np.zeros(shape)
         sl = [None] * len(shape)
         sl[axis] = slice(None)
         return out + prof[tuple(sl)]
-    if kind == "random_nonneg":
-        rng = np.random.default_rng(int(preset.get("seed", 0)) * 1009 + j)
-        return rng.random(shape)
-    raise ValidationError(f"unknown field preset kind {kind!r}")
+    rng = np.random.default_rng(int(preset["seed"]) * 1009 + j)  # random_nonneg
+    return rng.random(shape)
 
 
 def _disturbance_samples(sc: Scenario) -> np.ndarray | None:
     """u(n dt) for the steps n = 0..n_steps, or None for the zero input."""
-    preset = sc.disturbance
-    kind = preset.get("kind", "zero")
-    if kind == "zero":
+    u = _resolved(sc, "disturbance")
+    if u["kind"] == "zero":
         return None
     n = sc.n_steps + 1
-    if kind == "constant":
-        return np.full(n, float(preset.get("value", 1.0)))
-    if kind == "pulse":
-        val = float(preset.get("value", 1.0))
-        t0 = float(preset.get("t0", 0.0))
-        t1 = float(preset.get("t1", sc.t_end))
+    if u["kind"] == "constant":
+        return np.full(n, float(u["value"]))
+    if u["kind"] == "pulse":
         t = np.arange(n) * sc.dt
-        return np.where((t0 <= t) & (t < t1), val, 0.0)
-    if kind == "bounded_random":
-        bound = float(preset.get("bound", 1.0))
-        rng = np.random.default_rng(int(preset.get("seed", 0)))
-        return rng.uniform(0.0, bound, n)
-    raise ValidationError(f"unknown disturbance preset kind {kind!r}")
+        return np.where((float(u["t0"]) <= t) & (t < float(u["t1"])),
+                        float(u["value"]), 0.0)
+    rng = np.random.default_rng(int(u["seed"]))                # bounded_random
+    return rng.uniform(0.0, float(u["bound"]), n)
 
 
 class _Engine:
@@ -367,12 +371,13 @@ class _Engine:
         density = np.empty((R, N, K))
         ring = np.zeros((R, max(self.n_hist), J, K))
         for r, m in enumerate(members):
+            initial, history = _resolved(m, "initial"), _resolved(m, "history")
             for j, xs in enumerate(self.xs):
                 density[r, self.edges[j]:self.edges[j + 1]] = _field_values(
-                    m.initial, xs, xs[-1], j, (K, len(xs)), axis=1).T
+                    initial, xs, xs[-1], j, (K, len(xs)), axis=1).T
                 s = self.n_hist[j]
                 thetas = -np.arange(s) * dt
-                ring[r, :s, j] = _field_values(m.history, thetas, (s - 1) * dt, j,
+                ring[r, :s, j] = _field_values(history, thetas, (s - 1) * dt, j,
                                                (s, K), axis=0)
         samples = [_disturbance_samples(m) for m in members]
         inputs = None

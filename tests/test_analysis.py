@@ -207,6 +207,20 @@ def test_batched_scenarios_share_the_unforced_data(sc_spec, grid8, field):
         verify_iss(b, a)
 
 
+def test_an_empty_preset_is_the_zero_preset(sc_spec, grid8):
+    # both switch a single verify to unit companion data, and a batch may mix
+    # them
+    zero = make_scenario(sc_spec, grid8, t_end=2.0, initial={"kind": "zero"},
+                         history={"kind": "zero"},
+                         disturbance={"kind": "constant", "value": 0.5})
+    empty = replace(zero, initial={}, history={})
+    assert verify_iss(empty).to_dict() == verify_iss(zero).to_dict()
+    ref = verify_iss(zero, zero)
+    for got, want in zip(verify_iss(empty, zero), ref):
+        assert got.to_dict() == want.to_dict()
+        np.testing.assert_array_equal(got.bounds, want.bounds)
+
+
 def test_disturbance_norms(sc_spec, grid8):
     base = dict(t_end=4.0)
     vspan = sc_spec.v_max - sc_spec.v_min

@@ -15,6 +15,7 @@ from kinnet import KinnetError, Scenario
 from kinnet.cli import main
 from kinnet.presets import conservation_spec, single_circle, \
     single_circle_lambda_star, single_circle_threshold_w
+from kinnet.simulator import _PRESETS as _PRESET_TABLE
 
 from conftest import float_range_cycle, json_paths
 
@@ -196,20 +197,22 @@ _HUGE = 10**400  # a JSON integer beyond float range
 
 _NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5,
-                     _HUGE, -_HUGE]),
+                     _HUGE, -_HUGE, True, False]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(min_value=-_HUGE, max_value=_HUGE))
 
 _PRESET_NUMBERS = st.one_of(_NUMBERS, st.sampled_from(["abc", "nan", "1", None]))
 
+# every kind and key of the simulator's preset table, and kinds it lacks
+_TABLE_KINDS = dict.fromkeys(kind for kinds in _PRESET_TABLE.values()
+                             for kind in kinds)
+_TABLE_KEYS = dict.fromkeys(key for kinds in _PRESET_TABLE.values()
+                            for keys in kinds.values() for key in keys)
+
 _PRESETS = st.one_of(
     st.fixed_dictionaries(
-        {"kind": st.sampled_from(["zero", "constant", "gaussian_bump",
-                                  "random_nonneg", "pulse", "bounded_random",
-                                  "unknown"])},
-        optional={key: _PRESET_NUMBERS for key in
-                  ("value", "center", "width", "amplitude", "seed", "t0",
-                   "t1", "bound")}),
+        {"kind": st.sampled_from([*_TABLE_KINDS, "unknown", [1]])},
+        optional={key: _PRESET_NUMBERS for key in _TABLE_KEYS}),
     _PRESET_NUMBERS)
 
 _PRESET_SLOTS = {"initial": _PRESETS, "history": _PRESETS, "disturbance": _PRESETS}
@@ -229,11 +232,12 @@ def property_scenario_path(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=_SCENARIO_DOCS)
-def test_scenario_files_load_or_raise_kinnet_error(doc, property_scenario_path):
+@given(doc=_SCENARIO_DOCS, seed=st.sampled_from([None, 3]))
+def test_scenario_files_load_or_raise_kinnet_error(doc, seed,
+                                                   property_scenario_path):
     # builds the scenario only; nothing is run
     property_scenario_path.write_text(json.dumps(doc))
-    args = argparse.Namespace(dt=None, seed=None, k_velocity=2)
+    args = argparse.Namespace(dt=None, seed=seed, k_velocity=2)
     try:
         sc = kinnet.cli._load_scenario(single_circle(0.5),
                                        property_scenario_path, args)

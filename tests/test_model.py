@@ -39,8 +39,10 @@ def test_measure_validation():
 
 
 def test_atom_at_zero_warns():
-    with pytest.warns(UserWarning, match="atom at theta=0"):
+    with pytest.warns(UserWarning, match="atom at theta=0") as record:
         DelayMeasure(kind="piecewise", r=1.0, atoms=((0.0, 0.5),))
+    # at the constructing line, not inside the dataclass's generated __init__
+    assert record[0].filename == __file__
 
 
 def test_total_variation_closed_forms():

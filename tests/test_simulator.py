@@ -547,3 +547,16 @@ def test_scenario_rejects_non_finite_times(sc_spec, grid8):
                {"t_end": 1.0, "dt": 0.0}):
         with pytest.raises(ValidationError):
             make_scenario(sc_spec, grid8, **kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"t_end": True}, {"stride": True}, {"m_base": True},
+    {"m_cells": (True, True)},
+    {"disturbance": {"kind": "bounded_random", "bound": True, "seed": False}},
+    {"initial": {"kind": "random_nonneg", "seed": True}},
+], ids=["t_end", "stride", "m_base", "m_cells", "bound", "seed"])
+def test_scenario_numbers_reject_booleans(kw):
+    # a bool is an integer to Python, and JSON true a bool, but no scenario
+    # number is a truth value
+    with pytest.raises(ValidationError):
+        make_scenario(conservation_spec(), k_velocity=2, **{"t_end": 1.0, **kw})
