@@ -9,8 +9,7 @@ import numpy as np
 
 from .errors import (DomainError, ExtinctionFlag, SmallGainViolation,
                      ValidationError)
-from .model import (NetworkSpec, ScatteringKernel, DelayMeasure, CircleSpec,
-                    network_bounds)
+from .model import NetworkSpec, ScatteringKernel, CircleSpec, network_bounds
 from .operators import VelocityGrid
 from .simulator import (ZERO, Scenario, Trajectory, _UNIT,
                         _disturbance_samples, _resolved, make_scenario, run)
@@ -143,7 +142,7 @@ def verify_iss(scenario: Scenario, *others: Scenario,
         raise DomainError(f"p must be in [1, inf], got {p}")
     for other in others:
         for name in ("initial", "history"):
-            if getattr(other, name) != getattr(scenario, name):
+            if _resolved(other, name) != _resolved(scenario, name):
                 raise ValidationError(f"batched scenarios must share {name}: "
                                       "one unforced companion serves them all")
     spec, grid = scenario.spec, scenario.grid
@@ -195,6 +194,9 @@ def scale_spec(spec: NetworkSpec, parameter: str, value: float) -> NetworkSpec:
         raise DomainError(f"unknown sweep parameter {parameter!r}")
     if not (math.isfinite(value) and value >= 0):
         raise DomainError(f"scale value {value} must be finite and >= 0")
+    if parameter == "delay_scale" and not (value > 0 and 1.0 / value < math.inf):
+        raise DomainError(f"delay_scale {value} must be > 0 with a finite "
+                          "reciprocal: delay densities and rates divide by it")
     if parameter == "routing_scale":
         return replace(spec, routing=spec.routing * value)
     if parameter == "beta_scale":
@@ -219,18 +221,11 @@ def _scale_delay(c: CircleSpec, value: float) -> CircleSpec:
     keep their total mass; exponential measures keep their decay shape
     (rate / value), which scales their mass with the horizon."""
     m = c.delay_measure
-    r = c.delay * value
-    if m.kind == "dirac":
-        nm = DelayMeasure(kind="dirac", r=r)
-    elif m.kind == "exponential":
-        nm = DelayMeasure(kind="exponential", r=r, theta_rate=m.theta_rate / value)
-    else:
-        nm = DelayMeasure(
-            kind="piecewise", r=r,
-            atoms=tuple((pos * value, mass) for pos, mass in m.atoms),
-            density_edges=tuple(e * value for e in m.density_edges),
-            density_values=tuple(v / value for v in m.density_values))
-    return replace(c, delay_measure=nm)
+    return replace(c, delay_measure=replace(
+        m, r=m.r * value, theta_rate=m.theta_rate / value,
+        atoms=tuple((pos * value, mass) for pos, mass in m.atoms),
+        density_edges=tuple(e * value for e in m.density_edges),
+        density_values=tuple(v / value for v in m.density_values)))
 
 
 @dataclass(frozen=True)

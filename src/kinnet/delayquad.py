@@ -3,6 +3,10 @@
 Produces weights over sample offsets theta_s = -s*dt such that
 sum_s w_s * g(theta_s) approximates int g dEta for piecewise-linear g, and is
 exact in total mass: sum_s w_s equals the measure's total variation.
+
+The measure is read in the one form of model._measure_parts, with no
+per-kind code: atoms split linearly between their two neighbouring samples,
+density cells value * e^{rate*theta} spread onto the grid's hat functions.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import HistoryGapError
-from .model import DelayMeasure
+from .model import DelayMeasure, _measure_parts
 
 
 def _exp_moments(t: float, a: float, b: float) -> tuple[float, float]:
@@ -26,9 +30,9 @@ def _exp_moments(t: float, a: float, b: float) -> tuple[float, float]:
 
 
 def _accumulate_density(weights: np.ndarray, dt: float, a: float, b: float,
-                        kind: str, param: float):
-    """Spread the density (exponential rate `param`, or constant value `param`)
-    on [a, b] onto the hat functions of the uniform theta grid."""
+                        value: float, rate: float):
+    """Spread the density value * e^{rate*theta} on [a, b] onto the hat
+    functions of the uniform theta grid."""
     if b <= a:
         return
     n = len(weights)
@@ -42,11 +46,8 @@ def _accumulate_density(weights: np.ndarray, dt: float, a: float, b: float,
         hi = min(b, th_hi)
         if hi <= lo:
             continue
-        if kind == "exp":
-            i0, i1 = _exp_moments(param, lo, hi)
-        else:
-            i0 = param * (hi - lo)
-            i1 = param * 0.5 * (hi * hi - lo * lo)
+        i0, i1 = _exp_moments(rate, lo, hi)
+        i0, i1 = value * i0, value * i1
         # hat at s rises from th_lo to th_hi; hat at s+1 falls
         weights[s] += (i1 - th_lo * i0) / dt
         weights[s + 1] += (th_hi * i0 - i1) / dt
@@ -75,15 +76,10 @@ def delay_quadrature(measure: DelayMeasure, dt: float, n_samples: int):
             f"history window {coverage} does not cover delay interval "
             f"[-{measure.r}, 0]")
     w = np.zeros(n_samples)
-    if measure.kind == "dirac":
-        _accumulate_atom(w, dt, -measure.r, 1.0)
-    elif measure.kind == "exponential":
-        _accumulate_density(w, dt, -measure.r, 0.0, "exp", measure.theta_rate)
-    else:
-        for pos, mass in measure.atoms:
-            _accumulate_atom(w, dt, pos, mass)
-        for (a, b), val in zip(zip(measure.density_edges, measure.density_edges[1:]),
-                               measure.density_values):
-            _accumulate_density(w, dt, max(a, -measure.r), min(b, 0.0), "const", val)
+    atoms, cells = _measure_parts(measure)
+    for pos, mass in atoms:
+        _accumulate_atom(w, dt, pos, mass)
+    for a, b, value, rate in cells:
+        _accumulate_density(w, dt, max(a, -measure.r), min(b, 0.0), value, rate)
     offsets = np.nonzero(w)[0]
     return offsets, w[offsets]

@@ -79,6 +79,10 @@ class DelayMeasure:
       "piecewise"    atoms [(position, mass), ...] plus a piecewise-constant
                      density given by edges (increasing, within [-r, 0]) and
                      per-cell values
+
+    _measure_parts gives every kind one form, read by the Laplace transform,
+    its log and the quadrature: atoms (position, mass) plus density cells
+    value * e^{rate*theta} on [a, b].
     """
 
     kind: str
@@ -94,6 +98,8 @@ class DelayMeasure:
         if not (math.isfinite(self.r) and self.r > 0):
             raise ValidationError(
                 f"delay measure support bound r must be finite and > 0, got {self.r}")
+        if not math.isfinite(self.theta_rate):
+            raise ValidationError(f"theta_rate must be finite, got {self.theta_rate}")
         if self.kind == "exponential" and self.theta_rate == 0.0:
             raise ValidationError("exponential delay measure needs theta_rate != 0")
         if self.kind == "piecewise":
@@ -126,46 +132,48 @@ def measure_total_variation(m: DelayMeasure) -> float:
     return measure_laplace(m, 0.0)
 
 
-def _exp_increment(lam: float, a: float, b: float) -> float:
-    """Integral of e^{lam*theta} over [a, b], stable near lam = 0."""
-    if abs(lam) < 1e-14:
+def _measure_parts(m: DelayMeasure) -> tuple[tuple, tuple]:
+    """The measure in one form for every kind: (atoms, cells), with atoms
+    (position, mass) and cells (a, b, value, rate), each cell the density
+    value * e^{rate*theta} on [a, b]."""
+    if m.kind == "dirac":
+        return ((-m.r, 1.0),), ()
+    if m.kind == "exponential":
+        return (), ((-m.r, 0.0, 1.0, m.theta_rate),)
+    edges, values = m.density_edges, m.density_values
+    return m.atoms, tuple(zip(edges, edges[1:], values, (0.0,) * len(values)))
+
+
+def _exp_increment(s: float, a: float, b: float) -> float:
+    """Integral of e^{s*theta} over [a, b], stable near s = 0."""
+    if abs(s) < 1e-14:
         return b - a
-    return (math.exp(lam * b) - math.exp(lam * a)) / lam
+    return math.exp(s * b) * -math.expm1(-s * (b - a)) / s
 
 
 def measure_laplace(m: DelayMeasure, lam: float) -> float:
     """Integral of e^{lam*theta} d eta(theta) over [-r, 0]."""
-    if m.kind == "dirac":
-        return math.exp(-lam * m.r)
-    if m.kind == "exponential":
-        s = lam + m.theta_rate
-        if abs(s) < 1e-14:
-            return m.r
-        return -math.expm1(-s * m.r) / s
-    out = sum(mass * math.exp(lam * pos) for pos, mass in m.atoms)
-    for (a, b), v in zip(zip(m.density_edges, m.density_edges[1:]), m.density_values):
-        out += v * _exp_increment(lam, a, b)
+    atoms, cells = _measure_parts(m)
+    out = sum(mass * math.exp(lam * pos) for pos, mass in atoms)
+    for a, b, value, rate in cells:
+        out += value * _exp_increment(lam + rate, a, b)
     return out
 
 
-def _log_exp_increment(lam: float, a: float, b: float) -> float:
-    """log _exp_increment(lam, a, b), finite past float range."""
-    if abs(lam) < 1e-14:
+def _log_exp_increment(s: float, a: float, b: float) -> float:
+    """log _exp_increment(s, a, b), finite past float range."""
+    if abs(s) < 1e-14:
         return math.log(b - a)
-    peak = b if lam > 0 else a
-    return lam * peak + math.log(-math.expm1(-abs(lam) * (b - a)) / abs(lam))
+    peak = b if s > 0 else a
+    return s * peak + math.log(-math.expm1(-abs(s) * (b - a)) / abs(s))
 
 
 def _measure_log_laplace(m: DelayMeasure, lam: float) -> float:
     """log measure_laplace(m, lam), finite where it leaves float range."""
-    if m.kind == "dirac":
-        return -lam * m.r
-    if m.kind == "exponential":
-        return _log_exp_increment(lam + m.theta_rate, -m.r, 0.0)
-    terms = [math.log(mass) + lam * pos for pos, mass in m.atoms if mass > 0]
-    terms += [math.log(v) + _log_exp_increment(lam, a, b)
-              for (a, b), v in zip(zip(m.density_edges, m.density_edges[1:]),
-                                   m.density_values) if v > 0]
+    atoms, cells = _measure_parts(m)
+    terms = [math.log(mass) + lam * pos for pos, mass in atoms if mass > 0]
+    terms += [math.log(value) + _log_exp_increment(lam + rate, a, b)
+              for a, b, value, rate in cells if value > 0]
     return float(np.logaddexp.reduce(terms))  # -inf for no terms
 
 

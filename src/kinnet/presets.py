@@ -68,9 +68,9 @@ def single_circle_threshold_w(*, gamma: float = 0.5, length: float = 1.0,
                               v_max: float = 2.0, measure: str = "dirac",
                               theta_rate: float = 2.0) -> float:
     """Routing weight at which the single-circle gain equals 1."""
-    v1 = 0.5 * (v_min + v_max)
-    m = _measure(measure, delay, theta_rate)
-    return 1.0 / (math.exp(-gamma * length / v1) * measure_laplace(m, 0.0))
+    return 1.0 / single_circle_gain(single_circle(
+        1.0, gamma=gamma, length=length, delay=delay, v_min=v_min, v_max=v_max,
+        measure=measure, theta_rate=theta_rate))
 
 
 def single_circle_lambda_star(spec: NetworkSpec) -> float:

@@ -343,7 +343,7 @@ class _Engine:
             self.c_stay[a:b - 1] = (1.0 - courant) * damp
             self.c_move[a:b - 1] = courant * damp
             s = self.n_hist[j]
-            _accumulate_density(hist_w[:s, j], dt, -c.delay, 0.0, "const", 1.0)
+            _accumulate_density(hist_w[:s, j], dt, -c.delay, 0.0, 1.0, 0.0)
             if c.scattering.is_zero():
                 continue
             idx, wq = delay_quadrature(c.delay_measure, dt, s)

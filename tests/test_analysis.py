@@ -221,6 +221,19 @@ def test_an_empty_preset_is_the_zero_preset(sc_spec, grid8):
         np.testing.assert_array_equal(got.bounds, want.bounds)
 
 
+def test_batched_presets_compare_with_their_defaults_filled_in(sc_spec, grid8):
+    # {"kind": "constant"} reads value 1.0: the same data as the preset that
+    # writes it out, so the two scenarios may share one unforced companion
+    given = make_scenario(sc_spec, grid8, t_end=2.0, initial={"kind": "constant"},
+                          disturbance={"kind": "constant", "value": 0.5})
+    spelled = replace(given, initial={"kind": "constant", "value": 1.0})
+    for got, want in zip(verify_iss(given, spelled), verify_iss(given, given)):
+        assert got.to_dict() == want.to_dict()
+        np.testing.assert_array_equal(got.bounds, want.bounds)
+    with pytest.raises(ValidationError, match="must share initial"):
+        verify_iss(given, replace(given, initial={"kind": "constant", "value": 2.0}))
+
+
 def test_disturbance_norms(sc_spec, grid8):
     base = dict(t_end=4.0)
     vspan = sc_spec.v_max - sc_spec.v_min
@@ -299,6 +312,14 @@ def test_scale_spec_semantics(sc_spec):
     assert c.delay == pytest.approx(2.0 * sc_spec.circles[0].delay)
     assert measure_total_variation(c.delay_measure) == pytest.approx(
         measure_total_variation(sc_spec.circles[0].delay_measure))
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-320])
+@pytest.mark.parametrize("measure", ["dirac", "exponential", "piecewise"])
+def test_delay_scale_must_have_a_finite_reciprocal(measure, value):
+    # densities and exponential rates divide by the stretch
+    with pytest.raises(DomainError, match="delay_scale"):
+        scale_spec(single_circle(0.5, measure=measure), "delay_scale", value)
 
 
 def test_regression_suite_agreement():

@@ -407,6 +407,17 @@ def test_sweep(config_iss, tmp_path, capsys):
     assert (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("values", ["0,1", "1e-320,1"])
+@pytest.mark.parametrize("measure", ["dirac", "exponential", "piecewise"])
+def test_sweep_delay_scale_without_a_finite_reciprocal_exits_2(
+        tmp_path, capsys, measure, values):
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(single_circle(0.5, measure=measure).to_config()))
+    assert main(["sweep", str(path), "--param", "delay_scale", "--values", values,
+                 "--k-velocity", "2"]) == 2
+    assert "delay_scale" in _one_line_error(capsys)
+
+
 def test_abscissa(config_iss, capsys):
     code = main(["abscissa", config_iss, "--k-velocity", "1"])
     doc = json.loads(capsys.readouterr().out)

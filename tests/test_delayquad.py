@@ -22,16 +22,23 @@ def test_history_gap_error():
         delay_quadrature(m, 0.1, 1)
 
 
-@given(st.sampled_from(["dirac", "exponential", "piecewise"]),
+@given(st.sampled_from(["dirac", "exponential", "exponential_negative", "piecewise",
+                        "piecewise_cells"]),
        st.floats(0.2, 2.0), st.integers(3, 200))
 def test_weights_sum_to_total_variation(kind, r, extra):
     if kind == "dirac":
         m = DelayMeasure(kind="dirac", r=r)
     elif kind == "exponential":
         m = DelayMeasure(kind="exponential", r=r, theta_rate=1.3)
-    else:
+    elif kind == "exponential_negative":
+        m = DelayMeasure(kind="exponential", r=r, theta_rate=-0.9)
+    elif kind == "piecewise":
         m = DelayMeasure(kind="piecewise", r=r, atoms=((-0.5 * r, 0.7),),
                          density_edges=(-r, -0.25 * r), density_values=(0.8,))
+    else:
+        m = DelayMeasure(kind="piecewise", r=r, atoms=((-0.9 * r, 0.3), (-0.2 * r, 1.1)),
+                         density_edges=(-r, -0.6 * r, -0.3 * r, -0.05 * r),
+                         density_values=(0.5, 0.0, 1.7))
     dt = r / extra * 1.01
     n = int(math.ceil(r / dt)) + 2
     _, weights = delay_quadrature(m, dt, n)

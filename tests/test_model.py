@@ -66,6 +66,13 @@ def test_laplace_against_quadrature():
         ref, _ = quad(lambda th: 1.5 * math.exp(lam * th), -0.8, -0.2)
         ref += 0.3 * math.exp(-0.25 * lam)
         assert measure_laplace(m, lam) == pytest.approx(ref, rel=1e-10)
+    # several density cells, one of them empty, each read as its own increment
+    edges, values = (-1.0, -0.7, -0.45, -0.1, 0.0), (0.4, 2.5, 0.0, 1.2)
+    m = DelayMeasure(kind="piecewise", r=1.0, density_edges=edges, density_values=values)
+    for lam in (-3.0, -0.5, 0.0, 1e-15, 2.0, 7.0):
+        ref = sum(v * quad(lambda th: math.exp(lam * th), a, b)[0]
+                  for a, b, v in zip(edges, edges[1:], values))
+        assert measure_laplace(m, lam) == pytest.approx(ref, rel=1e-10)
 
 
 def test_log_laplace_is_finite_past_float_range():
@@ -96,7 +103,10 @@ def test_log_laplace_is_finite_past_float_range():
     ({"kind": "piecewise", "atoms": ((-1.0, math.nan),)}, "has mass nan"),
     ({"kind": "piecewise", "density_edges": (-1.0, 0.0), "density_values": (math.nan,)},
      "values must be >= 0"),
-], ids=["atoms", "density", "exponential", "nan_atom", "nan_density"])
+    ({"kind": "exponential", "theta_rate": math.inf}, "theta_rate must be finite"),
+    ({"kind": "exponential", "theta_rate": -math.inf}, "theta_rate must be finite"),
+], ids=["atoms", "density", "exponential", "nan_atom", "nan_density", "inf_rate",
+        "minus_inf_rate"])
 def test_delay_measure_with_infinite_or_nan_mass_is_rejected(kwargs, match):
     with pytest.raises(ValidationError, match=match):
         DelayMeasure(r=1.0, **kwargs)

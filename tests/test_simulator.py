@@ -187,7 +187,7 @@ def _reference_run(sc):
         s = int(math.ceil(c.delay / dt)) + 2
         idx, wq = delay_quadrature(c.delay_measure, dt, s)
         hw = np.zeros(s)
-        _accumulate_density(hw, dt, -c.delay, 0.0, "const", 1.0)
+        _accumulate_density(hw, dt, -c.delay, 0.0, 1.0, 0.0)
         circles.append(dict(
             xw=xw, a=np.minimum(v * dt / dx, 1.0)[:, None], damp=np.exp(-q * dt),
             s=s, idx=idx, wq=wq, hw=hw, buf=st.ring[0, :s, j].copy(), head=0,
