@@ -155,11 +155,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--k-velocity", type=int, default=16,
                         help="velocity grid cells (default 16)")
-    common.add_argument("--dt", type=float, default=None,
-                        help="time step override")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for random presets")
     common.add_argument("--out", default=None, help="output directory")
+
+    def scenario_file(p):
+        """The arguments of the commands that run a scenario file."""
+        p.add_argument("config")
+        p.add_argument("scenario")
+        p.add_argument("--dt", type=float, default=None, help="time step override")
+        p.add_argument("--seed", type=int, default=None, help="seed for random presets")
 
     parser = argparse.ArgumentParser(
         prog="kinnet",
@@ -176,14 +179,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="run a scenario and write the trajectory CSV")
-    p.add_argument("config")
-    p.add_argument("scenario")
+    scenario_file(p)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("verify", parents=[common],
                        help="check the ISS estimate on a disturbed run")
-    p.add_argument("config")
-    p.add_argument("scenario")
+    scenario_file(p)
     p.add_argument("--p", default="inf", help="input norm exponent (default inf)")
     p.set_defaults(fn=_cmd_verify)
 

@@ -80,6 +80,6 @@ def delay_quadrature(measure: DelayMeasure, dt: float, n_samples: int):
     for pos, mass in atoms:
         _accumulate_atom(w, dt, pos, mass)
     for a, b, value, rate in cells:
-        _accumulate_density(w, dt, max(a, -measure.r), min(b, 0.0), value, rate)
+        _accumulate_density(w, dt, a, b, value, rate)
     offsets = np.nonzero(w)[0]
     return offsets, w[offsets]

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -135,13 +136,14 @@ def measure_total_variation(m: DelayMeasure) -> float:
 def _measure_parts(m: DelayMeasure) -> tuple[tuple, tuple]:
     """The measure in one form for every kind: (atoms, cells), with atoms
     (position, mass) and cells (a, b, value, rate), each cell the density
-    value * e^{rate*theta} on [a, b]."""
+    value * e^{rate*theta} on [a, b], clipped to the support [-r, 0]."""
     if m.kind == "dirac":
         return ((-m.r, 1.0),), ()
     if m.kind == "exponential":
         return (), ((-m.r, 0.0, 1.0, m.theta_rate),)
-    edges, values = m.density_edges, m.density_values
-    return m.atoms, tuple(zip(edges, edges[1:], values, (0.0,) * len(values)))
+    edges = [min(max(e, -m.r), 0.0) for e in m.density_edges]
+    return m.atoms, tuple((a, b, value, 0.0) for a, b, value
+                          in zip(edges, edges[1:], m.density_values) if a < b)
 
 
 def _exp_increment(s: float, a: float, b: float) -> float:
@@ -184,8 +186,10 @@ def _measure_log_laplace(m: DelayMeasure, lam: float) -> float:
 class AbsorptionProfile:
     """Absorption/generation coefficient q(x, v), constant or tabulated.
 
-    Tabulated profiles are piecewise constant on their (x, v) grid; values
-    between nodes use the containing cell's constant.
+    Tabulated profiles are piecewise constant on their (x, v) grid. _table
+    gives every kind one form, read by the point values and the integrals
+    alike: the end cells reach past the table's edges, so a table that stops
+    short of its circle or its velocity range holds its end values beyond it.
     """
 
     kind: str  # "constant" | "tabulated"
@@ -207,43 +211,49 @@ class AbsorptionProfile:
         if not all(math.isfinite(v) for v in _field_values(self)):
             raise ValidationError("absorption has a non-finite value")
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x_cuts, v_cuts, values): the interior edges and the cell values,
+        the end cells reaching to -inf and +inf. A constant is the 1 x 1
+        table with no cuts."""
+        if self.kind == "constant":
+            return _read_only(()), _read_only(()), _read_only([[self.value]])
+        return (_read_only(self.x_edges[1:-1]), _read_only(self.v_edges[1:-1]),
+                _read_only(self.values))
+
     def q(self, x, v):
         """q(x, v), elementwise over positions and velocities that broadcast."""
-        if self.kind == "constant":
-            return np.full(np.broadcast_shapes(np.shape(x), np.shape(v)), self.value)[()]
-        ix, iv = _cell_index(self.x_edges, x), _cell_index(self.v_edges, v)
-        return np.asarray(self.values)[ix, iv]
+        x_cuts, v_cuts, values = self._table
+        return values[_cell_index(x_cuts, x), _cell_index(v_cuts, v)]
 
     def integral_x(self, x, v):
         """Exact integral of q(., v) over [0, x] for the step profile,
         elementwise over positions and velocities that broadcast."""
-        shape = np.broadcast_shapes(np.shape(x), np.shape(v))
-        if self.kind == "constant":
-            return self.value * np.broadcast_to(x, shape)
-        x = np.broadcast_to(x, shape)
-        column = np.asarray(self.values)[:, _cell_index(self.v_edges, v)]
-        total = np.zeros(shape)
+        x_cuts, v_cuts, values = self._table
+        total = 0.0
         # cell by cell from x = 0, as a scalar loop would add them
-        for ix, (a, b) in enumerate(zip(self.x_edges, self.x_edges[1:])):
-            total += np.where(a < x, column[ix] * (np.minimum(b, x) - a), 0.0)
+        for value, a, b in zip(values[:, _cell_index(v_cuts, v)],
+                               (-math.inf, *x_cuts), (*x_cuts, math.inf)):
+            total = total + value * (np.minimum(np.maximum(x, a), b) - min(max(0.0, a), b))
         return total[()]
 
     def min_value(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        return min(min(row) for row in self.values)
+        return float(min(self._table[2].flat))
 
     def max_value(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        return max(max(row) for row in self.values)
+        return float(max(self._table[2].flat))
 
 
-def _cell_index(edges, x):
-    """Index of the cell holding x, elementwise; points outside the edges fall
-    in the nearest end cell."""
-    i = np.searchsorted(edges, x, side="right") - 1
-    return np.minimum(np.maximum(i, 0), len(edges) - 2)
+def _read_only(x) -> np.ndarray:
+    a = np.array(x, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _cell_index(cuts, x):
+    """Index of the cell holding x, elementwise, for the interior edges cuts:
+    the end cells reach to -inf and +inf."""
+    return np.searchsorted(cuts, x, side="right")
 
 
 def _field_values(coefficient) -> list:
@@ -259,7 +269,10 @@ class ScatteringKernel:
 
     Variants: constant value; separable product out(v) * in(v') tabulated on a
     velocity grid; fully tabulated values on a velocity grid. Tabulated kinds
-    are piecewise constant on their cells.
+    are piecewise constant on their cells. _table gives every kind one form,
+    read by the point values and the integrals alike: the end cells reach
+    past the grid's edges, so a grid that stops short of [v_min, v_max]
+    holds its end values beyond it.
     """
 
     kind: str  # "constant" | "separable" | "tabulated"
@@ -288,32 +301,40 @@ class ScatteringKernel:
         if not all(0 <= v < math.inf for v in _field_values(self)):
             raise ValidationError("scattering has a negative or non-finite value")
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cuts, values): the interior velocity edges and the cell values
+        [out, in], the end cells reaching to -inf and +inf. A constant is the
+        1 x 1 table with no cuts."""
+        if self.kind == "constant":
+            return _read_only(()), _read_only([[self.value]])
+        if self.kind == "separable":
+            return (_read_only(self.v_edges[1:-1]),
+                    _read_only(np.outer(self.out_values, self.in_values)))
+        return _read_only(self.v_edges[1:-1]), _read_only(self.values)
+
     def beta(self, v, v_in):
         """beta(v, v_in), elementwise over velocities that broadcast together."""
-        if self.kind == "constant":
-            return np.full(np.broadcast_shapes(np.shape(v), np.shape(v_in)), self.value)[()]
-        i, i_in = _cell_index(self.v_edges, v), _cell_index(self.v_edges, v_in)
-        if self.kind == "separable":
-            return np.asarray(self.out_values)[i] * np.asarray(self.in_values)[i_in]
-        return np.asarray(self.values)[i, i_in]
+        cuts, values = self._table
+        return values[_cell_index(cuts, v), _cell_index(cuts, v_in)]
 
     def max_value(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "separable":
-            return max(self.out_values) * max(self.in_values)
-        return max(max(row) for row in self.values)
+        return float(max(self._table[1].flat))
 
     def is_zero(self) -> bool:
         return self.max_value() == 0.0
 
     def out_integral(self, v_in: float, v_min: float, v_max: float) -> float:
         """Exact integral of beta(., v_in) over [v_min, v_max]."""
-        if self.kind == "constant":
-            return self.value * (v_max - v_min)
-        edges = np.asarray(self.v_edges)
-        widths = np.diff(np.clip(edges, v_min, v_max))
-        return float(widths @ self.beta(0.5 * (edges[:-1] + edges[1:]), v_in))
+        cuts, values = self._table
+        widths = np.diff(_split(cuts, v_min, v_max))
+        # a contiguous column: BLAS sums a strided one in another order
+        return float(widths @ np.take(values, _cell_index(cuts, v_in), axis=1))
+
+
+def _split(cuts, lo: float, hi: float) -> list:
+    """The edges of the cells that cuts split [lo, hi] into, empty cells kept."""
+    return [lo, *(min(max(c, lo), hi) for c in cuts), hi]
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +598,9 @@ def _validate(spec: NetworkSpec):
 
 
 def _check_mass_preserving(s: ScatteringKernel, v_min: float, v_max: float, j: int):
-    # probe the exact piecewise integral at each incoming cell representative
-    if s.kind == "constant":
-        probes = [0.5 * (v_min + v_max)]
-    else:
-        probes = [0.5 * (a + b) for a, b in zip(s.v_edges, s.v_edges[1:])
-                  if b > v_min and a < v_max]
+    # probe the exact piecewise integral once per nonempty incoming cell
+    edges = _split(s._table[0], v_min, v_max)
+    probes = [0.5 * (a + b) for a, b in zip(edges, edges[1:]) if b > a] or [v_min]
     for vp in probes:
         total = s.out_integral(vp, v_min, v_max)
         if abs(total - 1.0) > MASS_PRESERVING_TOL:

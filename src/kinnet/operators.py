@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
-from .model import (CircleSpec, NetworkSpec, _measure_log_laplace, measure_laplace,
-                    measure_total_variation, network_bounds)
+from .model import (CircleSpec, NetworkBounds, NetworkSpec, _measure_log_laplace,
+                    measure_laplace, measure_total_variation, network_bounds)
 
 MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
 
@@ -245,13 +245,19 @@ def pd_norm_closed_form(spec: NetworkSpec) -> float:
     if not spec.mass_preserving:
         raise PreconditionError(
             "junction norm bound requires the mass_preserving flag")
-    return max(network_bounds(spec).var_bar * spec.v_max / spec.v_min,
-               _bound_product(*dirichlet_norm_closed_form(spec)))
+    return _pd_norm_bound(spec, network_bounds(spec))
+
+
+def _pd_norm_bound(spec: NetworkSpec, b: NetworkBounds) -> float:
+    return max(b.var_bar * spec.v_max / spec.v_min,
+               _bound_product(*_dirichlet_bounds(spec, b)))
 
 
 def dirichlet_norm_closed_form(spec: NetworkSpec) -> tuple[float, float]:
     """Closed-form bounds (||D_0|| <= e^{l_bar*gamma_bar/v_min}, ||K|| <= ||M||);
     the first is inf where the exponential passes float range."""
-    b = network_bounds(spec)
-    return (_exp_or_inf(b.l_bar * b.gamma_bar / spec.v_min), b.routing_norm)
+    return _dirichlet_bounds(spec, network_bounds(spec))
 
+
+def _dirichlet_bounds(spec: NetworkSpec, b: NetworkBounds) -> tuple[float, float]:
+    return (_exp_or_inf(b.l_bar * b.gamma_bar / spec.v_min), b.routing_norm)

@@ -435,8 +435,10 @@ class _Engine:
     def outflux(self, state: SimState) -> np.ndarray:
         return state.density[:, self.ends] @ self.vdv
 
-    def transit_mass(self, state: SimState) -> np.ndarray:
-        return self._over_history(state, state.ring, self.vdv)
+    def mass(self, state: SimState) -> np.ndarray:
+        """Signed mass on the circles plus the transit mass in the delay lines."""
+        return (state.density @ self.dv @ self.xw
+                + self._over_history(state, state.ring, self.vdv))
 
 
 # what lockstep members share besides the network and the velocity grid
@@ -480,10 +482,9 @@ def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory,
             times[i] = state.t
             norm_state[:, i] = eng.state_norm(state)
             norm_history[:, i] = eng.history_norm(state)
-            mass[:, i] = eng.transit_mass(state)
+            mass[:, i] = eng.mass(state)
             outflux[:, i] = eng.outflux(state)
             i += 1
-    mass += norm_state                       # circle mass plus transit mass
     trajectories = tuple(
         Trajectory(times=times, norm_state=norm_state[r],
                    norm_history=norm_history[r], total_mass=mass[r],

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import BracketError, DomainError, SmallGainViolation
 from .model import NetworkSpec, network_bounds
-from .operators import (BlockOperator, VelocityGrid, _bound_product, _gain_factors,
-                        assemble_gain, dirichlet_norm_closed_form, pd_norm_closed_form)
+from .operators import (BlockOperator, VelocityGrid, _bound_product, _dirichlet_bounds,
+                        _gain_factors, _pd_norm_bound, assemble_gain)
 
 INCONCLUSIVE_BAND = 1e-3
 POWER_TOL_DEFAULT = 1e-10
@@ -160,7 +160,7 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
     pd_radius = math.sqrt(spectral_radius(survival[:, None] * p))
 
     b = network_bounds(spec)
-    exp_factor = dirichlet_norm_closed_form(spec)[0]
+    exp_factor = _dirichlet_bounds(spec, b)[0]
 
     example1 = None
     if all(c.delay_measure.kind == "dirac" for c in spec.circles):
@@ -175,7 +175,7 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
         example2 = _bound_product(b.r_bar, spec.v_max / spec.v_min, exp_factor,
                                   b.routing_norm)
 
-    c1 = pd_norm_closed_form(spec) if spec.mass_preserving else None
+    c1 = _pd_norm_bound(spec, b) if spec.mass_preserving else None
 
     if abs(r_gain - 1.0) < INCONCLUSIVE_BAND:
         decision = "INCONCLUSIVE"
@@ -405,14 +405,15 @@ def iss_constants(spec: NetworkSpec, grid: VelocityGrid, p: float,
     and the discretized junction norm. c is computed at
     lam = max(0, -gamma2) + 1, and c_grid records its mesh."""
     n_envelope, a_rate = envelope
-    d0_bound, k_bound = dirichlet_norm_closed_form(spec)
+    b = network_bounds(spec)
+    d0_bound, k_bound = _dirichlet_bounds(spec, b)
     if not math.isfinite(d0_bound):
         raise DomainError("the Dirichlet-lift bound e^(l_bar gamma_bar / v_min) "
                           "passes float range; no finite ISS gain")
     pd_norm = _gain_factors(spec, grid).pd_norm(0.0)
     if pd_norm >= 1.0:
         raise SmallGainViolation(f"junction operator norm {pd_norm} >= 1")
-    lam = max(0.0, -spec.absorption_range()[1]) + 1.0
+    lam = max(0.0, -b.gamma2) + 1.0
     c_resolvent = resolvent_constant_c(spec, grid, lam)
     cp = c_check(n_envelope, a_rate, c_resolvent, p)
     gain = k_bound * d0_bound * cp / (1.0 - pd_norm)

@@ -193,6 +193,19 @@ def test_bad_cli_numbers_exit_2(config_iss, scenario_file, capsys, argv, named):
     assert named in err and "spectral_radius" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["abscissa", "--dt", "-5"],
+    ["analyze", "--dt", "0.1", "--seed", "3"],
+    ["sweep", "--param", "routing_scale", "--values", "0.5", "--seed", "9"],
+])
+def test_scenario_flags_on_commands_without_a_scenario_exit_2(config_iss, capsys, argv):
+    # --dt and --seed belong to simulate and verify, which run a scenario
+    with pytest.raises(SystemExit) as e:
+        main([argv[0], config_iss, *argv[1:]])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 _HUGE = 10**400  # a JSON integer beyond float range
 
 _NUMBERS = st.one_of(

@@ -67,3 +67,18 @@ def test_constant_read_is_exact():
                      density_edges=(-1.0, 0.0), density_values=(0.5,))
     got = _apply(m, 0.03, 36, lambda th: 1.0)
     assert got == pytest.approx(measure_total_variation(m), abs=1e-12)
+
+
+def test_density_reaching_past_the_support_is_clipped():
+    # edges may pass [-r, 0] by 1e-12; the mass past it counts nowhere
+    m = DelayMeasure(kind="piecewise", r=1.0, density_edges=(-1.0 - 1e-12, 0.0),
+                     density_values=(1e6,))
+    assert measure_total_variation(m) == 1e6
+    _, weights = delay_quadrature(m, 0.1, 12)
+    assert np.sum(weights) == pytest.approx(measure_total_variation(m), rel=1e-14)
+    # a cell wholly past the support carries no mass
+    m = DelayMeasure(kind="piecewise", r=1.0,
+                     density_edges=(-1.0 - 1e-12, -1.0 - 5e-13, 0.0),
+                     density_values=(1e6, 2.0))
+    assert measure_total_variation(m) == 2.0
+    assert measure_laplace(m, 0.5) == pytest.approx(2.0 * (1.0 - math.exp(-0.5)) / 0.5)

@@ -177,6 +177,49 @@ def test_absorption_elementwise_matches_scalar_loop(profile):
             assert profile.integral_x(x, v) == total
 
 
+# tables that start above x = 0 or v_min, stop before the circle's end or
+# v_max, or start below them: the end cells reach past the edges, for the
+# point values and the integrals alike
+_SHORT_PROFILES = {
+    "starts_above_0": AbsorptionProfile(kind="tabulated", x_edges=(0.3, 0.6, 1.0),
+                                        v_edges=(1.0, 1.5, 2.0),
+                                        values=((0.4, -0.2), (0.9, 0.1))),
+    "stops_before_end": AbsorptionProfile(kind="tabulated", x_edges=(0.0, 0.5),
+                                          v_edges=(1.0, 2.0), values=((-0.6,),)),
+    "starts_below_0": AbsorptionProfile(kind="tabulated", x_edges=(-0.5, 0.2, 0.8),
+                                        v_edges=(1.2, 1.7),
+                                        values=((0.7,), (-0.25,))),
+}
+
+
+@pytest.mark.parametrize("profile", _SHORT_PROFILES.values(), ids=_SHORT_PROFILES)
+def test_absorption_integral_matches_quadrature(profile):
+    for v in (1.0, 1.3, 1.6, 2.0):
+        for x in (-0.2, 0.25, 0.5, 1.0, 1.4):
+            want, _ = quad(lambda y: profile.q(y, v), 0.0, x,
+                           points=[e for e in profile.x_edges if min(0, x) < e < max(0, x)])
+            assert profile.integral_x(x, v) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+_SHORT_KERNELS = {
+    "separable_starts_above": ScatteringKernel(kind="separable", v_edges=(1.3, 1.6, 2.0),
+                                               out_values=(0.5, 1.5), in_values=(2.0, 0.25)),
+    "separable_stops_before": ScatteringKernel(kind="separable", v_edges=(1.0, 1.5),
+                                               out_values=(2.0,), in_values=(1.0,)),
+    "tabulated_starts_below": ScatteringKernel(kind="tabulated", v_edges=(0.5, 1.2, 1.7),
+                                               values=((0.1, 0.6), (0.9, 0.3))),
+}
+
+
+@pytest.mark.parametrize("kernel", _SHORT_KERNELS.values(), ids=_SHORT_KERNELS)
+def test_kernel_out_integral_matches_quadrature(kernel):
+    v_min, v_max = 1.0, 2.0
+    for v_in in (1.0, 1.25, 1.55, 1.9, 2.0):
+        want, _ = quad(lambda v: kernel.beta(v, v_in), v_min, v_max,
+                       points=[e for e in kernel.v_edges if v_min < e < v_max])
+        assert kernel.out_integral(v_in, v_min, v_max) == pytest.approx(want, rel=1e-12)
+
+
 def test_constant_absorption_integral():
     a = AbsorptionProfile(kind="constant", value=0.3)
     assert a.integral_x(2.0, 1.0) == pytest.approx(0.6)
@@ -273,10 +316,17 @@ def _with_circle(spec, **changes):
                                                      r=math.inf)),
      ValidationError, "delay"),
     (lambda s: replace(s, gamma2=math.nan), ValidationError, "gamma2"),
+    # beta = 2 on all of [1, 2]: the table's one cell reaches past v = 1.5
+    (lambda s: replace(s, circles=(replace(s.circles[0], scattering=ScatteringKernel(
+        kind="separable", v_edges=(1.0, 1.5), out_values=(2.0,), in_values=(1.0,))),)),
+     ValidationError, "not mass-preserving"),
+    # no velocity cell is left to probe: the integral over [2, 2] is 0
+    (lambda s: replace(s, v_min=2.0), ValidationError, "not mass-preserving"),
 ], ids=["routing_shape", "v_min_zero", "v_max_inf", "preset_v_min_zero",
         "routing_nan", "routing_negative", "direct_routing_shape", "no_circles",
         "kernel_negative", "kernel_nan", "absorption_nan", "length_nan", "delay_inf",
-        "gamma2_nan"])
+        "gamma2_nan", "short_kernel_not_mass_preserving",
+        "empty_velocity_range_not_mass_preserving"])
 def test_specs_built_without_load_network_are_validated(build, error, match):
     with pytest.raises(error, match=match):
         build(single_circle(0.5))

@@ -50,8 +50,7 @@ def test_constant_initial_norm(sc_spec, grid8):
     st = eng.init_state((sc,))
     expected = sum(c.length for c in sc_spec.circles) * (sc_spec.v_max - sc_spec.v_min)
     assert eng.state_norm(st).item() == pytest.approx(expected, abs=1e-12)
-    mass = eng.state_norm(st) + eng.transit_mass(st)
-    assert mass.item() == pytest.approx(expected, abs=1e-12)
+    assert eng.mass(st).item() == pytest.approx(expected, abs=1e-12)
     assert eng.history_norm(st).item() == 0.0
 
 
@@ -223,8 +222,9 @@ def _reference_run(sc):
         rec["norm_state"].append(norm)
         rec["norm_history"].append(sum(
             c["hw"] @ (np.abs(b) @ dv) for b, c in zip(ordered, circles)))
-        rec["total_mass"].append(norm + sum(
-            c["hw"] @ (b @ (v * dv)) for b, c in zip(ordered, circles)))
+        rec["total_mass"].append(sum(
+            np.sum(zj * dv[:, None] * c["xw"]) + c["hw"] @ (b @ (v * dv))
+            for zj, b, c in zip(z, ordered, circles)))
         rec["outflux"].append([np.sum(v * zj[:, -1] * dv) for zj in z])
         densities.append([zj.copy() for zj in z])
     return rec, densities
@@ -459,15 +459,19 @@ def test_against_delay_characteristic_oracle():
 # ---------------------------------------------------------------------------
 # conservation and diagnostics
 
-def test_conservation_short_run():
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_conservation_short_run(sign):
+    # the mass is signed: negative data conserve a negative mass
     spec = conservation_spec()
     g = VelocityGrid.for_spec(spec, 8)
     sc = make_scenario(spec, g, t_end=5.0, stride=8, m_base=32,
-                       initial={"kind": "gaussian_bump", "width": 0.25},
-                       history={"kind": "constant", "value": 0.3})
+                       initial={"kind": "gaussian_bump", "width": 0.25,
+                                "amplitude": sign},
+                       history={"kind": "constant", "value": 0.3 * sign})
     traj = run(sc)
     m = traj.total_mass
-    assert np.max(np.abs(m - m[0])) / m[0] < 0.005
+    assert np.sign(m[0]) == sign
+    assert np.max(np.abs(m - m[0])) / abs(m[0]) < 0.005
 
 
 def test_trajectory_csv(tmp_path, sc_spec, grid8):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +11,14 @@ import kinnet.spectral
 from kinnet import (AbsorptionProfile, BlockOperator, BracketError, CircleSpec,
                     DelayMeasure, DomainError, NetworkSpec, ScatteringKernel,
                     SmallGainViolation, VelocityGrid, assemble_gain, c_check,
-                    iss_constants,
+                    fit_decay, iss_constants, run,
                     resolvent_constant_c, small_gain_certificate,
                     spectral_abscissa, spectral_radius)
 from kinnet.presets import (heterogeneous_five, random_spec, regression_suite,
                             single_circle, single_circle_lambda_star,
                             single_circle_threshold_w)
 
-from conftest import float_range_cycle
+from conftest import constant_scenario, float_range_cycle
 from pd_oracle import assemble_pd
 
 DENSE_EIGVALS = np.linalg.eigvals
@@ -233,6 +234,21 @@ def test_certificate_decisions():
     assert small_gain_certificate(iss, g(iss)).decision == "ISS"
     assert small_gain_certificate(hot, g(hot)).decision == "NOT_ISS"
     assert small_gain_certificate(near, g(near)).decision == "INCONCLUSIVE"
+
+
+@pytest.mark.parametrize("w", [0.75, 0.9])
+def test_certificate_on_an_absorption_table_short_of_its_circle(w):
+    # q = -0.6 (generation) on [0, 0.5] reaches on to x = 1: the certificate
+    # and the abscissa see the growth that a unit-data run shows
+    spec = single_circle(w)
+    table = AbsorptionProfile(kind="tabulated", x_edges=(0.0, 0.5),
+                              v_edges=(1.0, 2.0), values=((-0.6,),))
+    spec = replace(spec, circles=(replace(spec.circles[0], absorption=table),))
+    grid = VelocityGrid.for_spec(spec, 8)
+    assert small_gain_certificate(spec, grid).decision == "NOT_ISS"
+    lam = spectral_abscissa(spec, grid).lambda_star
+    fit = fit_decay(run(constant_scenario(spec, grid, t_end=40.0, stride=8, m_base=32)))
+    assert fit.a_hat == pytest.approx(-lam, rel=0.02)
 
 
 def test_certificate_zero_scattering():
