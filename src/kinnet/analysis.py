@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import (DomainError, ExtinctionFlag, SmallGainViolation,
                      ValidationError)
-from .model import NetworkSpec, ScatteringKernel, CircleSpec, network_bounds
+from .model import NetworkSpec, network_bounds
 from .operators import VelocityGrid
 from .simulator import (ZERO, Scenario, Trajectory, _UNIT,
                         _disturbance_samples, _resolved, make_scenario, run)
@@ -200,32 +200,12 @@ def scale_spec(spec: NetworkSpec, parameter: str, value: float) -> NetworkSpec:
     if parameter == "routing_scale":
         return replace(spec, routing=spec.routing * value)
     if parameter == "beta_scale":
-        circles = tuple(replace(c, scattering=_scale_kernel(c.scattering, value))
+        circles = tuple(replace(c, scattering=c.scattering._scaled(value))
                         for c in spec.circles)
         return replace(spec, circles=circles,
                        mass_preserving=spec.mass_preserving and value == 1.0)
-    return replace(spec, circles=tuple(_scale_delay(c, value) for c in spec.circles))
-
-
-def _scale_kernel(s: ScatteringKernel, value: float) -> ScatteringKernel:
-    if s.kind == "constant":
-        return replace(s, value=s.value * value)
-    if s.kind == "separable":
-        return replace(s, out_values=tuple(v * value for v in s.out_values))
-    return replace(s, values=tuple(tuple(v * value for v in row) for row in s.values))
-
-
-def _scale_delay(c: CircleSpec, value: float) -> CircleSpec:
-    """Stretch the delay horizon: support scales by value. Atom masses are
-    kept and densities divide by the stretch, so Dirac and piecewise measures
-    keep their total mass; exponential measures keep their decay shape
-    (rate / value), which scales their mass with the horizon."""
-    m = c.delay_measure
-    return replace(c, delay_measure=replace(
-        m, r=m.r * value, theta_rate=m.theta_rate / value,
-        atoms=tuple((pos * value, mass) for pos, mass in m.atoms),
-        density_edges=tuple(e * value for e in m.density_edges),
-        density_values=tuple(v / value for v in m.density_values)))
+    return replace(spec, circles=tuple(
+        replace(c, delay_measure=c.delay_measure._stretched(value)) for c in spec.circles))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -93,9 +93,15 @@ class DelayMeasure:
     density_edges: tuple[float, ...] = ()
     density_values: tuple[float, ...] = ()
 
+    # the fields each kind reads, with their config readers; every kind reads
+    # the support bound r, which a config gives as its circle's "delay"
+    FIELDS = {"dirac": {},
+              "exponential": {"theta_rate": _number},
+              "piecewise": {"atoms": _rows, "density_edges": _numbers,
+                            "density_values": _numbers}}
+
     def __post_init__(self):
-        if self.kind not in ("dirac", "exponential", "piecewise"):
-            raise ValidationError(f"unknown delay measure kind {self.kind!r}")
+        _check_kind(self, "delay measure")
         if not (math.isfinite(self.r) and self.r > 0):
             raise ValidationError(
                 f"delay measure support bound r must be finite and > 0, got {self.r}")
@@ -103,29 +109,40 @@ class DelayMeasure:
             raise ValidationError(f"theta_rate must be finite, got {self.theta_rate}")
         if self.kind == "exponential" and self.theta_rate == 0.0:
             raise ValidationError("exponential delay measure needs theta_rate != 0")
-        if self.kind == "piecewise":
-            _check_table(self.atoms, None, 2, "delay measure atoms")
-            for pos, mass in self.atoms:
-                if not mass >= 0:
-                    raise ValidationError(f"delay measure atom at {pos} has mass {mass}")
-                if not (-self.r <= pos <= 0.0):
-                    raise ValidationError(
-                        f"delay measure atom at {pos} outside support [-{self.r}, 0]")
-                if pos == 0.0 and mass > 0:
-                    warnings.warn(
-                        "delay measure has an atom at theta=0: instantaneous "
-                        "junction loop, resolved by one sweep per step",
-                        stacklevel=3)  # past the generated __init__
-            edges = self.density_edges
-            if edges or self.density_values:
-                if len(self.density_values) != _cells(edges, "density_edges"):
-                    raise ValidationError("density_values need one entry per density cell")
-                if edges[0] < -self.r - 1e-12 or edges[-1] > 1e-12:
-                    raise ValidationError(f"density support outside [-{self.r}, 0]")
-            if not all(v >= 0 for v in self.density_values):
-                raise ValidationError("delay measure density values must be >= 0")
+        _check_table(self.atoms, None, 2, "delay measure atoms")
+        for pos, mass in self.atoms:
+            if not mass >= 0:
+                raise ValidationError(f"delay measure atom at {pos} has mass {mass}")
+            if not (-self.r <= pos <= 0.0):
+                raise ValidationError(
+                    f"delay measure atom at {pos} outside support [-{self.r}, 0]")
+            if pos == 0.0 and mass > 0:
+                warnings.warn(
+                    "delay measure has an atom at theta=0: instantaneous "
+                    "junction loop, resolved by one sweep per step",
+                    stacklevel=3)  # past the generated __init__
+        edges = self.density_edges
+        if edges or self.density_values:
+            if len(self.density_values) != _cells(edges, "density_edges"):
+                raise ValidationError("density_values need one entry per density cell")
+            if edges[0] < -self.r - 1e-12 or edges[-1] > 1e-12:
+                raise ValidationError(f"density support outside [-{self.r}, 0]")
+        if not all(v >= 0 for v in self.density_values):
+            raise ValidationError("delay measure density values must be >= 0")
         if not _measure_log_laplace(self, 0.0) < np.log(np.finfo(float).max):
             raise ValidationError("delay measure total mass is not finite")
+
+    def _stretched(self, factor: float) -> DelayMeasure:
+        """The measure on [-factor r, 0]: its support stretches by factor. Atom
+        masses are kept and densities divide by the stretch, so Dirac and
+        piecewise measures keep their total mass; exponential measures keep
+        their decay shape (rate / factor), which scales their mass with the
+        horizon."""
+        return replace(
+            self, r=self.r * factor, theta_rate=self.theta_rate / factor,
+            atoms=tuple((pos * factor, mass) for pos, mass in self.atoms),
+            density_edges=tuple(e * factor for e in self.density_edges),
+            density_values=tuple(v / factor for v in self.density_values))
 
 
 def measure_total_variation(m: DelayMeasure) -> float:
@@ -203,8 +220,7 @@ class AbsorptionProfile:
               "tabulated": {"x_edges": _numbers, "v_edges": _numbers, "values": _rows}}
 
     def __post_init__(self):
-        if self.kind not in self.FIELDS:
-            raise ValidationError(f"unknown absorption kind {self.kind!r}")
+        _check_kind(self, "absorption")
         if self.kind == "tabulated":
             _check_table(self.values, _cells(self.x_edges, "x_edges"),
                          _cells(self.v_edges, "v_edges"), "values")
@@ -256,6 +272,20 @@ def _cell_index(cuts, x):
     return np.searchsorted(cuts, x, side="right")
 
 
+def _check_kind(obj, what: str):
+    """obj's kind is one of its class's FIELDS, and every field that only
+    other kinds read keeps its default, walked in field order; fields compare
+    as JSON values, so an array compares whole."""
+    if obj.kind not in obj.FIELDS:
+        raise ValidationError(f"unknown {what} kind {obj.kind!r}")
+    read = obj.FIELDS[obj.kind]
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if (f.name not in read and f.default is not MISSING and value is not f.default
+                and _json(value) != _json(f.default)):
+            raise ValidationError(f"{what} kind {obj.kind!r} does not read {f.name}")
+
+
 def _field_values(coefficient) -> list:
     """Every number in the fields of a coefficient's kind, edges aside."""
     return [v for name in coefficient.FIELDS[coefficient.kind]
@@ -289,8 +319,7 @@ class ScatteringKernel:
               "tabulated": {"v_edges": _numbers, "values": _rows}}
 
     def __post_init__(self):
-        if self.kind not in self.FIELDS:
-            raise ValidationError(f"unknown scattering kind {self.kind!r}")
+        _check_kind(self, "scattering")
         if self.kind != "constant":
             n = _cells(self.v_edges, "v_edges")
             if self.kind == "tabulated":
@@ -330,6 +359,13 @@ class ScatteringKernel:
         widths = np.diff(_split(cuts, v_min, v_max))
         # a contiguous column: BLAS sums a strided one in another order
         return float(widths @ np.take(values, _cell_index(cuts, v_in), axis=1))
+
+    def _scaled(self, factor: float) -> ScatteringKernel:
+        """The kernel factor * beta; a separable kernel scales its out factor."""
+        if self.kind == "separable":
+            return replace(self, out_values=tuple(v * factor for v in self.out_values))
+        return replace(self, value=self.value * factor,
+                       values=tuple(tuple(v * factor for v in row) for row in self.values))
 
 
 def _split(cuts, lo: float, hi: float) -> list:
@@ -396,19 +432,10 @@ class NetworkSpec:
 
     def to_config(self) -> dict:
         """Serialize back to the JSON config schema (round-trips exactly)."""
-        circles = []
-        for c in self.circles:
-            m = c.delay_measure
-            measure = {"kind": m.kind}
-            if m.kind == "exponential":
-                measure["theta"] = m.theta_rate
-            elif m.kind == "piecewise":
-                measure.update(atoms=_json(m.atoms), density_edges=_json(m.density_edges),
-                               density_values=_json(m.density_values))
-            circles.append({"length": c.length, "delay": c.delay,
-                            "absorption": _config(c.absorption),
-                            "scattering": _config(c.scattering),
-                            "delay_measure": measure})
+        circles = [{"length": c.length, "delay": c.delay,
+                    "absorption": _config(c.absorption),
+                    "scattering": _config(c.scattering),
+                    "delay_measure": _config(c.delay_measure)} for c in self.circles]
         doc = {
             "velocity": {"v_min": self.v_min, "v_max": self.v_max},
             "circles": circles,
@@ -477,45 +504,38 @@ def _build(cls, ctx: str, **fields):
         raise ValidationError(f"{ctx}: {e}") from None
 
 
-def _parse(cls, circle, key: str, ctx: str):
-    """The AbsorptionProfile or ScatteringKernel at circle[key]: the fields of
-    its kind."""
+# config keys named otherwise than their fields, and keys a config may leave
+# out, their fields keeping their defaults
+_KEYS = {"theta_rate": "theta"}
+_OPTIONAL = ("atoms", "density_edges", "density_values")
+
+
+def _parse(cls, circle, key: str, ctx: str, **common):
+    """The AbsorptionProfile, ScatteringKernel or DelayMeasure at circle[key]:
+    the fields of its kind, plus the fields that every kind reads."""
     doc, ctx = _require(circle, key, ctx), f"{ctx}.{key}"
     kind = _require(doc, "kind", ctx)
     if not isinstance(kind, str) or kind not in cls.FIELDS:
         raise SchemaError(f"unknown kind {kind!r} in {ctx}")
-    return _build(cls, ctx, kind=kind, **{
-        name: read(_require(doc, name, ctx), f"{ctx}.{name}")
-        for name, read in cls.FIELDS[kind].items()})
+    keys = {_KEYS.get(name, name): (name, read) for name, read in cls.FIELDS[kind].items()}
+    unread = [k for k in doc if k != "kind" and k not in keys]
+    if unread:
+        raise SchemaError(f"kind {kind!r} does not read key {unread[0]!r} in {ctx}")
+    return _build(cls, ctx, kind=kind, **common, **{
+        name: read(_require(doc, k, ctx), f"{ctx}.{k}")
+        for k, (name, read) in keys.items() if k in doc or name not in _OPTIONAL})
 
 
-def _config(coefficient) -> dict:
-    """The config node of an AbsorptionProfile or ScatteringKernel."""
-    return {"kind": coefficient.kind, **{name: _json(getattr(coefficient, name))
-                                         for name in coefficient.FIELDS[coefficient.kind]}}
+def _config(node) -> dict:
+    """The config node of an AbsorptionProfile, ScatteringKernel or
+    DelayMeasure; a measure's r is its circle's "delay"."""
+    return {"kind": node.kind, **{_KEYS.get(name, name): _json(getattr(node, name))
+                                  for name in node.FIELDS[node.kind]}}
 
 
 def _json(x):
     """x with its tuples and arrays as JSON lists."""
     return [_json(e) for e in x] if isinstance(x, (tuple, list, np.ndarray)) else x
-
-
-def _parse_measure(circle, ctx: str) -> DelayMeasure:
-    """The circle's delay measure, on the support [-delay, 0]."""
-    delay = _number(_require(circle, "delay", ctx), f"{ctx}.delay")
-    doc, ctx = _require(circle, "delay_measure", ctx), f"{ctx}.delay_measure"
-    kind = _require(doc, "kind", ctx)
-    if kind == "dirac":
-        fields = {}
-    elif kind == "exponential":
-        fields = {"theta_rate": _number(_require(doc, "theta", ctx), f"{ctx}.theta")}
-    elif kind == "piecewise":
-        fields = {name: read(doc.get(name, ()), f"{ctx}.{name}") for name, read in
-                  (("atoms", _rows), ("density_edges", _numbers),
-                   ("density_values", _numbers))}
-    else:
-        raise SchemaError(f"unknown kind {kind!r} in {ctx}")
-    return _build(DelayMeasure, ctx, kind=kind, r=delay, **fields)
 
 
 def load_network(config_document) -> NetworkSpec:
@@ -545,7 +565,8 @@ def load_network(config_document) -> NetworkSpec:
             CircleSpec, ctx, length=_number(_require(c, "length", ctx), f"{ctx}.length"),
             absorption=_parse(AbsorptionProfile, c, "absorption", ctx),
             scattering=_parse(ScatteringKernel, c, "scattering", ctx),
-            delay_measure=_parse_measure(c, ctx)))
+            delay_measure=_parse(DelayMeasure, c, "delay_measure", ctx, r=_number(
+                _require(c, "delay", ctx), f"{ctx}.delay"))))
     routing = _require(doc, "routing", "config")
 
     flags = _typed(doc.get("flags", {}), dict, "flags")

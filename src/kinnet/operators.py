@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
 from .model import (CircleSpec, NetworkBounds, NetworkSpec, _measure_log_laplace,
-                    measure_laplace, measure_total_variation, network_bounds)
+                    _measure_parts, measure_laplace, measure_total_variation,
+                    network_bounds)
 
 MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
 
@@ -169,9 +170,11 @@ class _GainFactors:
         log_b = max(-math.log(b_min), math.log(max(b.max(), 1.0)))
         log_tv = [math.log(t) if (t := measure_total_variation(m)) > 0.0 else -math.inf
                   for m in self.measures]
+        rates = [max((abs(rate) for *_, rate in _measure_parts(m)[1]), default=0.0)
+                 for m in self.measures]  # of the density cells e^{rate*theta}
         v_min = float(self.velocity.min())
         return (max(m.r for m in self.measures) + float(self.length.max()) / v_min,
-                max(abs(x) + abs(m.theta_rate) * m.r for x, m in zip(log_tv, self.measures))
+                max(abs(x) + rate * m.r for x, rate, m in zip(log_tv, rates, self.measures))
                 + float(np.abs(self.absorbed).max()) / v_min + log_b)
 
     def balanced_gain(self, lam: float) -> tuple[float, BlockOperator, bool]:

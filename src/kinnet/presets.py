@@ -52,15 +52,25 @@ def single_circle(w: float, *, gamma: float = 0.5, length: float = 1.0,
                        mass_preserving=(kernel_scale == 1.0))
 
 
+def _one_cell(c: CircleSpec, v_min: float, v_max: float) -> tuple[float, float, float]:
+    """(v1, b, q) for circle c on one velocity cell of center v1: the kernel
+    factor b = beta(v1, v1) (v_max - v_min) and the survival exponent
+    q = Q(l, v1) / v1, Q(x, v) the integral of the absorption over [0, x]."""
+    v1 = 0.5 * (v_min + v_max)
+    return (v1, float(c.scattering.beta(v1, v1)) * (v_max - v_min),
+            float(c.absorption.integral_x(c.length, v1)) / v1)
+
+
 def single_circle_gain(spec: NetworkSpec) -> float:
-    """Closed-form junction gain of the single-circle family at shift 0."""
+    """Closed-form junction gain of the single-circle family at shift 0 on one
+    velocity cell: w * b * e^{-q} * laplace(measure, 0), with the kernel
+    factor b = beta(v1, v1) (v_max - v_min) and q = Q(l, v1) / v1."""
     if spec.n_circles != 1:
         raise DomainError("closed-form gain applies to single-circle specs")
     c = spec.circles[0]
-    v1 = 0.5 * (spec.v_min + spec.v_max)
+    _, b, q = _one_cell(c, spec.v_min, spec.v_max)
     w = float(spec.routing[0, 0])
-    return w * math.exp(-c.absorption.value * c.length / v1) \
-        * measure_laplace(c.delay_measure, 0.0)
+    return w * b * math.exp(-q) * measure_laplace(c.delay_measure, 0.0)
 
 
 def single_circle_threshold_w(*, gamma: float = 0.5, length: float = 1.0,
@@ -74,17 +84,17 @@ def single_circle_threshold_w(*, gamma: float = 0.5, length: float = 1.0,
 
 
 def single_circle_lambda_star(spec: NetworkSpec) -> float:
-    """Closed-form dominant shift for the Dirac single-circle family:
-    the lam solving w * e^{-lam*r} * e^{-(lam+gamma)*l/v1} = 1."""
+    """Closed-form dominant shift for the Dirac single-circle family on one
+    velocity cell: the lam solving w * b * e^{-lam*r} * e^{-q - lam*l/v1} = 1,
+    with b and q as in single_circle_gain."""
     if spec.n_circles != 1 or spec.circles[0].delay_measure.kind != "dirac":
         raise DomainError("closed-form shift needs one circle with a Dirac delay")
     c = spec.circles[0]
-    v1 = 0.5 * (spec.v_min + spec.v_max)
-    w = float(spec.routing[0, 0])
-    if w <= 0:
-        raise DomainError("closed-form shift needs a positive routing weight")
-    return (math.log(w) - c.absorption.value * c.length / v1) \
-        / (c.length / v1 + c.delay)
+    v1, b, q = _one_cell(c, spec.v_min, spec.v_max)
+    wb = float(spec.routing[0, 0]) * b
+    if wb <= 0:
+        raise DomainError("closed-form shift needs a positive routing weight and kernel")
+    return (math.log(wb) - q) / (c.length / v1 + c.delay)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +218,14 @@ def regression_suite() -> list[tuple[str, NetworkSpec, str]]:
 
 def _two_circle(gain: float) -> NetworkSpec:
     v_min, v_max = 1.0, 2.0
-    v1 = 0.5 * (v_min + v_max)
     circles = tuple(
         CircleSpec(length=l, absorption=AbsorptionProfile(kind="constant", value=g),
                    scattering=constant_kernel(v_min, v_max),
                    delay_measure=DelayMeasure(kind="dirac", r=r))
         for l, r, g in [(1.0, 0.5, 0.3), (1.3, 0.35, 0.15)])
     # symmetric swap routing; scale each column to the target gain level
-    cols = [gain / math.exp(-c.absorption.value * c.length / v1)
-            for c in circles]
+    cols = [gain / (b * math.exp(-q))
+            for _, b, q in (_one_cell(c, v_min, v_max) for c in circles)]
     routing = np.array([[0.0, cols[1]], [cols[0], 0.0]])
     return NetworkSpec(circles=circles, routing=routing,
                        v_min=v_min, v_max=v_max, mass_preserving=True)

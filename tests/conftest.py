@@ -37,6 +37,37 @@ def json_paths(node, prefix=()):
         yield from json_paths(child, prefix + (key,))
 
 
+def shape_doc() -> dict:
+    """Three circles that between them use every absorption, scattering and
+    delay measure kind."""
+    return {
+        "velocity": {"v_min": 1.0, "v_max": 2.0},
+        "circles": [
+            {"length": 1.0, "delay": 0.5,
+             "absorption": {"kind": "constant", "value": 0.3},
+             "scattering": {"kind": "tabulated", "v_edges": [1.0, 2.0],
+                            "values": [[0.9]]},
+             "delay_measure": {"kind": "piecewise", "atoms": [[-0.25, 0.3]],
+                               "density_edges": [-0.5, 0.0],
+                               "density_values": [0.9]}},
+            {"length": 0.8, "delay": 0.3,
+             "absorption": {"kind": "tabulated", "x_edges": [0.0, 0.4, 0.8],
+                            "v_edges": [1.0, 1.5, 2.0],
+                            "values": [[0.2, 0.5], [0.7, 0.1]]},
+             "scattering": {"kind": "separable", "v_edges": [1.0, 1.5, 2.0],
+                            "out_values": [0.8, 1.2], "in_values": [0.9, 1.1]},
+             "delay_measure": {"kind": "exponential", "theta": 2.0}},
+            {"length": 1.2, "delay": 0.6,
+             "absorption": {"kind": "constant", "value": 0.1},
+             "scattering": {"kind": "constant", "value": 0.7},
+             "delay_measure": {"kind": "dirac"}},
+        ],
+        "routing": [[0.2, 0.5, 0.1], [0.3, 0.1, 0.2], [0.1, 0.2, 0.3]],
+        "flags": {"mass_preserving": False},
+        "absorption_bounds": {"gamma1": 0.0, "gamma2": 1.0},
+    }
+
+
 def constant_scenario(spec, grid, t_end, **kw):
     kw.setdefault("initial", {"kind": "constant", "value": 1.0})
     kw.setdefault("history", {"kind": "constant", "value": 1.0})

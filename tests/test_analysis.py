@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from dataclasses import replace
@@ -7,14 +8,14 @@ import pytest
 
 from kinnet import (DomainError, ExtinctionFlag, SmallGainViolation,
                     Trajectory, ValidationError, VelocityGrid,
-                    disturbance_lp_norm, fit_decay, make_scenario,
+                    disturbance_lp_norm, fit_decay, load_network, make_scenario,
                     measure_total_variation, network_bounds, run, scale_spec,
                     small_gain_certificate, spectral_abscissa, sweep,
                     verify_iss)
 from kinnet.presets import (regression_suite, single_circle,
                             single_circle_threshold_w)
 
-from conftest import constant_scenario
+from conftest import constant_scenario, shape_doc
 
 
 def _synthetic(n_fun, t_end=10.0, n=101, initial=1.0):
@@ -312,6 +313,55 @@ def test_scale_spec_semantics(sc_spec):
     assert c.delay == pytest.approx(2.0 * sc_spec.circles[0].delay)
     assert measure_total_variation(c.delay_measure) == pytest.approx(
         measure_total_variation(sc_spec.circles[0].delay_measure))
+
+
+def _every_kind():
+    """The regression suite and the shape document: between them every
+    absorption, scattering and delay measure kind."""
+    return [spec for _, spec, _ in regression_suite()] + [load_network(shape_doc())]
+
+
+def _scaled_config(doc, parameter, s):
+    """The config of scale_spec(spec, parameter, s) for doc = spec.to_config(),
+    worked out node by node from each kind's own keys."""
+    doc = copy.deepcopy(doc)
+    for c in doc["circles"]:
+        k, m = c["scattering"], c["delay_measure"]
+        if parameter == "beta_scale":
+            if k["kind"] == "constant":
+                k["value"] *= s
+            elif k["kind"] == "separable":  # one factor carries the scale
+                k["out_values"] = [v * s for v in k["out_values"]]
+            else:
+                k["values"] = [[v * s for v in row] for row in k["values"]]
+            continue
+        c["delay"] *= s
+        if m["kind"] == "exponential":
+            m["theta"] /= s
+        elif m["kind"] == "piecewise":
+            m["atoms"] = [[pos * s, mass] for pos, mass in m["atoms"]]
+            m["density_edges"] = [e * s for e in m["density_edges"]]
+            m["density_values"] = [v / s for v in m["density_values"]]
+    if parameter == "beta_scale" and s != 1.0:
+        doc["flags"]["mass_preserving"] = False
+    return doc
+
+
+@pytest.mark.parametrize("parameter", ["beta_scale", "delay_scale"])
+def test_scale_spec_scales_every_kind(parameter):
+    for spec in _every_kind():
+        for s in (0.37, 2.0):
+            assert (scale_spec(spec, parameter, s).to_config()
+                    == _scaled_config(spec.to_config(), parameter, s))
+
+
+def test_beta_scale_scales_the_gain():
+    for spec in _every_kind():
+        g = VelocityGrid.for_spec(spec, 8)
+        r_gain = small_gain_certificate(spec, g).r_gain
+        for s in (0.37, 2.0):
+            scaled = small_gain_certificate(scale_spec(spec, "beta_scale", s), g)
+            assert scaled.r_gain == pytest.approx(s * r_gain, rel=1e-12)
 
 
 @pytest.mark.parametrize("value", [0.0, 1e-320])

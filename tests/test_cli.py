@@ -320,6 +320,19 @@ def test_huge_integer_in_config_exits_2(tmp_path, capsys, key):
                          "values": []}}, "x_edges"),
     ({}, {"delay_measure": {"kind": "piecewise", "atoms": [[-0.1]]}}, "atoms"),
     ({}, {"delay_measure": {"kind": "piecewise", "atoms": 5}}, "atoms"),
+    # a key that the node's kind does not read
+    ({}, {"delay_measure": {"kind": "piecewise", "atom": [[-0.25, 0.5]],
+                            "density_edges": [-0.5, 0.0], "density_values": [1.0]}},
+     "'atom'"),
+    ({}, {"delay_measure": {"kind": "dirac", "theta": 3.0}}, "'theta'"),
+    ({}, {"delay_measure": {"kind": "exponential", "theta": 2.0,
+                            "atoms": [[-0.1, 5.0]]}}, "'atoms'"),
+    ({}, {"delay_measure": {"kind": "dirac", "density_edges": [-0.5, 0.0],
+                            "density_values": [1e308]}}, "'density_edges'"),
+    ({}, {"absorption": {"kind": "constant", "value": 0.3, "x_edges": [0.0, 1.0],
+                         "v_edges": [1.0, 2.0], "values": [[5.0]]}}, "'x_edges'"),
+    ({}, {"scattering": {"kind": "constant", "value": 1.0, "values": [[1.0]]}},
+     "'values'"),
 ])
 def test_config_of_wrong_shape_exits_2(tmp_path, capsys, top, circle, field):
     doc = single_circle(0.5).to_config()

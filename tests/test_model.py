@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -14,9 +15,10 @@ from kinnet import (AbsorptionProfile, DelayMeasure, KinnetError, NetworkSpec,
                     measure_laplace, measure_total_variation, network_bounds,
                     routing_norm)
 from kinnet.model import _measure_log_laplace
-from kinnet.presets import conservation_spec, constant_kernel, single_circle
+from kinnet.presets import (conservation_spec, constant_kernel, random_spec,
+                            regression_suite, single_circle)
 
-from conftest import json_paths
+from conftest import json_paths, shape_doc
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +355,30 @@ _EDGES = (1.0, 1.5, 2.0)
     lambda: DelayMeasure(kind="piecewise", r=1.0, atoms=((-0.5,),)),
     lambda: DelayMeasure(kind="piecewise", r=1.0, atoms=((-0.5, 0.3, 1.0),)),
     lambda: DelayMeasure(kind="piecewise", r=1.0, density_values=(1.0,)),
+    # a field that only other kinds read
+    lambda: DelayMeasure(kind="dirac", r=0.5, theta_rate=3.0),
+    lambda: DelayMeasure(kind="exponential", r=0.5, theta_rate=2.0, atoms=((-0.1, 5.0),)),
+    lambda: DelayMeasure(kind="dirac", r=0.5, density_edges=(-0.5, 0.0),
+                         density_values=(math.inf,)),
+    lambda: AbsorptionProfile(kind="constant", value=0.3, x_edges=(0.0, 1.0),
+                              v_edges=(1.0, 2.0), values=((5.0,),)),
+    lambda: ScatteringKernel(kind="constant", value=1.0, values=((math.nan,),)),
 ], ids=["kernel_shape", "kernel_kind", "absorption_kind", "separable_short",
         "absorption_shape", "ragged_table", "decreasing_edges", "nan_edge",
-        "exponential_r_inf", "atom_single", "atom_triple", "density_without_edges"])
+        "exponential_r_inf", "atom_single", "atom_triple", "density_without_edges",
+        "dirac_rate", "exponential_atoms", "dirac_density", "constant_absorption_table",
+        "constant_kernel_table"])
 def test_coefficients_and_measures_check_themselves(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize("cls", [AbsorptionProfile, ScatteringKernel, DelayMeasure])
+def test_field_tables_name_every_field(cls):
+    # so a field outside its kind's table is checked to keep its default;
+    # every measure kind reads the support bound r
+    named = {name for kind in cls.FIELDS.values() for name in kind}
+    assert named == {f.name for f in dataclasses.fields(cls)} - {"kind", "r"}
 
 
 def test_circle_delay_is_its_measure_support():
@@ -380,7 +400,12 @@ def test_config_round_trip():
     assert again.to_config() == doc
     assert again.n_circles == 2
     assert np.allclose(again.routing, spec.routing)
-    assert load_network(_shape_doc()).to_config() == _shape_doc()
+    assert load_network(shape_doc()).to_config() == shape_doc()
+    specs = [spec for _, spec, _ in regression_suite()]
+    specs += [random_spec(seed, family) for seed in range(10)
+              for family in ("estimate", "example1", "example2", "c1")]
+    for spec in specs + [load_network(shape_doc())]:
+        assert load_network(spec.to_config()).circles == spec.circles
 
 
 def test_config_schema_errors():
@@ -391,6 +416,10 @@ def test_config_schema_errors():
     doc = single_circle(0.5).to_config()
     del doc["circles"][0]["absorption"]["value"]
     with pytest.raises(SchemaError, match="value"):
+        load_network(doc)
+    doc = single_circle(0.5, measure="exponential").to_config()
+    del doc["circles"][0]["delay_measure"]["theta"]
+    with pytest.raises(SchemaError, match="missing key 'theta'"):
         load_network(doc)
     for routing in ([["a"]], [[0.5], [0.5, 0.5]]):
         doc = single_circle(0.5).to_config()
@@ -455,44 +484,13 @@ def test_config_declared_absorption_bounds():
                                     "v_edges": [0], "values": []}, ValidationError),
 ])
 def test_config_shape_errors(path, value, error):
-    doc = _shape_doc()
+    doc = shape_doc()
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
     with pytest.raises(error):
         load_network(doc)
-
-
-def _shape_doc() -> dict:
-    """Two circles that between them use every absorption, scattering and
-    delay measure kind."""
-    return {
-        "velocity": {"v_min": 1.0, "v_max": 2.0},
-        "circles": [
-            {"length": 1.0, "delay": 0.5,
-             "absorption": {"kind": "constant", "value": 0.3},
-             "scattering": {"kind": "tabulated", "v_edges": [1.0, 2.0],
-                            "values": [[0.9]]},
-             "delay_measure": {"kind": "piecewise", "atoms": [[-0.25, 0.3]],
-                               "density_edges": [-0.5, 0.0],
-                               "density_values": [0.9]}},
-            {"length": 0.8, "delay": 0.3,
-             "absorption": {"kind": "tabulated", "x_edges": [0.0, 0.4, 0.8],
-                            "v_edges": [1.0, 1.5, 2.0],
-                            "values": [[0.2, 0.5], [0.7, 0.1]]},
-             "scattering": {"kind": "separable", "v_edges": [1.0, 1.5, 2.0],
-                            "out_values": [0.8, 1.2], "in_values": [0.9, 1.1]},
-             "delay_measure": {"kind": "exponential", "theta": 2.0}},
-            {"length": 1.2, "delay": 0.6,
-             "absorption": {"kind": "constant", "value": 0.1},
-             "scattering": {"kind": "constant", "value": 0.7},
-             "delay_measure": {"kind": "dirac"}},
-        ],
-        "routing": [[0.2, 0.5, 0.1], [0.3, 0.1, 0.2], [0.1, 0.2, 0.3]],
-        "flags": {"mass_preserving": False},
-        "absorption_bounds": {"gamma1": 0.0, "gamma2": 1.0},
-    }
 
 
 _HUGE = 10**400  # a JSON integer beyond float range
@@ -506,18 +504,35 @@ _BAD_VALUES = st.one_of(
     st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=3))
 
 
+# the keys of the coefficient and measure nodes of any kind, and one that no
+# kind reads
+_NODES = ("absorption", "scattering", "delay_measure")
+_NODE_KEYS = ["value", "x_edges", "v_edges", "values", "out_values", "in_values",
+              "theta", "atoms", "density_edges", "density_values", "unknown"]
+
+
+def _node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_configs_load_or_raise_kinnet_error(data):
     doc = data.draw(st.sampled_from([
-        _shape_doc(), conservation_spec().to_config(),
+        shape_doc(), conservation_spec().to_config(),
         single_circle(0.5, measure="piecewise").to_config()]).map(copy.deepcopy))
     for _ in range(data.draw(st.integers(1, 3))):
-        path = data.draw(st.sampled_from(list(json_paths(doc))[1:]))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        if data.draw(st.booleans()):
+        paths = list(json_paths(doc))[1:]
+        nodes = [p for p in paths if p[-1] in _NODES and isinstance(_node_at(doc, p), dict)]
+        action = data.draw(st.sampled_from(["delete", "replace", "insert"][:3 if nodes else 2]))
+        if action == "insert":  # a key that the node's kind may not read
+            path = data.draw(st.sampled_from(nodes)) + (data.draw(st.sampled_from(_NODE_KEYS)),)
+        else:
+            path = data.draw(st.sampled_from(paths))
+        node = _node_at(doc, path[:-1])
+        if action == "delete":
             del node[path[-1]]  # a missing key, or a list one entry short
         else:
             node[path[-1]] = copy.deepcopy(data.draw(_BAD_VALUES))

@@ -15,8 +15,8 @@ from kinnet import (AbsorptionProfile, BlockOperator, BracketError, CircleSpec,
                     resolvent_constant_c, small_gain_certificate,
                     spectral_abscissa, spectral_radius)
 from kinnet.presets import (heterogeneous_five, random_spec, regression_suite,
-                            single_circle, single_circle_lambda_star,
-                            single_circle_threshold_w)
+                            single_circle, single_circle_gain,
+                            single_circle_lambda_star, single_circle_threshold_w)
 
 from conftest import constant_scenario, float_range_cycle
 from pd_oracle import assemble_pd
@@ -413,6 +413,26 @@ def test_abscissa_matches_closed_form():
     res = spectral_abscissa(spec, g, tol=1e-8)
     assert res.lambda_star == pytest.approx(single_circle_lambda_star(spec), abs=1e-6)
     assert res.bracket_width <= 1e-8
+
+
+def _tabulated_absorption(spec, q):
+    """spec with its one circle's absorption a 1 x 1 table of q."""
+    c = spec.circles[0]
+    table = AbsorptionProfile(kind="tabulated", x_edges=(0.0, c.length),
+                              v_edges=(spec.v_min, spec.v_max), values=((q,),))
+    return replace(spec, circles=(replace(c, absorption=table),))
+
+
+@pytest.mark.parametrize("spec", [
+    single_circle(0.8, kernel_scale=0.5),
+    _tabulated_absorption(single_circle(0.8), 0.5),
+], ids=["kernel_scale", "tabulated_absorption"])
+def test_closed_forms_read_the_kernel_and_the_absorption(spec):
+    g = VelocityGrid.for_spec(spec, 1)
+    assert single_circle_gain(spec) == pytest.approx(
+        small_gain_certificate(spec, g).r_gain, rel=0, abs=1e-12)
+    assert single_circle_lambda_star(spec) == pytest.approx(
+        spectral_abscissa(spec, g, tol=1e-10).lambda_star, rel=0, abs=1e-8)
 
 
 def test_abscissa_positive_for_supercritical():
