@@ -49,8 +49,15 @@ def _accumulate_density(weights: np.ndarray, dt: float, a: float, b: float,
         i0, i1 = _exp_moments(rate, lo, hi)
         i0, i1 = value * i0, value * i1
         # hat at s rises from th_lo to th_hi; hat at s+1 falls
-        weights[s] += (i1 - th_lo * i0) / dt
-        weights[s + 1] += (th_hi * i0 - i1) / dt
+        w_s, w_next = (i1 - th_lo * i0) / dt, (th_hi * i0 - i1) / dt
+        # on a sliver of a cell one share cancels and may fall below 0: the
+        # other sample then takes the whole mass i0
+        if w_s < 0.0:
+            w_s, w_next = 0.0, i0
+        elif w_next < 0.0:
+            w_s, w_next = i0, 0.0
+        weights[s] += w_s
+        weights[s + 1] += w_next
 
 
 def _accumulate_atom(weights: np.ndarray, dt: float, pos: float, mass: float):

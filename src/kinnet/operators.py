@@ -141,9 +141,13 @@ class _GainFactors:
     def survival(self, lam: float) -> np.ndarray:
         return np.exp(self.log_survival(lam))
 
+    def scale(self, lam: float) -> np.ndarray:
+        """Column scale laplace_j(lam) S_j(v_k', lam) of G(lam) = B diag(scale)."""
+        return self.laplace(lam) * self.survival(lam)
+
     def gain(self, lam: float) -> BlockOperator:
-        scale = self.laplace(lam) * self.survival(lam)
-        return BlockOperator(matrix=self.routed * scale[None, :], weights=self.weights)
+        return BlockOperator(matrix=self.routed * self.scale(lam)[None, :],
+                             weights=self.weights)
 
     def pd_blocks(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """(P, S) of the junction operator PD = [[0, P], [diag(S), 0]]: the
@@ -177,19 +181,27 @@ class _GainFactors:
                 max(abs(x) + rate * m.r for x, rate, m in zip(log_tv, rates, self.measures))
                 + float(np.abs(self.absorbed).max()) / v_min + log_b)
 
-    def balanced_gain(self, lam: float) -> tuple[float, BlockOperator, bool]:
-        """(s, A, lost) with r(G(lam)) = e^s r(A): A = gain(lam) where log_bound keeps
+    @cached_property
+    def _out(self) -> np.ndarray:
+        """The one J K x J K array that balanced_gain writes every matrix into."""
+        return np.empty_like(self.routed)
+
+    def balanced_gain(self, lam: float) -> tuple[float, np.ndarray, bool]:
+        """(s, A, lost) with r(G(lam)) = e^s r(A): A = G(lam) where log_bound keeps
         its exponentials within e^{+-700}, else A_ij = B_ij (c_i c_j)^{1/2} / e^s for the
         column scales c, that is diag(c)^{1/2} G(lam) diag(c)^{-1/2} / e^s, built in
-        logs with s = max log(A_ij e^s). lost: an entry of A underflowed to 0."""
+        logs with s = max log(A_ij e^s). lost: an entry of A underflowed to 0.
+        A is one array that every call overwrites."""
         slope, offset = self.log_bound
+        a = self._out
         if slope * abs(lam) + offset < 700.0:
-            return 0.0, self.gain(lam), False
+            np.multiply(self.routed, self.scale(lam)[None, :], out=a)
+            return 0.0, a, False
         log_c = np.repeat([_measure_log_laplace(m, lam) for m in self.measures], self.k)
         log_c += self.log_survival(lam)
         half = 0.5 * log_c
-        a = np.log(self.routed, out=np.full_like(self.routed, -math.inf),
-                   where=self.routed > 0.0)  # log A + s, in place from here
+        a.fill(-math.inf)
+        np.log(self.routed, out=a, where=self.routed > 0.0)  # log A + s, in place from here
         a += half[:, None]
         a += half[None, :]
         s = float(a.max())
@@ -199,7 +211,7 @@ class _GainFactors:
         a -= s
         np.exp(a, out=a)
         lost = np.count_nonzero(a > 0.0) < kept
-        return s, BlockOperator(matrix=a, weights=self.weights), lost
+        return s, a, lost
 
 
 def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:

@@ -2,7 +2,10 @@
 
 The abscissa solves r(G(lam)) = 1 by a safeguarded secant method on the
 convex map lam -> log r(G(lam)) (Kingman 1961), run from the left of the
-root, with a bisection fallback; see spectral_abscissa. The resolvent
+root, with a bisection fallback; see spectral_abscissa. Its radii share the
+Collatz-Wielandt loop of spectral_radius (_perron_bracket), each started
+from the last one's Perron vector and stopped once its bracket decides the
+sign of log r(G(lam)). The resolvent
 constant c is the least weighted column sum of the discretized resolvent, in
 closed form: the exact infimum over the positive cone; see resolvent_constant_c.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +29,7 @@ ABSCISSA_TOL_DEFAULT = 1e-6
 RESOLVENT_NODES = 64  # nodes per circle of the resolvent meshes, less one
 
 _BRACKET_MAX_ITER = 500  # 2**500 bounds the unscaled iterate
+_SIGN_RTOL = 1e-3  # bracket width per distance from the level that decides a side
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -44,7 +49,8 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
     Collatz-Wielandt bracket: every x > 0 gives
     lo = min_i (Ax)_i/x_i <= r(A) <= max_i (Ax)_i/x_i = hi (Wielandt 1950;
     Horn & Johnson, Matrix Analysis, 8.1), whatever iterate x is, so any
-    rule that keeps x > 0 keeps the bracket rigorous.
+    rule that keeps x > 0 keeps the bracket rigorous. This call starts from
+    x = 1; the abscissa's calls start from the last shift's iterate.
 
     The steps start unshifted, x <- A x / hi. Their bracket closes at the
     rate |lambda_2| / r, which is 0 where each circle's gain block has rank
@@ -68,15 +74,35 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
     float range, and neither bracket nor eigvals can be trusted.
     """
     _check_tol(tol)
-    a = _as_matrix(op)
+    return _perron_bracket(_as_matrix(op), tol).radius
+
+
+class _Bracket(NamedTuple):
+    """What a Perron bracket found: the radius, and A x for the iterate x it
+    stopped at, scaled to max entry 1, or None where no bracket closed (A = 0,
+    the dense fallback)."""
+
+    radius: float
+    vector: np.ndarray | None
+
+
+def _perron_bracket(a: np.ndarray, tol: float, x0: np.ndarray | None = None,
+                    level: float | None = None) -> _Bracket:
+    """The Collatz-Wielandt loop of spectral_radius on the matrix a, from x0
+    instead of x = 1 where x0 is given with no zero entry (every x > 0 keeps
+    the bracket rigorous). With level, it also stops once the bracket decides
+    the side of log r against level: lo > 0, [log lo, log hi] strictly on one
+    side, and no wider than _SIGN_RTOL times the distance of its nearer end.
+    The middle it then returns lies on the same side as log r."""
     if a.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(a)):
+        return _Bracket(0.0, None)
+    a_min, a_max = a.min(), a.max()  # nan and +-inf pass through both
+    if not (math.isfinite(a_min) and math.isfinite(a_max)):
         raise DomainError("spectral_radius expects finite matrix entries")
-    if np.any(a < 0):
+    if a_min < 0:
         raise DomainError("spectral_radius expects a nonnegative matrix")
 
-    x = np.ones(a.shape[0])
+    x = x0 if x0 is not None and x0.all() else np.ones(a.shape[0])
     width, shifted = math.inf, False
     # a zero entry of x gives an inf or nan ratio, which ends the loop below
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -85,11 +111,11 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
             ratio = y / x
             lo, hi = float(ratio.min()), float(ratio.max())
             if hi == 0.0:
-                return 0.0
+                return _Bracket(0.0, None)
             if lo == 0.0 or not math.isfinite(hi):
                 break
-            if hi - lo <= tol * hi:
-                return 0.5 * (lo + hi)
+            if hi - lo <= tol * hi or level is not None and _decides(lo, hi, level):
+                return _Bracket(0.5 * (lo + hi), y / y.max())
             shifted = shifted or hi - lo > 0.9 * width
             width = hi - lo
             # x <- A x / hi never grows x, and x <- (A + hi I) x / hi at most
@@ -99,7 +125,15 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
         raise DomainError("the Perron iterate underflowed: the matrix entries "
                           "span more than the float range")
     dense = float(np.max(np.abs(np.linalg.eigvals(a))))
-    return min(max(dense, lo), hi)
+    return _Bracket(min(max(dense, lo), hi), None)
+
+
+def _decides(lo: float, hi: float, level: float) -> bool:
+    """[log lo, log hi] lies strictly on one side of level, and is no wider
+    than _SIGN_RTOL times the distance of its nearer end from level."""
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    gap = max(log_lo - level, level - log_hi)
+    return gap > 0.0 and log_hi - log_lo <= _SIGN_RTOL * gap
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +271,28 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     [lo, hi] is a sign bracket whose ends were both evaluated, so
     bracket_width = hi - lo <= tol is certified; lambda_star is its middle.
     iterations counts the radius evaluations after the sign bracket is found.
-    B and the shift-free exponent parts are built once; each evaluation is
-    one public spectral_radius call, on a similar matrix kept in float range;
-    DomainError where an entry of it underflowed under a reading phi <= 0,
-    BracketError where adjacent floats near lambda* lie more than tol apart.
+    B and the shift-free exponent parts are built once, and every G(lam), or
+    the similar matrix that keeps it in float range, is written into one
+    array. Each evaluation is one _perron_bracket: it starts from the last
+    evaluation's Perron vector (from x = 1 at the first, after one that
+    closed no bracket, and where balanced_gain changes form), and stops at
+    the 1e-10 rule or once its Collatz-Wielandt bracket decides the sign of
+    phi, whichever comes first. So every evaluated end of [lo, hi] keeps a
+    certified sign, while phi away from the root is read to a relative 1e-3.
+    DomainError where an entry of the matrix underflowed under a reading
+    phi <= 0, BracketError where adjacent floats near lambda* lie more than
+    tol apart.
     """
     _check_tol(tol)
     factors = _gain_factors(spec, grid)
+    warm = (False, None)  # (balanced form, Perron vector) of the last evaluation
 
     def phi(lam: float) -> float:
+        nonlocal warm
         s, gain, lost = factors.balanced_gain(lam)
-        r = spectral_radius(gain)
+        x0 = warm[1] if warm[0] == (s != 0.0) else None
+        r, x = _perron_bracket(gain, POWER_TOL_DEFAULT, x0, level=-s)
+        warm = (s != 0.0, x)
         f = s + math.log(r) if r > 0.0 else -math.inf
         if lost and f <= 0.0:  # r(gain) then only bounds r(G(lam)) from below
             raise DomainError(f"the gain at shift {lam} spans more than the float range")
@@ -258,8 +303,8 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
         # structurally zero gain: the radius stays 0 at every shift
         raise BracketError("gain radius is identically zero; no finite crossing")
 
-    b = network_bounds(spec)
-    lo, hi = -spec.v_min * b.gamma_bar - 10.0, 10.0
+    g1, g2 = spec.absorption_range()
+    lo, hi = -spec.v_min * max(abs(g1), abs(g2)) - 10.0, 10.0
     if f0 > 0.0:
         lo, f_lo, f_hi = 0.0, f0, phi(hi)
     else:

@@ -46,6 +46,17 @@ def test_weights_sum_to_total_variation(kind, r, extra):
     assert np.all(weights >= -1e-15)
 
 
+def test_a_sliver_of_a_cell_gives_no_negative_weight():
+    # the density reaches 1.2e-14 dt past the sample at -100 dt; on that
+    # sliver the share (th_hi i0 - i1) / dt of sample 101 cancels to
+    # -1.69e-15, so sample 100 takes the sliver's whole mass instead
+    m = DelayMeasure(kind="exponential", r=1.8376536704670194, theta_rate=1.3)
+    dt = m.r / 101 * 1.01
+    _, weights = delay_quadrature(m, dt, int(math.ceil(m.r / dt)) + 2)
+    assert np.all(weights >= 0.0)
+    assert np.sum(weights) == pytest.approx(measure_total_variation(m), abs=1e-12)
+
+
 def test_dirac_atom_linear_split():
     # atom at -r lands between samples; reading e^{lam*theta} converges to the
     # Laplace transform at first order in dt
