@@ -6,13 +6,20 @@ positivity), absorption applied as an arrival-node exponential factor, and the
 junction trace history held for the delay reads.
 
 Layout: the densities of all circles sit in one state array with a row per
-node, (N, K) with N = sum_j (M_j + 1), and the traces of all circles in one
-(S_max, J, K) ring buffer with a single head, so a time step costs the same
-few numpy calls whatever the number of circles. Node-major rows keep the
+node, (N, K) with N = sum_j (L + M_j + 1): L inflow rows and then the M_j + 1
+nodes of each circle. The traces of all circles sit in one ring buffer with
+a single head, stored twice, (2 P, J, K). So a time step costs the same few
+numpy calls whatever the number of circles, and node-major rows keep the
 shifted slices of the advection contiguous. Both arrays carry a leading
 member axis R: members share the network, grid and clock and differ only in
 initial data, history and input, so `run(a, b)` steps them in lockstep, (R,
-N, K) and (R, S_max, J, K), with the same numpy calls per step as one run.
+N, K) and (R, 2 P, J, K), with the same numpy calls per step as one run.
+
+Block: with CFL <= 1 a step moves information at most one node, so an
+inflow written on a start node reaches its circle's trace no sooner than
+M_j steps later. The junction is resolved once per block of
+L = min(min_j M_j, LOOKAHEAD) steps, and each step is the three numpy calls
+of the advection (see `_Engine`).
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from .errors import CflError, DomainError, ValidationError
 from .model import NetworkSpec
 from .operators import MAX_ARRAY_VALUES, VelocityGrid, _routed_scattering
 
+# the longest block of steps whose junction inflows are resolved at once
+LOOKAHEAD = 8
 ZERO = MappingProxyType({"kind": "zero"})
 _UNIT = MappingProxyType({"kind": "constant", "value": 1.0})
 
@@ -54,9 +63,10 @@ class Scenario:
     history: Mapping = field(default_factory=lambda: ZERO)
     disturbance: Mapping = field(default_factory=lambda: ZERO)
     input_outside_sum: bool = False
-    # built on first use; frozen fields keep it current, and init=False keeps
-    # `replace` from carrying it over
+    # built on first use; frozen fields keep them current, and init=False
+    # keeps `replace` from carrying them over
     _engine: "object" = field(default=None, init=False, repr=False, compare=False)
+    _inputs: "object" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_real("t_end", self.t_end, positive=True)
@@ -97,14 +107,16 @@ def _check_sizes(members: tuple[Scenario, ...]) -> None:
     """Raise unless each array of a lockstep run of the members, which share
     the sizes of the first, holds at most MAX_ARRAY_VALUES values."""
     sc, R = members[0], len(members)
-    # state R x N x K, ring about R x (r_max / dt) x J x K, in floats: r_max
-    # / dt may be too large to round to an integer
-    K, J = sc.grid.k, sc.spec.n_circles
+    # state R x sum_j (L + M_j + 1) x K and ring R x 2 P x J x K, as the
+    # engine allocates them; r_max / dt may be too large to round to an
+    # integer, and then the ring is too
+    K, J, L = sc.grid.k, sc.spec.n_circles, _block(sc.m_cells)
     r_max = max(c.delay for c in sc.spec.circles)
-    if R * sum(m + 1 for m in sc.m_cells) * K > MAX_ARRAY_VALUES:
+    if R * sum(L + m + 1 for m in sc.m_cells) * K > MAX_ARRAY_VALUES:
         raise ValidationError(f"m_base/m_cells give over {MAX_ARRAY_VALUES} "
                               f"state values for {R} member(s)")
-    if R * (r_max / sc.dt + 2.0) * J * K > MAX_ARRAY_VALUES:
+    if (not r_max / sc.dt < MAX_ARRAY_VALUES or R * 2 * J * K * _ring_period(
+            math.ceil(r_max / sc.dt) + 2, L) > MAX_ARRAY_VALUES):
         raise ValidationError(f"dt = {sc.dt} gives over {MAX_ARRAY_VALUES} "
                               f"ring values for {R} member(s)")
     # records R x n_records x J, input samples (n_steps + 1) x R
@@ -117,6 +129,18 @@ def _check_sizes(members: tuple[Scenario, ...]) -> None:
     if forced and R * (sc.n_steps + 1) > MAX_ARRAY_VALUES:
         raise ValidationError(f"t_end / dt gives over {MAX_ARRAY_VALUES} "
                               f"input samples for {R} member(s)")
+
+
+def _block(m_cells: tuple[int, ...]) -> int:
+    """Steps per junction resolution: no inflow reaches a trace sooner."""
+    return min(min(m_cells), LOOKAHEAD)
+
+
+def _ring_period(s_max: int, block: int) -> int:
+    """Ring rows P: a multiple of the block, so that no block wraps, and
+    room for the S_max history rows of every step plus the block's traces
+    written ahead."""
+    return block * -(-(s_max + block - 1) // block)
 
 
 def default_m_cells(spec: NetworkSpec, base: int = 64) -> tuple[int, ...]:
@@ -230,10 +254,9 @@ class SimState:
     ring buffer, clock, and the members' inputs."""
 
     t: float
-    density: np.ndarray          # (R, N, K), rows per circle at engine.edges
-    ring: np.ndarray             # (R, S_max, J, K); ring[:, head] is the newest trace
-    start_cells: np.ndarray      # flat (member, circle, cell) circle-start indices
-    inputs: np.ndarray | None    # (n_steps + 1, R, 1) input samples; None if unforced
+    density: np.ndarray          # (R, N, K), circle j's nodes at rows engine.nodes[j]
+    ring: np.ndarray             # (R, 2 P, J, K); ring[:, head] is the newest trace
+    inputs: np.ndarray | None    # (R, n_steps + 1) input samples; None if unforced
     head: int = 0
     step_count: int = 0
 
@@ -281,10 +304,19 @@ def _field_values(preset: dict, coords: np.ndarray, span: float, j: int,
 
 
 def _disturbance_samples(sc: Scenario) -> np.ndarray | None:
-    """u(n dt) for the steps n = 0..n_steps, or None for the zero input."""
-    u = _resolved(sc, "disturbance")
-    if u["kind"] == "zero":
+    """u(n dt) for the steps n = 0..n_steps, read-only, or None for the zero
+    input; drawn once per scenario and shared by every reader."""
+    if sc.disturbance["kind"] == "zero":
         return None
+    if sc._inputs is None:
+        samples = _draw_samples(sc)
+        samples.flags.writeable = False
+        object.__setattr__(sc, "_inputs", samples)
+    return sc._inputs
+
+
+def _draw_samples(sc: Scenario) -> np.ndarray:
+    u = _resolved(sc, "disturbance")
     n = sc.n_steps + 1
     if u["kind"] == "constant":
         return np.full(n, float(u["value"]))
@@ -301,42 +333,60 @@ class _Engine:
     it steps keep their data and inputs in the state.
 
     The data depend only on spec, grid, dt, m_cells and input_outside_sum.
-    Circle j owns the node rows starts[j]..ends[j] of the state array and
-    column j of the ring buffer; it leaves the ring rows at offsets >= S_j
-    unread, because its delay and history weights are zero there. The
-    junction inflow of every member is one matmul with routed_t, the
-    transpose of the gain's shift-free factor B. The engine keeps no
-    reference to its scenario, so dropping the scenario frees it.
+    Circle j owns L inflow rows and then its node rows `nodes[j]` of the
+    state array, and column j of the ring buffer. An inflow row and a start
+    node have c_stay = 0, c_move = 1 and no trapezoid weight, so the inflow
+    written s rows above a start node reaches it s steps later.
+
+    At a step_count n that L divides, `step` first resolves the junction of
+    the steps n + 1..n + L. Their traces are fixed nonnegative combinations
+    of the last L + 1 nodes of each circle at step n, since no inflow of the
+    block reaches a trace within L <= M_j steps. The lookahead pushes them
+    into the ring, contracts the ring rows that the block's delay reads
+    cover with a banded (L, window) weight matrix per circle, routes the
+    result with one matmul with the transpose of the gain's shift-free
+    factor B (the inputs ride along as one more column), and writes the L
+    inflows into the inflow rows.
+
+    The ring period P >= S_max + L - 1 is a multiple of L, and row h + P
+    mirrors row h, so a block never wraps and a step's history and a
+    block's delay reads are contiguous slices. Circle j leaves the ring rows
+    at offsets >= S_j unread, because its delay and history weights are zero
+    there. The engine keeps no reference to its scenario, so dropping the
+    scenario frees it.
     """
 
     def __init__(self, sc: Scenario):
         spec, grid = sc.spec, sc.grid
         v, dv, dt = grid.centers, grid.widths, sc.dt
         J, K = spec.n_circles, grid.k
+        L = self.block = _block(sc.m_cells)
         self.dt = dt
         self.dv = dv
         self.vdv = v * dv
         self.xs = [np.linspace(0.0, c.length, m + 1)
                    for c, m in zip(spec.circles, sc.m_cells)]
-        self.edges = tuple(int(e) for e in np.cumsum([0] + [len(x) for x in self.xs]))
-        self.starts = np.array(self.edges[:-1])
-        self.ends = np.array(self.edges[1:]) - 1
+        tops = np.cumsum([0] + [L + len(x) for x in self.xs])  # first inflow rows
+        self.nodes = tuple(slice(int(a) + L, int(b)) for a, b in zip(tops, tops[1:]))
+        self.ends = tops[1:] - 1
         self.n_hist = [int(math.ceil(c.delay / dt)) + 2 for c in spec.circles]
-        s_max = max(self.n_hist)
+        s_max = self.s_max = max(self.n_hist)
+        self.period = _ring_period(s_max, L)
 
-        n_nodes = self.edges[-1]
-        self.xw = np.empty(n_nodes)                 # trapezoid node weights
-        # advection coefficients for the destination nodes 1..N-1; a node
-        # that starts a circle gets zero and then the junction inflow
-        self.c_stay = np.zeros((n_nodes - 1, K))    # (1 - a) * damp
-        self.c_move = np.zeros((n_nodes - 1, K))    # a * damp
+        n_rows = int(tops[-1])
+        self.node_rows = np.concatenate([np.arange(n.start, n.stop) for n in self.nodes])
+        xw = []                                     # trapezoid node weights
+        # advection coefficients for the destination rows 1..N-1: an inflow
+        # row or a start node copies the row above it
+        self.c_stay = np.zeros((n_rows - 1, K))     # (1 - a) * damp
+        self.c_move = np.ones((n_rows - 1, K))      # a * damp
         hist_w = np.zeros((s_max, J))               # integrate samples over [-r_j, 0]
-        pair_rows, pair_circle, pair_w = [], [], []
+        circle, offset, weight = [], [], []         # the delay reads
         for j, c in enumerate(spec.circles):
-            a, b = self.edges[j], self.edges[j + 1]
+            a, b = self.nodes[j].start, self.nodes[j].stop
             dx = c.length / sc.m_cells[j]
-            self.xw[a:b] = dx
-            self.xw[a] = self.xw[b - 1] = 0.5 * dx
+            xw.append(np.full(b - a, dx))
+            xw[-1][[0, -1]] = 0.5 * dx
             # a_k = v_k dt / dx_j, at most 1 + 1e-9 by the Scenario's CFL check
             courant = np.minimum(v * dt / dx, 1.0)
             damp = np.exp(-c.absorption.q(self.xs[j][:, None], v) * dt)[1:]
@@ -344,101 +394,132 @@ class _Engine:
             self.c_move[a:b - 1] = courant * damp
             s = self.n_hist[j]
             _accumulate_density(hist_w[:s, j], dt, -c.delay, 0.0, 1.0, 0.0)
-            if c.scattering.is_zero():
-                continue
             idx, wq = delay_quadrature(c.delay_measure, dt, s)
-            pair_rows.extend(idx * J + j)           # flat row of (offset, circle)
-            pair_circle.extend([j] * len(idx))
-            pair_w.extend(wq)
-        self.pair_rows = np.array(pair_rows, dtype=np.intp)
-        self.pair_w = np.zeros((J, len(pair_w)))   # (J, n_pairs) delay weights
-        self.pair_w[pair_circle, np.arange(len(pair_w))] = pair_w
-        self.routed_t = _routed_scattering(spec, grid).T
-        # inflow of a unit input, flattened over (circle, velocity cell)
+            circle.append(np.full(len(idx), j))
+            offset.append(idx)
+            weight.append(wq)
+        self.xw = np.concatenate(xw)
+        self.hist_w = hist_w.ravel()                # (offset, circle) order
+
+        # the trace of step n + s is sum_i coef[s, i] * node (end - L + i) at
+        # step n: unit pulses stepped with each circle's own coefficients
+        self.tail_rows = self.ends[:, None] + np.arange(-L, 1)
+        stay, move = (c[self.tail_rows[:, None, 1:] - 1] for c in (self.c_stay, self.c_move))
+        pulse = np.broadcast_to(np.eye(L + 1)[:, :, None], (J, L + 1, L + 1, K)).copy()
+        coef = np.empty((J, L, L + 1, K))
+        for s in range(L):
+            pulse[:, :, 1:] = stay * pulse[:, :, 1:] + move * pulse[:, :, :-1]
+            coef[:, s] = pulse[:, :, L]
+        self.trace_coef = coef[:, ::-1].copy()      # newest first, as in the ring
+
+        # the block's reads, from the block's newest ring row h: step n + s
+        # reads offset o at row h + L - s + o, a band of the window of rows
+        # h + o_lo .. h + o_hi + L - 1 (a circle with a zero kernel reads
+        # too, into rows of B that are zero)
+        circle, offset, weight = (np.concatenate(x) for x in (circle, offset, weight))
+        self.o_lo, o_hi = int(offset.min()), int(offset.max())
+        self.delay_w = np.zeros((J, L, o_hi - self.o_lo + L))
+        step = np.arange(1, L + 1)[:, None]
+        self.delay_w[circle, step - 1, L - step + offset - self.o_lo] = weight
+        # inflow of a unit input, flattened over (circle, velocity cell), as
+        # the last row under the transpose of B
         routing = np.asarray(spec.routing, dtype=float)
         gain = np.ones(J) if sc.input_outside_sum else routing.sum(axis=1)
-        self.input_dir = (gain[:, None] / v).ravel()
-        # stacked twice, so that the history weights in ring-row order for
-        # head h are the slice [S_max - h, 2 S_max - h)
-        self.hist_w2 = np.concatenate([hist_w, hist_w])
+        self.routed = np.vstack([_routed_scattering(spec, grid).T,
+                                 (gain[:, None] / v).ravel()])
+        # inflow row s above circle j's start node takes step n + s
+        self.ahead = np.arange(1, L + 1)
+        self.inflow_rows = tops[:-1] + L - self.ahead[:, None]
 
     # -- state construction -------------------------------------------------
     def init_state(self, members: tuple[Scenario, ...]) -> SimState:
         """State of the members at t = 0, from their presets, with their
         inputs sampled at every step."""
-        K, J, dt = len(self.dv), len(self.xs), self.dt
-        R, N = len(members), self.edges[-1]
-        density = np.empty((R, N, K))
-        ring = np.zeros((R, max(self.n_hist), J, K))
+        K, J, dt, P = len(self.dv), len(self.xs), self.dt, self.period
+        R, N = len(members), len(self.c_stay) + 1
+        density = np.zeros((R, N, K))
+        ring = np.zeros((R, 2 * P, J, K))
         for r, m in enumerate(members):
             initial, history = _resolved(m, "initial"), _resolved(m, "history")
             for j, xs in enumerate(self.xs):
-                density[r, self.edges[j]:self.edges[j + 1]] = _field_values(
+                density[r, self.nodes[j]] = _field_values(
                     initial, xs, xs[-1], j, (K, len(xs)), axis=1).T
                 s = self.n_hist[j]
                 thetas = -np.arange(s) * dt
                 ring[r, :s, j] = _field_values(history, thetas, (s - 1) * dt, j,
                                                (s, K), axis=0)
+        ring[:, P:] = ring[:, :P]
         samples = [_disturbance_samples(m) for m in members]
         inputs = None
         if any(u is not None for u in samples):
-            inputs = np.zeros((members[0].n_steps + 1, R, 1))
+            inputs = np.zeros((R, members[0].n_steps + 1))
             for r, u in enumerate(samples):
                 if u is not None:
-                    inputs[:, r, 0] = u
-        rows = np.arange(R)[:, None] * N + self.starts  # circle-start nodes
-        return SimState(t=0.0, density=density, ring=ring,
-                        start_cells=(rows[:, :, None] * K + np.arange(K)).ravel(),
-                        inputs=inputs)
+                    inputs[r] = u
+        return SimState(t=0.0, density=density, ring=ring, inputs=inputs)
 
-    # -- one time step ------------------------------------------------------
+    # -- time stepping ------------------------------------------------------
+    def _lookahead(self, state: SimState) -> None:
+        """Resolve the junction of the steps n + 1..n + L, n = step_count:
+        push their traces into the ring and their inflows into the inflow
+        rows."""
+        z, ring, L, P = state.density, state.ring, self.block, self.period
+        R, _, J, K = ring.shape
+        h = (state.head - L) % P                    # row of the trace of step n + L
+        np.einsum("jsik,rjik->rsjk", self.trace_coef, z[:, self.tail_rows],
+                  out=ring[:, h:h + L])
+        ring[:, h + P:h + P + L] = ring[:, h:h + L]
+        window = ring[:, h + self.o_lo:h + self.o_lo + self.delay_w.shape[2]]
+        delayed = np.zeros((R, L, J * K + 1))       # last column: the inputs
+        np.matmul(self.delay_w, window.transpose(0, 2, 1, 3),
+                  out=delayed[:, :, :-1].reshape(R, L, J, K).transpose(0, 2, 1, 3))
+        if state.inputs is not None:
+            # past the horizon the input holds its last sample
+            np.take(state.inputs, state.step_count + self.ahead, axis=1,
+                    mode="clip", out=delayed[:, :, -1])
+        z[:, self.inflow_rows] = (delayed @ self.routed).reshape(R, L, J, K)
+
     def step(self, state: SimState) -> SimState:
+        if state.step_count % self.block == 0:
+            self._lookahead(state)
         z = state.density
         moved = self.c_move * z[:, :-1]
         z[:, 1:] *= self.c_stay
         z[:, 1:] += moved
-
-        # push new traces, then resolve the junction (one sweep also covers a
-        # delay atom at theta = 0, whose sample is the trace just pushed)
-        ring = state.ring
-        R, s_max, J, K = ring.shape
-        state.head = (state.head - 1) % s_max
-        ring[:, state.head] = z[:, self.ends]
-        samples = np.take(ring.reshape(R, s_max * J, K),
-                          self.pair_rows + state.head * J, axis=1, mode="wrap")
-        inflow = (self.pair_w @ samples).reshape(R, J * K) @ self.routed_t
-
+        state.head = (state.head - 1) % self.period
         state.step_count += 1
-        inputs = state.inputs
-        if inputs is not None:
-            # past the horizon the input holds its last sample
-            inflow += inputs[min(state.step_count, len(inputs) - 1)] * self.input_dir
-        np.put(z, state.start_cells, inflow)
         state.t = state.step_count * self.dt
         return state
 
     # -- diagnostics, one value per member ----------------------------------
-    def _over_history(self, state: SimState, ring: np.ndarray,
-                      along_v: np.ndarray) -> np.ndarray:
+    def _history(self, state: SimState) -> np.ndarray:
+        """The S_max ring rows of the step's history, newest first; the rows
+        written ahead for the rest of the block lie outside it."""
+        return state.ring[:, state.head:state.head + self.s_max]
+
+    def _over_history(self, history: np.ndarray, along_v: np.ndarray) -> np.ndarray:
         """sum_j sum_s hist_w[s, j] * (trace of circle j at offset s) . along_v"""
-        R, s_max = ring.shape[:2]
-        per_row = ring.reshape(R, -1, len(along_v)) @ along_v
-        weights = self.hist_w2[s_max - state.head:2 * s_max - state.head]
-        return per_row @ weights.ravel()
+        R = len(history)
+        return (history.reshape(R, -1, len(along_v)) @ along_v) @ self.hist_w
+
+    def _over_nodes(self, per_row: np.ndarray) -> np.ndarray:
+        """Trapezoid sum over the node rows; the inflow rows stay out of it,
+        so an inflow that overflows counts only once it reaches its node."""
+        return per_row[:, self.node_rows] @ self.xw
 
     def state_norm(self, state: SimState) -> np.ndarray:
-        return np.abs(state.density) @ self.dv @ self.xw
+        return self._over_nodes(np.abs(state.density) @ self.dv)
 
     def history_norm(self, state: SimState) -> np.ndarray:
-        return self._over_history(state, np.abs(state.ring), self.dv)
+        return self._over_history(np.abs(self._history(state)), self.dv)
 
     def outflux(self, state: SimState) -> np.ndarray:
         return state.density[:, self.ends] @ self.vdv
 
     def mass(self, state: SimState) -> np.ndarray:
         """Signed mass on the circles plus the transit mass in the delay lines."""
-        return (state.density @ self.dv @ self.xw
-                + self._over_history(state, state.ring, self.vdv))
+        return (self._over_nodes(state.density @ self.dv)
+                + self._over_history(self._history(state), self.vdv))
 
 
 # what lockstep members share besides the network and the velocity grid

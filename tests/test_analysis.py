@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import kinnet.simulator
+
 from kinnet import (DomainError, ExtinctionFlag, SmallGainViolation,
                     Trajectory, ValidationError, VelocityGrid,
                     disturbance_lp_norm, fit_decay, load_network, make_scenario,
@@ -263,6 +265,33 @@ def test_disturbance_norms(sc_spec, grid8):
     u = np.random.default_rng(1).uniform(0.0, 0.5, sc.n_steps + 1)
     assert disturbance_lp_norm(sc, 2.0) == vspan * float(
         np.sum(np.abs(u) ** 2.0) * sc.dt) ** 0.5
+
+
+def test_random_input_is_drawn_once_for_the_run_and_its_norm(sc_spec, grid8,
+                                                             monkeypatch):
+    draws = []
+    draw = kinnet.simulator._draw_samples
+    monkeypatch.setattr(kinnet.simulator, "_draw_samples",
+                        lambda sc: draws.append(sc) or draw(sc))
+    sc = make_scenario(sc_spec, grid8, t_end=4.0, m_base=8, stride=4,
+                       initial={"kind": "constant", "value": 1.0},
+                       disturbance={"kind": "bounded_random", "bound": 0.5,
+                                    "seed": 3})
+    report = verify_iss(sc, p=2.0)
+    assert draws == [sc]
+    # the engine's inputs and the norm read the one array, which nothing
+    # can write into
+    u = kinnet.simulator._disturbance_samples(sc)
+    state = sc.engine().init_state((sc,))
+    assert draws == [sc] and not u.flags.writeable
+    np.testing.assert_array_equal(state.inputs[0], u)
+    np.testing.assert_array_equal(
+        u, np.random.default_rng(3).uniform(0.0, 0.5, sc.n_steps + 1))
+    vspan = sc_spec.v_max - sc_spec.v_min
+    assert report.u_norm == vspan * float(np.sum(u ** 2.0) * sc.dt) ** 0.5
+    # replace draws for the new scenario
+    assert kinnet.simulator._disturbance_samples(replace(sc)) is not u
+    assert len(draws) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ OPTIONS = {
     "spectral.spectral_radius": ["tol"],
 }
 
-# the settable (init) fields of each public dataclass: 106 in all
+# the settable (init) fields of each public dataclass: 105 in all
 FIELDS = {
     "analysis.DecayFit": ["n_hat", "a_hat", "residual", "window"],
     "analysis.IssReport": ["certificate", "constants", "envelope", "times", "norms",
@@ -71,8 +71,7 @@ FIELDS = {
     "operators.VelocityGrid": ["edges", "centers", "widths"],
     "simulator.Scenario": ["spec", "grid", "dt", "t_end", "stride", "m_cells",
                            "initial", "history", "disturbance", "input_outside_sum"],
-    "simulator.SimState": ["t", "density", "ring", "start_cells", "inputs", "head",
-                           "step_count"],
+    "simulator.SimState": ["t", "density", "ring", "inputs", "head", "step_count"],
     "simulator.Trajectory": ["times", "norm_state", "norm_history", "total_mass",
                              "outflux", "initial_data_norm"],
     "spectral.AbscissaResult": ["lambda_star", "bracket_width", "iterations"],

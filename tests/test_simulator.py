@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import kinnet.simulator
-from kinnet import (CflError, Scenario, ValidationError, VelocityGrid,
-                    make_scenario, network_bounds, run, verify_iss)
+from kinnet import (CflError, DelayMeasure, Scenario, ValidationError,
+                    VelocityGrid, make_scenario, network_bounds, run, verify_iss)
 from kinnet.delayquad import _accumulate_density, delay_quadrature
 from kinnet.operators import MAX_ARRAY_VALUES, scattering_table
 from kinnet.simulator import _disturbance_samples, default_m_cells
@@ -29,9 +29,9 @@ def _k1_scenario(spec, t_end, m=64, **kw):
 
 
 def _circles(eng, array):
-    """Per circle, the (K, M_j + 1) view of its rows of one member's
+    """Per circle, the (K, M_j + 1) view of its node rows of one member's
     (N, K) densities."""
-    return [array[a:b].T for a, b in zip(eng.edges, eng.edges[1:])]
+    return [array[rows].T for rows in eng.nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_decoupled_junction_inflow_zero():
                        disturbance={"kind": "constant", "value": 2.0})
     eng = sc.engine()
     st = eng.step(eng.init_state((sc,)))
-    assert np.all(st.density[0, 0] == 0.0)
+    assert np.all(st.density[0, eng.nodes[0].start] == 0.0)
 
 
 def test_input_outside_sum_flag():
@@ -94,13 +94,20 @@ def test_input_outside_sum_flag():
                        disturbance={"kind": "constant", "value": 2.0})
     eng = sc.engine()
     st = eng.step(eng.init_state((sc,)))
-    assert np.allclose(st.density[0, 0], 2.0 / g.centers)
+    assert np.allclose(st.density[0, eng.nodes[0].start], 2.0 / g.centers)
 
 
 def test_positivity():
-    spec = single_circle(0.9)
+    _assert_stays_nonnegative(single_circle(0.9))
+
+
+def test_positivity_with_a_block_of_3():
+    _assert_stays_nonnegative(heterogeneous_five(0.4), m_cells=(3, 5, 4, 3, 9))
+
+
+def _assert_stays_nonnegative(spec, m_cells=None):
     g = VelocityGrid.for_spec(spec, 4)
-    sc = make_scenario(spec, g, t_end=4.0,
+    sc = make_scenario(spec, g, t_end=4.0, m_cells=m_cells,
                        initial={"kind": "random_nonneg", "seed": 2},
                        history={"kind": "random_nonneg", "seed": 3},
                        disturbance={"kind": "bounded_random", "bound": 1.0, "seed": 4})
@@ -261,6 +268,99 @@ def test_fused_engine_matches_per_circle_reference(spec, kw):
     for name, ref in rec.items():
         np.testing.assert_allclose(getattr(traj, name), np.array(ref),
                                    rtol=1e-12, atol=1e-300)
+
+
+_RANDOM_DATA = {"initial": {"kind": "random_nonneg", "seed": 1},
+                "history": {"kind": "gaussian_bump", "width": 0.3},
+                "disturbance": {"kind": "bounded_random", "bound": 0.5, "seed": 7}}
+
+
+def _assert_matches_reference(*members):
+    """run(*members) records, for each member, what the per-circle reference
+    records at the member's stride and at the last step."""
+    trajectories = run(*members)
+    for sc, traj in zip(members, trajectories if len(members) > 1 else (trajectories,),
+                        strict=True):
+        rec, _ = _reference_run(sc)
+        kept = sorted({*range(0, sc.n_steps + 1, sc.stride), sc.n_steps})
+        for name, ref in rec.items():
+            np.testing.assert_allclose(getattr(traj, name), np.array(ref)[kept],
+                                       rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 11])
+def test_records_mid_block_and_after_a_partial_block_match_the_reference(stride):
+    five = heterogeneous_five(0.4)
+    sc = make_scenario(five, VelocityGrid.for_spec(five, 4), t_end=3.0, m_base=8,
+                       stride=stride, **_RANDOM_DATA)
+    assert sc.engine().block == 8 and sc.n_steps % 8 > 0
+    _assert_matches_reference(sc)
+
+
+@pytest.mark.parametrize("m_cells, block", [((1, 4, 2, 6, 3), 1),
+                                            ((3, 5, 4, 3, 9), 3)])
+def test_the_shortest_circle_bounds_the_block(m_cells, block):
+    five = heterogeneous_five(0.4)
+    sc = make_scenario(five, VelocityGrid.for_spec(five, 4), t_end=3.0,
+                       m_cells=m_cells, stride=2, **_RANDOM_DATA)
+    assert sc.engine().block == block
+    _assert_matches_reference(sc)
+
+
+def test_a_delay_atom_at_theta_zero_matches_the_reference():
+    # the inflow of step n + s reads the trace of step n + s itself
+    five = heterogeneous_five(0.4)
+    c = five.circles[1]
+    with pytest.warns(UserWarning, match="atom at theta=0"):
+        measure = DelayMeasure(kind="piecewise", r=c.delay,
+                               atoms=((0.0, 0.3), (-0.5 * c.delay, 0.2)))
+    spec = replace(five, mass_preserving=False, circles=(
+        five.circles[0], replace(c, delay_measure=measure), *five.circles[2:]))
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 4), t_end=3.0, m_base=8,
+                       stride=3, **_RANDOM_DATA)
+    assert sc.engine().o_lo == 0
+    _assert_matches_reference(sc)
+
+
+def test_three_lockstep_members_match_the_reference():
+    a, b = _member_pair(heterogeneous_five(0.4))
+    c = replace(b, initial={"kind": "gaussian_bump", "center": 0.3},
+                disturbance={"kind": "pulse", "value": 2.0, "t0": 0.5, "t1": 1.5})
+    _assert_matches_reference(a, b, c)
+
+
+def test_one_lookahead_per_block(monkeypatch):
+    five = heterogeneous_five(0.4)
+    sc = make_scenario(five, VelocityGrid.for_spec(five, 2), t_end=2.0, m_base=8,
+                       stride=5, **_RANDOM_DATA)
+    eng = sc.engine()
+    lookahead, calls = eng._lookahead, []
+
+    def counted(state):
+        calls.append(state.step_count)
+        lookahead(state)
+
+    monkeypatch.setattr(eng, "_lookahead", counted)
+    run(sc)
+    assert calls == list(range(0, sc.n_steps, eng.block))
+
+
+def test_an_overflowing_run_turns_non_finite_at_the_reference_record():
+    # the first inf is an inflow; the start node that held it reads nan one
+    # step later where the reference reads the next inflow, so the records
+    # agree up to that record and are non-finite from it on
+    spec = single_circle(1e300)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 2), t_end=3.0, m_base=8,
+                       initial={"kind": "constant", "value": 1.0})
+    with np.errstate(all="ignore"):
+        traj = run(sc)
+        rec, _ = _reference_run(sc)
+    for name, ref in rec.items():
+        ref, got = np.array(ref), getattr(traj, name)
+        finite = np.isfinite(ref)
+        assert not finite.all()
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-12, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +552,7 @@ def test_against_delay_characteristic_oracle():
     assert st.t == pytest.approx(t_final, abs=1e-9)
     xs = np.linspace(0.0, l, m + 1)
     ref = np.array([oracle(t_final, x) for x in xs])
-    err = np.max(np.abs(st.density[0, :, 0] - ref)) / np.max(np.abs(ref))
+    err = np.max(np.abs(st.density[0, eng.nodes[0], 0] - ref)) / np.max(np.abs(ref))
     assert err <= 0.02
 
 
@@ -514,8 +614,9 @@ def test_scenario_rejects_horizons_beyond_array_range(sc_spec, grid8):
 
 
 def test_lockstep_batch_is_capped_in_total(sc_spec, grid1, monkeypatch):
-    # each member's ring holds 0.6 of the cap: one member passes, two do not
-    dt = sc_spec.circles[0].delay / (0.6 * MAX_ARRAY_VALUES)
+    # each member's ring, stored twice, holds 0.6 of the cap: one member
+    # passes, two do not
+    dt = sc_spec.circles[0].delay / (0.3 * MAX_ARRAY_VALUES)
     sc = make_scenario(sc_spec, grid1, t_end=dt, dt=dt, m_base=8)
 
     def no_engine(*args):
