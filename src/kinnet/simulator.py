@@ -8,18 +8,23 @@ junction trace history held for the delay reads.
 Layout: the densities of all circles sit in one state array with a row per
 node, (N, K) with N = sum_j (L + M_j + 1): L inflow rows and then the M_j + 1
 nodes of each circle. The traces of all circles sit in one ring buffer with
-a single head, stored twice, (2 P, J, K). So a time step costs the same few
-numpy calls whatever the number of circles, and node-major rows keep the
-shifted slices of the advection contiguous. Both arrays carry a leading
+a single head, stored twice, (2 P, J, K). Both arrays carry a leading
 member axis R: members share the network, grid and clock and differ only in
 initial data, history and input, so `run(a, b)` steps them in lockstep, (R,
-N, K) and (R, 2 P, J, K), with the same numpy calls per step as one run.
+N, K) and (R, 2 P, J, K). The advection reads the state as one flat vector
+of all members, row after row, and moves every value one row down, K values
+on: member r's last node flows into the top inflow row of member r + 1, as
+circle j's last node flows into the top inflow row of circle j + 1. Nothing
+there is ever read, since the next block's lookahead rewrites every inflow
+row before what it holds reaches a start node. So a time step costs the
+same three numpy calls on contiguous vectors whatever the number of circles
+and members.
 
 Block: with CFL <= 1 a step moves information at most one node, so an
 inflow written on a start node reaches its circle's trace no sooner than
 M_j steps later. The junction is resolved once per block of
-L = min(min_j M_j, LOOKAHEAD) steps, and each step is the three numpy calls
-of the advection (see `_Engine`).
+L = min(min_j M_j, LOOKAHEAD) steps, and `run` takes the steps between two
+records in one call (see `_Engine`).
 """
 
 from __future__ import annotations
@@ -105,14 +110,17 @@ class Scenario:
 
 def _check_sizes(members: tuple[Scenario, ...]) -> None:
     """Raise unless each array of a lockstep run of the members, which share
-    the sizes of the first, holds at most MAX_ARRAY_VALUES values."""
+    the sizes of the first, holds at most MAX_ARRAY_VALUES values; the state
+    of R > 1 members counts together with its two advection coefficient
+    vectors, which are tiled R times for it."""
     sc, R = members[0], len(members)
     # state R x sum_j (L + M_j + 1) x K and ring R x 2 P x J x K, as the
     # engine allocates them; r_max / dt may be too large to round to an
     # integer, and then the ring is too
     K, J, L = sc.grid.k, sc.spec.n_circles, _block(sc.m_cells)
     r_max = max(c.delay for c in sc.spec.circles)
-    if R * sum(L + m + 1 for m in sc.m_cells) * K > MAX_ARRAY_VALUES:
+    state = R * sum(L + m + 1 for m in sc.m_cells) * K
+    if (3 if R > 1 else 1) * state > MAX_ARRAY_VALUES:
         raise ValidationError(f"m_base/m_cells give over {MAX_ARRAY_VALUES} "
                               f"state values for {R} member(s)")
     if (not r_max / sc.dt < MAX_ARRAY_VALUES or R * 2 * J * K * _ring_period(
@@ -259,6 +267,11 @@ class SimState:
     inputs: np.ndarray | None    # (R, n_steps + 1) input samples; None if unforced
     head: int = 0
     step_count: int = 0
+    # the advection coefficients of density.reshape(-1)[K:], and the buffer
+    # of a step's moved values, set by `_Engine.init_state`
+    c_stay: np.ndarray = field(init=False, repr=False)
+    c_move: np.ndarray = field(init=False, repr=False)
+    moved: np.ndarray = field(init=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -334,26 +347,31 @@ class _Engine:
 
     The data depend only on spec, grid, dt, m_cells and input_outside_sum.
     Circle j owns L inflow rows and then its node rows `nodes[j]` of the
-    state array, and column j of the ring buffer. An inflow row and a start
-    node have c_stay = 0, c_move = 1 and no trapezoid weight, so the inflow
-    written s rows above a start node reaches it s steps later.
+    state array, and column j of the ring buffer. Row i of `c_stay` and
+    `c_move` (N, K) updates state row i from rows i and i - 1. An inflow row
+    and a start node have c_stay = 0, c_move = 1 and no trapezoid weight, so
+    the inflow written s rows above a start node reaches it s steps later.
+    Row 0 follows the same rule, so `advance` runs the advection on the
+    flat state of all members, with the coefficients tiled once per member
+    (see the module docstring).
 
-    At a step_count n that L divides, `step` first resolves the junction of
-    the steps n + 1..n + L. Their traces are fixed nonnegative combinations
-    of the last L + 1 nodes of each circle at step n, since no inflow of the
-    block reaches a trace within L <= M_j steps. The lookahead pushes them
-    into the ring, contracts the ring rows that the block's delay reads
-    cover with a banded (L, window) weight matrix per circle, routes the
-    result with one matmul with the transpose of the gain's shift-free
-    factor B (the inputs ride along as one more column), and writes the L
-    inflows into the inflow rows.
+    At a step_count n that L divides, `advance` first resolves the junction
+    of the steps n + 1..n + L. Their traces are fixed nonnegative
+    combinations of the last L + 1 nodes of each circle at step n, since no
+    inflow of the block reaches a trace within L <= M_j steps. The lookahead
+    pushes them into the ring, contracts the ring rows that the block's
+    delay reads cover with a banded (L, window) weight matrix per circle,
+    routes the result with one matmul with the transpose of the gain's
+    shift-free factor B (the inputs ride along as one more column), and
+    writes the L inflows into every inflow row.
 
     The ring period P >= S_max + L - 1 is a multiple of L, and row h + P
     mirrors row h, so a block never wraps and a step's history and a
     block's delay reads are contiguous slices. Circle j leaves the ring rows
     at offsets >= S_j unread, because its delay and history weights are zero
-    there. The engine keeps no reference to its scenario, so dropping the
-    scenario frees it.
+    there; the records contract only the (offset, circle) pairs of nonzero
+    history weight. The engine keeps no reference to its scenario, so
+    dropping the scenario frees it.
     """
 
     def __init__(self, sc: Scenario):
@@ -376,10 +394,9 @@ class _Engine:
         n_rows = int(tops[-1])
         self.node_rows = np.concatenate([np.arange(n.start, n.stop) for n in self.nodes])
         xw = []                                     # trapezoid node weights
-        # advection coefficients for the destination rows 1..N-1: an inflow
-        # row or a start node copies the row above it
-        self.c_stay = np.zeros((n_rows - 1, K))     # (1 - a) * damp
-        self.c_move = np.ones((n_rows - 1, K))      # a * damp
+        # an inflow row or a start node copies the row above it
+        self.c_stay = np.zeros((n_rows, K))         # (1 - a) * damp
+        self.c_move = np.ones((n_rows, K))          # a * damp
         hist_w = np.zeros((s_max, J))               # integrate samples over [-r_j, 0]
         circle, offset, weight = [], [], []         # the delay reads
         for j, c in enumerate(spec.circles):
@@ -390,8 +407,8 @@ class _Engine:
             # a_k = v_k dt / dx_j, at most 1 + 1e-9 by the Scenario's CFL check
             courant = np.minimum(v * dt / dx, 1.0)
             damp = np.exp(-c.absorption.q(self.xs[j][:, None], v) * dt)[1:]
-            self.c_stay[a:b - 1] = (1.0 - courant) * damp
-            self.c_move[a:b - 1] = courant * damp
+            self.c_stay[a + 1:b] = (1.0 - courant) * damp
+            self.c_move[a + 1:b] = courant * damp
             s = self.n_hist[j]
             _accumulate_density(hist_w[:s, j], dt, -c.delay, 0.0, 1.0, 0.0)
             idx, wq = delay_quadrature(c.delay_measure, dt, s)
@@ -399,12 +416,16 @@ class _Engine:
             offset.append(idx)
             weight.append(wq)
         self.xw = np.concatenate(xw)
-        self.hist_w = hist_w.ravel()                # (offset, circle) order
+        # the (offset, circle) pairs of the history window, in ring order,
+        # whose weight is nonzero, and their weights: a pair of zero weight
+        # would turn an overflowed trace into nan
+        self.hist_pairs = np.flatnonzero(hist_w)
+        self.hist_w = hist_w.ravel()[self.hist_pairs]
 
         # the trace of step n + s is sum_i coef[s, i] * node (end - L + i) at
         # step n: unit pulses stepped with each circle's own coefficients
         self.tail_rows = self.ends[:, None] + np.arange(-L, 1)
-        stay, move = (c[self.tail_rows[:, None, 1:] - 1] for c in (self.c_stay, self.c_move))
+        stay, move = (c[self.tail_rows[:, None, 1:]] for c in (self.c_stay, self.c_move))
         pulse = np.broadcast_to(np.eye(L + 1)[:, :, None], (J, L + 1, L + 1, K)).copy()
         coef = np.empty((J, L, L + 1, K))
         for s in range(L):
@@ -436,7 +457,7 @@ class _Engine:
         """State of the members at t = 0, from their presets, with their
         inputs sampled at every step."""
         K, J, dt, P = len(self.dv), len(self.xs), self.dt, self.period
-        R, N = len(members), len(self.c_stay) + 1
+        R, N = len(members), len(self.c_stay)
         density = np.zeros((R, N, K))
         ring = np.zeros((R, 2 * P, J, K))
         for r, m in enumerate(members):
@@ -456,7 +477,13 @@ class _Engine:
             for r, u in enumerate(samples):
                 if u is not None:
                     inputs[r] = u
-        return SimState(t=0.0, density=density, ring=ring, inputs=inputs)
+        state = SimState(t=0.0, density=density, ring=ring, inputs=inputs)
+        # one member reads the engine's coefficients; more read them tiled
+        state.c_stay, state.c_move = (
+            (c.ravel() if R == 1 else np.tile(c.ravel(), R))[K:]
+            for c in (self.c_stay, self.c_move))
+        state.moved = np.empty(R * N * K - K)
+        return state
 
     # -- time stepping ------------------------------------------------------
     def _lookahead(self, state: SimState) -> None:
@@ -479,47 +506,59 @@ class _Engine:
                     mode="clip", out=delayed[:, :, -1])
         z[:, self.inflow_rows] = (delayed @ self.routed).reshape(R, L, J, K)
 
-    def step(self, state: SimState) -> SimState:
-        if state.step_count % self.block == 0:
-            self._lookahead(state)
-        z = state.density
-        moved = self.c_move * z[:, :-1]
-        z[:, 1:] *= self.c_stay
-        z[:, 1:] += moved
-        state.head = (state.head - 1) % self.period
-        state.step_count += 1
+    def advance(self, state: SimState, n: int) -> SimState:
+        """Take n steps: each is the upwind advection of the flat state of
+        all members, three calls on contiguous vectors, after the block's
+        lookahead where L divides the step count."""
+        K, L, P = len(self.dv), self.block, self.period
+        flat = state.density.reshape(-1)
+        below, above = flat[K:], flat[:-K]
+        stay, move, moved = state.c_stay, state.c_move, state.moved
+        head, first = state.head, state.step_count
+        for count in range(first, first + n):
+            if count % L == 0:
+                state.head, state.step_count = (head - count + first) % P, count
+                self._lookahead(state)
+            np.multiply(move, above, out=moved)
+            np.multiply(below, stay, out=below)
+            np.add(below, moved, out=below)
+        state.head, state.step_count = (head - n) % P, first + n
         state.t = state.step_count * self.dt
         return state
 
-    # -- diagnostics, one value per member ----------------------------------
-    def _history(self, state: SimState) -> np.ndarray:
-        """The S_max ring rows of the step's history, newest first; the rows
-        written ahead for the rest of the block lie outside it."""
-        return state.ring[:, state.head:state.head + self.s_max]
+    def step(self, state: SimState) -> SimState:
+        return self.advance(state, 1)
 
-    def _over_history(self, history: np.ndarray, along_v: np.ndarray) -> np.ndarray:
-        """sum_j sum_s hist_w[s, j] * (trace of circle j at offset s) . along_v"""
-        R = len(history)
-        return (history.reshape(R, -1, len(along_v)) @ along_v) @ self.hist_w
+    # -- records, one value per member ---------------------------------------
+    def record(self, state: SimState) -> tuple[np.ndarray, ...]:
+        """norm_state, norm_history, the signed mass (on the circles plus in
+        transit in the delay lines) and the outflux per circle, per member.
 
-    def _over_nodes(self, per_row: np.ndarray) -> np.ndarray:
-        """Trapezoid sum over the node rows; the inflow rows stay out of it,
-        so an inflow that overflows counts only once it reaches its node."""
-        return per_row[:, self.node_rows] @ self.xw
+        The sums over nodes take the node rows only, so an inflow that
+        overflows counts once it reaches its node. The history is the S_max
+        ring rows of the step, newest first; the rows written ahead for the
+        rest of the block lie outside it."""
+        z, R, K = state.density, len(state.density), len(self.dv)
+        history = state.ring[:, state.head:state.head + self.s_max].reshape(R, -1, K)
+        norm_state, node_mass = self._weighted(z, self.dv, self.node_rows, self.xw)
+        norm_history, hist_mass = self._weighted(history, self.vdv, self.hist_pairs,
+                                                 self.hist_w)
+        return (norm_state, norm_history, node_mass + hist_mass,
+                z.take(self.ends, axis=1) @ self.vdv)
 
-    def state_norm(self, state: SimState) -> np.ndarray:
-        return self._over_nodes(np.abs(state.density) @ self.dv)
+    def _weighted(self, values: np.ndarray, signed_along: np.ndarray,
+                  rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per member, weights @ (|values| @ dv) and weights @ (values @
+        signed_along) over the given rows of values (R, n, K), as a pair.
 
-    def history_norm(self, state: SimState) -> np.ndarray:
-        return self._over_history(np.abs(self._history(state)), self.dv)
-
-    def outflux(self, state: SimState) -> np.ndarray:
-        return state.density[:, self.ends] @ self.vdv
-
-    def mass(self, state: SimState) -> np.ndarray:
-        """Signed mass on the circles plus the transit mass in the delay lines."""
-        return (self._over_nodes(state.density @ self.dv)
-                + self._over_history(self._history(state), self.vdv))
+        The rows are taken C ordered, and each member's sums are contracted
+        on their own, as for a single member: one matrix-vector product over
+        several members sums in an order that depends on their number, and a
+        member's records would then depend on the others."""
+        sums = np.empty((len(values), 2, values.shape[1]))
+        np.matmul(np.abs(values), self.dv, out=sums[:, 0])
+        np.matmul(values, signed_along, out=sums[:, 1])
+        return (sums.take(rows, axis=2)[:, :, None] @ weights)[:, :, 0].T
 
 
 # what lockstep members share besides the network and the velocity grid
@@ -555,17 +594,11 @@ def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory,
     times = np.empty(n_records)
     norm_state, norm_history, mass = np.empty((3, R, n_records))
     outflux = np.empty((R, n_records, J))
-    i = 0
-    for n in range(n_steps + 1):
-        if n > 0:
-            eng.step(state)
-        if n % stride == 0 or n == n_steps:
-            times[i] = state.t
-            norm_state[:, i] = eng.state_norm(state)
-            norm_history[:, i] = eng.history_norm(state)
-            mass[:, i] = eng.mass(state)
-            outflux[:, i] = eng.outflux(state)
-            i += 1
+    for i in range(n_records):
+        eng.advance(state, min(i * stride, n_steps) - state.step_count)
+        times[i] = state.t
+        norm_state[:, i], norm_history[:, i], mass[:, i], outflux[:, i] = \
+            eng.record(state)
     trajectories = tuple(
         Trajectory(times=times, norm_state=norm_state[r],
                    norm_history=norm_history[r], total_mass=mass[r],

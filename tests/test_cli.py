@@ -4,7 +4,11 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -516,6 +520,36 @@ def test_deterministic_reports(config_iss, capsys):
     main(["analyze", config_iss, "--k-velocity", "4"])
     second = _strip_timestamp(capsys.readouterr().out)
     assert first == second
+
+
+def test_main_answers_as_fresh_processes_on_one_parser(config_iss, scenario_file,
+                                                      capsys):
+    # the parser is built once per process; a call that parsed, one that
+    # failed to parse and one after them answer as a fresh process does
+    argvs = [["analyze", config_iss, "--k-velocity", "4"],
+             ["analyze", config_iss, "--k-velocity", "four"],
+             ["verify", config_iss, scenario_file, "--k-velocity", "4"]]
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        in_process.append((code, _strip_timestamp(out), err))
+    assert kinnet.cli._build_parser() is kinnet.cli._build_parser()
+    src = str(Path(kinnet.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from kinnet.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        fresh.append((proc.returncode, _strip_timestamp(proc.stdout), proc.stderr))
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+    assert in_process == fresh
 
 
 def test_verify_constants_do_not_depend_on_seed(config_iss, scenario_file, capsys):

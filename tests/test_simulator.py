@@ -28,10 +28,11 @@ def _k1_scenario(spec, t_end, m=64, **kw):
     return make_scenario(spec, g, t_end=t_end, dt=dx / v1, m_cells=(m,), **kw)
 
 
-def _circles(eng, array):
-    """Per circle, the (K, M_j + 1) view of its node rows of one member's
-    (N, K) densities."""
-    return [array[rows].T for rows in eng.nodes]
+def _circles(eng, nodes):
+    """Per circle, the (K, M_j + 1) view of its nodes in one member's node
+    rows, (sum_j (M_j + 1), K)."""
+    sizes = [rows.stop - rows.start for rows in eng.nodes]
+    return [zj.T for zj in np.split(nodes, np.cumsum(sizes)[:-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +50,10 @@ def test_constant_initial_norm(sc_spec, grid8):
     eng = sc.engine()
     st = eng.init_state((sc,))
     expected = sum(c.length for c in sc_spec.circles) * (sc_spec.v_max - sc_spec.v_min)
-    assert eng.state_norm(st).item() == pytest.approx(expected, abs=1e-12)
-    assert eng.mass(st).item() == pytest.approx(expected, abs=1e-12)
-    assert eng.history_norm(st).item() == 0.0
+    norm_state, norm_history, mass, _ = eng.record(st)
+    assert norm_state.item() == pytest.approx(expected, abs=1e-12)
+    assert mass.item() == pytest.approx(expected, abs=1e-12)
+    assert norm_history.item() == 0.0
 
 
 def test_random_preset_deterministic(sc_spec, grid8):
@@ -119,13 +121,15 @@ def _assert_stays_nonnegative(spec, m_cells=None):
 
 
 def _lockstep_densities(*members):
-    """Copies of the (R, N, K) densities of the members stepped in lockstep,
-    one per step, t = 0 included."""
+    """The node rows of the members stepped in lockstep, (R, sum_j (M_j + 1),
+    K), one copy per step, t = 0 included. The inflow rows stay out: a
+    member's top inflow row takes the last node of the member before it,
+    which nothing reads."""
     eng = members[0].engine()
     st = eng.init_state(members)
-    densities = [st.density.copy()]
+    densities = [st.density[:, eng.node_rows]]
     for _ in range(members[0].n_steps):
-        densities.append(eng.step(st).density.copy())
+        densities.append(eng.step(st).density[:, eng.node_rows])
     return densities
 
 
@@ -198,7 +202,7 @@ def _reference_run(sc):
             xw=xw, a=np.minimum(v * dt / dx, 1.0)[:, None], damp=np.exp(-q * dt),
             s=s, idx=idx, wq=wq, hw=hw, buf=st.ring[0, :s, j].copy(), head=0,
             bv=None if c.scattering.is_zero() else scattering_table(c, grid)))
-    z = [zj.copy() for zj in _circles(eng, st.density[0])]
+    z = [zj.copy() for zj in _circles(eng, st.density[0, eng.node_rows])]
     inputs = _disturbance_samples(sc)
     routing = np.asarray(spec.routing)
     rec = {"norm_state": [], "norm_history": [], "total_mass": [], "outflux": []}
@@ -329,6 +333,91 @@ def test_three_lockstep_members_match_the_reference():
     _assert_matches_reference(a, b, c)
 
 
+def _step_loop_records(*members):
+    """The records of the members from a step loop that keeps the members
+    apart: one step at a time on the (R, N, K) state, each member's rows
+    1..N - 1 from its rows 0..N - 2, a record at the stride and at the last
+    step."""
+    eng = members[0].engine()
+    st = eng.init_state(members)
+    n_steps, stride = members[0].n_steps, members[0].stride
+    records = []
+    for n in range(n_steps + 1):
+        if n > 0:
+            if st.step_count % eng.block == 0:
+                eng._lookahead(st)
+            z = st.density
+            moved = eng.c_move[1:] * z[:, :-1]
+            z[:, 1:] *= eng.c_stay[1:]
+            z[:, 1:] += moved
+            st.head = (st.head - 1) % eng.period
+            st.step_count += 1
+            st.t = st.step_count * eng.dt
+        if n % stride == 0 or n == n_steps:
+            records.append((st.t, *eng.record(st)))
+    return records
+
+
+@pytest.mark.parametrize("n_members", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 3, 8, 11])
+def test_run_equals_the_step_loop_bit_for_bit(stride, n_members):
+    five = heterogeneous_five(0.4)
+    a, b = (replace(m, stride=stride)
+            for m in _member_pair(five, m_cells=(3, 5, 4, 3, 9)))
+    c = replace(b, disturbance={"kind": "pulse", "value": 2.0, "t0": 0.5, "t1": 1.5})
+    members = (b, a, c)[:n_members]
+    assert a.engine().block == 3
+    trajectories = run(*members)
+    if n_members == 1:
+        trajectories = (trajectories,)
+    loop = _step_loop_records(*members)
+    assert len(loop) == members[0].n_records
+    for r, traj in enumerate(trajectories):
+        for name, column in zip(_RECORDS, zip(*loop)):
+            column = np.array([value if name == "times" else value[r]
+                               for value in column])
+            assert np.array_equal(getattr(traj, name), column), name
+
+
+def test_an_overflowing_member_leaves_its_lockstep_partners_alone():
+    # a member's last node flows into the top inflow row of the next one,
+    # which the next lookahead rewrites before it reaches a start node
+    spec = single_circle(1e50)
+    grid = VelocityGrid.for_spec(spec, 2)
+    finite = make_scenario(spec, grid, t_end=3.0, m_base=8, **_RANDOM_DATA)
+    hot = make_scenario(spec, grid, t_end=3.0, m_base=8,
+                        initial={"kind": "constant", "value": 1e308})
+    with np.errstate(all="ignore"):
+        before, overflowed, after = run(finite, hot, finite)
+    assert not np.isfinite(overflowed.norm_state).all()
+    alone = run(finite)
+    assert np.isfinite(alone.norm_state).all()
+    _assert_same_records(before, alone)
+    _assert_same_records(after, alone)
+
+
+def test_history_records_leave_out_ring_rows_of_zero_weight():
+    # a history of 1e308 on a velocity range of 2 overflows the velocity sum
+    # of every trace: the records read inf while such a trace has weight,
+    # and then 1e308 times those of a unit history, as the data are linear
+    spec = single_circle(0.5, v_max=3.0)
+    unit = make_scenario(spec, VelocityGrid.for_spec(spec, 2), t_end=3.0, m_base=8,
+                         history={"kind": "constant", "value": 1.0})
+    sc = replace(unit, history={"kind": "constant", "value": 1e308})
+    eng = sc.engine()
+    weighted = len(eng.hist_pairs)
+    assert list(eng.hist_pairs) == list(range(weighted))
+    assert weighted < eng.s_max
+    with np.errstate(over="ignore"):
+        traj = run(sc)
+    scaled = run(unit)
+    for name in ("norm_history", "total_mass"):
+        got = getattr(traj, name)
+        assert np.isinf(got[:weighted]).all()
+        np.testing.assert_allclose(got[weighted:], 1e308 * getattr(scaled, name)[weighted:],
+                                   rtol=1e-12)
+
+
 def test_one_lookahead_per_block(monkeypatch):
     five = heterogeneous_five(0.4)
     sc = make_scenario(five, VelocityGrid.for_spec(five, 2), t_end=2.0, m_base=8,
@@ -396,12 +485,8 @@ def test_lockstep_matches_separate_runs(spec, kw):
     pair = run(a, b)
     assert isinstance(pair, tuple) and len(pair) == 2
     for together, alone in zip(pair, (run(a), run(b)), strict=True):
-        np.testing.assert_array_equal(together.times, alone.times)
-        for name in ("norm_state", "norm_history", "total_mass", "outflux"):
-            np.testing.assert_allclose(getattr(together, name), getattr(alone, name),
-                                       rtol=1e-12, atol=1e-300)
-        assert together.initial_data_norm == pytest.approx(alone.initial_data_norm,
-                                                           rel=1e-12)
+        _assert_same_records(together, alone)
+        assert together.initial_data_norm == alone.initial_data_norm
     # states too, and a forced member's input goes to that member only
     eng = a.engine()
     both, each = eng.init_state((a, b)), [eng.init_state((m,)) for m in (a, b)]
@@ -409,7 +494,8 @@ def test_lockstep_matches_separate_runs(spec, kw):
         eng.step(both)
         for r, st in enumerate(each):
             eng.step(st)
-            np.testing.assert_allclose(both.density[r], st.density[0],
+            np.testing.assert_allclose(both.density[r, eng.node_rows],
+                                       st.density[0, eng.node_rows],
                                        rtol=1e-12, atol=1e-300)
             np.testing.assert_allclose(both.ring[r], st.ring[0],
                                        rtol=1e-12, atol=1e-300)
@@ -627,6 +713,25 @@ def test_lockstep_batch_is_capped_in_total(sc_spec, grid1, monkeypatch):
         run(sc, sc)
     # verify steps its unforced companion in lockstep with the scenario
     with pytest.raises(ValidationError, match="ring values for 2 member"):
+        verify_iss(sc)
+
+
+def test_lockstep_state_counts_its_tiled_coefficients(monkeypatch):
+    # a member's state holds 0.2 of the cap, so two members' states hold 0.4
+    # and, with the advection coefficients tiled for them, 1.2; a short delay
+    # keeps the ring small
+    spec = single_circle(0.5, delay=1e-3)
+    m = int(0.2 * MAX_ARRAY_VALUES) - 9               # N = L + M + 1, L = 8
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 1), t_end=1e-7,
+                       m_cells=(m,))
+
+    def no_engine(*args):
+        raise AssertionError("an engine was built for an oversized batch")
+
+    monkeypatch.setattr(kinnet.simulator, "_Engine", no_engine)
+    with pytest.raises(ValidationError, match="state values for 2 member"):
+        run(sc, sc)
+    with pytest.raises(ValidationError, match="state values for 2 member"):
         verify_iss(sc)
 
 
