@@ -25,6 +25,10 @@ inflow written on a start node reaches its circle's trace no sooner than
 M_j steps later. The junction is resolved once per block of
 L = min(min_j M_j, LOOKAHEAD) steps, and `run` takes the steps between two
 records in one call (see `_Engine`).
+
+Memory: the arrays that a step or a record streams start on a cache line,
+and the ring has a sums array, |trace| @ dv and trace @ (v dv) per row and
+circle, from which a record reads the history (see `_Engine`).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .operators import MAX_ARRAY_VALUES, VelocityGrid, _routed_scattering
 
 # the longest block of steps whose junction inflows are resolved at once
 LOOKAHEAD = 8
+_LINE = 64  # bytes in a cache line
 ZERO = MappingProxyType({"kind": "zero"})
 _UNIT = MappingProxyType({"kind": "constant", "value": 1.0})
 
@@ -114,16 +119,17 @@ def _check_sizes(members: tuple[Scenario, ...]) -> None:
     of R > 1 members counts together with its two advection coefficient
     vectors, which are tiled R times for it."""
     sc, R = members[0], len(members)
-    # state R x sum_j (L + M_j + 1) x K and ring R x 2 P x J x K, as the
-    # engine allocates them; r_max / dt may be too large to round to an
-    # integer, and then the ring is too
+    # state R x sum_j (L + M_j + 1) x K, and ring R x 2 P x J x K or its
+    # sums R x 2 x 2 P x J, whichever is larger, as the engine allocates
+    # them; r_max / dt may be too large to round to an integer, and then the
+    # ring is too
     K, J, L = sc.grid.k, sc.spec.n_circles, _block(sc.m_cells)
     r_max = max(c.delay for c in sc.spec.circles)
     state = R * sum(L + m + 1 for m in sc.m_cells) * K
     if (3 if R > 1 else 1) * state > MAX_ARRAY_VALUES:
         raise ValidationError(f"m_base/m_cells give over {MAX_ARRAY_VALUES} "
                               f"state values for {R} member(s)")
-    if (not r_max / sc.dt < MAX_ARRAY_VALUES or R * 2 * J * K * _ring_period(
+    if (not r_max / sc.dt < MAX_ARRAY_VALUES or R * 2 * J * max(K, 2) * _ring_period(
             math.ceil(r_max / sc.dt) + 2, L) > MAX_ARRAY_VALUES):
         raise ValidationError(f"dt = {sc.dt} gives over {MAX_ARRAY_VALUES} "
                               f"ring values for {R} member(s)")
@@ -137,6 +143,16 @@ def _check_sizes(members: tuple[Scenario, ...]) -> None:
     if forced and R * (sc.n_steps + 1) > MAX_ARRAY_VALUES:
         raise ValidationError(f"t_end / dt gives over {MAX_ARRAY_VALUES} "
                               f"input samples for {R} member(s)")
+
+
+def _aligned(shape) -> np.ndarray:
+    """A float64 array of zeros whose data start on a cache line: allocated
+    7 values longer and sliced, as malloc aligns only to 16 bytes, and a
+    vector load that straddles two lines costs two."""
+    n = math.prod(shape)
+    buf = np.zeros(n + _LINE // 8 - 1)
+    first = -buf.ctypes.data % _LINE // 8
+    return buf[first:first + n].reshape(shape)
 
 
 def _block(m_cells: tuple[int, ...]) -> int:
@@ -267,11 +283,14 @@ class SimState:
     inputs: np.ndarray | None    # (R, n_steps + 1) input samples; None if unforced
     head: int = 0
     step_count: int = 0
-    # the advection coefficients of density.reshape(-1)[K:], and the buffer
-    # of a step's moved values, set by `_Engine.init_state`
+    # set by `_Engine.init_state`: the advection coefficients of
+    # density.reshape(-1)[K:], the buffer of a step's moved values, and the
+    # sums (R, 2, 2 P, J) of each ring row and circle, |trace| @ dv and
+    # trace @ (v dv), row h + P mirroring row h as in the ring
     c_stay: np.ndarray = field(init=False, repr=False)
     c_move: np.ndarray = field(init=False, repr=False)
     moved: np.ndarray = field(init=False, repr=False)
+    sums: np.ndarray = field(init=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -367,11 +386,18 @@ class _Engine:
 
     The ring period P >= S_max + L - 1 is a multiple of L, and row h + P
     mirrors row h, so a block never wraps and a step's history and a
-    block's delay reads are contiguous slices. Circle j leaves the ring rows
-    at offsets >= S_j unread, because its delay and history weights are zero
-    there; the records contract only the (offset, circle) pairs of nonzero
-    history weight. The engine keeps no reference to its scenario, so
-    dropping the scenario frees it.
+    block's delay reads are contiguous slices. The lookahead also writes the
+    sums of its L traces, and their mirror rows, into the state's sums
+    array, so the history work of a record is O(pairs) and that of a block
+    O(L J K). Circle j leaves the ring rows at offsets >= S_j unread,
+    because its delay and history weights are zero there; the records
+    contract only the (offset, circle) pairs of nonzero history weight.
+
+    `c_stay` and `c_move`, like every array of the state, start on a
+    64-byte cache line (`_aligned`). When 8 divides K so do the views
+    `c.ravel()[K:]` and `density.reshape(-1)[K:]`: all six operands of the
+    advection start on a line, and no vector load straddles two. The engine keeps no
+    reference to its scenario, so dropping the scenario frees it.
     """
 
     def __init__(self, sc: Scenario):
@@ -395,8 +421,9 @@ class _Engine:
         self.node_rows = np.concatenate([np.arange(n.start, n.stop) for n in self.nodes])
         xw = []                                     # trapezoid node weights
         # an inflow row or a start node copies the row above it
-        self.c_stay = np.zeros((n_rows, K))         # (1 - a) * damp
-        self.c_move = np.ones((n_rows, K))          # a * damp
+        self.c_stay = _aligned((n_rows, K))         # (1 - a) * damp
+        self.c_move = _aligned((n_rows, K))         # a * damp
+        self.c_move[:] = 1.0
         hist_w = np.zeros((s_max, J))               # integrate samples over [-r_j, 0]
         circle, offset, weight = [], [], []         # the delay reads
         for j, c in enumerate(spec.circles):
@@ -458,8 +485,8 @@ class _Engine:
         inputs sampled at every step."""
         K, J, dt, P = len(self.dv), len(self.xs), self.dt, self.period
         R, N = len(members), len(self.c_stay)
-        density = np.zeros((R, N, K))
-        ring = np.zeros((R, 2 * P, J, K))
+        density = _aligned((R, N, K))
+        ring = _aligned((R, 2 * P, J, K))
         for r, m in enumerate(members):
             initial, history = _resolved(m, "initial"), _resolved(m, "history")
             for j, xs in enumerate(self.xs):
@@ -478,11 +505,15 @@ class _Engine:
                 if u is not None:
                     inputs[r] = u
         state = SimState(t=0.0, density=density, ring=ring, inputs=inputs)
+        state.sums = _aligned((R, 2, 2 * P, J))
+        self._trace_sums(ring, state.sums)
         # one member reads the engine's coefficients; more read them tiled
-        state.c_stay, state.c_move = (
-            (c.ravel() if R == 1 else np.tile(c.ravel(), R))[K:]
-            for c in (self.c_stay, self.c_move))
-        state.moved = np.empty(R * N * K - K)
+        stay, move = self.c_stay, self.c_move
+        if R > 1:
+            stay, move = _aligned((R, N, K)), _aligned((R, N, K))
+            stay[:], move[:] = self.c_stay, self.c_move
+        state.c_stay, state.c_move = stay.ravel()[K:], move.ravel()[K:]
+        state.moved = _aligned((R * N * K - K,))
         return state
 
     # -- time stepping ------------------------------------------------------
@@ -495,7 +526,9 @@ class _Engine:
         h = (state.head - L) % P                    # row of the trace of step n + L
         np.einsum("jsik,rjik->rsjk", self.trace_coef, z[:, self.tail_rows],
                   out=ring[:, h:h + L])
+        self._trace_sums(ring[:, h:h + L], state.sums[:, :, h:h + L])
         ring[:, h + P:h + P + L] = ring[:, h:h + L]
+        state.sums[:, :, h + P:h + P + L] = state.sums[:, :, h:h + L]
         window = ring[:, h + self.o_lo:h + self.o_lo + self.delay_w.shape[2]]
         delayed = np.zeros((R, L, J * K + 1))       # last column: the inputs
         np.matmul(self.delay_w, window.transpose(0, 2, 1, 3),
@@ -536,29 +569,43 @@ class _Engine:
 
         The sums over nodes take the node rows only, so an inflow that
         overflows counts once it reaches its node. The history is the S_max
-        ring rows of the step, newest first; the rows written ahead for the
-        rest of the block lie outside it."""
-        z, R, K = state.density, len(state.density), len(self.dv)
-        history = state.ring[:, state.head:state.head + self.s_max].reshape(R, -1, K)
-        norm_state, node_mass = self._weighted(z, self.dv, self.node_rows, self.xw)
-        norm_history, hist_mass = self._weighted(history, self.vdv, self.hist_pairs,
-                                                 self.hist_w)
+        ring rows of the step, newest first, read from their sums in
+        `state.sums`, one take of the pairs of nonzero weight and one
+        contraction per member; the rows written ahead for the rest of the
+        block lie outside it. The outflux is read from the end nodes: the
+        newest ring row is not the same thing, as at t = 0 it holds the
+        history preset, not the initial data at the end node."""
+        z, R = state.density, len(state.density)
+        node_sums = np.empty((R, 2, z.shape[1]))
+        np.matmul(np.abs(z), self.dv, out=node_sums[:, 0])
+        np.matmul(z, self.dv, out=node_sums[:, 1])
+        trace_sums = state.sums[:, :, state.head:state.head + self.s_max]
+        norm_state, node_mass = _weighted(node_sums, self.node_rows, self.xw)
+        norm_history, hist_mass = _weighted(trace_sums.reshape(R, 2, -1),
+                                            self.hist_pairs, self.hist_w)
         return (norm_state, norm_history, node_mass + hist_mass,
                 z.take(self.ends, axis=1) @ self.vdv)
 
-    def _weighted(self, values: np.ndarray, signed_along: np.ndarray,
-                  rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per member, weights @ (|values| @ dv) and weights @ (values @
-        signed_along) over the given rows of values (R, n, K), as a pair.
+    def _trace_sums(self, traces: np.ndarray, out: np.ndarray) -> None:
+        """|trace| @ dv and trace @ (v dv) of the ring rows traces (R, n, J,
+        K) into out[:, 0] and out[:, 1], out (R, 2, n, J): one
+        matrix-vector product per member and column."""
+        R, K = len(traces), len(self.dv)
+        rows = traces.reshape(R, -1, K)
+        # out[:, c] (R, n, J) reshapes to a view (R, n J) of it
+        np.matmul(np.abs(rows), self.dv, out=out[:, 0].reshape(R, -1))
+        np.matmul(rows, self.vdv, out=out[:, 1].reshape(R, -1))
 
-        The rows are taken C ordered, and each member's sums are contracted
-        on their own, as for a single member: one matrix-vector product over
-        several members sums in an order that depends on their number, and a
-        member's records would then depend on the others."""
-        sums = np.empty((len(values), 2, values.shape[1]))
-        np.matmul(np.abs(values), self.dv, out=sums[:, 0])
-        np.matmul(values, signed_along, out=sums[:, 1])
-        return (sums.take(rows, axis=2)[:, :, None] @ weights)[:, :, 0].T
+
+def _weighted(sums: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per member, weights @ sums[:, 0, rows] and weights @ sums[:, 1,
+    rows] of the sums (R, 2, n), as a pair.
+
+    The rows are taken C ordered, and each member's sums are contracted on
+    their own, as for a single member: one matrix-vector product over
+    several members sums in an order that depends on their number, and a
+    member's records would then depend on the others."""
+    return (sums.take(rows, axis=2)[:, :, None] @ weights)[:, :, 0].T
 
 
 # what lockstep members share besides the network and the velocity grid

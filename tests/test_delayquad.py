@@ -93,3 +93,59 @@ def test_density_reaching_past_the_support_is_clipped():
                      density_values=(1e6, 2.0))
     assert measure_total_variation(m) == 2.0
     assert measure_laplace(m, 0.5) == pytest.approx(2.0 * (1.0 - math.exp(-0.5)) / 0.5)
+
+
+def _quad_weights(m, dt, n):
+    """The weight of sample s as the integral of its hat function times the
+    density e^{rate theta} over [-r, 0], by adaptive quadrature."""
+    from scipy.integrate import quad
+
+    def share(hat, lo, hi):
+        lo, hi = max(lo, -m.r), min(hi, 0.0)
+        if lo >= hi:
+            return 0.0
+        return quad(lambda th: hat(th) * math.exp(m.theta_rate * th), lo, hi,
+                    epsabs=0.0, epsrel=1e-13)[0]
+
+    w = np.zeros(n)
+    for s in range(n):
+        lo, mid, hi = -(s + 1) * dt, -s * dt, -(s - 1) * dt
+        w[s] = (share(lambda th: (th - lo) / dt, lo, mid)
+                + share(lambda th: (hi - th) / dt, mid, hi))
+    return w
+
+
+@pytest.mark.parametrize("rate", [1e-9, -1e-9, 1e-7, -1e-7, 1.3e-6, -1.3e-6, 1e-5,
+                                  -1e-5, 1e-3, -1e-3, 1.3, -0.9])
+def test_exponential_weights_match_quadrature_for_every_rate(rate):
+    # a rate near 0 cancelled in the closed-form moments: at 1e-7 the weight
+    # of sample 24 read 2.0e-2 where 1.0e-2 belongs
+    m = DelayMeasure(kind="exponential", r=1.0, theta_rate=rate)
+    dt, n = 0.01, 102
+    offsets, weights = delay_quadrature(m, dt, n)
+    got = np.zeros(n)
+    got[offsets] = weights
+    np.testing.assert_allclose(got, _quad_weights(m, dt, n), rtol=1e-12, atol=1e-16)
+    assert np.sum(weights) == pytest.approx(measure_total_variation(m), rel=1e-13)
+
+
+def test_a_sliver_of_a_cell_matches_quadrature():
+    # the support ends 1.2e-14 dt past the sample at -100 dt
+    m = DelayMeasure(kind="exponential", r=1.8376536704670194, theta_rate=1.3)
+    dt = m.r / 101 * 1.01
+    n = int(math.ceil(m.r / dt)) + 2
+    offsets, weights = delay_quadrature(m, dt, n)
+    got = np.zeros(n)
+    got[offsets] = weights
+    np.testing.assert_allclose(got, _quad_weights(m, dt, n), rtol=1e-12, atol=1e-16)
+    assert np.sum(weights) == pytest.approx(measure_total_variation(m), rel=1e-13)
+
+
+@pytest.mark.parametrize("rate", [1e3, 1e6, 1e12])
+def test_a_steep_density_keeps_its_mass(rate):
+    # at rate dt = 1e4 the moments of a cell taken from its lower end
+    # overflow unless e^{rate theta} is carried from its upper end
+    m = DelayMeasure(kind="exponential", r=1.0, theta_rate=rate)
+    _, weights = delay_quadrature(m, 0.01, 102)
+    assert np.all(np.isfinite(weights))
+    assert np.sum(weights) == pytest.approx(measure_total_variation(m), rel=1e-13)

@@ -434,6 +434,77 @@ def test_one_lookahead_per_block(monkeypatch):
     assert calls == list(range(0, sc.n_steps, eng.block))
 
 
+@pytest.mark.parametrize("n_members", [1, 2, 3])
+@pytest.mark.parametrize("k", [8, 32])
+def test_advection_operands_start_on_a_cache_line(k, n_members):
+    five = heterogeneous_five(0.4)
+    sc = make_scenario(five, VelocityGrid.for_spec(five, k), t_end=0.1, m_base=8)
+    state = sc.engine().init_state((sc,) * n_members)
+    flat = state.density.reshape(-1)
+    assert np.shares_memory(flat, state.density)
+    operands = (state.c_stay, state.c_move, state.moved, flat[k:], flat[:-k],
+                state.ring, state.sums)
+    assert [x.ctypes.data % 64 for x in operands] == [0] * len(operands)
+
+
+def test_records_do_not_depend_on_alignment(monkeypatch):
+    five = heterogeneous_five(0.4)
+    grid = VelocityGrid.for_spec(five, 8)
+    members = [make_scenario(five, grid, t_end=1.0, m_base=8, stride=3, **_RANDOM_DATA),
+               make_scenario(five, grid, t_end=1.0, m_base=8, stride=3,
+                             initial={"kind": "constant", "value": 0.5})]
+    aligned = run(*members)
+
+    def off_line(shape):
+        # the data start 16 bytes past a cache line
+        n = math.prod(shape)
+        buf = np.zeros(n + 10)
+        first = -buf.ctypes.data % 64 // 8 + 2
+        return buf[first:first + n].reshape(shape)
+
+    monkeypatch.setattr(kinnet.simulator, "_aligned", off_line)
+    fresh = [replace(m) for m in members]           # engines built anew
+    state = fresh[0].engine().init_state(tuple(fresh))
+    assert state.density.ctypes.data % 64 == 16
+    assert fresh[0].engine().c_stay.ctypes.data % 64 == 16
+    for traj, ref in zip(run(*fresh), aligned, strict=True):
+        _assert_same_records(traj, ref)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 8, 11])
+def test_trace_sums_follow_the_ring(stride, monkeypatch):
+    # after each lookahead and at each record the sums are those of the
+    # ring, mirror rows included, for every member
+    five = heterogeneous_five(0.4)
+    grid = VelocityGrid.for_spec(five, 3)
+    sc = make_scenario(five, grid, t_end=1.0, m_base=8, stride=stride, **_RANDOM_DATA)
+    other = replace(sc, initial={"kind": "constant", "value": -0.5},
+                    history={"kind": "random_nonneg", "seed": 2})
+    eng = sc.engine()
+    lookahead, record, checked = eng._lookahead, eng.record, []
+
+    def check(state):
+        ring = state.ring
+        np.testing.assert_allclose(state.sums[:, 0], np.abs(ring) @ eng.dv, rtol=1e-15)
+        np.testing.assert_allclose(state.sums[:, 1], ring @ eng.vdv, rtol=1e-15)
+        checked.append(state.step_count)
+
+    def checked_lookahead(state):
+        lookahead(state)
+        check(state)
+
+    def checked_record(state):
+        check(state)
+        return record(state)
+
+    monkeypatch.setattr(eng, "_lookahead", checked_lookahead)
+    monkeypatch.setattr(eng, "record", checked_record)
+    run(sc, other)
+    blocks = list(range(0, sc.n_steps, eng.block))
+    records = sorted({min(i * stride, sc.n_steps) for i in range(sc.n_records)})
+    assert sorted(checked) == sorted(blocks + records)
+
+
 def test_an_overflowing_run_turns_non_finite_at_the_reference_record():
     # the first inf is an inflow; the start node that held it reads nan one
     # step later where the reference reads the next inflow, so the records
@@ -700,9 +771,10 @@ def test_scenario_rejects_horizons_beyond_array_range(sc_spec, grid8):
 
 
 def test_lockstep_batch_is_capped_in_total(sc_spec, grid1, monkeypatch):
-    # each member's ring, stored twice, holds 0.6 of the cap: one member
-    # passes, two do not
-    dt = sc_spec.circles[0].delay / (0.3 * MAX_ARRAY_VALUES)
+    # at K = 1 the ring's sums, two values per row of the ring stored twice,
+    # are its largest array, and each member's hold 0.6 of the cap: one
+    # member passes, two do not
+    dt = sc_spec.circles[0].delay / (0.15 * MAX_ARRAY_VALUES)
     sc = make_scenario(sc_spec, grid1, t_end=dt, dt=dt, m_base=8)
 
     def no_engine(*args):
