@@ -24,7 +24,16 @@ Block: with CFL <= 1 a step moves information at most one node, so an
 inflow written on a start node reaches its circle's trace no sooner than
 M_j steps later. The junction is resolved once per block of
 L = min(min_j M_j, LOOKAHEAD) steps, and `run` takes the steps between two
-records in one call (see `_Engine`).
+records in one call (see `_Engine`). The block's buffers and its inputs,
+padded with L copies of the last sample, live in the state.
+
+Records: a record reads the state and the sums of its history window (see
+Memory). `run` copies these snapshots of C records into a chunk buffer and
+takes the records of the whole chunk in one contraction, the same calls as
+for one record with a leading chunk axis, so that a small run pays the
+per-call overhead of a record once per chunk. C is as many snapshots as
+128 KiB hold (`_CHUNK_BYTES`), at least one and at most the run's records;
+a chunk of one is the live state, copied nowhere.
 
 Memory: the arrays that a step or a record streams start on a cache line,
 and the ring has a sums array, |trace| @ dv and trace @ (v dv) per row and
@@ -49,6 +58,8 @@ from .operators import MAX_ARRAY_VALUES, VelocityGrid, _routed_scattering
 
 # the longest block of steps whose junction inflows are resolved at once
 LOOKAHEAD = 8
+# the most bytes of record snapshots that `run` holds at once
+_CHUNK_BYTES = 128 * 1024
 _LINE = 64  # bytes in a cache line
 ZERO = MappingProxyType({"kind": "zero"})
 _UNIT = MappingProxyType({"kind": "constant", "value": 1.0})
@@ -133,14 +144,15 @@ def _check_sizes(members: tuple[Scenario, ...]) -> None:
             math.ceil(r_max / sc.dt) + 2, L) > MAX_ARRAY_VALUES):
         raise ValidationError(f"dt = {sc.dt} gives over {MAX_ARRAY_VALUES} "
                               f"ring values for {R} member(s)")
-    # records R x n_records x J, input samples (n_steps + 1) x R
+    # records R x n_records x J, input samples R x (n_steps + 1 + L), padded
+    # for the last block
     if not math.isfinite(sc.t_end / sc.dt):
         raise ValidationError(f"t_end / dt = {sc.t_end / sc.dt} steps is not finite")
     if R * sc.n_records * J > MAX_ARRAY_VALUES:
         raise ValidationError(f"t_end / dt / stride gives over {MAX_ARRAY_VALUES} "
                               f"record values for {R} member(s)")
     forced = any(m.disturbance["kind"] != "zero" for m in members)
-    if forced and R * (sc.n_steps + 1) > MAX_ARRAY_VALUES:
+    if forced and R * (sc.n_steps + 1 + L) > MAX_ARRAY_VALUES:
         raise ValidationError(f"t_end / dt gives over {MAX_ARRAY_VALUES} "
                               f"input samples for {R} member(s)")
 
@@ -284,13 +296,19 @@ class SimState:
     head: int = 0
     step_count: int = 0
     # set by `_Engine.init_state`: the advection coefficients of
-    # density.reshape(-1)[K:], the buffer of a step's moved values, and the
+    # density.reshape(-1)[K:], the buffer of a step's moved values, the
     # sums (R, 2, 2 P, J) of each ring row and circle, |trace| @ dv and
-    # trace @ (v dv), row h + P mirroring row h as in the ring
+    # trace @ (v dv), row h + P mirroring row h as in the ring, a block's
+    # buffers of the last L + 1 nodes of each circle (R, J, L + 1, K) and
+    # of the junction (R, L, J K + 1), and the inputs padded with L copies
+    # of the last sample, of which `inputs` is a view
     c_stay: np.ndarray = field(init=False, repr=False)
     c_move: np.ndarray = field(init=False, repr=False)
     moved: np.ndarray = field(init=False, repr=False)
     sums: np.ndarray = field(init=False, repr=False)
+    tails: np.ndarray = field(init=False, repr=False)
+    junction: np.ndarray = field(init=False, repr=False)
+    padded_inputs: np.ndarray | None = field(init=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -382,7 +400,9 @@ class _Engine:
     delay reads cover with a banded (L, window) weight matrix per circle,
     routes the result with one matmul with the transpose of the gain's
     shift-free factor B (the inputs ride along as one more column), and
-    writes the L inflows into every inflow row.
+    writes the L inflows into every inflow row. The block's nodes and
+    delayed traces go to buffers of the state, and its inputs are a slice
+    of the state's padded samples, so a block allocates none of them.
 
     The ring period P >= S_max + L - 1 is a multiple of L, and row h + P
     mirrors row h, so a block never wraps and a step's history and a
@@ -392,6 +412,11 @@ class _Engine:
     O(L J K). Circle j leaves the ring rows at offsets >= S_j unread,
     because its delay and history weights are zero there; the records
     contract only the (offset, circle) pairs of nonzero history weight.
+
+    `_records` takes the records of a chunk of C snapshots, densities and
+    history windows (`_window`), in one pass with a matrix-vector product
+    per snapshot and member, so that a record does not depend on its chunk;
+    `record` is a chunk of one, the live state.
 
     `c_stay` and `c_move`, like every array of the state, start on a
     64-byte cache line (`_aligned`). When 8 divides K so do the views
@@ -476,14 +501,13 @@ class _Engine:
         self.routed = np.vstack([_routed_scattering(spec, grid).T,
                                  (gain[:, None] / v).ravel()])
         # inflow row s above circle j's start node takes step n + s
-        self.ahead = np.arange(1, L + 1)
-        self.inflow_rows = tops[:-1] + L - self.ahead[:, None]
+        self.inflow_rows = tops[:-1] + L - np.arange(1, L + 1)[:, None]
 
     # -- state construction -------------------------------------------------
     def init_state(self, members: tuple[Scenario, ...]) -> SimState:
         """State of the members at t = 0, from their presets, with their
         inputs sampled at every step."""
-        K, J, dt, P = len(self.dv), len(self.xs), self.dt, self.period
+        K, J, dt, P, L = len(self.dv), len(self.xs), self.dt, self.period, self.block
         R, N = len(members), len(self.c_stay)
         density = _aligned((R, N, K))
         ring = _aligned((R, 2 * P, J, K))
@@ -498,13 +522,20 @@ class _Engine:
                                                (s, K), axis=0)
         ring[:, P:] = ring[:, :P]
         samples = [_disturbance_samples(m) for m in members]
-        inputs = None
+        padded = inputs = None
         if any(u is not None for u in samples):
-            inputs = np.zeros((R, members[0].n_steps + 1))
+            n = members[0].n_steps + 1
+            padded = np.zeros((R, n + L))
             for r, u in enumerate(samples):
                 if u is not None:
-                    inputs[r] = u
+                    padded[r, :n] = u
+            # past the horizon the input holds its last sample
+            padded[:, n:] = padded[:, n - 1:n]
+            inputs = padded[:, :n]
         state = SimState(t=0.0, density=density, ring=ring, inputs=inputs)
+        state.padded_inputs = padded
+        state.tails = np.empty((R, J, L + 1, K))
+        state.junction = np.zeros((R, L, J * K + 1))     # last column: the inputs
         state.sums = _aligned((R, 2, 2 * P, J))
         self._trace_sums(ring, state.sums)
         # one member reads the engine's coefficients; more read them tiled
@@ -524,19 +555,19 @@ class _Engine:
         z, ring, L, P = state.density, state.ring, self.block, self.period
         R, _, J, K = ring.shape
         h = (state.head - L) % P                    # row of the trace of step n + L
-        np.einsum("jsik,rjik->rsjk", self.trace_coef, z[:, self.tail_rows],
-                  out=ring[:, h:h + L])
+        # the rows are in range: mode "clip" only spares take a buffer
+        np.take(z, self.tail_rows, axis=1, out=state.tails, mode="clip")
+        np.einsum("jsik,rjik->rsjk", self.trace_coef, state.tails, out=ring[:, h:h + L])
         self._trace_sums(ring[:, h:h + L], state.sums[:, :, h:h + L])
         ring[:, h + P:h + P + L] = ring[:, h:h + L]
         state.sums[:, :, h + P:h + P + L] = state.sums[:, :, h:h + L]
         window = ring[:, h + self.o_lo:h + self.o_lo + self.delay_w.shape[2]]
-        delayed = np.zeros((R, L, J * K + 1))       # last column: the inputs
+        delayed = state.junction                    # last column: the inputs
         np.matmul(self.delay_w, window.transpose(0, 2, 1, 3),
                   out=delayed[:, :, :-1].reshape(R, L, J, K).transpose(0, 2, 1, 3))
         if state.inputs is not None:
-            # past the horizon the input holds its last sample
-            np.take(state.inputs, state.step_count + self.ahead, axis=1,
-                    mode="clip", out=delayed[:, :, -1])
+            n = state.step_count + 1
+            delayed[:, :, -1] = state.padded_inputs[:, n:n + L]
         z[:, self.inflow_rows] = (delayed @ self.routed).reshape(R, L, J, K)
 
     def advance(self, state: SimState, n: int) -> SimState:
@@ -559,32 +590,40 @@ class _Engine:
         state.t = state.step_count * self.dt
         return state
 
-    def step(self, state: SimState) -> SimState:
-        return self.advance(state, 1)
-
     # -- records, one value per member ---------------------------------------
     def record(self, state: SimState) -> tuple[np.ndarray, ...]:
         """norm_state, norm_history, the signed mass (on the circles plus in
-        transit in the delay lines) and the outflux per circle, per member.
+        transit in the delay lines) and the outflux per circle, per member:
+        the records of a chunk of one, the live state."""
+        return tuple(x[0] for x in self._records(state.density[None],
+                                                 self._window(state)[None]))
+
+    def _window(self, state: SimState) -> np.ndarray:
+        """The sums (R, 2, S_max, J) of the S_max ring rows of the step,
+        newest first: the history that a record reads. The rows written
+        ahead for the rest of the block lie outside it."""
+        return state.sums[:, :, state.head:state.head + self.s_max]
+
+    def _records(self, z: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The records (C, R), and the outflux (C, R, J), of a chunk of C
+        snapshots of R members: densities z (C, R, N, K) and history
+        windows (C, R, 2, S_max, J).
 
         The sums over nodes take the node rows only, so an inflow that
-        overflows counts once it reaches its node. The history is the S_max
-        ring rows of the step, newest first, read from their sums in
-        `state.sums`, one take of the pairs of nonzero weight and one
-        contraction per member; the rows written ahead for the rest of the
-        block lie outside it. The outflux is read from the end nodes: the
-        newest ring row is not the same thing, as at t = 0 it holds the
-        history preset, not the initial data at the end node."""
-        z, R = state.density, len(state.density)
-        node_sums = np.empty((R, 2, z.shape[1]))
-        np.matmul(np.abs(z), self.dv, out=node_sums[:, 0])
-        np.matmul(z, self.dv, out=node_sums[:, 1])
-        trace_sums = state.sums[:, :, state.head:state.head + self.s_max]
+        overflows counts once it reaches its node. The history is read from
+        the window's sums, one take of the pairs of nonzero weight and one
+        contraction per snapshot and member. The outflux is read from the
+        end nodes: the newest ring row is not the same thing, as at t = 0 it
+        holds the history preset, not the initial data at the end node."""
+        C, R, N, _ = z.shape
+        node_sums = np.empty((C, R, 2, N))
+        np.matmul(np.abs(z), self.dv, out=node_sums[:, :, 0])
+        np.matmul(z, self.dv, out=node_sums[:, :, 1])
         norm_state, node_mass = _weighted(node_sums, self.node_rows, self.xw)
-        norm_history, hist_mass = _weighted(trace_sums.reshape(R, 2, -1),
+        norm_history, hist_mass = _weighted(window.reshape(C, R, 2, -1),
                                             self.hist_pairs, self.hist_w)
         return (norm_state, norm_history, node_mass + hist_mass,
-                z.take(self.ends, axis=1) @ self.vdv)
+                z.take(self.ends, axis=2) @ self.vdv)
 
     def _trace_sums(self, traces: np.ndarray, out: np.ndarray) -> None:
         """|trace| @ dv and trace @ (v dv) of the ring rows traces (R, n, J,
@@ -598,14 +637,15 @@ class _Engine:
 
 
 def _weighted(sums: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per member, weights @ sums[:, 0, rows] and weights @ sums[:, 1,
-    rows] of the sums (R, 2, n), as a pair.
+    """Per snapshot and member, weights @ sums[..., 0, rows] and weights @
+    sums[..., 1, rows] of the sums (C, R, 2, n), as a pair of (C, R).
 
     The rows are taken C ordered, and each member's sums are contracted on
     their own, as for a single member: one matrix-vector product over
     several members sums in an order that depends on their number, and a
     member's records would then depend on the others."""
-    return (sums.take(rows, axis=2)[:, :, None] @ weights)[:, :, 0].T
+    pair = sums.take(rows, axis=-1)[..., None, :] @ weights     # (C, R, 2, 1)
+    return pair[..., 0, 0], pair[..., 1, 0]
 
 
 # what lockstep members share besides the network and the velocity grid
@@ -629,6 +669,10 @@ def _check_members(first: Scenario, others: tuple) -> None:
 def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory, ...]:
     """Integrate to t_end, recording norms, mass and fluxes at the stride.
 
+    The steps between two records are one `advance`, and the records are
+    taken a chunk at a time (see the module docstring), equal bit for bit
+    to those of `record` after each stride.
+
     With further scenarios that differ from the first only in initial,
     history and disturbance, all are stepped in lockstep through one engine
     and a tuple of trajectories comes back in argument order.
@@ -641,11 +685,26 @@ def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory,
     times = np.empty(n_records)
     norm_state, norm_history, mass = np.empty((3, R, n_records))
     outflux = np.empty((R, n_records, J))
+    # the snapshots of up to C records, densities and history windows: as
+    # many as _CHUNK_BYTES hold, at least one
+    shapes = (state.density.shape, (R, 2, eng.s_max, J))
+    C = max(1, min(n_records, _CHUNK_BYTES // (8 * sum(map(math.prod, shapes)))))
+    if C > 1:
+        chunk = [_aligned((C, *shape)) for shape in shapes]
     for i in range(n_records):
         eng.advance(state, min(i * stride, n_steps) - state.step_count)
         times[i] = state.t
-        norm_state[:, i], norm_history[:, i], mass[:, i], outflux[:, i] = \
-            eng.record(state)
+        c = i % C
+        snapshot = state.density[None], eng._window(state)[None]
+        if C > 1:
+            for held, taken in zip(chunk, snapshot):
+                held[c:c + 1] = taken
+            snapshot = [held[:c + 1] for held in chunk]
+        if c == C - 1 or i == n_records - 1:
+            ns, nh, m, of = eng._records(*snapshot)
+            rows = slice(i - c, i + 1)
+            norm_state[:, rows], norm_history[:, rows], mass[:, rows] = ns.T, nh.T, m.T
+            outflux[:, rows] = of.swapaxes(0, 1)
     trajectories = tuple(
         Trajectory(times=times, norm_state=norm_state[r],
                    norm_history=norm_history[r], total_mass=mass[r],

@@ -13,7 +13,7 @@ from kinnet.delayquad import _accumulate_density, delay_quadrature
 from kinnet.operators import MAX_ARRAY_VALUES, scattering_table
 from kinnet.simulator import _disturbance_samples, default_m_cells
 from kinnet.presets import (constant_kernel, conservation_spec,
-                            heterogeneous_five, single_circle)
+                            heterogeneous_five, regression_suite, single_circle)
 
 from conftest import constant_scenario
 
@@ -85,7 +85,7 @@ def test_decoupled_junction_inflow_zero():
                        initial={"kind": "constant", "value": 1.0},
                        disturbance={"kind": "constant", "value": 2.0})
     eng = sc.engine()
-    st = eng.step(eng.init_state((sc,)))
+    st = eng.advance(eng.init_state((sc,)), 1)
     assert np.all(st.density[0, eng.nodes[0].start] == 0.0)
 
 
@@ -95,7 +95,7 @@ def test_input_outside_sum_flag():
     sc = make_scenario(spec, g, t_end=1.0, input_outside_sum=True,
                        disturbance={"kind": "constant", "value": 2.0})
     eng = sc.engine()
-    st = eng.step(eng.init_state((sc,)))
+    st = eng.advance(eng.init_state((sc,)), 1)
     assert np.allclose(st.density[0, eng.nodes[0].start], 2.0 / g.centers)
 
 
@@ -116,7 +116,7 @@ def _assert_stays_nonnegative(spec, m_cells=None):
     eng = sc.engine()
     st = eng.init_state((sc,))
     for _ in range(sc.n_steps):
-        eng.step(st)
+        eng.advance(st, 1)
         assert np.all(st.density >= 0.0) and np.all(st.ring >= 0.0)
 
 
@@ -129,7 +129,7 @@ def _lockstep_densities(*members):
     st = eng.init_state(members)
     densities = [st.density[:, eng.node_rows]]
     for _ in range(members[0].n_steps):
-        densities.append(eng.step(st).density[:, eng.node_rows])
+        densities.append(eng.advance(st, 1).density[:, eng.node_rows])
     return densities
 
 
@@ -473,15 +473,15 @@ def test_records_do_not_depend_on_alignment(monkeypatch):
 
 @pytest.mark.parametrize("stride", [1, 3, 8, 11])
 def test_trace_sums_follow_the_ring(stride, monkeypatch):
-    # after each lookahead and at each record the sums are those of the
-    # ring, mirror rows included, for every member
+    # after each lookahead and where each record takes its history window
+    # the sums are those of the ring, mirror rows included, for every member
     five = heterogeneous_five(0.4)
     grid = VelocityGrid.for_spec(five, 3)
     sc = make_scenario(five, grid, t_end=1.0, m_base=8, stride=stride, **_RANDOM_DATA)
     other = replace(sc, initial={"kind": "constant", "value": -0.5},
                     history={"kind": "random_nonneg", "seed": 2})
     eng = sc.engine()
-    lookahead, record, checked = eng._lookahead, eng.record, []
+    lookahead, window, checked = eng._lookahead, eng._window, []
 
     def check(state):
         ring = state.ring
@@ -493,16 +493,179 @@ def test_trace_sums_follow_the_ring(stride, monkeypatch):
         lookahead(state)
         check(state)
 
-    def checked_record(state):
+    def checked_window(state):
         check(state)
-        return record(state)
+        return window(state)
 
     monkeypatch.setattr(eng, "_lookahead", checked_lookahead)
-    monkeypatch.setattr(eng, "record", checked_record)
+    monkeypatch.setattr(eng, "_window", checked_window)
     run(sc, other)
     blocks = list(range(0, sc.n_steps, eng.block))
     records = sorted({min(i * stride, sc.n_steps) for i in range(sc.n_records)})
     assert sorted(checked) == sorted(blocks + records)
+
+
+def _per_stride_records(*members):
+    """The records of the members from `record` after each stride's
+    `advance`, one tuple (t, norm_state, norm_history, mass, outflux) per
+    record."""
+    eng = members[0].engine()
+    st = eng.init_state(members)
+    n_steps, stride = members[0].n_steps, members[0].stride
+    records = []
+    for i in range(members[0].n_records):
+        eng.advance(st, min(i * stride, n_steps) - st.step_count)
+        records.append((st.t, *eng.record(st)))
+    return records
+
+
+def _snapshot_bytes(*members):
+    """Bytes of one record's snapshot: the state and the history window."""
+    eng = members[0].engine()
+    state = eng.init_state(members)
+    return 8 * (state.density.size + eng._window(state).size)
+
+
+def _chunked_run(monkeypatch, members, chunk):
+    """run(*members) as trajectories, with a chunk budget of `chunk`
+    snapshots (None: the default budget), and the chunk lengths it took."""
+    if chunk is not None:
+        monkeypatch.setattr(kinnet.simulator, "_CHUNK_BYTES",
+                            chunk * _snapshot_bytes(*members))
+    eng, lengths = members[0].engine(), []
+    records = eng._records
+
+    def counted(z, window):
+        lengths.append(len(z))
+        return records(z, window)
+
+    monkeypatch.setattr(eng, "_records", counted)
+    trajectories = run(*members)
+    return (trajectories if len(members) > 1 else (trajectories,)), lengths
+
+
+def _assert_equals_per_stride_records(trajectories, members):
+    loop = _per_stride_records(*members)
+    for r, traj in enumerate(trajectories):
+        for name, column in zip(_RECORDS, zip(*loop)):
+            column = np.array([value if name == "times" else value[r]
+                               for value in column])
+            assert np.array_equal(getattr(traj, name), column, equal_nan=True), name
+
+
+@pytest.mark.parametrize("n_members", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 3, 8, 11])
+@pytest.mark.parametrize("chunk", [1, 2, 5, None])
+def test_chunked_records_equal_the_per_stride_records(chunk, stride, n_members,
+                                                      monkeypatch):
+    five = heterogeneous_five(0.4)
+    # 61, 21, 9 and 7 records: odd, and no multiple of 5
+    a, b = (replace(m, stride=stride, t_end=1.8)
+            for m in _member_pair(five, m_cells=(3, 5, 4, 3, 9)))
+    c = replace(b, disturbance={"kind": "pulse", "value": 2.0, "t0": 0.5, "t1": 1.5})
+    members = (b, a, c)[:n_members]
+    trajectories, lengths = _chunked_run(monkeypatch, members, chunk)
+    n_records = members[0].n_records
+    size = chunk or lengths[0]
+    assert size >= 5 if chunk is None else chunk == 1 or n_records % chunk
+    # a full chunk at a time, and the rest in a last, shorter one
+    assert lengths == ([size] * (n_records // size)
+                       + [n_records % size] * (n_records % size > 0))
+    _assert_equals_per_stride_records(trajectories, members)
+
+
+@pytest.mark.parametrize("chunk", [2, None])
+def test_chunked_records_of_an_overflowing_member(chunk, monkeypatch):
+    spec = single_circle(1e50)
+    grid = VelocityGrid.for_spec(spec, 2)
+    finite = make_scenario(spec, grid, t_end=3.0, m_base=8, **_RANDOM_DATA)
+    hot = make_scenario(spec, grid, t_end=3.0, m_base=8,
+                        initial={"kind": "constant", "value": 1e308})
+    members = (finite, hot, finite)
+    with np.errstate(all="ignore"):
+        trajectories, lengths = _chunked_run(monkeypatch, members, chunk)
+        assert not np.isfinite(trajectories[1].norm_state).all()
+        assert lengths[0] == (chunk or finite.n_records) and len(lengths) > (chunk or 0)
+        _assert_equals_per_stride_records(trajectories, members)
+
+
+def _aligned_shapes(monkeypatch, call):
+    """The shapes that call() allocates through `_aligned`."""
+    shapes, aligned = [], kinnet.simulator._aligned
+
+    def spy(shape):
+        shapes.append(tuple(shape))
+        return aligned(shape)
+
+    monkeypatch.setattr(kinnet.simulator, "_aligned", spy)
+    call()
+    monkeypatch.setattr(kinnet.simulator, "_aligned", aligned)
+    return shapes
+
+
+@pytest.mark.parametrize("name", ["iss_dirac_low", "iss_two_circle", "iss_five_circle"])
+def test_the_chunk_buffer_holds_at_most_128_kib(name, monkeypatch):
+    # verify's runs: the scenario and its unforced companion at (32, 8)
+    spec = next(s for n, s, _ in regression_suite() if n == name)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 8), t_end=3.0, m_base=32,
+                       stride=8, **_RANDOM_DATA)
+    members = (replace(sc, disturbance={"kind": "zero"}), sc)
+    state = _aligned_shapes(monkeypatch, lambda: sc.engine().init_state(members))
+    shapes = _aligned_shapes(monkeypatch, lambda: run(*members))
+    assert shapes[:len(state)] == state
+    chunk = shapes[len(state):]
+    assert len(chunk) == 2 and chunk[0][0] == chunk[1][0] > 1
+    assert 8 * sum(math.prod(shape) for shape in chunk) <= 128 * 1024
+    assert chunk[0][0] * _snapshot_bytes(*members) <= 128 * 1024
+
+
+def test_a_large_run_allocates_no_chunk(monkeypatch):
+    # simulate's runs: a snapshot at (128, 32) is over 128 KiB, so a chunk
+    # is the live state
+    five = heterogeneous_five(0.4)
+    sc = make_scenario(five, VelocityGrid.for_spec(five, 32), t_end=0.05,
+                       m_base=128, stride=8, **_RANDOM_DATA)
+    assert _snapshot_bytes(sc) > 128 * 1024 and sc.n_records > 1
+    state = _aligned_shapes(monkeypatch, lambda: sc.engine().init_state((sc,)))
+    assert _aligned_shapes(monkeypatch, lambda: run(sc)) == state
+
+
+def test_the_last_block_holds_the_last_input_sample(monkeypatch):
+    # the last block runs past n_steps, where the input holds its last sample
+    spec = single_circle(0.5)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 2), t_end=1.0, m_base=8,
+                       disturbance={"kind": "bounded_random", "bound": 0.5, "seed": 4})
+    other = replace(sc, disturbance={"kind": "pulse", "t0": 0.0, "t1": 0.5})
+    eng = sc.engine()
+    L, n_steps = eng.block, sc.n_steps
+    lookahead, inputs = eng._lookahead, {}
+
+    def read(state):
+        lookahead(state)
+        inputs[state.step_count] = state.junction[:, :, -1].copy()
+
+    monkeypatch.setattr(eng, "_lookahead", read)
+    run(sc, other)
+    last = max(inputs)
+    assert last + L > n_steps
+    u = np.array([_disturbance_samples(m) for m in (sc, other)])
+    for n, got in inputs.items():
+        steps = np.minimum(n + np.arange(1, L + 1), n_steps)
+        assert np.array_equal(got, u[:, steps])
+    assert (inputs[last][0, n_steps - last - 1:] == u[0, -1]).all()
+
+
+def test_padded_input_samples_count_toward_the_cap(sc_spec, grid8):
+    # n_steps + 1 samples fit, but not with the L = 8 padded for the last block
+    dt = 1.0 / 1024
+    random_input = {"kind": "bounded_random", "bound": 0.5, "seed": 1}
+    n = MAX_ARRAY_VALUES - 1 - 8
+    sc = make_scenario(sc_spec, grid8, t_end=n * dt, dt=dt, stride=10**9,
+                       disturbance=random_input)
+    assert sc.engine().block == 8 and sc.n_steps + 1 + 8 == MAX_ARRAY_VALUES
+    with pytest.raises(ValidationError, match="input samples"):
+        make_scenario(sc_spec, grid8, t_end=(n + 1) * dt, dt=dt, stride=10**9,
+                      disturbance=random_input)
 
 
 def test_an_overflowing_run_turns_non_finite_at_the_reference_record():
@@ -562,9 +725,9 @@ def test_lockstep_matches_separate_runs(spec, kw):
     eng = a.engine()
     both, each = eng.init_state((a, b)), [eng.init_state((m,)) for m in (a, b)]
     for _ in range(a.n_steps):
-        eng.step(both)
+        eng.advance(both, 1)
         for r, st in enumerate(each):
-            eng.step(st)
+            eng.advance(st, 1)
             np.testing.assert_allclose(both.density[r, eng.node_rows],
                                        st.density[0, eng.node_rows],
                                        rtol=1e-12, atol=1e-300)
@@ -705,7 +868,7 @@ def test_against_delay_characteristic_oracle():
     eng = sc.engine()
     st = eng.init_state((sc,))
     for _ in range(n_steps):
-        eng.step(st)
+        eng.advance(st, 1)
     assert st.t == pytest.approx(t_final, abs=1e-9)
     xs = np.linspace(0.0, l, m + 1)
     ref = np.array([oracle(t_final, x) for x in xs])
