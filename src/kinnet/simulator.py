@@ -666,12 +666,17 @@ def _check_members(first: Scenario, others: tuple) -> None:
     _check_sizes((first, *others))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory, ...]:
     """Integrate to t_end, recording norms, mass and fluxes at the stride.
 
     The steps between two records are one `advance`, and the records are
     taken a chunk at a time (see the module docstring), equal bit for bit
     to those of `record` after each stride.
+
+    A run whose values pass the float range, as an unstable network's do,
+    is a result and not an error: its records read inf or nan from then
+    on, and NumPy's overflow and invalid-value warnings are not raised.
 
     With further scenarios that differ from the first only in initial,
     history and disturbance, all are stepped in lockstep through one engine

@@ -437,6 +437,21 @@ def test_sweep(config_iss, tmp_path, capsys):
     assert (out / "sweep.csv").exists()
 
 
+def test_sweep_and_simulate_of_an_overflowing_network_exit_0(tmp_path, capsys):
+    # a config that the property test below once drew: its runs pass the
+    # float range, which their records show, with no warning raised
+    doc = conservation_spec().to_config()
+    doc["routing"][0][0] = 1e300
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(doc))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_CLI_SCENARIO))
+    common = ["--k-velocity", "1", "--out", str(tmp_path / "out")]
+    assert main(["sweep", str(config), "--param", "routing_scale",
+                 "--values", "0.5,1.5", *common]) == 0
+    assert main(["simulate", str(config), str(scenario), *common]) == 0
+
+
 @pytest.mark.parametrize("values", ["0,1", "1e-320,1"])
 @pytest.mark.parametrize("measure", ["dirac", "exponential", "piecewise"])
 def test_sweep_delay_scale_without_a_finite_reciprocal_exits_2(

@@ -686,6 +686,16 @@ def test_an_overflowing_run_turns_non_finite_at_the_reference_record():
         np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-12, atol=1e-300)
 
 
+def test_an_overflowing_run_raises_no_floating_point_warning():
+    # outside any errstate: warnings are errors here (pyproject.toml)
+    spec = single_circle(1e300)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 2), t_end=3.0, m_base=8,
+                       initial={"kind": "constant", "value": 1.0})
+    traj = run(sc)
+    assert not np.isfinite(traj.norm_history).all()
+    assert np.geterr()["over"] == "warn"     # the caller's settings are back
+
+
 # ---------------------------------------------------------------------------
 # lockstep members
 
