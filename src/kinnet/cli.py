@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,7 +19,7 @@ from .model import load_network
 from .operators import VelocityGrid, _gain_factors, assemble_gain, \
     dirichlet_norm_closed_form, pd_norm_closed_form
 from .simulator import _PRESETS, make_scenario, run
-from .spectral import _json_number, small_gain_certificate, spectral_abscissa
+from .spectral import small_gain_certificate, spectral_abscissa
 
 _SCENARIO_KEYS = {"t_end", "dt", "stride", "m_base", "m_cells", "initial",
                   "history", "disturbance", "input_outside_sum"}
@@ -59,10 +60,23 @@ def _float_arg(flag: str, text: str) -> float:
         raise DomainError(f"{flag} expects a number, got {text!r}") from None
 
 
+def _strict(value):
+    """The report value with each non-finite float written as the string
+    "nan", "inf" or "-inf", so that the report is strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(args, name: str, payload: dict) -> None:
-    payload = dict(payload)
+    payload = _strict(payload)
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    # a non-finite number that _strict missed fails here, not in a reader
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     print(text)
     if args.out:
         out = Path(args.out)
@@ -79,11 +93,11 @@ def _cmd_analyze(args) -> int:
     d0, routing = dirichlet_norm_closed_form(spec)
     bounds = {
         "pd_norm_discrete": _gain_factors(spec, grid).pd_norm(0.0),
-        "dirichlet_lift_bound": _json_number(d0),
+        "dirichlet_lift_bound": d0,
         "routing_norm": routing,
     }
     if spec.mass_preserving:
-        bounds["pd_norm_closed_form"] = _json_number(pd_norm_closed_form(spec))
+        bounds["pd_norm_closed_form"] = pd_norm_closed_form(spec)
     payload = {"certificate": cert.to_dict(), "norm_bounds": bounds,
                "k_velocity": grid.k}
     if args.dump_gain:

@@ -7,25 +7,26 @@ junction trace history held for the delay reads.
 
 Layout: the densities of all circles sit in one state array with a row per
 node, (N, K) with N = sum_j (L + M_j + 1): L inflow rows and then the M_j + 1
-nodes of each circle. The traces of all circles sit in one ring buffer with
-a single head, stored twice, (2 P, J, K). Both arrays carry a leading
-member axis R: members share the network, grid and clock and differ only in
-initial data, history and input, so `run(a, b)` steps them in lockstep, (R,
-N, K) and (R, 2 P, J, K). The advection reads the state as one flat vector
-of all members, row after row, and moves every value one row down, K values
-on: member r's last node flows into the top inflow row of member r + 1, as
-circle j's last node flows into the top inflow row of circle j + 1. Nothing
-there is ever read, since the next block's lookahead rewrites every inflow
-row before what it holds reaches a start node. So a time step costs the
-same three numpy calls on contiguous vectors whatever the number of circles
-and members.
+nodes of each circle. The traces of all circles sit in one ring buffer of
+2 P rows with a single head that only decreases, (2 P, J, K): when a block
+would start above row 0, its S_max live rows move to the far end. Both
+arrays carry a leading member axis R: members share the network, grid and
+clock and differ only in initial data, history and input, so `run(a, b)`
+steps them in lockstep, (R, N, K) and (R, 2 P, J, K). The advection reads
+the state as one flat vector of all members, row after row, and moves every
+value one row down, K values on: member r's last node flows into the top
+inflow row of member r + 1, as circle j's last node flows into the top
+inflow row of circle j + 1. Nothing there is ever read, since the next
+block's lookahead rewrites every inflow row before what it holds reaches a
+start node. So a time step costs the same three numpy calls on contiguous
+vectors whatever the number of circles and members.
 
 Block: with CFL <= 1 a step moves information at most one node, so an
 inflow written on a start node reaches its circle's trace no sooner than
 M_j steps later. The junction is resolved once per block of
-L = min(min_j M_j, LOOKAHEAD) steps, and `run` takes the steps between two
-records in one call (see `_Engine`). The block's buffers and its inputs,
-padded with L copies of the last sample, live in the state.
+L = min(min_j M_j, 16) steps (`LOOKAHEAD`), and `run` takes the steps
+between two records in one call (see `_Engine`). The block's buffers and
+its inputs, padded with L copies of the last sample, live in the state.
 
 Records: a record reads the state and the sums of its history window (see
 Memory). `run` copies these snapshots of C records into a chunk buffer and
@@ -57,8 +58,9 @@ from .model import NetworkSpec
 from .operators import MAX_ARRAY_VALUES, VelocityGrid, _routed_scattering
 
 # the longest block of steps whose junction inflows are resolved at once
-LOOKAHEAD = 8
-# the most bytes of record snapshots that `run` holds at once
+LOOKAHEAD = 16
+# the most bytes of record snapshots that `run` holds at once, and of the
+# unit pulses that build an engine's trace map
 _CHUNK_BYTES = 128 * 1024
 _LINE = 64  # bytes in a cache line
 ZERO = MappingProxyType({"kind": "zero"})
@@ -173,9 +175,11 @@ def _block(m_cells: tuple[int, ...]) -> int:
 
 
 def _ring_period(s_max: int, block: int) -> int:
-    """Ring rows P: a multiple of the block, so that no block wraps, and
-    room for the S_max history rows of every step plus the block's traces
-    written ahead."""
+    """Half the ring's rows, P: at least the S_max history rows of a step
+    plus the L - 1 traces written ahead of it, rounded up to a multiple of
+    the block. The ring's 2 P >= 2 S_max + 2 L - 2 rows let a rebase move
+    the S_max live rows to the far end without overlap, and leave the
+    blocks between two rebases at least S_max + L - 1 rows to move into."""
     return block * -(-(s_max + block - 1) // block)
 
 
@@ -291,17 +295,18 @@ class SimState:
 
     t: float
     density: np.ndarray          # (R, N, K), circle j's nodes at rows engine.nodes[j]
-    ring: np.ndarray             # (R, 2 P, J, K); ring[:, head] is the newest trace
+    ring: np.ndarray             # (R, 2 P, J, K); ring[:, head] is the newest trace,
+                                 # ring[:, head + o] the trace o steps before it
     inputs: np.ndarray | None    # (R, n_steps + 1) input samples; None if unforced
     head: int = 0
     step_count: int = 0
     # set by `_Engine.init_state`: the advection coefficients of
     # density.reshape(-1)[K:], the buffer of a step's moved values, the
     # sums (R, 2, 2 P, J) of each ring row and circle, |trace| @ dv and
-    # trace @ (v dv), row h + P mirroring row h as in the ring, a block's
-    # buffers of the last L + 1 nodes of each circle (R, J, L + 1, K) and
-    # of the junction (R, L, J K + 1), and the inputs padded with L copies
-    # of the last sample, of which `inputs` is a view
+    # trace @ (v dv), a block's buffers of the last L + 1 nodes of each
+    # circle (R, L + 1, J, K) and of the junction (R, L, J K + 1), and the
+    # inputs padded with L copies of the last sample, of which `inputs` is
+    # a view
     c_stay: np.ndarray = field(init=False, repr=False)
     c_move: np.ndarray = field(init=False, repr=False)
     moved: np.ndarray = field(init=False, repr=False)
@@ -395,7 +400,10 @@ class _Engine:
     At a step_count n that L divides, `advance` first resolves the junction
     of the steps n + 1..n + L. Their traces are fixed nonnegative
     combinations of the last L + 1 nodes of each circle at step n, since no
-    inflow of the block reaches a trace within L <= M_j steps. The lookahead
+    inflow of the block reaches a trace within L <= M_j steps: `trace_coef`
+    (L, L + 1, J K) maps the gathered nodes (R, L + 1, J K), circle and
+    velocity cell on one axis as in a ring row, to the block's L ring rows
+    in one contraction. The lookahead
     pushes them into the ring, contracts the ring rows that the block's
     delay reads cover with a banded (L, window) weight matrix per circle,
     routes the result with one matmul with the transpose of the gain's
@@ -404,10 +412,15 @@ class _Engine:
     delayed traces go to buffers of the state, and its inputs are a slice
     of the state's padded samples, so a block allocates none of them.
 
-    The ring period P >= S_max + L - 1 is a multiple of L, and row h + P
-    mirrors row h, so a block never wraps and a step's history and a
-    block's delay reads are contiguous slices. The lookahead also writes the
-    sums of its L traces, and their mirror rows, into the state's sums
+    The ring has 2 P >= 2 S_max + 2 L - 2 rows (`_ring_period`), and the
+    head only decreases: a block writes the L rows above the head. When
+    the head is below L, the lookahead first moves the S_max live rows,
+    head .. head + S_max - 1, of the ring and of its sums to the last S_max
+    rows and rebases the head there, once every S_max / L blocks or so.
+    Those rows hold all that a later delay read (rows up to head + S_max -
+    2) or history window can reach, so a step's history and a block's delay
+    reads are contiguous slices and nothing else is ever copied. The
+    lookahead also writes the sums of its L traces into the state's sums
     array, so the history work of a record is O(pairs) and that of a block
     O(L J K). Circle j leaves the ring rows at offsets >= S_j unread,
     because its delay and history weights are zero there; the records
@@ -475,15 +488,27 @@ class _Engine:
         self.hist_w = hist_w.ravel()[self.hist_pairs]
 
         # the trace of step n + s is sum_i coef[s, i] * node (end - L + i) at
-        # step n: unit pulses stepped with each circle's own coefficients
-        self.tail_rows = self.ends[:, None] + np.arange(-L, 1)
-        stay, move = (c[self.tail_rows[:, None, 1:]] for c in (self.c_stay, self.c_move))
-        pulse = np.broadcast_to(np.eye(L + 1)[:, :, None], (J, L + 1, L + 1, K)).copy()
-        coef = np.empty((J, L, L + 1, K))
-        for s in range(L):
-            pulse[:, :, 1:] = stay * pulse[:, :, 1:] + move * pulse[:, :, :-1]
-            coef[:, s] = pulse[:, :, L]
-        self.trace_coef = coef[:, ::-1].copy()      # newest first, as in the ring
+        # step n: unit pulses (row, pulse, circle and cell) stepped in place
+        # with each circle's own coefficients, newest first as in the ring,
+        # as many cells at a time as _CHUNK_BYTES of pulses hold. After t
+        # steps only rows >= t can still reach row L, so step t updates
+        # those L + 1 - t rows, with the L + 1 - t rows of coef not yet
+        # written as its buffer
+        self.tail_rows = np.arange(-L, 1)[:, None] + self.ends     # (L + 1, J)
+        stay, move = (c[self.tail_rows[1:]].reshape(L, 1, J * K)
+                      for c in (self.c_stay, self.c_move))
+        coef = self.trace_coef = np.empty((L, L + 1, J * K))
+        width = max(1, _CHUNK_BYTES // (8 * (L + 1) ** 2))
+        for first in range(0, J * K, width):
+            cells = slice(first, first + width)
+            pulse = np.zeros((L + 1, L + 1, coef[0, 0, cells].size))
+            pulse[np.arange(L + 1), np.arange(L + 1)] = 1.0
+            for t in range(1, L + 1):
+                moved = coef[:L + 1 - t, :, cells]
+                np.multiply(move[t - 1:, :, cells], pulse[t - 1:L], out=moved)
+                np.multiply(stay[t - 1:, :, cells], pulse[t:], out=pulse[t:])
+                np.add(pulse[t:], moved, out=pulse[t:])
+                coef[L - t, :, cells] = pulse[L]
 
         # the block's reads, from the block's newest ring row h: step n + s
         # reads offset o at row h + L - s + o, a band of the window of rows
@@ -520,7 +545,6 @@ class _Engine:
                 thetas = -np.arange(s) * dt
                 ring[r, :s, j] = _field_values(history, thetas, (s - 1) * dt, j,
                                                (s, K), axis=0)
-        ring[:, P:] = ring[:, :P]
         samples = [_disturbance_samples(m) for m in members]
         padded = inputs = None
         if any(u is not None for u in samples):
@@ -534,7 +558,7 @@ class _Engine:
             inputs = padded[:, :n]
         state = SimState(t=0.0, density=density, ring=ring, inputs=inputs)
         state.padded_inputs = padded
-        state.tails = np.empty((R, J, L + 1, K))
+        state.tails = np.empty((R, L + 1, J, K))
         state.junction = np.zeros((R, L, J * K + 1))     # last column: the inputs
         state.sums = _aligned((R, 2, 2 * P, J))
         self._trace_sums(ring, state.sums)
@@ -551,16 +575,20 @@ class _Engine:
     def _lookahead(self, state: SimState) -> None:
         """Resolve the junction of the steps n + 1..n + L, n = step_count:
         push their traces into the ring and their inflows into the inflow
-        rows."""
-        z, ring, L, P = state.density, state.ring, self.block, self.period
-        R, _, J, K = ring.shape
-        h = (state.head - L) % P                    # row of the trace of step n + L
+        rows; first rebase the ring if the block would start above row 0."""
+        z, ring, sums, L = state.density, state.ring, state.sums, self.block
+        R, rows, J, K = ring.shape
+        if state.head < L:                          # the live rows to the far end
+            live, top = slice(state.head, state.head + self.s_max), rows - self.s_max
+            ring[:, top:] = ring[:, live]
+            sums[:, :, top:] = sums[:, :, live]
+            state.head = top
+        h = state.head - L                          # row of the trace of step n + L
         # the rows are in range: mode "clip" only spares take a buffer
         np.take(z, self.tail_rows, axis=1, out=state.tails, mode="clip")
-        np.einsum("jsik,rjik->rsjk", self.trace_coef, state.tails, out=ring[:, h:h + L])
-        self._trace_sums(ring[:, h:h + L], state.sums[:, :, h:h + L])
-        ring[:, h + P:h + P + L] = ring[:, h:h + L]
-        state.sums[:, :, h + P:h + P + L] = state.sums[:, :, h:h + L]
+        np.einsum("sip,rip->rsp", self.trace_coef, state.tails.reshape(R, L + 1, -1),
+                  out=ring[:, h:h + L].reshape(R, L, -1))
+        self._trace_sums(ring[:, h:h + L], sums[:, :, h:h + L])
         window = ring[:, h + self.o_lo:h + self.o_lo + self.delay_w.shape[2]]
         delayed = state.junction                    # last column: the inputs
         np.matmul(self.delay_w, window.transpose(0, 2, 1, 3),
@@ -574,19 +602,20 @@ class _Engine:
         """Take n steps: each is the upwind advection of the flat state of
         all members, three calls on contiguous vectors, after the block's
         lookahead where L divides the step count."""
-        K, L, P = len(self.dv), self.block, self.period
+        K, L = len(self.dv), self.block
         flat = state.density.reshape(-1)
         below, above = flat[K:], flat[:-K]
         stay, move, moved = state.c_stay, state.c_move, state.moved
-        head, first = state.head, state.step_count
+        head, first = state.head, state.step_count      # head at step `first`
         for count in range(first, first + n):
             if count % L == 0:
-                state.head, state.step_count = (head - count + first) % P, count
-                self._lookahead(state)
+                state.head, state.step_count = head - count + first, count
+                self._lookahead(state)                  # may rebase the head
+                head = state.head + count - first
             np.multiply(move, above, out=moved)
             np.multiply(below, stay, out=below)
             np.add(below, moved, out=below)
-        state.head, state.step_count = (head - n) % P, first + n
+        state.head, state.step_count = head - n, first + n
         state.t = state.step_count * self.dt
         return state
 

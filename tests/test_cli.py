@@ -446,10 +446,34 @@ def test_sweep_and_simulate_of_an_overflowing_network_exit_0(tmp_path, capsys):
     config.write_text(json.dumps(doc))
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(_CLI_SCENARIO))
-    common = ["--k-velocity", "1", "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    common = ["--k-velocity", "1", "--out", str(out)]
+    capsys.readouterr()
     assert main(["sweep", str(config), "--param", "routing_scale",
                  "--values", "0.5,1.5", *common]) == 0
+    # every report is strict JSON: a non-finite number is a string
+    printed = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    saved = json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)
+    assert printed == saved
     assert main(["simulate", str(config), str(scenario), *common]) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+
+
+def test_simulate_of_a_run_that_turns_nan_prints_strict_json(tmp_path, capsys):
+    config = tmp_path / "circle.json"
+    config.write_text(json.dumps(single_circle(1e300).to_config()))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"t_end": 3.0, "m_base": 8,
+                                    "initial": {"kind": "constant", "value": 1.0},
+                                    "history": {"kind": "constant", "value": 1.0}}))
+    out = tmp_path / "out"
+    assert main(["simulate", str(config), str(scenario), "--k-velocity", "2",
+                 "--out", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc == json.loads((out / "simulate.json").read_text(),
+                             parse_constant=_reject_constant)
+    assert doc["final_norm"] == doc["decay_fit"]["a_hat"] == "nan"
+    assert doc["initial_data_norm"] == 1.5
 
 
 @pytest.mark.parametrize("values", ["0,1", "1e-320,1"])

@@ -333,29 +333,105 @@ def test_three_lockstep_members_match_the_reference():
     _assert_matches_reference(a, b, c)
 
 
-def _step_loop_records(*members):
+def _step_loop_records(*members, mirrored=False):
     """The records of the members from a step loop that keeps the members
     apart: one step at a time on the (R, N, K) state, each member's rows
     1..N - 1 from its rows 0..N - 2, a record at the stride and at the last
-    step."""
+    step. Mirrored: with `_mirrored_lookahead` on a ring whose head wraps
+    modulo P."""
     eng = members[0].engine()
     st = eng.init_state(members)
+    lookahead, period = eng._lookahead, None
+    if mirrored:
+        lookahead, period = _mirrored_lookahead(eng), eng.period
+        st.ring[:, period:] = st.ring[:, :period]
+        st.sums[:, :, period:] = st.sums[:, :, :period]
     n_steps, stride = members[0].n_steps, members[0].stride
     records = []
     for n in range(n_steps + 1):
         if n > 0:
             if st.step_count % eng.block == 0:
-                eng._lookahead(st)
+                lookahead(st)
             z = st.density
             moved = eng.c_move[1:] * z[:, :-1]
             z[:, 1:] *= eng.c_stay[1:]
             z[:, 1:] += moved
-            st.head = (st.head - 1) % eng.period
+            st.head = st.head - 1 if period is None else (st.head - 1) % period
             st.step_count += 1
             st.t = st.step_count * eng.dt
         if n % stride == 0 or n == n_steps:
             records.append((st.t, *eng.record(st)))
     return records
+
+
+def _circle_major_trace_coef(eng):
+    """The engine's trace map circle first, (J, L, L + 1, K): unit pulses on
+    every row, all circles and cells at once, stepped with temporaries."""
+    L, J, K = eng.block, len(eng.xs), len(eng.dv)
+    tail_rows = eng.tail_rows.T                             # (J, L + 1)
+    stay, move = (c[tail_rows[:, None, 1:]] for c in (eng.c_stay, eng.c_move))
+    pulse = np.broadcast_to(np.eye(L + 1)[:, :, None], (J, L + 1, L + 1, K)).copy()
+    coef = np.empty((J, L, L + 1, K))
+    for s in range(L):
+        pulse[:, :, 1:] = stay * pulse[:, :, 1:] + move * pulse[:, :, :-1]
+        coef[:, s] = pulse[:, :, L]
+    return coef[:, ::-1].copy()
+
+
+@pytest.mark.parametrize("k, m_base, chunk", [(4, 8, None), (32, 16, None),
+                                              (3, 16, 8 * 17 ** 2 * 4)],
+                         ids=["one_chunk", "three_chunks", "uneven_chunks"])
+def test_the_trace_map_in_ring_rows_equals_the_circle_major_map(k, m_base, chunk,
+                                                                 monkeypatch):
+    # whatever the cells built at a time, only the rows that can still
+    # reach the end node, and the same arithmetic for each value
+    if chunk is not None:
+        monkeypatch.setattr(kinnet.simulator, "_CHUNK_BYTES", chunk)
+    five = heterogeneous_five(0.4)
+    eng = make_scenario(five, VelocityGrid.for_spec(five, k), t_end=1.0,
+                        m_base=m_base).engine()
+    L, J = eng.block, len(eng.xs)
+    assert eng.trace_coef.shape == (L, L + 1, J * k)
+    expected = _circle_major_trace_coef(eng).transpose(1, 2, 0, 3).reshape(L, L + 1, -1)
+    assert np.array_equal(eng.trace_coef, expected)
+
+
+def _mirrored_lookahead(eng):
+    """A second lookahead for the engine's state, to check the engine's
+    against: the circle-major trace map contracted per circle, on a ring of
+    period P whose rows h and h + P hold the same trace and sums, so that no
+    block wraps."""
+    L, P, J, K = eng.block, eng.period, len(eng.xs), len(eng.dv)
+    tail_rows = eng.tail_rows.T                             # (J, L + 1)
+    coef = _circle_major_trace_coef(eng)
+
+    def lookahead(st):
+        z, ring, sums, R = st.density, st.ring, st.sums, len(st.ring)
+        h = (st.head - L) % P
+        np.einsum("jsik,rjik->rsjk", coef, z[:, tail_rows], out=ring[:, h:h + L])
+        eng._trace_sums(ring[:, h:h + L], sums[:, :, h:h + L])
+        ring[:, h + P:h + P + L] = ring[:, h:h + L]
+        sums[:, :, h + P:h + P + L] = sums[:, :, h:h + L]
+        window = ring[:, h + eng.o_lo:h + eng.o_lo + eng.delay_w.shape[2]]
+        delayed = np.zeros((R, L, J * K + 1))
+        np.matmul(eng.delay_w, window.transpose(0, 2, 1, 3),
+                  out=delayed[:, :, :-1].reshape(R, L, J, K).transpose(0, 2, 1, 3))
+        if st.inputs is not None:
+            n = st.step_count + 1
+            delayed[:, :, -1] = st.padded_inputs[:, n:n + L]
+        z[:, eng.inflow_rows] = (delayed @ eng.routed).reshape(R, L, J, K)
+
+    return lookahead
+
+
+def _assert_equals_loop(trajectories, loop, equal_nan=False):
+    """Each member's trajectory holds the loop's records bit for bit."""
+    assert len(loop) == len(trajectories[0].times)
+    for r, traj in enumerate(trajectories):
+        for name, column in zip(_RECORDS, zip(*loop)):
+            column = np.array([value if name == "times" else value[r]
+                               for value in column])
+            assert np.array_equal(getattr(traj, name), column, equal_nan=equal_nan), name
 
 
 @pytest.mark.parametrize("n_members", [1, 2, 3])
@@ -370,13 +446,95 @@ def test_run_equals_the_step_loop_bit_for_bit(stride, n_members):
     trajectories = run(*members)
     if n_members == 1:
         trajectories = (trajectories,)
-    loop = _step_loop_records(*members)
-    assert len(loop) == members[0].n_records
-    for r, traj in enumerate(trajectories):
-        for name, column in zip(_RECORDS, zip(*loop)):
-            column = np.array([value if name == "times" else value[r]
-                               for value in column])
-            assert np.array_equal(getattr(traj, name), column), name
+    assert len(trajectories[0].times) == members[0].n_records
+    _assert_equals_loop(trajectories, _step_loop_records(*members))
+
+
+def _other_members(sc):
+    """Two members with other nonnegative data, the second one forced."""
+    return (replace(sc, initial={"kind": "constant", "value": 0.5},
+                    history={"kind": "random_nonneg", "seed": 2},
+                    disturbance={"kind": "zero"}),
+            replace(sc, disturbance={"kind": "pulse", "value": 2.0,
+                                     "t0": 0.5, "t1": 1.5}))
+
+
+@pytest.mark.parametrize("n_members", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 3, 8, 11])
+def test_eight_step_blocks_equal_a_mirrored_ring_bit_for_bit(stride, n_members,
+                                                             monkeypatch):
+    # the ring-row trace map and the rebased ring change no bit of a record
+    monkeypatch.setattr(kinnet.simulator, "LOOKAHEAD", 8)
+    five = heterogeneous_five(0.4)
+    a = make_scenario(five, VelocityGrid.for_spec(five, 4), t_end=4.0, m_base=16,
+                      stride=stride, **_RANDOM_DATA)
+    members = (a, *_other_members(a))[:n_members]
+    eng = a.engine()
+    assert eng.block == 8 and a.n_steps > 3 * (2 * eng.period - eng.s_max)
+    trajectories = run(*members)
+    _assert_equals_loop(trajectories if n_members > 1 else (trajectories,),
+                        _step_loop_records(*members, mirrored=True))
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in regression_suite()])
+def test_sixteen_step_blocks_agree_with_eight_step_blocks(name, monkeypatch):
+    spec = next(s for n, s, _ in regression_suite() if n == name)
+    runs = []
+    for block in (16, 8):
+        monkeypatch.setattr(kinnet.simulator, "LOOKAHEAD", block)
+        sc = make_scenario(spec, VelocityGrid.for_spec(spec, 4), t_end=3.0, m_base=16,
+                           **_RANDOM_DATA)
+        assert sc.engine().block == block
+        runs.append(run(sc, *_other_members(sc)))
+    for long, short in zip(*runs, strict=True):
+        for record in _RECORDS[1:]:
+            np.testing.assert_allclose(getattr(long, record), getattr(short, record),
+                                       rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n_members", [1, 2])
+@pytest.mark.parametrize("cells", [{"m_cells": (1, 4, 2, 6, 3)},
+                                   {"m_cells": (3, 5, 4, 3, 9)}, {"m_base": 16}],
+                         ids=["block_1", "block_3", "block_16"])
+def test_the_ring_holds_the_last_s_max_traces_across_rebases(cells, n_members,
+                                                             monkeypatch):
+    five = heterogeneous_five(0.4)
+    sc = make_scenario(five, VelocityGrid.for_spec(five, 4), t_end=5.0, stride=2,
+                       **cells, **_RANDOM_DATA)
+    members = (sc, *_other_members(sc))[:n_members]
+    eng = sc.engine()
+    L, S = eng.block, eng.s_max
+    assert L in (1, 3, 16) and (L == 1 or S % L > 0)
+    lookahead, window = eng._lookahead, eng._window
+    traces, rebases, records = {}, [], []     # the traces by step number
+
+    def kept_lookahead(state):
+        head = state.head
+        lookahead(state)
+        if state.head != head:
+            rebases.append(state.step_count)
+        h = state.head - L                    # newest first, as in the ring
+        for s in range(1, L + 1):
+            traces[state.step_count + s] = state.ring[:, h + L - s].copy()
+
+    def checked_window(state):
+        n, head = state.step_count, state.head
+        assert state.ring.shape[1] == state.sums.shape[2] == 2 * eng.period
+        if n == 0:                            # the history: step -o at row o
+            traces.update({-o: state.ring[:, head + o].copy() for o in range(S)})
+        live = np.stack([traces[n - o] for o in range(S)], axis=1)
+        assert np.array_equal(state.ring[:, head:head + S], live)
+        sums = state.sums[:, :, head:head + S]
+        np.testing.assert_allclose(sums[:, 0], np.abs(live) @ eng.dv, rtol=1e-15)
+        np.testing.assert_allclose(sums[:, 1], live @ eng.vdv, rtol=1e-15)
+        records.append(n)
+        return window(state)
+
+    monkeypatch.setattr(eng, "_lookahead", kept_lookahead)
+    monkeypatch.setattr(eng, "_window", checked_window)
+    _assert_matches_reference(*members)
+    assert len(rebases) >= 3 and rebases[0] == 0
+    assert records == sorted({*range(0, sc.n_steps + 1, 2), sc.n_steps})
 
 
 def test_an_overflowing_member_leaves_its_lockstep_partners_alone():
@@ -545,12 +703,7 @@ def _chunked_run(monkeypatch, members, chunk):
 
 
 def _assert_equals_per_stride_records(trajectories, members):
-    loop = _per_stride_records(*members)
-    for r, traj in enumerate(trajectories):
-        for name, column in zip(_RECORDS, zip(*loop)):
-            column = np.array([value if name == "times" else value[r]
-                               for value in column])
-            assert np.array_equal(getattr(traj, name), column, equal_nan=True), name
+    _assert_equals_loop(trajectories, _per_stride_records(*members), equal_nan=True)
 
 
 @pytest.mark.parametrize("n_members", [1, 2, 3])
@@ -656,13 +809,14 @@ def test_the_last_block_holds_the_last_input_sample(monkeypatch):
 
 
 def test_padded_input_samples_count_toward_the_cap(sc_spec, grid8):
-    # n_steps + 1 samples fit, but not with the L = 8 padded for the last block
+    # n_steps + 1 samples fit, but not with the L padded for the last block
     dt = 1.0 / 1024
     random_input = {"kind": "bounded_random", "bound": 0.5, "seed": 1}
-    n = MAX_ARRAY_VALUES - 1 - 8
+    L = make_scenario(sc_spec, grid8, t_end=1.0, dt=dt).engine().block
+    n = MAX_ARRAY_VALUES - 1 - L
     sc = make_scenario(sc_spec, grid8, t_end=n * dt, dt=dt, stride=10**9,
                        disturbance=random_input)
-    assert sc.engine().block == 8 and sc.n_steps + 1 + 8 == MAX_ARRAY_VALUES
+    assert sc.engine().block == L > 1 and sc.n_steps + 1 + L == MAX_ARRAY_VALUES
     with pytest.raises(ValidationError, match="input samples"):
         make_scenario(sc_spec, grid8, t_end=(n + 1) * dt, dt=dt, stride=10**9,
                       disturbance=random_input)
