@@ -18,8 +18,9 @@ value one row down, K values on: member r's last node flows into the top
 inflow row of member r + 1, as circle j's last node flows into the top
 inflow row of circle j + 1. Nothing there is ever read, since the next
 block's lookahead rewrites every inflow row before what it holds reaches a
-start node. So a time step costs the same three numpy calls on contiguous
-vectors whatever the number of circles and members.
+start node. So a single step costs the same three numpy calls on contiguous
+vectors whatever the number of circles and members, and a segment of steps
+one einsum (see Segments).
 
 Block: with CFL <= 1 a step moves information at most one node, so an
 inflow written on a start node reaches its circle's trace no sooner than
@@ -27,6 +28,18 @@ M_j steps later. The junction is resolved once per block of
 L = min(min_j M_j, 16) steps (`LOOKAHEAD`), and `run` takes the steps
 between two records in one call (see `_Engine`). The block's buffers and
 its inputs, padded with L copies of the last sample, live in the state.
+
+Segments: within a block, `advance` takes its steps s at a time, s a power
+of two up to the engine's span S. After s steps each flat value of a member
+is a banded combination of the values 0..s rows above it, so a segment of
+s >= 2 steps is one einsum with a precomputed s-step map (`_Engine._map`)
+in place of 3 s calls. S is the largest power of two <= L whose map for
+one member, (S + 1) N K float64 values, fits in 256 KiB (`_MAP_BYTES`), if
+that is at least 8, and else 1: 16 or 8 for the suite at (m_base, k) =
+(32, 8), and 1 for every state at (128, 32), which takes single steps. A
+segment leaves each member's first s rows unwritten: they are circle 0's
+top inflow rows, which no start node reads before the next lookahead
+rewrites them, as above.
 
 Records: a record reads the state and the sums of its history window (see
 Memory). `run` copies these snapshots of C records into a chunk buffer and
@@ -52,6 +65,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import _advection
 from .delayquad import delay_quadrature, _accumulate_density
 from .errors import CflError, DomainError, ValidationError
 from .model import NetworkSpec
@@ -62,6 +76,8 @@ LOOKAHEAD = 16
 # the most bytes of record snapshots that `run` holds at once, and of the
 # unit pulses that build an engine's trace map
 _CHUNK_BYTES = 128 * 1024
+# the most bytes of an engine's multi-step advection map for one member
+_MAP_BYTES = 256 * 1024
 _LINE = 64  # bytes in a cache line
 ZERO = MappingProxyType({"kind": "zero"})
 _UNIT = MappingProxyType({"kind": "constant", "value": 1.0})
@@ -291,7 +307,12 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
 @dataclass(eq=False)
 class SimState:
     """Mutable integration state of R members in lockstep: densities, trace
-    ring buffer, clock, and the members' inputs."""
+    ring buffer, clock, and the members' inputs.
+
+    The state holds a second density buffer, `spare`. At an engine span
+    S > 1 a segment of steps writes it and then swaps it with `density`, so
+    `density` is always the live state but not always the same array: look
+    it up again after `advance`."""
 
     t: float
     density: np.ndarray          # (R, N, K), circle j's nodes at rows engine.nodes[j]
@@ -301,7 +322,7 @@ class SimState:
     head: int = 0
     step_count: int = 0
     # set by `_Engine.init_state`: the advection coefficients of
-    # density.reshape(-1)[K:], the buffer of a step's moved values, the
+    # density.reshape(-1)[K:], the second density buffer (R, N, K), the
     # sums (R, 2, 2 P, J) of each ring row and circle, |trace| @ dv and
     # trace @ (v dv), a block's buffers of the last L + 1 nodes of each
     # circle (R, L + 1, J, K) and of the junction (R, L, J K + 1), and the
@@ -309,11 +330,17 @@ class SimState:
     # a view
     c_stay: np.ndarray = field(init=False, repr=False)
     c_move: np.ndarray = field(init=False, repr=False)
-    moved: np.ndarray = field(init=False, repr=False)
+    spare: np.ndarray = field(init=False, repr=False)
     sums: np.ndarray = field(init=False, repr=False)
     tails: np.ndarray = field(init=False, repr=False)
     junction: np.ndarray = field(init=False, repr=False)
     padded_inputs: np.ndarray | None = field(init=False, repr=False)
+
+    @property
+    def moved(self) -> np.ndarray:
+        """The buffer of a single step's moved values, R N K - K of them:
+        the flat tail of `spare`."""
+        return self.spare.reshape(-1)[self.density.shape[-1]:]
 
 
 @dataclass(eq=False)
@@ -426,6 +453,23 @@ class _Engine:
     because its delay and history weights are zero there; the records
     contract only the (offset, circle) pairs of nonzero history weight.
 
+    Between two events, a block start and the end of an `advance`, the steps
+    go in segments of s = 2^i <= S (`span`), largest first. A segment of
+    s >= 2 is one einsum of the s-step map (`_map`) with a strided view of
+    the state, (s + 1, R, N K - s K), into the spare buffer. The map is
+    built once per s on first use, from unit coefficients stepped with the
+    step's own arithmetic (`_advection`), and broadcast over the members,
+    so a member's values do not depend on the others: lockstep members
+    equal their solo runs bit for bit. The einsum sums the s + 1 terms of
+    a value in another order than s steps do, so the records agree with
+    those of single steps within 5e-15 relative on the suite at (32, 8),
+    not bit for bit; where every segment is one step they are the same. A
+    single step keeps the three calls: an einsum of two terms, into the
+    spare buffer, costs 1.6 and 1.1 times as much at R = 2 and N K = 392
+    and 2 824 (24.1 against 14.8 and 71.8 against 64.9 us per 8 steps),
+    and as much at R = 1, N K = 36 896 (339 against 348 us), on a 2-vCPU
+    Xeon guest with NumPy 2.4.
+
     `_records` takes the records of a chunk of C snapshots, densities and
     history windows (`_window`), in one pass with a matrix-vector product
     per snapshot and member, so that a record does not depend on its chunk;
@@ -456,6 +500,14 @@ class _Engine:
         self.period = _ring_period(s_max, L)
 
         n_rows = int(tops[-1])
+        # the span S: the largest power of two <= L whose map buffer for one
+        # member, (S + 1, N K), fits in _MAP_BYTES, if at least 8, else 1;
+        # the maps, by s, built on first use
+        span = 1
+        while 2 * span <= L and (2 * span + 1) * n_rows * K * 8 <= _MAP_BYTES:
+            span *= 2
+        self.span = span if span >= 8 else 1
+        self._maps = {}
         self.node_rows = np.concatenate([np.arange(n.start, n.stop) for n in self.nodes])
         xw = []                                     # trapezoid node weights
         # an inflow row or a start node copies the row above it
@@ -487,28 +539,14 @@ class _Engine:
         self.hist_pairs = np.flatnonzero(hist_w)
         self.hist_w = hist_w.ravel()[self.hist_pairs]
 
-        # the trace of step n + s is sum_i coef[s, i] * node (end - L + i) at
-        # step n: unit pulses (row, pulse, circle and cell) stepped in place
-        # with each circle's own coefficients, newest first as in the ring,
-        # as many cells at a time as _CHUNK_BYTES of pulses hold. After t
-        # steps only rows >= t can still reach row L, so step t updates
-        # those L + 1 - t rows, with the L + 1 - t rows of coef not yet
-        # written as its buffer
+        # the trace of step n + s is sum_i coef[L - s, i] * node (end - L + i)
+        # at step n, for each circle and cell, built from as many cells at a
+        # time as _CHUNK_BYTES of unit pulses hold
         self.tail_rows = np.arange(-L, 1)[:, None] + self.ends     # (L + 1, J)
         stay, move = (c[self.tail_rows[1:]].reshape(L, 1, J * K)
                       for c in (self.c_stay, self.c_move))
-        coef = self.trace_coef = np.empty((L, L + 1, J * K))
         width = max(1, _CHUNK_BYTES // (8 * (L + 1) ** 2))
-        for first in range(0, J * K, width):
-            cells = slice(first, first + width)
-            pulse = np.zeros((L + 1, L + 1, coef[0, 0, cells].size))
-            pulse[np.arange(L + 1), np.arange(L + 1)] = 1.0
-            for t in range(1, L + 1):
-                moved = coef[:L + 1 - t, :, cells]
-                np.multiply(move[t - 1:, :, cells], pulse[t - 1:L], out=moved)
-                np.multiply(stay[t - 1:, :, cells], pulse[t:], out=pulse[t:])
-                np.add(pulse[t:], moved, out=pulse[t:])
-                coef[L - t, :, cells] = pulse[L]
+        self.trace_coef = _advection.trace_map(stay, move, width)
 
         # the block's reads, from the block's newest ring row h: step n + s
         # reads offset o at row h + L - s + o, a band of the window of rows
@@ -568,8 +606,17 @@ class _Engine:
             stay, move = _aligned((R, N, K)), _aligned((R, N, K))
             stay[:], move[:] = self.c_stay, self.c_move
         state.c_stay, state.c_move = stay.ravel()[K:], move.ravel()[K:]
-        state.moved = _aligned((R * N * K - K,))
+        state.spare = _aligned((R, N, K))
         return state
+
+    def _map(self, s: int) -> np.ndarray:
+        """The s-step advection map of one member, built on first use and
+        kept; the span rule counts its whole buffer."""
+        if s not in self._maps:
+            K = len(self.dv)
+            self._maps[s] = _advection.advection_map(self.c_stay.ravel()[K:],
+                                                     self.c_move.ravel()[K:], K, s)
+        return self._maps[s]
 
     # -- time stepping ------------------------------------------------------
     def _lookahead(self, state: SimState) -> None:
@@ -599,23 +646,29 @@ class _Engine:
         z[:, self.inflow_rows] = (delayed @ self.routed).reshape(R, L, J, K)
 
     def advance(self, state: SimState, n: int) -> SimState:
-        """Take n steps: each is the upwind advection of the flat state of
-        all members, three calls on contiguous vectors, after the block's
-        lookahead where L divides the step count."""
-        K, L = len(self.dv), self.block
-        flat = state.density.reshape(-1)
-        below, above = flat[K:], flat[:-K]
-        stay, move, moved = state.c_stay, state.c_move, state.moved
-        head, first = state.head, state.step_count      # head at step `first`
-        for count in range(first, first + n):
+        """Take n steps, after the block's lookahead where L divides the step
+        count: the steps up to each block start or the end in segments of
+        powers of two <= S, largest first. A segment of s >= 2 steps is one
+        einsum into the spare buffer, which then swaps with `density`; a
+        single step is the upwind advection of the flat state of all
+        members, three calls on contiguous vectors (see `_Engine`)."""
+        L, span = self.block, self.span
+        end = state.step_count + n
+        while state.step_count < end:
+            count = state.step_count
             if count % L == 0:
-                state.head, state.step_count = head - count + first, count
                 self._lookahead(state)                  # may rebase the head
-                head = state.head + count - first
-            np.multiply(move, above, out=moved)
-            np.multiply(below, stay, out=below)
-            np.add(below, moved, out=below)
-        state.head, state.step_count = head - n, first + n
+            stretch = left = min(end, count - count % L + L) - count
+            while left > 1 and span > 1:                # a segment of s steps
+                s = min(span, 1 << left.bit_length() - 1)
+                _advection.apply_map(self._map(s), state.density, state.spare)
+                state.density, state.spare = state.spare, state.density
+                left -= s
+            if left:
+                _advection.steps(state.c_stay, state.c_move, state.density,
+                                 state.moved, left)
+            state.head -= stretch
+            state.step_count += stretch
         state.t = state.step_count * self.dt
         return state
 

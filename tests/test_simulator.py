@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, replace
 
@@ -436,7 +437,9 @@ def _assert_equals_loop(trajectories, loop, equal_nan=False):
 
 @pytest.mark.parametrize("n_members", [1, 2, 3])
 @pytest.mark.parametrize("stride", [1, 3, 8, 11])
-def test_run_equals_the_step_loop_bit_for_bit(stride, n_members):
+def test_run_equals_the_step_loop_bit_for_bit(stride, n_members, monkeypatch):
+    # single steps only: a multi-step map sums in another order
+    monkeypatch.setattr(kinnet.simulator, "_MAP_BYTES", 0)
     five = heterogeneous_five(0.4)
     a, b = (replace(m, stride=stride)
             for m in _member_pair(five, m_cells=(3, 5, 4, 3, 9)))
@@ -465,6 +468,7 @@ def test_eight_step_blocks_equal_a_mirrored_ring_bit_for_bit(stride, n_members,
                                                              monkeypatch):
     # the ring-row trace map and the rebased ring change no bit of a record
     monkeypatch.setattr(kinnet.simulator, "LOOKAHEAD", 8)
+    monkeypatch.setattr(kinnet.simulator, "_MAP_BYTES", 0)
     five = heterogeneous_five(0.4)
     a = make_scenario(five, VelocityGrid.for_spec(five, 4), t_end=4.0, m_base=16,
                       stride=stride, **_RANDOM_DATA)
@@ -490,6 +494,258 @@ def test_sixteen_step_blocks_agree_with_eight_step_blocks(name, monkeypatch):
         for record in _RECORDS[1:]:
             np.testing.assert_allclose(getattr(long, record), getattr(short, record),
                                        rtol=1e-15, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# multi-step advection maps
+
+def _suite_spec(name):
+    return next(s for n, s, _ in regression_suite() if n == name)
+
+
+def _unit_pulse_map(eng, s):
+    """The s-step map from s single steps of one member, with the step's
+    arithmetic, on unit pulses every s + 1 rows, one residue of the rows at
+    a time: after s steps, row q >= s holds the coefficient of the pulse d
+    rows above it, d = (q - i) mod (s + 1), and zeros from all others."""
+    N, K = eng.c_stay.shape
+    stay, move = eng.c_stay.ravel()[K:], eng.c_move.ravel()[K:]
+    rows = np.arange(s, N)
+    expected = np.empty((s + 1, N - s, K))
+    for i in range(s + 1):
+        x = np.repeat((np.arange(N) % (s + 1) == i).astype(float), K)
+        for _ in range(s):
+            moved = move * x[:-K]
+            x[K:] *= stay
+            x[K:] += moved
+        expected[(rows - i) % (s + 1), rows - s] = x[s * K:].reshape(N - s, K)
+    return expected.reshape(s + 1, -1)
+
+
+@pytest.mark.parametrize("s", [2, 4, 8, 16])
+def test_a_map_equals_single_steps_on_unit_pulses(s):
+    five = heterogeneous_five(0.4)
+    eng = make_scenario(five, VelocityGrid.for_spec(five, 4), t_end=1.0,
+                        m_base=16).engine()
+    assert eng.span == 16
+    got = eng._map(s)
+    assert got.shape == (s + 1, eng.c_stay.size - s * 4)
+    assert np.array_equal(got, _unit_pulse_map(eng, s))
+    assert (got >= 0).all()
+    assert eng._map(s) is got                     # built once
+
+
+def _segment_loop_records(*members):
+    """The records of the members from a step loop that keeps the members
+    apart and takes the engine's own segments: between two events, a block
+    start and a record, powers of two <= S, largest first, each member's
+    rows s.. from one einsum of the engine's s-step map with its own state,
+    and a single step as three products and sums; a record at the stride
+    and at the last step."""
+    eng = members[0].engine()
+    st = eng.init_state(members)
+    z, (R, N, K) = st.density, st.density.shape
+    n_steps, stride, L = members[0].n_steps, members[0].stride, eng.block
+    records = [(st.t, *eng.record(st))]
+    for n in sorted({*range(stride, n_steps + 1, stride), n_steps}):
+        while st.step_count < n:
+            if st.step_count % L == 0:
+                eng._lookahead(st)
+            left = min(n, st.step_count - st.step_count % L + L) - st.step_count
+            while left:
+                s = min(eng.span, 2 ** int(math.log2(left)))
+                for r in range(R):
+                    flat = z[r].reshape(-1)
+                    if s == 1:
+                        moved = eng.c_move.ravel()[K:] * flat[:-K]
+                        flat[K:] *= eng.c_stay.ravel()[K:]
+                        flat[K:] += moved
+                        continue
+                    window = np.stack([flat[(s - d) * K:(N - d) * K]
+                                       for d in range(s + 1)])[:, None]
+                    out = np.empty((1, (N - s) * K))
+                    np.einsum("dp,drp->rp", eng._map(s), window, out=out)
+                    flat[s * K:] = out[0]
+                st.head, st.step_count, left = st.head - s, st.step_count + s, left - s
+            st.t = st.step_count * eng.dt
+        records.append((st.t, *eng.record(st)))
+    return records
+
+
+@pytest.mark.parametrize("n_members", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 3, 8, 11])
+@pytest.mark.parametrize("cells, block, span", [({"m_base": 16}, 16, 16),
+                                                ({"m_base": 12}, 12, 8),
+                                                ({"m_cells": (3, 5, 4, 3, 9)}, 3, 1)],
+                         ids=["span_16", "block_12", "block_3"])
+def test_run_equals_a_segment_loop_bit_for_bit(cells, block, span, stride, n_members):
+    # the ring, the lookahead, the swap of the buffers and the chunks of
+    # records change no bit while the maps take the steps; a block of 12
+    # takes segments of 8 and 4, and a block of 3 single steps
+    five = heterogeneous_five(0.4)
+    a = make_scenario(five, VelocityGrid.for_spec(five, 4), t_end=3.0, stride=stride,
+                      **cells, **_RANDOM_DATA)
+    members = (a, *_other_members(a))[:n_members]
+    eng = a.engine()
+    assert (eng.block, eng.span) == (block, span)
+    trajectories = run(*members)
+    _assert_equals_loop(trajectories if n_members > 1 else (trajectories,),
+                        _segment_loop_records(*members))
+
+
+@pytest.mark.parametrize("name", [n for n, _, _ in regression_suite()
+                                  if n.startswith("iss_")])
+def test_lockstep_members_with_maps_equal_their_solo_runs(name):
+    # verify's runs at (32, 8): the maps broadcast over the members
+    spec = _suite_spec(name)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 8), t_end=4.0, m_base=32,
+                       stride=8, **_RANDOM_DATA)
+    members = (replace(sc, disturbance={"kind": "zero"}), sc, *_other_members(sc))
+    assert sc.engine().span >= 8
+    for together, m in zip(run(*members), members, strict=True):
+        _assert_same_records(together, run(m))
+
+
+@pytest.mark.parametrize("stride", [3, 8, 11])
+def test_chunked_records_with_maps_equal_the_per_stride_records(stride, monkeypatch):
+    five = heterogeneous_five(0.4)
+    a = make_scenario(five, VelocityGrid.for_spec(five, 4), t_end=3.0, m_base=16,
+                      stride=stride, **_RANDOM_DATA)
+    members = (a, *_other_members(a))
+    assert a.engine().span == 16
+    trajectories, lengths = _chunked_run(monkeypatch, members, None)
+    assert len(lengths) < a.n_records
+    _assert_equals_per_stride_records(trajectories, members)
+
+
+@pytest.mark.parametrize("name", [n for n, _, _ in regression_suite()])
+def test_maps_agree_with_single_steps(name, monkeypatch):
+    spec = _suite_spec(name)
+    runs = []
+    for map_bytes in (kinnet.simulator._MAP_BYTES, 0):
+        monkeypatch.setattr(kinnet.simulator, "_MAP_BYTES", map_bytes)
+        sc = make_scenario(spec, VelocityGrid.for_spec(spec, 8), t_end=6.0, m_base=32,
+                           stride=3, **_RANDOM_DATA)
+        assert (sc.engine().span > 1) == (map_bytes > 0)
+        runs.append(run(sc, *_other_members(sc)))
+    for maps, steps in zip(*runs, strict=True):
+        for record in _RECORDS[1:]:
+            np.testing.assert_allclose(getattr(maps, record), getattr(steps, record),
+                                       rtol=5e-15, atol=0)
+
+
+def _longdouble_records(sc):
+    """The records of a single-step loop on a state in np.longdouble, with
+    the engine's coefficients and its lookahead; each record rounds the
+    state's sums to float64."""
+    eng = sc.engine()
+    st = eng.init_state((sc,))
+    for name in ("density", "ring", "sums", "tails", "junction"):
+        setattr(st, name, getattr(st, name).astype(np.longdouble))
+    stay, move = (c[1:].astype(np.longdouble) for c in (eng.c_stay, eng.c_move))
+    records = [eng.record(st)]
+    for _ in range(sc.n_steps):
+        if st.step_count % eng.block == 0:
+            eng._lookahead(st)
+        z = st.density
+        moved = move * z[:, :-1]
+        z[:, 1:] *= stay
+        z[:, 1:] += moved
+        st.head, st.step_count = st.head - 1, st.step_count + 1
+        if st.step_count % sc.stride == 0 or st.step_count == sc.n_steps:
+            records.append(eng.record(st))
+    return records
+
+
+def test_maps_stay_within_1e_14_of_a_longdouble_step_loop():
+    # a long run that does not decay, on nonnegative data
+    spec = conservation_spec()
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 8), t_end=20.0, m_base=32,
+                       stride=8, initial={"kind": "random_nonneg", "seed": 1},
+                       history={"kind": "constant", "value": 0.3})
+    assert sc.engine().span == 16
+    traj, ref = run(sc), _longdouble_records(sc)
+    for record, column in zip(_RECORDS[1:], zip(*ref)):
+        np.testing.assert_allclose(getattr(traj, record),
+                                   np.array([value[0] for value in column]),
+                                   rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", [n for n, _, _ in regression_suite()])
+@pytest.mark.parametrize("m_base, k", [(32, 8), (128, 32)])
+def test_every_map_fits_in_its_budget(name, m_base, k):
+    spec = _suite_spec(name)
+    eng = make_scenario(spec, VelocityGrid.for_spec(spec, k), t_end=1.0,
+                        m_base=m_base).engine()
+    s, budget = eng.span, kinnet.simulator._MAP_BYTES
+    # every map of the span fits, with its buffer
+    assert [eng._map(2 ** t).base.nbytes <= budget
+            for t in range(1, s.bit_length())] == [True] * (s.bit_length() - 1)
+    # the largest power of two that fits and stays in the block, if at
+    # least 8, else single steps: every state at (128, 32) takes those
+    fits = 1
+    while 2 * fits <= eng.block and (2 * fits + 1) * eng.c_stay.size * 8 <= budget:
+        fits *= 2
+    assert s == (fits if fits >= 8 else 1)
+    assert (s == 1) == (m_base == 128)
+
+
+def test_a_large_state_takes_single_steps_and_builds_no_map(monkeypatch):
+    # simulate's runs at (128, 32): the state's second buffer holds the
+    # moved values of a step
+    five = heterogeneous_five(0.4)
+    sc = make_scenario(five, VelocityGrid.for_spec(five, 32), t_end=0.05,
+                       m_base=128, stride=8, **_RANDOM_DATA)
+    members = (sc, replace(sc, initial={"kind": "constant", "value": 0.5}))
+    eng = sc.engine()
+    assert eng.span == 1
+    N, K = eng.c_stay.shape
+    J, P = len(eng.xs), eng.period
+    assert _aligned_shapes(monkeypatch, lambda: eng.init_state(members)) == [
+        (2, N, K), (2, 2 * P, J, K), (2, 2, 2 * P, J), (2, N, K), (2, N, K),
+        (2, N, K)]
+    run(*members)
+    assert eng._maps == {}
+
+
+@pytest.mark.parametrize("n, swapped", [(16, True), (24, False), (1, False)])
+def test_advance_may_swap_the_density_buffer(n, swapped):
+    # a segment writes the spare buffer and swaps it in: an array taken
+    # before `advance` is the live state only after an even number of
+    # segments of s >= 2 steps, and `state.density` always is
+    five = heterogeneous_five(0.4)
+    sc = make_scenario(five, VelocityGrid.for_spec(five, 4), t_end=1.0, m_base=16,
+                       **_RANDOM_DATA)
+    eng = sc.engine()
+    state = eng.init_state((sc,))
+    before = state.density
+    eng.advance(state, n)                   # segments 16; 16 and 8; one step
+    assert (state.density is before, state.spare is before) == (not swapped, swapped)
+    _, *expected = _segment_loop_records(replace(sc, stride=n))[1]
+    for got, want in zip(eng.record(state), expected, strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_advance_allocates_no_array_per_segment(monkeypatch):
+    # an einsum that copied its strided view of the state would allocate
+    # (s + 1) R (N - s) K values; the lookahead's own temporaries stay out
+    spec = _suite_spec("iss_dirac_low")
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 8), t_end=12.0, m_base=32,
+                       stride=8, **_RANDOM_DATA)
+    eng = sc.engine()
+    state = eng.init_state((replace(sc, disturbance={"kind": "zero"}), sc))
+    eng.advance(state, 129)
+    monkeypatch.setattr(eng, "_lookahead", lambda state: None)
+    eng.advance(state, 64)                   # segments of 8, 4, 2, 1 and 16
+    assert sorted(eng._maps) == [2, 4, 8, 16]
+    assert 8 * 3 * state.density.size > 16 * 1024
+    tracemalloc.start()
+    try:
+        eng.advance(state, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024
 
 
 @pytest.mark.parametrize("n_members", [1, 2])
