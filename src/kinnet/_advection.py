@@ -1,4 +1,5 @@
-"""The simulator's upwind step and the linear maps that repeat it.
+"""The simulator's upwind step, the linear maps that repeat it, and the
+views of a state through which a junction block and the maps reach it.
 
 A step updates the flat values of the state in place, each from itself and
 from the value one row above it: below <- below stay + move above. The trace
@@ -8,6 +9,8 @@ three calls, so each equals steps on unit pulses bit for bit.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,25 +37,28 @@ def steps(stay: np.ndarray, move: np.ndarray, z: np.ndarray, moved: np.ndarray,
 
 
 def trace_map(stay: np.ndarray, move: np.ndarray, width: int) -> np.ndarray:
-    """The trace map (L, L + 1, C) of a block, newest first as in the ring:
-    the trace of step n + s is sum_i map[L - s, i] * tail node i at step n,
-    for each of C columns (circle and velocity cell), where stay and move
-    (L, 1, C) are the coefficients of tail nodes 1..L.
+    """The trace map (C, L, L + 1) of a block, one (L, L + 1) matrix per
+    column (circle and velocity cell), newest first as in the ring: the
+    trace of step n + s is sum_i map[c, L - s, i] * tail node i at step n,
+    where stay and move (L, 1, C) are the coefficients of tail nodes 1..L.
 
     Unit pulses (row, pulse, column) are stepped in place, `width` columns
-    at a time. After t steps only rows >= t can still reach row L, so step
-    t updates those L + 1 - t rows, with the L + 1 - t rows of the map not
-    yet written as its buffer."""
+    at a time, into a buffer of the chunk's map rows (L, L + 1, width),
+    which then goes to the map's columns. After t steps only rows >= t can
+    still reach row L, so step t updates those L + 1 - t rows, with the
+    L + 1 - t rows of the buffer not yet written as its moved values."""
     L, _, C = stay.shape
-    coef = np.empty((L, L + 1, C))
+    coef = np.empty((C, L, L + 1))
     for first in range(0, C, width):
         cells = slice(first, first + width)
-        pulse = np.zeros((L + 1, L + 1, coef[0, 0, cells].size))
+        rows = np.empty((L, L + 1, len(coef[cells])))
+        pulse = np.zeros((L + 1, L + 1, rows.shape[2]))
         pulse[np.arange(L + 1), np.arange(L + 1)] = 1.0
         for t in range(1, L + 1):
             upwind(stay[t - 1:, :, cells], move[t - 1:, :, cells], pulse[t:],
-                   pulse[t - 1:L], coef[:L + 1 - t, :, cells])
-            coef[L - t, :, cells] = pulse[L]
+                   pulse[t - 1:L], rows[:L + 1 - t])
+            rows[L - t] = pulse[L]
+        coef[cells] = rows.transpose(2, 0, 1)
     return coef
 
 
@@ -76,14 +82,38 @@ def advection_map(stay: np.ndarray, move: np.ndarray, K: int, s: int) -> np.ndar
     return coef[:, s * K:]
 
 
-def apply_map(coef: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
-    """Take the s steps of the map coef (s + 1, N K - s K) on each member of
-    z (R, N, K) in one einsum into rows s.. of out (R, N, K). A strided view
-    of z, (s + 1, R, N K - s K), holds at [d, r, p] member r's flat value d
-    rows above s K + p, so no operand is copied; rows 0..s - 1 of out are
-    left as they are."""
+def map_views(z: np.ndarray, out: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The operands of s steps of the map (s + 1, N K - s K) on each member
+    of z (R, N, K), written to rows s.. of out (R, N, K) by
+    einsum("dp,drp->rp", map, window, out=rows): a strided view of z,
+    (s + 1, R, N K - s K), that holds at [d, r, p] member r's flat value d
+    rows above s K + p, so no operand is copied, and the view of the rows;
+    rows 0..s - 1 of out are left as they are."""
     R, N, K = z.shape
-    s, b = len(coef) - 1, z.itemsize
+    b = z.itemsize
     window = np.ndarray((s + 1, R, (N - s) * K), buffer=z, offset=b * s * K,
                         strides=(-b * K, b * N * K, b))
-    np.einsum("dp,drp->rp", coef, window, out=out.reshape(R, N * K)[:, s * K:])
+    return window, out.reshape(R, N * K)[:, s * K:]
+
+
+class BlockViews(NamedTuple):
+    """A state's ring and junction buffer, and the views of them that a
+    block's products write and read: built once per state, and again if
+    either array is replaced."""
+
+    ring: np.ndarray
+    junction: np.ndarray
+    columns: np.ndarray      # the ring (R, J K, 2 P, 1), a column per cell
+    circles: np.ndarray      # the ring (R, J, 2 P, K)
+    delayed: np.ndarray      # the junction's delayed traces (R, J, L, K)
+    inputs: np.ndarray       # the junction's inputs (R, L)
+
+    @classmethod
+    def of(cls, state, L: int) -> "BlockViews":
+        ring, junction = state.ring, state.junction
+        R, rows, J, K = ring.shape
+        return cls(ring, junction,
+                   ring.reshape(R, rows, -1).transpose(0, 2, 1)[..., None],
+                   ring.transpose(0, 2, 1, 3),
+                   junction[:, :, :-1].reshape(R, L, J, K).transpose(0, 2, 1, 3),
+                   junction[:, :, -1])

@@ -25,9 +25,9 @@ one einsum (see Segments).
 Block: with CFL <= 1 a step moves information at most one node, so an
 inflow written on a start node reaches its circle's trace no sooner than
 M_j steps later. The junction is resolved once per block of
-L = min(min_j M_j, 16) steps (`LOOKAHEAD`), and `run` takes the steps
-between two records in one call (see `_Engine`). The block's buffers and
-its inputs, padded with L copies of the last sample, live in the state.
+L = min(min_j M_j, 16) steps (`LOOKAHEAD`), with one matmul for the
+traces and one put for the inflows (see `_Engine`). The block's buffers,
+views and inputs, padded with L copies of the last sample, live in the state.
 
 Segments: within a block, `advance` takes its steps s at a time, s a power
 of two up to the engine's span S. After s steps each flat value of a member
@@ -115,6 +115,9 @@ class Scenario:
         m_cells = (_checked_m_cells(self.spec, self.m_cells)
                    if self.m_cells else default_m_cells(self.spec))
         object.__setattr__(self, "m_cells", m_cells)
+        if not isinstance(self.input_outside_sum, bool):
+            raise ValidationError(f"input_outside_sum must be true or false, "
+                                  f"got {self.input_outside_sum!r}")
         if not _is_int(self.stride) or self.stride < 1:
             raise ValidationError(
                 f"recording stride must be an integer >= 1, got {self.stride!r}")
@@ -324,17 +327,28 @@ class SimState:
     # set by `_Engine.init_state`: the advection coefficients of
     # density.reshape(-1)[K:], the second density buffer (R, N, K), the
     # sums (R, 2, 2 P, J) of each ring row and circle, |trace| @ dv and
-    # trace @ (v dv), a block's buffers of the last L + 1 nodes of each
-    # circle (R, L + 1, J, K) and of the junction (R, L, J K + 1), and the
-    # inputs padded with L copies of the last sample, of which `inputs` is
-    # a view
+    # trace @ (v dv), the flat indices in the density of the last L + 1
+    # nodes of each circle and cell (R, J K, L + 1, 1) and of the inflow
+    # rows (R, L, J K), a block's buffers of those nodes, of |trace| (R, L
+    # J, K), of the junction (R, L, J K + 1) and of the inflows (R, L, J K),
+    # and the inputs padded with L copies of the last sample, of which
+    # `inputs` is a view; built on first use, a block's views and the map
+    # and views of a segment of s steps by (s, swapped), swapped telling
+    # whether `density` is the buffer that `init_state` made as `spare`
     c_stay: np.ndarray = field(init=False, repr=False)
     c_move: np.ndarray = field(init=False, repr=False)
     spare: np.ndarray = field(init=False, repr=False)
     sums: np.ndarray = field(init=False, repr=False)
+    tail_flat: np.ndarray = field(init=False, repr=False)
+    inflow_flat: np.ndarray = field(init=False, repr=False)
     tails: np.ndarray = field(init=False, repr=False)
+    magnitude: np.ndarray = field(init=False, repr=False)
     junction: np.ndarray = field(init=False, repr=False)
+    inflow: np.ndarray = field(init=False, repr=False)
     padded_inputs: np.ndarray | None = field(init=False, repr=False)
+    views: "_advection.BlockViews | None" = field(default=None, init=False, repr=False)
+    segments: dict = field(default_factory=dict, init=False, repr=False)
+    swapped: bool = field(default=False, init=False, repr=False)
 
     @property
     def moved(self) -> np.ndarray:
@@ -428,16 +442,18 @@ class _Engine:
     of the steps n + 1..n + L. Their traces are fixed nonnegative
     combinations of the last L + 1 nodes of each circle at step n, since no
     inflow of the block reaches a trace within L <= M_j steps: `trace_coef`
-    (L, L + 1, J K) maps the gathered nodes (R, L + 1, J K), circle and
-    velocity cell on one axis as in a ring row, to the block's L ring rows
-    in one contraction. The lookahead
-    pushes them into the ring, contracts the ring rows that the block's
-    delay reads cover with a banded (L, window) weight matrix per circle,
-    routes the result with one matmul with the transpose of the gain's
-    shift-free factor B (the inputs ride along as one more column), and
-    writes the L inflows into every inflow row. The block's nodes and
-    delayed traces go to buffers of the state, and its inputs are a slice
-    of the state's padded samples, so a block allocates none of them.
+    (J K, L, L + 1) holds an (L, L + 1) matrix per column, circle and cell,
+    and one member-batched matmul with the gathered nodes (R, J K, L + 1,
+    1) writes the L traces of each member and column into the ring rows, a
+    matrix-vector product each. The lookahead then contracts the ring rows
+    that the block's delay reads cover with a banded (L, window) weight
+    matrix per circle, routes the result with one matmul with the transpose
+    of the gain's shift-free factor B (the inputs ride along as one more
+    column) into a buffer (R, L, J K), and puts that into every inflow row
+    at flat indices that `init_state` builds. The block's nodes, |trace|,
+    delayed traces and inflows have buffers in the state, and the views of
+    the ring and junction buffer are built once per state
+    (`_advection.BlockViews`), so a block allocates no array.
 
     The ring has 2 P >= 2 S_max + 2 L - 2 rows (`_ring_period`), and the
     head only decreases: a block writes the L rows above the head. When
@@ -539,9 +555,9 @@ class _Engine:
         self.hist_pairs = np.flatnonzero(hist_w)
         self.hist_w = hist_w.ravel()[self.hist_pairs]
 
-        # the trace of step n + s is sum_i coef[L - s, i] * node (end - L + i)
-        # at step n, for each circle and cell, built from as many cells at a
-        # time as _CHUNK_BYTES of unit pulses hold
+        # the trace of step n + s is sum_i coef[c, L - s, i] * node (end - L +
+        # i) at step n, for each column c, circle and cell, built from as
+        # many columns at a time as _CHUNK_BYTES of unit pulses hold
         self.tail_rows = np.arange(-L, 1)[:, None] + self.ends     # (L + 1, J)
         stay, move = (c[self.tail_rows[1:]].reshape(L, 1, J * K)
                       for c in (self.c_stay, self.c_move))
@@ -596,8 +612,17 @@ class _Engine:
             inputs = padded[:, :n]
         state = SimState(t=0.0, density=density, ring=ring, inputs=inputs)
         state.padded_inputs = padded
-        state.tails = np.empty((R, L + 1, J, K))
+        # flat indices of the tail nodes (R, J K, L + 1, 1) and of the
+        # inflows (R, L, J K) in the (R, N, K) density, members included
+        member, cells = np.arange(R)[:, None, None] * N * K, np.arange(K)
+        state.tail_flat = (member + (self.tail_rows.T[:, None] * K + cells[:, None])
+                           .reshape(J * K, L + 1))[..., None]
+        state.inflow_flat = member + (self.inflow_rows[:, :, None] * K
+                                      + cells).reshape(L, J * K)
+        state.tails = np.empty(state.tail_flat.shape)
+        state.magnitude = np.empty((R, L * J, K))
         state.junction = np.zeros((R, L, J * K + 1))     # last column: the inputs
+        state.inflow = np.empty((R, L, J * K))
         state.sums = _aligned((R, 2, 2 * P, J))
         self._trace_sums(ring, state.sums)
         # one member reads the engine's coefficients; more read them tiled
@@ -625,25 +650,31 @@ class _Engine:
         rows; first rebase the ring if the block would start above row 0."""
         z, ring, sums, L = state.density, state.ring, state.sums, self.block
         R, rows, J, K = ring.shape
+        # every product writes a buffer of the state or a view of one, and
+        # the views are built anew if the ring or junction buffer was replaced
+        v = state.views
+        if v is None or v.ring is not ring or v.junction is not state.junction:
+            v = state.views = _advection.BlockViews.of(state, L)
         if state.head < L:                          # the live rows to the far end
             live, top = slice(state.head, state.head + self.s_max), rows - self.s_max
-            ring[:, top:] = ring[:, live]
-            sums[:, :, top:] = sums[:, :, live]
+            # member by member and sum by sum: over all members the source
+            # and target rows interleave, and numpy would copy the source
+            for block in (*ring, *sums.reshape(R * 2, rows, J)):
+                block[top:] = block[live]
             state.head = top
         h = state.head - L                          # row of the trace of step n + L
-        # the rows are in range: mode "clip" only spares take a buffer
-        np.take(z, self.tail_rows, axis=1, out=state.tails, mode="clip")
-        np.einsum("sip,rip->rsp", self.trace_coef, state.tails.reshape(R, L + 1, -1),
-                  out=ring[:, h:h + L].reshape(R, L, -1))
-        self._trace_sums(ring[:, h:h + L], sums[:, :, h:h + L])
-        window = ring[:, h + self.o_lo:h + self.o_lo + self.delay_w.shape[2]]
-        delayed = state.junction                    # last column: the inputs
-        np.matmul(self.delay_w, window.transpose(0, 2, 1, 3),
-                  out=delayed[:, :, :-1].reshape(R, L, J, K).transpose(0, 2, 1, 3))
+        # the indices are in range: mode "clip" only spares take and put a
+        # buffer
+        np.take(z, state.tail_flat, out=state.tails, mode="clip")
+        np.matmul(self.trace_coef, state.tails, out=v.columns[:, :, h:h + L])
+        self._trace_sums(ring[:, h:h + L], sums[:, :, h:h + L], state.magnitude)
+        window = v.circles[:, :, h + self.o_lo:h + self.o_lo + self.delay_w.shape[2]]
+        np.matmul(self.delay_w, window, out=v.delayed)
         if state.inputs is not None:
             n = state.step_count + 1
-            delayed[:, :, -1] = state.padded_inputs[:, n:n + L]
-        z[:, self.inflow_rows] = (delayed @ self.routed).reshape(R, L, J, K)
+            np.copyto(v.inputs, state.padded_inputs[:, n:n + L])
+        np.matmul(state.junction, self.routed, out=state.inflow)
+        np.put(z, state.inflow_flat, state.inflow, mode="clip")
 
     def advance(self, state: SimState, n: int) -> SimState:
         """Take n steps, after the block's lookahead where L divides the step
@@ -661,8 +692,16 @@ class _Engine:
             stretch = left = min(end, count - count % L + L) - count
             while left > 1 and span > 1:                # a segment of s steps
                 s = min(span, 1 << left.bit_length() - 1)
-                _advection.apply_map(self._map(s), state.density, state.spare)
-                state.density, state.spare = state.spare, state.density
+                # the map and strided views of this s and buffer, built once
+                # per state, or anew if the state's buffers were replaced
+                key, z, spare = (s, state.swapped), state.density, state.spare
+                views = state.segments.get(key)
+                if views is None or views[0] is not z or views[1] is not spare:
+                    views = state.segments[key] = (z, spare, self._map(s),
+                                                   *_advection.map_views(z, spare, s))
+                np.einsum("dp,drp->rp", *views[2:4], out=views[4])
+                state.density, state.spare = spare, z
+                state.swapped = not state.swapped
                 left -= s
             if left:
                 _advection.steps(state.c_stay, state.c_move, state.density,
@@ -707,15 +746,22 @@ class _Engine:
         return (norm_state, norm_history, node_mass + hist_mass,
                 z.take(self.ends, axis=2) @ self.vdv)
 
-    def _trace_sums(self, traces: np.ndarray, out: np.ndarray) -> None:
+    def _trace_sums(self, traces: np.ndarray, out: np.ndarray,
+                    magnitude: np.ndarray | None = None) -> None:
         """|trace| @ dv and trace @ (v dv) of the ring rows traces (R, n, J,
         K) into out[:, 0] and out[:, 1], out (R, 2, n, J): one
-        matrix-vector product per member and column."""
+        matrix-vector product per member and column; |trace| of a copy of
+        the rows in magnitude (R, n J, K), if given."""
         R, K = len(traces), len(self.dv)
         rows = traces.reshape(R, -1, K)
+        # a unary ufunc copies an operand that is not contiguous, as the
+        # rows of R > 1 members are
+        magnitude = np.empty(rows.shape) if magnitude is None else magnitude
+        np.copyto(magnitude, rows)
         # out[:, c] (R, n, J) reshapes to a view (R, n J) of it
-        np.matmul(np.abs(rows), self.dv, out=out[:, 0].reshape(R, -1))
-        np.matmul(rows, self.vdv, out=out[:, 1].reshape(R, -1))
+        np.matmul(magnitude, self.vdv, out=out[:, 1].reshape(R, -1))
+        np.abs(magnitude, out=magnitude)
+        np.matmul(magnitude, self.dv, out=out[:, 0].reshape(R, -1))
 
 
 def _weighted(sums: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -778,16 +824,17 @@ def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory,
     C = max(1, min(n_records, _CHUNK_BYTES // (8 * sum(map(math.prod, shapes)))))
     if C > 1:
         chunk = [_aligned((C, *shape)) for shape in shapes]
+        slots = list(zip(*chunk))
     for i in range(n_records):
         eng.advance(state, min(i * stride, n_steps) - state.step_count)
         times[i] = state.t
         c = i % C
-        snapshot = state.density[None], eng._window(state)[None]
         if C > 1:
-            for held, taken in zip(chunk, snapshot):
-                held[c:c + 1] = taken
-            snapshot = [held[:c + 1] for held in chunk]
+            np.copyto(slots[c][0], state.density)
+            np.copyto(slots[c][1], eng._window(state))
         if c == C - 1 or i == n_records - 1:
+            snapshot = ([held[:c + 1] for held in chunk] if C > 1
+                        else (state.density[None], eng._window(state)[None]))
             ns, nh, m, of = eng._records(*snapshot)
             rows = slice(i - c, i + 1)
             norm_state[:, rows], norm_history[:, rows], mass[:, rows] = ns.T, nh.T, m.T

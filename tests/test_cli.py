@@ -154,6 +154,17 @@ def test_non_finite_scenario_exits_2(config_iss, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_input_outside_sum_of_a_string_exits_2(config_iss, tmp_path, capsys):
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps({"t_end": 1.0, "m_base": 8,
+                                "input_outside_sum": "false"}))
+    for argv in (["simulate", config_iss, str(path), "--out", str(tmp_path / "sim")],
+                 ["verify", config_iss, str(path)]):
+        assert main([*argv, "--k-velocity", "1"]) == 2
+        assert "input_outside_sum" in _one_line_error(capsys)
+    assert not (tmp_path / "sim").exists()
+
+
 def _one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")

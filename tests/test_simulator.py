@@ -100,6 +100,14 @@ def test_input_outside_sum_flag():
     assert np.allclose(st.density[0, eng.nodes[0].start], 2.0 / g.centers)
 
 
+@pytest.mark.parametrize("flag", ["false", 1, None])
+def test_input_outside_sum_must_be_a_bool(flag):
+    # a truthy string or number would switch the input's gain to 1 per circle
+    spec = single_circle(0.0)
+    with pytest.raises(ValidationError, match="input_outside_sum"):
+        make_scenario(spec, t_end=1.0, k_velocity=4, input_outside_sum=flag)
+
+
 def test_positivity():
     _assert_stays_nonnegative(single_circle(0.9))
 
@@ -392,24 +400,47 @@ def test_the_trace_map_in_ring_rows_equals_the_circle_major_map(k, m_base, chunk
     eng = make_scenario(five, VelocityGrid.for_spec(five, k), t_end=1.0,
                         m_base=m_base).engine()
     L, J = eng.block, len(eng.xs)
-    assert eng.trace_coef.shape == (L, L + 1, J * k)
-    expected = _circle_major_trace_coef(eng).transpose(1, 2, 0, 3).reshape(L, L + 1, -1)
+    assert eng.trace_coef.shape == (J * k, L, L + 1)
+    expected = _circle_major_trace_coef(eng).transpose(0, 3, 1, 2).reshape(-1, L, L + 1)
     assert np.array_equal(eng.trace_coef, expected)
+
+
+@pytest.mark.parametrize("name, cells, k", [
+    *[pytest.param(name, {"m_base": m_base}, k, id=f"{name}-{m_base}x{k}")
+      for name, _, _ in regression_suite() for m_base, k in ((32, 8), (128, 32))],
+    pytest.param("heterogeneous_five", {"m_cells": (3, 5, 4, 3, 9)}, 4, id="block_3")])
+def test_the_block_traces_agree_with_an_einsum_of_the_map(name, cells, k):
+    # one matrix-vector product per member and column in place of the
+    # einsum over the circle-and-cell axis of the map in ring rows
+    spec = heterogeneous_five(0.4) if name == "heterogeneous_five" else _suite_spec(name)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, k), t_end=1.0, **cells)
+    eng = sc.engine()
+    L = eng.block
+    assert L == (3 if "m_cells" in cells else 16)
+    state = eng.init_state((sc, sc))
+    state.density[:] = np.random.default_rng(3).random(state.density.shape)
+    tails = state.density[:, eng.tail_rows].reshape(2, L + 1, -1)
+    expected = np.einsum("sip,rip->rsp", eng.trace_coef.transpose(1, 2, 0), tails)
+    eng._lookahead(state)
+    got = state.ring[:, state.head - L:state.head].reshape(2, L, -1)
+    assert (expected > 0).all()
+    np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
 
 
 def _mirrored_lookahead(eng):
     """A second lookahead for the engine's state, to check the engine's
-    against: the circle-major trace map contracted per circle, on a ring of
-    period P whose rows h and h + P hold the same trace and sums, so that no
-    block wraps."""
+    against: the circle-major trace map, in columns, times the gathered
+    tail nodes of each member and column, on a ring of period P whose rows
+    h and h + P hold the same trace and sums, so that no block wraps."""
     L, P, J, K = eng.block, eng.period, len(eng.xs), len(eng.dv)
     tail_rows = eng.tail_rows.T                             # (J, L + 1)
-    coef = _circle_major_trace_coef(eng)
+    coef = _circle_major_trace_coef(eng).transpose(0, 3, 1, 2).reshape(-1, L, L + 1)
 
     def lookahead(st):
         z, ring, sums, R = st.density, st.ring, st.sums, len(st.ring)
         h = (st.head - L) % P
-        np.einsum("jsik,rjik->rsjk", coef, z[:, tail_rows], out=ring[:, h:h + L])
+        tails = z[:, tail_rows].transpose(0, 1, 3, 2).reshape(R, J * K, L + 1, 1)
+        ring[:, h:h + L] = np.matmul(coef, tails).reshape(R, J, K, L).transpose(0, 3, 1, 2)
         eng._trace_sums(ring[:, h:h + L], sums[:, :, h:h + L])
         ring[:, h + P:h + P + L] = ring[:, h:h + L]
         sums[:, :, h + P:h + P + L] = sums[:, :, h:h + L]
@@ -618,6 +649,22 @@ def test_chunked_records_with_maps_equal_the_per_stride_records(stride, monkeypa
     _assert_equals_per_stride_records(trajectories, members)
 
 
+def test_twenty_one_lockstep_members_equal_their_solo_runs():
+    # the batch of the acceptance criteria: a member's traces, sums and
+    # segments do not depend on the number of members
+    spec = _suite_spec("iss_five_circle")
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 8), t_end=1.0, m_base=32,
+                       stride=3, **_RANDOM_DATA)
+    assert sc.engine().block == 16 and sc.n_steps > 2 * 16
+    members = [replace(sc, initial={"kind": "random_nonneg", "seed": r},
+                       history={"kind": "constant", "value": r / 7 - 1},
+                       disturbance=({"kind": "zero"} if r % 3 == 0 else
+                                    {"kind": "bounded_random", "bound": 0.5, "seed": r}))
+               for r in range(21)]
+    for together, m in zip(run(*members), members, strict=True):
+        _assert_same_records(together, run(m))
+
+
 @pytest.mark.parametrize("name", [n for n, _, _ in regression_suite()])
 def test_maps_agree_with_single_steps(name, monkeypatch):
     spec = _suite_spec(name)
@@ -746,6 +793,32 @@ def test_advance_allocates_no_array_per_segment(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 1024
+
+
+def test_advance_allocates_no_array_per_block():
+    # the block's gathered nodes, traces, |trace|, junction and inflows
+    # live in the state, and a rebase of the ring copies through no
+    # temporary: an (R, L, J K) array of the block would be 10 KiB here
+    spec = _suite_spec("iss_five_circle")
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 8), t_end=12.0, m_base=32,
+                       stride=8, **_RANDOM_DATA)
+    eng = sc.engine()
+    state = eng.init_state((replace(sc, disturbance={"kind": "zero"}), sc))
+    eng.advance(state, 129)
+    eng.advance(state, 128)                  # every map and view built
+    assert 8 * state.inflow.size == 10 * 1024
+    peaks, rebased = [], []
+    for _ in range(3):
+        head = state.head
+        tracemalloc.start()
+        try:
+            eng.advance(state, 64)           # four blocks
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rebased.append(state.head > head)
+    assert any(rebased)
+    assert max(peaks) < 3 * 1024
 
 
 @pytest.mark.parametrize("n_members", [1, 2])
