@@ -16,8 +16,8 @@ from .analysis import fit_decay, sweep, verify_iss
 from .errors import (DomainError, ExtinctionFlag, KinnetError, SchemaError,
                      SmallGainViolation)
 from .model import load_network
-from .operators import VelocityGrid, _gain_factors, assemble_gain, \
-    dirichlet_norm_closed_form, pd_norm_closed_form
+from .operators import VelocityGrid, _gain_factors, dirichlet_norm_closed_form, \
+    pd_norm_closed_form
 from .simulator import _PRESETS, make_scenario, run
 from .spectral import small_gain_certificate, spectral_abscissa
 
@@ -90,9 +90,10 @@ def _cmd_analyze(args) -> int:
     spec = load_network(args.config)
     grid = VelocityGrid.for_spec(spec, args.k_velocity)
     cert = small_gain_certificate(spec, grid)
+    factors = _gain_factors(spec, grid)
     d0, routing = dirichlet_norm_closed_form(spec)
     bounds = {
-        "pd_norm_discrete": _gain_factors(spec, grid).pd_norm(0.0),
+        "pd_norm_discrete": factors.pd_norm(0.0),
         "dirichlet_lift_bound": d0,
         "routing_norm": routing,
     }
@@ -103,8 +104,7 @@ def _cmd_analyze(args) -> int:
     if args.dump_gain:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        np.savetxt(out / "gain_matrix.csv",
-                   assemble_gain(spec, grid, 0.0).operator.matrix, delimiter=",")
+        np.savetxt(out / "gain_matrix.csv", factors.gain(0.0).matrix, delimiter=",")
     _emit(args, "analyze.json", payload)
     return 0
 

@@ -4,12 +4,17 @@ All operators act on junction flux data indexed by (circle, velocity cell)
 with the weighted l1 norm sum_{j,k} |g[j,k]| * dv_k. Velocity quadrature is
 the midpoint rule on uniform cells, which keeps every operator entrywise
 nonnegative.
+
+The shift-free parts of the gain (_GainFactors: B, and the survival
+exponent as a slope and an offset in lam) are built once per (spec, grid)
+and call: assemble_gain keeps them on its report, so a small-gain
+certificate reads its gain and its PD blocks from one factorization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -86,8 +91,12 @@ class BlockOperator:
 
 @dataclass(frozen=True, eq=False)
 class GainAssemblyReport:
+    """G(lam), and the factors it was built from, which the certificate reads
+    its PD blocks from instead of building B again."""
+
     lam: float
     operator: BlockOperator
+    factors: _GainFactors = field(init=False, repr=False)
 
 
 def scattering_table(circle: CircleSpec, grid: VelocityGrid) -> np.ndarray:
@@ -115,18 +124,18 @@ def _routed_scattering(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
 class _GainFactors:
     """Shift-free parts of G(lam) = B diag(laplace(lam) S(lam)), built once.
 
-    routed is B; length, absorbed and velocity hold, per flattened column
-    (j, k'), the circle length l_j, the absorption integral
-    Q_j(v_k') = int_0^{l_j} q_j(., v_k') and the velocity v_k'. Per shift
-    only the J Laplace factors and one vector exp remain.
+    routed is B. The log survival -(lam l_j + Q_j(v_k')) / v_k' of each
+    flattened column (j, k'), with l_j the circle length and
+    Q_j(v_k') = int_0^{l_j} q_j(., v_k') the absorption integral, is kept as
+    its slope -l_j / v_k' and offset -Q_j(v_k') / v_k' in lam. Per shift only
+    the J Laplace factors, one multiply-add and one vector exp remain.
     """
 
     measures: tuple
     k: int
     routed: np.ndarray
-    length: np.ndarray
-    absorbed: np.ndarray
-    velocity: np.ndarray
+    slope: np.ndarray
+    offset: np.ndarray
     weights: np.ndarray
 
     def laplace(self, lam: float) -> np.ndarray:
@@ -136,7 +145,7 @@ class _GainFactors:
     def log_survival(self, lam: float) -> np.ndarray:
         """Log survival -(lam l_j + Q_j(v_k')) / v_k' from the junction to x = l_j
         of each flattened (j, k'), clamped at 700 for far bracketing shifts."""
-        return np.minimum(-(lam * self.length + self.absorbed) / self.velocity, 700.0)
+        return np.minimum(lam * self.slope + self.offset, 700.0)
 
     def survival(self, lam: float) -> np.ndarray:
         return np.exp(self.log_survival(lam))
@@ -168,7 +177,8 @@ class _GainFactors:
     @cached_property
     def log_bound(self) -> tuple[float, float]:
         """(a, b) with a |lam| + b above |x| for every e^x in gain(lam), its entries
-        included: e^{-|lam| r} <= laplace / TV <= e^{|lam| r} on support [-r, 0]."""
+        included: e^{-|lam| r} <= laplace / TV <= e^{|lam| r} on support [-r, 0],
+        and the log survival is at most |lam| max l/v + max |Q/v| in size."""
         b = self.routed
         b_min = np.min(b, where=b > 0.0, initial=1.0)
         log_b = max(-math.log(b_min), math.log(max(b.max(), 1.0)))
@@ -176,10 +186,9 @@ class _GainFactors:
                   for m in self.measures]
         rates = [max((abs(rate) for *_, rate in _measure_parts(m)[1]), default=0.0)
                  for m in self.measures]  # of the density cells e^{rate*theta}
-        v_min = float(self.velocity.min())
-        return (max(m.r for m in self.measures) + float(self.length.max()) / v_min,
+        return (max(m.r for m in self.measures) - float(self.slope.min()),
                 max(abs(x) + rate * m.r for x, rate, m in zip(log_tv, rates, self.measures))
-                + float(np.abs(self.absorbed).max()) / v_min + log_b)
+                + float(np.abs(self.offset).max()) + log_b)
 
     @cached_property
     def _out(self) -> np.ndarray:
@@ -216,14 +225,14 @@ class _GainFactors:
 
 def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:
     v = grid.centers
+    absorbed = np.stack([c.absorption.integral_x(c.length, v) for c in spec.circles])
+    length = np.array([[c.length] for c in spec.circles])
     return _GainFactors(
         measures=tuple(c.delay_measure for c in spec.circles),
         k=grid.k,
         routed=_routed_scattering(spec, grid),
-        length=np.repeat([c.length for c in spec.circles], grid.k),
-        absorbed=np.concatenate([c.absorption.integral_x(c.length, v)
-                                 for c in spec.circles]),
-        velocity=np.tile(v, spec.n_circles),
+        slope=(-length / v).ravel(),
+        offset=(-absorbed / v).ravel(),
         weights=np.tile(grid.widths, spec.n_circles))
 
 
@@ -232,9 +241,12 @@ def assemble_gain(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> GainAsse
 
     Delayed scatter-route (incoming circle's measure and kernel) after
     transport survival, per the transmission conditions: only the column
-    (j, k') of an entry depends on lam.
+    (j, k') of an entry depends on lam. The report keeps the factors.
     """
-    return GainAssemblyReport(lam=lam, operator=_gain_factors(spec, grid).gain(lam))
+    factors = _gain_factors(spec, grid)
+    report = GainAssemblyReport(lam=lam, operator=factors.gain(lam))
+    object.__setattr__(report, "factors", factors)  # a frozen init=False field
+    return report
 
 
 def _exp_or_inf(x: float) -> float:

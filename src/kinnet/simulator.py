@@ -47,7 +47,10 @@ takes the records of the whole chunk in one contraction, the same calls as
 for one record with a leading chunk axis, so that a small run pays the
 per-call overhead of a record once per chunk. C is as many snapshots as
 128 KiB hold (`_CHUNK_BYTES`), at least one and at most the run's records;
-a chunk of one is the live state, copied nowhere.
+a chunk of one is the live state, copied nowhere. A record's |z| takes no
+array of its own: it overwrites the chunk's copies once they are read, and
+for a chunk of one it fills the state's spare density buffer, which holds
+nothing between steps.
 
 Memory: the arrays that a step or a record streams start on a cache line,
 and the ring has a sums array, |trace| @ dv and trace @ (v dv) per row and
@@ -725,10 +728,13 @@ class _Engine:
         ahead for the rest of the block lie outside it."""
         return state.sums[:, :, state.head:state.head + self.s_max]
 
-    def _records(self, z: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _records(self, z: np.ndarray, window: np.ndarray,
+                 magnitude: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """The records (C, R), and the outflux (C, R, J), of a chunk of C
         snapshots of R members: densities z (C, R, N, K) and history
-        windows (C, R, 2, S_max, J).
+        windows (C, R, 2, S_max, J). |z| is written into magnitude, an
+        array of z's shape that may be z itself, if given; else into a new
+        one.
 
         The sums over nodes take the node rows only, so an inflow that
         overflows counts once it reaches its node. The history is read from
@@ -738,13 +744,13 @@ class _Engine:
         holds the history preset, not the initial data at the end node."""
         C, R, N, _ = z.shape
         node_sums = np.empty((C, R, 2, N))
-        np.matmul(np.abs(z), self.dv, out=node_sums[:, :, 0])
         np.matmul(z, self.dv, out=node_sums[:, :, 1])
+        outflux = z.take(self.ends, axis=2) @ self.vdv
+        np.matmul(np.abs(z, out=magnitude), self.dv, out=node_sums[:, :, 0])
         norm_state, node_mass = _weighted(node_sums, self.node_rows, self.xw)
         norm_history, hist_mass = _weighted(window.reshape(C, R, 2, -1),
                                             self.hist_pairs, self.hist_w)
-        return (norm_state, norm_history, node_mass + hist_mass,
-                z.take(self.ends, axis=2) @ self.vdv)
+        return norm_state, norm_history, node_mass + hist_mass, outflux
 
     def _trace_sums(self, traces: np.ndarray, out: np.ndarray,
                     magnitude: np.ndarray | None = None) -> None:
@@ -833,9 +839,12 @@ def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory,
             np.copyto(slots[c][0], state.density)
             np.copyto(slots[c][1], eng._window(state))
         if c == C - 1 or i == n_records - 1:
+            # |z| overwrites the chunk's densities, or fills the spare
+            # buffer that the next steps overwrite
             snapshot = ([held[:c + 1] for held in chunk] if C > 1
                         else (state.density[None], eng._window(state)[None]))
-            ns, nh, m, of = eng._records(*snapshot)
+            magnitude = snapshot[0] if C > 1 else state.spare[None]
+            ns, nh, m, of = eng._records(*snapshot, magnitude)
             rows = slice(i - c, i + 1)
             norm_state[:, rows], norm_history[:, rows], mass[:, rows] = ns.T, nh.T, m.T
             outflux[:, rows] = of.swapaxes(0, 1)

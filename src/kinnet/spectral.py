@@ -5,9 +5,12 @@ convex map lam -> log r(G(lam)) (Kingman 1961), run from the left of the
 root, with a bisection fallback; see spectral_abscissa. Its radii share the
 Collatz-Wielandt loop of spectral_radius (_perron_bracket), each started
 from the last one's Perron vector and stopped once its bracket decides the
-sign of log r(G(lam)). The resolvent
-constant c is the least weighted column sum of the discretized resolvent, in
-closed form: the exact infimum over the positive cone; see resolvent_constant_c.
+sign of log r(G(lam)). The small-gain certificate takes r(G(0)) and the
+PD radius from one factorization of the gain (B and the survival exponent,
+built once by assemble_gain). The resolvent constant c is the least
+weighted column sum of the discretized resolvent, in closed form: the
+exact infimum over the positive cone, over the meshes of all circles at
+once; see resolvent_constant_c.
 """
 
 from __future__ import annotations
@@ -182,7 +185,9 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
     pd_radius is the spectral radius of the junction operator
     PD = [[0, P], [Q, 0]], Q = diag(S): PD^2 = diag(PQ, QP), so
     r(PD)^2 = r(QP), the radius of the n x n row-scaled block S P. It is
-    computed from the blocks of _GainFactors.pd_blocks, apart from the gain.
+    computed from the blocks of _GainFactors.pd_blocks, apart from the gain,
+    on the one factorization (B and the survival exponent) that assemble_gain
+    built for the gain and keeps on its report.
 
     Also evaluates the closed-form sufficient bounds where their preconditions
     hold (all-Dirac measures; all positive-rate exponential measures with
@@ -190,7 +195,7 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
     """
     gain = assemble_gain(spec, grid, 0.0)
     r_gain = spectral_radius(gain.operator)
-    p, survival = _gain_factors(spec, grid).pd_blocks(0.0)
+    p, survival = gain.factors.pd_blocks(0.0)
     pd_radius = math.sqrt(spectral_radius(survival[:, None] * p))
 
     b = network_bounds(spec)
@@ -357,9 +362,11 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
 def _column_sums(nodes: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """(R* w)_i / w_i for the trapezoid rule R f(x_m) = int_0^{x_m}
     e^{phi(y) - phi(x_m)} f(y) dy on increasing nodes, w the trapezoid
-    weights, along the last axis."""
+    weights, along the last axis of nodes and phi, which broadcast."""
     half = 0.5 * np.diff(nodes)
-    w = np.r_[half, 0.0] + np.r_[0.0, half]
+    w = np.zeros(np.shape(nodes))
+    w[..., :-1] += half
+    w[..., 1:] += half
     # log sum_{m >= i} w_m e^{-phi_m}, a reverse cumulative sum kept in logs:
     # e^{phi} and e^{-phi} alone overflow once phi spans more than ~700
     log_tail = np.logaddexp.accumulate((np.log(w) - phi)[..., ::-1], axis=-1)[..., ::-1]
@@ -397,15 +404,14 @@ def resolvent_constant_c(spec: NetworkSpec, grid: VelocityGrid, lam: float,
     if n_x < 1 or n_theta < 1:
         raise DomainError("resolvent meshes need at least one cell")
     v = grid.centers[:, None]
-    best = math.inf
-    for c in spec.circles:
-        xs = np.linspace(0.0, c.length, n_x + 1)
-        phi = (lam * xs + c.absorption.integral_x(xs, v)) / v
-        # the history shift is transport at unit speed in sigma = -theta
-        sigma = np.linspace(0.0, c.delay, n_theta + 1)
-        best = min(best, float(np.min(_column_sums(xs, phi) / v)),
-                   float(np.min(_column_sums(sigma, lam * sigma))))
-    return best
+    # the meshes of all circles stacked, xs (J, 1, n_x + 1), phi (J, K, n_x + 1)
+    xs = np.stack([np.linspace(0.0, c.length, n_x + 1) for c in spec.circles])[:, None]
+    phi = np.stack([(lam * x + c.absorption.integral_x(x, v)) / v
+                    for x, c in zip(xs, spec.circles)])
+    # the history shift is transport at unit speed in sigma = -theta
+    sigma = np.stack([np.linspace(0.0, c.delay, n_theta + 1) for c in spec.circles])
+    return min(float(np.min(_column_sums(xs, phi) / v)),
+               float(np.min(_column_sums(sigma, lam * sigma))))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import kinnet.operators
+import kinnet.simulator
 from kinnet import DomainError, VelocityGrid, make_scenario
 from kinnet.presets import single_circle
 
@@ -21,6 +23,21 @@ def grid8(sc_spec):
 @pytest.fixture
 def grid1(sc_spec):
     return VelocityGrid.for_spec(sc_spec, 1)
+
+
+@pytest.fixture
+def b_builds(monkeypatch):
+    """A list that gets one entry per build of the routed scattering factor
+    B (operators._routed_scattering), by the gain factors or an engine."""
+    calls, build = [], kinnet.operators._routed_scattering
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (kinnet.operators, kinnet.simulator):
+        monkeypatch.setattr(module, "_routed_scattering", counted)
+    return calls
 
 
 def json_paths(node, prefix=()):

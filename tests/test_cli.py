@@ -10,12 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kinnet.analysis
 import kinnet.cli
-from kinnet import KinnetError, Scenario
+from kinnet import KinnetError, Scenario, VelocityGrid, assemble_gain, load_network
 from kinnet.cli import main
 from kinnet.presets import conservation_spec, single_circle, \
     single_circle_lambda_star, single_circle_threshold_w
@@ -141,6 +142,25 @@ def test_verify_makes_one_certificate(config_iss, scenario_file, monkeypatch,
         monkeypatch.setattr(module, "small_gain_certificate", counted)
     assert main(["verify", config_iss, scenario_file, "--k-velocity", "4"]) == 0
     assert len(calls) == 1
+
+
+def test_verify_builds_b_three_times(config_iss, scenario_file, b_builds, capsys):
+    # the certificate, the ISS constants' junction norm and the engine
+    assert main(["verify", config_iss, scenario_file, "--k-velocity", "4"]) == 0
+    assert len(b_builds) == 3
+
+
+def test_analyze_builds_b_twice(config_iss, tmp_path, b_builds, capsys):
+    # the certificate, and the junction norm with the dumped gain
+    out = tmp_path / "reports"
+    assert main(["analyze", config_iss, "--k-velocity", "4", "--out", str(out),
+                 "--dump-gain"]) == 0
+    assert len(b_builds) == 2
+    spec = load_network(config_iss)
+    gain = assemble_gain(spec, VelocityGrid.for_spec(spec, 4), 0.0).operator.matrix
+    text = io.BytesIO()
+    np.savetxt(text, gain, delimiter=",")
+    assert (out / "gain_matrix.csv").read_bytes() == text.getvalue()
 
 
 def test_non_finite_scenario_exits_2(config_iss, tmp_path, capsys):

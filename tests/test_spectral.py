@@ -408,6 +408,71 @@ def test_certificate_where_the_survival_underflows(gamma, k):
     assert (cert.r_gain == 0.0) == (gamma == 2000.0)
 
 
+def _seeded_specs():
+    """The regression suite, and random_spec(s, family) for s < 10 in every
+    family."""
+    return ([(name, spec) for name, spec, _ in regression_suite()]
+            + [(f"random_{family}_{s}", random_spec(s, family))
+               for family in _FAMILIES for s in range(10)])
+
+
+def _unfactored_exponent(factors, spec, grid):
+    """factors with the log survival -(lam l + Q) / v computed whole at each
+    shift, as before it was kept as a slope and an offset in lam."""
+    v = np.tile(grid.centers, spec.n_circles)
+    length = np.repeat([c.length for c in spec.circles], grid.k)
+    absorbed = np.concatenate([c.absorption.integral_x(c.length, grid.centers)
+                               for c in spec.circles])
+    object.__setattr__(factors, "log_survival",
+                       lambda lam: np.minimum(-(lam * length + absorbed) / v, 700.0))
+    return factors
+
+
+def _two_build_radii(spec, grid):
+    """(r_gain, pd_radius) as the certificate took them from two builds of
+    the factors, one for the gain and one for the PD blocks, with the
+    unfactored survival exponent."""
+    def factors():
+        return _unfactored_exponent(kinnet.operators._gain_factors(spec, grid), spec, grid)
+
+    r_gain = spectral_radius(factors().gain(0.0))
+    p, survival = factors().pd_blocks(0.0)
+    return r_gain, math.sqrt(spectral_radius(survival[:, None] * p))
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_certificate_equals_the_two_build_certificate(k, b_builds):
+    for name, spec in _seeded_specs():
+        grid = VelocityGrid.for_spec(spec, k)
+        b_builds.clear()
+        cert = small_gain_certificate(spec, grid)
+        assert len(b_builds) == 1, name
+        assert (cert.r_gain, cert.pd_radius) == _two_build_radii(spec, grid), name
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_abscissa_of_the_factored_exponent(k, b_builds, monkeypatch):
+    # lam * slope + offset rounds apart from -(lam l + Q) / v away from lam = 0
+    found = {}
+    for name, spec in _seeded_specs():
+        grid = VelocityGrid.for_spec(spec, k)
+        b_builds.clear()
+        found[name] = spectral_abscissa(spec, grid)
+        assert len(b_builds) == 1, name
+        if name.startswith("random_"):
+            half = 0.5 * found[name].bracket_width
+            for lam, side in ((found[name].lambda_star - half, 1.0),
+                              (found[name].lambda_star + half, -1.0)):
+                gain = assemble_gain(spec, grid, lam).operator.matrix
+                assert side * (_dense_radius(gain) - 1.0) > 0.0, name
+    build = kinnet.operators._gain_factors
+    monkeypatch.setattr(kinnet.spectral, "_gain_factors",
+                        lambda spec, grid: _unfactored_exponent(build(spec, grid), spec, grid))
+    for name, spec in _seeded_specs():
+        ref = spectral_abscissa(spec, VelocityGrid.for_spec(spec, k))
+        assert abs(found[name].lambda_star - ref.lambda_star) <= 1e-12, name
+
+
 @pytest.mark.parametrize("k", [8, 32])
 def test_pd_quantities_equal_the_block_operator(k):
     """pd_norm and the certificate's pd_radius, taken from the two blocks,
@@ -821,6 +886,38 @@ def test_resolvent_constant_on_a_slow_circle():
     m = np.arange(1, n + 1)
     first_node = a * float(np.sum(np.where(m < n, 1.0, 0.5) * np.exp(-a * m)))
     assert resolvent_constant_c(spec, g, 1.0) == pytest.approx(first_node, rel=1e-12)
+
+
+def _per_circle_resolvent_constant(spec, grid, lam, n_x, n_theta):
+    """resolvent_constant_c as a loop over circles, one mesh at a time."""
+    def column_sums(nodes, phi):
+        half = 0.5 * np.diff(nodes)
+        w = np.r_[half, 0.0] + np.r_[0.0, half]
+        log_tail = np.logaddexp.accumulate((np.log(w) - phi)[..., ::-1], axis=-1)[..., ::-1]
+        out = np.zeros(np.shape(phi))
+        out[..., 1:] += half * np.exp(phi[..., 1:] + log_tail[..., 1:])
+        out[..., :-1] += half * np.exp(phi[..., :-1] + log_tail[..., 1:])
+        return out / w
+
+    v = grid.centers[:, None]
+    best = math.inf
+    for c in spec.circles:
+        xs = np.linspace(0.0, c.length, n_x + 1)
+        phi = (lam * xs + c.absorption.integral_x(xs, v)) / v
+        sigma = np.linspace(0.0, c.delay, n_theta + 1)
+        best = min(best, float(np.min(column_sums(xs, phi) / v)),
+                   float(np.min(column_sums(sigma, lam * sigma))))
+    return best
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_resolvent_constant_equals_the_per_circle_loop(k):
+    for name, spec, _ in regression_suite():
+        g = VelocityGrid.for_spec(spec, k)
+        lam = max(0.0, -spec.absorption_range()[1]) + 1.0
+        for n_x, n_theta in ((64, 64), (16, 40)):
+            assert resolvent_constant_c(spec, g, lam, n_x=n_x, n_theta=n_theta) == \
+                _per_circle_resolvent_constant(spec, g, lam, n_x, n_theta), name
 
 
 def test_resolvent_constant_shrinks_with_the_mesh():
