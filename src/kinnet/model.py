@@ -163,6 +163,14 @@ def _measure_parts(m: DelayMeasure) -> tuple[tuple, tuple]:
                           in zip(edges, edges[1:], m.density_values) if a < b)
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf where it passes float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _exp_increment(s: float, a: float, b: float) -> float:
     """Integral of e^{s*theta} over [a, b], stable near s = 0."""
     if abs(s) < 1e-14:
@@ -171,12 +179,22 @@ def _exp_increment(s: float, a: float, b: float) -> float:
 
 
 def measure_laplace(m: DelayMeasure, lam: float) -> float:
-    """Integral of e^{lam*theta} d eta(theta) over [-r, 0]."""
-    atoms, cells = _measure_parts(m)
-    out = sum(mass * math.exp(lam * pos) for pos, mass in atoms)
-    for a, b, value, rate in cells:
-        out += value * _exp_increment(lam + rate, a, b)
-    return out
+    """Integral of e^{lam*theta} d eta(theta) over [-r, 0], inf past float range."""
+    return _parts_laplace(_measure_parts(m), lam)
+
+
+def _parts_laplace(parts: tuple, lam: float) -> float:
+    """measure_laplace from the measure's _measure_parts."""
+    atoms, cells = parts
+    try:
+        out = sum(mass * math.exp(lam * pos) for pos, mass in atoms)
+        for a, b, value, rate in cells:
+            out += value * _exp_increment(lam + rate, a, b)
+    except OverflowError:
+        out = math.nan
+    # a term past float range raises, or reads inf or nan (times a zero
+    # weight): the log form then decides whether the sum itself passes it
+    return out if math.isfinite(out) else _exp_or_inf(_parts_log_laplace(parts, lam))
 
 
 def _log_exp_increment(s: float, a: float, b: float) -> float:
@@ -189,7 +207,12 @@ def _log_exp_increment(s: float, a: float, b: float) -> float:
 
 def _measure_log_laplace(m: DelayMeasure, lam: float) -> float:
     """log measure_laplace(m, lam), finite where it leaves float range."""
-    atoms, cells = _measure_parts(m)
+    return _parts_log_laplace(_measure_parts(m), lam)
+
+
+def _parts_log_laplace(parts: tuple, lam: float) -> float:
+    """_measure_log_laplace from the measure's _measure_parts."""
+    atoms, cells = parts
     terms = [math.log(mass) + lam * pos for pos, mass in atoms if mass > 0]
     terms += [math.log(value) + _log_exp_increment(lam + rate, a, b)
               for a, b, value, rate in cells if value > 0]
@@ -229,35 +252,37 @@ class AbsorptionProfile:
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x_cuts, v_cuts, values): the interior edges and the cell values,
-        the end cells reaching to -inf and +inf. A constant is the 1 x 1
-        table with no cuts."""
+        """(x_ends, v_cuts, values): the ends of the x cells, the interior v
+        edges and the cell values, the end cells reaching to -inf and +inf. A
+        constant is the 1 x 1 table with no cuts."""
         if self.kind == "constant":
-            return _read_only(()), _read_only(()), _read_only([[self.value]])
-        return (_read_only(self.x_edges[1:-1]), _read_only(self.v_edges[1:-1]),
-                _read_only(self.values))
+            return _read_only((-math.inf, math.inf)), _read_only(()), _read_only([[self.value]])
+        return (_read_only((-math.inf, *self.x_edges[1:-1], math.inf)),
+                _read_only(self.v_edges[1:-1]), _read_only(self.values))
 
     def q(self, x, v):
         """q(x, v), elementwise over positions and velocities that broadcast."""
-        x_cuts, v_cuts, values = self._table
-        return values[_cell_index(x_cuts, x), _cell_index(v_cuts, v)]
+        x_ends, v_cuts, values = self._table
+        return values[_cell_index(x_ends[1:-1], x), _cell_index(v_cuts, v)]
 
     def integral_x(self, x, v):
         """Exact integral of q(., v) over [0, x] for the step profile,
         elementwise over positions and velocities that broadcast."""
-        x_cuts, v_cuts, values = self._table
+        x_ends, v_cuts, values = self._table
+        ends = x_ends.reshape(-1, *(1,) * np.asarray(x).ndim)  # x clipped to every cell at once
+        a, b = ends[:-1], ends[1:]
+        lengths = np.minimum(np.maximum(x, a), b) - np.minimum(np.maximum(0.0, a), b)
         total = 0.0
         # cell by cell from x = 0, as a scalar loop would add them
-        for value, a, b in zip(values[:, _cell_index(v_cuts, v)],
-                               (-math.inf, *x_cuts), (*x_cuts, math.inf)):
-            total = total + value * (np.minimum(np.maximum(x, a), b) - min(max(0.0, a), b))
+        for value, length in zip(values.take(_cell_index(v_cuts, v), 1), lengths):
+            total = total + value * length
         return total[()]
 
     def min_value(self) -> float:
-        return float(min(self._table[2].flat))
+        return float(self._table[2].min())
 
     def max_value(self) -> float:
-        return float(max(self._table[2].flat))
+        return float(self._table[2].max())
 
 
 def _read_only(x) -> np.ndarray:
@@ -269,7 +294,7 @@ def _read_only(x) -> np.ndarray:
 def _cell_index(cuts, x):
     """Index of the cell holding x, elementwise, for the interior edges cuts:
     the end cells reach to -inf and +inf."""
-    return np.searchsorted(cuts, x, side="right")
+    return cuts.searchsorted(x, side="right")
 
 
 def _check_kind(obj, what: str):
@@ -348,7 +373,7 @@ class ScatteringKernel:
         return values[_cell_index(cuts, v), _cell_index(cuts, v_in)]
 
     def max_value(self) -> float:
-        return float(max(self._table[1].flat))
+        return float(self._table[1].max())
 
     def is_zero(self) -> bool:
         return self.max_value() == 0.0
@@ -469,7 +494,7 @@ def routing_norm(routing) -> float:
         raise ValidationError("routing must be a square matrix")
     if m.size == 0:
         return 0.0
-    return float(np.max(np.sum(np.abs(m), axis=0)))
+    return float(np.abs(m).sum(axis=0).max())
 
 
 def network_bounds(spec: NetworkSpec) -> NetworkBounds:

@@ -5,9 +5,9 @@ with the weighted l1 norm sum_{j,k} |g[j,k]| * dv_k. Velocity quadrature is
 the midpoint rule on uniform cells, which keeps every operator entrywise
 nonnegative.
 
-The shift-free parts of the gain (_GainFactors: B, and the survival
-exponent as a slope and an offset in lam) are built once per (spec, grid)
-and call: assemble_gain keeps them on its report, so a small-gain
+The shift-free parts of the gain (_GainFactors: B, the survival exponent as
+a slope and an offset in lam, each delay measure's _measure_parts) are built
+once per (spec, grid) and call: assemble_gain keeps them on its report, so a
 certificate reads its gain and its PD blocks from one factorization.
 """
 
@@ -20,9 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
-from .model import (CircleSpec, NetworkBounds, NetworkSpec, _measure_log_laplace,
-                    _measure_parts, measure_laplace, measure_total_variation,
-                    network_bounds)
+from .model import (CircleSpec, NetworkBounds, NetworkSpec, _cell_index, _exp_or_inf,
+                    _measure_parts, _parts_laplace, _parts_log_laplace, network_bounds)
 
 MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
 
@@ -101,9 +100,10 @@ class GainAssemblyReport:
 
 def scattering_table(circle: CircleSpec, grid: VelocityGrid) -> np.ndarray:
     """Circle's junction kernel on the grid: entry [k, k'] = beta(v_k, v_k')
-    * v_k' * dv_k'."""
-    v = grid.centers
-    return circle.scattering.beta(v[:, None], v[None, :]) * (v * grid.widths)[None, :]
+    * v_k' * dv_k', read from beta's table through one cell index per center."""
+    cuts, values = circle.scattering._table
+    cell = _cell_index(cuts, grid.centers)
+    return values.take(cell, 0).take(cell, 1) * (grid.centers * grid.widths)[None, :]
 
 
 def _routed_scattering(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
@@ -114,7 +114,7 @@ def _routed_scattering(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
     """
     J, K = spec.n_circles, grid.k
     _check_operator_size(J * K)
-    tables = np.stack([scattering_table(c, grid) for c in spec.circles])
+    tables = np.array([scattering_table(c, grid) for c in spec.circles])
     tables /= grid.centers[None, :, None]
     b = spec.routing[:, None, :, None] * tables.transpose(1, 0, 2)[None]
     return b.reshape(J * K, J * K)
@@ -128,10 +128,12 @@ class _GainFactors:
     flattened column (j, k'), with l_j the circle length and
     Q_j(v_k') = int_0^{l_j} q_j(., v_k') the absorption integral, is kept as
     its slope -l_j / v_k' and offset -Q_j(v_k') / v_k' in lam. Per shift only
-    the J Laplace factors, one multiply-add and one vector exp remain.
+    the J Laplace factors, read from the circles' _measure_parts (parts, with
+    their supports r_j in delays), one multiply-add and one vector exp remain.
     """
 
-    measures: tuple
+    parts: tuple
+    delays: tuple
     k: int
     routed: np.ndarray
     slope: np.ndarray
@@ -140,7 +142,7 @@ class _GainFactors:
 
     def laplace(self, lam: float) -> np.ndarray:
         """Delay Laplace factor laplace_j(lam) of each flattened (j, k')."""
-        return np.repeat([measure_laplace(m, lam) for m in self.measures], self.k)
+        return np.array([_parts_laplace(p, lam) for p in self.parts]).repeat(self.k)
 
     def log_survival(self, lam: float) -> np.ndarray:
         """Log survival -(lam l_j + Q_j(v_k')) / v_k' from the junction to x = l_j
@@ -182,12 +184,12 @@ class _GainFactors:
         b = self.routed
         b_min = np.min(b, where=b > 0.0, initial=1.0)
         log_b = max(-math.log(b_min), math.log(max(b.max(), 1.0)))
-        log_tv = [math.log(t) if (t := measure_total_variation(m)) > 0.0 else -math.inf
-                  for m in self.measures]
-        rates = [max((abs(rate) for *_, rate in _measure_parts(m)[1]), default=0.0)
-                 for m in self.measures]  # of the density cells e^{rate*theta}
-        return (max(m.r for m in self.measures) - float(self.slope.min()),
-                max(abs(x) + rate * m.r for x, rate, m in zip(log_tv, rates, self.measures))
+        log_tv = [math.log(t) if (t := _parts_laplace(p, 0.0)) > 0.0 else -math.inf
+                  for p in self.parts]
+        rates = [max((abs(rate) for *_, rate in cells), default=0.0)
+                 for _, cells in self.parts]  # of the density cells e^{rate*theta}
+        return (max(self.delays) - float(self.slope.min()),
+                max(abs(x) + rate * r for x, rate, r in zip(log_tv, rates, self.delays))
                 + float(np.abs(self.offset).max()) + log_b)
 
     @cached_property
@@ -206,7 +208,7 @@ class _GainFactors:
         if slope * abs(lam) + offset < 700.0:
             np.multiply(self.routed, self.scale(lam)[None, :], out=a)
             return 0.0, a, False
-        log_c = np.repeat([_measure_log_laplace(m, lam) for m in self.measures], self.k)
+        log_c = np.array([_parts_log_laplace(p, lam) for p in self.parts]).repeat(self.k)
         log_c += self.log_survival(lam)
         half = 0.5 * log_c
         a.fill(-math.inf)
@@ -225,10 +227,11 @@ class _GainFactors:
 
 def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:
     v = grid.centers
-    absorbed = np.stack([c.absorption.integral_x(c.length, v) for c in spec.circles])
+    absorbed = np.array([c.absorption.integral_x(c.length, v) for c in spec.circles])
     length = np.array([[c.length] for c in spec.circles])
     return _GainFactors(
-        measures=tuple(c.delay_measure for c in spec.circles),
+        parts=tuple(_measure_parts(c.delay_measure) for c in spec.circles),
+        delays=tuple(c.delay for c in spec.circles),
         k=grid.k,
         routed=_routed_scattering(spec, grid),
         slope=(-length / v).ravel(),
@@ -247,14 +250,6 @@ def assemble_gain(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> GainAsse
     report = GainAssemblyReport(lam=lam, operator=factors.gain(lam))
     object.__setattr__(report, "factors", factors)  # a frozen init=False field
     return report
-
-
-def _exp_or_inf(x: float) -> float:
-    """e^x, or inf where it passes float range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _bound_product(*factors: float) -> float:

@@ -99,20 +99,21 @@ def _perron_bracket(a: np.ndarray, tol: float, x0: np.ndarray | None = None,
     The middle it then returns lies on the same side as log r."""
     if a.size == 0:
         return _Bracket(0.0, None)
-    a_min, a_max = a.min(), a.max()  # nan and +-inf pass through both
+    a_min, a_max = np.minimum.reduce(a, None), np.maximum.reduce(a, None)  # nan, +-inf pass
     if not (math.isfinite(a_min) and math.isfinite(a_max)):
         raise DomainError("spectral_radius expects finite matrix entries")
     if a_min < 0:
         raise DomainError("spectral_radius expects a nonnegative matrix")
 
     x = x0 if x0 is not None and x0.all() else np.ones(a.shape[0])
+    ratio = np.empty(a.shape[0])  # (A x)_i / x_i, rewritten every step
     width, shifted = math.inf, False
     # a zero entry of x gives an inf or nan ratio, which ends the loop below
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_BRACKET_MAX_ITER):
             y = a @ x
-            ratio = y / x
-            lo, hi = float(ratio.min()), float(ratio.max())
+            np.divide(y, x, out=ratio)
+            lo, hi = float(np.minimum.reduce(ratio)), float(np.maximum.reduce(ratio))
             if hi == 0.0:
                 return _Bracket(0.0, None)
             if lo == 0.0 or not math.isfinite(hi):
@@ -276,9 +277,9 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     [lo, hi] is a sign bracket whose ends were both evaluated, so
     bracket_width = hi - lo <= tol is certified; lambda_star is its middle.
     iterations counts the radius evaluations after the sign bracket is found.
-    B and the shift-free exponent parts are built once, and every G(lam), or
-    the similar matrix that keeps it in float range, is written into one
-    array. Each evaluation is one _perron_bracket: it starts from the last
+    B, the shift-free exponent and the delay-measure parts are built once,
+    and every G(lam), or the similar matrix that keeps it in float range, is
+    written into one array. Each evaluation is one _perron_bracket: it starts from the last
     evaluation's Perron vector (from x = 1 at the first, after one that
     closed no bracket, and where balanced_gain changes form), and stops at
     the 1e-10 rule or once its Collatz-Wielandt bracket decides the sign of

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import kinnet.model
 import kinnet.operators
 import kinnet.simulator
 from kinnet import DomainError, VelocityGrid, make_scenario
@@ -37,6 +38,21 @@ def b_builds(monkeypatch):
 
     for module in (kinnet.operators, kinnet.simulator):
         monkeypatch.setattr(module, "_routed_scattering", counted)
+    return calls
+
+
+@pytest.fixture
+def parts_builds(monkeypatch):
+    """A list that gets one entry per build of a delay measure's parts
+    (model._measure_parts), by the Laplace transforms or the gain factors."""
+    calls, build = [], kinnet.model._measure_parts
+
+    def counted(m):
+        calls.append(m)
+        return build(m)
+
+    for module in (kinnet.model, kinnet.operators):
+        monkeypatch.setattr(module, "_measure_parts", counted)
     return calls
 
 

@@ -14,7 +14,7 @@ from kinnet import (AbsorptionProfile, DelayMeasure, KinnetError, NetworkSpec,
                     ScatteringKernel, ValidationError, load_network,
                     measure_laplace, measure_total_variation, network_bounds,
                     routing_norm)
-from kinnet.model import _measure_log_laplace
+from kinnet.model import _exp_increment, _measure_log_laplace, _measure_parts
 from kinnet.presets import (conservation_spec, constant_kernel, random_spec,
                             regression_suite, single_circle)
 
@@ -119,6 +119,45 @@ def test_laplace_degenerate_rate():
     assert measure_laplace(m, -2.0) == pytest.approx(0.6, abs=1e-12)
 
 
+def _summed_laplace(m, lam):
+    """measure_laplace as a plain sum over _measure_parts: the atoms, then the
+    density cells in order."""
+    atoms, cells = _measure_parts(m)
+    out = sum(mass * math.exp(lam * pos) for pos, mass in atoms)
+    for a, b, value, rate in cells:
+        out += value * _exp_increment(lam + rate, a, b)
+    return out
+
+
+def test_laplace_past_float_range_is_inf():
+    for m in (DelayMeasure(kind="dirac", r=1.0),
+              DelayMeasure(kind="exponential", r=1.0, theta_rate=2.0),
+              DelayMeasure(kind="exponential", r=1.0, theta_rate=-2.0),
+              DelayMeasure(kind="piecewise", r=1.0, atoms=((-1.0, 0.5),)),
+              DelayMeasure(kind="piecewise", r=1.0, density_edges=(-1.0, -0.5),
+                           density_values=(0.3,))):
+        assert measure_laplace(m, -1000.0) == math.inf
+        assert _measure_log_laplace(m, -1000.0) < math.inf
+    with pytest.raises(OverflowError):  # where the plain sum stops
+        _summed_laplace(DelayMeasure(kind="dirac", r=1.0), -1000.0)
+    # in range, the value is the plain sum's, bit for bit; a term past float
+    # range with no weight, or in a sum that stays in range, gives no inf
+    m = DelayMeasure(kind="piecewise", r=1.0, atoms=((-1.0, 0.0), (-0.05, 0.5)),
+                     density_edges=(-1.0, -0.6, -0.1, 0.0),
+                     density_values=(0.0, 1.5, 0.25))
+    for lam in (-30.0, -2.0, 0.0, 1e-15, 0.5, 3.0):
+        assert measure_laplace(m, lam) == _summed_laplace(m, lam)
+    assert measure_laplace(m, -1000.0) == pytest.approx(
+        0.5 * math.exp(50.0) + 1.5 * (math.exp(600.0) - math.exp(100.0)) / 1000.0
+        + 0.25 * math.expm1(100.0) / 1000.0, rel=1e-12)
+    sliver = DelayMeasure(kind="piecewise", r=1.0, density_edges=(-1e-10, 0.0),
+                          density_values=(1.0,))
+    with pytest.raises(OverflowError):
+        _summed_laplace(sliver, -7.1e12)
+    assert measure_laplace(sliver, -7.1e12) == pytest.approx(
+        math.exp(710.0 - math.log(7.1e12)), rel=1e-12)
+
+
 def test_laplace_at_zero_is_total_variation():
     for m in (DelayMeasure(kind="dirac", r=0.4),
               DelayMeasure(kind="exponential", r=1.2, theta_rate=0.7),
@@ -149,25 +188,48 @@ def test_tabulated_absorption():
     assert a.min_value() == 0.2 and a.max_value() == 0.8
 
 
+def _cellwise_integral(profile, x: float, v: float) -> float:
+    """integral_x(x, v) in Python floats: the x cells from 0 one at a time,
+    each clipped to [0, x] or [x, 0], the end cells reaching past the table."""
+    if profile.kind == "constant":
+        x_cuts, column = (), (profile.value,)
+    else:
+        iv = sum(c <= v for c in profile.v_edges[1:-1])
+        x_cuts, column = profile.x_edges[1:-1], [row[iv] for row in profile.values]
+    total = 0.0
+    for value, a, b in zip(column, (-math.inf, *x_cuts), (*x_cuts, math.inf)):
+        total = total + value * (min(max(x, a), b) - min(max(0.0, a), b))
+    return total
+
+
 @pytest.mark.parametrize("profile", [
     AbsorptionProfile(kind="constant", value=0.3),
     AbsorptionProfile(kind="tabulated", x_edges=(0.0, 0.3, 0.45, 1.0),
                       v_edges=(1.0, 1.25, 2.0),
                       values=((0.2, 0.7), (0.9, 0.1), (0.35, 0.55))),
+    AbsorptionProfile(kind="tabulated", x_edges=(0.3, 0.6, 1.0),
+                      v_edges=(1.0, 1.5, 2.0), values=((0.4, -0.2), (0.9, 0.1))),
+    AbsorptionProfile(kind="tabulated", x_edges=(-0.5, 0.2, 0.8),
+                      v_edges=(1.2, 1.7), values=((0.7,), (-0.25,))),
 ])
 def test_absorption_elementwise_matches_scalar_loop(profile):
-    xs = np.linspace(-0.1, 1.1, 25)
+    # at 0, at every edge, between them and past the last one
+    edges = profile.x_edges or (0.5,)
+    xs = np.unique(np.r_[np.linspace(-0.1, 1.1, 25), 0.0, 1.0, edges, edges[-1] + 0.3])
     vs = np.linspace(0.9, 2.1, 7)
     q = profile.q(xs[:, None], vs[None, :])
     big_q = profile.integral_x(xs[:, None], vs[None, :])
-    assert q.shape == big_q.shape == (25, 7)
+    assert q.shape == big_q.shape == (len(xs), 7)
+    # one position against a velocity array, as the gain factors ask for it
+    assert np.array_equal(profile.integral_x(1.0, vs), big_q[xs == 1.0][0])
     for i, x in enumerate(xs):
         for k, v in enumerate(vs):
             assert q[i, k] == profile.q(float(x), float(v))
             assert big_q[i, k] == profile.integral_x(float(x), float(v))
+            assert big_q[i, k] == _cellwise_integral(profile, float(x), float(v))
             assert np.ndim(profile.integral_x(float(x), float(v))) == 0
-    # the per-circle loop the elementwise sum replaces
-    if profile.kind == "tabulated":
+    # the per-circle loop the elementwise sum replaces, on a table from x = 0
+    if profile.x_edges[:1] == (0.0,):
         for x, v in ((0.4, 1.1), (1.0, 1.9), (0.0, 1.5)):
             iv = int(np.searchsorted(profile.v_edges, v, side="right")) - 1
             total = 0.0

@@ -1,16 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kinnet import (BlockOperator, DomainError, PreconditionError,
-                    VelocityGrid, assemble_gain,
-                    dirichlet_norm_closed_form, measure_laplace,
+from kinnet import (BlockOperator, DelayMeasure, DomainError, PreconditionError,
+                    ScatteringKernel, VelocityGrid, assemble_gain,
+                    dirichlet_norm_closed_form, load_network, measure_laplace,
                     pd_norm_closed_form)
+from kinnet.model import _measure_log_laplace, _parts_log_laplace
+from kinnet.operators import _gain_factors, scattering_table
 from kinnet.presets import heterogeneous_five, regression_suite, \
     single_circle, single_circle_gain
 
-from conftest import survival_factor
+from conftest import shape_doc, survival_factor
 from pd_oracle import assemble_pd
 
 
@@ -83,7 +86,8 @@ def _dense_reference(spec, grid, lam):
 @pytest.mark.parametrize("k", [1, 8, 32])
 @pytest.mark.parametrize("lam", [0.0, -0.3])
 def test_gain_and_pd_match_dense_reference(k, lam):
-    for name, spec, _ in regression_suite():
+    # the suite, and a network with every coefficient and measure kind
+    for name, spec, _ in [*regression_suite(), ("shape_doc", load_network(shape_doc()), None)]:
         g = VelocityGrid.for_spec(spec, k)
         delay, survival = _dense_reference(spec, g, lam)
         gain = assemble_gain(spec, g, lam).operator.matrix
@@ -100,6 +104,70 @@ def test_gain_and_pd_match_dense_reference(k, lam):
         np.testing.assert_allclose(pd[n:, :n], np.diag(survival) / s,
                                    rtol=1e-14, atol=0.0, err_msg=name)
         assert not np.any(pd[:n, :n]) and not np.any(pd[n:, n:])
+
+
+# kernels whose edges miss the grid centers, tables that stop short of
+# [v_min, v_max] = [1, 2] or start below it
+_KERNELS = {
+    "constant": ScatteringKernel(kind="constant", value=0.7),
+    "separable": ScatteringKernel(kind="separable", v_edges=(1.0, 1.37, 1.61, 2.0),
+                                  out_values=(0.5, 1.5, 0.8), in_values=(2.0, 0.25, 1.1)),
+    "separable_starts_above": ScatteringKernel(kind="separable", v_edges=(1.3, 1.6, 1.9),
+                                               out_values=(0.5, 1.5), in_values=(2.0, 0.25)),
+    "tabulated": ScatteringKernel(kind="tabulated", v_edges=(1.0, 1.23, 2.0),
+                                  values=((0.1, 0.6), (0.9, 0.3))),
+    "tabulated_starts_below": ScatteringKernel(kind="tabulated", v_edges=(0.5, 1.2, 1.7),
+                                               values=((0.1, 0.6), (0.9, 0.3))),
+}
+
+
+@pytest.mark.parametrize("kernel", _KERNELS.values(), ids=_KERNELS)
+@pytest.mark.parametrize("k", [1, 7, 32])
+def test_scattering_table_is_the_broadcast_kernel(kernel, k):
+    circle = replace(single_circle(0.5).circles[0], scattering=kernel)
+    grid = VelocityGrid.uniform(1.0, 2.0, k)
+    v = grid.centers
+    want = kernel.beta(v[:, None], v[None, :]) * (v * grid.widths)[None, :]
+    assert np.array_equal(scattering_table(circle, grid), want)
+
+
+# every measure kind, with the |lam + rate| < 1e-14 branch at lam = -2,
+# atoms of no mass (one where e^{lam theta} passes float range) and an atom at 0
+_MEASURES = (DelayMeasure(kind="dirac", r=0.7),
+             DelayMeasure(kind="exponential", r=0.6, theta_rate=2.0),
+             DelayMeasure(kind="exponential", r=0.9, theta_rate=-1.7),
+             DelayMeasure(kind="piecewise", r=1.0, atoms=((-1.0, 0.0), (-0.25, 0.3)),
+                          density_edges=(-0.8, -0.2, 0.0), density_values=(1.5, 0.0)))
+
+
+def test_factor_laplace_reads_the_measure_laplace():
+    with pytest.warns(UserWarning, match="atom at theta=0"):
+        at_zero = DelayMeasure(kind="piecewise", r=0.5, atoms=((0.0, 0.4), (-0.5, 0.0)),
+                               density_edges=(-0.5, -0.1), density_values=(0.7,))
+    measures = (*_MEASURES, at_zero)
+    spec = single_circle(0.5)
+    spec = replace(spec, circles=tuple(replace(spec.circles[0], delay_measure=m)
+                                       for m in measures),
+                   routing=np.full((len(measures),) * 2, 0.2))
+    grid = VelocityGrid.for_spec(spec, 3)
+    factors = _gain_factors(spec, grid)
+    slope, offset = factors.log_bound
+    switch = (700.0 - offset) / slope  # |lam| where balanced_gain takes its log form
+    for lam in (0.0, -2.0, 1e-15, 0.9 * switch, -0.9 * switch, 1.1 * switch,
+                -1.1 * switch, -1000.0):
+        want = np.repeat([measure_laplace(m, lam) for m in measures], grid.k)
+        assert np.array_equal(factors.laplace(lam), want), lam
+        assert ([_parts_log_laplace(p, lam) for p in factors.parts]
+                == [_measure_log_laplace(m, lam) for m in measures]), lam
+        s, a, _ = factors.balanced_gain(lam)
+        if abs(lam) < switch:
+            assert s == 0.0 and np.array_equal(a, factors.gain(lam).matrix), lam
+        else:  # the log form: A_ij = B_ij (c_i c_j)^{1/2} / e^s in logs
+            log_c = np.repeat([_measure_log_laplace(m, lam) for m in measures], grid.k)
+            half = 0.5 * (log_c + factors.log_survival(lam))
+            with np.errstate(divide="ignore"):
+                log_a = np.log(factors.routed) + half[:, None] + half[None, :]
+            assert s == log_a.max() and np.array_equal(a, np.exp(log_a - s)), lam
 
 
 def test_pd_block_product_equals_gain():

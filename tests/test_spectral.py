@@ -474,6 +474,21 @@ def test_abscissa_of_the_factored_exponent(k, b_builds, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [8, 32])
+def test_abscissa_builds_each_measure_s_parts_once(k, parts_builds, monkeypatch):
+    # the parts are read at every shift but built with the factors, so their
+    # builds do not grow with the number of phi evaluations
+    shifts, balanced = [], kinnet.operators._GainFactors.balanced_gain
+    monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_gain",
+                        lambda self, lam: shifts.append(lam) or balanced(self, lam))
+    for name, spec in _seeded_specs():
+        parts_builds.clear()
+        shifts.clear()
+        spectral_abscissa(spec, VelocityGrid.for_spec(spec, k))
+        assert len(shifts) > 3, name
+        assert parts_builds == [c.delay_measure for c in spec.circles], name
+
+
+@pytest.mark.parametrize("k", [8, 32])
 def test_pd_quantities_equal_the_block_operator(k):
     """pd_norm and the certificate's pd_radius, taken from the two blocks,
     against the dense 2n x 2n operator PD of the oracle."""
