@@ -97,23 +97,24 @@ def map_views(z: np.ndarray, out: np.ndarray, s: int) -> tuple[np.ndarray, np.nd
 
 
 class BlockViews(NamedTuple):
-    """A state's ring and junction buffer, and the views of them that a
-    block's products write and read: built once per state, and again if
-    either array is replaced."""
+    """A state's ring, sums and junction buffer, and the views of them that
+    a block's products write and read: built once per state, and again if
+    any of the three is replaced."""
 
     ring: np.ndarray
+    sums: np.ndarray
     junction: np.ndarray
     columns: np.ndarray      # the ring (R, J K, 2 P, 1), a column per cell
-    circles: np.ndarray      # the ring (R, J, 2 P, K)
-    delayed: np.ndarray      # the junction's delayed traces (R, J, L, K)
+    moments: np.ndarray      # the sums' moments (R, J, 2 P, m)
+    delayed: np.ndarray      # the junction's delayed moments (R, J, L, m)
     inputs: np.ndarray       # the junction's inputs (R, L)
 
     @classmethod
     def of(cls, state, L: int) -> "BlockViews":
-        ring, junction = state.ring, state.junction
-        R, rows, J, K = ring.shape
-        return cls(ring, junction,
+        ring, sums, junction = state.ring, state.sums, state.junction
+        R, rows, J, _ = ring.shape
+        return cls(ring, sums, junction,
                    ring.reshape(R, rows, -1).transpose(0, 2, 1)[..., None],
-                   ring.transpose(0, 2, 1, 3),
-                   junction[:, :, :-1].reshape(R, L, J, K).transpose(0, 2, 1, 3),
+                   sums[:, 2:].transpose(0, 3, 2, 1),
+                   junction[:, :, :-1].reshape(R, L, J, -1).transpose(0, 2, 1, 3),
                    junction[:, :, -1])

@@ -120,6 +120,27 @@ def _routed_scattering(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
     return b.reshape(J * K, J * K)
 
 
+def _junction_moments(spec: NetworkSpec, grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
+    """B in rank J m: (omega, U) with B[(i,k),(j,k')] = omega[k', b]
+    U[(j,b),(i,k)], where b is the group of k': the m groups are the runs of
+    grid centers on which every circle's kernel cell index is constant, one
+    per distinct index tuple. omega (K, m) holds v_k' dv_k' / V_b, V_b the
+    group's sum of v dv, so a moment is a weighted mean of a trace; U
+    (J m, J K) holds w_ij beta_j(v_k, v_b) V_b / v_k."""
+    _check_operator_size(spec.n_circles * grid.k)
+    v = grid.centers
+    cells = np.array([_cell_index(c.scattering._table[0], v) for c in spec.circles])
+    group = np.concatenate(([0], np.diff(cells).any(axis=0).cumsum()))
+    first = np.flatnonzero(np.diff(group, prepend=-1))
+    vdv = v * grid.widths
+    total = np.add.reduceat(vdv, first)
+    omega = (group[:, None] == np.arange(len(first))) * (vdv / total[group])[:, None]
+    tables = np.array([c.scattering._table[1].take(cell, 0).take(cell[first], 1)
+                       for c, cell in zip(spec.circles, cells)]) * (total / v[:, None])
+    u = spec.routing.T[:, None, :, None] * tables.transpose(0, 2, 1)[:, :, None]
+    return omega, u.reshape(-1, spec.n_circles * grid.k)
+
+
 @dataclass(frozen=True, eq=False)
 class _GainFactors:
     """Shift-free parts of G(lam) = B diag(laplace(lam) S(lam)), built once.

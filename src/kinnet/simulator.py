@@ -26,7 +26,7 @@ Block: with CFL <= 1 a step moves information at most one node, so an
 inflow written on a start node reaches its circle's trace no sooner than
 M_j steps later. The junction is resolved once per block of
 L = min(min_j M_j, 16) steps (`LOOKAHEAD`), with one matmul for the
-traces and one put for the inflows (see `_Engine`). The block's buffers,
+traces and one scatter of the inflows (see `_Engine`). The block's buffers,
 views and inputs, padded with L copies of the last sample, live in the state.
 
 Segments: within a block, `advance` takes its steps s at a time, s a power
@@ -53,8 +53,8 @@ for a chunk of one it fills the state's spare density buffer, which holds
 nothing between steps.
 
 Memory: the arrays that a step or a record streams start on a cache line,
-and the ring has a sums array, |trace| @ dv and trace @ (v dv) per row and
-circle, from which a record reads the history (see `_Engine`).
+and the ring has a sums array, |trace| @ dv, trace @ (v dv) and m moments
+per row and circle, for the records and the delay reads (see `_Engine`).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from . import _advection
 from .delayquad import delay_quadrature, _accumulate_density
 from .errors import CflError, DomainError, ValidationError
 from .model import NetworkSpec
-from .operators import MAX_ARRAY_VALUES, VelocityGrid, _routed_scattering
+from .operators import MAX_ARRAY_VALUES, VelocityGrid, _junction_moments
 
 # the longest block of steps whose junction inflows are resolved at once
 LOOKAHEAD = 16
@@ -155,7 +155,7 @@ def _check_sizes(members: tuple[Scenario, ...]) -> None:
     vectors, which are tiled R times for it."""
     sc, R = members[0], len(members)
     # state R x sum_j (L + M_j + 1) x K, and ring R x 2 P x J x K or its
-    # sums R x 2 x 2 P x J, whichever is larger, as the engine allocates
+    # sums R x (2 + m) x 2 P x J, counted at m = K, as the engine allocates
     # them; r_max / dt may be too large to round to an integer, and then the
     # ring is too
     K, J, L = sc.grid.k, sc.spec.n_circles, _block(sc.m_cells)
@@ -164,7 +164,7 @@ def _check_sizes(members: tuple[Scenario, ...]) -> None:
     if (3 if R > 1 else 1) * state > MAX_ARRAY_VALUES:
         raise ValidationError(f"m_base/m_cells give over {MAX_ARRAY_VALUES} "
                               f"state values for {R} member(s)")
-    if (not r_max / sc.dt < MAX_ARRAY_VALUES or R * 2 * J * max(K, 2) * _ring_period(
+    if (not r_max / sc.dt < MAX_ARRAY_VALUES or R * 2 * J * (K + 2) * _ring_period(
             math.ceil(r_max / sc.dt) + 2, L) > MAX_ARRAY_VALUES):
         raise ValidationError(f"dt = {sc.dt} gives over {MAX_ARRAY_VALUES} "
                               f"ring values for {R} member(s)")
@@ -329,11 +329,11 @@ class SimState:
     step_count: int = 0
     # set by `_Engine.init_state`: the advection coefficients of
     # density.reshape(-1)[K:], the second density buffer (R, N, K), the
-    # sums (R, 2, 2 P, J) of each ring row and circle, |trace| @ dv and
-    # trace @ (v dv), the flat indices in the density of the last L + 1
-    # nodes of each circle and cell (R, J K, L + 1, 1) and of the inflow
-    # rows (R, L, J K), a block's buffers of those nodes, of |trace| (R, L
-    # J, K), of the junction (R, L, J K + 1) and of the inflows (R, L, J K),
+    # sums (R, 2 + m, 2 P, J) of each ring row and circle (`_trace_sums`),
+    # the flat indices in the density of the last L + 1 nodes of each circle
+    # and cell (R, J K, L + 1, 1) and of the inflow rows (R, L, J K), a
+    # block's buffers of those nodes, of |trace| (R, L J, K), of the
+    # junction (R, L, J m + 1) and of the inflows (R, L, J K),
     # and the inputs padded with L copies of the last sample, of which
     # `inputs` is a view; built on first use, a block's views and the map
     # and views of a segment of s steps by (s, swapped), swapped telling
@@ -448,14 +448,16 @@ class _Engine:
     (J K, L, L + 1) holds an (L, L + 1) matrix per column, circle and cell,
     and one member-batched matmul with the gathered nodes (R, J K, L + 1,
     1) writes the L traces of each member and column into the ring rows, a
-    matrix-vector product each. The lookahead then contracts the ring rows
-    that the block's delay reads cover with a banded (L, window) weight
-    matrix per circle, routes the result with one matmul with the transpose
-    of the gain's shift-free factor B (the inputs ride along as one more
-    column) into a buffer (R, L, J K), and puts that into every inflow row
-    at flat indices that `init_state` builds. The block's nodes, |trace|,
-    delayed traces and inflows have buffers in the state, and the views of
-    the ring and junction buffer are built once per state
+    matrix-vector product each. The gain's shift-free factor B is a mean
+    omega over the m velocity groups on which every kernel is constant,
+    then a route U (`operators._junction_moments`), so the lookahead
+    contracts the moment rows of the ring's sums that the block's delay
+    reads cover with a banded (L, window) weight matrix per circle, routes
+    the result with one matmul with U (the inputs ride along as one more
+    column) into a buffer (R, L, J K), and writes that into every inflow
+    row at flat indices that `init_state` builds. The block's nodes,
+    |trace|, delayed moments and inflows have buffers in the state, and the
+    views of the ring, its sums and the junction are built once per state
     (`_advection.BlockViews`), so a block allocates no array.
 
     The ring has 2 P >= 2 S_max + 2 L - 2 rows (`_ring_period`), and the
@@ -570,18 +572,16 @@ class _Engine:
         # the block's reads, from the block's newest ring row h: step n + s
         # reads offset o at row h + L - s + o, a band of the window of rows
         # h + o_lo .. h + o_hi + L - 1 (a circle with a zero kernel reads
-        # too, into rows of B that are zero)
+        # too, into rows of U that are zero)
         circle, offset, weight = (np.concatenate(x) for x in (circle, offset, weight))
         self.o_lo, o_hi = int(offset.min()), int(offset.max())
         self.delay_w = np.zeros((J, L, o_hi - self.o_lo + L))
         step = np.arange(1, L + 1)[:, None]
         self.delay_w[circle, step - 1, L - step + offset - self.o_lo] = weight
-        # inflow of a unit input, flattened over (circle, velocity cell), as
-        # the last row under the transpose of B
-        routing = np.asarray(spec.routing, dtype=float)
-        gain = np.ones(J) if sc.input_outside_sum else routing.sum(axis=1)
-        self.routed = np.vstack([_routed_scattering(spec, grid).T,
-                                 (gain[:, None] / v).ravel()])
+        # B as a mean and a route, whose last row is the inflow of a unit input
+        self.omega, route = _junction_moments(spec, grid)
+        gain = np.ones(J) if sc.input_outside_sum else spec.routing.sum(axis=1)
+        self.route = np.vstack([route, (gain[:, None] / v).ravel()])
         # inflow row s above circle j's start node takes step n + s
         self.inflow_rows = tops[:-1] + L - np.arange(1, L + 1)[:, None]
 
@@ -624,9 +624,9 @@ class _Engine:
                                       + cells).reshape(L, J * K)
         state.tails = np.empty(state.tail_flat.shape)
         state.magnitude = np.empty((R, L * J, K))
-        state.junction = np.zeros((R, L, J * K + 1))     # last column: the inputs
+        state.junction = np.zeros((R, L, self.route.shape[0]))  # last column: the inputs
         state.inflow = np.empty((R, L, J * K))
-        state.sums = _aligned((R, 2, 2 * P, J))
+        state.sums = _aligned((R, 2 + self.omega.shape[1], 2 * P, J))
         self._trace_sums(ring, state.sums)
         # one member reads the engine's coefficients; more read them tiled
         stay, move = self.c_stay, self.c_move
@@ -654,30 +654,30 @@ class _Engine:
         z, ring, sums, L = state.density, state.ring, state.sums, self.block
         R, rows, J, K = ring.shape
         # every product writes a buffer of the state or a view of one, and
-        # the views are built anew if the ring or junction buffer was replaced
+        # the views are built anew if the ring, sums or junction was replaced
         v = state.views
-        if v is None or v.ring is not ring or v.junction is not state.junction:
+        if (v is None or v.ring is not ring or v.sums is not sums
+                or v.junction is not state.junction):
             v = state.views = _advection.BlockViews.of(state, L)
         if state.head < L:                          # the live rows to the far end
             live, top = slice(state.head, state.head + self.s_max), rows - self.s_max
             # member by member and sum by sum: over all members the source
             # and target rows interleave, and numpy would copy the source
-            for block in (*ring, *sums.reshape(R * 2, rows, J)):
+            for block in (*ring, *sums.reshape(-1, rows, J)):
                 block[top:] = block[live]
             state.head = top
         h = state.head - L                          # row of the trace of step n + L
-        # the indices are in range: mode "clip" only spares take and put a
-        # buffer
+        # the indices are in range: mode "clip" only spares take a buffer
         np.take(z, state.tail_flat, out=state.tails, mode="clip")
         np.matmul(self.trace_coef, state.tails, out=v.columns[:, :, h:h + L])
         self._trace_sums(ring[:, h:h + L], sums[:, :, h:h + L], state.magnitude)
-        window = v.circles[:, :, h + self.o_lo:h + self.o_lo + self.delay_w.shape[2]]
+        window = v.moments[:, :, h + self.o_lo:h + self.o_lo + self.delay_w.shape[2]]
         np.matmul(self.delay_w, window, out=v.delayed)
         if state.inputs is not None:
             n = state.step_count + 1
             np.copyto(v.inputs, state.padded_inputs[:, n:n + L])
-        np.matmul(state.junction, self.routed, out=state.inflow)
-        np.put(z, state.inflow_flat, state.inflow, mode="clip")
+        np.matmul(state.junction, self.route, out=state.inflow)
+        z.reshape(-1)[state.inflow_flat] = state.inflow
 
     def advance(self, state: SimState, n: int) -> SimState:
         """Take n steps, after the block's lookahead where L divides the step
@@ -726,7 +726,7 @@ class _Engine:
         """The sums (R, 2, S_max, J) of the S_max ring rows of the step,
         newest first: the history that a record reads. The rows written
         ahead for the rest of the block lie outside it."""
-        return state.sums[:, :, state.head:state.head + self.s_max]
+        return state.sums[:, :2, state.head:state.head + self.s_max]
 
     def _records(self, z: np.ndarray, window: np.ndarray,
                  magnitude: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
@@ -754,18 +754,21 @@ class _Engine:
 
     def _trace_sums(self, traces: np.ndarray, out: np.ndarray,
                     magnitude: np.ndarray | None = None) -> None:
-        """|trace| @ dv and trace @ (v dv) of the ring rows traces (R, n, J,
-        K) into out[:, 0] and out[:, 1], out (R, 2, n, J): one
-        matrix-vector product per member and column; |trace| of a copy of
-        the rows in magnitude (R, n J, K), if given."""
+        """|trace| @ dv, trace @ (v dv) and the m moments trace @ omega of
+        the ring rows traces (R, n, J, K) into out[:, 0], out[:, 1] and
+        out[:, 2:], out (R, 2 + m, n, J), a product per member each (one gemm
+        would round the velocity sums apart from a matrix-vector product);
+        |trace| of a copy of the rows in magnitude (R, n J, K), if given."""
         R, K = len(traces), len(self.dv)
         rows = traces.reshape(R, -1, K)
         # a unary ufunc copies an operand that is not contiguous, as the
         # rows of R > 1 members are
         magnitude = np.empty(rows.shape) if magnitude is None else magnitude
         np.copyto(magnitude, rows)
-        # out[:, c] (R, n, J) reshapes to a view (R, n J) of it
+        # out[:, c] (R, n, J) reshapes to a view (R, n J) of it, and out[:,
+        # 2:] to one (R, m, n J), whose transpose the moments' product writes
         np.matmul(magnitude, self.vdv, out=out[:, 1].reshape(R, -1))
+        np.matmul(magnitude, self.omega, out=out[:, 2:].reshape(R, -1, rows.shape[1]).mT)
         np.abs(magnitude, out=magnitude)
         np.matmul(magnitude, self.dv, out=out[:, 0].reshape(R, -1))
 

@@ -7,8 +7,8 @@ import pytest
 import kinnet.model
 import kinnet.operators
 import kinnet.simulator
-from kinnet import DomainError, VelocityGrid, make_scenario
-from kinnet.presets import single_circle
+from kinnet import DomainError, ScatteringKernel, VelocityGrid, make_scenario
+from kinnet.presets import heterogeneous_five, single_circle
 
 
 @pytest.fixture
@@ -29,15 +29,14 @@ def grid1(sc_spec):
 @pytest.fixture
 def b_builds(monkeypatch):
     """A list that gets one entry per build of the routed scattering factor
-    B (operators._routed_scattering), by the gain factors or an engine."""
+    B (operators._routed_scattering), which only the gain factors build."""
     calls, build = [], kinnet.operators._routed_scattering
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    for module in (kinnet.operators, kinnet.simulator):
-        monkeypatch.setattr(module, "_routed_scattering", counted)
+    monkeypatch.setattr(kinnet.operators, "_routed_scattering", counted)
     return calls
 
 
@@ -123,3 +122,29 @@ def float_range_cycle():
     spec = single_circle(1.0)
     return replace(spec, circles=spec.circles * 2,
                    routing=np.array([[0.0, 1e300], [4e-300, 0.0]]))
+
+
+def moment_specs():
+    """(name, spec) of networks whose kernels are not constant in the
+    incoming velocity, so that the junction's velocity groups number m > 1
+    on most grids: a separable kernel, two tables (one whose edges stop
+    short of [v_min, v_max], so that its end cells reach past them) and
+    the two mixed with constant kernels. No interior kernel edge lies on a
+    cell edge of the grids the tests use, k = 1, 3, 8 and 32."""
+    five = heterogeneous_five(0.4)
+    separable = ScatteringKernel(kind="separable", v_edges=(1.0, 1.3, 1.71, 2.0),
+                                 out_values=(0.5, 1.0, 0.7), in_values=(1.2, 0.4, 0.9))
+    short = ScatteringKernel(kind="tabulated", v_edges=(1.15, 1.55, 1.8),
+                             values=((0.6, 0.2), (0.3, 0.9)))
+    full = ScatteringKernel(kind="tabulated", v_edges=(1.0, 1.45, 2.0),
+                            values=((0.5, 0.8), (1.0, 0.3)))
+
+    def with_kernels(spec, kernels):
+        return replace(spec, mass_preserving=False, circles=tuple(
+            replace(c, scattering=kernel or c.scattering)
+            for c, kernel in zip(spec.circles, kernels)))
+
+    two = replace(five, circles=five.circles[:2], routing=five.routing[:2, :2])
+    return [("separable", with_kernels(single_circle(0.6), (separable,))),
+            ("tabulated", with_kernels(two, (short, full))),
+            ("mixed", with_kernels(five, (separable, short, None, full, None)))]

@@ -9,11 +9,12 @@ from kinnet import (BlockOperator, DelayMeasure, DomainError, PreconditionError,
                     dirichlet_norm_closed_form, load_network, measure_laplace,
                     pd_norm_closed_form)
 from kinnet.model import _measure_log_laplace, _parts_log_laplace
-from kinnet.operators import _gain_factors, scattering_table
+from kinnet.operators import (_gain_factors, _junction_moments, _routed_scattering,
+                              scattering_table)
 from kinnet.presets import heterogeneous_five, regression_suite, \
     single_circle, single_circle_gain
 
-from conftest import shape_doc, survival_factor
+from conftest import moment_specs, shape_doc, survival_factor
 from pd_oracle import assemble_pd
 
 
@@ -194,3 +195,41 @@ def test_dirichlet_bounds_closed_form():
     assert d0 == pytest.approx(math.exp(0.4 * 1.5 / spec.v_min))
     assert k == pytest.approx(0.5)
 
+
+def _index_tuples(spec, grid):
+    """The distinct tuples of each circle's kernel cell index over the grid
+    centers: the number of interior kernel edges at or below a center."""
+    edges = [c.scattering.v_edges[1:-1] for c in spec.circles]
+    return {tuple(sum(e <= v for e in cuts) for cuts in edges) for v in grid.centers}
+
+
+_MOMENT_SPECS = {**dict(moment_specs()),
+                 **{name: spec for name, spec, _ in regression_suite()}}
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 32])
+@pytest.mark.parametrize("name", list(_MOMENT_SPECS))
+def test_junction_moments_factor_b(name, k):
+    # B = (I_J kron omega) U, transposed: the mean over each velocity group
+    # on which every kernel is constant, then the route
+    spec = _MOMENT_SPECS[name]
+    grid = VelocityGrid.for_spec(spec, k)
+    omega, route = _junction_moments(spec, grid)
+    m = len(_index_tuples(spec, grid))
+    assert omega.shape == (k, m) and route.shape == (spec.n_circles * m, spec.n_circles * k)
+    if name in ("separable", "tabulated", "mixed") and k >= 8:
+        assert m > 1
+    if all(c.scattering.kind == "constant" for c in spec.circles):
+        assert m == 1
+    # each cell in one group, the groups runs of adjacent cells, and a
+    # cell's weight its share of the group's v dv
+    group = omega.argmax(axis=1)
+    assert (np.count_nonzero(omega, axis=1) == 1).all() and (np.diff(group) >= 0).all()
+    vdv = grid.centers * grid.widths
+    np.testing.assert_allclose(omega.max(axis=1), vdv / np.bincount(group, vdv)[group],
+                               rtol=1e-15, atol=0)
+    b = _routed_scattering(spec, grid)
+    factored = (np.kron(np.eye(spec.n_circles), omega) @ route).T
+    assert np.array_equal(factored > 0, b > 0)
+    nonzero = b > 0
+    np.testing.assert_allclose(factored[nonzero], b[nonzero], rtol=1e-15, atol=0)

@@ -11,12 +11,12 @@ import kinnet.simulator
 from kinnet import (CflError, DelayMeasure, Scenario, ValidationError,
                     VelocityGrid, make_scenario, network_bounds, run, verify_iss)
 from kinnet.delayquad import _accumulate_density, delay_quadrature
-from kinnet.operators import MAX_ARRAY_VALUES, scattering_table
+from kinnet.operators import MAX_ARRAY_VALUES, _routed_scattering, scattering_table
 from kinnet.simulator import _disturbance_samples, default_m_cells
 from kinnet.presets import (constant_kernel, conservation_spec,
                             heterogeneous_five, regression_suite, single_circle)
 
-from conftest import constant_scenario
+from conftest import constant_scenario, moment_specs
 
 
 def _k1_scenario(spec, t_end, m=64, **kw):
@@ -444,14 +444,16 @@ def _mirrored_lookahead(eng):
         eng._trace_sums(ring[:, h:h + L], sums[:, :, h:h + L])
         ring[:, h + P:h + P + L] = ring[:, h:h + L]
         sums[:, :, h + P:h + P + L] = sums[:, :, h:h + L]
-        window = ring[:, h + eng.o_lo:h + eng.o_lo + eng.delay_w.shape[2]]
-        delayed = np.zeros((R, L, J * K + 1))
-        np.matmul(eng.delay_w, window.transpose(0, 2, 1, 3),
-                  out=delayed[:, :, :-1].reshape(R, L, J, K).transpose(0, 2, 1, 3))
+        # the moments of the mirrored traces, in the rows of its own sums
+        window = sums[:, 2:, h + eng.o_lo:h + eng.o_lo + eng.delay_w.shape[2]]
+        m = window.shape[1]
+        delayed = np.zeros((R, L, J * m + 1))
+        np.matmul(eng.delay_w, window.transpose(0, 3, 2, 1),
+                  out=delayed[:, :, :-1].reshape(R, L, J, m).transpose(0, 2, 1, 3))
         if st.inputs is not None:
             n = st.step_count + 1
             delayed[:, :, -1] = st.padded_inputs[:, n:n + L]
-        z[:, eng.inflow_rows] = (delayed @ eng.routed).reshape(R, L, J, K)
+        z[:, eng.inflow_rows] = (delayed @ eng.route).reshape(R, L, J, K)
 
     return lookahead
 
@@ -748,8 +750,9 @@ def test_a_large_state_takes_single_steps_and_builds_no_map(monkeypatch):
     assert eng.span == 1
     N, K = eng.c_stay.shape
     J, P = len(eng.xs), eng.period
+    # the sums: |trace| @ dv, trace @ (v dv) and one moment per row, m = 1
     assert _aligned_shapes(monkeypatch, lambda: eng.init_state(members)) == [
-        (2, N, K), (2, 2 * P, J, K), (2, 2, 2 * P, J), (2, N, K), (2, N, K),
+        (2, N, K), (2, 2 * P, J, K), (2, 3, 2 * P, J), (2, N, K), (2, N, K),
         (2, N, K)]
     run(*members)
     assert eng._maps == {}
@@ -889,6 +892,8 @@ def test_the_ring_holds_the_last_s_max_traces_across_rebases(cells, n_members,
         sums = state.sums[:, :, head:head + S]
         np.testing.assert_allclose(sums[:, 0], np.abs(live) @ eng.dv, rtol=1e-15)
         np.testing.assert_allclose(sums[:, 1], live @ eng.vdv, rtol=1e-15)
+        np.testing.assert_allclose(sums[:, 2:], (live @ eng.omega).transpose(0, 3, 1, 2),
+                                   rtol=1e-15)
         records.append(n)
         return window(state)
 
@@ -1007,6 +1012,9 @@ def test_trace_sums_follow_the_ring(stride, monkeypatch):
         ring = state.ring
         np.testing.assert_allclose(state.sums[:, 0], np.abs(ring) @ eng.dv, rtol=1e-15)
         np.testing.assert_allclose(state.sums[:, 1], ring @ eng.vdv, rtol=1e-15)
+        # and the moments of every row and circle, the junction's delay reads
+        np.testing.assert_allclose(state.sums[:, 2:], (ring @ eng.omega).transpose(0, 3, 1, 2),
+                                   rtol=1e-15)
         checked.append(state.step_count)
 
     def checked_lookahead(state):
@@ -1023,6 +1031,57 @@ def test_trace_sums_follow_the_ring(stride, monkeypatch):
     blocks = list(range(0, sc.n_steps, eng.block))
     records = sorted({min(i * stride, sc.n_steps) for i in range(sc.n_records)})
     assert sorted(checked) == sorted(blocks + records)
+
+
+def _dense_junction(sc):
+    """A lookahead for the scenario's engine that routes the delayed traces
+    with the dense shift-free factor B, as the junction did before it read
+    moments: the engine's lookahead, and then its inflows written again."""
+    eng = sc.engine()
+    routed = np.vstack([_routed_scattering(sc.spec, sc.grid).T, eng.route[-1]])
+    lookahead, L = eng._lookahead, eng.block
+
+    def dense(st):
+        lookahead(st)
+        R, _, J, K = st.ring.shape
+        h = st.head - L
+        window = st.ring[:, h + eng.o_lo:h + eng.o_lo + eng.delay_w.shape[2]]
+        junction = np.empty((R, L, J * K + 1))
+        np.matmul(eng.delay_w, window.transpose(0, 2, 1, 3),
+                  out=junction[:, :, :-1].reshape(R, L, J, K).transpose(0, 2, 1, 3))
+        junction[:, :, -1] = st.junction[:, :, -1]
+        st.density[:, eng.inflow_rows] = (junction @ routed).reshape(R, L, J, K)
+
+    return dense
+
+
+def test_an_engine_refuses_junction_operators_past_the_cap():
+    # the route U is built under the same cap as B, which the engine built
+    # before it read moments: 5 800 (circle, velocity cell) pairs
+    spec = single_circle(0.5)
+    spec = replace(spec, circles=spec.circles * 2, routing=np.full((2, 2), 0.2))
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 2900), t_end=1e-4, m_base=2)
+    with pytest.raises(ValidationError, match="junction operators over"):
+        sc.engine()
+
+
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("name, spec", moment_specs(), ids=[n for n, _ in moment_specs()])
+def test_moments_route_what_a_dense_b_routes(name, spec, outside, monkeypatch):
+    # kernels that vary with the incoming velocity, m > 1 groups, over
+    # several rebases of the ring, for a lockstep pair
+    grid = VelocityGrid.for_spec(spec, 8)
+    sc = make_scenario(spec, grid, t_end=6.0, m_base=8, stride=3,
+                       input_outside_sum=outside, **_RANDOM_DATA)
+    members = (sc, _other_members(sc)[1])
+    eng = sc.engine()
+    assert eng.omega.shape[1] > 1
+    moments = run(*members)
+    monkeypatch.setattr(eng, "_lookahead", _dense_junction(sc))
+    for traj, ref in zip(moments, run(*members), strict=True):
+        for record in _RECORDS[1:]:
+            np.testing.assert_allclose(getattr(traj, record), getattr(ref, record),
+                                       rtol=5e-15, atol=0)
 
 
 def _per_stride_records(*members):
@@ -1460,9 +1519,9 @@ def test_scenario_rejects_horizons_beyond_array_range(sc_spec, grid8):
 
 
 def test_lockstep_batch_is_capped_in_total(sc_spec, grid1, monkeypatch):
-    # at K = 1 the ring's sums, two values per row of the ring stored twice,
-    # are its largest array, and each member's hold 0.6 of the cap: one
-    # member passes, two do not
+    # at K = 1 the ring's sums, 2 + m = 3 values per row of the ring stored
+    # twice, are its largest array, and each member's hold 0.9 of the cap:
+    # one member passes, two do not
     dt = sc_spec.circles[0].delay / (0.15 * MAX_ARRAY_VALUES)
     sc = make_scenario(sc_spec, grid1, t_end=dt, dt=dt, m_base=8)
 
