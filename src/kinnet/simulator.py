@@ -7,16 +7,17 @@ junction trace history held for the delay reads.
 
 Layout: the densities of all circles sit in one state array with a row per
 node, (N, K) with N = sum_j (L + M_j + 1): L inflow rows and then the M_j + 1
-nodes of each circle. The traces of all circles sit in one ring buffer of
-2 P rows with a single head that only decreases, (2 P, J, K): when a block
-would start above row 0, its S_max live rows move to the far end. Both
-arrays carry a leading member axis R: members share the network, grid and
-clock and differ only in initial data, history and input, so `run(a, b)`
-steps them in lockstep, (R, N, K) and (R, 2 P, J, K). The advection reads
-the state as one flat vector of all members, row after row, and moves every
-value one row down, K values on: member r's last node flows into the top
-inflow row of member r + 1, as circle j's last node flows into the top
-inflow row of circle j + 1. Nothing there is ever read, since the next
+nodes of each circle. A trace is kept only as its sums, the 2 + m numbers
+that the records and the delay reads take of it (see Memory), in one ring
+buffer of 2 P rows with a single head that only decreases, (2 + m, 2 P, J):
+when a block would start above row 0, its S_max live rows move to the far
+end. Both arrays carry a leading member axis R: members share the network,
+grid and clock and differ only in initial data, history and input, so
+`run(a, b)` steps them in lockstep, (R, N, K) and (R, 2 + m, 2 P, J). The
+advection reads the state as one flat vector of all members, row after row,
+and moves every value one row down, K values on: member r's last node flows
+into the top inflow row of member r + 1, as circle j's last node flows into
+the top inflow row of circle j + 1. Nothing there is ever read, since the next
 block's lookahead rewrites every inflow row before what it holds reaches a
 start node. So a single step costs the same three numpy calls on contiguous
 vectors whatever the number of circles and members, and a segment of steps
@@ -26,8 +27,9 @@ Block: with CFL <= 1 a step moves information at most one node, so an
 inflow written on a start node reaches its circle's trace no sooner than
 M_j steps later. The junction is resolved once per block of
 L = min(min_j M_j, 16) steps (`LOOKAHEAD`), with one matmul for the
-traces and one scatter of the inflows (see `_Engine`). The block's buffers,
-views and inputs, padded with L copies of the last sample, live in the state.
+traces, into a buffer of the block's L J traces whose sums go to the ring,
+and one scatter of the inflows (see `_Engine`). The block's buffers, views
+and inputs, padded with L copies of the last sample, live in the state.
 
 Segments: within a block, `advance` takes its steps s at a time, s a power
 of two up to the engine's span S. After s steps each flat value of a member
@@ -35,8 +37,17 @@ is a banded combination of the values 0..s rows above it, so a segment of
 s >= 2 steps is one einsum with a precomputed s-step map (`_Engine._map`)
 in place of 3 s calls. S is the largest power of two <= L whose map for
 one member, (S + 1) N K float64 values, fits in 256 KiB (`_MAP_BYTES`), if
-that is at least 8, and else 1: 16 or 8 for the suite at (m_base, k) =
-(32, 8), and 1 for every state at (128, 32), which takes single steps. A
+that is at least 8, with maps of every s >= 2: 16 or 8 for the suite at
+(m_base, k) = (32, 8). A state whose maps do not fit (every state at
+(128, 32)) takes the 8-step map alone if L >= 8 and its 9 N K values
+fit under MAX_ARRAY_VALUES: each 8-step segment is one einsum, and a
+shorter one single steps. Else S = 1 and every step is single. On a
+2-vCPU Xeon guest, on random data, an 8-step segment of
+`heterogeneous_five(0.4)` at (128, 32) (N K = 36 896, R = 1) took 179 us
+as one einsum against 221 us as eight single steps, and one of
+`conservation_spec` (N K = 11 328) 46 against 78 us; the 4- and 2-step
+maps took 199 and 246 us, and 58 and 81 us, per 8 steps, so such a state
+builds no other map. The 8-step map of the former holds 2.53 MiB. A
 segment leaves each member's first s rows unwritten: they are circle 0's
 top inflow rows, which no start node reads before the next lookahead
 rewrites them, as above.
@@ -52,9 +63,13 @@ array of its own: it overwrites the chunk's copies once they are read, and
 for a chunk of one it fills the state's spare density buffer, which holds
 nothing between steps.
 
-Memory: the arrays that a step or a record streams start on a cache line,
-and the ring has a sums array, |trace| @ dv, trace @ (v dv) and m moments
-per row and circle, for the records and the delay reads (see `_Engine`).
+Memory: the arrays that a step or a record streams start on a cache line.
+The ring holds |trace| @ dv and trace @ (v dv), which the records read,
+and the m moments trace @ omega, which the delay reads take, per row and
+circle (see `_Engine`): 2 + m numbers where a ring of the traces held K.
+No reader needs more of a trace once its sums are taken, so the state
+holds the K values of a block's traces alone, and a rebase moves only
+sums.
 """
 
 from __future__ import annotations
@@ -154,10 +169,10 @@ def _check_sizes(members: tuple[Scenario, ...]) -> None:
     of R > 1 members counts together with its two advection coefficient
     vectors, which are tiled R times for it."""
     sc, R = members[0], len(members)
-    # state R x sum_j (L + M_j + 1) x K, and ring R x 2 P x J x K or its
-    # sums R x (2 + m) x 2 P x J, counted at m = K, as the engine allocates
-    # them; r_max / dt may be too large to round to an integer, and then the
-    # ring is too
+    # state R x sum_j (L + M_j + 1) x K, and the ring of the traces' sums
+    # R x (2 + m) x 2 P x J, counted at m = K, as the engine allocates them;
+    # r_max / dt may be too large to round to an integer, and then the ring
+    # is too
     K, J, L = sc.grid.k, sc.spec.n_circles, _block(sc.m_cells)
     r_max = max(c.delay for c in sc.spec.circles)
     state = R * sum(L + m + 1 for m in sc.m_cells) * K
@@ -312,8 +327,8 @@ def make_scenario(spec: NetworkSpec, grid: VelocityGrid | None = None, *,
 
 @dataclass(eq=False)
 class SimState:
-    """Mutable integration state of R members in lockstep: densities, trace
-    ring buffer, clock, and the members' inputs.
+    """Mutable integration state of R members in lockstep: densities, the
+    ring buffer of the traces' sums, clock, and the members' inputs.
 
     The state holds a second density buffer, `spare`. At an engine span
     S > 1 a segment of steps writes it and then swaps it with `density`, so
@@ -322,18 +337,21 @@ class SimState:
 
     t: float
     density: np.ndarray          # (R, N, K), circle j's nodes at rows engine.nodes[j]
-    ring: np.ndarray             # (R, 2 P, J, K); ring[:, head] is the newest trace,
-                                 # ring[:, head + o] the trace o steps before it
+    sums: np.ndarray             # (R, 2 + m, 2 P, J): |trace| @ dv, trace @ (v dv)
+                                 # and the m moments trace @ omega of each trace
+                                 # and circle (`_Engine._trace_sums`); row head
+                                 # holds the newest trace's, head + o those of the
+                                 # trace o steps before it
     inputs: np.ndarray | None    # (R, n_steps + 1) input samples; None if unforced
     head: int = 0
     step_count: int = 0
     # set by `_Engine.init_state`: the advection coefficients of
     # density.reshape(-1)[K:], the second density buffer (R, N, K), the
-    # sums (R, 2 + m, 2 P, J) of each ring row and circle (`_trace_sums`),
-    # the flat indices in the density of the last L + 1 nodes of each circle
+    # flat indices in the density of the last L + 1 nodes of each circle
     # and cell (R, J K, L + 1, 1) and of the inflow rows (R, L, J K), a
-    # block's buffers of those nodes, of |trace| (R, L J, K), of the
-    # junction (R, L, J m + 1) and of the inflows (R, L, J K),
+    # block's buffers of those nodes, of its traces and then their absolute
+    # values (R, L J, K), newest first, of the junction (R, L, J m + 1) and
+    # of the inflows (R, L, J K),
     # and the inputs padded with L copies of the last sample, of which
     # `inputs` is a view; built on first use, a block's views and the map
     # and views of a segment of s steps by (s, swapped), swapped telling
@@ -341,7 +359,6 @@ class SimState:
     c_stay: np.ndarray = field(init=False, repr=False)
     c_move: np.ndarray = field(init=False, repr=False)
     spare: np.ndarray = field(init=False, repr=False)
-    sums: np.ndarray = field(init=False, repr=False)
     tail_flat: np.ndarray = field(init=False, repr=False)
     inflow_flat: np.ndarray = field(init=False, repr=False)
     tails: np.ndarray = field(init=False, repr=False)
@@ -433,7 +450,7 @@ class _Engine:
 
     The data depend only on spec, grid, dt, m_cells and input_outside_sum.
     Circle j owns L inflow rows and then its node rows `nodes[j]` of the
-    state array, and column j of the ring buffer. Row i of `c_stay` and
+    state array, and column j of the ring of sums. Row i of `c_stay` and
     `c_move` (N, K) updates state row i from rows i and i - 1. An inflow row
     and a start node have c_stay = 0, c_move = 1 and no trapezoid weight, so
     the inflow written s rows above a start node reaches it s steps later.
@@ -447,44 +464,52 @@ class _Engine:
     inflow of the block reaches a trace within L <= M_j steps: `trace_coef`
     (J K, L, L + 1) holds an (L, L + 1) matrix per column, circle and cell,
     and one member-batched matmul with the gathered nodes (R, J K, L + 1,
-    1) writes the L traces of each member and column into the ring rows, a
-    matrix-vector product each. The gain's shift-free factor B is a mean
-    omega over the m velocity groups on which every kernel is constant,
-    then a route U (`operators._junction_moments`), so the lookahead
-    contracts the moment rows of the ring's sums that the block's delay
-    reads cover with a banded (L, window) weight matrix per circle, routes
-    the result with one matmul with U (the inputs ride along as one more
-    column) into a buffer (R, L, J K), and writes that into every inflow
-    row at flat indices that `init_state` builds. The block's nodes,
-    |trace|, delayed moments and inflows have buffers in the state, and the
-    views of the ring, its sums and the junction are built once per state
-    (`_advection.BlockViews`), so a block allocates no array.
+    1) writes the L traces of each member and column into the block's
+    trace buffer (R, L J, K), a matrix-vector product each. Their sums go
+    to the L ring rows above the head (`_trace_sums`), and the buffer is
+    left holding |trace|. The gain's shift-free factor B is a mean omega
+    over the m velocity groups on which every kernel is constant, then a
+    route U (`operators._junction_moments`), so the lookahead contracts the
+    moment rows of the ring that the block's delay reads cover with a
+    banded (L, window) weight matrix per circle, routes the result with
+    one matmul with U (the inputs ride along as one more column) into a
+    buffer (R, L, J K), and writes that into every inflow row at flat
+    indices that `init_state` builds. The block's nodes, traces, delayed
+    moments and inflows have buffers in the state, and the views of the
+    ring over all its rows, of the trace buffer and of the junction are
+    built once per state (`_advection.BlockViews`), so a block slices them
+    and allocates no array.
 
     The ring has 2 P >= 2 S_max + 2 L - 2 rows (`_ring_period`), and the
     head only decreases: a block writes the L rows above the head. When
     the head is below L, the lookahead first moves the S_max live rows,
-    head .. head + S_max - 1, of the ring and of its sums to the last S_max
-    rows and rebases the head there, once every S_max / L blocks or so.
-    Those rows hold all that a later delay read (rows up to head + S_max -
-    2) or history window can reach, so a step's history and a block's delay
-    reads are contiguous slices and nothing else is ever copied. The
-    lookahead also writes the sums of its L traces into the state's sums
-    array, so the history work of a record is O(pairs) and that of a block
-    O(L J K). Circle j leaves the ring rows at offsets >= S_j unread,
-    because its delay and history weights are zero there; the records
-    contract only the (offset, circle) pairs of nonzero history weight.
+    head .. head + S_max - 1, of the ring's sums to the last S_max rows and
+    rebases the head there, once every S_max / L blocks or so. Those rows
+    hold all that a later delay read (rows up to head + S_max - 2) or
+    history window can reach, so a step's history and a block's delay reads
+    are contiguous slices and nothing else is ever copied. The history work
+    of a record is O(pairs) and that of a block O(L J K). Circle j leaves
+    the ring rows at offsets >= S_j unread, because its delay and history
+    weights are zero there; the records contract only the (offset, circle)
+    pairs of nonzero history weight. The history preset goes into the ring
+    as its sums, circle by circle (`init_state`).
 
     Between two events, a block start and the end of an `advance`, the steps
-    go in segments of s = 2^i <= S (`span`), largest first. A segment of
-    s >= 2 is one einsum of the s-step map (`_map`) with a strided view of
-    the state, (s + 1, R, N K - s K), into the spare buffer. The map is
+    go in segments of s = 2^i <= S (`span`), largest first, down to the
+    shortest s that takes a map (`shortest`: 2, or 8 where the 8-step map
+    is the only one), and the rest in single steps. A segment of s >= 2 is
+    one einsum of the s-step map (`_map`) with a strided view of the state,
+    (s + 1, R, N K - s K), into the spare buffer. The map is
     built once per s on first use, from unit coefficients stepped with the
     step's own arithmetic (`_advection`), and broadcast over the members,
     so a member's values do not depend on the others: lockstep members
     equal their solo runs bit for bit. The einsum sums the s + 1 terms of
     a value in another order than s steps do, so the records agree with
     those of single steps within 5e-15 relative on the suite at (32, 8),
-    not bit for bit; where every segment is one step they are the same. A
+    not bit for bit; where every segment is one step they are the same.
+    Against a single-step loop in np.longdouble, the records of
+    `conservation_spec` to t = 20 drift 4.3e-15 at (32, 8) and 1.8e-14 at
+    (128, 32), where single steps drift 4.5e-16 and 4.8e-16. A
     single step keeps the three calls: an einsum of two terms, into the
     spare buffer, costs 1.6 and 1.1 times as much at R = 2 and N K = 392
     and 2 824 (24.1 against 14.8 and 71.8 against 64.9 us per 8 steps),
@@ -522,12 +547,17 @@ class _Engine:
 
         n_rows = int(tops[-1])
         # the span S: the largest power of two <= L whose map buffer for one
-        # member, (S + 1, N K), fits in _MAP_BYTES, if at least 8, else 1;
-        # the maps, by s, built on first use
+        # member, (S + 1, N K), fits in _MAP_BYTES, if at least 8, and then
+        # maps of every s >= 2 (shortest 2); else, if L >= 8 and the 8-step
+        # map's values fit under the cap, 8 and that map alone (shortest 8);
+        # else 1. The maps, by s, built on first use
         span = 1
         while 2 * span <= L and (2 * span + 1) * n_rows * K * 8 <= _MAP_BYTES:
             span *= 2
-        self.span = span if span >= 8 else 1
+        self.span, self.shortest = span, 2
+        if span < 8:
+            fits = L >= 8 and 9 * n_rows * K <= MAX_ARRAY_VALUES
+            self.span = self.shortest = 8 if fits else 1
         self._maps = {}
         self.node_rows = np.concatenate([np.arange(n.start, n.stop) for n in self.nodes])
         xw = []                                     # trapezoid node weights
@@ -592,16 +622,18 @@ class _Engine:
         K, J, dt, P, L = len(self.dv), len(self.xs), self.dt, self.period, self.block
         R, N = len(members), len(self.c_stay)
         density = _aligned((R, N, K))
-        ring = _aligned((R, 2 * P, J, K))
+        sums = _aligned((R, 2 + self.omega.shape[1], 2 * P, J))
         for r, m in enumerate(members):
             initial, history = _resolved(m, "initial"), _resolved(m, "history")
             for j, xs in enumerate(self.xs):
                 density[r, self.nodes[j]] = _field_values(
                     initial, xs, xs[-1], j, (K, len(xs)), axis=1).T
+                # the history's sums, circle by circle: row o holds step -o
                 s = self.n_hist[j]
-                thetas = -np.arange(s) * dt
-                ring[r, :s, j] = _field_values(history, thetas, (s - 1) * dt, j,
-                                               (s, K), axis=0)
+                thetas, rows = -np.arange(s) * dt, sums[r, :, :s, j]
+                self._trace_sums(_field_values(history, thetas, (s - 1) * dt, j,
+                                               (s, K), axis=0),
+                                 rows[0], rows[1], rows[2:].T)
         samples = [_disturbance_samples(m) for m in members]
         padded = inputs = None
         if any(u is not None for u in samples):
@@ -613,7 +645,7 @@ class _Engine:
             # past the horizon the input holds its last sample
             padded[:, n:] = padded[:, n - 1:n]
             inputs = padded[:, :n]
-        state = SimState(t=0.0, density=density, ring=ring, inputs=inputs)
+        state = SimState(t=0.0, density=density, sums=sums, inputs=inputs)
         state.padded_inputs = padded
         # flat indices of the tail nodes (R, J K, L + 1, 1) and of the
         # inflows (R, L, J K) in the (R, N, K) density, members included
@@ -623,11 +655,9 @@ class _Engine:
         state.inflow_flat = member + (self.inflow_rows[:, :, None] * K
                                       + cells).reshape(L, J * K)
         state.tails = np.empty(state.tail_flat.shape)
-        state.magnitude = np.empty((R, L * J, K))
+        state.magnitude = _aligned((R, L * J, K))
         state.junction = np.zeros((R, L, self.route.shape[0]))  # last column: the inputs
         state.inflow = np.empty((R, L, J * K))
-        state.sums = _aligned((R, 2 + self.omega.shape[1], 2 * P, J))
-        self._trace_sums(ring, state.sums)
         # one member reads the engine's coefficients; more read them tiled
         stay, move = self.c_stay, self.c_move
         if R > 1:
@@ -649,28 +679,32 @@ class _Engine:
     # -- time stepping ------------------------------------------------------
     def _lookahead(self, state: SimState) -> None:
         """Resolve the junction of the steps n + 1..n + L, n = step_count:
-        push their traces into the ring and their inflows into the inflow
-        rows; first rebase the ring if the block would start above row 0."""
-        z, ring, sums, L = state.density, state.ring, state.sums, self.block
-        R, rows, J, K = ring.shape
+        their traces into the block's buffer and their sums into the ring,
+        and their inflows into the inflow rows; first rebase the ring if the
+        block would start above row 0."""
+        z, sums, L = state.density, state.sums, self.block
+        rows, J = sums.shape[2:]
         # every product writes a buffer of the state or a view of one, and
-        # the views are built anew if the ring, sums or junction was replaced
+        # the views are built anew if the sums, |trace| or junction buffer
+        # was replaced
         v = state.views
-        if (v is None or v.ring is not ring or v.sums is not sums
+        if (v is None or v.sums is not sums or v.magnitude is not state.magnitude
                 or v.junction is not state.junction):
             v = state.views = _advection.BlockViews.of(state, L)
         if state.head < L:                          # the live rows to the far end
             live, top = slice(state.head, state.head + self.s_max), rows - self.s_max
             # member by member and sum by sum: over all members the source
             # and target rows interleave, and numpy would copy the source
-            for block in (*ring, *sums.reshape(-1, rows, J)):
-                block[top:] = block[live]
+            for part in sums.reshape(-1, rows, J):
+                part[top:] = part[live]
             state.head = top
         h = state.head - L                          # row of the trace of step n + L
         # the indices are in range: mode "clip" only spares take a buffer
         np.take(z, state.tail_flat, out=state.tails, mode="clip")
-        np.matmul(self.trace_coef, state.tails, out=v.columns[:, :, h:h + L])
-        self._trace_sums(ring[:, h:h + L], sums[:, :, h:h + L], state.magnitude)
+        np.matmul(self.trace_coef, state.tails, out=v.columns)
+        block = slice(h * J, (h + L) * J)
+        self._trace_sums(state.magnitude, v.absolute[:, block], v.velocity[:, block],
+                         v.cells[:, block])
         window = v.moments[:, :, h + self.o_lo:h + self.o_lo + self.delay_w.shape[2]]
         np.matmul(self.delay_w, window, out=v.delayed)
         if state.inputs is not None:
@@ -682,18 +716,19 @@ class _Engine:
     def advance(self, state: SimState, n: int) -> SimState:
         """Take n steps, after the block's lookahead where L divides the step
         count: the steps up to each block start or the end in segments of
-        powers of two <= S, largest first. A segment of s >= 2 steps is one
-        einsum into the spare buffer, which then swaps with `density`; a
-        single step is the upwind advection of the flat state of all
-        members, three calls on contiguous vectors (see `_Engine`)."""
-        L, span = self.block, self.span
+        powers of two <= S, largest first, while they are at least the
+        shortest map's s, and the rest in single steps. A segment of s >= 2
+        steps is one einsum into the spare buffer, which then swaps with
+        `density`; a single step is the upwind advection of the flat state of
+        all members, three calls on contiguous vectors (see `_Engine`)."""
+        L, span, shortest = self.block, self.span, self.shortest
         end = state.step_count + n
         while state.step_count < end:
             count = state.step_count
             if count % L == 0:
                 self._lookahead(state)                  # may rebase the head
             stretch = left = min(end, count - count % L + L) - count
-            while left > 1 and span > 1:                # a segment of s steps
+            while span > 1 and left >= shortest:        # a segment of s steps
                 s = min(span, 1 << left.bit_length() - 1)
                 # the map and strided views of this s and buffer, built once
                 # per state, or anew if the state's buffers were replaced
@@ -752,25 +787,17 @@ class _Engine:
                                             self.hist_pairs, self.hist_w)
         return norm_state, norm_history, node_mass + hist_mass, outflux
 
-    def _trace_sums(self, traces: np.ndarray, out: np.ndarray,
-                    magnitude: np.ndarray | None = None) -> None:
-        """|trace| @ dv, trace @ (v dv) and the m moments trace @ omega of
-        the ring rows traces (R, n, J, K) into out[:, 0], out[:, 1] and
-        out[:, 2:], out (R, 2 + m, n, J), a product per member each (one gemm
-        would round the velocity sums apart from a matrix-vector product);
-        |trace| of a copy of the rows in magnitude (R, n J, K), if given."""
-        R, K = len(traces), len(self.dv)
-        rows = traces.reshape(R, -1, K)
-        # a unary ufunc copies an operand that is not contiguous, as the
-        # rows of R > 1 members are
-        magnitude = np.empty(rows.shape) if magnitude is None else magnitude
-        np.copyto(magnitude, rows)
-        # out[:, c] (R, n, J) reshapes to a view (R, n J) of it, and out[:,
-        # 2:] to one (R, m, n J), whose transpose the moments' product writes
-        np.matmul(magnitude, self.vdv, out=out[:, 1].reshape(R, -1))
-        np.matmul(magnitude, self.omega, out=out[:, 2:].reshape(R, -1, rows.shape[1]).mT)
-        np.abs(magnitude, out=magnitude)
-        np.matmul(magnitude, self.dv, out=out[:, 0].reshape(R, -1))
+    def _trace_sums(self, traces: np.ndarray, absolute: np.ndarray,
+                    velocity: np.ndarray, cells: np.ndarray) -> None:
+        """trace @ (v dv), the m moments trace @ omega and |trace| @ dv of
+        the contiguous traces (..., n, K) into velocity and absolute (...,
+        n) and cells (..., n, m), views of the sums; then the traces hold
+        their absolute values. A product per member each: one gemm would
+        round the velocity sums apart from a matrix-vector product."""
+        np.matmul(traces, self.vdv, out=velocity)
+        np.matmul(traces, self.omega, out=cells)
+        np.abs(traces, out=traces)
+        np.matmul(traces, self.dv, out=absolute)
 
 
 def _weighted(sums: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:

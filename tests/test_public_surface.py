@@ -71,7 +71,7 @@ FIELDS = {
     "operators.VelocityGrid": ["edges", "centers", "widths"],
     "simulator.Scenario": ["spec", "grid", "dt", "t_end", "stride", "m_cells",
                            "initial", "history", "disturbance", "input_outside_sum"],
-    "simulator.SimState": ["t", "density", "ring", "inputs", "head", "step_count"],
+    "simulator.SimState": ["t", "density", "sums", "inputs", "head", "step_count"],
     "simulator.Trajectory": ["times", "norm_state", "norm_history", "total_mass",
                              "outflux", "initial_data_norm"],
     "spectral.AbscissaResult": ["lambda_star", "bracket_width", "iterations"],

@@ -36,6 +36,55 @@ def _circles(eng, nodes):
     return [zj.T for zj in np.split(nodes, np.cumsum(sizes)[:-1])]
 
 
+def _history_traces(eng, members):
+    """The members' history presets as the traces of steps 0, -1, ...,
+    (R, S_max, J, K): circle j's rows from its n_hist[j] on are zero."""
+    K = len(eng.dv)
+    traces = np.zeros((len(members), eng.s_max, len(eng.xs), K))
+    for r, m in enumerate(members):
+        history = kinnet.simulator._resolved(m, "history")
+        for j, s in enumerate(eng.n_hist):
+            traces[r, :s, j] = kinnet.simulator._field_values(
+                history, -np.arange(s) * eng.dt, (s - 1) * eng.dt, j, (s, K), axis=0)
+    return traces
+
+
+def _block_traces(eng, state):
+    """The signed traces of the block that the last lookahead resolved, (R,
+    L, J, K) newest first: the engine's trace map times the block's gathered
+    nodes, into a buffer laid out as the state's |trace| buffer, whose
+    values they equal bit for bit once taken absolute."""
+    R, L = len(state.density), eng.block
+    traces = np.empty_like(state.magnitude)
+    np.matmul(eng.trace_coef, state.tails,
+              out=traces.reshape(R, L, -1).transpose(0, 2, 1)[..., None])
+    assert np.array_equal(np.abs(traces), state.magnitude)
+    return traces.reshape(R, L, len(eng.xs), len(eng.dv))
+
+
+class _TraceRing:
+    """The K-wide ring (R, 2 P, J, K) of the traces whose sums alone the
+    engine keeps, on the engine's head: the history presets at t = 0, each
+    block's traces written after its lookahead (`_block_traces`), and the
+    live rows moved to the far end where the lookahead rebases the sums.
+    It wraps the engine's `_lookahead` and stands in for it on the engine."""
+
+    def __init__(self, eng, members, monkeypatch):
+        self.eng = eng
+        self.ring = np.zeros((len(members), 2 * eng.period, len(eng.xs), len(eng.dv)))
+        self.ring[:, :eng.s_max] = _history_traces(eng, members)
+        self.wrapped = eng._lookahead
+        monkeypatch.setattr(eng, "_lookahead", self.lookahead)
+
+    def lookahead(self, state):
+        S, L, head = self.eng.s_max, self.eng.block, state.head
+        self.wrapped(state)
+        if state.head != head:                 # rebased
+            self.ring[:, state.head:state.head + S] = self.ring[:, head:head + S]
+        h = state.head - L
+        self.ring[:, h:h + L] = _block_traces(self.eng, state)
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -65,7 +114,7 @@ def test_random_preset_deterministic(sc_spec, grid8):
         return sc.engine().init_state((sc,))
     a, b = mk(), mk()
     assert np.array_equal(a.density, b.density)
-    assert np.array_equal(a.ring, b.ring)
+    assert np.array_equal(a.sums, b.sums)
 
 
 def test_scenario_validation(sc_spec, grid8):
@@ -108,15 +157,15 @@ def test_input_outside_sum_must_be_a_bool(flag):
         make_scenario(spec, t_end=1.0, k_velocity=4, input_outside_sum=flag)
 
 
-def test_positivity():
-    _assert_stays_nonnegative(single_circle(0.9))
+def test_positivity(monkeypatch):
+    _assert_stays_nonnegative(monkeypatch, single_circle(0.9))
 
 
-def test_positivity_with_a_block_of_3():
-    _assert_stays_nonnegative(heterogeneous_five(0.4), m_cells=(3, 5, 4, 3, 9))
+def test_positivity_with_a_block_of_3(monkeypatch):
+    _assert_stays_nonnegative(monkeypatch, heterogeneous_five(0.4), m_cells=(3, 5, 4, 3, 9))
 
 
-def _assert_stays_nonnegative(spec, m_cells=None):
+def _assert_stays_nonnegative(monkeypatch, spec, m_cells=None):
     g = VelocityGrid.for_spec(spec, 4)
     sc = make_scenario(spec, g, t_end=4.0, m_cells=m_cells,
                        initial={"kind": "random_nonneg", "seed": 2},
@@ -124,9 +173,11 @@ def _assert_stays_nonnegative(spec, m_cells=None):
                        disturbance={"kind": "bounded_random", "bound": 1.0, "seed": 4})
     eng = sc.engine()
     st = eng.init_state((sc,))
+    traces = _TraceRing(eng, (sc,), monkeypatch)
     for _ in range(sc.n_steps):
         eng.advance(st, 1)
-        assert np.all(st.density >= 0.0) and np.all(st.ring >= 0.0)
+        assert np.all(st.density >= 0.0) and np.all(traces.ring >= 0.0)
+        assert np.all(st.sums >= 0.0)
 
 
 def _lockstep_densities(*members):
@@ -209,7 +260,7 @@ def _reference_run(sc):
         _accumulate_density(hw, dt, -c.delay, 0.0, 1.0, 0.0)
         circles.append(dict(
             xw=xw, a=np.minimum(v * dt / dx, 1.0)[:, None], damp=np.exp(-q * dt),
-            s=s, idx=idx, wq=wq, hw=hw, buf=st.ring[0, :s, j].copy(), head=0,
+            s=s, idx=idx, wq=wq, hw=hw, buf=_history_traces(eng, (sc,))[0, :s, j], head=0,
             bv=None if c.scattering.is_zero() else scattering_table(c, grid)))
     z = [zj.copy() for zj in _circles(eng, st.density[0, eng.node_rows])]
     inputs = _disturbance_samples(sc)
@@ -352,8 +403,7 @@ def _step_loop_records(*members, mirrored=False):
     st = eng.init_state(members)
     lookahead, period = eng._lookahead, None
     if mirrored:
-        lookahead, period = _mirrored_lookahead(eng), eng.period
-        st.ring[:, period:] = st.ring[:, :period]
+        lookahead, period = _mirrored_lookahead(eng, members), eng.period
         st.sums[:, :, period:] = st.sums[:, :, :period]
     n_steps, stride = members[0].n_steps, members[0].stride
     records = []
@@ -422,26 +472,34 @@ def test_the_block_traces_agree_with_an_einsum_of_the_map(name, cells, k):
     tails = state.density[:, eng.tail_rows].reshape(2, L + 1, -1)
     expected = np.einsum("sip,rip->rsp", eng.trace_coef.transpose(1, 2, 0), tails)
     eng._lookahead(state)
-    got = state.ring[:, state.head - L:state.head].reshape(2, L, -1)
+    got = state.magnitude.reshape(2, L, -1)        # |trace|, newest first
     assert (expected > 0).all()
     np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
 
 
-def _mirrored_lookahead(eng):
+def _mirrored_lookahead(eng, members):
     """A second lookahead for the engine's state, to check the engine's
     against: the circle-major trace map, in columns, times the gathered
-    tail nodes of each member and column, on a ring of period P whose rows
-    h and h + P hold the same trace and sums, so that no block wraps."""
-    L, P, J, K = eng.block, eng.period, len(eng.xs), len(eng.dv)
+    tail nodes of each member and column, on a K-wide ring of its own,
+    of period P and holding the history presets at first, whose rows h and
+    h + P hold the same trace, as do those of the state's sums, so that no
+    block wraps; the sums of a block from a copy of its ring rows."""
+    L, P, J, K, R = eng.block, eng.period, len(eng.xs), len(eng.dv), len(members)
     tail_rows = eng.tail_rows.T                             # (J, L + 1)
     coef = _circle_major_trace_coef(eng).transpose(0, 3, 1, 2).reshape(-1, L, L + 1)
+    ring = np.zeros((R, 2 * P, J, K))
+    ring[:, :eng.s_max] = _history_traces(eng, members)
+    ring[:, P:] = ring[:, :P]
 
     def lookahead(st):
-        z, ring, sums, R = st.density, st.ring, st.sums, len(st.ring)
+        z, sums = st.density, st.sums
         h = (st.head - L) % P
         tails = z[:, tail_rows].transpose(0, 1, 3, 2).reshape(R, J * K, L + 1, 1)
         ring[:, h:h + L] = np.matmul(coef, tails).reshape(R, J, K, L).transpose(0, 3, 1, 2)
-        eng._trace_sums(ring[:, h:h + L], sums[:, :, h:h + L])
+        block = sums[:, :, h:h + L]
+        eng._trace_sums(ring[:, h:h + L].reshape(R, L * J, K).copy(),
+                        block[:, 0].reshape(R, -1), block[:, 1].reshape(R, -1),
+                        block[:, 2:].reshape(R, block.shape[1] - 2, -1).mT)
         ring[:, h + P:h + P + L] = ring[:, h:h + L]
         sums[:, :, h + P:h + P + L] = sums[:, :, h:h + L]
         # the moments of the mirrored traces, in the rows of its own sums
@@ -470,14 +528,14 @@ def _assert_equals_loop(trajectories, loop, equal_nan=False):
 
 @pytest.mark.parametrize("n_members", [1, 2, 3])
 @pytest.mark.parametrize("stride", [1, 3, 8, 11])
-def test_run_equals_the_step_loop_bit_for_bit(stride, n_members, monkeypatch):
-    # single steps only: a multi-step map sums in another order
-    monkeypatch.setattr(kinnet.simulator, "_MAP_BYTES", 0)
+def test_run_equals_the_step_loop_bit_for_bit(stride, n_members):
     five = heterogeneous_five(0.4)
     a, b = (replace(m, stride=stride)
             for m in _member_pair(five, m_cells=(3, 5, 4, 3, 9)))
     c = replace(b, disturbance={"kind": "pulse", "value": 2.0, "t0": 0.5, "t1": 1.5})
     members = (b, a, c)[:n_members]
+    # single steps only: a multi-step map sums in another order
+    b.engine().span = 1
     assert a.engine().block == 3
     trajectories = run(*members)
     if n_members == 1:
@@ -501,12 +559,12 @@ def test_eight_step_blocks_equal_a_mirrored_ring_bit_for_bit(stride, n_members,
                                                              monkeypatch):
     # the ring-row trace map and the rebased ring change no bit of a record
     monkeypatch.setattr(kinnet.simulator, "LOOKAHEAD", 8)
-    monkeypatch.setattr(kinnet.simulator, "_MAP_BYTES", 0)
     five = heterogeneous_five(0.4)
     a = make_scenario(five, VelocityGrid.for_spec(five, 4), t_end=4.0, m_base=16,
                       stride=stride, **_RANDOM_DATA)
     members = (a, *_other_members(a))[:n_members]
     eng = a.engine()
+    eng.span = 1                                  # single steps only
     assert eng.block == 8 and a.n_steps > 3 * (2 * eng.period - eng.s_max)
     trajectories = run(*members)
     _assert_equals_loop(trajectories if n_members > 1 else (trajectories,),
@@ -571,10 +629,11 @@ def test_a_map_equals_single_steps_on_unit_pulses(s):
 def _segment_loop_records(*members):
     """The records of the members from a step loop that keeps the members
     apart and takes the engine's own segments: between two events, a block
-    start and a record, powers of two <= S, largest first, each member's
-    rows s.. from one einsum of the engine's s-step map with its own state,
-    and a single step as three products and sums; a record at the stride
-    and at the last step."""
+    start and a record, powers of two <= S, largest first, and single steps
+    where a power of two is shorter than the engine's shortest map; each
+    member's rows s.. from one einsum of the engine's s-step map with its
+    own state, and a single step as three products and sums; a record at
+    the stride and at the last step."""
     eng = members[0].engine()
     st = eng.init_state(members)
     z, (R, N, K) = st.density, st.density.shape
@@ -587,6 +646,7 @@ def _segment_loop_records(*members):
             left = min(n, st.step_count - st.step_count % L + L) - st.step_count
             while left:
                 s = min(eng.span, 2 ** int(math.log2(left)))
+                s = 1 if s < eng.shortest else s
                 for r in range(R):
                     flat = z[r].reshape(-1)
                     if s == 1:
@@ -668,14 +728,15 @@ def test_twenty_one_lockstep_members_equal_their_solo_runs():
 
 
 @pytest.mark.parametrize("name", [n for n, _, _ in regression_suite()])
-def test_maps_agree_with_single_steps(name, monkeypatch):
+def test_maps_agree_with_single_steps(name):
     spec = _suite_spec(name)
     runs = []
-    for map_bytes in (kinnet.simulator._MAP_BYTES, 0):
-        monkeypatch.setattr(kinnet.simulator, "_MAP_BYTES", map_bytes)
+    for maps in (True, False):
         sc = make_scenario(spec, VelocityGrid.for_spec(spec, 8), t_end=6.0, m_base=32,
                            stride=3, **_RANDOM_DATA)
-        assert (sc.engine().span > 1) == (map_bytes > 0)
+        if not maps:
+            sc.engine().span = 1                  # single steps only
+        assert (sc.engine().span > 1) == maps
         runs.append(run(sc, *_other_members(sc)))
     for maps, steps in zip(*runs, strict=True):
         for record in _RECORDS[1:]:
@@ -689,7 +750,7 @@ def _longdouble_records(sc):
     state's sums to float64."""
     eng = sc.engine()
     st = eng.init_state((sc,))
-    for name in ("density", "ring", "sums", "tails", "junction"):
+    for name in ("density", "sums", "magnitude", "tails", "junction"):
         setattr(st, name, getattr(st, name).astype(np.longdouble))
     stay, move = (c[1:].astype(np.longdouble) for c in (eng.c_stay, eng.c_move))
     records = [eng.record(st)]
@@ -720,42 +781,105 @@ def test_maps_stay_within_1e_14_of_a_longdouble_step_loop():
                                    rtol=1e-14, atol=0)
 
 
+def test_eight_step_maps_at_128x32_stay_within_1e_14_of_a_longdouble_step_loop():
+    # simulate's conservation run to t = 8: its maps drifted 7.7e-15 from
+    # the np.longdouble loop, and single steps 4.6e-16
+    spec = conservation_spec()
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 32), t_end=8.0, m_base=128,
+                       stride=8, initial={"kind": "random_nonneg", "seed": 1},
+                       history={"kind": "constant", "value": 0.3})
+    assert (sc.engine().span, sc.engine().shortest) == (8, 8)
+    traj, ref = run(sc), _longdouble_records(sc)
+    for record, column in zip(_RECORDS[1:], zip(*ref)):
+        np.testing.assert_allclose(getattr(traj, record),
+                                   np.array([value[0] for value in column]),
+                                   rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("name", [n for n, _, _ in regression_suite()])
 @pytest.mark.parametrize("m_base, k", [(32, 8), (128, 32)])
 def test_every_map_fits_in_its_budget(name, m_base, k):
+    # the maps of a span from 2 on in _MAP_BYTES each, or else the 8-step
+    # map alone under the cap on an array's values
     spec = _suite_spec(name)
     eng = make_scenario(spec, VelocityGrid.for_spec(spec, k), t_end=1.0,
                         m_base=m_base).engine()
     s, budget = eng.span, kinnet.simulator._MAP_BYTES
-    # every map of the span fits, with its buffer
-    assert [eng._map(2 ** t).base.nbytes <= budget
-            for t in range(1, s.bit_length())] == [True] * (s.bit_length() - 1)
-    # the largest power of two that fits and stays in the block, if at
-    # least 8, else single steps: every state at (128, 32) takes those
+    # the largest power of two that fits and stays in the block
     fits = 1
     while 2 * fits <= eng.block and (2 * fits + 1) * eng.c_stay.size * 8 <= budget:
         fits *= 2
-    assert s == (fits if fits >= 8 else 1)
-    assert (s == 1) == (m_base == 128)
+    if fits >= 8:
+        # every map of the span fits, with its buffer
+        assert (s, eng.shortest) == (fits, 2)
+        assert [eng._map(2 ** t).base.nbytes <= budget
+                for t in range(1, s.bit_length())] == [True] * (s.bit_length() - 1)
+    else:
+        # else the 8-step map alone, whose values fit under the cap
+        assert (s, eng.shortest) == (8, 8)
+        assert eng.block >= 8 and eng._map(8).base.size == 9 * eng.c_stay.size
+        assert eng._map(8).base.size <= MAX_ARRAY_VALUES
+    # every state at (128, 32) takes the 8-step map alone
+    assert (eng.shortest == 8) == (m_base == 128)
 
 
-def test_a_large_state_takes_single_steps_and_builds_no_map(monkeypatch):
-    # simulate's runs at (128, 32): the state's second buffer holds the
-    # moved values of a step
+def test_a_state_past_the_cap_or_with_a_short_block_takes_single_steps(monkeypatch):
     five = heterogeneous_five(0.4)
-    sc = make_scenario(five, VelocityGrid.for_spec(five, 32), t_end=0.05,
+    sc = make_scenario(five, VelocityGrid.for_spec(five, 32), t_end=0.05, m_base=128)
+    size = sc.engine().c_stay.size
+    assert (sc.engine().span, sc.engine().block) == (8, 16)
+    monkeypatch.setattr(kinnet.simulator, "MAX_ARRAY_VALUES", 9 * size - 1)
+    assert replace(sc).engine().span == 1
+    monkeypatch.setattr(kinnet.simulator, "MAX_ARRAY_VALUES", 9 * size)
+    assert replace(sc).engine().span == 8
+    monkeypatch.undo()
+    # a block of 7 steps, under the 8 of the map
+    short = replace(sc, m_cells=(7, *sc.m_cells[1:]))
+    assert (short.engine().span, short.engine().block) == (1, 7)
+
+
+def test_a_large_state_takes_eight_step_maps_and_keeps_no_k_wide_ring(monkeypatch):
+    # simulate's runs at (128, 32): each 8-step segment is one einsum of
+    # the 8-step map, the shorter last segment single steps, and the state
+    # keeps the sums of the traces and a block's traces, no ring of them
+    five = heterogeneous_five(0.4)
+    sc = make_scenario(five, VelocityGrid.for_spec(five, 32), t_end=0.06,
                        m_base=128, stride=8, **_RANDOM_DATA)
     members = (sc, replace(sc, initial={"kind": "constant", "value": 0.5}))
     eng = sc.engine()
-    assert eng.span == 1
+    assert (eng.span, eng.shortest, eng.block) == (8, 8, 16)
+    assert sc.n_steps % 8 > 1
     N, K = eng.c_stay.shape
-    J, P = len(eng.xs), eng.period
-    # the sums: |trace| @ dv, trace @ (v dv) and one moment per row, m = 1
+    J, P, L = len(eng.xs), eng.period, eng.block
+    # the sums: |trace| @ dv, trace @ (v dv) and one moment per row, m = 1;
+    # the block's traces (R, L J, K)
     assert _aligned_shapes(monkeypatch, lambda: eng.init_state(members)) == [
-        (2, N, K), (2, 2 * P, J, K), (2, 3, 2 * P, J), (2, N, K), (2, N, K),
+        (2, N, K), (2, 3, 2 * P, J), (2, L * J, K), (2, N, K), (2, N, K),
         (2, N, K)]
+    state = eng.init_state(members)
+    assert max(x.size for x in vars(state).values() if isinstance(x, np.ndarray)
+               and x.shape[-1] == K and x.shape[-2] in (J, L * J)) == 2 * L * J * K
+    single, steps = [], kinnet._advection.steps
+
+    def counted(stay, move, z, moved, n):
+        single.append(n)
+        steps(stay, move, z, moved, n)
+
+    monkeypatch.setattr(kinnet._advection, "steps", counted)
     run(*members)
-    assert eng._maps == {}
+    assert list(eng._maps) == [8]
+    assert single == [sc.n_steps % 8]
+
+
+def test_lockstep_members_with_eight_step_maps_equal_their_solo_runs():
+    # simulate's size, with the maps broadcast over the members
+    five = heterogeneous_five(0.4)
+    sc = make_scenario(five, VelocityGrid.for_spec(five, 32), t_end=0.08,
+                       m_base=128, stride=3, **_RANDOM_DATA)
+    members = (replace(sc, disturbance={"kind": "zero"}), sc, *_other_members(sc))
+    assert sc.engine().span == 8 and sc.n_steps > 2 * sc.engine().block
+    for together, m in zip(run(*members), members, strict=True):
+        _assert_same_records(together, run(m))
 
 
 @pytest.mark.parametrize("n, swapped", [(16, True), (24, False), (1, False)])
@@ -872,23 +996,23 @@ def test_the_ring_holds_the_last_s_max_traces_across_rebases(cells, n_members,
     assert L in (1, 3, 16) and (L == 1 or S % L > 0)
     lookahead, window = eng._lookahead, eng._window
     traces, rebases, records = {}, [], []     # the traces by step number
+    history = _history_traces(eng, members)   # the history: step -o at row o
+    traces.update({-o: history[:, o] for o in range(S)})
 
     def kept_lookahead(state):
         head = state.head
         lookahead(state)
         if state.head != head:
             rebases.append(state.step_count)
-        h = state.head - L                    # newest first, as in the ring
+        block = _block_traces(eng, state)     # newest first, as in the ring
         for s in range(1, L + 1):
-            traces[state.step_count + s] = state.ring[:, h + L - s].copy()
+            traces[state.step_count + s] = block[:, L - s]
 
     def checked_window(state):
         n, head = state.step_count, state.head
-        assert state.ring.shape[1] == state.sums.shape[2] == 2 * eng.period
-        if n == 0:                            # the history: step -o at row o
-            traces.update({-o: state.ring[:, head + o].copy() for o in range(S)})
+        assert ring.ring.shape[1] == state.sums.shape[2] == 2 * eng.period
         live = np.stack([traces[n - o] for o in range(S)], axis=1)
-        assert np.array_equal(state.ring[:, head:head + S], live)
+        assert np.array_equal(ring.ring[:, head:head + S], live)
         sums = state.sums[:, :, head:head + S]
         np.testing.assert_allclose(sums[:, 0], np.abs(live) @ eng.dv, rtol=1e-15)
         np.testing.assert_allclose(sums[:, 1], live @ eng.vdv, rtol=1e-15)
@@ -899,6 +1023,8 @@ def test_the_ring_holds_the_last_s_max_traces_across_rebases(cells, n_members,
 
     monkeypatch.setattr(eng, "_lookahead", kept_lookahead)
     monkeypatch.setattr(eng, "_window", checked_window)
+    # the K-wide ring of the traces on the engine's head and rebases
+    ring = _TraceRing(eng, members, monkeypatch)
     _assert_matches_reference(*members)
     assert len(rebases) >= 3 and rebases[0] == 0
     assert records == sorted({*range(0, sc.n_steps + 1, 2), sc.n_steps})
@@ -968,7 +1094,7 @@ def test_advection_operands_start_on_a_cache_line(k, n_members):
     flat = state.density.reshape(-1)
     assert np.shares_memory(flat, state.density)
     operands = (state.c_stay, state.c_move, state.moved, flat[k:], flat[:-k],
-                state.ring, state.sums)
+                state.magnitude, state.sums)
     assert [x.ctypes.data % 64 for x in operands] == [0] * len(operands)
 
 
@@ -999,17 +1125,19 @@ def test_records_do_not_depend_on_alignment(monkeypatch):
 @pytest.mark.parametrize("stride", [1, 3, 8, 11])
 def test_trace_sums_follow_the_ring(stride, monkeypatch):
     # after each lookahead and where each record takes its history window
-    # the sums are those of the ring, mirror rows included, for every member
+    # the sums are those of the K-wide ring of the traces, mirror rows
+    # included, for every member
     five = heterogeneous_five(0.4)
     grid = VelocityGrid.for_spec(five, 3)
     sc = make_scenario(five, grid, t_end=1.0, m_base=8, stride=stride, **_RANDOM_DATA)
     other = replace(sc, initial={"kind": "constant", "value": -0.5},
                     history={"kind": "random_nonneg", "seed": 2})
     eng = sc.engine()
+    traces = _TraceRing(eng, (sc, other), monkeypatch)
     lookahead, window, checked = eng._lookahead, eng._window, []
 
     def check(state):
-        ring = state.ring
+        ring = traces.ring
         np.testing.assert_allclose(state.sums[:, 0], np.abs(ring) @ eng.dv, rtol=1e-15)
         np.testing.assert_allclose(state.sums[:, 1], ring @ eng.vdv, rtol=1e-15)
         # and the moments of every row and circle, the junction's delay reads
@@ -1033,19 +1161,21 @@ def test_trace_sums_follow_the_ring(stride, monkeypatch):
     assert sorted(checked) == sorted(blocks + records)
 
 
-def _dense_junction(sc):
-    """A lookahead for the scenario's engine that routes the delayed traces
+def _dense_junction(members, monkeypatch):
+    """A lookahead for the members' engine that routes the delayed traces
     with the dense shift-free factor B, as the junction did before it read
-    moments: the engine's lookahead, and then its inflows written again."""
+    moments: the engine's lookahead, and then its inflows written again
+    from the K-wide ring of the traces (`_TraceRing`)."""
+    sc = members[0]
     eng = sc.engine()
     routed = np.vstack([_routed_scattering(sc.spec, sc.grid).T, eng.route[-1]])
-    lookahead, L = eng._lookahead, eng.block
+    traces, L = _TraceRing(eng, members, monkeypatch), eng.block
 
     def dense(st):
-        lookahead(st)
-        R, _, J, K = st.ring.shape
+        traces.lookahead(st)
+        R, _, J, K = traces.ring.shape
         h = st.head - L
-        window = st.ring[:, h + eng.o_lo:h + eng.o_lo + eng.delay_w.shape[2]]
+        window = traces.ring[:, h + eng.o_lo:h + eng.o_lo + eng.delay_w.shape[2]]
         junction = np.empty((R, L, J * K + 1))
         np.matmul(eng.delay_w, window.transpose(0, 2, 1, 3),
                   out=junction[:, :, :-1].reshape(R, L, J, K).transpose(0, 2, 1, 3))
@@ -1077,7 +1207,7 @@ def test_moments_route_what_a_dense_b_routes(name, spec, outside, monkeypatch):
     eng = sc.engine()
     assert eng.omega.shape[1] > 1
     moments = run(*members)
-    monkeypatch.setattr(eng, "_lookahead", _dense_junction(sc))
+    monkeypatch.setattr(eng, "_lookahead", _dense_junction(members, monkeypatch))
     for traj, ref in zip(moments, run(*members), strict=True):
         for record in _RECORDS[1:]:
             np.testing.assert_allclose(getattr(traj, record), getattr(ref, record),
@@ -1316,7 +1446,10 @@ def test_lockstep_matches_separate_runs(spec, kw):
             np.testing.assert_allclose(both.density[r, eng.node_rows],
                                        st.density[0, eng.node_rows],
                                        rtol=1e-12, atol=1e-300)
-            np.testing.assert_allclose(both.ring[r], st.ring[0],
+            # the block's |trace| and the sums of every trace
+            np.testing.assert_allclose(both.magnitude[r], st.magnitude[0],
+                                       rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(both.sums[r], st.sums[0],
                                        rtol=1e-12, atol=1e-300)
 
 
