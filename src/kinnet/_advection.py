@@ -2,10 +2,14 @@
 views of a state through which a junction block and the maps reach it.
 
 A step updates the flat values of the state in place, each from itself and
-from the value one row above it: below <- below stay + move above. The trace
-map of a junction block and the s-step advection maps of
-`simulator._Engine` are that step taken on unit pulses, with the step's own
-three calls, so each equals steps on unit pulses bit for bit.
+from the value one row above it: below <- below stay + move above. The
+s-step advection maps of `simulator._Engine` are that step taken on unit
+pulses, with the step's own three calls, so each equals steps on unit
+pulses bit for bit. The trace map of a junction block is the step's
+adjoint recurrence on the end node's functional, also three calls per step:
+bit for bit equal to stepped pulses where the coefficients are constant
+along a circle's tail, as with absorption constant in x, and equal to
+rounding elsewhere (see trace_map).
 """
 
 from __future__ import annotations
@@ -36,29 +40,30 @@ def steps(stay: np.ndarray, move: np.ndarray, z: np.ndarray, moved: np.ndarray,
         upwind(stay, move, below, above, moved)
 
 
-def trace_map(stay: np.ndarray, move: np.ndarray, width: int) -> np.ndarray:
+def trace_map(stay: np.ndarray, move: np.ndarray) -> np.ndarray:
     """The trace map (C, L, L + 1) of a block, one (L, L + 1) matrix per
     column (circle and velocity cell), newest first as in the ring: the
     trace of step n + s is sum_i map[c, L - s, i] * tail node i at step n,
-    where stay and move (L, 1, C) are the coefficients of tail nodes 1..L.
+    where stay and move (L, C) are the coefficients of tail nodes 1..L.
 
-    Unit pulses (row, pulse, column) are stepped in place, `width` columns
-    at a time, into a buffer of the chunk's map rows (L, L + 1, width),
-    which then goes to the map's columns. After t steps only rows >= t can
-    still reach row L, so step t updates those L + 1 - t rows, with the
-    L + 1 - t rows of the buffer not yet written as its moved values."""
-    L, _, C = stay.shape
+    Map row L - s is the end node's functional after s steps, q_s = q_{s-1} A
+    with q_0 = e_L and A the step: q_s[i] = q_{s-1}[i] stay_i +
+    q_{s-1}[i + 1] move_{i + 1}, three calls per step on the L + 1 - s rows
+    that q_s can reach. Where a circle's coefficients do not change along
+    its tail (absorption constant in x), each entry is the sum of the same
+    products as the end value of a unit pulse stepped forward, so the map
+    equals the pulse map bit for bit; else the products associate from the
+    other end, and agree to rounding."""
+    L, C = stay.shape
     coef = np.empty((C, L, L + 1))
-    for first in range(0, C, width):
-        cells = slice(first, first + width)
-        rows = np.empty((L, L + 1, len(coef[cells])))
-        pulse = np.zeros((L + 1, L + 1, rows.shape[2]))
-        pulse[np.arange(L + 1), np.arange(L + 1)] = 1.0
-        for t in range(1, L + 1):
-            upwind(stay[t - 1:, :, cells], move[t - 1:, :, cells], pulse[t:],
-                   pulse[t - 1:L], rows[:L + 1 - t])
-            rows[L - t] = pulse[L]
-        coef[cells] = rows.transpose(2, 0, 1)
+    q = np.zeros((L + 1, C))
+    q[L] = 1.0
+    moved = np.empty((L, C))
+    for s in range(1, L + 1):
+        np.multiply(q[L + 1 - s:], move[L - s:], out=moved[:s])
+        np.multiply(q[L + 1 - s:], stay[L - s:], out=q[L + 1 - s:])
+        np.add(q[L - s:L], moved[:s], out=q[L - s:L])
+        coef[:, L - s] = q.T
     return coef
 
 

@@ -32,7 +32,11 @@ def _shifted_moments(t: float, base: np.ndarray, d: np.ndarray):
     and e^{t (base + d)} (x + expm1(-x)) / t^2 where x >= 1, the same with
     the factor e^x moved inside where x <= -1, and else e^{t base} d^(n+1)
     times the power series sum_k x^k / k! / (k + n + 1), n = 0 and 1, to the
-    last term that counts."""
+    last term that counts. At t = 0 that is the series' one term: d and
+    d d / 2, returned without the series' calls, as every engine's history
+    weights and every piecewise density cell ask for them."""
+    if t == 0.0:
+        return d, d * d * 0.5
     x = t * d
     i0, i1 = np.empty_like(x), np.empty_like(x)
     near = np.abs(x) < 1.0

@@ -278,11 +278,18 @@ class AbsorptionProfile:
             total = total + value * length
         return total[()]
 
+    @cached_property
+    def _range(self) -> tuple[float, float]:
+        """(min, max) of the table, read once: network_bounds and the abscissa
+        ask for them on every call."""
+        values = self._table[2]
+        return float(values.min()), float(values.max())
+
     def min_value(self) -> float:
-        return float(self._table[2].min())
+        return self._range[0]
 
     def max_value(self) -> float:
-        return float(self._table[2].max())
+        return self._range[1]
 
 
 def _read_only(x) -> np.ndarray:
@@ -372,8 +379,12 @@ class ScatteringKernel:
         cuts, values = self._table
         return values[_cell_index(cuts, v), _cell_index(cuts, v_in)]
 
-    def max_value(self) -> float:
+    @cached_property
+    def _max(self) -> float:
         return float(self._table[1].max())
+
+    def max_value(self) -> float:
+        return self._max
 
     def is_zero(self) -> bool:
         return self.max_value() == 0.0

@@ -34,6 +34,17 @@ def _check_operator_size(n: int) -> None:
                               f"operators over {MAX_ARRAY_VALUES} values")
 
 
+def _check_entries(a: np.ndarray, what: str) -> tuple[float, float]:
+    """(min, max) of the matrix a, DomainError unless every entry is finite
+    and >= 0: two reductions, which pass nan and +-inf on."""
+    a_min, a_max = np.minimum.reduce(a, None), np.maximum.reduce(a, None)
+    if not (math.isfinite(a_min) and math.isfinite(a_max)):
+        raise DomainError(f"{what} expects finite matrix entries")
+    if a_min < 0:
+        raise DomainError(f"{what} expects a nonnegative matrix")
+    return float(a_min), float(a_max)
+
+
 @dataclass(frozen=True, eq=False)
 class VelocityGrid:
     """Midpoint quadrature cells over [v_min, v_max]."""
@@ -151,6 +162,14 @@ class _GainFactors:
     its slope -l_j / v_k' and offset -Q_j(v_k') / v_k' in lam. Per shift only
     the J Laplace factors, read from the circles' _measure_parts (parts, with
     their supports r_j in delays), one multiply-add and one vector exp remain.
+
+    The one check of the factorization runs when it is built: B must be
+    finite and nonnegative and the slope finite, else DomainError. Every
+    matrix balanced_gain returns is then finite and nonnegative by
+    construction, so the abscissa's Perron brackets skip their own scan of
+    it, and log_bound reads B's extremes (b_range) from the check.
+    balanced_gain writes every matrix into one J K x J K buffer that the
+    factorization owns.
     """
 
     parts: tuple
@@ -160,6 +179,13 @@ class _GainFactors:
     slope: np.ndarray
     offset: np.ndarray
     weights: np.ndarray
+    b_range: tuple[float, float] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "b_range", _check_entries(self.routed, "the scatter-route B"))
+        if not math.isfinite(np.minimum.reduce(self.slope)):  # -l / v <= 0
+            raise DomainError("the survival exponent needs a finite l / v: v_min "
+                              "lies below the float range of the circle lengths")
 
     def laplace(self, lam: float) -> np.ndarray:
         """Delay Laplace factor laplace_j(lam) of each flattened (j, k')."""
@@ -202,9 +228,10 @@ class _GainFactors:
         """(a, b) with a |lam| + b above |x| for every e^x in gain(lam), its entries
         included: e^{-|lam| r} <= laplace / TV <= e^{|lam| r} on support [-r, 0],
         and the log survival is at most |lam| max l/v + max |Q/v| in size."""
-        b = self.routed
-        b_min = np.min(b, where=b > 0.0, initial=1.0)
-        log_b = max(-math.log(b_min), math.log(max(b.max(), 1.0)))
+        b_min, b_max = self.b_range
+        if b_min == 0.0:  # the least positive entry
+            b_min = np.min(self.routed, where=self.routed > 0.0, initial=1.0)
+        log_b = max(-math.log(min(b_min, 1.0)), math.log(max(b_max, 1.0)))
         log_tv = [math.log(t) if (t := _parts_laplace(p, 0.0)) > 0.0 else -math.inf
                   for p in self.parts]
         rates = [max((abs(rate) for *_, rate in cells), default=0.0)
@@ -223,11 +250,13 @@ class _GainFactors:
         its exponentials within e^{+-700}, else A_ij = B_ij (c_i c_j)^{1/2} / e^s for the
         column scales c, that is diag(c)^{1/2} G(lam) diag(c)^{-1/2} / e^s, built in
         logs with s = max log(A_ij e^s). lost: an entry of A underflowed to 0.
-        A is one array that every call overwrites."""
+        A is one array that every call overwrites, finite and nonnegative since
+        the factorization is: in range its entries stay below e^700, and in logs
+        they are e^{log A_ij - s} <= 1."""
         slope, offset = self.log_bound
         a = self._out
         if slope * abs(lam) + offset < 700.0:
-            np.multiply(self.routed, self.scale(lam)[None, :], out=a)
+            np.multiply(self.routed, self.scale(lam), out=a)
             return 0.0, a, False
         log_c = np.array([_parts_log_laplace(p, lam) for p in self.parts]).repeat(self.k)
         log_c += self.log_survival(lam)
@@ -246,6 +275,7 @@ class _GainFactors:
         return s, a, lost
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _GainFactors refuses what passes float range
 def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:
     v = grid.centers
     absorbed = np.array([c.absorption.integral_x(c.length, v) for c in spec.circles])
@@ -257,7 +287,7 @@ def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:
         routed=_routed_scattering(spec, grid),
         slope=(-length / v).ravel(),
         offset=(-absorbed / v).ravel(),
-        weights=np.tile(grid.widths, spec.n_circles))
+        weights=np.concatenate((grid.widths,) * spec.n_circles))
 
 
 def assemble_gain(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> GainAssemblyReport:

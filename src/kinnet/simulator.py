@@ -591,13 +591,10 @@ class _Engine:
         self.hist_w = hist_w.ravel()[self.hist_pairs]
 
         # the trace of step n + s is sum_i coef[c, L - s, i] * node (end - L +
-        # i) at step n, for each column c, circle and cell, built from as
-        # many columns at a time as _CHUNK_BYTES of unit pulses hold
+        # i) at step n, for each column c, circle and cell
         self.tail_rows = np.arange(-L, 1)[:, None] + self.ends     # (L + 1, J)
-        stay, move = (c[self.tail_rows[1:]].reshape(L, 1, J * K)
-                      for c in (self.c_stay, self.c_move))
-        width = max(1, _CHUNK_BYTES // (8 * (L + 1) ** 2))
-        self.trace_coef = _advection.trace_map(stay, move, width)
+        self.trace_coef = _advection.trace_map(
+            *(c[self.tail_rows[1:]].reshape(L, J * K) for c in (self.c_stay, self.c_move)))
 
         # the block's reads, from the block's newest ring row h: step n + s
         # reads offset o at row h + L - s + o, a band of the window of rows

@@ -11,6 +11,13 @@ built once by assemble_gain). The resolvent constant c is the least
 weighted column sum of the discretized resolvent, in closed form: the
 exact infimum over the positive cone, over the meshes of all circles at
 once; see resolvent_constant_c.
+
+The loop's guard, a scan of the matrix for entries that are not finite or
+are negative, runs on every matrix that comes from outside: those of
+spectral_radius, the certificate's two radii among them. The abscissa's
+matrices skip it. The gain factorization checks B once, when it is built,
+and balanced_gain keeps every matrix it gives finite and nonnegative. The
+scan still runs before any dense fallback.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ import numpy as np
 
 from .errors import BracketError, DomainError, SmallGainViolation
 from .model import NetworkSpec, network_bounds
-from .operators import (BlockOperator, VelocityGrid, _bound_product, _dirichlet_bounds,
-                        _gain_factors, _pd_norm_bound, assemble_gain)
+from .operators import (BlockOperator, VelocityGrid, _bound_product, _check_entries,
+                        _dirichlet_bounds, _gain_factors, _pd_norm_bound, assemble_gain)
 
 INCONCLUSIVE_BAND = 1e-3
 POWER_TOL_DEFAULT = 1e-10
@@ -90,41 +97,57 @@ class _Bracket(NamedTuple):
 
 
 def _perron_bracket(a: np.ndarray, tol: float, x0: np.ndarray | None = None,
-                    level: float | None = None) -> _Bracket:
+                    level: float | None = None, guard: bool = True) -> _Bracket:
     """The Collatz-Wielandt loop of spectral_radius on the matrix a, from x0
     instead of x = 1 where x0 is given with no zero entry (every x > 0 keeps
     the bracket rigorous). With level, it also stops once the bracket decides
     the side of log r against level: lo > 0, [log lo, log hi] strictly on one
     side, and no wider than _SIGN_RTOL times the distance of its nearer end.
-    The middle it then returns lies on the same side as log r."""
+    The middle it then returns lies on the same side as log r.
+
+    The guard scans a for entries that are not finite or are negative, and
+    runs the loop under np.errstate. guard=False skips both, for the
+    abscissa's matrices: balanced_gain makes them finite and nonnegative from
+    a factorization checked once when it was built, and spectral_abscissa
+    sets the errstate once for all its brackets. Where the loop ends without
+    a bracket, the scan runs in either case before the dense fallback: a
+    non-finite entry always ends the loop, since every x > 0."""
     if a.size == 0:
         return _Bracket(0.0, None)
-    a_min, a_max = np.minimum.reduce(a, None), np.maximum.reduce(a, None)  # nan, +-inf pass
-    if not (math.isfinite(a_min) and math.isfinite(a_max)):
-        raise DomainError("spectral_radius expects finite matrix entries")
-    if a_min < 0:
-        raise DomainError("spectral_radius expects a nonnegative matrix")
+    if not guard:
+        return _collatz_wielandt(a, tol, x0, level)
+    _check_entries(a, "spectral_radius")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _collatz_wielandt(a, tol, x0, level)
 
+
+def _collatz_wielandt(a: np.ndarray, tol: float, x0: np.ndarray | None,
+                      level: float | None) -> _Bracket:
+    """The loop of _perron_bracket, on a nonempty a; a zero entry of x gives
+    an inf or nan ratio, which ends it."""
     x = x0 if x0 is not None and x0.all() else np.ones(a.shape[0])
     ratio = np.empty(a.shape[0])  # (A x)_i / x_i, rewritten every step
     width, shifted = math.inf, False
-    # a zero entry of x gives an inf or nan ratio, which ends the loop below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_BRACKET_MAX_ITER):
-            y = a @ x
-            np.divide(y, x, out=ratio)
-            lo, hi = float(np.minimum.reduce(ratio)), float(np.maximum.reduce(ratio))
-            if hi == 0.0:
-                return _Bracket(0.0, None)
-            if lo == 0.0 or not math.isfinite(hi):
-                break
-            if hi - lo <= tol * hi or level is not None and _decides(lo, hi, level):
-                return _Bracket(0.5 * (lo + hi), y / y.max())
-            shifted = shifted or hi - lo > 0.9 * width
-            width = hi - lo
-            # x <- A x / hi never grows x, and x <- (A + hi I) x / hi at most
-            # doubles it per step
-            x = x + y / hi if shifted else y / hi
+    for _ in range(_BRACKET_MAX_ITER):
+        y = a @ x
+        np.divide(y, x, out=ratio)
+        lo, hi = float(np.minimum.reduce(ratio)), float(np.maximum.reduce(ratio))
+        if hi == 0.0:
+            return _Bracket(0.0, None)
+        if lo == 0.0 or not math.isfinite(hi):
+            break
+        if hi - lo <= tol * hi or level is not None and _decides(lo, hi, level):
+            y /= np.maximum.reduce(y)
+            return _Bracket(0.5 * (lo + hi), y)
+        shifted = shifted or hi - lo > 0.9 * width
+        width = hi - lo
+        # x <- A x / hi never grows x, and x <- (A + hi I) x / hi at most
+        # doubles it per step; both are written into y, which a @ x made
+        y /= hi
+        if shifted:
+            y += x
+        x = y
+    _check_entries(a, "spectral_radius")  # what ended an unguarded loop may be nan or inf
     if not x.all():
         raise DomainError("the Perron iterate underflowed: the matrix entries "
                           "span more than the float range")
@@ -197,7 +220,8 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
     gain = assemble_gain(spec, grid, 0.0)
     r_gain = spectral_radius(gain.operator)
     p, survival = gain.factors.pd_blocks(0.0)
-    pd_radius = math.sqrt(spectral_radius(survival[:, None] * p))
+    p *= survival[:, None]  # S P, written over P
+    pd_radius = math.sqrt(spectral_radius(p))
 
     b = network_bounds(spec)
     exp_factor = _dirichlet_bounds(spec, b)[0]
@@ -256,6 +280,7 @@ def _probe(end: float, step: float) -> float:
     return math.nextafter(x, end) if abs(x - end) > abs(step) else x
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # for every _perron_bracket below
 def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
                       tol: float = ABSCISSA_TOL_DEFAULT) -> AbscissaResult:
     """Unique lambda with r(gain_lambda) = 1, by a safeguarded secant method
@@ -279,12 +304,14 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     iterations counts the radius evaluations after the sign bracket is found.
     B, the shift-free exponent and the delay-measure parts are built once,
     and every G(lam), or the similar matrix that keeps it in float range, is
-    written into one array. Each evaluation is one _perron_bracket: it starts from the last
-    evaluation's Perron vector (from x = 1 at the first, after one that
-    closed no bracket, and where balanced_gain changes form), and stops at
-    the 1e-10 rule or once its Collatz-Wielandt bracket decides the sign of
-    phi, whichever comes first. So every evaluated end of [lo, hi] keeps a
-    certified sign, while phi away from the root is read to a relative 1e-3.
+    written into one array. Each evaluation is one _perron_bracket, without
+    the guard's scan, since the factorization was checked when it was built:
+    it starts from the last evaluation's Perron vector (from x = 1 at the
+    first, after one that closed no bracket, and where balanced_gain changes
+    form), and stops at the 1e-10 rule or once its Collatz-Wielandt bracket
+    decides the sign of phi, whichever comes first. So every evaluated end of
+    [lo, hi] keeps a certified sign, while phi away from the root is read to
+    a relative 1e-3.
     DomainError where an entry of the matrix underflowed under a reading
     phi <= 0, BracketError where adjacent floats near lambda* lie more than
     tol apart.
@@ -297,7 +324,7 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
         nonlocal warm
         s, gain, lost = factors.balanced_gain(lam)
         x0 = warm[1] if warm[0] == (s != 0.0) else None
-        r, x = _perron_bracket(gain, POWER_TOL_DEFAULT, x0, level=-s)
+        r, x = _perron_bracket(gain, POWER_TOL_DEFAULT, x0, level=-s, guard=False)
         warm = (s != 0.0, x)
         f = s + math.log(r) if r > 0.0 else -math.inf
         if lost and f <= 0.0:  # r(gain) then only bounds r(G(lam)) from below
@@ -406,11 +433,11 @@ def resolvent_constant_c(spec: NetworkSpec, grid: VelocityGrid, lam: float,
         raise DomainError("resolvent meshes need at least one cell")
     v = grid.centers[:, None]
     # the meshes of all circles stacked, xs (J, 1, n_x + 1), phi (J, K, n_x + 1)
-    xs = np.stack([np.linspace(0.0, c.length, n_x + 1) for c in spec.circles])[:, None]
-    phi = np.stack([(lam * x + c.absorption.integral_x(x, v)) / v
+    xs = np.array([np.linspace(0.0, c.length, n_x + 1) for c in spec.circles])[:, None]
+    phi = np.array([(lam * x + c.absorption.integral_x(x, v)) / v
                     for x, c in zip(xs, spec.circles)])
     # the history shift is transport at unit speed in sigma = -theta
-    sigma = np.stack([np.linspace(0.0, c.delay, n_theta + 1) for c in spec.circles])
+    sigma = np.array([np.linspace(0.0, c.delay, n_theta + 1) for c in spec.circles])
     return min(float(np.min(_column_sums(xs, phi) / v)),
                float(np.min(_column_sums(sigma, lam * sigma))))
 

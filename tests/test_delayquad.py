@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from kinnet import DelayMeasure, HistoryGapError, measure_laplace, \
     measure_total_variation
-from kinnet.delayquad import delay_quadrature
+from kinnet.delayquad import _shifted_moments, delay_quadrature
 
 
 def _apply(measure, dt, n, g):
@@ -149,3 +149,12 @@ def test_a_steep_density_keeps_its_mass(rate):
     _, weights = delay_quadrature(m, 0.01, 102)
     assert np.all(np.isfinite(weights))
     assert np.sum(weights) == pytest.approx(measure_total_variation(m), rel=1e-13)
+
+
+def test_shifted_moments_at_rate_zero_are_the_series_term():
+    # rate 0 returns d and d d / 2 at once; a rate of 1e-300 takes the
+    # series, whose one term gives the same values
+    lo = np.array([-3.0, -0.25, 0.0, 1e-3, -1e-200])
+    d = np.array([0.1, 1e-12, 0.0, 0.7, 2.5])
+    for got, want in zip(_shifted_moments(0.0, lo, d), _shifted_moments(1e-300, lo, d)):
+        assert np.array_equal(got, want)

@@ -171,6 +171,20 @@ def test_factor_laplace_reads_the_measure_laplace():
             assert s == log_a.max() and np.array_equal(a, np.exp(log_a - s)), lam
 
 
+@pytest.mark.parametrize("k", [1, 8, 32])
+def test_log_bound_takes_b_s_extremes_from_the_check(k):
+    # where B has no zero entry its least positive entry is its minimum,
+    # which the check at build found; the masked reduction over B gives the
+    # same bound (the two-circle specs' B has zero blocks and takes it)
+    for name, spec, _ in regression_suite():
+        factors = _gain_factors(spec, VelocityGrid.for_spec(spec, k))
+        b = factors.routed
+        assert factors.b_range == (b.min(), b.max()), name
+        masked = _gain_factors(spec, VelocityGrid.for_spec(spec, k))
+        object.__setattr__(masked, "b_range", (0.0, b.max()))
+        assert masked.log_bound == factors.log_bound, name
+
+
 def test_pd_block_product_equals_gain():
     spec = heterogeneous_five(0.4)
     g = VelocityGrid.for_spec(spec, 4)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kinnet.simulator
-from kinnet import (CflError, DelayMeasure, Scenario, ValidationError,
+from kinnet import (AbsorptionProfile, CflError, DelayMeasure, Scenario, ValidationError,
                     VelocityGrid, make_scenario, network_bounds, run, verify_iss)
 from kinnet.delayquad import _accumulate_density, delay_quadrature
 from kinnet.operators import MAX_ARRAY_VALUES, _routed_scattering, scattering_table
@@ -437,22 +437,52 @@ def _circle_major_trace_coef(eng):
     return coef[:, ::-1].copy()
 
 
-@pytest.mark.parametrize("k, m_base, chunk", [(4, 8, None), (32, 16, None),
-                                              (3, 16, 8 * 17 ** 2 * 4)],
-                         ids=["one_chunk", "three_chunks", "uneven_chunks"])
-def test_the_trace_map_in_ring_rows_equals_the_circle_major_map(k, m_base, chunk,
-                                                                 monkeypatch):
-    # whatever the cells built at a time, only the rows that can still
-    # reach the end node, and the same arithmetic for each value
-    if chunk is not None:
-        monkeypatch.setattr(kinnet.simulator, "_CHUNK_BYTES", chunk)
-    five = heterogeneous_five(0.4)
-    eng = make_scenario(five, VelocityGrid.for_spec(five, k), t_end=1.0,
+def _ring_row_pulse_map(eng):
+    """The circle-major pulse map, one (L, L + 1) matrix per column, as the
+    engine's trace map is laid out."""
+    L = eng.block
+    return _circle_major_trace_coef(eng).transpose(0, 3, 1, 2).reshape(-1, L, L + 1)
+
+
+@pytest.mark.parametrize("name, m_base, k", [
+    pytest.param(name, m_base, k, id=f"{name}-{m_base}x{k}")
+    for name in [n for n, _, _ in regression_suite()] + ["conservation"]
+    for m_base, k in ((32, 8), (128, 32))])
+def test_the_trace_map_in_ring_rows_equals_the_circle_major_map(name, m_base, k):
+    # absorption constant in x: the end node's functional, stepped back,
+    # sums the same products as unit pulses stepped forward, bit for bit
+    spec = conservation_spec() if name == "conservation" else _suite_spec(name)
+    eng = make_scenario(spec, VelocityGrid.for_spec(spec, k), t_end=1.0,
                         m_base=m_base).engine()
     L, J = eng.block, len(eng.xs)
     assert eng.trace_coef.shape == (J * k, L, L + 1)
-    expected = _circle_major_trace_coef(eng).transpose(0, 3, 1, 2).reshape(-1, L, L + 1)
-    assert np.array_equal(eng.trace_coef, expected)
+    assert np.array_equal(eng.trace_coef, _ring_row_pulse_map(eng))
+
+
+def _tabulated_in_x(spec):
+    """spec with each circle's constant absorption q replaced by 24 cells
+    along the circle, rising from 0.5 q to 1.5 q, so that a block's tail
+    crosses cell edges at m_base 32 and 128."""
+    def table(c):
+        q = c.absorption.value * np.linspace(0.5, 1.5, 24)
+        return AbsorptionProfile(kind="tabulated", x_edges=tuple(np.linspace(0.0, c.length, 25)),
+                                 v_edges=(spec.v_min, spec.v_max),
+                                 values=tuple((float(x),) for x in q))
+    return replace(spec, circles=tuple(replace(c, absorption=table(c)) for c in spec.circles))
+
+
+@pytest.mark.parametrize("m_base, k", [(32, 8), (128, 32)])
+def test_the_trace_map_of_absorption_tabulated_in_x_is_the_pulse_map_to_rounding(m_base, k):
+    # the coefficients change along the tail, so the functional's products
+    # associate from the other end than the pulses': equal to rounding, with
+    # the same structural zeros
+    spec = _tabulated_in_x(heterogeneous_five(0.4))
+    eng = make_scenario(spec, VelocityGrid.for_spec(spec, k), t_end=1.0,
+                        m_base=m_base).engine()
+    got, want = eng.trace_coef, _ring_row_pulse_map(eng)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    assert not np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name, cells, k", [

@@ -658,6 +658,83 @@ def test_balanced_gain_keeps_the_radius():
             assert math.exp(s) * _dense_radius(a) == pytest.approx(ref, rel=1e-12), name
 
 
+@pytest.mark.parametrize("k", [4, 8, 32])
+def test_the_abscissa_s_matrices_are_finite_and_nonnegative(k, monkeypatch):
+    # the abscissa's brackets skip the entry scan, so every matrix that
+    # balanced_gain gives at its shifts must be finite and nonnegative, in
+    # range and in logs; a log bound of 700 sends every shift to the logs
+    shifts, balanced = [], kinnet.operators._GainFactors.balanced_gain
+    monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_gain",
+                        lambda self, lam: shifts.append(lam) or balanced(self, lam))
+    for name, spec in _seeded_specs():
+        grid = VelocityGrid.for_spec(spec, k)
+        shifts.clear()
+        spectral_abscissa(spec, grid)
+        in_range = kinnet.operators._gain_factors(spec, grid)
+        in_logs = kinnet.operators._gain_factors(spec, grid)
+        in_logs.__dict__["log_bound"] = (0.0, 700.0)
+        assert len(shifts) > 3, name
+        for lam in shifts:
+            for factors in (in_range, in_logs):
+                s, a, _ = balanced(factors, lam)
+                assert math.isfinite(s) and np.isfinite(a).all(), (name, lam)
+                assert np.minimum.reduce(a, None) >= 0.0, (name, lam)
+            assert a.max() == 1.0, (name, lam)  # the log form's scale
+
+
+def test_a_factorization_beyond_the_float_range_is_refused_when_built():
+    # a kernel of 1e10 routed with weight 1e300 makes B inf: the factorization
+    # refuses it when it is built, before any bracket
+    spec = single_circle(1e300, kernel_scale=1e10)
+    grid = VelocityGrid.for_spec(spec, 2)
+    with pytest.raises(DomainError, match="B expects finite"):
+        kinnet.operators._gain_factors(spec, grid)
+    for call in (small_gain_certificate, spectral_abscissa):
+        with pytest.raises(DomainError, match="finite"):
+            call(spec, grid)
+    factors = kinnet.operators._gain_factors(single_circle(0.5), grid)
+    with pytest.raises(DomainError, match="nonnegative"):
+        replace(factors, routed=-factors.routed)
+    # a circle of length 1 at v ~ 1e-310: l / v passes float range, and at
+    # lam = 0 the survival exponent would read 0 * inf
+    c = replace(spec.circles[0], scattering=ScatteringKernel(kind="constant", value=1.0))
+    slow = NetworkSpec(circles=(c,), routing=np.array([[0.5]]), v_min=1e-310,
+                       v_max=2e-310, mass_preserving=False)
+    grid = VelocityGrid.for_spec(slow, 2)
+    for call in (kinnet.operators._gain_factors, small_gain_certificate, spectral_abscissa):
+        with pytest.raises(DomainError, match="finite l / v"):
+            call(slow, grid)
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_unguarded_brackets_equal_guarded_ones(k):
+    # the guard only checks: from x = 1 and warm, with and without a level
+    for name, spec, _ in regression_suite():
+        factors = kinnet.operators._gain_factors(spec, VelocityGrid.for_spec(spec, k))
+        warm = None
+        for lam in (-0.5, 0.0, 0.3):
+            a = factors.balanced_gain(lam)[1]
+            for level in (None, 0.0):
+                guarded = kinnet.spectral._perron_bracket(a, 1e-10, warm, level)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    unguarded = kinnet.spectral._perron_bracket(a, 1e-10, warm, level,
+                                                               guard=False)
+                assert guarded.radius == unguarded.radius, name
+                assert np.array_equal(guarded.vector, unguarded.vector), name
+            warm = guarded.vector
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_an_unguarded_bracket_still_refuses_a_non_finite_entry(bad):
+    # a non-finite entry ends the loop, and the scan runs before the dense
+    # fallback
+    a = np.ones((3, 3))
+    a[1, 2] = bad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="finite"):
+            kinnet.spectral._perron_bracket(a, 1e-10, guard=False)
+
+
 def test_abscissa_refuses_a_reading_that_lost_an_entry():
     # the cycle 1 -> 2 -> 3 -> 1 has log gain (690.8 + 690.8 - 1300) / 3 > 0
     # at lam = 0, but its entries (1, 3) and (3, 2) lie e^{-995} below (2, 1)
