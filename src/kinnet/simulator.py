@@ -63,6 +63,13 @@ array of its own: it overwrites the chunk's copies once they are read, and
 for a chunk of one it fills the state's spare density buffer, which holds
 nothing between steps.
 
+A sign-free state takes no |z|. Every coefficient of the scheme is >= 0,
+so a state whose initial node values, history values and inputs have no
+sign bit set (-0.0 counts as signed) never gets one, and there z @ dv is
+|z| @ dv bit for bit but for the sign of a nan from 0 * inf: the node
+product of the mass gives norm_state, and a block's traces are their own
+|trace|. `init_state` decides it once for all members (`SimState.sign_free`).
+
 Memory: the arrays that a step or a record streams start on a cache line.
 The ring holds |trace| @ dv and trace @ (v dv), which the records read,
 and the m moments trace @ omega, which the delay reads take, per row and
@@ -261,7 +268,8 @@ def _checked_preset(slot: str, preset) -> Mapping:
     """A read-only copy of the preset mapping with its kind written out,
     once the kind is one of the slot's, the preset has no other keys than its
     kind reads, and every number it holds is a finite real within float
-    range (a seed: an integer >= 0; a bound: >= 0)."""
+    range (a seed: an integer >= 0; a bound: >= 0, and stored as +0.0 if
+    -0.0, which uniform(0, bound) refuses)."""
     if not isinstance(preset, Mapping):
         raise ValidationError(f"{slot} must be a preset object, got {preset!r}")
     kind, kinds = preset.get("kind", "zero"), _PRESETS[slot]
@@ -271,15 +279,18 @@ def _checked_preset(slot: str, preset) -> Mapping:
     if unknown:
         raise ValidationError(f"unknown {slot} keys for kind {kind!r}: "
                               f"{sorted(unknown, key=str)}")
+    checked = {**preset, "kind": kind}
     for key, value in preset.items():
         if key == "kind":
             continue
         _check_real(f"{slot}.{key}", value)
         if key == "seed" and not (_is_int(value) and value >= 0):
             raise ValidationError(f"{slot}.seed must be an integer >= 0, got {value!r}")
-        if key == "bound" and value < 0:  # the upper end of uniform(0, bound)
-            raise ValidationError(f"{slot}.bound must be >= 0, got {value!r}")
-    return MappingProxyType({**preset, "kind": kind})
+        if key == "bound":  # the upper end of uniform(0, bound)
+            if value < 0:
+                raise ValidationError(f"{slot}.bound must be >= 0, got {value!r}")
+            checked[key] = abs(value)                 # -0.0 as +0.0
+    return MappingProxyType(checked)
 
 
 def _resolved(sc: Scenario, slot: str) -> dict:
@@ -345,6 +356,10 @@ class SimState:
     inputs: np.ndarray | None    # (R, n_steps + 1) input samples; None if unforced
     head: int = 0
     step_count: int = 0
+    # set by `init_state`: no member's initial value, history value or
+    # input has its sign bit set, and as every coefficient is >= 0 no value
+    # ever will (see the module docstring)
+    sign_free: bool = field(default=False, init=False, repr=False)
     # set by `_Engine.init_state`: the advection coefficients of
     # density.reshape(-1)[K:], the second density buffer (R, N, K), the
     # flat indices in the density of the last L + 1 nodes of each circle
@@ -519,7 +534,11 @@ class _Engine:
     `_records` takes the records of a chunk of C snapshots, densities and
     history windows (`_window`), in one pass with a matrix-vector product
     per snapshot and member, so that a record does not depend on its chunk;
-    `record` is a chunk of one, the live state.
+    `record` is a chunk of one, the live state. On a sign-free state
+    (`SimState.sign_free`) `run` takes a chunk's records with the one node
+    product z @ dv, and a block's |trace| sums read the traces as they are:
+    every coefficient is >= 0, so z and the traces are their own absolute
+    values, bit for bit but for the sign of a nan.
 
     `c_stay` and `c_move`, like every array of the state, start on a
     64-byte cache line (`_aligned`). When 8 divides K so do the views
@@ -620,6 +639,7 @@ class _Engine:
         R, N = len(members), len(self.c_stay)
         density = _aligned((R, N, K))
         sums = _aligned((R, 2 + self.omega.shape[1], 2 * P, J))
+        signed = False
         for r, m in enumerate(members):
             initial, history = _resolved(m, "initial"), _resolved(m, "history")
             for j, xs in enumerate(self.xs):
@@ -628,9 +648,9 @@ class _Engine:
                 # the history's sums, circle by circle: row o holds step -o
                 s = self.n_hist[j]
                 thetas, rows = -np.arange(s) * dt, sums[r, :, :s, j]
-                self._trace_sums(_field_values(history, thetas, (s - 1) * dt, j,
-                                               (s, K), axis=0),
-                                 rows[0], rows[1], rows[2:].T)
+                traces = _field_values(history, thetas, (s - 1) * dt, j, (s, K), axis=0)
+                signed = signed or np.signbit(traces).any()
+                self._trace_sums(traces, rows[0], rows[1], rows[2:].T)
         samples = [_disturbance_samples(m) for m in members]
         padded = inputs = None
         if any(u is not None for u in samples):
@@ -644,6 +664,8 @@ class _Engine:
             inputs = padded[:, :n]
         state = SimState(t=0.0, density=density, sums=sums, inputs=inputs)
         state.padded_inputs = padded
+        state.sign_free = not (signed or np.signbit(density).any()
+                               or padded is not None and np.signbit(padded).any())
         # flat indices of the tail nodes (R, J K, L + 1, 1) and of the
         # inflows (R, L, J K) in the (R, N, K) density, members included
         member, cells = np.arange(R)[:, None, None] * N * K, np.arange(K)
@@ -701,7 +723,7 @@ class _Engine:
         np.matmul(self.trace_coef, state.tails, out=v.columns)
         block = slice(h * J, (h + L) * J)
         self._trace_sums(state.magnitude, v.absolute[:, block], v.velocity[:, block],
-                         v.cells[:, block])
+                         v.cells[:, block], state.sign_free)
         window = v.moments[:, :, h + self.o_lo:h + self.o_lo + self.delay_w.shape[2]]
         np.matmul(self.delay_w, window, out=v.delayed)
         if state.inputs is not None:
@@ -750,7 +772,8 @@ class _Engine:
     def record(self, state: SimState) -> tuple[np.ndarray, ...]:
         """norm_state, norm_history, the signed mass (on the circles plus in
         transit in the delay lines) and the outflux per circle, per member:
-        the records of a chunk of one, the live state."""
+        the records of a chunk of one, the live state. The general reader:
+        it takes |z| whatever the state's signs."""
         return tuple(x[0] for x in self._records(state.density[None],
                                                  self._window(state)[None]))
 
@@ -761,12 +784,14 @@ class _Engine:
         return state.sums[:, :2, state.head:state.head + self.s_max]
 
     def _records(self, z: np.ndarray, window: np.ndarray,
-                 magnitude: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+                 magnitude: np.ndarray | None = None,
+                 sign_free: bool = False) -> tuple[np.ndarray, ...]:
         """The records (C, R), and the outflux (C, R, J), of a chunk of C
         snapshots of R members: densities z (C, R, N, K) and history
         windows (C, R, 2, S_max, J). |z| is written into magnitude, an
         array of z's shape that may be z itself, if given; else into a new
-        one.
+        one. Sign-free snapshots take no |z|: norm_state reads the node
+        sums z @ dv of the mass, with the same product.
 
         The sums over nodes take the node rows only, so an inflow that
         overflows counts once it reaches its node. The history is read from
@@ -775,38 +800,43 @@ class _Engine:
         end nodes: the newest ring row is not the same thing, as at t = 0 it
         holds the history preset, not the initial data at the end node."""
         C, R, N, _ = z.shape
-        node_sums = np.empty((C, R, 2, N))
-        np.matmul(z, self.dv, out=node_sums[:, :, 1])
+        node_sums = np.empty((C, R, 1 if sign_free else 2, N))
+        np.matmul(z, self.dv, out=node_sums[:, :, -1])
         outflux = z.take(self.ends, axis=2) @ self.vdv
-        np.matmul(np.abs(z, out=magnitude), self.dv, out=node_sums[:, :, 0])
+        if not sign_free:
+            np.matmul(np.abs(z, out=magnitude), self.dv, out=node_sums[:, :, 0])
         norm_state, node_mass = _weighted(node_sums, self.node_rows, self.xw)
         norm_history, hist_mass = _weighted(window.reshape(C, R, 2, -1),
                                             self.hist_pairs, self.hist_w)
         return norm_state, norm_history, node_mass + hist_mass, outflux
 
     def _trace_sums(self, traces: np.ndarray, absolute: np.ndarray,
-                    velocity: np.ndarray, cells: np.ndarray) -> None:
+                    velocity: np.ndarray, cells: np.ndarray,
+                    sign_free: bool = False) -> None:
         """trace @ (v dv), the m moments trace @ omega and |trace| @ dv of
         the contiguous traces (..., n, K) into velocity and absolute (...,
         n) and cells (..., n, m), views of the sums; then the traces hold
-        their absolute values. A product per member each: one gemm would
-        round the velocity sums apart from a matrix-vector product."""
+        their absolute values, as sign-free traces already do. A product
+        per member each: one gemm would round the velocity sums apart from
+        a matrix-vector product."""
         np.matmul(traces, self.vdv, out=velocity)
         np.matmul(traces, self.omega, out=cells)
-        np.abs(traces, out=traces)
+        if not sign_free:
+            np.abs(traces, out=traces)
         np.matmul(traces, self.dv, out=absolute)
 
 
 def _weighted(sums: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per snapshot and member, weights @ sums[..., 0, rows] and weights @
-    sums[..., 1, rows] of the sums (C, R, 2, n), as a pair of (C, R).
+    sums[..., -1, rows] of the sums (C, R, 2, n), or (C, R, 1, n) whose one
+    row gives both, as a pair of (C, R).
 
     The rows are taken C ordered, and each member's sums are contracted on
     their own, as for a single member: one matrix-vector product over
     several members sums in an order that depends on their number, and a
     member's records would then depend on the others."""
     pair = sums.take(rows, axis=-1)[..., None, :] @ weights     # (C, R, 2, 1)
-    return pair[..., 0, 0], pair[..., 1, 0]
+    return pair[..., 0, 0], pair[..., -1, 0]
 
 
 # what lockstep members share besides the network and the velocity grid
@@ -866,12 +896,12 @@ def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory,
             np.copyto(slots[c][0], state.density)
             np.copyto(slots[c][1], eng._window(state))
         if c == C - 1 or i == n_records - 1:
-            # |z| overwrites the chunk's densities, or fills the spare
-            # buffer that the next steps overwrite
+            # |z|, if signed, overwrites the chunk's densities, or fills the
+            # spare buffer that the next steps overwrite
             snapshot = ([held[:c + 1] for held in chunk] if C > 1
                         else (state.density[None], eng._window(state)[None]))
             magnitude = snapshot[0] if C > 1 else state.spare[None]
-            ns, nh, m, of = eng._records(*snapshot, magnitude)
+            ns, nh, m, of = eng._records(*snapshot, magnitude, state.sign_free)
             rows = slice(i - c, i + 1)
             norm_state[:, rows], norm_history[:, rows], mass[:, rows] = ns.T, nh.T, m.T
             outflux[:, rows] = of.swapaxes(0, 1)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -506,6 +507,51 @@ def test_simulate_of_a_run_that_turns_nan_prints_strict_json(tmp_path, capsys):
                              parse_constant=_reject_constant)
     assert doc["final_norm"] == doc["decay_fit"]["a_hat"] == "nan"
     assert doc["initial_data_norm"] == 1.5
+
+
+def test_simulate_of_an_overflowing_run_writes_the_same_text_on_both_record_paths(
+        tmp_path, capsys, monkeypatch):
+    # the run alone is sign-free; in lockstep with a member whose history is
+    # -0.0 it takes the general |z| path, whose nan may differ in sign only
+    config = tmp_path / "circle.json"
+    config.write_text(json.dumps(single_circle(1e300).to_config()))
+    scenario = tmp_path / "scenario.json"
+    unit = {"kind": "constant", "value": 1.0}
+    scenario.write_text(json.dumps({"t_end": 3.0, "m_base": 8,
+                                    "initial": unit, "history": unit}))
+    solo = kinnet.cli.run
+
+    def general(sc):
+        return solo(sc, dataclasses.replace(sc, history={"kind": "constant",
+                                                         "value": -0.0}))[0]
+
+    texts, out = [], tmp_path / "out"
+    for reader in (solo, general):
+        monkeypatch.setattr(kinnet.cli, "run", reader)
+        assert main(["simulate", str(config), str(scenario), "--k-velocity", "2",
+                     "--out", str(out)]) == 0
+        csv = (out / "trajectory.csv").read_text()
+        assert "nan" in csv
+        texts.append((csv, _strip_timestamp((out / "simulate.json").read_text()),
+                      _strip_timestamp(capsys.readouterr().out)))
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_disturbance_bound_of_minus_zero_runs_as_zero(config_iss, tmp_path, capsys,
+                                                        command):
+    # uniform(0, -0.0) refuses its range: the bound is stored as +0.0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"t_end": 1.0, "m_base": 8, "stride": 2,
+                                "initial": {"kind": "constant", "value": 1.0},
+                                "disturbance": {"kind": "bounded_random",
+                                                "bound": -0.0}}))
+    assert main([command, config_iss, str(path), "--k-velocity", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if command == "verify":
+        bound = doc["metadata"]["disturbance"]["bound"]
+        assert doc["u_norm"] == 0.0 and math.copysign(1.0, bound) == 1.0
 
 
 @pytest.mark.parametrize("values", ["0,1", "1e-320,1"])

@@ -1582,6 +1582,111 @@ def test_scenario_fields_cannot_change_under_its_engine(sc_spec, grid8, name, va
 
 
 # ---------------------------------------------------------------------------
+# sign-free records
+
+_SIGNED = {"kind": "constant", "value": -0.0}
+_UNIT = {"kind": "constant", "value": 1.0}
+# perfbench's data: unit, random_nonneg, a constant 0.3 history and a
+# bounded random input
+_BENCH_DATA = {"initial": {"kind": "random_nonneg", "seed": 1},
+               "history": {"kind": "constant", "value": 0.3},
+               "disturbance": {"kind": "bounded_random", "bound": 0.5, "seed": 7}}
+
+
+def _record_paths(monkeypatch, eng):
+    """The (chunk length, sign_free) of every `_records` call on the engine."""
+    records, calls = eng._records, []
+
+    def spied(z, window, magnitude=None, sign_free=False):
+        calls.append((len(z), sign_free))
+        return records(z, window, magnitude, sign_free)
+
+    monkeypatch.setattr(eng, "_records", spied)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["iss_dirac_low-32x8", "heterogeneous_five-128x32"])
+def test_both_record_paths_give_the_same_records(case, monkeypatch):
+    # a sign-free member alone takes the one node product, and in lockstep
+    # with a member whose history is -0.0 the general |z| path: bit for bit
+    if case.startswith("iss"):                   # verify's runs: maps, C > 1
+        spec = _suite_spec("iss_dirac_low")
+        sc = make_scenario(spec, VelocityGrid.for_spec(spec, 8), t_end=3.0,
+                           m_base=32, stride=8, **_BENCH_DATA)
+    else:                                        # simulate's: 8-step maps, C = 1
+        spec = heterogeneous_five(0.4)
+        sc = make_scenario(spec, VelocityGrid.for_spec(spec, 32), t_end=0.05,
+                           m_base=128, stride=8, **_BENCH_DATA)
+    signed = replace(sc, history=_SIGNED)
+    eng = sc.engine()
+    assert eng.span >= 8 and (case.startswith("iss") or eng.shortest == 8)
+    assert eng.init_state((sc,)).sign_free
+    assert not eng.init_state((sc, signed)).sign_free
+    calls = _record_paths(monkeypatch, eng)
+    alone = run(sc)
+    assert {free for _, free in calls} == {True}
+    chunk = calls[0][0]
+    assert chunk > 1 if case.startswith("iss") else chunk == 1
+    calls.clear()
+    together, _ = run(sc, signed)
+    assert {free for _, free in calls} == {False}
+    _assert_same_records(together, alone)
+    assert together.initial_data_norm == alone.initial_data_norm
+
+
+@pytest.mark.parametrize("data, sign_free", [
+    ({}, True),
+    ({"initial": _UNIT, "history": _UNIT}, True),
+    (_BENCH_DATA, True),
+    ({"history": {"kind": "constant", "value": 0.0}}, True),
+    ({"initial": {"kind": "constant", "value": -0.5}}, False),
+    ({"initial": {"kind": "constant", "value": -0.0}}, False),
+    ({"history": {"kind": "constant", "value": -0.5}}, False),
+    ({"history": _SIGNED}, False),
+    ({"disturbance": {"kind": "constant", "value": -0.5}}, False),
+    ({"disturbance": {"kind": "pulse", "value": -0.0}}, False),
+    ({"disturbance": {"kind": "bounded_random", "bound": -0.0}}, True),
+])
+def test_a_state_is_sign_free_unless_a_value_has_its_sign_bit_set(data, sign_free):
+    spec = single_circle(0.5)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 2), t_end=1.0, m_base=8,
+                       **data)
+    state = sc.engine().init_state((sc,))
+    assert state.sign_free is sign_free
+    # a history is read before its sums, which hold |trace| @ dv
+    assert not np.signbit(state.sums[:, 0]).any()
+    # run's records are those of `record`, the general reader
+    _assert_equals_per_stride_records((run(sc),), (sc,))
+
+
+def test_a_bound_of_minus_zero_runs_as_plus_zero():
+    spec = single_circle(0.5)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 2), t_end=1.0, m_base=8,
+                       disturbance={"kind": "bounded_random", "bound": -0.0, "seed": 3})
+    assert math.copysign(1.0, sc.disturbance["bound"]) == 1.0
+    samples = _disturbance_samples(sc)
+    assert (samples == 0.0).all() and not np.signbit(samples).any()
+    _assert_same_records(run(sc), run(replace(sc, disturbance={"kind": "zero"})))
+
+
+def test_an_overflowing_run_reads_the_same_on_both_paths():
+    # nan from 0 * inf is nan on both paths, whatever its sign bit
+    spec = single_circle(1e300)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 2), t_end=3.0, m_base=8,
+                       initial=_UNIT, history=_UNIT)
+    assert sc.engine().init_state((sc,)).sign_free
+    with np.errstate(all="ignore"):
+        alone = run(sc)
+        together, _ = run(sc, replace(sc, history=_SIGNED))
+    assert not np.isfinite(alone.norm_state).all()
+    for name in _RECORDS:
+        got, want = getattr(together, name), getattr(alone, name)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want)), name
+        assert np.array_equal(np.isnan(got), np.isnan(want)), name
+        assert np.array_equal(got, want, equal_nan=True), name
+
+
+# ---------------------------------------------------------------------------
 # method-of-steps oracle
 
 def test_against_delay_characteristic_oracle():
