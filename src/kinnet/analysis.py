@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (DomainError, ExtinctionFlag, SmallGainViolation,
-                     ValidationError)
+                     ValidationError, _ieee_policy)
 from .model import NetworkSpec, network_bounds
 from .operators import VelocityGrid
 from .simulator import (ZERO, Scenario, Trajectory, _UNIT,
@@ -37,6 +37,7 @@ class DecayFit:
                 "residual": self.residual, "window": list(self.window)}
 
 
+@_ieee_policy()
 def fit_decay(trajectory: Trajectory) -> DecayFit:
     """Log-linear regression of the total norm on the tail half of the run.
 
@@ -44,6 +45,7 @@ def fit_decay(trajectory: Trajectory) -> DecayFit:
     norm(t) e^{a_hat t} relative to the initial data norm, so the fitted
     envelope bounds every recorded sample, not only the window. A window
     with fewer than two records raises DomainError: no line fits one point.
+    A run past the float range fits to inf or nan, under errors._ieee_policy.
     """
     t = trajectory.times
     norm = trajectory.norm_state + trajectory.norm_history
@@ -159,7 +161,7 @@ def verify_iss(scenario: Scenario, *others: Scenario,
         companion = replace(companion, initial=_UNIT, history=_UNIT)
     unforced, *trajectories = run(companion, scenario, *others)
     envelope = fit_decay(unforced)
-    if envelope.a_hat <= 0:
+    if not envelope.a_hat > 0:  # nan included
         raise DomainError(
             f"companion run shows no decay (a_hat = {envelope.a_hat})")
     a_rate = ENVELOPE_DEFLATION * envelope.a_hat
@@ -168,8 +170,12 @@ def verify_iss(scenario: Scenario, *others: Scenario,
     reports = []
     for sc, traj in zip((scenario, *others), trajectories):
         u_norm = disturbance_lp_norm(sc, p)
+        input_term = 0.0 if u_norm == 0.0 else consts.gain * u_norm
+        if not math.isfinite(input_term):
+            raise DomainError(f"the input term rho ||u|| = {consts.gain} * {u_norm} "
+                              "passes the float range; no finite ISS bound")
         bounds = (envelope.n_hat * np.exp(-a_rate * traj.times)
-                  * traj.initial_data_norm + consts.gain * u_norm)
+                  * traj.initial_data_norm + input_term)
         margins = (bounds - traj.norm_state) / np.maximum(bounds, 1e-300)
         worst = float(np.min(margins))
         reports.append(IssReport(

@@ -1,4 +1,24 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and floating-point policy shared across the package."""
+
+import numpy as np
+
+
+def _ieee_policy():
+    """The package's one policy for IEEE floating-point exceptions: overflow,
+    division by zero and invalid operations give inf or nan silently.
+
+    Each numeric entry point that checks non-finite values itself runs under
+    it: operators._gain_factors, spectral.spectral_radius,
+    spectral.spectral_abscissa, simulator.run and analysis.fit_decay. There a
+    non-finite value is either refused, as a KinnetError that names what
+    passed the float range, or is the answer, as an unstable run's records
+    or a radius of inf are; it is never a NumPy warning. Everything else
+    keeps NumPy's defaults, so an unplanned overflow still shows.
+
+    A fresh context per call, since one errstate cannot be entered twice
+    while it is open; as a decorator it enters once per call.
+    """
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 class KinnetError(Exception):

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ValidationError
+from .errors import DomainError, PreconditionError, ValidationError, _ieee_policy
 from .model import (CircleSpec, NetworkBounds, NetworkSpec, _cell_index, _exp_or_inf,
                     _measure_parts, _parts_laplace, _parts_log_laplace, network_bounds)
 
@@ -275,7 +275,7 @@ class _GainFactors:
         return s, a, lost
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _GainFactors refuses what passes float range
+@_ieee_policy()  # _GainFactors refuses what passes float range
 def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:
     v = grid.centers
     absorbed = np.array([c.absorption.integral_x(c.length, v) for c in spec.circles])

@@ -92,7 +92,7 @@ import numpy as np
 
 from . import _advection
 from .delayquad import delay_quadrature, _accumulate_density
-from .errors import CflError, DomainError, ValidationError
+from .errors import CflError, DomainError, ValidationError, _ieee_policy
 from .model import NetworkSpec
 from .operators import MAX_ARRAY_VALUES, VelocityGrid, _junction_moments
 
@@ -857,7 +857,7 @@ def _check_members(first: Scenario, others: tuple) -> None:
     _check_sizes((first, *others))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_ieee_policy()
 def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory, ...]:
     """Integrate to t_end, recording norms, mass and fluxes at the stride.
 
@@ -867,7 +867,7 @@ def run(scenario: Scenario, *others: Scenario) -> Trajectory | tuple[Trajectory,
 
     A run whose values pass the float range, as an unstable network's do,
     is a result and not an error: its records read inf or nan from then
-    on, and NumPy's overflow and invalid-value warnings are not raised.
+    on, under the package's floating-point policy (errors._ieee_policy).
 
     With further scenarios that differ from the first only in initial,
     history and disturbance, all are stepped in lockstep through one engine

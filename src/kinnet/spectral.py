@@ -12,12 +12,13 @@ weighted column sum of the discretized resolvent, in closed form: the
 exact infimum over the positive cone, over the meshes of all circles at
 once; see resolvent_constant_c.
 
-The loop's guard, a scan of the matrix for entries that are not finite or
-are negative, runs on every matrix that comes from outside: those of
-spectral_radius, the certificate's two radii among them. The abscissa's
-matrices skip it. The gain factorization checks B once, when it is built,
-and balanced_gain keeps every matrix it gives finite and nonnegative. The
-scan still runs before any dense fallback.
+spectral_radius scans every matrix that comes from outside, the
+certificate's two radii among them, for entries that are not finite or are
+negative. The abscissa's matrices skip the scan: the gain factorization
+checks B once, when it is built, and balanced_gain keeps every matrix it
+gives finite and nonnegative. The scan still runs before any dense
+fallback. Both run their loops under the package's floating-point policy
+(errors._ieee_policy).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, DomainError, SmallGainViolation
+from .errors import BracketError, DomainError, SmallGainViolation, _ieee_policy
 from .model import NetworkSpec, network_bounds
 from .operators import (BlockOperator, VelocityGrid, _bound_product, _check_entries,
                         _dirichlet_bounds, _gain_factors, _pd_norm_bound, assemble_gain)
@@ -82,9 +83,18 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
     bracket decide. An iterate entry that underflows to 0 ends the bracket
     too, and raises DomainError: the entries of A then span more than the
     float range, and neither bracket nor eigvals can be trusted.
+
+    A non-finite or negative entry of A raises DomainError up front. The
+    loop runs under errors._ieee_policy: an A x that overflows goes to the
+    dense fallback, and a radius past the float range reads inf.
     """
     _check_tol(tol)
-    return _perron_bracket(_as_matrix(op), tol).radius
+    a = _as_matrix(op)
+    if a.size == 0:
+        return 0.0
+    _check_entries(a, "spectral_radius")
+    with _ieee_policy():
+        return _perron_bracket(a, tol).radius
 
 
 class _Bracket(NamedTuple):
@@ -97,34 +107,18 @@ class _Bracket(NamedTuple):
 
 
 def _perron_bracket(a: np.ndarray, tol: float, x0: np.ndarray | None = None,
-                    level: float | None = None, guard: bool = True) -> _Bracket:
-    """The Collatz-Wielandt loop of spectral_radius on the matrix a, from x0
-    instead of x = 1 where x0 is given with no zero entry (every x > 0 keeps
-    the bracket rigorous). With level, it also stops once the bracket decides
-    the side of log r against level: lo > 0, [log lo, log hi] strictly on one
-    side, and no wider than _SIGN_RTOL times the distance of its nearer end.
-    The middle it then returns lies on the same side as log r.
+                    level: float | None = None) -> _Bracket:
+    """The Collatz-Wielandt loop of spectral_radius on the nonempty matrix a,
+    from x0 instead of x = 1 where x0 is given with no zero entry (every
+    x > 0 keeps the bracket rigorous). With level, it also stops once the
+    bracket decides the side of log r against level: lo > 0,
+    [log lo, log hi] strictly on one side, and no wider than _SIGN_RTOL times
+    the distance of its nearer end. The middle it then returns lies on the
+    same side as log r.
 
-    The guard scans a for entries that are not finite or are negative, and
-    runs the loop under np.errstate. guard=False skips both, for the
-    abscissa's matrices: balanced_gain makes them finite and nonnegative from
-    a factorization checked once when it was built, and spectral_abscissa
-    sets the errstate once for all its brackets. Where the loop ends without
-    a bracket, the scan runs in either case before the dense fallback: a
-    non-finite entry always ends the loop, since every x > 0."""
-    if a.size == 0:
-        return _Bracket(0.0, None)
-    if not guard:
-        return _collatz_wielandt(a, tol, x0, level)
-    _check_entries(a, "spectral_radius")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _collatz_wielandt(a, tol, x0, level)
-
-
-def _collatz_wielandt(a: np.ndarray, tol: float, x0: np.ndarray | None,
-                      level: float | None) -> _Bracket:
-    """The loop of _perron_bracket, on a nonempty a; a zero entry of x gives
-    an inf or nan ratio, which ends it."""
+    The caller enters errors._ieee_policy. A zero entry of x or a non-finite
+    entry of a gives an inf or nan ratio, which ends the loop, and a is
+    scanned before the dense fallback."""
     x = x0 if x0 is not None and x0.all() else np.ones(a.shape[0])
     ratio = np.empty(a.shape[0])  # (A x)_i / x_i, rewritten every step
     width, shifted = math.inf, False
@@ -138,7 +132,7 @@ def _collatz_wielandt(a: np.ndarray, tol: float, x0: np.ndarray | None,
             break
         if hi - lo <= tol * hi or level is not None and _decides(lo, hi, level):
             y /= np.maximum.reduce(y)
-            return _Bracket(0.5 * (lo + hi), y)
+            return _Bracket(0.5 * lo + 0.5 * hi, y)  # lo + hi may overflow
         shifted = shifted or hi - lo > 0.9 * width
         width = hi - lo
         # x <- A x / hi never grows x, and x <- (A + hi I) x / hi at most
@@ -147,7 +141,7 @@ def _collatz_wielandt(a: np.ndarray, tol: float, x0: np.ndarray | None,
         if shifted:
             y += x
         x = y
-    _check_entries(a, "spectral_radius")  # what ended an unguarded loop may be nan or inf
+    _check_entries(a, "spectral_radius")  # what ended the loop may be nan or inf
     if not x.all():
         raise DomainError("the Perron iterate underflowed: the matrix entries "
                           "span more than the float range")
@@ -280,7 +274,7 @@ def _probe(end: float, step: float) -> float:
     return math.nextafter(x, end) if abs(x - end) > abs(step) else x
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # for every _perron_bracket below
+@_ieee_policy()  # for every _perron_bracket below
 def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
                       tol: float = ABSCISSA_TOL_DEFAULT) -> AbscissaResult:
     """Unique lambda with r(gain_lambda) = 1, by a safeguarded secant method
@@ -304,9 +298,9 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     iterations counts the radius evaluations after the sign bracket is found.
     B, the shift-free exponent and the delay-measure parts are built once,
     and every G(lam), or the similar matrix that keeps it in float range, is
-    written into one array. Each evaluation is one _perron_bracket, without
-    the guard's scan, since the factorization was checked when it was built:
-    it starts from the last evaluation's Perron vector (from x = 1 at the
+    written into one array. Each evaluation is one _perron_bracket, with no
+    scan, since the factorization was checked when it was built: it starts
+    from the last evaluation's Perron vector (from x = 1 at the
     first, after one that closed no bracket, and where balanced_gain changes
     form), and stops at the 1e-10 rule or once its Collatz-Wielandt bracket
     decides the sign of phi, whichever comes first. So every evaluated end of
@@ -324,7 +318,7 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
         nonlocal warm
         s, gain, lost = factors.balanced_gain(lam)
         x0 = warm[1] if warm[0] == (s != 0.0) else None
-        r, x = _perron_bracket(gain, POWER_TOL_DEFAULT, x0, level=-s, guard=False)
+        r, x = _perron_bracket(gain, POWER_TOL_DEFAULT, x0, level=-s)
         warm = (s != 0.0, x)
         f = s + math.log(r) if r > 0.0 else -math.inf
         if lost and f <= 0.0:  # r(gain) then only bounds r(G(lam)) from below
@@ -438,8 +432,11 @@ def resolvent_constant_c(spec: NetworkSpec, grid: VelocityGrid, lam: float,
                     for x, c in zip(xs, spec.circles)])
     # the history shift is transport at unit speed in sigma = -theta
     sigma = np.array([np.linspace(0.0, c.delay, n_theta + 1) for c in spec.circles])
-    return min(float(np.min(_column_sums(xs, phi) / v)),
-               float(np.min(_column_sums(sigma, lam * sigma))))
+    flat = (np.diff(xs[:, 0]) <= 0.0).any(axis=1) | (np.diff(sigma) <= 0.0).any(axis=1)
+    if flat.any():  # a trapezoid weight of 0 reads log 0 and 0 / 0
+        raise DomainError(f"circles[{np.argmax(flat)}]: a resolvent mesh cell of zero width")
+    return float(np.minimum(np.min(_column_sums(xs, phi) / v),  # min() drops a nan
+                            np.min(_column_sums(sigma, lam * sigma))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import kinnet.analysis
 import kinnet.simulator
 
 from kinnet import (DomainError, ExtinctionFlag, SmallGainViolation,
@@ -77,6 +78,14 @@ def test_fit_refuses_a_window_of_one_record(sc_spec):
         fit_decay(traj)
 
 
+def test_a_fit_past_the_float_range_reads_nan_without_a_warning():
+    # norm_state + norm_history overflows to inf
+    t, big = np.linspace(0.0, 1.0, 5), np.full(5, 1e308)
+    traj = Trajectory(times=t, norm_state=big, norm_history=big, total_mass=big,
+                      outflux=big[:, None], initial_data_norm=math.inf)
+    assert math.isnan(fit_decay(traj).a_hat)
+
+
 def test_fit_matches_abscissa(sc_spec, grid8):
     traj = run(constant_scenario(sc_spec, grid8, t_end=10.0, stride=4))
     fit = fit_decay(traj)
@@ -105,6 +114,36 @@ def test_verify_requires_iss_certificate():
     sc = constant_scenario(spec, g, t_end=2.0)
     with pytest.raises(SmallGainViolation):
         verify_iss(sc)
+
+
+def test_verify_refuses_an_input_term_past_the_float_range():
+    # rho ||u|| = 975 * 1e306 * (v_max - v_min) is inf: every margin would read nan
+    spec = single_circle(0.5)
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 4), t_end=1.0, stride=2,
+                       m_base=8, disturbance={"kind": "bounded_random", "bound": 1e306})
+    with pytest.raises(DomainError, match=r"rho \|\|u\|\| = 974\.9.* \* 1e\+306"):
+        verify_iss(sc)
+
+
+def test_a_zero_input_keeps_an_input_term_of_zero(sc_spec, grid8, monkeypatch):
+    # rho = inf times ||u|| = 0 would read nan
+    constants = kinnet.analysis.iss_constants
+    monkeypatch.setattr(kinnet.analysis, "iss_constants",
+                        lambda *args: replace(constants(*args), gain=math.inf))
+    sc = constant_scenario(sc_spec, grid8, t_end=2.0)
+    report = verify_iss(sc)
+    assert report.u_norm == 0.0 and report.passed
+    assert np.isfinite(report.bounds).all()
+    with pytest.raises(DomainError, match="rho"):
+        verify_iss(replace(sc, disturbance={"kind": "constant", "value": 0.5}))
+
+
+def test_verify_refuses_a_nan_decay_rate(sc_spec, grid8, monkeypatch):
+    fit = kinnet.analysis.fit_decay
+    monkeypatch.setattr(kinnet.analysis, "fit_decay",
+                        lambda traj: replace(fit(traj), a_hat=math.nan))
+    with pytest.raises(DomainError, match="no decay"):
+        verify_iss(constant_scenario(sc_spec, grid8, t_end=2.0))
 
 
 def test_verify_constant_input_steady_state(sc_spec, grid8):

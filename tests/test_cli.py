@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import kinnet.analysis
 import kinnet.cli
 from kinnet import KinnetError, Scenario, VelocityGrid, assemble_gain, load_network
 from kinnet.cli import main
-from kinnet.presets import conservation_spec, single_circle, \
+from kinnet.presets import conservation_spec, heterogeneous_five, single_circle, \
     single_circle_lambda_star, single_circle_threshold_w
 from kinnet.simulator import _PRESETS as _PRESET_TABLE
 
@@ -685,9 +686,10 @@ def test_verify_constants_do_not_depend_on_seed(config_iss, scenario_file, capsy
 # bad values, and small valid ones that keep t_end and the resolution bounded
 _MUTANTS = st.sampled_from([
     None, True, "x", "nan", {}, [], [[]], [0.0], [-1.0], -1, 0, 0.5, 2, 5,
-    math.nan, math.inf, -math.inf, _HUGE, -_HUGE, 1e-300, 1e300,
+    math.nan, math.inf, -math.inf, _HUGE, -_HUGE, 1e-300, 1e300, 1e308, 5e-324,
     {"kind": "unknown"}, {"kind": "constant", "value": 1e300},
-    {"kind": "pulse", "value": -1.0, "t0": 0.5, "t1": 0.1}])
+    {"kind": "pulse", "value": -1.0, "t0": 0.5, "t1": 0.1},
+    {"kind": "bounded_random", "bound": 1e306}])
 
 _CLI_CONFIGS = [single_circle(0.5), conservation_spec(),
                 single_circle(2.0 * single_circle_threshold_w())]
@@ -762,3 +764,53 @@ def test_every_subcommand_exits_0_to_3_without_a_traceback(data, cli_property_di
             code = e.code
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _routing_1e308():
+    doc = heterogeneous_five(0.4).to_config()
+    doc["routing"][0] = [1e308] * 5
+    return doc
+
+
+def _delay_5e_324():
+    doc = single_circle(0.5).to_config()
+    doc["circles"][0]["delay"] = 5e-324
+    return doc
+
+
+_DISTURBED = [
+    {**_CLI_SCENARIO, "disturbance": {"kind": "constant", "value": 1e308}},
+    {"t_end": 1.0, "stride": 2, "m_base": 8,
+     "disturbance": {"kind": "bounded_random", "bound": 1e306}},
+]
+
+
+@pytest.mark.parametrize("config, command, scenario, code", [
+    (_routing_1e308(), "analyze", None, 0),
+    (_routing_1e308(), "abscissa", None, 2),
+    (_routing_1e308(), "verify", _CLI_SCENARIO, 2),
+    (_routing_1e308(), "sweep", None, 0),
+    (conservation_spec().to_config(), "simulate", _DISTURBED[0], 0),
+    (conservation_spec().to_config(), "verify", _DISTURBED[0], 3),
+    (single_circle(0.5).to_config(), "verify", _DISTURBED[1], 2),
+    (_delay_5e_324(), "verify", _CLI_SCENARIO, 2),
+], ids=["routing_1e308-analyze", "routing_1e308-abscissa", "routing_1e308-verify",
+        "routing_1e308-sweep", "disturbance_1e308-simulate",
+        "disturbance_1e308-verify", "bound_1e306-verify", "delay_5e-324-verify"])
+def test_inputs_past_the_float_range_exit_without_a_warning(tmp_path, capsys, config,
+                                                            command, scenario, code):
+    # each of these once raised a NumPy RuntimeWarning, or read a nan margin
+    # or a dropped nan block as a result
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, str(path)]
+    if scenario is not None:
+        argv.append(str(tmp_path / "scenario.json"))
+        Path(argv[-1]).write_text(json.dumps(scenario))
+    if command == "sweep":
+        argv += ["--param", "routing_scale", "--values", "0.5,1.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--k-velocity", "4", "--out", str(tmp_path / "out")]) == code
+    if code == 2:
+        _one_line_error(capsys)

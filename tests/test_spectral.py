@@ -14,6 +14,7 @@ from kinnet import (AbsorptionProfile, BlockOperator, BracketError, CircleSpec,
                     fit_decay, iss_constants, run,
                     resolvent_constant_c, small_gain_certificate,
                     spectral_abscissa, spectral_radius)
+from kinnet.errors import _ieee_policy
 from kinnet.presets import (heterogeneous_five, random_spec, regression_suite,
                             single_circle, single_circle_gain,
                             single_circle_lambda_star, single_circle_threshold_w)
@@ -67,9 +68,15 @@ def test_radius_nilpotent_is_zero():
     assert spectral_radius(a) == 0.0
 
 
+def _bracket(a, *args, **kwargs):
+    """The private Perron bracket that the abscissa calls, under the policy
+    that its callers enter."""
+    with _ieee_policy():
+        return kinnet.spectral._perron_bracket(a, *args, **kwargs)
+
+
 def _bracket_radius(a):
-    """The radius of the private Perron bracket that the abscissa calls."""
-    return kinnet.spectral._perron_bracket(np.asarray(a, dtype=float), 1e-10).radius
+    return _bracket(np.asarray(a, dtype=float), 1e-10).radius
 
 
 def test_radius_input_checks():
@@ -100,6 +107,29 @@ def test_radius_rejects_non_finite_entries():
             a[0, 2] = bad
             with pytest.raises(DomainError, match="finite"):
                 radius(a)
+
+
+def test_radius_takes_the_middle_of_a_bracket_near_the_float_maximum():
+    # lo + hi = 2e308 overflows, the halves do not
+    assert spectral_radius(np.array([[0.0, 1e308], [1e308, 0.0]])) == 1e308
+
+
+def test_a_radius_past_the_float_range_reads_inf_without_a_warning():
+    # A x overflows: the dense fallback decides, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral_radius(np.full((2, 2), 1e308)) == math.inf
+
+
+def test_certificate_of_a_routing_row_of_1e308_reads_not_iss_without_a_warning():
+    spec = heterogeneous_five(0.4)
+    routing = spec.routing.copy()
+    routing[0] = 1e308
+    spec = replace(spec, routing=routing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = small_gain_certificate(spec, VelocityGrid.for_spec(spec, 4))
+    assert cert.decision == "NOT_ISS" and math.isfinite(cert.r_gain)
 
 
 def test_radius_refuses_entries_beyond_the_float_range():
@@ -271,7 +301,7 @@ def test_bracket_starts_cold_from_a_warm_vector_with_a_zero_entry():
     # from x = (1, 0) the first ratio is inf and the iterate keeps its zero,
     # which would read as an underflow; from x = 1 the bracket closes at once
     a = np.ones((2, 2))
-    got = kinnet.spectral._perron_bracket(a, 1e-10, x0=np.array([1.0, 0.0]))
+    got = _bracket(a, 1e-10, x0=np.array([1.0, 0.0]))
     assert got.radius == spectral_radius(a) == 2.0
 
 
@@ -279,11 +309,11 @@ def test_bracket_from_the_perron_vector_of_a_nearby_matrix():
     rng = np.random.default_rng(5)
     a = _irreducible(rng, 12, 1)
     b = a * rng.uniform(1.0, 1.01, a.shape)
-    warm = kinnet.spectral._perron_bracket(a, 1e-10).vector
+    warm = _bracket(a, 1e-10).vector
     assert warm.max() == 1.0 and warm.min() > 0.0
     counted = b.view(_CountedMatrix)
     counted.products = 0
-    got = kinnet.spectral._perron_bracket(counted, 1e-10, x0=warm)
+    got = _bracket(counted, 1e-10, x0=warm)
     assert got.radius == pytest.approx(_dense_radius(b), rel=1e-10)
     assert counted.products < _radius_steps(b)
 
@@ -297,7 +327,7 @@ def test_bracket_decides_the_side_of_a_level(seed, n, period, offset):
     # of the level that the dense radius does
     a = _irreducible(np.random.default_rng(seed), n, period)
     level = math.log(_dense_radius(a)) + offset
-    got = kinnet.spectral._perron_bracket(a, 1e-10, level=level)
+    got = _bracket(a, 1e-10, level=level)
     assert (math.log(got.radius) < level) == (offset > 0)
 
 
@@ -707,21 +737,25 @@ def test_a_factorization_beyond_the_float_range_is_refused_when_built():
 
 
 @pytest.mark.parametrize("k", [8, 32])
-def test_unguarded_brackets_equal_guarded_ones(k):
-    # the guard only checks: from x = 1 and warm, with and without a level
+def test_spectral_radius_is_the_bracket_under_the_policy(k, monkeypatch):
+    # the scan and the policy only check: spectral_radius takes the bracket
+    # that the loop under the policy gives, radius and vector
+    bracket, taken = kinnet.spectral._perron_bracket, []
+
+    def kept(*args):
+        taken.append(bracket(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(kinnet.spectral, "_perron_bracket", kept)
     for name, spec, _ in regression_suite():
         factors = kinnet.operators._gain_factors(spec, VelocityGrid.for_spec(spec, k))
-        warm = None
         for lam in (-0.5, 0.0, 0.3):
             a = factors.balanced_gain(lam)[1]
-            for level in (None, 0.0):
-                guarded = kinnet.spectral._perron_bracket(a, 1e-10, warm, level)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    unguarded = kinnet.spectral._perron_bracket(a, 1e-10, warm, level,
-                                                               guard=False)
-                assert guarded.radius == unguarded.radius, name
-                assert np.array_equal(guarded.vector, unguarded.vector), name
-            warm = guarded.vector
+            radius = spectral_radius(a)
+            with _ieee_policy():
+                loop = bracket(a, 1e-10)
+            assert radius == taken[-1].radius == loop.radius, name
+            assert np.array_equal(taken[-1].vector, loop.vector), name
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -730,9 +764,8 @@ def test_an_unguarded_bracket_still_refuses_a_non_finite_entry(bad):
     # fallback
     a = np.ones((3, 3))
     a[1, 2] = bad
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(DomainError, match="finite"):
-            kinnet.spectral._perron_bracket(a, 1e-10, guard=False)
+    with pytest.raises(DomainError, match="finite"):
+        _bracket(a, 1e-10)
 
 
 def test_abscissa_refuses_a_reading_that_lost_an_entry():
@@ -908,6 +941,28 @@ def test_resolvent_constant_validations():
     c1 = resolvent_constant_c(spec, g, lam=1.0)
     c2 = resolvent_constant_c(spec, g, lam=1.0)
     assert c1 == c2 and c1 > 0.0
+
+
+@pytest.mark.parametrize("field", ["length", "delay"])
+def test_resolvent_refuses_a_mesh_cell_of_zero_width(field):
+    # 5e-324 / 64 rounds to 0: a trapezoid weight of 0 reads log 0 and 0 / 0
+    circles = heterogeneous_five(0.4).circles
+    tiny = single_circle(0.5, **{field: 5e-324}).circles[0]
+    spec = NetworkSpec(circles=(circles[0], tiny), routing=np.full((2, 2), 0.1),
+                       v_min=1.0, v_max=2.0)
+    with pytest.raises(DomainError, match=r"circles\[1\]: a resolvent mesh cell"):
+        resolvent_constant_c(spec, VelocityGrid.for_spec(spec, 2), 1.0)
+
+
+def test_resolvent_keeps_a_nan_block(sc_spec, monkeypatch):
+    # min(x_block, nan) would drop the nan history block
+    sums = kinnet.spectral._column_sums
+
+    def nan_history(nodes, phi):  # the history mesh is (J, n + 1), the x mesh (J, 1, n + 1)
+        return sums(nodes, phi) * (math.nan if np.ndim(nodes) == 2 else 1.0)
+
+    monkeypatch.setattr(kinnet.spectral, "_column_sums", nan_history)
+    assert math.isnan(resolvent_constant_c(sc_spec, VelocityGrid.for_spec(sc_spec, 2), 1.0))
 
 
 def _trapezoid_weights(nodes):
