@@ -102,15 +102,11 @@ def map_views(z: np.ndarray, out: np.ndarray, s: int) -> tuple[np.ndarray, np.nd
 
 
 class BlockViews(NamedTuple):
-    """A state's sums, |trace| buffer and junction buffer, and the views of
-    them that a block's products write and read: built once per state, and
-    again if any of the three is replaced. The views of the sums span all
-    2 P rows, (R, 2 P J) and (R, 2 P J, m), so a block's products write
-    slices of them, rows h J .. (h + L) J."""
+    """The views of a state's sums, |trace| buffer and junction buffer that a
+    block's products write and read, built once with the state. The views of
+    the sums span all 2 P rows, (R, 2 P J) and (R, 2 P J, m), so a block's
+    products write slices of them, rows h J .. (h + L) J."""
 
-    sums: np.ndarray
-    magnitude: np.ndarray
-    junction: np.ndarray
     columns: np.ndarray      # the block's traces (R, J K, L, 1), a column per cell
     absolute: np.ndarray     # the sums' |trace| @ dv (R, 2 P J)
     velocity: np.ndarray     # the sums' trace @ (v dv) (R, 2 P J)
@@ -123,8 +119,7 @@ class BlockViews(NamedTuple):
     def of(cls, state, L: int) -> "BlockViews":
         sums, magnitude, junction = state.sums, state.magnitude, state.junction
         R, m, J = len(sums), sums.shape[1] - 2, sums.shape[3]
-        return cls(sums, magnitude, junction,
-                   magnitude.reshape(R, L, -1).transpose(0, 2, 1)[..., None],
+        return cls(magnitude.reshape(R, L, -1).transpose(0, 2, 1)[..., None],
                    sums[:, 0].reshape(R, -1), sums[:, 1].reshape(R, -1),
                    sums[:, 2:].reshape(R, m, -1).mT,
                    sums[:, 2:].transpose(0, 3, 2, 1),

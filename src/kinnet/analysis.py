@@ -64,7 +64,7 @@ def fit_decay(trajectory: Trajectory) -> DecayFit:
     denom = trajectory.initial_data_norm
     if denom > 0.0:
         ratios = norm * np.exp(np.minimum(a_hat * t, 700.0)) / denom
-        n_hat = max(1.0, float(np.max(ratios)))
+        n_hat = float(np.maximum(1.0, np.max(ratios)))  # keeps a nan ratio
     else:
         n_hat = 1.0
     return DecayFit(n_hat=n_hat, a_hat=a_hat, residual=resid, window=(lo, hi))

@@ -4,9 +4,10 @@ Produces weights over sample offsets theta_s = -s*dt such that
 sum_s w_s * g(theta_s) approximates int g dEta for piecewise-linear g, and is
 exact in total mass: sum_s w_s equals the measure's total variation.
 
-The measure is read in the one form of model._measure_parts, with no
-per-kind code: atoms split linearly between their two neighbouring samples,
-density cells value * e^{rate*theta} spread onto the grid's hat functions.
+The measure is read in the one form of its parts (DelayMeasure._parts,
+built with the measure), with no per-kind code: atoms split linearly
+between their two neighbouring samples, density cells value *
+e^{rate*theta} spread onto the grid's hat functions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import HistoryGapError
-from .model import DelayMeasure, _measure_parts
+from .model import DelayMeasure
 
 
 # 1 / (k! (k + n + 1)) at [k, n], n = 0, 1: for |x| < 1 the series terms of
@@ -111,7 +112,7 @@ def delay_quadrature(measure: DelayMeasure, dt: float, n_samples: int):
             f"history window {coverage} does not cover delay interval "
             f"[-{measure.r}, 0]")
     w = np.zeros(n_samples)
-    atoms, cells = _measure_parts(measure)
+    atoms, cells = measure._parts
     for pos, mass in atoms:
         _accumulate_atom(w, dt, pos, mass)
     for a, b, value, rate in cells:

@@ -81,9 +81,10 @@ class DelayMeasure:
                      density given by edges (increasing, within [-r, 0]) and
                      per-cell values
 
-    _measure_parts gives every kind one form, read by the Laplace transform,
-    its log and the quadrature: atoms (position, mass) plus density cells
-    value * e^{rate*theta} on [a, b].
+    _parts gives every kind one form, read by the Laplace transform, its log,
+    the gain factors and the quadrature: atoms (position, mass) plus density
+    cells value * e^{rate*theta} on [a, b]. The mass check of __post_init__
+    builds it, once per measure.
     """
 
     kind: str
@@ -132,6 +133,19 @@ class DelayMeasure:
         if not _measure_log_laplace(self, 0.0) < np.log(np.finfo(float).max):
             raise ValidationError("delay measure total mass is not finite")
 
+    @cached_property
+    def _parts(self) -> tuple[tuple, tuple]:
+        """(atoms, cells), with atoms (position, mass) and cells (a, b, value,
+        rate), each cell the density value * e^{rate*theta} on [a, b], clipped
+        to the support [-r, 0]."""
+        if self.kind == "dirac":
+            return ((-self.r, 1.0),), ()
+        if self.kind == "exponential":
+            return (), ((-self.r, 0.0, 1.0, self.theta_rate),)
+        edges = [min(max(e, -self.r), 0.0) for e in self.density_edges]
+        return self.atoms, tuple((a, b, value, 0.0) for a, b, value
+                                 in zip(edges, edges[1:], self.density_values) if a < b)
+
     def _stretched(self, factor: float) -> DelayMeasure:
         """The measure on [-factor r, 0]: its support stretches by factor. Atom
         masses are kept and densities divide by the stretch, so Dirac and
@@ -148,19 +162,6 @@ class DelayMeasure:
 def measure_total_variation(m: DelayMeasure) -> float:
     """Total mass of the positive measure: its Laplace transform at 0."""
     return measure_laplace(m, 0.0)
-
-
-def _measure_parts(m: DelayMeasure) -> tuple[tuple, tuple]:
-    """The measure in one form for every kind: (atoms, cells), with atoms
-    (position, mass) and cells (a, b, value, rate), each cell the density
-    value * e^{rate*theta} on [a, b], clipped to the support [-r, 0]."""
-    if m.kind == "dirac":
-        return ((-m.r, 1.0),), ()
-    if m.kind == "exponential":
-        return (), ((-m.r, 0.0, 1.0, m.theta_rate),)
-    edges = [min(max(e, -m.r), 0.0) for e in m.density_edges]
-    return m.atoms, tuple((a, b, value, 0.0) for a, b, value
-                          in zip(edges, edges[1:], m.density_values) if a < b)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -180,11 +181,11 @@ def _exp_increment(s: float, a: float, b: float) -> float:
 
 def measure_laplace(m: DelayMeasure, lam: float) -> float:
     """Integral of e^{lam*theta} d eta(theta) over [-r, 0], inf past float range."""
-    return _parts_laplace(_measure_parts(m), lam)
+    return _parts_laplace(m._parts, lam)
 
 
 def _parts_laplace(parts: tuple, lam: float) -> float:
-    """measure_laplace from the measure's _measure_parts."""
+    """measure_laplace from the measure's parts (DelayMeasure._parts)."""
     atoms, cells = parts
     try:
         out = sum(mass * math.exp(lam * pos) for pos, mass in atoms)
@@ -207,11 +208,11 @@ def _log_exp_increment(s: float, a: float, b: float) -> float:
 
 def _measure_log_laplace(m: DelayMeasure, lam: float) -> float:
     """log measure_laplace(m, lam), finite where it leaves float range."""
-    return _parts_log_laplace(_measure_parts(m), lam)
+    return _parts_log_laplace(m._parts, lam)
 
 
 def _parts_log_laplace(parts: tuple, lam: float) -> float:
-    """_measure_log_laplace from the measure's _measure_parts."""
+    """_measure_log_laplace from the measure's parts (DelayMeasure._parts)."""
     atoms, cells = parts
     terms = [math.log(mass) + lam * pos for pos, mass in atoms if mass > 0]
     terms += [math.log(value) + _log_exp_increment(lam + rate, a, b)
@@ -603,7 +604,7 @@ def load_network(config_document) -> NetworkSpec:
             scattering=_parse(ScatteringKernel, c, "scattering", ctx),
             delay_measure=_parse(DelayMeasure, c, "delay_measure", ctx, r=_number(
                 _require(c, "delay", ctx), f"{ctx}.delay"))))
-    routing = _require(doc, "routing", "config")
+    routing = _rows(_require(doc, "routing", "config"), "routing")
 
     flags = _typed(doc.get("flags", {}), dict, "flags")
     mass_preserving = flags.get("mass_preserving", False)

@@ -5,10 +5,11 @@ with the weighted l1 norm sum_{j,k} |g[j,k]| * dv_k. Velocity quadrature is
 the midpoint rule on uniform cells, which keeps every operator entrywise
 nonnegative.
 
-The shift-free parts of the gain (_GainFactors: B, the survival exponent as
-a slope and an offset in lam, each delay measure's _measure_parts) are built
-once per (spec, grid) and call: assemble_gain keeps them on its report, so a
-certificate reads its gain and its PD blocks from one factorization.
+The shift-free parts of the gain (_GainFactors: B and the survival exponent
+as a slope and an offset in lam) are built once per (spec, grid) and call:
+assemble_gain keeps them on its report, so a certificate reads its gain and
+its PD blocks from one factorization. Each delay measure's parts are its own,
+built once with the measure (DelayMeasure._parts).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError, _ieee_policy
-from .model import (CircleSpec, NetworkBounds, NetworkSpec, _cell_index, _exp_or_inf,
-                    _measure_parts, _parts_laplace, _parts_log_laplace, network_bounds)
+from .model import (CircleSpec, DelayMeasure, NetworkBounds, NetworkSpec, _cell_index,
+                    _exp_or_inf, _parts_laplace, _parts_log_laplace, network_bounds)
 
 MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
 
@@ -160,8 +161,9 @@ class _GainFactors:
     flattened column (j, k'), with l_j the circle length and
     Q_j(v_k') = int_0^{l_j} q_j(., v_k') the absorption integral, is kept as
     its slope -l_j / v_k' and offset -Q_j(v_k') / v_k' in lam. Per shift only
-    the J Laplace factors, read from the circles' _measure_parts (parts, with
-    their supports r_j in delays), one multiply-add and one vector exp remain.
+    the J Laplace factors, read from the parts of the circles' delay measures
+    (measures: DelayMeasure._parts, built with each measure), one
+    multiply-add and one vector exp remain.
 
     The one check of the factorization runs when it is built: B must be
     finite and nonnegative and the slope finite, else DomainError. Every
@@ -172,8 +174,7 @@ class _GainFactors:
     factorization owns.
     """
 
-    parts: tuple
-    delays: tuple
+    measures: tuple[DelayMeasure, ...]
     k: int
     routed: np.ndarray
     slope: np.ndarray
@@ -189,7 +190,8 @@ class _GainFactors:
 
     def laplace(self, lam: float) -> np.ndarray:
         """Delay Laplace factor laplace_j(lam) of each flattened (j, k')."""
-        return np.array([_parts_laplace(p, lam) for p in self.parts]).repeat(self.k)
+        return np.array([_parts_laplace(m._parts, lam)
+                         for m in self.measures]).repeat(self.k)
 
     def log_survival(self, lam: float) -> np.ndarray:
         """Log survival -(lam l_j + Q_j(v_k')) / v_k' from the junction to x = l_j
@@ -232,12 +234,12 @@ class _GainFactors:
         if b_min == 0.0:  # the least positive entry
             b_min = np.min(self.routed, where=self.routed > 0.0, initial=1.0)
         log_b = max(-math.log(min(b_min, 1.0)), math.log(max(b_max, 1.0)))
-        log_tv = [math.log(t) if (t := _parts_laplace(p, 0.0)) > 0.0 else -math.inf
-                  for p in self.parts]
-        rates = [max((abs(rate) for *_, rate in cells), default=0.0)
-                 for _, cells in self.parts]  # of the density cells e^{rate*theta}
-        return (max(self.delays) - float(self.slope.min()),
-                max(abs(x) + rate * r for x, rate, r in zip(log_tv, rates, self.delays))
+        log_tv = [math.log(t) if (t := _parts_laplace(m._parts, 0.0)) > 0.0 else -math.inf
+                  for m in self.measures]
+        rates = [max((abs(rate) for *_, rate in m._parts[1]), default=0.0)
+                 for m in self.measures]  # of the density cells e^{rate*theta}
+        return (max(m.r for m in self.measures) - float(self.slope.min()),
+                max(abs(x) + rate * m.r for x, rate, m in zip(log_tv, rates, self.measures))
                 + float(np.abs(self.offset).max()) + log_b)
 
     @cached_property
@@ -258,7 +260,8 @@ class _GainFactors:
         if slope * abs(lam) + offset < 700.0:
             np.multiply(self.routed, self.scale(lam), out=a)
             return 0.0, a, False
-        log_c = np.array([_parts_log_laplace(p, lam) for p in self.parts]).repeat(self.k)
+        log_c = np.array([_parts_log_laplace(m._parts, lam)
+                          for m in self.measures]).repeat(self.k)
         log_c += self.log_survival(lam)
         half = 0.5 * log_c
         a.fill(-math.inf)
@@ -281,8 +284,7 @@ def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:
     absorbed = np.array([c.absorption.integral_x(c.length, v) for c in spec.circles])
     length = np.array([[c.length] for c in spec.circles])
     return _GainFactors(
-        parts=tuple(_measure_parts(c.delay_measure) for c in spec.circles),
-        delays=tuple(c.delay for c in spec.circles),
+        measures=tuple(c.delay_measure for c in spec.circles),
         k=grid.k,
         routed=_routed_scattering(spec, grid),
         slope=(-length / v).ravel(),

@@ -366,11 +366,13 @@ class SimState:
     # and cell (R, J K, L + 1, 1) and of the inflow rows (R, L, J K), a
     # block's buffers of those nodes, of its traces and then their absolute
     # values (R, L J, K), newest first, of the junction (R, L, J m + 1) and
-    # of the inflows (R, L, J K),
-    # and the inputs padded with L copies of the last sample, of which
-    # `inputs` is a view; built on first use, a block's views and the map
+    # of the inflows (R, L, J K), the inputs padded with L copies of the
+    # last sample, of which `inputs` is a view, and the block's views of
+    # these buffers (`_advection.BlockViews`); built on first use, the map
     # and views of a segment of s steps by (s, swapped), swapped telling
-    # whether `density` is the buffer that `init_state` made as `spare`
+    # whether `density` is the buffer that `init_state` made as `spare`.
+    # Nothing but the swap of `density` and `spare` replaces these buffers,
+    # so no view is built again
     c_stay: np.ndarray = field(init=False, repr=False)
     c_move: np.ndarray = field(init=False, repr=False)
     spare: np.ndarray = field(init=False, repr=False)
@@ -381,7 +383,7 @@ class SimState:
     junction: np.ndarray = field(init=False, repr=False)
     inflow: np.ndarray = field(init=False, repr=False)
     padded_inputs: np.ndarray | None = field(init=False, repr=False)
-    views: "_advection.BlockViews | None" = field(default=None, init=False, repr=False)
+    views: _advection.BlockViews = field(init=False, repr=False)
     segments: dict = field(default_factory=dict, init=False, repr=False)
     swapped: bool = field(default=False, init=False, repr=False)
 
@@ -490,10 +492,10 @@ class _Engine:
     one matmul with U (the inputs ride along as one more column) into a
     buffer (R, L, J K), and writes that into every inflow row at flat
     indices that `init_state` builds. The block's nodes, traces, delayed
-    moments and inflows have buffers in the state, and the views of the
-    ring over all its rows, of the trace buffer and of the junction are
-    built once per state (`_advection.BlockViews`), so a block slices them
-    and allocates no array.
+    moments and inflows have buffers in the state, and `init_state` builds
+    the views of the ring over all its rows, of the trace buffer and of the
+    junction with the state (`_advection.BlockViews`), so a block slices
+    them and allocates no array.
 
     The ring has 2 P >= 2 S_max + 2 L - 2 rows (`_ring_period`), and the
     head only decreases: a block writes the L rows above the head. When
@@ -677,6 +679,7 @@ class _Engine:
         state.magnitude = _aligned((R, L * J, K))
         state.junction = np.zeros((R, L, self.route.shape[0]))  # last column: the inputs
         state.inflow = np.empty((R, L, J * K))
+        state.views = _advection.BlockViews.of(state, L)
         # one member reads the engine's coefficients; more read them tiled
         stay, move = self.c_stay, self.c_move
         if R > 1:
@@ -701,15 +704,9 @@ class _Engine:
         their traces into the block's buffer and their sums into the ring,
         and their inflows into the inflow rows; first rebase the ring if the
         block would start above row 0."""
-        z, sums, L = state.density, state.sums, self.block
+        z, sums, L, v = state.density, state.sums, self.block, state.views
         rows, J = sums.shape[2:]
-        # every product writes a buffer of the state or a view of one, and
-        # the views are built anew if the sums, |trace| or junction buffer
-        # was replaced
-        v = state.views
-        if (v is None or v.sums is not sums or v.magnitude is not state.magnitude
-                or v.junction is not state.junction):
-            v = state.views = _advection.BlockViews.of(state, L)
+        # every product writes a buffer of the state or a view of one
         if state.head < L:                          # the live rows to the far end
             live, top = slice(state.head, state.head + self.s_max), rows - self.s_max
             # member by member and sum by sum: over all members the source
@@ -750,13 +747,13 @@ class _Engine:
             while span > 1 and left >= shortest:        # a segment of s steps
                 s = min(span, 1 << left.bit_length() - 1)
                 # the map and strided views of this s and buffer, built once
-                # per state, or anew if the state's buffers were replaced
-                key, z, spare = (s, state.swapped), state.density, state.spare
-                views = state.segments.get(key)
-                if views is None or views[0] is not z or views[1] is not spare:
-                    views = state.segments[key] = (z, spare, self._map(s),
-                                                   *_advection.map_views(z, spare, s))
-                np.einsum("dp,drp->rp", *views[2:4], out=views[4])
+                # per state
+                z, spare = state.density, state.spare
+                views = state.segments.get((s, state.swapped))
+                if views is None:
+                    views = state.segments[s, state.swapped] = (
+                        self._map(s), *_advection.map_views(z, spare, s))
+                np.einsum("dp,drp->rp", *views[:2], out=views[2])
                 state.density, state.spare = spare, z
                 state.swapped = not state.swapped
                 left -= s

@@ -43,15 +43,15 @@ def b_builds(monkeypatch):
 @pytest.fixture
 def parts_builds(monkeypatch):
     """A list that gets one entry per build of a delay measure's parts
-    (model._measure_parts), by the Laplace transforms or the gain factors."""
-    calls, build = [], kinnet.model._measure_parts
+    (DelayMeasure._parts, a cached property), the measure built."""
+    calls, parts = [], vars(kinnet.model.DelayMeasure)["_parts"]
+    build = parts.func
 
     def counted(m):
         calls.append(m)
         return build(m)
 
-    for module in (kinnet.model, kinnet.operators):
-        monkeypatch.setattr(module, "_measure_parts", counted)
+    monkeypatch.setattr(parts, "func", counted)
     return calls
 
 

@@ -83,7 +83,9 @@ def test_a_fit_past_the_float_range_reads_nan_without_a_warning():
     t, big = np.linspace(0.0, 1.0, 5), np.full(5, 1e308)
     traj = Trajectory(times=t, norm_state=big, norm_history=big, total_mass=big,
                       outflux=big[:, None], initial_data_norm=math.inf)
-    assert math.isnan(fit_decay(traj).a_hat)
+    fit = fit_decay(traj)
+    assert math.isnan(fit.a_hat)
+    assert math.isnan(fit.n_hat)  # a nan ratio is not the larger of 1 and nan
 
 
 def test_fit_matches_abscissa(sc_spec, grid8):

@@ -153,6 +153,31 @@ def test_verify_builds_b_twice(config_iss, scenario_file, b_builds, capsys):
     assert len(b_builds) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_verify_and_analyze_build_each_measure_s_parts_once(command, tmp_path, scenario_file,
+                                                            parts_builds, capsys):
+    # when the config loads: the certificates, the abscissa, the bounds and
+    # the engine's delay quadrature read the measures' parts
+    config = tmp_path / "five.json"
+    config.write_text(json.dumps(heterogeneous_five(0.4).to_config()))
+    parts_builds.clear()
+    scenario = [scenario_file] if command == "verify" else []
+    assert main([command, str(config), *scenario, "--k-velocity", "8"]) == 0
+    assert len({id(m) for m in parts_builds}) == len(parts_builds) == 5
+
+
+@pytest.mark.parametrize("entry", ["0.5", True, None])
+def test_a_routing_entry_that_is_not_a_number_exits_2(entry, tmp_path, capsys):
+    # as every other number of a config: a decimal string or a bool once
+    # loaded as a routing weight
+    doc = single_circle(0.5).to_config()
+    doc["routing"] = [[entry]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--k-velocity", "4"]) == 2
+    assert "expected a number for routing" in _one_line_error(capsys)
+
+
 def test_analyze_builds_b_twice(config_iss, tmp_path, b_builds, capsys):
     # the certificate, and the junction norm with the dumped gain
     out = tmp_path / "reports"
@@ -814,3 +839,6 @@ def test_inputs_past_the_float_range_exit_without_a_warning(tmp_path, capsys, co
         assert main([*argv, "--k-velocity", "4", "--out", str(tmp_path / "out")]) == code
     if code == 2:
         _one_line_error(capsys)
+    if command == "simulate":  # a fit past the float range keeps a nan N_hat
+        fit = json.loads((tmp_path / "out" / "simulate.json").read_text())["decay_fit"]
+        assert fit["a_hat"] == fit["N_hat"] == "nan"

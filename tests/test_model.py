@@ -14,7 +14,7 @@ from kinnet import (AbsorptionProfile, DelayMeasure, KinnetError, NetworkSpec,
                     ScatteringKernel, ValidationError, load_network,
                     measure_laplace, measure_total_variation, network_bounds,
                     routing_norm)
-from kinnet.model import _exp_increment, _measure_log_laplace, _measure_parts
+from kinnet.model import _exp_increment, _measure_log_laplace
 from kinnet.presets import (conservation_spec, constant_kernel, random_spec,
                             regression_suite, single_circle)
 
@@ -120,9 +120,9 @@ def test_laplace_degenerate_rate():
 
 
 def _summed_laplace(m, lam):
-    """measure_laplace as a plain sum over _measure_parts: the atoms, then the
-    density cells in order."""
-    atoms, cells = _measure_parts(m)
+    """measure_laplace as a plain sum over the measure's parts: the atoms,
+    then the density cells in order."""
+    atoms, cells = m._parts
     out = sum(mass * math.exp(lam * pos) for pos, mass in atoms)
     for a, b, value, rate in cells:
         out += value * _exp_increment(lam + rate, a, b)
@@ -599,6 +599,18 @@ def test_mutated_configs_load_or_raise_kinnet_error(data):
         else:
             node[path[-1]] = copy.deepcopy(data.draw(_BAD_VALUES))
     _check_loads_or_raises_kinnet_error(doc)
+
+
+def test_every_number_of_a_config_refuses_a_bool_or_a_decimal_string():
+    doc = shape_doc()
+    leaves = [p for p in json_paths(doc) if type(_node_at(doc, p)) in (int, float)]
+    assert any(p[0] == "routing" for p in leaves)
+    for path in leaves:
+        for value in (True, str(_node_at(doc, path))):
+            mutated = shape_doc()
+            _node_at(mutated, path[:-1])[path[-1]] = value
+            with pytest.raises(SchemaError, match="expected a number"):
+                load_network(mutated)
 
 
 def _check_loads_or_raises_kinnet_error(doc):

@@ -158,7 +158,7 @@ def test_factor_laplace_reads_the_measure_laplace():
                 -1.1 * switch, -1000.0):
         want = np.repeat([measure_laplace(m, lam) for m in measures], grid.k)
         assert np.array_equal(factors.laplace(lam), want), lam
-        assert ([_parts_log_laplace(p, lam) for p in factors.parts]
+        assert ([_parts_log_laplace(m._parts, lam) for m in factors.measures]
                 == [_measure_log_laplace(m, lam) for m in measures]), lam
         s, a, _ = factors.balanced_gain(lam)
         if abs(lam) < switch:

@@ -777,11 +777,13 @@ def test_maps_agree_with_single_steps(name):
 def _longdouble_records(sc):
     """The records of a single-step loop on a state in np.longdouble, with
     the engine's coefficients and its lookahead; each record rounds the
-    state's sums to float64."""
+    state's sums to float64. The lookahead's views of the replaced buffers
+    are built again: the engine never replaces them."""
     eng = sc.engine()
     st = eng.init_state((sc,))
     for name in ("density", "sums", "magnitude", "tails", "junction"):
         setattr(st, name, getattr(st, name).astype(np.longdouble))
+    st.views = kinnet._advection.BlockViews.of(st, eng.block)
     stay, move = (c[1:].astype(np.longdouble) for c in (eng.c_stay, eng.c_move))
     records = [eng.record(st)]
     for _ in range(sc.n_steps):

@@ -11,7 +11,7 @@ import kinnet.spectral
 from kinnet import (AbsorptionProfile, BlockOperator, BracketError, CircleSpec,
                     DelayMeasure, DomainError, NetworkSpec, ScatteringKernel,
                     SmallGainViolation, VelocityGrid, assemble_gain, c_check,
-                    fit_decay, iss_constants, run,
+                    fit_decay, iss_constants, load_network, network_bounds, run,
                     resolvent_constant_c, small_gain_certificate,
                     spectral_abscissa, spectral_radius)
 from kinnet.errors import _ieee_policy
@@ -505,17 +505,32 @@ def test_abscissa_of_the_factored_exponent(k, b_builds, monkeypatch):
 
 @pytest.mark.parametrize("k", [8, 32])
 def test_abscissa_builds_each_measure_s_parts_once(k, parts_builds, monkeypatch):
-    # the parts are read at every shift but built with the factors, so their
-    # builds do not grow with the number of phi evaluations
+    # the parts are read at every shift but built with the measures, so
+    # their builds do not grow with the number of phi evaluations: the spec
+    # is loaded anew from its config inside the count
     shifts, balanced = [], kinnet.operators._GainFactors.balanced_gain
     monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_gain",
                         lambda self, lam: shifts.append(lam) or balanced(self, lam))
     for name, spec in _seeded_specs():
         parts_builds.clear()
         shifts.clear()
+        spec = load_network(spec.to_config())
         spectral_abscissa(spec, VelocityGrid.for_spec(spec, k))
         assert len(shifts) > 3, name
         assert parts_builds == [c.delay_measure for c in spec.circles], name
+
+
+def test_a_built_spec_s_certificate_abscissa_and_bounds_build_no_parts(parts_builds):
+    # each measure built its parts when it was constructed, and every later
+    # reader reads them
+    specs = _seeded_specs()
+    parts_builds.clear()
+    for name, spec in specs:
+        grid = VelocityGrid.for_spec(spec, 8)
+        small_gain_certificate(spec, grid)
+        spectral_abscissa(spec, grid)
+        network_bounds(spec)
+        assert parts_builds == [], name
 
 
 @pytest.mark.parametrize("k", [8, 32])
