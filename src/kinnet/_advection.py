@@ -3,8 +3,8 @@ views of a state through which a junction block and the maps reach it.
 
 A step updates the flat values of the state in place, each from itself and
 from the value one row above it: below <- below stay + move above. The
-s-step advection maps of `simulator._Engine` are that step taken on unit
-pulses, with the step's own three calls, so each equals steps on unit
+s-step advection map of a `simulator._Engine` is that step taken on unit
+pulses, with the step's own three calls, so it equals steps on unit
 pulses bit for bit. The trace map of a junction block is the step's
 adjoint recurrence on the end node's functional, also three calls per step:
 bit for bit equal to stepped pulses where the coefficients are constant

@@ -130,7 +130,7 @@ class DelayMeasure:
                 raise ValidationError(f"density support outside [-{self.r}, 0]")
         if not all(v >= 0 for v in self.density_values):
             raise ValidationError("delay measure density values must be >= 0")
-        if not _measure_log_laplace(self, 0.0) < np.log(np.finfo(float).max):
+        if not _log_laplace(self, 0.0) < np.log(np.finfo(float).max):
             raise ValidationError("delay measure total mass is not finite")
 
     @cached_property
@@ -181,12 +181,12 @@ def _exp_increment(s: float, a: float, b: float) -> float:
 
 def measure_laplace(m: DelayMeasure, lam: float) -> float:
     """Integral of e^{lam*theta} d eta(theta) over [-r, 0], inf past float range."""
-    return _parts_laplace(m._parts, lam)
+    return _laplace(m, lam)
 
 
-def _parts_laplace(parts: tuple, lam: float) -> float:
-    """measure_laplace from the measure's parts (DelayMeasure._parts)."""
-    atoms, cells = parts
+def _laplace(m: DelayMeasure, lam: float) -> float:
+    """measure_laplace, from the measure's parts (DelayMeasure._parts)."""
+    atoms, cells = m._parts
     try:
         out = sum(mass * math.exp(lam * pos) for pos, mass in atoms)
         for a, b, value, rate in cells:
@@ -195,7 +195,7 @@ def _parts_laplace(parts: tuple, lam: float) -> float:
         out = math.nan
     # a term past float range raises, or reads inf or nan (times a zero
     # weight): the log form then decides whether the sum itself passes it
-    return out if math.isfinite(out) else _exp_or_inf(_parts_log_laplace(parts, lam))
+    return out if math.isfinite(out) else _exp_or_inf(_log_laplace(m, lam))
 
 
 def _log_exp_increment(s: float, a: float, b: float) -> float:
@@ -206,14 +206,10 @@ def _log_exp_increment(s: float, a: float, b: float) -> float:
     return s * peak + math.log(-math.expm1(-abs(s) * (b - a)) / abs(s))
 
 
-def _measure_log_laplace(m: DelayMeasure, lam: float) -> float:
-    """log measure_laplace(m, lam), finite where it leaves float range."""
-    return _parts_log_laplace(m._parts, lam)
-
-
-def _parts_log_laplace(parts: tuple, lam: float) -> float:
-    """_measure_log_laplace from the measure's parts (DelayMeasure._parts)."""
-    atoms, cells = parts
+def _log_laplace(m: DelayMeasure, lam: float) -> float:
+    """log measure_laplace(m, lam), finite where it leaves float range, from
+    the measure's parts (DelayMeasure._parts)."""
+    atoms, cells = m._parts
     terms = [math.log(mass) + lam * pos for pos, mass in atoms if mass > 0]
     terms += [math.log(value) + _log_exp_increment(lam + rate, a, b)
               for a, b, value, rate in cells if value > 0]

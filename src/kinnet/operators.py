@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError, _ieee_policy
 from .model import (CircleSpec, DelayMeasure, NetworkBounds, NetworkSpec, _cell_index,
-                    _exp_or_inf, _parts_laplace, _parts_log_laplace, network_bounds)
+                    _exp_or_inf, _laplace, _log_laplace, network_bounds)
 
 MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
 
@@ -190,8 +190,7 @@ class _GainFactors:
 
     def laplace(self, lam: float) -> np.ndarray:
         """Delay Laplace factor laplace_j(lam) of each flattened (j, k')."""
-        return np.array([_parts_laplace(m._parts, lam)
-                         for m in self.measures]).repeat(self.k)
+        return np.array([_laplace(m, lam) for m in self.measures]).repeat(self.k)
 
     def log_survival(self, lam: float) -> np.ndarray:
         """Log survival -(lam l_j + Q_j(v_k')) / v_k' from the junction to x = l_j
@@ -234,7 +233,7 @@ class _GainFactors:
         if b_min == 0.0:  # the least positive entry
             b_min = np.min(self.routed, where=self.routed > 0.0, initial=1.0)
         log_b = max(-math.log(min(b_min, 1.0)), math.log(max(b_max, 1.0)))
-        log_tv = [math.log(t) if (t := _parts_laplace(m._parts, 0.0)) > 0.0 else -math.inf
+        log_tv = [math.log(t) if (t := _laplace(m, 0.0)) > 0.0 else -math.inf
                   for m in self.measures]
         rates = [max((abs(rate) for *_, rate in m._parts[1]), default=0.0)
                  for m in self.measures]  # of the density cells e^{rate*theta}
@@ -260,8 +259,7 @@ class _GainFactors:
         if slope * abs(lam) + offset < 700.0:
             np.multiply(self.routed, self.scale(lam), out=a)
             return 0.0, a, False
-        log_c = np.array([_parts_log_laplace(m._parts, lam)
-                          for m in self.measures]).repeat(self.k)
+        log_c = np.array([_log_laplace(m, lam) for m in self.measures]).repeat(self.k)
         log_c += self.log_survival(lam)
         half = 0.5 * log_c
         a.fill(-math.inf)

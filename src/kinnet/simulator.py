@@ -31,26 +31,25 @@ traces, into a buffer of the block's L J traces whose sums go to the ring,
 and one scatter of the inflows (see `_Engine`). The block's buffers, views
 and inputs, padded with L copies of the last sample, live in the state.
 
-Segments: within a block, `advance` takes its steps s at a time, s a power
-of two up to the engine's span S. After s steps each flat value of a member
-is a banded combination of the values 0..s rows above it, so a segment of
-s >= 2 steps is one einsum with a precomputed s-step map (`_Engine._map`)
-in place of 3 s calls. S is the largest power of two <= L whose map for
-one member, (S + 1) N K float64 values, fits in 256 KiB (`_MAP_BYTES`), if
-that is at least 8, with maps of every s >= 2: 16 or 8 for the suite at
-(m_base, k) = (32, 8). A state whose maps do not fit (every state at
-(128, 32)) takes the 8-step map alone if L >= 8 and its 9 N K values
-fit under MAX_ARRAY_VALUES: each 8-step segment is one einsum, and a
-shorter one single steps. Else S = 1 and every step is single. On a
-2-vCPU Xeon guest, on random data, an 8-step segment of
-`heterogeneous_five(0.4)` at (128, 32) (N K = 36 896, R = 1) took 179 us
-as one einsum against 221 us as eight single steps, and one of
-`conservation_spec` (N K = 11 328) 46 against 78 us; the 4- and 2-step
-maps took 199 and 246 us, and 58 and 81 us, per 8 steps, so such a state
-builds no other map. The 8-step map of the former holds 2.53 MiB. A
-segment leaves each member's first s rows unwritten: they are circle 0's
-top inflow rows, which no start node reads before the next lookahead
-rewrites them, as above.
+Segments: an engine's steps go s = gcd(L, stride) at a time (its span).
+Events fall at every block start and every record, so every stretch
+between two of them is a multiple of s but a run's last: verify and
+simulate (stride 8) take 8-step segments, a sweep (stride 4) 4-step ones,
+and a stride that shares no factor with L (1, 3, 5, 11 at L = 16) none.
+After s steps each flat value of a member is a banded combination of the
+values 0..s rows above it, so a segment of s >= 2 steps is one einsum with
+the engine's s-step map (`_Engine.map`) in place of 3 s calls; the rest
+of a stretch takes single steps. The map is built where s >= 2 and its
+(s + 1) N K float64 values fit under MAX_ARRAY_VALUES; else every step is
+single. Per step, on random data, on a 2-vCPU Xeon guest with NumPy 2.4,
+single steps and maps of 2, 4, 8 and 16 steps took 27.4, 26.4, 20.2, 17.5
+and 15.9 us for `heterogeneous_five(0.4)` at (128, 32) (N K = 36 896,
+R = 1), and 4.9, 4.7, 3.3, 2.6 and 2.3 us for `iss_five_circle` at
+(32, 8) (N K = 2 824, R = 2): on these states a longer map is never
+slower per step, so the span needs no cap below L. The 8-step map of the
+former holds 2.53 MiB. A segment leaves each member's first s rows
+unwritten: they are circle 0's top inflow rows, which no start node reads
+before the next lookahead rewrites them, as above.
 
 Records: a record reads the state and the sums of its history window (see
 Memory). `run` copies these snapshots of C records into a chunk buffer and
@@ -101,8 +100,6 @@ LOOKAHEAD = 16
 # the most bytes of record snapshots that `run` holds at once, and of the
 # unit pulses that build an engine's trace map
 _CHUNK_BYTES = 128 * 1024
-# the most bytes of an engine's multi-step advection map for one member
-_MAP_BYTES = 256 * 1024
 _LINE = 64  # bytes in a cache line
 ZERO = MappingProxyType({"kind": "zero"})
 _UNIT = MappingProxyType({"kind": "constant", "value": 1.0})
@@ -341,10 +338,10 @@ class SimState:
     """Mutable integration state of R members in lockstep: densities, the
     ring buffer of the traces' sums, clock, and the members' inputs.
 
-    The state holds a second density buffer, `spare`. At an engine span
-    S > 1 a segment of steps writes it and then swaps it with `density`, so
-    `density` is always the live state but not always the same array: look
-    it up again after `advance`."""
+    The state holds a second density buffer, `spare`. Where the engine
+    holds a map, a segment of steps writes it and then swaps it with
+    `density`, so `density` is always the live state but not always the
+    same array: look it up again after `advance`."""
 
     t: float
     density: np.ndarray          # (R, N, K), circle j's nodes at rows engine.nodes[j]
@@ -367,9 +364,10 @@ class SimState:
     # block's buffers of those nodes, of its traces and then their absolute
     # values (R, L J, K), newest first, of the junction (R, L, J m + 1) and
     # of the inflows (R, L, J K), the inputs padded with L copies of the
-    # last sample, of which `inputs` is a view, and the block's views of
-    # these buffers (`_advection.BlockViews`); built on first use, the map
-    # and views of a segment of s steps by (s, swapped), swapped telling
+    # last sample, of which `inputs` is a view, the block's views of these
+    # buffers (`_advection.BlockViews`), and, where the engine holds a map,
+    # the two (window, rows) operands of a segment (`_advection.map_views`),
+    # one per orientation of the density buffers, indexed by swapped:
     # whether `density` is the buffer that `init_state` made as `spare`.
     # Nothing but the swap of `density` and `spare` replaces these buffers,
     # so no view is built again
@@ -384,7 +382,7 @@ class SimState:
     inflow: np.ndarray = field(init=False, repr=False)
     padded_inputs: np.ndarray | None = field(init=False, repr=False)
     views: _advection.BlockViews = field(init=False, repr=False)
-    segments: dict = field(default_factory=dict, init=False, repr=False)
+    segments: tuple = field(default=(), init=False, repr=False)
     swapped: bool = field(default=False, init=False, repr=False)
 
     @property
@@ -465,10 +463,11 @@ class _Engine:
     """Precomputed update data of a network, all circles fused; the members
     it steps keep their data and inputs in the state.
 
-    The data depend only on spec, grid, dt, m_cells and input_outside_sum.
-    Circle j owns L inflow rows and then its node rows `nodes[j]` of the
-    state array, and column j of the ring of sums. Row i of `c_stay` and
-    `c_move` (N, K) updates state row i from rows i and i - 1. An inflow row
+    The data depend only on spec, grid, dt, stride, m_cells and
+    input_outside_sum. Circle j owns L inflow rows and then its node rows
+    `nodes[j]` of the state array, and column j of the ring of sums. Row i
+    of `c_stay` and `c_move` (N, K) updates state row i from rows i and
+    i - 1. An inflow row
     and a start node have c_stay = 0, c_move = 1 and no trapezoid weight, so
     the inflow written s rows above a start node reaches it s steps later.
     Row 0 follows the same rule, so `advance` runs the advection on the
@@ -512,26 +511,26 @@ class _Engine:
     as its sums, circle by circle (`init_state`).
 
     Between two events, a block start and the end of an `advance`, the steps
-    go in segments of s = 2^i <= S (`span`), largest first, down to the
-    shortest s that takes a map (`shortest`: 2, or 8 where the 8-step map
-    is the only one), and the rest in single steps. A segment of s >= 2 is
-    one einsum of the s-step map (`_map`) with a strided view of the state,
-    (s + 1, R, N K - s K), into the spare buffer. The map is
-    built once per s on first use, from unit coefficients stepped with the
-    step's own arithmetic (`_advection`), and broadcast over the members,
-    so a member's values do not depend on the others: lockstep members
-    equal their solo runs bit for bit. The einsum sums the s + 1 terms of
-    a value in another order than s steps do, so the records agree with
-    those of single steps within 5e-15 relative on the suite at (32, 8),
-    not bit for bit; where every segment is one step they are the same.
-    Against a single-step loop in np.longdouble, the records of
-    `conservation_spec` to t = 20 drift 4.3e-15 at (32, 8) and 1.8e-14 at
-    (128, 32), where single steps drift 4.5e-16 and 4.8e-16. A
-    single step keeps the three calls: an einsum of two terms, into the
-    spare buffer, costs 1.6 and 1.1 times as much at R = 2 and N K = 392
-    and 2 824 (24.1 against 14.8 and 71.8 against 64.9 us per 8 steps),
-    and as much at R = 1, N K = 36 896 (339 against 348 us), on a 2-vCPU
-    Xeon guest with NumPy 2.4.
+    go in segments of s = gcd(L, stride) (`span`) while at least s are
+    left, and the rest in single steps; where the engine holds no map,
+    span = 1 and every step is single. A segment is one einsum of the
+    s-step map (`map`) with a strided view of the state, (s + 1, R,
+    N K - s K), into the spare buffer. The map is built with the engine,
+    from unit coefficients stepped with the step's own arithmetic
+    (`_advection`), and broadcast over the members, so a member's values
+    do not depend on the others: lockstep members equal their solo runs
+    bit for bit. The einsum sums the s + 1 terms of a value in another
+    order than s steps do, so the records agree with those of single steps
+    within 5e-15 relative on the suite at (32, 8), not bit for bit; where
+    every segment is one step they are the same. Against a single-step
+    loop in np.longdouble, the records of `conservation_spec` to t = 20
+    drift 4.3e-15 at (32, 8) and 1.8e-14 at (128, 32) with the 8-step map
+    (stride 8), 3.0e-15 and 6.5e-15 with the 16-step map (stride 16), where
+    single steps drift 4.5e-16 and 4.8e-16. A single step keeps the three
+    calls: an einsum of two terms, into the spare buffer, costs 1.6 and 1.1
+    times as much at R = 2 and N K = 392 and 2 824 (24.1 against 14.8 and
+    71.8 against 64.9 us per 8 steps), and as much at R = 1, N K = 36 896
+    (339 against 348 us), on a 2-vCPU Xeon guest with NumPy 2.4.
 
     `_records` takes the records of a chunk of C snapshots, densities and
     history windows (`_window`), in one pass with a matrix-vector product
@@ -567,19 +566,10 @@ class _Engine:
         self.period = _ring_period(s_max, L)
 
         n_rows = int(tops[-1])
-        # the span S: the largest power of two <= L whose map buffer for one
-        # member, (S + 1, N K), fits in _MAP_BYTES, if at least 8, and then
-        # maps of every s >= 2 (shortest 2); else, if L >= 8 and the 8-step
-        # map's values fit under the cap, 8 and that map alone (shortest 8);
-        # else 1. The maps, by s, built on first use
-        span = 1
-        while 2 * span <= L and (2 * span + 1) * n_rows * K * 8 <= _MAP_BYTES:
-            span *= 2
-        self.span, self.shortest = span, 2
-        if span < 8:
-            fits = L >= 8 and 9 * n_rows * K <= MAX_ARRAY_VALUES
-            self.span = self.shortest = 8 if fits else 1
-        self._maps = {}
+        # the span s: every stretch between two events of a run but the last
+        # is a multiple of it; 1 where its map's values pass the cap
+        span = math.gcd(L, sc.stride)
+        self.span = span if (span + 1) * n_rows * K <= MAX_ARRAY_VALUES else 1
         self.node_rows = np.concatenate([np.arange(n.start, n.stop) for n in self.nodes])
         xw = []                                     # trapezoid node weights
         # an inflow row or a start node copies the row above it
@@ -605,6 +595,9 @@ class _Engine:
             offset.append(idx)
             weight.append(wq)
         self.xw = np.concatenate(xw)
+        # the span's map of one member, (s + 1, N K - s K)
+        self.map = (_advection.advection_map(self.c_stay.ravel()[K:], self.c_move.ravel()[K:],
+                                             K, self.span) if self.span > 1 else None)
         # the (offset, circle) pairs of the history window, in ring order,
         # whose weight is nonzero, and their weights: a pair of zero weight
         # would turn an overflowed trace into nan
@@ -686,17 +679,11 @@ class _Engine:
             stay, move = _aligned((R, N, K)), _aligned((R, N, K))
             stay[:], move[:] = self.c_stay, self.c_move
         state.c_stay, state.c_move = stay.ravel()[K:], move.ravel()[K:]
-        state.spare = _aligned((R, N, K))
+        state.spare = spare = _aligned((R, N, K))
+        if self.span > 1:
+            state.segments = (_advection.map_views(density, spare, self.span),
+                              _advection.map_views(spare, density, self.span))
         return state
-
-    def _map(self, s: int) -> np.ndarray:
-        """The s-step advection map of one member, built on first use and
-        kept; the span rule counts its whole buffer."""
-        if s not in self._maps:
-            K = len(self.dv)
-            self._maps[s] = _advection.advection_map(self.c_stay.ravel()[K:],
-                                                     self.c_move.ravel()[K:], K, s)
-        return self._maps[s]
 
     # -- time stepping ------------------------------------------------------
     def _lookahead(self, state: SimState) -> None:
@@ -732,29 +719,22 @@ class _Engine:
     def advance(self, state: SimState, n: int) -> SimState:
         """Take n steps, after the block's lookahead where L divides the step
         count: the steps up to each block start or the end in segments of
-        powers of two <= S, largest first, while they are at least the
-        shortest map's s, and the rest in single steps. A segment of s >= 2
-        steps is one einsum into the spare buffer, which then swaps with
-        `density`; a single step is the upwind advection of the flat state of
-        all members, three calls on contiguous vectors (see `_Engine`)."""
-        L, span, shortest = self.block, self.span, self.shortest
+        the span s while at least s are left, and the rest in single steps.
+        A segment of s >= 2 steps is one einsum into the spare buffer, which
+        then swaps with `density`; a single step is the upwind advection of
+        the flat state of all members, three calls on contiguous vectors
+        (see `_Engine`)."""
+        L, s = self.block, self.span
         end = state.step_count + n
         while state.step_count < end:
             count = state.step_count
             if count % L == 0:
                 self._lookahead(state)                  # may rebase the head
             stretch = left = min(end, count - count % L + L) - count
-            while span > 1 and left >= shortest:        # a segment of s steps
-                s = min(span, 1 << left.bit_length() - 1)
-                # the map and strided views of this s and buffer, built once
-                # per state
-                z, spare = state.density, state.spare
-                views = state.segments.get((s, state.swapped))
-                if views is None:
-                    views = state.segments[s, state.swapped] = (
-                        self._map(s), *_advection.map_views(z, spare, s))
-                np.einsum("dp,drp->rp", *views[:2], out=views[2])
-                state.density, state.spare = spare, z
+            while left >= s > 1:                        # a segment of s steps
+                window, rows = state.segments[state.swapped]
+                np.einsum("dp,drp->rp", self.map, window, out=rows)
+                state.density, state.spare = state.spare, state.density
                 state.swapped = not state.swapped
                 left -= s
             if left:

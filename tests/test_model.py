@@ -14,7 +14,7 @@ from kinnet import (AbsorptionProfile, DelayMeasure, KinnetError, NetworkSpec,
                     ScatteringKernel, ValidationError, load_network,
                     measure_laplace, measure_total_variation, network_bounds,
                     routing_norm)
-from kinnet.model import _exp_increment, _measure_log_laplace
+from kinnet.model import _exp_increment, _log_laplace
 from kinnet.presets import (conservation_spec, constant_kernel, random_spec,
                             regression_suite, single_circle)
 
@@ -85,16 +85,16 @@ def test_log_laplace_is_finite_past_float_range():
                              density_edges=(-0.8, -0.2, 0.0), density_values=(1.5, 0.0)))
     for m in measures:
         for lam in (-30.0, -2.0, 0.0, 1e-15, 0.5, 3.0):
-            assert _measure_log_laplace(m, lam) == pytest.approx(
+            assert _log_laplace(m, lam) == pytest.approx(
                 math.log(measure_laplace(m, lam)), rel=1e-12, abs=1e-12)
     # the transform itself passes float range below lam = -log(max float) / 100
     m = DelayMeasure(kind="piecewise", r=100.0, atoms=((-100.0, 0.5), (-99.0, 0.5)),
                      density_edges=(-100.0, 0.0), density_values=(0.01,))
     ref = 1e4 + math.log(0.5 + 0.5 * math.exp(-100.0) + 0.01 / 100.0)
-    assert _measure_log_laplace(m, -100.0) == pytest.approx(ref, rel=1e-14)
-    assert _measure_log_laplace(DelayMeasure(kind="exponential", r=2.0, theta_rate=-1.0),
-                                -1e4) == pytest.approx(2.0 * (1e4 + 1.0) - math.log(1e4 + 1.0))
-    assert _measure_log_laplace(DelayMeasure(kind="piecewise", r=1.0), 0.0) == -math.inf
+    assert _log_laplace(m, -100.0) == pytest.approx(ref, rel=1e-14)
+    assert _log_laplace(DelayMeasure(kind="exponential", r=2.0, theta_rate=-1.0),
+                        -1e4) == pytest.approx(2.0 * (1e4 + 1.0) - math.log(1e4 + 1.0))
+    assert _log_laplace(DelayMeasure(kind="piecewise", r=1.0), 0.0) == -math.inf
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -137,7 +137,7 @@ def test_laplace_past_float_range_is_inf():
               DelayMeasure(kind="piecewise", r=1.0, density_edges=(-1.0, -0.5),
                            density_values=(0.3,))):
         assert measure_laplace(m, -1000.0) == math.inf
-        assert _measure_log_laplace(m, -1000.0) < math.inf
+        assert _log_laplace(m, -1000.0) < math.inf
     with pytest.raises(OverflowError):  # where the plain sum stops
         _summed_laplace(DelayMeasure(kind="dirac", r=1.0), -1000.0)
     # in range, the value is the plain sum's, bit for bit; a term past float

@@ -8,7 +8,7 @@ from kinnet import (BlockOperator, DelayMeasure, DomainError, PreconditionError,
                     ScatteringKernel, VelocityGrid, assemble_gain,
                     dirichlet_norm_closed_form, load_network, measure_laplace,
                     pd_norm_closed_form)
-from kinnet.model import _measure_log_laplace, _parts_log_laplace
+from kinnet.model import _log_laplace
 from kinnet.operators import (_gain_factors, _junction_moments, _routed_scattering,
                               scattering_table)
 from kinnet.presets import heterogeneous_five, regression_suite, \
@@ -158,13 +158,13 @@ def test_factor_laplace_reads_the_measure_laplace():
                 -1.1 * switch, -1000.0):
         want = np.repeat([measure_laplace(m, lam) for m in measures], grid.k)
         assert np.array_equal(factors.laplace(lam), want), lam
-        assert ([_parts_log_laplace(m._parts, lam) for m in factors.measures]
-                == [_measure_log_laplace(m, lam) for m in measures]), lam
+        assert ([_log_laplace(m, lam) for m in factors.measures]
+                == [_log_laplace(m, lam) for m in measures]), lam
         s, a, _ = factors.balanced_gain(lam)
         if abs(lam) < switch:
             assert s == 0.0 and np.array_equal(a, factors.gain(lam).matrix), lam
         else:  # the log form: A_ij = B_ij (c_i c_j)^{1/2} / e^s in logs
-            log_c = np.repeat([_measure_log_laplace(m, lam) for m in measures], grid.k)
+            log_c = np.repeat([_log_laplace(m, lam) for m in measures], grid.k)
             half = 0.5 * (log_c + factors.log_survival(lam))
             with np.errstate(divide="ignore"):
                 log_a = np.log(factors.routed) + half[:, None] + half[None, :]
