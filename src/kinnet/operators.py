@@ -5,11 +5,12 @@ with the weighted l1 norm sum_{j,k} |g[j,k]| * dv_k. Velocity quadrature is
 the midpoint rule on uniform cells, which keeps every operator entrywise
 nonnegative.
 
-The shift-free parts of the gain (_GainFactors: B and the survival exponent
-as a slope and an offset in lam) are built once per (spec, grid) and call:
-assemble_gain keeps them on its report, so a certificate reads its gain and
-its PD blocks from one factorization. Each delay measure's parts are its own,
-built once with the measure (DelayMeasure._parts).
+The shift-free parts of the gain (_GainFactors: B as the moments omega and
+route U of _junction_moments, and the survival exponent as a slope and an
+offset in lam) are built once per (spec, grid) and call: assemble_gain keeps
+them on its report, so a certificate reads its gain and its PD radius from
+one factorization. Each delay measure's parts are its own, built once with
+the measure (DelayMeasure._parts).
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError, _ieee_policy
-from .model import (CircleSpec, DelayMeasure, NetworkBounds, NetworkSpec, _cell_index,
+from .model import (DelayMeasure, NetworkBounds, NetworkSpec, _cell_index,
                     _exp_or_inf, _laplace, _log_laplace, network_bounds)
 
 MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
 
 
 def _check_operator_size(n: int) -> None:
-    """About four n x n arrays live at once for n = J K: B, the gain, and the
-    PD blocks P and S P; together they hold 4 n^2 values."""
+    """Bounds the n x n arrays, n = J K, that a dense build (_GainFactors.dense)
+    and its callers hold at once: four of them, 4 n^2 values."""
     if 4 * n * n > MAX_ARRAY_VALUES:
         raise ValidationError(f"{n} (circle, velocity cell) pairs give junction "
                               f"operators over {MAX_ARRAY_VALUES} values")
@@ -62,6 +63,8 @@ class VelocityGrid:
         edges = np.linspace(v_min, v_max, k + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         widths = np.diff(edges)
+        if not (centers * widths > 0.0).all():  # a norm or a moment reads 0 / 0
+            raise DomainError(f"[{v_min}, {v_max}] in {k} cells has a cell of zero width or v dv")
         for a in (edges, centers, widths):
             a.setflags(write=False)
         return cls(edges=edges, centers=centers, widths=widths)
@@ -103,87 +106,75 @@ class BlockOperator:
 @dataclass(frozen=True, eq=False)
 class GainAssemblyReport:
     """G(lam), and the factors it was built from, which the certificate reads
-    its PD blocks from instead of building B again."""
+    its PD radius from instead of factoring B again."""
 
     lam: float
     operator: BlockOperator
     factors: _GainFactors = field(init=False, repr=False)
 
 
-def scattering_table(circle: CircleSpec, grid: VelocityGrid) -> np.ndarray:
-    """Circle's junction kernel on the grid: entry [k, k'] = beta(v_k, v_k')
-    * v_k' * dv_k', read from beta's table through one cell index per center."""
-    cuts, values = circle.scattering._table
-    cell = _cell_index(cuts, grid.centers)
-    return values.take(cell, 0).take(cell, 1) * (grid.centers * grid.widths)[None, :]
-
-
-def _routed_scattering(spec: NetworkSpec, grid: VelocityGrid) -> np.ndarray:
-    """Shift-free factor B of the gain: maps trace data of incoming circle j
-    to inflow of outgoing circle i.
-
-    Entry [(i,k),(j,k')] = w_ij * beta_j(v_k, v_k') * v_k' * dv_k' / v_k.
-    """
-    J, K = spec.n_circles, grid.k
-    _check_operator_size(J * K)
-    tables = np.array([scattering_table(c, grid) for c in spec.circles])
-    tables /= grid.centers[None, :, None]
-    b = spec.routing[:, None, :, None] * tables.transpose(1, 0, 2)[None]
-    return b.reshape(J * K, J * K)
-
-
-def _junction_moments(spec: NetworkSpec, grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
+def _junction_moments(spec: NetworkSpec, grid: VelocityGrid, peak: bool = False
+                      ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """B in rank J m: (omega, U) with B[(i,k),(j,k')] = omega[k', b]
     U[(j,b),(i,k)], where b is the group of k': the m groups are the runs of
     grid centers on which every circle's kernel cell index is constant, one
-    per distinct index tuple. omega (K, m) holds v_k' dv_k' / V_b, V_b the
-    group's sum of v dv, so a moment is a weighted mean of a trace; U
-    (J m, J K) holds w_ij beta_j(v_k, v_b) V_b / v_k."""
+    per distinct index tuple. omega (K, m) has one nonzero entry per row and
+    comes as (group, first, share): each cell's group b, each group's first
+    cell, and omega[k', b] = v_k' dv_k' / V_b, V_b the group's sum of v dv, so
+    a moment is a weighted mean of a trace; U (J m, J K) holds
+    w_ij beta_j(v_k, v_b) V_b / v_k. With peak, V_b is the group's largest
+    v dv: U is then at most B's largest entry, in float range."""
     _check_operator_size(spec.n_circles * grid.k)
     v = grid.centers
     cells = np.array([_cell_index(c.scattering._table[0], v) for c in spec.circles])
-    group = np.concatenate(([0], np.diff(cells).any(axis=0).cumsum()))
-    first = np.flatnonzero(np.diff(group, prepend=-1))
+    start = np.add.reduce(cells)  # rows never fall in v: the sum steps up where any row does
+    start = start.searchsorted(start)  # each cell's group's first cell
+    first = (start == np.arange(len(v))).nonzero()[0]
+    group = first.searchsorted(start)
     vdv = v * grid.widths
-    total = np.add.reduceat(vdv, first)
-    omega = (group[:, None] == np.arange(len(first))) * (vdv / total[group])[:, None]
+    total = (np.maximum if peak else np.add).reduceat(vdv, first)
     tables = np.array([c.scattering._table[1].take(cell, 0).take(cell[first], 1)
                        for c, cell in zip(spec.circles, cells)]) * (total / v[:, None])
     u = spec.routing.T[:, None, :, None] * tables.transpose(0, 2, 1)[:, :, None]
-    return omega, u.reshape(-1, spec.n_circles * grid.k)
+    return (group, first, vdv / total[group]), u.reshape(-1, spec.n_circles * grid.k)
 
 
 @dataclass(frozen=True, eq=False)
 class _GainFactors:
-    """Shift-free parts of G(lam) = B diag(laplace(lam) S(lam)), built once.
+    """Shift-free parts of G(lam) = B diag(c(lam)), c = laplace(lam) S(lam).
 
-    routed is B. The log survival -(lam l_j + Q_j(v_k')) / v_k' of each
-    flattened column (j, k'), with l_j the circle length and
-    Q_j(v_k') = int_0^{l_j} q_j(., v_k') the absorption integral, is kept as
-    its slope -l_j / v_k' and offset -Q_j(v_k') / v_k' in lam. Per shift only
-    the J Laplace factors, read from the parts of the circles' delay measures
-    (measures: DelayMeasure._parts, built with each measure), one
-    multiply-add and one vector exp remain.
+    B = U^T (I_J kron omega^T) in the peak-scaled form of _junction_moments,
+    omega as (group, first, share), share in (0, 1]. G(lam), and S P at
+    lam = 0, have the nonzero spectrum of the J m x J m core
+    (I_J kron omega^T) diag(c) U^T (XY and YX share their nonzero
+    eigenvalues), whose entry ((j, b), (i, b')) sums c omega U over the cells
+    of group b. The PD radius and the abscissa read the core; dense builds
+    B diag(x) for the gain and pd_norm's block P.
 
-    The one check of the factorization runs when it is built: B must be
-    finite and nonnegative and the slope finite, else DomainError. Every
-    matrix balanced_gain returns is then finite and nonnegative by
-    construction, so the abscissa's Perron brackets skip their own scan of
-    it, and log_bound reads B's extremes (b_range) from the check.
-    balanced_gain writes every matrix into one J K x J K buffer that the
-    factorization owns.
+    The log survival -(lam l_j + Q_j(v_k')) / v_k' of each column (j, k'), l_j
+    the circle length and Q_j(v_k') = int_0^{l_j} q_j(., v_k'), is kept as its
+    slope -l_j / v_k' and offset -Q_j(v_k') / v_k' in lam. Per shift only the J
+    Laplace factors (from DelayMeasure._parts), one multiply-add and one
+    vector exp remain.
+
+    The one check runs when the factorization is built: U must be finite and
+    nonnegative and the slope finite, else DomainError. Every matrix
+    balanced_core returns is then finite and nonnegative by construction, so
+    the abscissa's Perron brackets skip their own scan, and log_bound reads
+    U's extremes (u_range) from the check.
     """
 
     measures: tuple[DelayMeasure, ...]
     k: int
-    routed: np.ndarray
+    omega: tuple[np.ndarray, np.ndarray, np.ndarray]
+    route: np.ndarray
     slope: np.ndarray
     offset: np.ndarray
     weights: np.ndarray
-    b_range: tuple[float, float] = field(init=False, repr=False)
+    u_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "b_range", _check_entries(self.routed, "the scatter-route B"))
+        object.__setattr__(self, "u_range", _check_entries(self.route, "the scatter-route B"))
         if not math.isfinite(np.minimum.reduce(self.slope)):  # -l / v <= 0
             raise DomainError("the survival exponent needs a finite l / v: v_min "
                               "lies below the float range of the circle lengths")
@@ -204,76 +195,82 @@ class _GainFactors:
         """Column scale laplace_j(lam) S_j(v_k', lam) of G(lam) = B diag(scale)."""
         return self.laplace(lam) * self.survival(lam)
 
-    def gain(self, lam: float) -> BlockOperator:
-        return BlockOperator(matrix=self.routed * self.scale(lam)[None, :],
-                             weights=self.weights)
+    @cached_property
+    def _terms(self) -> np.ndarray:
+        """omega[k', b] U[(i, b'), (j, k')] at [j, k', (i, b')], (J, K, J m)."""
+        return self.omega[2][:, None] * self.route.T.reshape(len(self.measures), self.k, -1)
 
-    def pd_blocks(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """(P, S) of the junction operator PD = [[0, P], [diag(S), 0]]: the
-        delayed scatter-route P = B diag(laplace(lam)) and the survivals S(lam)."""
-        return self.routed * self.laplace(lam)[None, :], self.survival(lam)
+    def dense(self, x: np.ndarray) -> np.ndarray:
+        """B diag(x) = U^T (I_J kron omega^T) diag(x) as a J K x J K array:
+        entry [(i, k), (j, k')] = U[(j, b), (i, k)] omega[k', b] x[(j, k')]."""
+        group, _, share = self.omega
+        n = len(self.measures)
+        u = self.route.reshape(n, -1, n * self.k).take(group, axis=1)
+        return (u * (share * x.reshape(n, self.k))[:, :, None]).reshape(n * self.k, -1).T
+
+    def gain(self, lam: float) -> BlockOperator:
+        return BlockOperator(matrix=self.dense(self.scale(lam)), weights=self.weights)
+
+    def core(self, lam: float) -> np.ndarray:
+        """The J m x J m core (I_J kron omega^T) diag(scale(lam)) U^T."""
+        c = self.scale(lam).reshape(len(self.measures), self.k, 1)
+        core = np.add.reduceat(c * self._terms, self.omega[1], axis=1)
+        return core.reshape(len(self.route), -1)
 
     def pd_norm(self, lam: float) -> float:
-        """Norm of PD after the diagonal similarity diag(s, 1/s) that balances
-        its blocks: sqrt(||P|| max S), the geometric mean of the block norms,
-        or the larger block norm where the other one is 0. A product of roots
-        stays in float range where n_p * n_s would not."""
-        p, survival = self.pd_blocks(lam)
-        n_p, n_s = BlockOperator(p, self.weights).norm(), float(np.max(survival))
+        """Norm of PD = [[0, P], [diag(S), 0]], P = B diag(laplace(lam)), balanced
+        by diag(s, 1/s): sqrt(||P|| max S), or the larger block norm where the
+        other is 0. A product of roots stays in float range where n_p n_s would not."""
+        n_p = BlockOperator(self.dense(self.laplace(lam)), self.weights).norm()
+        n_s = float(np.max(self.survival(lam)))
         if n_p > 0.0 and n_s > 0.0:
             return math.sqrt(n_p) * math.sqrt(n_s)
         return max(n_p, n_s)
 
     @cached_property
     def log_bound(self) -> tuple[float, float]:
-        """(a, b) with a |lam| + b above |x| for every e^x in gain(lam), its entries
-        included: e^{-|lam| r} <= laplace / TV <= e^{|lam| r} on support [-r, 0],
-        and the log survival is at most |lam| max l/v + max |Q/v| in size."""
-        b_min, b_max = self.b_range
-        if b_min == 0.0:  # the least positive entry
-            b_min = np.min(self.routed, where=self.routed > 0.0, initial=1.0)
-        log_b = max(-math.log(min(b_min, 1.0)), math.log(max(b_max, 1.0)))
+        """(a, b) with a |lam| + b above |x| for every e^x in core(lam) and its
+        terms c omega U: e^{-|lam| r} <= laplace / TV <= e^{|lam| r} on [-r, 0],
+        |log S| <= |lam| max l/v + max |Q/v|, omega in (0, 1], an entry 1 to K terms."""
+        u_min, u_max = self.u_range
+        if u_min == 0.0:  # the least positive entry
+            u_min = np.min(self.route, where=self.route > 0.0, initial=1.0)
+        log_u = (max(-math.log(min(u_min, 1.0)), math.log(max(u_max, 1.0)))
+                 - math.log(np.minimum.reduce(self.omega[2])) + math.log(self.k))
         log_tv = [math.log(t) if (t := _laplace(m, 0.0)) > 0.0 else -math.inf
                   for m in self.measures]
         rates = [max((abs(rate) for *_, rate in m._parts[1]), default=0.0)
                  for m in self.measures]  # of the density cells e^{rate*theta}
         return (max(m.r for m in self.measures) - float(self.slope.min()),
                 max(abs(x) + rate * m.r for x, rate, m in zip(log_tv, rates, self.measures))
-                + float(np.abs(self.offset).max()) + log_b)
+                + float(np.abs(self.offset).max()) + log_u)
 
-    @cached_property
-    def _out(self) -> np.ndarray:
-        """The one J K x J K array that balanced_gain writes every matrix into."""
-        return np.empty_like(self.routed)
-
-    def balanced_gain(self, lam: float) -> tuple[float, np.ndarray, bool]:
-        """(s, A, lost) with r(G(lam)) = e^s r(A): A = G(lam) where log_bound keeps
-        its exponentials within e^{+-700}, else A_ij = B_ij (c_i c_j)^{1/2} / e^s for the
-        column scales c, that is diag(c)^{1/2} G(lam) diag(c)^{-1/2} / e^s, built in
-        logs with s = max log(A_ij e^s). lost: an entry of A underflowed to 0.
-        A is one array that every call overwrites, finite and nonnegative since
-        the factorization is: in range its entries stay below e^700, and in logs
+    def balanced_core(self, lam: float) -> tuple[float, np.ndarray, bool]:
+        """(s, A, lost) with r(G(lam)) = e^s r(A): A = core(lam) where log_bound
+        keeps its exponentials within e^{+-700}, else, with t the largest log c
+        over each (circle, group)'s cells, the similar diag(e^{-t/2}) core(lam)
+        diag(e^{t/2}) / e^s, built in logs with s its largest log entry. lost:
+        an entry of A underflowed to 0. A is finite and nonnegative since the
+        factorization is: in range its entries stay below e^700, and in logs
         they are e^{log A_ij - s} <= 1."""
         slope, offset = self.log_bound
-        a = self._out
         if slope * abs(lam) + offset < 700.0:
-            np.multiply(self.routed, self.scale(lam), out=a)
-            return 0.0, a, False
+            return 0.0, self.core(lam), False
+        group, first, _ = self.omega
         log_c = np.array([_log_laplace(m, lam) for m in self.measures]).repeat(self.k)
-        log_c += self.log_survival(lam)
-        half = 0.5 * log_c
-        a.fill(-math.inf)
-        np.log(self.routed, out=a, where=self.routed > 0.0)  # log A + s, in place from here
-        a += half[:, None]
-        a += half[None, :]
-        s = float(a.max())
-        if s == -math.inf:  # no entry of G(lam) is positive
-            s = 0.0
+        log_c = (log_c + self.log_survival(lam)).reshape(len(self.measures), self.k)
+        t = np.maximum.reduceat(log_c, first, axis=1)
+        t[t == -math.inf] = 0.0  # a group with no positive column
+        terms = self._terms
+        log_terms = np.log(terms, out=np.full(terms.shape, -math.inf), where=terms > 0.0)
+        log_terms += (log_c - t.take(group, axis=1))[:, :, None]
+        a = np.logaddexp.reduceat(log_terms, first, axis=1).reshape(len(self.route), -1)
+        t = 0.5 * t.ravel()  # a is log core - t by rows
+        a += np.add.outer(t, t)
         kept = np.count_nonzero(a > -math.inf)
-        a -= s
-        np.exp(a, out=a)
-        lost = np.count_nonzero(a > 0.0) < kept
-        return s, a, lost
+        s = float(a.max()) if kept else 0.0  # 0 where no entry of the core is positive
+        a = np.exp(a - s)
+        return s, a, np.count_nonzero(a > 0.0) < kept
 
 
 @_ieee_policy()  # _GainFactors refuses what passes float range
@@ -281,10 +278,12 @@ def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:
     v = grid.centers
     absorbed = np.array([c.absorption.integral_x(c.length, v) for c in spec.circles])
     length = np.array([[c.length] for c in spec.circles])
+    omega, route = _junction_moments(spec, grid, peak=True)
     return _GainFactors(
         measures=tuple(c.delay_measure for c in spec.circles),
         k=grid.k,
-        routed=_routed_scattering(spec, grid),
+        omega=omega,
+        route=route,
         slope=(-length / v).ravel(),
         offset=(-absorbed / v).ravel(),
         weights=np.concatenate((grid.widths,) * spec.n_circles))

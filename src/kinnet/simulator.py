@@ -620,7 +620,8 @@ class _Engine:
         step = np.arange(1, L + 1)[:, None]
         self.delay_w[circle, step - 1, L - step + offset - self.o_lo] = weight
         # B as a mean and a route, whose last row is the inflow of a unit input
-        self.omega, route = _junction_moments(spec, grid)
+        (group, first, share), route = _junction_moments(spec, grid)
+        self.omega = (group[:, None] == np.arange(len(first))) * share[:, None]
         gain = np.ones(J) if sc.input_outside_sum else spec.routing.sum(axis=1)
         self.route = np.vstack([route, (gain[:, None] / v).ravel()])
         # inflow row s above circle j's start node takes step n + s

@@ -2,21 +2,21 @@
 
 The abscissa solves r(G(lam)) = 1 by a safeguarded secant method on the
 convex map lam -> log r(G(lam)) (Kingman 1961), run from the left of the
-root, with a bisection fallback; see spectral_abscissa. Its radii share the
+root, with a bisection fallback; see spectral_abscissa. Its radii are read
+on the J m x J m core of the gain (operators._GainFactors.core), by the
 Collatz-Wielandt loop of spectral_radius (_perron_bracket), each started
 from the last one's Perron vector and stopped once its bracket decides the
-sign of log r(G(lam)). The small-gain certificate takes r(G(0)) and the
-PD radius from one factorization of the gain (B and the survival exponent,
-built once by assemble_gain). The resolvent constant c is the least
-weighted column sum of the discretized resolvent, in closed form: the
-exact infimum over the positive cone, over the meshes of all circles at
-once; see resolvent_constant_c.
+sign of log r(G(lam)). The small-gain certificate takes r(G(0)) on the dense
+gain and the PD radius on the core at 0, from one factorization. The
+resolvent constant c is the least weighted column sum of the discretized
+resolvent, in closed form: the exact infimum over the positive cone, over
+the meshes of all circles at once; see resolvent_constant_c.
 
 spectral_radius scans every matrix that comes from outside, the
 certificate's two radii among them, for entries that are not finite or are
 negative. The abscissa's matrices skip the scan: the gain factorization
-checks B once, when it is built, and balanced_gain keeps every matrix it
-gives finite and nonnegative. The scan still runs before any dense
+checks its route U once, when it is built, and balanced_core keeps every
+matrix it gives finite and nonnegative. The scan still runs before any dense
 fallback. Both run their loops under the package's floating-point policy
 (errors._ieee_policy).
 """
@@ -202,10 +202,11 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
 
     pd_radius is the spectral radius of the junction operator
     PD = [[0, P], [Q, 0]], Q = diag(S): PD^2 = diag(PQ, QP), so
-    r(PD)^2 = r(QP), the radius of the n x n row-scaled block S P. It is
-    computed from the blocks of _GainFactors.pd_blocks, apart from the gain,
-    on the one factorization (B and the survival exponent) that assemble_gain
-    built for the gain and keeps on its report.
+    r(PD)^2 = r(QP), the radius of the n x n row-scaled block S P. With
+    B = U^T X, S P = diag(S) U^T X diag(laplace) has the nonzero spectrum of
+    X diag(laplace S) U^T, the J m x J m core at shift 0, which pd_radius is
+    taken on, apart from the dense gain of r_gain but from the one
+    factorization that assemble_gain keeps on its report.
 
     Also evaluates the closed-form sufficient bounds where their preconditions
     hold (all-Dirac measures; all positive-rate exponential measures with
@@ -213,9 +214,7 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
     """
     gain = assemble_gain(spec, grid, 0.0)
     r_gain = spectral_radius(gain.operator)
-    p, survival = gain.factors.pd_blocks(0.0)
-    p *= survival[:, None]  # S P, written over P
-    pd_radius = math.sqrt(spectral_radius(p))
+    pd_radius = math.sqrt(spectral_radius(gain.factors.core(0.0)))
 
     b = network_bounds(spec)
     exp_factor = _dirichlet_bounds(spec, b)[0]
@@ -296,16 +295,15 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     [lo, hi] is a sign bracket whose ends were both evaluated, so
     bracket_width = hi - lo <= tol is certified; lambda_star is its middle.
     iterations counts the radius evaluations after the sign bracket is found.
-    B, the shift-free exponent and the delay-measure parts are built once,
-    and every G(lam), or the similar matrix that keeps it in float range, is
-    written into one array. Each evaluation is one _perron_bracket, with no
-    scan, since the factorization was checked when it was built: it starts
-    from the last evaluation's Perron vector (from x = 1 at the
-    first, after one that closed no bracket, and where balanced_gain changes
-    form), and stops at the 1e-10 rule or once its Collatz-Wielandt bracket
-    decides the sign of phi, whichever comes first. So every evaluated end of
-    [lo, hi] keeps a certified sign, while phi away from the root is read to
-    a relative 1e-3.
+    The gain factorization is built once, and r(G(lam)) is read on its
+    J m x J m core, or on the similar matrix that keeps it in float range.
+    Each evaluation is one _perron_bracket, with no scan, since the
+    factorization was checked when it was built: it starts from the last
+    evaluation's Perron vector (from x = 1 at the first, after one that
+    closed no bracket, and where balanced_core changes form), and stops at
+    the 1e-10 rule or once its Collatz-Wielandt bracket decides the sign of
+    phi, whichever comes first. So every evaluated end of [lo, hi] keeps a
+    certified sign, while phi away from the root is read to a relative 1e-3.
     DomainError where an entry of the matrix underflowed under a reading
     phi <= 0, BracketError where adjacent floats near lambda* lie more than
     tol apart.
@@ -316,12 +314,12 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
 
     def phi(lam: float) -> float:
         nonlocal warm
-        s, gain, lost = factors.balanced_gain(lam)
+        s, core, lost = factors.balanced_core(lam)
         x0 = warm[1] if warm[0] == (s != 0.0) else None
-        r, x = _perron_bracket(gain, POWER_TOL_DEFAULT, x0, level=-s)
+        r, x = _perron_bracket(core, POWER_TOL_DEFAULT, x0, level=-s)
         warm = (s != 0.0, x)
         f = s + math.log(r) if r > 0.0 else -math.inf
-        if lost and f <= 0.0:  # r(gain) then only bounds r(G(lam)) from below
+        if lost and f <= 0.0:  # r(core) then only bounds r(G(lam)) from below
             raise DomainError(f"the gain at shift {lam} spans more than the float range")
         return f
 

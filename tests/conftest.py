@@ -28,15 +28,21 @@ def grid1(sc_spec):
 
 @pytest.fixture
 def b_builds(monkeypatch):
-    """A list that gets one entry per build of the routed scattering factor
-    B (operators._routed_scattering), which only the gain factors build."""
-    calls, build = [], kinnet.operators._routed_scattering
+    """A list that gets one entry (module, args) per build of the routed
+    scattering factor B in its rank J m form (_junction_moments), which the
+    gain factors (module "operators") and the engine ("simulator") build;
+    no other code reads a kernel's table."""
+    calls, build = [], kinnet.operators._junction_moments
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def counted(module):
+        def moments(*args, **kwargs):
+            calls.append((module, args))
+            return build(*args, **kwargs)
+        return moments
 
-    monkeypatch.setattr(kinnet.operators, "_routed_scattering", counted)
+    for module in (kinnet.operators, kinnet.simulator):
+        name = module.__name__.rsplit(".", 1)[1]
+        monkeypatch.setattr(module, "_junction_moments", counted(name))
     return calls
 
 

@@ -1,6 +1,6 @@
 """The junction block operator PD as a dense 2n x 2n matrix, built apart from
 the gain: the oracle for r(PD)^2 = r(G) and for the block formulas that
-kinnet takes r(PD) and ||PD|| from (_GainFactors.pd_blocks and .pd_norm).
+kinnet takes r(PD) and ||PD|| from (_GainFactors.core and .pd_norm).
 
 Named apart from perfbench/oracles.py: pytest puts tests/ and perfbench/ on
 sys.path, where a second `oracles` module would shadow that one.
@@ -24,7 +24,7 @@ def assemble_pd(spec: NetworkSpec, grid: VelocityGrid, lam: float) -> BlockOpera
     the geometric mean of the block norms.
     """
     f = _gain_factors(spec, grid)
-    b_delay = f.routed * f.laplace(lam)[None, :]
+    b_delay = f.dense(f.laplace(lam))
     survival = f.survival(lam)
     n_delay = BlockOperator(b_delay, f.weights).norm()
     n_trace = float(np.max(survival))  # norm of a diagonal operator

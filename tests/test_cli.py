@@ -147,10 +147,10 @@ def test_verify_makes_one_certificate(config_iss, scenario_file, monkeypatch,
 
 
 def test_verify_builds_b_twice(config_iss, scenario_file, b_builds, capsys):
-    # the certificate and the ISS constants' junction norm: the engine routes
-    # the kernel's cell moments and builds no B
+    # B in its rank J m form, for the certificate and the ISS constants'
+    # junction norm; the engine routes the same moments, a third build
     assert main(["verify", config_iss, scenario_file, "--k-velocity", "4"]) == 0
-    assert len(b_builds) == 2
+    assert sorted(module for module, _ in b_builds) == ["operators", "operators", "simulator"]
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze"])
@@ -179,11 +179,12 @@ def test_a_routing_entry_that_is_not_a_number_exits_2(entry, tmp_path, capsys):
 
 
 def test_analyze_builds_b_twice(config_iss, tmp_path, b_builds, capsys):
-    # the certificate, and the junction norm with the dumped gain
+    # the certificate, and the junction norm with the dumped gain, each from
+    # B's rank J m form
     out = tmp_path / "reports"
     assert main(["analyze", config_iss, "--k-velocity", "4", "--out", str(out),
                  "--dump-gain"]) == 0
-    assert len(b_builds) == 2
+    assert [module for module, _ in b_builds] == ["operators", "operators"]
     spec = load_network(config_iss)
     gain = assemble_gain(spec, VelocityGrid.for_spec(spec, 4), 0.0).operator.matrix
     text = io.BytesIO()
@@ -842,3 +843,29 @@ def test_inputs_past_the_float_range_exit_without_a_warning(tmp_path, capsys, co
     if command == "simulate":  # a fit past the float range keeps a nan N_hat
         fit = json.loads((tmp_path / "out" / "simulate.json").read_text())["decay_fit"]
         assert fit["a_hat"] == fit["N_hat"] == "nan"
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "verify", "sweep", "abscissa"])
+@pytest.mark.parametrize("v_min, v_max", [(1.0, 1.0), (1.0, math.nextafter(1.0, math.inf)),
+                                          (1e-162, 2e-162)], ids=["equal", "next", "underflow"])
+def test_a_velocity_grid_with_a_cell_of_zero_width_exits_2(tmp_path, capsys, command, v_min,
+                                                            v_max):
+    # v_max = v_min, or one float above it, gives cells of zero width at
+    # k = 4 (widths [0, 0, 2.2e-16, 0] for the next float), and v ~ 1e-162
+    # cells whose v dv underflows to 0; their norms and moments read 0 / 0,
+    # and the commands once reported nan norms or an ISS certificate
+    doc = single_circle(0.5).to_config()
+    doc["velocity"] = {"v_min": v_min, "v_max": v_max}
+    doc["flags"]["mass_preserving"] = False
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command in ("simulate", "verify"):
+        argv.append(str(tmp_path / "scenario.json"))
+        Path(argv[-1]).write_text(json.dumps(_CLI_SCENARIO))
+    if command == "sweep":
+        argv += ["--param", "routing_scale", "--values", "0.5,1.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--k-velocity", "4", "--out", str(tmp_path / "out")]) == 2
+    assert "zero width" in _one_line_error(capsys)

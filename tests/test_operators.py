@@ -9,8 +9,7 @@ from kinnet import (BlockOperator, DelayMeasure, DomainError, PreconditionError,
                     dirichlet_norm_closed_form, load_network, measure_laplace,
                     pd_norm_closed_form)
 from kinnet.model import _log_laplace
-from kinnet.operators import (_gain_factors, _junction_moments, _routed_scattering,
-                              scattering_table)
+from kinnet.operators import _gain_factors, _junction_moments
 from kinnet.presets import heterogeneous_five, regression_suite, \
     single_circle, single_circle_gain
 
@@ -125,11 +124,16 @@ _KERNELS = {
 @pytest.mark.parametrize("kernel", _KERNELS.values(), ids=_KERNELS)
 @pytest.mark.parametrize("k", [1, 7, 32])
 def test_scattering_table_is_the_broadcast_kernel(kernel, k):
-    circle = replace(single_circle(0.5).circles[0], scattering=kernel)
+    # a circle's kernel on the grid, beta(v_k, v_k') v_k' dv_k', is its block
+    # of B diag(v) at routing weight 1, as the factorization builds it dense
+    spec = single_circle(0.5)
+    spec = replace(spec, circles=(replace(spec.circles[0], scattering=kernel),),
+                   routing=np.array([[1.0]]), mass_preserving=False)
     grid = VelocityGrid.uniform(1.0, 2.0, k)
     v = grid.centers
     want = kernel.beta(v[:, None], v[None, :]) * (v * grid.widths)[None, :]
-    assert np.array_equal(scattering_table(circle, grid), want)
+    got = _gain_factors(spec, grid).dense(np.ones(k)) * v[:, None]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 # every measure kind, with the |lam + rate| < 1e-14 branch at lam = -2,
@@ -153,35 +157,41 @@ def test_factor_laplace_reads_the_measure_laplace():
     grid = VelocityGrid.for_spec(spec, 3)
     factors = _gain_factors(spec, grid)
     slope, offset = factors.log_bound
-    switch = (700.0 - offset) / slope  # |lam| where balanced_gain takes its log form
+    switch = (700.0 - offset) / slope  # |lam| where balanced_core takes its log form
     for lam in (0.0, -2.0, 1e-15, 0.9 * switch, -0.9 * switch, 1.1 * switch,
                 -1.1 * switch, -1000.0):
         want = np.repeat([measure_laplace(m, lam) for m in measures], grid.k)
         assert np.array_equal(factors.laplace(lam), want), lam
         assert ([_log_laplace(m, lam) for m in factors.measures]
                 == [_log_laplace(m, lam) for m in measures]), lam
-        s, a, _ = factors.balanced_gain(lam)
+        s, a, _ = factors.balanced_core(lam)
         if abs(lam) < switch:
-            assert s == 0.0 and np.array_equal(a, factors.gain(lam).matrix), lam
-        else:  # the log form: A_ij = B_ij (c_i c_j)^{1/2} / e^s in logs
+            assert s == 0.0 and np.array_equal(a, factors.core(lam)), lam
+        else:  # the log form: every k-cell kernel is constant, so m = 1 and
+            # A_ij = (sum_k' c_ik' omega_k' U_j,(i,k')) e^{(t_j - t_i) / 2} / e^s
             log_c = np.repeat([_log_laplace(m, lam) for m in measures], grid.k)
-            half = 0.5 * (log_c + factors.log_survival(lam))
+            log_c = (log_c + factors.log_survival(lam)).reshape(len(measures), grid.k)
+            t = log_c.max(axis=1)
+            terms = np.exp(log_c - t[:, None])[:, :, None] * factors._terms
             with np.errstate(divide="ignore"):
-                log_a = np.log(factors.routed) + half[:, None] + half[None, :]
-            assert s == log_a.max() and np.array_equal(a, np.exp(log_a - s)), lam
+                log_a = (np.log(terms.sum(axis=1))
+                         - 0.5 * t[:, None] + 0.5 * t[None, :] + t[:, None])
+            assert s == pytest.approx(log_a.max(), rel=1e-14), lam
+            np.testing.assert_allclose(a, np.exp(log_a - s), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("k", [1, 8, 32])
 def test_log_bound_takes_b_s_extremes_from_the_check(k):
-    # where B has no zero entry its least positive entry is its minimum,
-    # which the check at build found; the masked reduction over B gives the
-    # same bound (the two-circle specs' B has zero blocks and takes it)
+    # B is kept as its route U: where U has no zero entry its least positive
+    # entry is its minimum, which the check at build found; the masked
+    # reduction over U gives the same bound (the two-circle specs' U has zero
+    # blocks and takes it)
     for name, spec, _ in regression_suite():
         factors = _gain_factors(spec, VelocityGrid.for_spec(spec, k))
-        b = factors.routed
-        assert factors.b_range == (b.min(), b.max()), name
+        u = factors.route
+        assert factors.u_range == (u.min(), u.max()), name
         masked = _gain_factors(spec, VelocityGrid.for_spec(spec, k))
-        object.__setattr__(masked, "b_range", (0.0, b.max()))
+        object.__setattr__(masked, "u_range", (0.0, u.max()))
         assert masked.log_bound == factors.log_bound, name
 
 
@@ -228,22 +238,30 @@ def test_junction_moments_factor_b(name, k):
     # on which every kernel is constant, then the route
     spec = _MOMENT_SPECS[name]
     grid = VelocityGrid.for_spec(spec, k)
-    omega, route = _junction_moments(spec, grid)
+    (group, first, share), route = _junction_moments(spec, grid)
     m = len(_index_tuples(spec, grid))
-    assert omega.shape == (k, m) and route.shape == (spec.n_circles * m, spec.n_circles * k)
+    assert group.shape == share.shape == (k,) and first.shape == (m,)
+    assert route.shape == (spec.n_circles * m, spec.n_circles * k)
     if name in ("separable", "tabulated", "mixed") and k >= 8:
         assert m > 1
     if all(c.scattering.kind == "constant" for c in spec.circles):
         assert m == 1
-    # each cell in one group, the groups runs of adjacent cells, and a
-    # cell's weight its share of the group's v dv
-    group = omega.argmax(axis=1)
-    assert (np.count_nonzero(omega, axis=1) == 1).all() and (np.diff(group) >= 0).all()
+    # each cell in one group, the groups runs of adjacent cells from their
+    # first cells, and a cell's weight its share of the group's v dv
+    assert (np.diff(group) >= 0).all() and np.array_equal(group[first], np.arange(m))
+    assert np.array_equal(first, np.flatnonzero(np.diff(group, prepend=-1)))
     vdv = grid.centers * grid.widths
-    np.testing.assert_allclose(omega.max(axis=1), vdv / np.bincount(group, vdv)[group],
-                               rtol=1e-15, atol=0)
-    b = _routed_scattering(spec, grid)
+    np.testing.assert_allclose(share, vdv / np.bincount(group, vdv)[group], rtol=1e-15, atol=0)
+    omega = (group[:, None] == np.arange(m)) * share[:, None]
+    # B from the kernels themselves: w_ij beta_j(v_k, v_k') v_k' dv_k' / v_k
+    v = grid.centers
+    b = np.block([[w * c.scattering.beta(v[:, None], v[None, :]) * (vdv / v[:, None])
+                   for w, c in zip(row, spec.circles)] for row in spec.routing])
     factored = (np.kron(np.eye(spec.n_circles), omega) @ route).T
     assert np.array_equal(factored > 0, b > 0)
     nonzero = b > 0
     np.testing.assert_allclose(factored[nonzero], b[nonzero], rtol=1e-15, atol=0)
+    # and so is the dense build of the gain factorization, which scales the
+    # moments by each group's peak v dv instead of its sum
+    dense = _gain_factors(spec, grid).dense(np.ones(len(b)))
+    np.testing.assert_allclose(dense, b, rtol=1e-15, atol=0)

@@ -11,7 +11,7 @@ import kinnet.simulator
 from kinnet import (AbsorptionProfile, CflError, DelayMeasure, Scenario, ValidationError,
                     VelocityGrid, make_scenario, network_bounds, run, verify_iss)
 from kinnet.delayquad import _accumulate_density, delay_quadrature
-from kinnet.operators import MAX_ARRAY_VALUES, _routed_scattering, scattering_table
+from kinnet.operators import MAX_ARRAY_VALUES, _gain_factors
 from kinnet.simulator import _disturbance_samples, default_m_cells
 from kinnet.presets import (constant_kernel, conservation_spec,
                             heterogeneous_five, regression_suite, single_circle)
@@ -261,7 +261,8 @@ def _reference_run(sc):
         circles.append(dict(
             xw=xw, a=np.minimum(v * dt / dx, 1.0)[:, None], damp=np.exp(-q * dt),
             s=s, idx=idx, wq=wq, hw=hw, buf=_history_traces(eng, (sc,))[0, :s, j], head=0,
-            bv=None if c.scattering.is_zero() else scattering_table(c, grid)))
+            bv=None if c.scattering.is_zero()
+            else c.scattering.beta(v[:, None], v[None, :]) * (v * dv)[None, :]))
     z = [zj.copy() for zj in _circles(eng, st.density[0, eng.node_rows])]
     inputs = _disturbance_samples(sc)
     routing = np.asarray(spec.routing)
@@ -309,15 +310,18 @@ def _zero_kernel_network():
                    mass_preserving=False)
 
 
-@pytest.mark.parametrize("spec, kw", [
-    (heterogeneous_five(0.4), {}),
-    (_zero_kernel_network(), {}),
-    (heterogeneous_five(0.4), {
+@pytest.mark.parametrize("spec, k, m, kw", [
+    (heterogeneous_five(0.4), 4, 1, {}),
+    (_zero_kernel_network(), 4, 1, {}),
+    (heterogeneous_five(0.4), 4, 1, {
         "input_outside_sum": True,
         "disturbance": {"kind": "bounded_random", "bound": 0.5, "seed": 7}}),
-], ids=["heterogeneous_five", "zero_kernel_circle", "input_outside_sum"])
-def test_fused_engine_matches_per_circle_reference(spec, kw):
-    sc = make_scenario(spec, VelocityGrid.for_spec(spec, 4), t_end=8.0,
+    (dict(moment_specs())["mixed"], 8, 4, {}),
+], ids=["heterogeneous_five", "zero_kernel_circle", "input_outside_sum", "mixed_moments"])
+def test_fused_engine_matches_per_circle_reference(spec, k, m, kw):
+    # the reference reads each kernel through beta, the engine through the
+    # m velocity groups' moments of _junction_moments
+    sc = make_scenario(spec, VelocityGrid.for_spec(spec, k), t_end=8.0,
                        m_base=8,
                        initial={"kind": "random_nonneg", "seed": 1},
                        history={"kind": "gaussian_bump", "width": 0.3}, **kw)
@@ -326,6 +330,7 @@ def test_fused_engine_matches_per_circle_reference(spec, kw):
     traj = run(sc)
     rec, densities = _reference_run(sc)
     eng = sc.engine()
+    assert eng.omega.shape == (k, m)
     for density, z in zip(_lockstep_densities(sc), densities, strict=True):
         for zj, ref in zip(_circles(eng, density[0]), z, strict=True):
             np.testing.assert_allclose(zj, ref, rtol=1e-12, atol=1e-300)
@@ -1235,7 +1240,8 @@ def _dense_junction(members, monkeypatch):
     from the K-wide ring of the traces (`_TraceRing`)."""
     sc = members[0]
     eng = sc.engine()
-    routed = np.vstack([_routed_scattering(sc.spec, sc.grid).T, eng.route[-1]])
+    b = _gain_factors(sc.spec, sc.grid).dense(np.ones(sc.spec.n_circles * sc.grid.k))
+    routed = np.vstack([b.T, eng.route[-1]])
     traces, L = _TraceRing(eng, members, monkeypatch), eng.block
 
     def dense(st):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -19,7 +20,7 @@ from kinnet.presets import (heterogeneous_five, random_spec, regression_suite,
                             single_circle, single_circle_gain,
                             single_circle_lambda_star, single_circle_threshold_w)
 
-from conftest import constant_scenario, float_range_cycle
+from conftest import constant_scenario, float_range_cycle, moment_specs
 from pd_oracle import assemble_pd
 
 DENSE_EIGVALS = np.linalg.eigvals
@@ -286,11 +287,11 @@ def _cold_radius(a, tol=1e-10):
 
 @pytest.mark.parametrize("k", [8, 32])
 def test_radius_is_the_cold_bracket_on_regression_operators(k):
-    # bit for bit, on the gains and the PD block products S P
+    # bit for bit, on the gains and the cores at shift 0 (the PD radius's
+    # matrix)
     for name, spec, _ in regression_suite():
         grid = VelocityGrid.for_spec(spec, k)
-        p, survival = kinnet.operators._gain_factors(spec, grid).pd_blocks(0.0)
-        ops = [survival[:, None] * p]
+        ops = [kinnet.operators._gain_factors(spec, grid).core(0.0)]
         ops += [assemble_gain(spec, grid, lam).operator.matrix
                 for lam in (-5.0, 0.0, 10.0)]
         for a in ops:
@@ -460,14 +461,13 @@ def _unfactored_exponent(factors, spec, grid):
 
 def _two_build_radii(spec, grid):
     """(r_gain, pd_radius) as the certificate took them from two builds of
-    the factors, one for the gain and one for the PD blocks, with the
-    unfactored survival exponent."""
+    the factors, one for the gain and one for the core, with the unfactored
+    survival exponent."""
     def factors():
         return _unfactored_exponent(kinnet.operators._gain_factors(spec, grid), spec, grid)
 
     r_gain = spectral_radius(factors().gain(0.0))
-    p, survival = factors().pd_blocks(0.0)
-    return r_gain, math.sqrt(spectral_radius(survival[:, None] * p))
+    return r_gain, math.sqrt(spectral_radius(factors().core(0.0)))
 
 
 @pytest.mark.parametrize("k", [8, 32])
@@ -508,8 +508,8 @@ def test_abscissa_builds_each_measure_s_parts_once(k, parts_builds, monkeypatch)
     # the parts are read at every shift but built with the measures, so
     # their builds do not grow with the number of phi evaluations: the spec
     # is loaded anew from its config inside the count
-    shifts, balanced = [], kinnet.operators._GainFactors.balanced_gain
-    monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_gain",
+    shifts, balanced = [], kinnet.operators._GainFactors.balanced_core
+    monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_core",
                         lambda self, lam: shifts.append(lam) or balanced(self, lam))
     for name, spec in _seeded_specs():
         parts_builds.clear()
@@ -546,9 +546,12 @@ def test_pd_quantities_equal_the_block_operator(k):
         n = pd.matrix.shape[0] // 2
         qp = np.diag(pd.matrix[n:, :n])[:, None] * pd.matrix[:n, n:]
         cert = small_gain_certificate(spec, grid)
-        assert kinnet.operators._gain_factors(spec, grid).pd_norm(0.0) == \
-            pytest.approx(pd.norm(), rel=1e-15, abs=0.0), name
-        assert cert.pd_radius ** 2 == pytest.approx(spectral_radius(qp), rel=1e-15,
+        factors = kinnet.operators._gain_factors(spec, grid)
+        assert factors.pd_norm(0.0) == pytest.approx(pd.norm(), rel=1e-15, abs=0.0), name
+        # S P = Q P has the core's nonzero spectrum, a J m x J m matrix
+        core = factors.core(0.0)
+        assert core.shape == (spec.n_circles * len(factors.omega[1]),) * 2, name
+        assert cert.pd_radius ** 2 == pytest.approx(spectral_radius(core), rel=1e-15,
                                                     abs=0.0), name
         assert cert.pd_radius ** 2 == pytest.approx(_dense_radius(qp), rel=1e-9), name
     # P = 0 (a zero kernel) and S = 0 (every survival underflows): one block
@@ -556,8 +559,9 @@ def test_pd_quantities_equal_the_block_operator(k):
     for spec in (single_circle(0.5, kernel_scale=0.0), single_circle(0.5, gamma=3000.0)):
         grid = VelocityGrid.for_spec(spec, k)
         factors = kinnet.operators._gain_factors(spec, grid)
-        p, survival = factors.pd_blocks(0.0)
+        p, survival = factors.dense(factors.laplace(0.0)), factors.survival(0.0)
         assert not p.any() or not survival.any()
+        assert not factors.core(0.0).any()
         assert factors.pd_norm(0.0) == assemble_pd(spec, grid, 0.0).norm() > 0.0
         assert small_gain_certificate(spec, grid).pd_radius == 0.0
 
@@ -687,29 +691,51 @@ def test_abscissa_refuses_a_tol_below_the_float_spacing():
 
 
 def test_balanced_gain_keeps_the_radius():
-    # past float range balanced_gain returns diag(c)^(1/2) G diag(c)^(-1/2) / e^s;
-    # a log bound of 700 sends every shift there
-    for name, spec, _ in regression_suite():
-        grid = VelocityGrid.for_spec(spec, 4)
+    # past float range balanced_core returns the core under the similarity
+    # diag(e^{-t/2}), t the largest log c of each (circle, group), over e^s;
+    # a log bound of 700 sends every shift there. The moment specs have
+    # m > 1 groups at k = 8, where the log form sums in logs over a group
+    specs = [(name, spec) for name, spec, _ in regression_suite()] + moment_specs()
+    for (name, spec), k in itertools.product(specs, (4, 8)):
+        grid = VelocityGrid.for_spec(spec, k)
         for lam in (-0.7, 0.0, 0.6):
             ref = _dense_radius(assemble_gain(spec, grid, lam).operator.matrix)
             factors = kinnet.operators._gain_factors(spec, grid)
-            s, a, lost = factors.balanced_gain(lam)
+            s, a, lost = factors.balanced_core(lam)
             assert s == 0.0 and not lost
             assert _dense_radius(a) == pytest.approx(ref, rel=1e-12), name
             factors.__dict__["log_bound"] = (0.0, 700.0)
-            s, a, lost = factors.balanced_gain(lam)
+            s, a, lost = factors.balanced_core(lam)
             assert a.max() == 1.0 and not lost
+            assert a.shape == (spec.n_circles * len(factors.omega[1]),) * 2
             assert math.exp(s) * _dense_radius(a) == pytest.approx(ref, rel=1e-12), name
+
+
+@pytest.mark.parametrize("k", [4, 8, 32])
+def test_the_core_has_the_gain_s_radius(k):
+    # XY and YX share their nonzero eigenvalues: the J m x J m core and the
+    # J K x J K gain have one Perron root, through the bracket and through
+    # the dense eigenvalues
+    for name, spec in _seeded_specs() + moment_specs():
+        grid = VelocityGrid.for_spec(spec, k)
+        factors = kinnet.operators._gain_factors(spec, grid)
+        for lam in (-0.5, 0.0, 0.4):
+            gain, core = factors.gain(lam).matrix, factors.core(lam)
+            assert core.shape == (spec.n_circles * len(factors.omega[1]),) * 2, name
+            assert spectral_radius(core) == pytest.approx(spectral_radius(gain),
+                                                          rel=1e-10, abs=0.0), (name, lam)
+            assert _dense_radius(core) == pytest.approx(_dense_radius(gain),
+                                                        rel=1e-12, abs=0.0), (name, lam)
 
 
 @pytest.mark.parametrize("k", [4, 8, 32])
 def test_the_abscissa_s_matrices_are_finite_and_nonnegative(k, monkeypatch):
     # the abscissa's brackets skip the entry scan, so every matrix that
-    # balanced_gain gives at its shifts must be finite and nonnegative, in
-    # range and in logs; a log bound of 700 sends every shift to the logs
-    shifts, balanced = [], kinnet.operators._GainFactors.balanced_gain
-    monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_gain",
+    # balanced_core gives at its shifts must be finite and nonnegative, in
+    # range and in logs; a log bound of 700 sends every shift to the logs.
+    # Each is the J m x J m core, never a J K x J K matrix
+    shifts, balanced = [], kinnet.operators._GainFactors.balanced_core
+    monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_core",
                         lambda self, lam: shifts.append(lam) or balanced(self, lam))
     for name, spec in _seeded_specs():
         grid = VelocityGrid.for_spec(spec, k)
@@ -724,11 +750,12 @@ def test_the_abscissa_s_matrices_are_finite_and_nonnegative(k, monkeypatch):
                 s, a, _ = balanced(factors, lam)
                 assert math.isfinite(s) and np.isfinite(a).all(), (name, lam)
                 assert np.minimum.reduce(a, None) >= 0.0, (name, lam)
+                assert a.shape == (spec.n_circles * len(factors.omega[1]),) * 2
             assert a.max() == 1.0, (name, lam)  # the log form's scale
 
 
 def test_a_factorization_beyond_the_float_range_is_refused_when_built():
-    # a kernel of 1e10 routed with weight 1e300 makes B inf: the factorization
+    # a kernel of 1e10 routed with weight 1e300 makes B's route U inf: the factorization
     # refuses it when it is built, before any bracket
     spec = single_circle(1e300, kernel_scale=1e10)
     grid = VelocityGrid.for_spec(spec, 2)
@@ -739,12 +766,16 @@ def test_a_factorization_beyond_the_float_range_is_refused_when_built():
             call(spec, grid)
     factors = kinnet.operators._gain_factors(single_circle(0.5), grid)
     with pytest.raises(DomainError, match="nonnegative"):
-        replace(factors, routed=-factors.routed)
-    # a circle of length 1 at v ~ 1e-310: l / v passes float range, and at
-    # lam = 0 the survival exponent would read 0 * inf
-    c = replace(spec.circles[0], scattering=ScatteringKernel(kind="constant", value=1.0))
-    slow = NetworkSpec(circles=(c,), routing=np.array([[0.5]]), v_min=1e-310,
-                       v_max=2e-310, mass_preserving=False)
+        replace(factors, route=-factors.route)
+    # a circle of length 1e300 at v ~ 1e-9: l / v passes float range, and at
+    # lam = 0 the survival exponent would read 0 * inf (at length 1 that takes
+    # v ~ 1e-310, whose v dv underflows, and the grid refuses it first)
+    with pytest.raises(DomainError, match="zero width or v dv"):
+        VelocityGrid.uniform(1e-310, 2e-310, 2)
+    c = replace(spec.circles[0], length=1e300,
+                scattering=ScatteringKernel(kind="constant", value=1.0))
+    slow = NetworkSpec(circles=(c,), routing=np.array([[0.5]]), v_min=1e-9,
+                       v_max=2e-9, mass_preserving=False)
     grid = VelocityGrid.for_spec(slow, 2)
     for call in (kinnet.operators._gain_factors, small_gain_certificate, spectral_abscissa):
         with pytest.raises(DomainError, match="finite l / v"):
@@ -765,7 +796,7 @@ def test_spectral_radius_is_the_bracket_under_the_policy(k, monkeypatch):
     for name, spec, _ in regression_suite():
         factors = kinnet.operators._gain_factors(spec, VelocityGrid.for_spec(spec, k))
         for lam in (-0.5, 0.0, 0.3):
-            a = factors.balanced_gain(lam)[1]
+            a = factors.balanced_core(lam)[1]
             radius = spectral_radius(a)
             with _ieee_policy():
                 loop = bracket(a, 1e-10)
@@ -853,13 +884,13 @@ def test_abscissa_bisects_where_the_survival_clamp_bends_phi(monkeypatch):
     spec = single_circle(0.5, gamma=0.0, v_min=0.005, v_max=0.015)
     grid = VelocityGrid.for_spec(spec, 1)
     shifts = []
-    gain = kinnet.operators._GainFactors.balanced_gain
+    gain = kinnet.operators._GainFactors.balanced_core
 
     def recorded(self, lam):
         shifts.append(lam)
         return gain(self, lam)
 
-    monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_gain", recorded)
+    monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_core", recorded)
     res = spectral_abscissa(spec, grid)
     assert shifts[1:3] == [-10.0, -11.0] and -5.0 in shifts
     assert res.lambda_star == pytest.approx(single_circle_lambda_star(spec), abs=1e-6)
