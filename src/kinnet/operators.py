@@ -29,8 +29,10 @@ MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
 
 
 def _check_operator_size(n: int) -> None:
-    """Bounds the n x n arrays, n = J K, that a dense build (_GainFactors.dense)
-    and its callers hold at once: four of them, 4 n^2 values."""
+    """Bounds the arrays of up to n x n values, n = J K, that a factorization
+    and its callers hold at once: its route U and at most three more, 4 n^2
+    values. The certificate holds G while core(0) builds its terms and their
+    sums; balanced_core's log form and pd_norm's P and |P| hold two."""
     if 4 * n * n > MAX_ARRAY_VALUES:
         raise ValidationError(f"{n} (circle, velocity cell) pairs give junction "
                               f"operators over {MAX_ARRAY_VALUES} values")
@@ -126,8 +128,8 @@ def _junction_moments(spec: NetworkSpec, grid: VelocityGrid, peak: bool = False
     v dv: U is then at most B's largest entry, in float range."""
     _check_operator_size(spec.n_circles * grid.k)
     v = grid.centers
-    cells = np.array([_cell_index(c.scattering._table[0], v) for c in spec.circles])
-    start = np.add.reduce(cells)  # rows never fall in v: the sum steps up where any row does
+    cells = [_cell_index(c.scattering._table[0], v) for c in spec.circles]
+    start = sum(cells)  # no index falls in v: the sum steps up where any index does
     start = start.searchsorted(start)  # each cell's group's first cell
     first = (start == np.arange(len(v))).nonzero()[0]
     group = first.searchsorted(start)
@@ -195,26 +197,23 @@ class _GainFactors:
         """Column scale laplace_j(lam) S_j(v_k', lam) of G(lam) = B diag(scale)."""
         return self.laplace(lam) * self.survival(lam)
 
-    @cached_property
-    def _terms(self) -> np.ndarray:
-        """omega[k', b] U[(i, b'), (j, k')] at [j, k', (i, b')], (J, K, J m)."""
-        return self.omega[2][:, None] * self.route.T.reshape(len(self.measures), self.k, -1)
-
     def dense(self, x: np.ndarray) -> np.ndarray:
         """B diag(x) = U^T (I_J kron omega^T) diag(x) as a J K x J K array:
         entry [(i, k), (j, k')] = U[(j, b), (i, k)] omega[k', b] x[(j, k')]."""
         group, _, share = self.omega
         n = len(self.measures)
         u = self.route.reshape(n, -1, n * self.k).take(group, axis=1)
-        return (u * (share * x.reshape(n, self.k))[:, :, None]).reshape(n * self.k, -1).T
+        u *= (share * x.reshape(n, self.k))[:, :, None]
+        return u.reshape(n * self.k, -1).T
 
     def gain(self, lam: float) -> BlockOperator:
         return BlockOperator(matrix=self.dense(self.scale(lam)), weights=self.weights)
 
     def core(self, lam: float) -> np.ndarray:
         """The J m x J m core (I_J kron omega^T) diag(scale(lam)) U^T."""
-        c = self.scale(lam).reshape(len(self.measures), self.k, 1)
-        core = np.add.reduceat(c * self._terms, self.omega[1], axis=1)
+        n, (_, first, share) = len(self.measures), self.omega
+        c = self.scale(lam).reshape(n, self.k) * share
+        core = np.add.reduceat(c[:, :, None] * self.route.T.reshape(n, self.k, -1), first, axis=1)
         return core.reshape(len(self.route), -1)
 
     def pd_norm(self, lam: float) -> float:
@@ -256,20 +255,22 @@ class _GainFactors:
         slope, offset = self.log_bound
         if slope * abs(lam) + offset < 700.0:
             return 0.0, self.core(lam), False
-        group, first, _ = self.omega
+        n, (group, first, share) = len(self.measures), self.omega
         log_c = np.array([_log_laplace(m, lam) for m in self.measures]).repeat(self.k)
-        log_c = (log_c + self.log_survival(lam)).reshape(len(self.measures), self.k)
+        log_c = (log_c + self.log_survival(lam)).reshape(n, self.k)
         t = np.maximum.reduceat(log_c, first, axis=1)
         t[t == -math.inf] = 0.0  # a group with no positive column
-        terms = self._terms
-        log_terms = np.log(terms, out=np.full(terms.shape, -math.inf), where=terms > 0.0)
-        log_terms += (log_c - t.take(group, axis=1))[:, :, None]
-        a = np.logaddexp.reduceat(log_terms, first, axis=1).reshape(len(self.route), -1)
+        u = self.route.T
+        a = np.log(u, out=np.full(u.shape, -math.inf), where=u > 0.0).reshape(n, self.k, -1)
+        a += (log_c - t.take(group, axis=1) + np.log(share))[:, :, None]
+        a = np.logaddexp.reduceat(a, first, axis=1).reshape(len(self.route), -1)
         t = 0.5 * t.ravel()  # a is log core - t by rows
-        a += np.add.outer(t, t)
+        a += t[:, None]
+        a += t
         kept = np.count_nonzero(a > -math.inf)
         s = float(a.max()) if kept else 0.0  # 0 where no entry of the core is positive
-        a = np.exp(a - s)
+        a -= s
+        np.exp(a, out=a)
         return s, a, np.count_nonzero(a > 0.0) < kept
 
 

@@ -169,10 +169,19 @@ def test_factor_laplace_reads_the_measure_laplace():
             assert s == 0.0 and np.array_equal(a, factors.core(lam)), lam
         else:  # the log form: every k-cell kernel is constant, so m = 1 and
             # A_ij = (sum_k' c_ik' omega_k' U_j,(i,k')) e^{(t_j - t_i) / 2} / e^s
+            assert len(factors.omega[1]) == 1
             log_c = np.repeat([_log_laplace(m, lam) for m in measures], grid.k)
             log_c = (log_c + factors.log_survival(lam)).reshape(len(measures), grid.k)
             t = log_c.max(axis=1)
-            terms = np.exp(log_c - t[:, None])[:, :, None] * factors._terms
+            with np.errstate(divide="ignore"):
+                log_terms = np.log(factors.route.T).reshape(len(measures), grid.k, -1)
+            log_terms += (log_c - t[:, None] + np.log(factors.omega[2]))[:, :, None]
+            half = 0.5 * t
+            log_a = np.logaddexp.reduce(log_terms, axis=1) + half[:, None] + half
+            assert s == log_a.max() and np.array_equal(a, np.exp(log_a - s)), lam
+            # and, summed in exp space, the same core
+            terms = (np.exp(log_c - t[:, None]) * factors.omega[2])[:, :, None] \
+                * factors.route.T.reshape(len(measures), grid.k, -1)
             with np.errstate(divide="ignore"):
                 log_a = (np.log(terms.sum(axis=1))
                          - 0.5 * t[:, None] + 0.5 * t[None, :] + t[:, None])
