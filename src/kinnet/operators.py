@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +25,11 @@ from .model import (DelayMeasure, NetworkBounds, NetworkSpec, _cell_index,
                     _exp_or_inf, _laplace, _log_laplace, network_bounds)
 
 MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
+# The largest J m core whose fourth power the Perron brackets take
+# (_GainFactors.perron_power). Certificate plus abscissa on five circles with
+# many-cell tabulated kernels, single-threaded BLAS, took 0.82-0.96x the time
+# of bracketing the core itself at J m = 20-60 and 1.0-3.4x at J m = 80-320.
+_POWER_CORE_MAX = 32
 
 
 def _check_operator_size(n: int) -> None:
@@ -162,8 +166,12 @@ class _GainFactors:
     The one check runs when the factorization is built: U must be finite and
     nonnegative and the slope finite, else DomainError. Every matrix
     balanced_core returns is then finite and nonnegative by construction, so
-    the abscissa's Perron brackets skip their own scan, and log_bound reads
-    U's extremes (u_range) from the check.
+    the abscissa's Perron brackets skip their own scan. log_bound is built
+    with the factorization too, from U's extremes as the check found them.
+    It decides each shift's form: the core where a |lam| + b < 700, past that
+    the similar matrix built in logs (balanced_core), and for the Perron
+    brackets the core's fourth power where 4 (a |lam| + b) + 3 log(J m) < 700
+    and 1 < J m <= _POWER_CORE_MAX (perron_power).
     """
 
     measures: tuple[DelayMeasure, ...]
@@ -173,13 +181,14 @@ class _GainFactors:
     slope: np.ndarray
     offset: np.ndarray
     weights: np.ndarray
-    u_range: tuple[float, float] = field(init=False, repr=False)
+    log_bound: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "u_range", _check_entries(self.route, "the scatter-route B"))
+        u_range = _check_entries(self.route, "the scatter-route B")
         if not math.isfinite(np.minimum.reduce(self.slope)):  # -l / v <= 0
             raise DomainError("the survival exponent needs a finite l / v: v_min "
                               "lies below the float range of the circle lengths")
+        object.__setattr__(self, "log_bound", self._log_bound(*u_range))
 
     def laplace(self, lam: float) -> np.ndarray:
         """Delay Laplace factor laplace_j(lam) of each flattened (j, k')."""
@@ -226,12 +235,11 @@ class _GainFactors:
             return math.sqrt(n_p) * math.sqrt(n_s)
         return max(n_p, n_s)
 
-    @cached_property
-    def log_bound(self) -> tuple[float, float]:
+    def _log_bound(self, u_min: float, u_max: float) -> tuple[float, float]:
         """(a, b) with a |lam| + b above |x| for every e^x in core(lam) and its
         terms c omega U: e^{-|lam| r} <= laplace / TV <= e^{|lam| r} on [-r, 0],
-        |log S| <= |lam| max l/v + max |Q/v|, omega in (0, 1], an entry 1 to K terms."""
-        u_min, u_max = self.u_range
+        |log S| <= |lam| max l/v + max |Q/v|, omega in (0, 1], an entry 1 to K
+        terms; u_min and u_max are U's extremes."""
         if u_min == 0.0:  # the least positive entry
             u_min = np.min(self.route, where=self.route > 0.0, initial=1.0)
         log_u = (max(-math.log(min(u_min, 1.0)), math.log(max(u_max, 1.0)))
@@ -243,6 +251,28 @@ class _GainFactors:
         return (max(m.r for m in self.measures) - float(self.slope.min()),
                 max(abs(x) + rate * m.r for x, rate, m in zip(log_tv, rates, self.measures))
                 + float(np.abs(self.offset).max()) + log_u)
+
+    def perron_power(self, lam: float, core: np.ndarray) -> tuple[np.ndarray, int]:
+        """(A, p) with r(core) = r(A)^(1/p), core = core(lam) or balanced_core's
+        A at lam: the fourth power A = (core core)(core core) and p = 4 where
+        1 < J m <= _POWER_CORE_MAX and 4 (a |lam| + b) + 3 log(J m) < 700, (a, b)
+        = log_bound; else A = core and p = 1. A bracket on A takes the level
+        and the tol times p: one product is four power steps of the core.
+
+        Each positive entry of the core lies in [e^{-a |lam| - b},
+        e^{a |lam| + b}], so each entry of the power, a sum of (J m)^3 products
+        of four, stays within e^{+-700}: no product overflows or underflows,
+        fl(A) keeps the exact zero pattern of the power, and each entry is
+        within about 3 J m eps relative. Forming the power costs 2 (J m)^3
+        multiply-adds against (J m)^2 per power step it saves, so only small
+        cores take it (_POWER_CORE_MAX); a 1 x 1 core is its own root."""
+        slope, offset = self.log_bound
+        n = len(core)
+        in_range = 4.0 * (slope * abs(lam) + offset) + 3.0 * math.log(n) < 700.0
+        if 1 < n <= _POWER_CORE_MAX and in_range:
+            core = core @ core
+            return core @ core, 4
+        return core, 1
 
     def balanced_core(self, lam: float) -> tuple[float, np.ndarray, bool]:
         """(s, A, lost) with r(G(lam)) = e^s r(A): A = core(lam) where log_bound

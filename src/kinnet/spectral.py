@@ -3,11 +3,17 @@
 The abscissa solves r(G(lam)) = 1 by a safeguarded secant method on the
 convex map lam -> log r(G(lam)) (Kingman 1961), run from the left of the
 root, with a bisection fallback; see spectral_abscissa. Its radii are read
-on the J m x J m core of the gain (operators._GainFactors.core), by the
+on the J m x J m core C of the gain (operators._GainFactors.core), by the
 Collatz-Wielandt loop of spectral_radius (_perron_bracket), each started
 from the last one's Perron vector and stopped once its bracket decides the
 sign of log r(G(lam)). The small-gain certificate takes r(G(0)) on the dense
-gain and the PD radius on the core at 0, from one factorization. The
+gain and the PD radius on the core at 0, from one factorization. On a small
+core whose fourth power C^4 = (C C)(C C) the factorization's log bound keeps
+in float range (_GainFactors.perron_power), both read r(C)^4 on C^4: one
+product there is four power steps of C, so a bracket that closes at
+|lambda_2| / r per step on C closes at (|lambda_2| / r)^4 on C^4. A 1 x 1 core
+(one circle and one velocity group, m = 1, as with a constant kernel) is its
+own root. The
 resolvent constant c is the least weighted column sum of the discretized
 resolvent, in closed form: the exact infimum over the positive cone, over
 the meshes of all circles at once; see resolvent_constant_c.
@@ -76,11 +82,12 @@ def spectral_radius(op, tol: float = POWER_TOL_DEFAULT) -> float:
     less than half per step (a complex lambda_2, or one near r) keeps the
     unshifted steps while they still shrink it by a tenth.
 
-    Returns the middle of the first bracket with hi - lo <= tol * hi, and
-    exactly 0 when A = 0. A zero row of A (lo = 0, nilpotent input included)
-    keeps the bracket open, as does other reducible input; there, at the step
-    cap, or when A x overflows, the dense eigenvalues clipped into the last
-    bracket decide. An iterate entry that underflows to 0 ends the bracket
+    Returns the middle of the first bracket with hi - lo <= tol * hi,
+    exactly 0 when A = 0, and the entry itself when A is 1 x 1 and positive.
+    A zero row of A (lo = 0, nilpotent input included) keeps the bracket
+    open, as does other reducible input; there, at the step cap, or when
+    A x overflows, the dense eigenvalues clipped into the last bracket
+    decide. An iterate entry that underflows to 0 ends the bracket
     too, and raises DomainError: the entries of A then span more than the
     float range, and neither bracket nor eigvals can be trusted.
 
@@ -113,12 +120,17 @@ def _perron_bracket(a: np.ndarray, tol: float, x0: np.ndarray | None = None,
     x > 0 keeps the bracket rigorous). With level, it also stops once the
     bracket decides the side of log r against level: lo > 0,
     [log lo, log hi] strictly on one side, and no wider than _SIGN_RTOL times
-    the distance of its nearer end. The middle it then returns lies on the
-    same side as log r.
+    the distance of its nearer end. The middle lo + (hi - lo) / 2 it then
+    returns lies on the same side as log r; it cannot overflow, and it is
+    exact, subnormals included, where lo = hi.
 
-    The caller enters errors._ieee_policy. A zero entry of x or a non-finite
-    entry of a gives an inf or nan ratio, which ends the loop, and a is
-    scanned before the dense fallback."""
+    A 1 x 1 matrix whose entry is positive and finite is its own root, with
+    the vector 1 and no step. Any other 1 x 1 input takes the loop and its
+    checks. The caller enters errors._ieee_policy. A zero entry of x or a
+    non-finite entry of a gives an inf or nan ratio, which ends the loop, and
+    a is scanned before the dense fallback."""
+    if a.shape[0] == 1 and 0.0 < a[0, 0] < math.inf:
+        return _Bracket(float(a[0, 0]), np.ones(1))
     x = x0 if x0 is not None and x0.all() else np.ones(a.shape[0])
     ratio = np.empty(a.shape[0])  # (A x)_i / x_i, rewritten every step
     width, shifted = math.inf, False
@@ -132,7 +144,7 @@ def _perron_bracket(a: np.ndarray, tol: float, x0: np.ndarray | None = None,
             break
         if hi - lo <= tol * hi or level is not None and _decides(lo, hi, level):
             y /= np.maximum.reduce(y)
-            return _Bracket(0.5 * lo + 0.5 * hi, y)  # lo + hi may overflow
+            return _Bracket(lo + 0.5 * (hi - lo), y)  # lo + hi may overflow
         shifted = shifted or hi - lo > 0.9 * width
         width = hi - lo
         # x <- A x / hi never grows x, and x <- (A + hi I) x / hi at most
@@ -204,9 +216,12 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
     PD = [[0, P], [Q, 0]], Q = diag(S): PD^2 = diag(PQ, QP), so
     r(PD)^2 = r(QP), the radius of the n x n row-scaled block S P. With
     B = U^T X, S P = diag(S) U^T X diag(laplace) has the nonzero spectrum of
-    X diag(laplace S) U^T, the J m x J m core at shift 0, which pd_radius is
+    X diag(laplace S) U^T, the J m x J m core C at shift 0, which pd_radius is
     taken on, apart from the dense gain of r_gain but from the one
-    factorization that assemble_gain keeps on its report.
+    factorization that assemble_gain keeps on its report. Where the
+    factorization takes C's fourth power (_GainFactors.perron_power: a small
+    C whose power stays in float range), it is r(C^4)^(1/8), bracketed at
+    4 tol on C^4 = (C C)(C C), else sqrt(r(C)).
 
     Also evaluates the closed-form sufficient bounds where their preconditions
     hold (all-Dirac measures; all positive-rate exponential measures with
@@ -214,7 +229,9 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
     """
     gain = assemble_gain(spec, grid, 0.0)
     r_gain = spectral_radius(gain.operator)
-    pd_radius = math.sqrt(spectral_radius(gain.factors.core(0.0)))
+    a, p = gain.factors.perron_power(0.0, gain.factors.core(0.0))
+    r_a = spectral_radius(a, p * POWER_TOL_DEFAULT)  # r(PD)^(2 p)
+    pd_radius = math.sqrt(r_a) if p == 1 else r_a ** 0.125
 
     b = network_bounds(spec)
     exp_factor = _dirichlet_bounds(spec, b)[0]
@@ -296,7 +313,11 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     bracket_width = hi - lo <= tol is certified; lambda_star is its middle.
     iterations counts the radius evaluations after the sign bracket is found.
     The gain factorization is built once, and r(G(lam)) is read on its
-    J m x J m core, or on the similar matrix that keeps it in float range.
+    J m x J m core C, or on the similar matrix that keeps it in float range.
+    Where the factorization takes C's fourth power (_GainFactors.perron_power:
+    a small C whose power stays in float range), the bracket runs on
+    C^4 = (C C)(C C) with the level and the tol times 4, and phi takes a
+    quarter of log r(C^4): four power steps per product.
     Each evaluation is one _perron_bracket, with no scan, since the
     factorization was checked when it was built: it starts from the last
     evaluation's Perron vector (from x = 1 at the first, after one that
@@ -315,10 +336,11 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
     def phi(lam: float) -> float:
         nonlocal warm
         s, core, lost = factors.balanced_core(lam)
-        x0 = warm[1] if warm[0] == (s != 0.0) else None
-        r, x = _perron_bracket(core, POWER_TOL_DEFAULT, x0, level=-s)
+        a, p = factors.perron_power(lam, core)  # s = 0 where p = 4
+        x0 = warm[1] if warm[0] == (s != 0.0) else None  # C^4 x shares C's Perron vector
+        r, x = _perron_bracket(a, p * POWER_TOL_DEFAULT, x0, level=-p * s)
         warm = (s != 0.0, x)
-        f = s + math.log(r) if r > 0.0 else -math.inf
+        f = s + math.log(r) / p if r > 0.0 else -math.inf
         if lost and f <= 0.0:  # r(core) then only bounds r(G(lam)) from below
             raise DomainError(f"the gain at shift {lam} spans more than the float range")
         return f

@@ -191,17 +191,15 @@ def test_factor_laplace_reads_the_measure_laplace():
 
 @pytest.mark.parametrize("k", [1, 8, 32])
 def test_log_bound_takes_b_s_extremes_from_the_check(k):
-    # B is kept as its route U: where U has no zero entry its least positive
-    # entry is its minimum, which the check at build found; the masked
-    # reduction over U gives the same bound (the two-circle specs' U has zero
-    # blocks and takes it)
+    # B is kept as its route U, and log_bound is built with the factorization
+    # from U's extremes as the check found them: where U has no zero entry its
+    # least positive entry is its minimum; the masked reduction over U gives
+    # the same bound (the two-circle specs' U has zero blocks and takes it)
     for name, spec, _ in regression_suite():
         factors = _gain_factors(spec, VelocityGrid.for_spec(spec, k))
         u = factors.route
-        assert factors.u_range == (u.min(), u.max()), name
-        masked = _gain_factors(spec, VelocityGrid.for_spec(spec, k))
-        object.__setattr__(masked, "u_range", (0.0, u.max()))
-        assert masked.log_bound == factors.log_bound, name
+        assert factors.log_bound == factors._log_bound(u.min(), u.max()), name
+        assert factors._log_bound(0.0, u.max()) == factors.log_bound, name
 
 
 def test_pd_block_product_equals_gain():

@@ -115,6 +115,30 @@ def test_radius_takes_the_middle_of_a_bracket_near_the_float_maximum():
     assert spectral_radius(np.array([[0.0, 1e308], [1e308, 0.0]])) == 1e308
 
 
+@pytest.mark.parametrize("value", [5e-324, 3e-308])
+def test_radius_keeps_a_subnormal_root(value):
+    # the halves of a subnormal bracket round: 0.5 * 5e-324 + 0.5 * 5e-324
+    # reads 0, so the middle is lo + (hi - lo) / 2, exact where lo = hi
+    for a in (np.array([[value]]), np.diag([value, value])):
+        assert spectral_radius(a) == value
+        assert _bracket(a, 1e-10).radius == value
+
+
+@pytest.mark.parametrize("value", [0.3, 1e300, 5e-324])
+def test_a_1x1_matrix_is_its_own_root(value):
+    counted = np.array([[value]]).view(_CountedMatrix)
+    counted.products = 0
+    got = _bracket(counted, 1e-10)
+    assert got.radius == value and np.array_equal(got.vector, [1.0])
+    assert counted.products == 0
+    assert spectral_radius(np.array([[value]])) == value
+
+
+def test_a_1x1_zero_has_radius_zero_and_no_vector():
+    assert _bracket(np.array([[0.0]]), 1e-10) == (0.0, None)
+    assert spectral_radius(np.array([[0.0]])) == 0.0
+
+
 def test_a_radius_past_the_float_range_reads_inf_without_a_warning():
     # A x overflows: the dense fallback decides, with no overflow warning
     with warnings.catch_warnings():
@@ -461,13 +485,17 @@ def _unfactored_exponent(factors, spec, grid):
 
 def _two_build_radii(spec, grid):
     """(r_gain, pd_radius) as the certificate took them from two builds of
-    the factors, one for the gain and one for the core, with the unfactored
-    survival exponent."""
+    the factors, one for the gain and one for the core C, with the unfactored
+    survival exponent: pd_radius is r(C^4)^(1/8), bracketed at 4e-10 on
+    (C C)(C C), where the second build takes C's fourth power, else sqrt(r(C))."""
     def factors():
         return _unfactored_exponent(kinnet.operators._gain_factors(spec, grid), spec, grid)
 
     r_gain = spectral_radius(factors().gain(0.0))
-    return r_gain, math.sqrt(spectral_radius(factors().core(0.0)))
+    second = factors()
+    a, p = second.perron_power(0.0, second.core(0.0))
+    r_a = spectral_radius(a, p * 1e-10)
+    return r_gain, math.sqrt(r_a) if p == 1 else r_a ** 0.125
 
 
 @pytest.mark.parametrize("k", [8, 32])
@@ -548,11 +576,15 @@ def test_pd_quantities_equal_the_block_operator(k):
         cert = small_gain_certificate(spec, grid)
         factors = kinnet.operators._gain_factors(spec, grid)
         assert factors.pd_norm(0.0) == pytest.approx(pd.norm(), rel=1e-15, abs=0.0), name
-        # S P = Q P has the core's nonzero spectrum, a J m x J m matrix
+        # S P = Q P has the core's nonzero spectrum, a J m x J m matrix C; the
+        # certificate brackets r(C)^4 on C^4 = (C C)(C C) where C is not 1 x 1,
+        # and every core here is small and keeps C^4 in float range
         core = factors.core(0.0)
         assert core.shape == (spec.n_circles * len(factors.omega[1]),) * 2, name
-        assert cert.pd_radius ** 2 == pytest.approx(spectral_radius(core), rel=1e-15,
-                                                    abs=0.0), name
+        a, p = factors.perron_power(0.0, core)
+        assert p == (4 if len(core) > 1 else 1), name
+        r_core = spectral_radius(a, p * 1e-10) ** (1 / p)
+        assert cert.pd_radius ** 2 == pytest.approx(r_core, rel=1e-15, abs=0.0), name
         assert cert.pd_radius ** 2 == pytest.approx(_dense_radius(qp), rel=1e-9), name
     # P = 0 (a zero kernel) and S = 0 (every survival underflows): one block
     # norm is 0 and the other one is the norm, exactly
@@ -729,6 +761,106 @@ def test_the_core_has_the_gain_s_radius(k):
 
 
 @pytest.mark.parametrize("k", [4, 8, 32])
+def test_the_fourth_power_keeps_the_core_radius(k):
+    # r(C)^4 is bracketed on C^4 = (C C)(C C) at 4 tol, a relative 1e-10 on
+    # r(C) as the C bracket's own: each lies within 5e-11 of the root (the C
+    # bracket itself reads up to 4.1e-11 from eigvals here). Every core
+    # larger than 1 x 1 is small and keeps C^4 in float range at these shifts
+    for name, spec in _seeded_specs() + moment_specs():
+        factors = kinnet.operators._gain_factors(spec, VelocityGrid.for_spec(spec, k))
+        for lam in (-0.5, 0.0, 0.4):
+            core = factors.core(lam)
+            a, p = factors.perron_power(lam, core)
+            assert p == (4 if len(core) > 1 else 1), (name, lam)
+            if p == 4:
+                square = core @ core
+                assert np.array_equal(a, square @ square), (name, lam)
+            got = _bracket(a, p * 1e-10)
+            r = got.radius ** (1 / p)
+            assert r == pytest.approx(_bracket(core, 1e-10).radius, rel=1e-10,
+                                      abs=0.0), (name, lam)
+            assert r == pytest.approx(_dense_radius(core), rel=1e-10, abs=0.0), (name, lam)
+            assert got.vector.min() > 0.0, (name, lam)
+
+
+def test_a_bound_past_the_fourth_power_s_range_brackets_the_core(monkeypatch):
+    # a log bound of 200 keeps the core in range but not its fourth power
+    # (4 * 200 > 700): the certificate and the abscissa then bracket C itself
+    build, cores, taken = kinnet.operators._gain_factors, [], []
+    balanced, bracket = kinnet.operators._GainFactors.balanced_core, kinnet.spectral._perron_bracket
+
+    def forced(spec, grid):
+        factors = build(spec, grid)
+        factors.__dict__["log_bound"] = (0.0, 200.0)
+        return factors
+
+    def kept_core(self, lam):
+        out = balanced(self, lam)
+        cores.append(out[1])
+        return out
+
+    def kept(a, *args, **kwargs):
+        taken.append((a, args, kwargs))
+        return bracket(a, *args, **kwargs)
+
+    for module in (kinnet.operators, kinnet.spectral):
+        monkeypatch.setattr(module, "_gain_factors", forced)
+    monkeypatch.setattr(kinnet.operators._GainFactors, "balanced_core", kept_core)
+    monkeypatch.setattr(kinnet.spectral, "_perron_bracket", kept)
+    for name, spec in _seeded_specs() + moment_specs():
+        grid = VelocityGrid.for_spec(spec, 8)
+        factors = forced(spec, grid)
+        assert factors.perron_power(0.0, factors.core(0.0))[1] == 1, name
+        cert = small_gain_certificate(spec, grid)
+        assert cert.pd_radius == math.sqrt(_bracket(factors.core(0.0), 1e-10).radius), name
+        cores.clear()
+        taken.clear()
+        spectral_abscissa(spec, grid)
+        assert len(taken) == len(cores) > 3, name
+        for core, (a, (tol, _), kwargs) in zip(cores, taken):
+            assert a is core and tol == 1e-10 and kwargs == {"level": 0.0}, name
+
+
+def test_a_core_past_the_power_size_is_bracketed_as_it_is(monkeypatch):
+    # forming C^4 costs 2 (J m)^3 multiply-adds against (J m)^2 per power
+    # step, so a core above 32 x 32 is bracketed as C although its power
+    # would keep float range
+    spec = _many_cell_five(8)
+    grid = VelocityGrid.for_spec(spec, 8)
+    factors = kinnet.operators._gain_factors(spec, grid)
+    core = factors.core(0.0)
+    assert len(core) == 40
+    assert factors.perron_power(0.0, core)[0] is core
+    for n, p in ((2, 4), (32, 4), (33, 1)):
+        assert factors.perron_power(0.0, np.ones((n, n)))[1] == p, n
+    cert = small_gain_certificate(spec, grid)
+    assert cert.pd_radius == math.sqrt(_bracket(core, 1e-10).radius)
+    taken, bracket = [], kinnet.spectral._perron_bracket
+
+    def kept(a, *args, **kwargs):
+        taken.append((len(a), args[0]))
+        return bracket(a, *args, **kwargs)
+
+    monkeypatch.setattr(kinnet.spectral, "_perron_bracket", kept)
+    spectral_abscissa(spec, grid)
+    assert len(taken) > 3 and set(taken) == {(40, 1e-10)}
+
+
+def _many_cell_five(cells):
+    """heterogeneous_five(0.4) with a positive tabulated kernel of cells x
+    cells equal cells on [1, 2] on every circle: m = cells velocity groups
+    on a grid whose edges hold the kernel's."""
+    five = heterogeneous_five(0.4)
+    edges = tuple(np.linspace(1.0, 2.0, cells + 1))
+    rng = np.random.default_rng(0)
+    return replace(five, mass_preserving=False, circles=tuple(
+        replace(c, scattering=ScatteringKernel(
+            kind="tabulated", v_edges=edges,
+            values=tuple(map(tuple, rng.uniform(0.2, 1.0, (cells, cells))))))
+        for c in five.circles))
+
+
+@pytest.mark.parametrize("k", [4, 8, 32])
 def test_the_abscissa_s_matrices_are_finite_and_nonnegative(k, monkeypatch):
     # the abscissa's brackets skip the entry scan, so every matrix that
     # balanced_core gives at its shifts must be finite and nonnegative, in
@@ -863,9 +995,32 @@ def test_abscissa_needs_few_radius_evaluations(suite_abscissae):
 
 def test_abscissa_needs_few_bracket_steps(suite_abscissae):
     # each radius starts from the last one's Perron vector and stops once it
-    # decides the sign of log r: 412 steps, against 860 from x = 1 to 1e-10
+    # decides the sign of log r: 412 steps on the cores C, against 860 from
+    # x = 1 to 1e-10, and 108 on C^4 where it keeps float range
     steps = [n for *_, n in suite_abscissae]
     assert sum(steps) <= 450, steps
+
+
+def test_the_fourth_power_halves_the_perron_steps(monkeypatch):
+    # certificate plus abscissa over the suite at k = 8, counted as products
+    # a @ x in every Perron bracket: 309 steps when each core was bracketed
+    # as C. On C^4 one step is four power steps of C, and a 1 x 1 core takes
+    # none; squaring C is not a bracket step
+    counted, bracket = [], kinnet.spectral._perron_bracket
+
+    def kept(a, *args, **kwargs):
+        a = a.view(_CountedMatrix)
+        a.products = 0
+        out = bracket(a, *args, **kwargs)
+        counted.append(a.products)
+        return out
+
+    monkeypatch.setattr(kinnet.spectral, "_perron_bracket", kept)
+    for name, spec, _ in regression_suite():
+        grid = VelocityGrid.for_spec(spec, 8)
+        small_gain_certificate(spec, grid)
+        spectral_abscissa(spec, grid)
+    assert sum(counted) <= 309 // 2, sum(counted)
 
 
 def test_abscissa_bracket_is_certified(suite_abscissae):
