@@ -36,7 +36,7 @@ def _check_operator_size(n: int) -> None:
     """Bounds the arrays of up to n x n values, n = J K, that a factorization
     and its callers hold at once: its route U and at most three more, 4 n^2
     values. The certificate holds G while core(0) builds its terms and their
-    sums; balanced_core's log form and pd_norm's P and |P| hold two."""
+    sums; balanced_core's log form holds two, and pd_norm none."""
     if 4 * n * n > MAX_ARRAY_VALUES:
         raise ValidationError(f"{n} (circle, velocity cell) pairs give junction "
                               f"operators over {MAX_ARRAY_VALUES} values")
@@ -119,17 +119,18 @@ class GainAssemblyReport:
     factors: _GainFactors = field(init=False, repr=False)
 
 
-def _junction_moments(spec: NetworkSpec, grid: VelocityGrid, peak: bool = False
+def _junction_moments(spec: NetworkSpec, grid: VelocityGrid
                       ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """B in rank J m: (omega, U) with B[(i,k),(j,k')] = omega[k', b]
     U[(j,b),(i,k)], where b is the group of k': the m groups are the runs of
     grid centers on which every circle's kernel cell index is constant, one
     per distinct index tuple. omega (K, m) has one nonzero entry per row and
     comes as (group, first, share): each cell's group b, each group's first
-    cell, and omega[k', b] = v_k' dv_k' / V_b, V_b the group's sum of v dv, so
-    a moment is a weighted mean of a trace; U (J m, J K) holds
-    w_ij beta_j(v_k, v_b) V_b / v_k. With peak, V_b is the group's largest
-    v dv: U is then at most B's largest entry, in float range."""
+    cell, and omega[k', b] = v_k' dv_k' / V_b in (0, 1], V_b the group's
+    largest v dv, so a moment is a peak-scaled share of a trace; U (J m, J K)
+    holds w_ij beta_j(v_k, v_b) V_b / v_k, at most B's largest entry and so
+    in float range. The gain factorization and the simulator's engine both
+    take B in this one form."""
     _check_operator_size(spec.n_circles * grid.k)
     v = grid.centers
     cells = [_cell_index(c.scattering._table[0], v) for c in spec.circles]
@@ -138,11 +139,11 @@ def _junction_moments(spec: NetworkSpec, grid: VelocityGrid, peak: bool = False
     first = (start == np.arange(len(v))).nonzero()[0]
     group = first.searchsorted(start)
     vdv = v * grid.widths
-    total = (np.maximum if peak else np.add).reduceat(vdv, first)
+    peak = np.maximum.reduceat(vdv, first)
     tables = np.array([c.scattering._table[1].take(cell, 0).take(cell[first], 1)
-                       for c, cell in zip(spec.circles, cells)]) * (total / v[:, None])
+                       for c, cell in zip(spec.circles, cells)]) * (peak / v[:, None])
     u = spec.routing.T[:, None, :, None] * tables.transpose(0, 2, 1)[:, :, None]
-    return (group, first, vdv / total[group]), u.reshape(-1, spec.n_circles * grid.k)
+    return (group, first, vdv / peak[group]), u.reshape(-1, spec.n_circles * grid.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +155,8 @@ class _GainFactors:
     lam = 0, have the nonzero spectrum of the J m x J m core
     (I_J kron omega^T) diag(c) U^T (XY and YX share their nonzero
     eigenvalues), whose entry ((j, b), (i, b')) sums c omega U over the cells
-    of group b. The PD radius and the abscissa read the core; dense builds
-    B diag(x) for the gain and pd_norm's block P.
+    of group b. The PD radius and the abscissa read the core, pd_norm reads
+    omega and U, and dense builds B diag(x) for the gain alone.
 
     The log survival -(lam l_j + Q_j(v_k')) / v_k' of each column (j, k'), l_j
     the circle length and Q_j(v_k') = int_0^{l_j} q_j(., v_k'), is kept as its
@@ -228,8 +229,17 @@ class _GainFactors:
     def pd_norm(self, lam: float) -> float:
         """Norm of PD = [[0, P], [diag(S), 0]], P = B diag(laplace(lam)), balanced
         by diag(s, 1/s): sqrt(||P|| max S), or the larger block norm where the
-        other is 0. A product of roots stays in float range where n_p n_s would not."""
-        n_p = BlockOperator(self.dense(self.laplace(lam)), self.weights).norm()
+        other is 0. A product of roots stays in float range where n_p n_s would not.
+
+        ||P|| is the largest weighted column sum over dv, read from the
+        factors without building P: column (j, k') of P has the weighted sum
+        laplace_j(lam) omega[k', b] (U w)[(j, b)], b the group of k' and w
+        the weights."""
+        group, _, share = self.omega
+        n = len(self.measures)
+        routed = (self.route @ self.weights).reshape(n, -1).take(group, axis=1)
+        sums = share * self.laplace(lam).reshape(n, self.k) * routed
+        n_p = float(np.max(sums.ravel() / self.weights))
         n_s = float(np.max(self.survival(lam)))
         if n_p > 0.0 and n_s > 0.0:
             return math.sqrt(n_p) * math.sqrt(n_s)
@@ -309,7 +319,7 @@ def _gain_factors(spec: NetworkSpec, grid: VelocityGrid) -> _GainFactors:
     v = grid.centers
     absorbed = np.array([c.absorption.integral_x(c.length, v) for c in spec.circles])
     length = np.array([[c.length] for c in spec.circles])
-    omega, route = _junction_moments(spec, grid, peak=True)
+    omega, route = _junction_moments(spec, grid)
     return _GainFactors(
         measures=tuple(c.delay_measure for c in spec.circles),
         k=grid.k,

@@ -73,6 +73,8 @@ Memory: the arrays that a step or a record streams start on a cache line.
 The ring holds |trace| @ dv and trace @ (v dv), which the records read,
 and the m moments trace @ omega, which the delay reads take, per row and
 circle (see `_Engine`): 2 + m numbers where a ring of the traces held K.
+omega and the route are the gain factorization's own, peak-scaled by
+`operators._junction_moments`.
 No reader needs more of a trace once its sums are taken, so the state
 holds the K values of a block's traces alone, and a rebase moves only
 sums.
@@ -483,11 +485,12 @@ class _Engine:
     1) writes the L traces of each member and column into the block's
     trace buffer (R, L J, K), a matrix-vector product each. Their sums go
     to the L ring rows above the head (`_trace_sums`), and the buffer is
-    left holding |trace|. The gain's shift-free factor B is a mean omega
-    over the m velocity groups on which every kernel is constant, then a
-    route U (`operators._junction_moments`), so the lookahead contracts the
-    moment rows of the ring that the block's delay reads cover with a
-    banded (L, window) weight matrix per circle, routes the result with
+    left holding |trace|. The gain's shift-free factor B is the moments
+    omega over the m velocity groups on which every kernel is constant,
+    each cell's v dv over its group's peak, then a route U, both the gain
+    factorization's own (`operators._junction_moments`), so the lookahead
+    contracts the moment rows of the ring that the block's delay reads cover
+    with a banded (L, window) weight matrix per circle, routes the result with
     one matmul with U (the inputs ride along as one more column) into a
     buffer (R, L, J K), and writes that into every inflow row at flat
     indices that `init_state` builds. The block's nodes, traces, delayed
@@ -619,7 +622,8 @@ class _Engine:
         self.delay_w = np.zeros((J, L, o_hi - self.o_lo + L))
         step = np.arange(1, L + 1)[:, None]
         self.delay_w[circle, step - 1, L - step + offset - self.o_lo] = weight
-        # B as a mean and a route, whose last row is the inflow of a unit input
+        # B as the factorization's moments and route, whose last row is the
+        # inflow of a unit input
         (group, first, share), route = _junction_moments(spec, grid)
         self.omega = (group[:, None] == np.arange(len(first))) * share[:, None]
         gain = np.ones(J) if sc.input_outside_sum else spec.routing.sum(axis=1)

@@ -412,10 +412,12 @@ def _column_sums(nodes: np.ndarray, phi: np.ndarray) -> np.ndarray:
     # log sum_{m >= i} w_m e^{-phi_m}, a reverse cumulative sum kept in logs:
     # e^{phi} and e^{-phi} alone overflow once phi spans more than ~700
     log_tail = np.logaddexp.accumulate((np.log(w) - phi)[..., ::-1], axis=-1)[..., ::-1]
+    # each term takes half / w <= 1 before its exponential, which is about
+    # the mesh span: half times that would underflow on a span near 1e-160
     out = np.zeros(np.shape(phi))
-    out[..., 1:] += half * np.exp(phi[..., 1:] + log_tail[..., 1:])
-    out[..., :-1] += half * np.exp(phi[..., :-1] + log_tail[..., 1:])
-    return out / w
+    out[..., 1:] += half / w[..., 1:] * np.exp(phi[..., 1:] + log_tail[..., 1:])
+    out[..., :-1] += half / w[..., :-1] * np.exp(phi[..., :-1] + log_tail[..., 1:])
+    return out
 
 
 def resolvent_constant_c(spec: NetworkSpec, grid: VelocityGrid, lam: float,

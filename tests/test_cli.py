@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import kinnet.analysis
 import kinnet.cli
-from kinnet import KinnetError, Scenario, VelocityGrid, assemble_gain, load_network
+from kinnet import (DelayMeasure, KinnetError, Scenario, VelocityGrid, assemble_gain,
+                    load_network)
 from kinnet.cli import main
 from kinnet.presets import conservation_spec, heterogeneous_five, single_circle, \
     single_circle_lambda_star, single_circle_threshold_w
@@ -108,6 +109,21 @@ def test_verify_pass(config_iss, scenario_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["passed"] is True
+
+
+def test_verify_passes_with_a_delay_of_1e_300(tmp_path, scenario_file, capsys):
+    # the history mesh of circle 0 spans 1e-300: its resolvent column sums
+    # reach about 8e-303 and must not underflow to a constant c of 0
+    five = heterogeneous_five(0.4)
+    short = dataclasses.replace(five.circles[0],
+                                delay_measure=DelayMeasure(kind="dirac", r=1e-300))
+    path = tmp_path / "short_delay.json"
+    path.write_text(json.dumps(dataclasses.replace(
+        five, circles=(short,) + five.circles[1:]).to_config()))
+    assert main(["verify", str(path), scenario_file, "--k-velocity", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert 0.0 < doc["constants"]["c"] < 1e-300
 
 
 def test_verify_not_iss_exits_2(config_hot, scenario_file, capsys):

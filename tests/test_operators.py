@@ -241,8 +241,9 @@ _MOMENT_SPECS = {**dict(moment_specs()),
 @pytest.mark.parametrize("k", [1, 3, 8, 32])
 @pytest.mark.parametrize("name", list(_MOMENT_SPECS))
 def test_junction_moments_factor_b(name, k):
-    # B = (I_J kron omega) U, transposed: the mean over each velocity group
-    # on which every kernel is constant, then the route
+    # B = (I_J kron omega) U, transposed: each velocity group's cells, on
+    # which every kernel is constant, scaled by the group's peak v dv, then
+    # the route
     spec = _MOMENT_SPECS[name]
     grid = VelocityGrid.for_spec(spec, k)
     (group, first, share), route = _junction_moments(spec, grid)
@@ -254,11 +255,12 @@ def test_junction_moments_factor_b(name, k):
     if all(c.scattering.kind == "constant" for c in spec.circles):
         assert m == 1
     # each cell in one group, the groups runs of adjacent cells from their
-    # first cells, and a cell's weight its share of the group's v dv
+    # first cells, and a cell's weight its v dv over the group's peak v dv
     assert (np.diff(group) >= 0).all() and np.array_equal(group[first], np.arange(m))
     assert np.array_equal(first, np.flatnonzero(np.diff(group, prepend=-1)))
     vdv = grid.centers * grid.widths
-    np.testing.assert_allclose(share, vdv / np.bincount(group, vdv)[group], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(share, vdv / np.maximum.reduceat(vdv, first)[group],
+                               rtol=1e-15, atol=0)
     omega = (group[:, None] == np.arange(m)) * share[:, None]
     # B from the kernels themselves: w_ij beta_j(v_k, v_k') v_k' dv_k' / v_k
     v = grid.centers
@@ -268,7 +270,6 @@ def test_junction_moments_factor_b(name, k):
     assert np.array_equal(factored > 0, b > 0)
     nonzero = b > 0
     np.testing.assert_allclose(factored[nonzero], b[nonzero], rtol=1e-15, atol=0)
-    # and so is the dense build of the gain factorization, which scales the
-    # moments by each group's peak v dv instead of its sum
+    # and so is the dense build of the gain factorization, from the same moments
     dense = _gain_factors(spec, grid).dense(np.ones(len(b)))
     np.testing.assert_allclose(dense, b, rtol=1e-15, atol=0)

@@ -1268,6 +1268,22 @@ def test_an_engine_refuses_junction_operators_past_the_cap():
         sc.engine()
 
 
+@pytest.mark.parametrize("k", [3, 8, 32])
+def test_the_engine_routes_the_gain_factorization_s_junction(k):
+    # one scale of B: the engine's moments and route are the factorization's
+    # omega, made dense, and U, bit for bit; its last route row is the input
+    specs = [(name, spec) for name, spec, _ in regression_suite()] + moment_specs()
+    for name, spec in specs:
+        grid = VelocityGrid.for_spec(spec, k)
+        eng = make_scenario(spec, grid, t_end=1e-3, m_base=8).engine()
+        factors = _gain_factors(spec, grid)
+        group, first, share = factors.omega
+        omega = np.zeros((k, len(first)))
+        omega[np.arange(k), group] = share
+        assert np.array_equal(eng.omega, omega), name
+        assert np.array_equal(eng.route[:-1], factors.route), name
+
+
 @pytest.mark.parametrize("outside", [False, True])
 @pytest.mark.parametrize("name, spec", moment_specs(), ids=[n for n, _ in moment_specs()])
 def test_moments_route_what_a_dense_b_routes(name, spec, outside, monkeypatch):

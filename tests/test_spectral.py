@@ -1236,6 +1236,29 @@ def test_resolvent_constant_on_a_slow_circle():
     assert resolvent_constant_c(spec, g, 1.0) == pytest.approx(first_node, rel=1e-12)
 
 
+def _long_double_column_sums(nodes, phi):
+    """The column sums of _column_sums' trapezoid resolvent, summed directly
+    in np.longdouble, whose exponent range holds every product here."""
+    x, f = np.asarray(nodes, np.longdouble), np.asarray(phi, np.longdouble)
+    half = 0.5 * np.diff(x)
+    w = np.r_[half, 0.0] + np.r_[0.0, half]
+    tail = np.r_[np.cumsum((w * np.exp(-f))[::-1])[::-1], 0.0]  # sum_{m >= i} w_m e^{-phi_m}
+    return (np.r_[0.0, half] * tail[:-1] + np.r_[half, 0.0] * tail[1:]) * np.exp(f) / w
+
+
+@pytest.mark.parametrize("span", [1.0, 1e-100, 1e-158, 1e-200])
+def test_column_sums_keep_a_short_mesh(span):
+    # each half-width meets e^{phi + log tail}, about the span, after it is
+    # divided by w: multiplied first, the product lost digits near a span of
+    # 1e-155 and read 0 from 1e-160 down
+    nodes = np.linspace(0.0, span, 65)
+    for phi in (nodes, 3.0 * (nodes / span) ** 2):
+        got = kinnet.spectral._column_sums(nodes, phi)
+        assert got.min() > 0.0
+        np.testing.assert_allclose(got, _long_double_column_sums(nodes, phi).astype(float),
+                                   rtol=1e-12, atol=0)
+
+
 def _per_circle_resolvent_constant(spec, grid, lam, n_x, n_theta):
     """resolvent_constant_c as a loop over circles, one mesh at a time."""
     def column_sums(nodes, phi):
@@ -1243,9 +1266,9 @@ def _per_circle_resolvent_constant(spec, grid, lam, n_x, n_theta):
         w = np.r_[half, 0.0] + np.r_[0.0, half]
         log_tail = np.logaddexp.accumulate((np.log(w) - phi)[..., ::-1], axis=-1)[..., ::-1]
         out = np.zeros(np.shape(phi))
-        out[..., 1:] += half * np.exp(phi[..., 1:] + log_tail[..., 1:])
-        out[..., :-1] += half * np.exp(phi[..., :-1] + log_tail[..., 1:])
-        return out / w
+        out[..., 1:] += half / w[1:] * np.exp(phi[..., 1:] + log_tail[..., 1:])
+        out[..., :-1] += half / w[:-1] * np.exp(phi[..., :-1] + log_tail[..., 1:])
+        return out
 
     v = grid.centers[:, None]
     best = math.inf
