@@ -8,7 +8,8 @@ def _ieee_policy():
     division by zero and invalid operations give inf or nan silently.
 
     Each numeric entry point that checks non-finite values itself runs under
-    it: operators._gain_factors, spectral.spectral_radius,
+    it: the NetworkBounds that NetworkSpec builds at construction,
+    operators._gain_factors, spectral.spectral_radius,
     spectral.spectral_abscissa, simulator.run and analysis.fit_decay. There a
     non-finite value is either refused, as a KinnetError that names what
     passed the float range, or is the answer, as an unstable run's records

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, _ieee_policy
 
 MASS_PRESERVING_TOL = 1e-6
 
@@ -84,7 +84,9 @@ class DelayMeasure:
     _parts gives every kind one form, read by the Laplace transform, its log,
     the gain factors and the quadrature: atoms (position, mass) plus density
     cells value * e^{rate*theta} on [a, b]. The mass check of __post_init__
-    builds it, once per measure.
+    builds it, once per measure. __post_init__ also keeps _log_bound_term,
+    |log TV| + max |rate| r, the measure's share of the gain's log bound
+    (operators._GainFactors.log_bound).
     """
 
     kind: str
@@ -132,6 +134,11 @@ class DelayMeasure:
             raise ValidationError("delay measure density values must be >= 0")
         if not _log_laplace(self, 0.0) < np.log(np.finfo(float).max):
             raise ValidationError("delay measure total mass is not finite")
+        # e^{-|lam| r} <= laplace(lam) / TV <= e^{|lam| r} on [-r, 0], and each
+        # density cell's rate moves its log by at most |rate| r
+        log_tv = math.log(tv) if (tv := _laplace(self, 0.0)) > 0.0 else -math.inf
+        rate = max((abs(rate) for *_, rate in self._parts[1]), default=0.0)
+        object.__setattr__(self, "_log_bound_term", abs(log_tv) + rate * self.r)
 
     @cached_property
     def _parts(self) -> tuple[tuple, tuple]:
@@ -277,8 +284,8 @@ class AbsorptionProfile:
 
     @cached_property
     def _range(self) -> tuple[float, float]:
-        """(min, max) of the table, read once: network_bounds and the abscissa
-        ask for them on every call."""
+        """(min, max) of the table, read once: the network's checks and its
+        bounds both ask for them."""
         values = self._table[2]
         return float(values.min()), float(values.max())
 
@@ -428,7 +435,8 @@ class CircleSpec:
 
 @dataclass(frozen=True, eq=False)
 class NetworkSpec:
-    """Validated, immutable description of the whole network."""
+    """Validated, immutable description of the whole network. __post_init__
+    keeps its NetworkBounds, which network_bounds returns."""
 
     circles: tuple[CircleSpec, ...]
     routing: np.ndarray  # (J, J), w_ij = weight from incoming j to outgoing i
@@ -450,6 +458,8 @@ class NetworkSpec:
         routing.setflags(write=False)
         object.__setattr__(self, "routing", routing)
         _validate(self)
+        with _ieee_policy():  # a routing column sum past the float range reads inf
+            object.__setattr__(self, "_bounds", _network_bounds(self))
 
     @property
     def n_circles(self) -> int:
@@ -506,6 +516,11 @@ def routing_norm(routing) -> float:
 
 
 def network_bounds(spec: NetworkSpec) -> NetworkBounds:
+    """The spec's bounds, built once with the spec."""
+    return spec._bounds
+
+
+def _network_bounds(spec: NetworkSpec) -> NetworkBounds:
     g1, g2 = spec.absorption_range()
     return NetworkBounds(
         l_bar=max(c.length for c in spec.circles),

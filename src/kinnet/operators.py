@@ -9,8 +9,16 @@ The shift-free parts of the gain (_GainFactors: B as the moments omega and
 route U of _junction_moments, and the survival exponent as a slope and an
 offset in lam) are built once per (spec, grid) and call: assemble_gain keeps
 them on its report, so a certificate reads its gain and its PD radius from
-one factorization. Each delay measure's parts are its own, built once with
-the measure (DelayMeasure._parts).
+one factorization. What depends on the spec alone is built once, when its
+owner is constructed, and only read here:
+
+- each delay measure, its parts (DelayMeasure._parts) and its share of the
+  log bound, |log TV| + max |rate| r (DelayMeasure._log_bound_term);
+- the network, its NetworkBounds, which network_bounds returns.
+
+Each circle's Q = int_0^l q(., v) is integrated at the grid centers with
+each build: kept per absorption cell with the circle instead, it cost a spec
+built for one certificate and one abscissa more than it saved them.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError, _ieee_policy
-from .model import (DelayMeasure, NetworkBounds, NetworkSpec, _cell_index,
-                    _exp_or_inf, _laplace, _log_laplace, network_bounds)
+from .model import (DelayMeasure, NetworkSpec, _cell_index, _exp_or_inf, _laplace,
+                    _log_laplace, network_bounds)
 
 MAX_ARRAY_VALUES = 2**27  # float64 values in one dense array (1 GiB)
 # The largest J m core whose fourth power the Perron brackets take
@@ -249,17 +257,14 @@ class _GainFactors:
         """(a, b) with a |lam| + b above |x| for every e^x in core(lam) and its
         terms c omega U: e^{-|lam| r} <= laplace / TV <= e^{|lam| r} on [-r, 0],
         |log S| <= |lam| max l/v + max |Q/v|, omega in (0, 1], an entry 1 to K
-        terms; u_min and u_max are U's extremes."""
+        terms; u_min and u_max are U's extremes. Each measure keeps its
+        |log TV| + max |rate| r (DelayMeasure._log_bound_term)."""
         if u_min == 0.0:  # the least positive entry
             u_min = np.min(self.route, where=self.route > 0.0, initial=1.0)
         log_u = (max(-math.log(min(u_min, 1.0)), math.log(max(u_max, 1.0)))
                  - math.log(np.minimum.reduce(self.omega[2])) + math.log(self.k))
-        log_tv = [math.log(t) if (t := _laplace(m, 0.0)) > 0.0 else -math.inf
-                  for m in self.measures]
-        rates = [max((abs(rate) for *_, rate in m._parts[1]), default=0.0)
-                 for m in self.measures]  # of the density cells e^{rate*theta}
         return (max(m.r for m in self.measures) - float(self.slope.min()),
-                max(abs(x) + rate * m.r for x, rate, m in zip(log_tv, rates, self.measures))
+                max(m._log_bound_term for m in self.measures)
                 + float(np.abs(self.offset).max()) + log_u)
 
     def perron_power(self, lam: float, core: np.ndarray) -> tuple[np.ndarray, int]:
@@ -358,19 +363,12 @@ def pd_norm_closed_form(spec: NetworkSpec) -> float:
     if not spec.mass_preserving:
         raise PreconditionError(
             "junction norm bound requires the mass_preserving flag")
-    return _pd_norm_bound(spec, network_bounds(spec))
-
-
-def _pd_norm_bound(spec: NetworkSpec, b: NetworkBounds) -> float:
-    return max(b.var_bar * spec.v_max / spec.v_min,
-               _bound_product(*_dirichlet_bounds(spec, b)))
+    return max(network_bounds(spec).var_bar * spec.v_max / spec.v_min,
+               _bound_product(*dirichlet_norm_closed_form(spec)))
 
 
 def dirichlet_norm_closed_form(spec: NetworkSpec) -> tuple[float, float]:
     """Closed-form bounds (||D_0|| <= e^{l_bar*gamma_bar/v_min}, ||K|| <= ||M||);
     the first is inf where the exponential passes float range."""
-    return _dirichlet_bounds(spec, network_bounds(spec))
-
-
-def _dirichlet_bounds(spec: NetworkSpec, b: NetworkBounds) -> tuple[float, float]:
+    b = network_bounds(spec)
     return (_exp_or_inf(b.l_bar * b.gamma_bar / spec.v_min), b.routing_norm)

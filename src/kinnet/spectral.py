@@ -38,7 +38,8 @@ import numpy as np
 from .errors import BracketError, DomainError, SmallGainViolation, _ieee_policy
 from .model import NetworkSpec, network_bounds
 from .operators import (BlockOperator, VelocityGrid, _bound_product, _check_entries,
-                        _dirichlet_bounds, _gain_factors, _pd_norm_bound, assemble_gain)
+                        _gain_factors, assemble_gain, dirichlet_norm_closed_form,
+                        pd_norm_closed_form)
 
 INCONCLUSIVE_BAND = 1e-3
 POWER_TOL_DEFAULT = 1e-10
@@ -234,7 +235,7 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
     pd_radius = math.sqrt(r_a) if p == 1 else r_a ** 0.125
 
     b = network_bounds(spec)
-    exp_factor = _dirichlet_bounds(spec, b)[0]
+    exp_factor = dirichlet_norm_closed_form(spec)[0]
 
     example1 = None
     if all(c.delay_measure.kind == "dirac" for c in spec.circles):
@@ -249,7 +250,7 @@ def small_gain_certificate(spec: NetworkSpec, grid: VelocityGrid) -> Certificate
         example2 = _bound_product(b.r_bar, spec.v_max / spec.v_min, exp_factor,
                                   b.routing_norm)
 
-    c1 = _pd_norm_bound(spec, b) if spec.mass_preserving else None
+    c1 = pd_norm_closed_form(spec) if spec.mass_preserving else None
 
     if abs(r_gain - 1.0) < INCONCLUSIVE_BAND:
         decision = "INCONCLUSIVE"
@@ -350,8 +351,7 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
         # structurally zero gain: the radius stays 0 at every shift
         raise BracketError("gain radius is identically zero; no finite crossing")
 
-    g1, g2 = spec.absorption_range()
-    lo, hi = -spec.v_min * max(abs(g1), abs(g2)) - 10.0, 10.0
+    lo, hi = -spec.v_min * network_bounds(spec).gamma_bar - 10.0, 10.0
     if f0 > 0.0:
         lo, f_lo, f_hi = 0.0, f0, phi(hi)
     else:
@@ -442,7 +442,7 @@ def resolvent_constant_c(spec: NetworkSpec, grid: VelocityGrid, lam: float,
     cell, or the first node where one cell damps strongly. So c shrinks like
     1/n as the mesh is refined.
     """
-    g1, g2 = spec.absorption_range()
+    g2 = network_bounds(spec).gamma2
     if lam <= max(0.0, -g2):
         raise DomainError(f"lam must exceed max(0, -gamma2) = {max(0.0, -g2)}")
     if n_x < 1 or n_theta < 1:
@@ -504,7 +504,7 @@ def iss_constants(spec: NetworkSpec, grid: VelocityGrid, p: float,
     lam = max(0, -gamma2) + 1, and c_grid records its mesh."""
     n_envelope, a_rate = envelope
     b = network_bounds(spec)
-    d0_bound, k_bound = _dirichlet_bounds(spec, b)
+    d0_bound, k_bound = dirichlet_norm_closed_form(spec)
     if not math.isfinite(d0_bound):
         raise DomainError("the Dirichlet-lift bound e^(l_bar gamma_bar / v_min) "
                           "passes float range; no finite ISS gain")

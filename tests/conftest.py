@@ -7,7 +7,8 @@ import pytest
 import kinnet.model
 import kinnet.operators
 import kinnet.simulator
-from kinnet import DomainError, ScatteringKernel, VelocityGrid, make_scenario
+from kinnet import (AbsorptionProfile, DelayMeasure, DomainError, ScatteringKernel,
+                    VelocityGrid, load_network, make_scenario)
 from kinnet.presets import heterogeneous_five, single_circle
 
 
@@ -104,6 +105,27 @@ def shape_doc() -> dict:
         "flags": {"mass_preserving": False},
         "absorption_bounds": {"gamma1": 0.0, "gamma2": 1.0},
     }
+
+
+def short_absorption_spec():
+    """shape_doc()'s network with a tabulated absorption on its first circle
+    whose x and v edges stop short of [0, l] and [v_min, v_max], so that its
+    end cells reach past them. No interior v edge lies on a cell edge or a
+    center of the grids the tests use, k = 1, 3, 8 and 32."""
+    spec = load_network(shape_doc())
+    table = AbsorptionProfile(kind="tabulated", x_edges=(0.1, 0.5, 0.9),
+                              v_edges=(1.2, 1.45, 1.7, 1.9),
+                              values=((0.2, 0.9, 0.4), (0.6, 0.1, 0.7)))
+    first = replace(spec.circles[0], absorption=table)
+    return replace(spec, circles=(first, *spec.circles[1:]))
+
+
+def negative_rate_spec():
+    """single_circle(0.5) with an exponential delay measure of negative rate,
+    whose |rate| r enters the gain's log bound."""
+    spec = single_circle(0.5)
+    measure = DelayMeasure(kind="exponential", r=0.9, theta_rate=-1.7)
+    return replace(spec, circles=(replace(spec.circles[0], delay_measure=measure),))
 
 
 def constant_scenario(spec, grid, t_end, **kw):

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import kinnet
 
 
@@ -64,3 +66,34 @@ def test_a_dense_b_is_built_only_for_the_gain():
     assert callers
     assert [(file, line) for file, line in callers if not (
         file == "operators.py" and gain.lineno <= line <= gain.end_lineno)] == []
+
+
+def _call_name(call: ast.Call):
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def test_the_gain_reads_what_depends_on_the_spec_alone():
+    # each measure's total variation is built with the measure: operators.py
+    # takes no Laplace transform at shift 0
+    (ops,) = [tree for file, tree in _package_trees() if file == "operators.py"]
+    calls = [node for node in ast.walk(ops) if isinstance(node, ast.Call)]
+    assert [c.lineno for c in calls if _call_name(c) == "measure_total_variation"] == []
+    assert [c.lineno for c in calls if _call_name(c) in ("_laplace", "measure_laplace")
+            and isinstance(c.args[1], ast.Constant) and c.args[1].value == 0] == []
+
+
+@pytest.mark.parametrize("owner, attribute", [("DelayMeasure", "_log_bound_term"),
+                                              ("NetworkSpec", "_bounds")])
+def test_each_owner_builds_its_derived_data_at_construction(owner, attribute):
+    # in __post_init__, never lazily: a cached_property would build them
+    # inside the first call that reads them
+    (model,) = [tree for file, tree in _package_trees() if file == "model.py"]
+    (cls,) = [c for c in model.body if isinstance(c, ast.ClassDef) and c.name == owner]
+    (post_init,) = [f for f in cls.body
+                    if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+    assigned = [node.args[1].value for node in ast.walk(post_init)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+                and isinstance(node.args[1], ast.Constant)]
+    assert attribute in assigned
+    assert attribute not in [f.name for f in cls.body if isinstance(f, ast.FunctionDef)]

@@ -13,12 +13,13 @@ from kinnet import (AbsorptionProfile, DelayMeasure, KinnetError, NetworkSpec,
                     SchemaError,
                     ScatteringKernel, ValidationError, load_network,
                     measure_laplace, measure_total_variation, network_bounds,
-                    routing_norm)
-from kinnet.model import _exp_increment, _log_laplace
+                    routing_norm, scale_spec)
+from kinnet.model import _exp_increment, _log_laplace, _network_bounds
 from kinnet.presets import (conservation_spec, constant_kernel, random_spec,
                             regression_suite, single_circle)
 
-from conftest import json_paths, shape_doc
+from conftest import (json_paths, moment_specs, negative_rate_spec, shape_doc,
+                      short_absorption_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +338,63 @@ def test_network_bounds_values():
     assert b.var_bar == 1.0
     assert b.gamma_bar == 0.0
     assert b.routing_norm == pytest.approx(1.0)
+
+
+def _fresh_log_bound_term(m: DelayMeasure) -> float:
+    """|log TV| + max |rate| r, from the measure's fields."""
+    tv = measure_total_variation(m)
+    rate = abs(m.theta_rate) if m.kind == "exponential" else 0.0
+    return abs(math.log(tv) if tv > 0.0 else -math.inf) + rate * m.r
+
+
+def _assert_owned_data_fresh(spec: NetworkSpec):
+    """Each owner's derived data equal a fresh computation, exactly: the
+    network's bounds and each measure's log-bound term."""
+    assert network_bounds(spec) == _network_bounds(spec)
+    for c in spec.circles:
+        assert c.delay_measure._log_bound_term == _fresh_log_bound_term(c.delay_measure)
+
+
+def _owned(spec: NetworkSpec):
+    return (network_bounds(spec),
+            [c.delay_measure._log_bound_term for c in spec.circles])
+
+
+def test_owned_data_stay_fresh():
+    specs = ([spec for _, spec, _ in regression_suite()] + [spec for _, spec in moment_specs()]
+             + [load_network(shape_doc()), short_absorption_spec(), negative_rate_spec()])
+    for spec in specs:
+        _assert_owned_data_fresh(spec)
+        loaded = load_network(spec.to_config())
+        _assert_owned_data_fresh(loaded)
+        assert _owned(loaded) == _owned(spec)
+        doubled = scale_spec(spec, "routing_scale", 2.0)
+        _assert_owned_data_fresh(doubled)
+        assert network_bounds(doubled).routing_norm == 2.0 * network_bounds(spec).routing_norm
+        halved = scale_spec(spec, "beta_scale", 0.5)
+        _assert_owned_data_fresh(halved)
+        assert network_bounds(halved).beta_bar == 0.5 * network_bounds(spec).beta_bar
+        stretched = scale_spec(spec, "delay_scale", 2.0)
+        _assert_owned_data_fresh(stretched)
+        assert ([c.delay_measure._log_bound_term for c in stretched.circles]
+                == [_fresh_log_bound_term(c.delay_measure._stretched(2.0))
+                    for c in spec.circles])
+
+
+def test_replace_rebuilds_the_owned_data():
+    # dataclasses.replace runs __post_init__ again, so a replaced owner never
+    # keeps the data of the one it was copied from
+    spec = short_absorption_spec()
+    circle = spec.circles[2]
+    longer = replace(circle, length=2.0 * network_bounds(spec).l_bar)
+    measure = spec.circles[1].delay_measure  # exponential
+    wider = replace(measure, r=2.0 * measure.r)
+    assert wider._log_bound_term == _fresh_log_bound_term(wider) != measure._log_bound_term
+    rerouted = replace(spec, routing=2.0 * spec.routing, circles=(*spec.circles[:2], longer))
+    assert network_bounds(rerouted) is not network_bounds(spec)
+    _assert_owned_data_fresh(rerouted)
+    assert network_bounds(rerouted).l_bar == longer.length
+    assert network_bounds(rerouted).routing_norm == 2.0 * network_bounds(spec).routing_norm
 
 
 def test_spec_routing_is_a_read_only_copy():

@@ -10,10 +10,11 @@ from kinnet import (BlockOperator, DelayMeasure, DomainError, PreconditionError,
                     pd_norm_closed_form)
 from kinnet.model import _log_laplace
 from kinnet.operators import _gain_factors, _junction_moments
-from kinnet.presets import heterogeneous_five, regression_suite, \
+from kinnet.presets import heterogeneous_five, random_spec, regression_suite, \
     single_circle, single_circle_gain
 
-from conftest import moment_specs, shape_doc, survival_factor
+from conftest import (moment_specs, negative_rate_spec, shape_doc, short_absorption_spec,
+                      survival_factor)
 from pd_oracle import assemble_pd
 
 
@@ -187,6 +188,44 @@ def test_factor_laplace_reads_the_measure_laplace():
                          - 0.5 * t[:, None] + 0.5 * t[None, :] + t[:, None])
             assert s == pytest.approx(log_a.max(), rel=1e-14), lam
             np.testing.assert_allclose(a, np.exp(log_a - s), rtol=1e-12, atol=0)
+
+
+def _per_build_log_bound(factors) -> tuple[float, float]:
+    """log_bound as each build of the factorization once took it, with every
+    measure's log total variation and largest density rate read anew."""
+    u = factors.route
+    u_min, u_max = float(u.min()), float(u.max())
+    if u_min == 0.0:
+        u_min = np.min(u, where=u > 0.0, initial=1.0)
+    log_u = (max(-math.log(min(u_min, 1.0)), math.log(max(u_max, 1.0)))
+             - math.log(np.minimum.reduce(factors.omega[2])) + math.log(factors.k))
+    log_tv = [math.log(t) if (t := measure_laplace(m, 0.0)) > 0.0 else -math.inf
+              for m in factors.measures]
+    rates = [max((abs(rate) for *_, rate in m._parts[1]), default=0.0)
+             for m in factors.measures]
+    return (max(m.r for m in factors.measures) - float(factors.slope.min()),
+            max(abs(x) + rate * m.r for x, rate, m in zip(log_tv, rates, factors.measures))
+            + float(np.abs(factors.offset).max()) + log_u)
+
+
+@pytest.mark.parametrize("k", [3, 8, 32])
+def test_the_owned_measure_terms_give_the_per_build_log_bound(k):
+    # each measure's |log TV| + max |rate| r is built once with the measure;
+    # the factorization's log bound reads it and equals, bit for bit, the one
+    # each build once derived, and its offset is -Q(v) / v at the grid
+    # centers, on absorption tables whose edges lie off the grid or stop short
+    specs = ([spec for _, spec, _ in regression_suite()]
+             + [random_spec(s, family) for family in ("estimate", "example1", "example2", "c1")
+                for s in range(10)]
+             + [spec for _, spec in moment_specs()]
+             + [short_absorption_spec(), negative_rate_spec()])
+    for spec in specs:
+        grid = VelocityGrid.for_spec(spec, k)
+        v = grid.centers
+        factors = _gain_factors(spec, grid)
+        absorbed = np.array([c.absorption.integral_x(c.length, v) for c in spec.circles])
+        assert np.array_equal(factors.offset, (-absorbed / v).ravel())
+        assert factors.log_bound == _per_build_log_bound(factors)
 
 
 @pytest.mark.parametrize("k", [1, 8, 32])
