@@ -1,9 +1,9 @@
 """Spectral radii, small-gain certificates, the spectral abscissa, ISS constants.
 
-The abscissa solves r(G(lam)) = 1 by a safeguarded secant method on the
-convex map lam -> log r(G(lam)) (Kingman 1961), run from the left of the
-root, with a bisection fallback; see spectral_abscissa. Its radii are read
-on the J m x J m core C of the gain (operators._GainFactors.core), by the
+The abscissa solves r(G(lam)) = 1 by Illinois false position on the
+decreasing map lam -> log r(G(lam)), convex by Kingman (1961), inside a sign
+bracket whose ends are both evaluated; see spectral_abscissa. Its radii are
+read on the J m x J m core C of the gain (operators._GainFactors.core), by the
 Collatz-Wielandt loop of spectral_radius (_perron_bracket), each started
 from the last one's Perron vector and stopped once its bracket decides the
 sign of log r(G(lam)). The small-gain certificate takes r(G(0)) on the dense
@@ -294,21 +294,19 @@ def _probe(end: float, step: float) -> float:
 @_ieee_policy()  # for every _perron_bracket below
 def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
                       tol: float = ABSCISSA_TOL_DEFAULT) -> AbscissaResult:
-    """Unique lambda with r(gain_lambda) = 1, by a safeguarded secant method
-    on phi(lambda) = log r(gain_lambda) run from the left of the root.
+    """Unique lambda with r(gain_lambda) = 1, by Illinois false position on
+    phi(lambda) = log r(gain_lambda) (Dowell and Jarratt, BIT 11, 1971).
 
     Every column factor laplace_j(lambda) S_jk(lambda) is log-convex, so phi
     is convex (Kingman, "A convexity property of positive matrices", Quart.
-    J. Math. 12, 1961) and strictly decreasing. The secant through two points
-    left of the root then meets zero left of the root again: each step is a
-    lower bound that moves monotonically and superlinearly toward lambda*.
-    Once a step would advance lo by less than tol/2, lo + tol is evaluated
-    instead; it becomes hi when the radius there is below 1. A secant point
-    less than tol/2 below hi moves to hi - tol in the same way. Far left the
-    survival clamp makes phi locally concave, so a secant point outside
-    (lo, hi), or a gap from lo to the chord root of [lo, hi] (an upper bound
-    on lambda* while phi is convex) that has not halved in two steps, gives a
-    bisection step instead.
+    J. Math. 12, 1961) and strictly decreasing, with one root. The root
+    finder does not rely on that convexity (far left the survival clamp
+    makes phi locally concave): once a sign bracket is found, each step
+    evaluates the chord root of [lo, hi] and keeps the end whose sign it
+    shares, and where the same end stays put twice in a row the value kept
+    at that end is halved. A chord root less than tol/2 above lo is moved to
+    lo + tol, and one less than tol/2 below hi to hi - tol, so that the
+    evaluated end there can close the bracket.
 
     [lo, hi] is a sign bracket whose ends were both evaluated, so
     bracket_width = hi - lo <= tol is certified; lambda_star is its middle.
@@ -370,29 +368,28 @@ def spectral_abscissa(spec: NetworkSpec, grid: VelocityGrid,
             f_hi = phi(hi)
         doublings += 1
 
-    # a second point left of the root, a tenth of the bracket further left
-    a = lo - 0.1 * (hi - lo)
-    f_a = phi(a)
-    iterations = 1
-    gaps = [math.inf, math.inf]
+    # Illinois false position. No end reads -inf, whose chord would pin x at
+    # lo: a gain that is zero at every shift was refused at phi(0), in range
+    # the core's zero pattern does not depend on lam, and in log form an
+    # entry that underflows raises the lost-entry DomainError
+    iterations, kept = 0, 0  # kept: +1 (-1) where lo (hi) stayed put last step
     while hi - lo > tol:
-        # lo to the chord root of [lo, hi], an upper bound when phi is convex
-        gap = (hi - lo) * f_lo / (f_lo - f_hi)
-        x = lo + f_lo * (lo - a) / (f_a - f_lo) if f_a > f_lo else math.inf
+        x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
         if x - lo < 0.5 * tol:
             x = _probe(lo, tol)
-        elif 0.0 <= hi - x < 0.5 * tol:
+        elif hi - x < 0.5 * tol:
             x = _probe(hi, -tol)
-        if not lo < x < hi or gap > 0.5 * gaps[-2]:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:  # lo and hi are adjacent floats
-                raise BracketError(f"[{lo}, {hi}] is wider than tol {tol} at float spacing")
-        gaps.append(gap)
+        if not lo < x < hi:  # the probe cannot move off an end
+            raise BracketError(f"[{lo}, {hi}] is wider than tol {tol} at float spacing")
         f_x = phi(x)
         if f_x > 0.0:
-            a, f_a, lo, f_lo = lo, f_lo, x, f_x
+            lo, f_lo = x, f_x
+            f_hi *= 0.5 if kept < 0 else 1.0
+            kept = -1
         else:
             hi, f_hi = x, f_x
+            f_lo *= 0.5 if kept > 0 else 1.0
+            kept = 1
         iterations += 1
     return AbscissaResult(lambda_star=0.5 * (lo + hi), bracket_width=hi - lo,
                           iterations=iterations)
